@@ -155,7 +155,10 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "byte-conservation (C1, workspace)\n\
              Byte-accounting counters (`bytes_transferred`, `remote_bytes`,\n\
              `nominal_bytes_downloaded`, `nominal_bytes_uploaded`,\n\
-             `pinned_nominal_bytes`, `replicated_bytes`) mutate only\n\
+             `pinned_nominal_bytes`, `replicated_bytes`, the tier's\n\
+             `wire_bytes_downloaded`/`wire_bytes_uploaded`/`cache_hit_bytes`\n\
+             and the store's `bytes_uploaded`/`bytes_downloaded`/\n\
+             `bytes_deduped`) mutate only\n\
              through `checked_`/`saturating_` arithmetic, and every such\n\
              field is pinned by at least one assertion or test.\n\n\
              The Table 5 byte decomposition is summed across millions of\n\

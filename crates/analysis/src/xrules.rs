@@ -42,6 +42,9 @@ pub const BYTE_ACCOUNTING_FIELDS: &[&str] = &[
     "wire_bytes_downloaded",
     "wire_bytes_uploaded",
     "cache_hit_bytes",
+    "bytes_uploaded",
+    "bytes_downloaded",
+    "bytes_deduped",
 ];
 
 /// What made a function a determinism-taint source.

@@ -89,6 +89,33 @@ impl OverheadTotals {
             self.checkpoint_us / self.checkpoints as f64
         }
     }
+
+    /// Folds `other` into `self`, for aggregating disjoint orchestrators
+    /// (one per deployment). Every counter adds, so the pool peak becomes
+    /// an upper bound on the pools' joint peak.
+    pub fn merge(&mut self, other: &OverheadTotals) {
+        self.startup_us += other.startup_us;
+        self.startups += other.startups;
+        self.request_us += other.request_us;
+        self.requests += other.requests;
+        self.checkpoint_us += other.checkpoint_us;
+        self.checkpoints += other.checkpoints;
+        saturating_accumulate(
+            "nominal_bytes_uploaded",
+            &mut self.nominal_bytes_uploaded,
+            other.nominal_bytes_uploaded,
+        );
+        saturating_accumulate(
+            "nominal_bytes_downloaded",
+            &mut self.nominal_bytes_downloaded,
+            other.nominal_bytes_downloaded,
+        );
+        saturating_accumulate(
+            "peak_pool_nominal_bytes",
+            &mut self.peak_pool_nominal_bytes,
+            other.peak_pool_nominal_bytes,
+        );
+    }
 }
 
 /// What the platform should do with a new worker.

@@ -1,12 +1,13 @@
 //! The N-node cluster runner: a sharded gateway over per-node worker
-//! pools, driven through one simulation kernel.
+//! pools, driven by the deployment engine ([`crate::engine`]).
 //!
 //! [`run_cluster`] generalizes [`crate::run_closed_loop`] to a cluster of
 //! `ClusterSpec::nodes` nodes behind a deterministic consistent-hash
 //! gateway:
 //!
 //! - **Routing.** A function's invocations land on its ring owner
-//!   ([`HashRing::route`]); under [`RoutingPolicy::LoadAware`] an arrival
+//!   ([`pronghorn_cluster::HashRing::route`]); under
+//!   [`RoutingPolicy::LoadAware`](pronghorn_cluster::RoutingPolicy) an arrival
 //!   that finds the owner saturated probes the ring successors in
 //!   deterministic ring order and serves on the first node with a free
 //!   worker slot (falling back to the owner's queue when the whole
@@ -17,30 +18,28 @@
 //!   (the policy still observes the execution latency — queueing is a
 //!   placement artifact, not a property of the worker).
 //! - **Locality.** Snapshot blobs live in the shared content-addressed
-//!   object store, but *residency* is per node ([`BlobDirectory`]): a
-//!   restore on the node that checkpointed (or previously fetched) the
-//!   blob is a local hit at the single-node price; anywhere else it pays
-//!   the Table 5 chained-transfer price for the composed chain, and the
-//!   cross-node snapshot age feeds the staleness model
+//!   object store, but *residency* is per node
+//!   ([`pronghorn_cluster::BlobDirectory`]): a restore on the node that
+//!   checkpointed (or previously fetched) the blob is a local hit at the
+//!   single-node price; anywhere else it pays the Table 5
+//!   chained-transfer price for the composed chain, and the cross-node
+//!   snapshot age feeds the staleness model
 //!   ([`crate::IoStaleModel::penalty_frac_aged`]).
 //!
-//! The whole cluster shares one [`Session`] — one orchestrator, snapshot
+//! The whole cluster shares one deployment — one orchestrator, snapshot
 //! pool and set of seeded RNG streams — so the `nodes = 1` run replays
 //! the exact event sequence of [`crate::run_closed_loop`] and is pinned
 //! byte-identical to it (see the goldens in `tests/`), and N-node runs
-//! are byte-identical under either [`pronghorn_sim::KernelKind`].
+//! are byte-identical under either [`pronghorn_sim::KernelKind`]. Each
+//! worker slot keeps its own encode cache, so a checkpoint can never
+//! reuse another live worker's cached payload.
 
 use crate::config::RunConfig;
+use crate::engine::{self, Arrivals, Topology};
 use crate::result::RunResult;
-use crate::runner::{Session, PRE_RESTORE_EVENT, PRE_WARM_EXPIRY_EVENT};
-use crate::worker::Worker;
-use pronghorn_cluster::{
-    BlobDirectory, ClusterSpec, HashRing, LocalityStats, PlacementPolicy, RoutingPolicy,
-};
-use pronghorn_sim::{Kernel, SimDuration, SimTime};
-use pronghorn_store::saturating_accumulate;
+use crate::runner::{Deployment, Session};
+use pronghorn_cluster::{ClusterSpec, LocalityStats};
 use pronghorn_workloads::Workload;
-use std::collections::VecDeque;
 
 /// Per-node counters of one cluster run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -103,122 +102,6 @@ impl ClusterRunResult {
     }
 }
 
-/// One node's worker pool: `capacity` slots, each remembering when its
-/// current (or last) request finishes on the virtual clock.
-struct NodeState {
-    slots: Vec<Option<Worker>>,
-    busy_until: Vec<SimTime>,
-    stats: NodeBreakdown,
-}
-
-impl NodeState {
-    fn new(node: u32, capacity: u32) -> Self {
-        NodeState {
-            slots: (0..capacity).map(|_| None).collect(),
-            busy_until: vec![SimTime::ZERO; capacity as usize],
-            stats: NodeBreakdown {
-                node,
-                ..NodeBreakdown::default()
-            },
-        }
-    }
-
-    /// Whether some slot can start serving at `now` without queueing.
-    fn has_free_slot(&self, now: SimTime) -> bool {
-        self.busy_until.iter().any(|&b| b <= now)
-    }
-
-    /// The slot an arrival at `now` is dispatched to: the first free slot
-    /// (lowest index — warm workers accumulate at low indices, so this
-    /// prefers reuse over a fresh boot), else the slot that frees up
-    /// earliest (ties to the lowest index), where the request queues.
-    fn pick_slot(&self, now: SimTime) -> usize {
-        if let Some(free) = self.busy_until.iter().position(|&b| b <= now) {
-            return free;
-        }
-        let mut best = 0;
-        for (i, &b) in self.busy_until.iter().enumerate() {
-            if b < self.busy_until[best] {
-                best = i;
-            }
-        }
-        best
-    }
-
-    fn occupied(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-}
-
-/// Syncs freshly recorded / evicted pool blobs into the residency
-/// directory, attributing new blobs to the node that checkpointed them.
-fn drain_pool_events(
-    session: &mut Session<'_>,
-    dir: &mut BlobDirectory,
-    node: u32,
-    spec: &ClusterSpec,
-    now: SimTime,
-) {
-    let (recorded, evicted) = session.orch.drain_pool_events();
-    for (id, bytes) in recorded {
-        dir.record(id.0, node, now);
-        if spec.placement == PlacementPolicy::Replicate {
-            dir.replicate(id.0, bytes);
-        }
-    }
-    for id in evicted {
-        dir.evict(id.0);
-    }
-}
-
-/// Provisions a worker on `node`, charging the remote transfer (and
-/// recording the cross-node snapshot age) when the restored blob was not
-/// resident there.
-fn provision_on(
-    session: &mut Session<'_>,
-    dir: &mut BlobDirectory,
-    node: &mut NodeState,
-    spec: &ClusterSpec,
-    now: SimTime,
-) -> Worker {
-    let (mut worker, origin) = session.provision_traced(now);
-    // An immediately-due plan checkpoints inside provisioning; those
-    // blobs become resident here.
-    drain_pool_events(session, dir, node.stats.node, spec, now);
-    match origin {
-        Some(o) => {
-            node.stats.restores += 1;
-            // Price the would-be miss up front (pure in the inputs, so
-            // computing it eagerly is value-identical): the session's
-            // storage tier collapses a composed chain into one batched
-            // wire-byte fetch; without a tier this is the legacy serial
-            // chain walk. `bytes` stays nominal either way, preserving
-            // the conservation law under compression.
-            let transfer = session.remote_fetch_price(&o, &spec.remote);
-            let access = dir.access_priced(o.id.0, node.stats.node, o.nominal, now, transfer);
-            if access.hit {
-                node.stats.local_hits += 1;
-            } else {
-                node.stats.remote_misses += 1;
-                // The fetch rides the provisioning path (off the request
-                // critical path, like the store download it extends).
-                session.provision_us += access.transfer.as_micros() as f64;
-                if let Some(info) = worker.restore.as_mut() {
-                    saturating_accumulate(
-                        "bytes_transferred",
-                        &mut info.bytes_transferred,
-                        access.bytes,
-                    );
-                }
-                worker.stale_age = access.age;
-                session.note_remote_fetched(&o);
-            }
-        }
-        None => node.stats.cold_starts += 1,
-    }
-    worker
-}
-
 /// Runs the closed-loop protocol on an N-node cluster behind a
 /// consistent-hash gateway (see the module docs for the model).
 ///
@@ -241,137 +124,16 @@ fn provision_on(
 /// assert!(r.locality_hit_rate() >= 0.0);
 /// ```
 pub fn run_cluster(workload: &dyn Workload, cfg: &RunConfig) -> ClusterRunResult {
-    let spec = cfg.cluster;
-    let mut session = Session::new(workload, *cfg, cfg.invocations as usize);
-    let ring = HashRing::new(spec.nodes);
-    // One function per run, so the probe order is fixed: the ring owner
-    // first, then the deterministic spillover successors.
-    let probe = ring.successors(HashRing::key_of(workload.name()));
-    let primary = probe[0];
-    let mut dir = BlobDirectory::new(spec.nodes);
-    let mut nodes: Vec<NodeState> = (0..spec.nodes)
-        .map(|n| NodeState::new(n, spec.capacity))
-        .collect();
-
-    // The same closed-loop arrival pump as `run_closed_loop`: arrival `i`
-    // fires at `(i + 1) * request_gap`, self-scheduled through the
-    // configured kernel, so results are byte-identical on either kernel.
-    let total = u64::from(cfg.invocations);
-    let mut kernel: Kernel<u64> = Kernel::new(cfg.kernel);
-    if total > 0 {
-        kernel.schedule(SimTime::ZERO + cfg.request_gap, 0);
-    }
-    // Destinations of planned-but-not-yet-fired pre-restores, in plan
-    // order — every PRE_RESTORE_EVENT fires at plan-time + 1 µs, so the
-    // kernel pops them in exactly this order.
-    let mut pending_pre: VecDeque<(u32, usize)> = VecDeque::new();
-    let mut last_now = SimTime::ZERO;
-    while let Some((now, i)) = kernel.pop() {
-        last_now = now;
-        match i {
-            PRE_RESTORE_EVENT => {
-                let Some((target, slot)) = pending_pre.pop_front() else {
-                    continue;
-                };
-                let node = &mut nodes[target as usize];
-                if node.slots[slot].is_none() {
-                    let mut w = provision_on(&mut session, &mut dir, node, &spec, now);
-                    session.mark_pre_restored(&mut w, now);
-                    kernel.schedule(w.pre_warm_expires, PRE_WARM_EXPIRY_EVENT);
-                    node.slots[slot] = Some(w);
-                } else {
-                    session.cancel_pre_restore();
-                }
-                continue;
-            }
-            PRE_WARM_EXPIRY_EVENT => {
-                // Keep-alives can differ per plan (the MPC arm picks its
-                // own), so expiries are matched by scanning the slots in
-                // deterministic (node, slot) order rather than FIFO.
-                for node in nodes.iter_mut() {
-                    for s in 0..node.slots.len() {
-                        let expired = node.slots[s].as_ref().is_some_and(|w| {
-                            w.pre_warmed_since.is_some() && now >= w.pre_warm_expires
-                        });
-                        if !expired {
-                            continue;
-                        }
-                        if let Some(w) = node.slots[s].take() {
-                            session.retire(w, now);
-                        }
-                        if let Some(at) = session.plan_pre_restore(now) {
-                            pending_pre.push_back((node.stats.node, s));
-                            kernel.schedule(at, PRE_RESTORE_EVENT);
-                        }
-                    }
-                }
-                continue;
-            }
-            _ => {}
-        }
-        let target = match spec.routing {
-            RoutingPolicy::Hash => primary,
-            RoutingPolicy::LoadAware => probe
-                .iter()
-                .copied()
-                .find(|&n| nodes[n as usize].has_free_slot(now))
-                .unwrap_or(primary),
-        };
-        let node = &mut nodes[target as usize];
-        let slot = node.pick_slot(now);
-        let mut w = match node.slots[slot].take() {
-            Some(w) => w,
-            None => provision_on(&mut session, &mut dir, node, &spec, now),
-        };
-        node.stats.peak_workers = node.stats.peak_workers.max(node.occupied() as u32 + 1);
-        // Queueing: if the slot is still serving, this request waits for
-        // it; the wait is client-visible but invisible to the policy,
-        // whose streams see exactly the single-node sequence.
-        let wait = node.busy_until[slot].saturating_since(now);
-        let latency = session.serve(&mut w, i, now);
-        drain_pool_events(&mut session, &mut dir, target, &spec, now);
-        let wait_us = wait.as_micros() as f64;
-        if wait_us > 0.0 {
-            if let Some(last) = session.latencies.last_mut() {
-                *last += wait_us;
-            }
-            node.stats.queue_delay_us += wait_us;
-        }
-        let start = now.max(node.busy_until[slot]);
-        node.busy_until[slot] = start + SimDuration::from_micros_f64(latency);
-        node.stats.served += 1;
-        if target != primary {
-            node.stats.spillovers += 1;
-        }
-        if w.served < cfg.eviction_rate {
-            node.slots[slot] = Some(w);
-        } else {
-            session.retire(w, now);
-            if let Some(at) = session.plan_pre_restore(now) {
-                pending_pre.push_back((target, slot));
-                kernel.schedule(at, PRE_RESTORE_EVENT);
-            }
-        }
-        if i + 1 < total {
-            kernel.schedule(now + cfg.request_gap, i + 1);
-        }
-    }
-
-    for node in &mut nodes {
-        for slot in &mut node.slots {
-            if let Some(w) = slot.take() {
-                session.retire(w, last_now);
-            }
-        }
-    }
-    let locality = *dir.stats();
-    // Conservation: teardown releases every residency reference.
-    dir.teardown();
-    debug_assert_eq!(dir.total_refs(), 0, "residency refs must drain");
+    let mut session = Session::new(workload, *cfg, cfg.invocations as usize, false);
+    let dep = Deployment::shared(workload, cfg);
+    let mut topo = Topology::cluster(dep, cfg.cluster, workload.name());
+    let arrivals = Arrivals::closed_loop(cfg.invocations, cfg.request_gap, false);
+    engine::run(&mut session, &mut topo, arrivals);
+    let locality = topo.teardown_locality();
     ClusterRunResult {
-        result: session.finish(),
-        spec,
-        nodes: nodes.into_iter().map(|n| n.stats).collect(),
+        result: session.finish(&topo),
+        spec: cfg.cluster,
+        nodes: topo.nodes.iter().map(|n| n.stats).collect(),
         locality,
     }
 }
@@ -380,8 +142,9 @@ pub fn run_cluster(workload: &dyn Workload, cfg: &RunConfig) -> ClusterRunResult
 mod tests {
     use super::*;
     use crate::runner::run_closed_loop;
+    use pronghorn_cluster::{PlacementPolicy, RoutingPolicy};
     use pronghorn_core::PolicyKind;
-    use pronghorn_sim::KernelKind;
+    use pronghorn_sim::{KernelKind, SimDuration};
     use pronghorn_workloads::{by_name, InputVariance};
 
     fn cfg(policy: PolicyKind, rate: u32) -> RunConfig {
@@ -558,6 +321,24 @@ mod tests {
             single.result.restore_bytes(),
             single.result.overheads.nominal_bytes_downloaded
         );
+    }
+
+    #[test]
+    fn checkpoints_never_reuse_another_workers_encode() {
+        // Eight live workers at rate 4 under saturation. An encode cache
+        // shared across slots would hand a worker whose state version
+        // collides with another's cached encode that worker's bytes. Each
+        // worker checkpoints at most once per instance, so a per-slot
+        // cache never has a legitimate hit.
+        let bench = by_name("MST").unwrap();
+        let spec = ClusterSpec::new(2)
+            .with_capacity(4)
+            .with_routing(RoutingPolicy::LoadAware);
+        let mut c = contended(PolicyKind::RequestCentric, 4).with_cluster(spec);
+        c.invocations = 500;
+        let r = run_cluster(&bench, &c);
+        assert!(r.result.codec.encodes > 50, "{:?}", r.result.codec);
+        assert_eq!(r.result.codec.encode_skips, 0, "{:?}", r.result.codec);
     }
 
     #[test]

@@ -1,12 +1,19 @@
 //! The serverless platform simulator (the paper's OpenFaaS + k3s stand-in).
 //!
-//! Reproduces the evaluation protocol of §5.1 end to end:
+//! Reproduces the evaluation protocol of §5.1 end to end. Every runner is
+//! a thin wrapper over one deployment engine — a single event loop over
+//! typed events, generic over the arrival source, the topology of
+//! deployments × nodes × worker slots, and the measurement sink — so each
+//! knob below applies to every runner:
 //!
 //! - **closed-loop runs** ([`run_closed_loop`]): 500 invocations of one
 //!   function, workers evicted every 1/4/20 requests, under one of the
 //!   orchestration policies — the data behind Figures 4–5 and Tables 4–5;
 //! - **trace-driven runs** ([`run_trace`]): replay of an Azure-like
 //!   arrival trace with idle-timeout eviction — the data behind Figure 6;
+//! - **fleets and input classes** ([`run_fleet`], [`run_partitioned`]):
+//!   §5.3's exploration amortized over round-robin worker slots, and §6's
+//!   one deployment per input-size class;
 //! - **latency accounting**: the end-to-end latency a client observes is
 //!   the function's execution time (including lazy initialization on cold
 //!   first requests, JIT pauses, interference, deopts, and IO). Worker
@@ -28,10 +35,8 @@
 //!   through the platform with O(workers) memory, aggregating latency into
 //!   a log-bucketed histogram instead of per-invocation vectors — the
 //!   driver behind `results/BENCH_kernel.json`;
-//! - **kernel selection** ([`RunConfig::with_kernel`]): every runner
-//!   drives its future-event list through [`KernelKind`] — the reference
-//!   binary heap or the O(1) hierarchical timer wheel — with byte-identical
-//!   results under either;
+//! - **kernel selection** ([`RunConfig::with_kernel`]): the reference
+//!   binary heap or the O(1) timer wheel ([`KernelKind`]), byte-identical;
 //! - **cluster mode** ([`run_cluster`]): the closed loop on an N-node
 //!   cluster behind a deterministic consistent-hash gateway, with
 //!   load-aware spillover, per-node snapshot residency and Table 5
@@ -50,6 +55,7 @@
 
 pub mod cluster;
 pub mod config;
+mod engine;
 pub mod fleet;
 pub mod partitioned;
 pub mod result;

@@ -21,29 +21,10 @@
 //!    paths and execution profiles" argument of §6.
 
 use crate::config::RunConfig;
-use crate::result::{ProvisionKind, RunResult};
-use crate::stale::IoStaleModel;
-use crate::worker::Worker;
-use pronghorn_checkpoint::{CheckpointScratch, CodecStats, SimCriuEngine, SnapshotMeta};
-use pronghorn_core::{baselines::make_policy, Orchestrator};
-use pronghorn_jit::Runtime;
-use pronghorn_kv::KvStore;
-use pronghorn_restore::{RestoreInfo, RestoreStrategy};
-use pronghorn_sim::{Kernel, RngFactory, SimTime};
-use pronghorn_store::{saturating_accumulate, ObjectStore};
-use pronghorn_workloads::{InputVariance, Workload};
-
-/// One input class's deployment.
-struct ClassDeployment {
-    orch: Orchestrator,
-    store: ObjectStore,
-    worker: Option<Worker>,
-    /// Encode cache for this class's worker; invalidated on every swap.
-    scratch: CheckpointScratch,
-    /// Geometric centre of the class's size-factor range.
-    centre: f64,
-    worker_seq: u64,
-}
+use crate::engine::{self, Arrivals, Routing, Topology};
+use crate::result::RunResult;
+use crate::runner::{Deployment, Session};
+use pronghorn_workloads::Workload;
 
 /// Classifies `factor` into one of `classes` log-spaced buckets over
 /// `[0.08, 12.0]` (the variance model's clamp range).
@@ -61,7 +42,11 @@ pub fn class_centre(k: usize, classes: usize) -> f64 {
     (lo + width * (k as f64 + 0.5)).exp()
 }
 
-/// Runs the closed-loop protocol with per-input-class deployments.
+/// Runs the closed-loop protocol with per-input-class deployments. Class
+/// `k`'s deployment is labelled `{name}-class{k}`, its workers draw the
+/// `worker-c{k}`/`boot-c{k}` streams, and it provisions, checkpoints and
+/// forecasts on its own; every other knob applies exactly as in the
+/// closed loop.
 ///
 /// With `classes == 1` this degrades to (a slightly re-seeded version of)
 /// the ordinary shared deployment, which makes A/B comparisons easy.
@@ -81,241 +66,24 @@ pub fn class_centre(k: usize, classes: usize) -> f64 {
 /// assert_eq!(result.latencies_us.len(), 40);
 /// ```
 pub fn run_partitioned(workload: &dyn Workload, cfg: &RunConfig, classes: usize) -> RunResult {
-    let classes = classes.max(1);
-    let factory = RngFactory::new(cfg.seed);
-    let engine = SimCriuEngine::new();
-    let mut policy_rng = factory.stream("policy");
-    let mut engine_rng = factory.stream("engine");
-    let stale = IoStaleModel::default();
-    let policy_config = cfg.resolve_policy_config(workload.kind());
-
-    let mut deployments: Vec<ClassDeployment> = (0..classes)
+    let deps = (0..classes.max(1))
         .map(|k| {
-            let store = ObjectStore::new();
-            ClassDeployment {
-                orch: Orchestrator::new(
-                    make_policy(cfg.policy, policy_config),
-                    KvStore::new(),
-                    store.clone(),
-                    format!("{}-class{k}", workload.name()),
-                ),
-                store,
-                worker: None,
-                scratch: CheckpointScratch::new(),
-                centre: class_centre(k, classes),
-                worker_seq: 0,
-            }
+            let label = format!("{}-class{k}", workload.name());
+            Deployment::new(workload, cfg, label, &format!("-c{k}"))
         })
         .collect();
-
-    let mut latencies = Vec::with_capacity(cfg.invocations as usize);
-    let mut provisions = Vec::new();
-    let mut checkpoint_ms = Vec::new();
-    let mut restore_ms = Vec::new();
-    let mut snapshot_mb = Vec::new();
-    let mut snapshot_requests = Vec::new();
-    let mut provision_us = 0.0;
-    let mut restore_infos = Vec::new();
-
-    // Closed-loop arrival pump: request `i` fires at `(i + 1) * request_gap`,
-    // exactly the instants of the old `now += gap` for-loop, but driven
-    // through the configured kernel so both implementations are exercised.
-    let total = u64::from(cfg.invocations);
-    let mut kernel: Kernel<u64> = Kernel::new(cfg.kernel);
-    if total > 0 {
-        kernel.schedule(SimTime::ZERO + cfg.request_gap, 0);
-    }
-    while let Some((now, i)) = kernel.pop() {
-        let mut input_rng = factory.stream_indexed("input", i);
-        let mut request = workload.generate(&mut input_rng, cfg.variance);
-        let class = classify_factor(request.size_factor, classes);
-        let deployment = &mut deployments[class];
-
-        // Specialization effect 2: speculation inside a class is tuned to
-        // the class centre, so novelty is measured against it.
-        let rebased_novelty = InputVariance::novelty_of(request.size_factor / deployment.centre);
-        request = request.novelty(rebased_novelty);
-
-        if deployment.worker.is_none() {
-            deployment.scratch.invalidate();
-            let plan = deployment.orch.begin_worker(&mut policy_rng);
-            let mut cost = plan.startup_overhead.as_micros() as f64;
-            let wrng = factory.stream_indexed(&format!("worker-c{class}"), deployment.worker_seq);
-            let (runtime, resume, restore) = match plan.snapshot {
-                Some(snapshot) => match engine.restore::<Runtime, _>(&mut engine_rng, &snapshot) {
-                    Ok((rt, c)) => {
-                        cost += c.as_micros() as f64;
-                        restore_ms.push(c.as_millis_f64());
-                        let info = RestoreInfo::eager(c.as_micros() as f64, snapshot.nominal_size);
-                        (rt, plan.resume_request, Some(info))
-                    }
-                    Err(_) => {
-                        let mut boot = factory
-                            .stream_indexed(&format!("boot-c{class}"), deployment.worker_seq);
-                        let (rt, c) = Runtime::cold_start(
-                            workload.runtime_profile(),
-                            workload.method_profiles(),
-                            &mut boot,
-                        );
-                        cost += c.as_micros() as f64;
-                        (rt, 0, None)
-                    }
-                },
-                None => {
-                    let mut boot =
-                        factory.stream_indexed(&format!("boot-c{class}"), deployment.worker_seq);
-                    let (rt, c) = Runtime::cold_start(
-                        workload.runtime_profile(),
-                        workload.method_profiles(),
-                        &mut boot,
-                    );
-                    cost += c.as_micros() as f64;
-                    (rt, 0, None)
-                }
-            };
-            provision_us += cost;
-            provisions.push(if restore.is_some() {
-                ProvisionKind::Restored(resume)
-            } else {
-                ProvisionKind::Cold
-            });
-            // The partitioned path restores eagerly regardless of
-            // `cfg.restore`, so the info is final at provision time.
-            if let Some(info) = restore {
-                restore_infos.push(info);
-            }
-            deployment.worker = Some(Worker::new(
-                runtime,
-                wrng,
-                resume,
-                plan.checkpoint_at,
-                restore,
-                now,
-            ));
-            deployment.worker_seq += 1;
-        }
-
-        let worker = deployment.worker.as_mut().expect("just provisioned");
-        let request_number = worker.next_request_number();
-        let breakdown = worker.runtime.execute(&request, &mut worker.rng);
-        let mut latency = breakdown.total_us();
-        if worker.freshly_restored(stale.horizon) {
-            latency += request.io_us
-                * workload.io_stale_sensitivity()
-                * stale.penalty_frac(worker.resume_request, policy_config.w, worker.served);
-        }
-        latencies.push(latency);
-        deployment
-            .orch
-            .complete_request(request_number.min(u64::from(u32::MAX)) as u32, latency);
-        worker.served += 1;
-        worker.last_active = now;
-
-        if worker.checkpoint_due() {
-            worker.checkpoint_at = None;
-            let meta = SnapshotMeta {
-                function: format!("{}-class{class}", workload.name()),
-                request_number: worker.runtime.requests_executed() as u32,
-                runtime: workload.kind().label().to_string(),
-            };
-            let (snapshot, downtime) = engine.checkpoint_with(
-                &mut deployment.scratch,
-                &mut engine_rng,
-                &worker.runtime,
-                meta,
-            );
-            checkpoint_ms.push(downtime.as_millis_f64());
-            snapshot_mb.push(snapshot.nominal_size_mb());
-            snapshot_requests.push(snapshot.meta.request_number);
-            deployment
-                .orch
-                .record_snapshot(&snapshot, downtime, &mut policy_rng);
-        }
-        if deployment.worker.as_ref().expect("live").served >= cfg.eviction_rate {
-            deployment.worker = None;
-        }
-        if i + 1 < total {
-            kernel.schedule(now + cfg.request_gap, i + 1);
-        }
-    }
-
-    // Merge per-class store stats for reporting.
-    let mut store_stats = deployments[0].store.stats();
-    for d in &deployments[1..] {
-        let s = d.store.stats();
-        store_stats.bytes_stored += s.bytes_stored;
-        store_stats.peak_bytes_stored += s.peak_bytes_stored;
-        store_stats.bytes_uploaded += s.bytes_uploaded;
-        store_stats.bytes_downloaded += s.bytes_downloaded;
-        store_stats.bytes_deduped += s.bytes_deduped;
-        store_stats.objects += s.objects;
-        store_stats.puts += s.puts;
-        store_stats.gets += s.gets;
-        store_stats.deletes += s.deletes;
-    }
-    let mut overheads = *deployments[0].orch.overheads();
-    for d in &deployments[1..] {
-        let o = d.orch.overheads();
-        overheads.startup_us += o.startup_us;
-        overheads.startups += o.startups;
-        overheads.request_us += o.request_us;
-        overheads.requests += o.requests;
-        overheads.checkpoint_us += o.checkpoint_us;
-        overheads.checkpoints += o.checkpoints;
-        saturating_accumulate(
-            "nominal_bytes_uploaded",
-            &mut overheads.nominal_bytes_uploaded,
-            o.nominal_bytes_uploaded,
-        );
-        saturating_accumulate(
-            "nominal_bytes_downloaded",
-            &mut overheads.nominal_bytes_downloaded,
-            o.nominal_bytes_downloaded,
-        );
-        overheads.peak_pool_nominal_bytes += o.peak_pool_nominal_bytes;
-    }
-
-    RunResult {
-        workload: workload.name().to_string(),
-        policy: cfg.policy,
-        eviction_rate: cfg.eviction_rate,
-        latencies_us: latencies,
-        overheads,
-        store_stats,
-        provisions,
-        checkpoint_ms,
-        restore_ms,
-        snapshot_mb,
-        snapshot_requests,
-        provision_us,
-        codec: {
-            let mut codec = CodecStats::default();
-            for d in &deployments {
-                codec.merge(d.scratch.stats());
-            }
-            codec
-        },
-        restore_strategy: RestoreStrategy::Eager,
-        restore_infos,
-        // Partitioned deployments checkpoint full snapshots only.
-        chain: pronghorn_store::ChainStats::default(),
-        // Partitioned deployments are purely reactive.
-        provisioning: pronghorn_forecast::ProvisionStats::default(),
-        storage: {
-            let mut storage = pronghorn_store::StorageStats::default();
-            for d in &deployments {
-                storage.merge(&d.orch.storage_stats());
-            }
-            storage
-        },
-    }
+    let mut session = Session::new(workload, *cfg, cfg.invocations as usize, false);
+    let mut topo = Topology::new(deps, 1, 1, Routing::ByClass);
+    let arrivals = Arrivals::closed_loop(cfg.invocations, cfg.request_gap, false);
+    engine::run(&mut session, &mut topo, arrivals);
+    session.finish(&topo)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pronghorn_core::PolicyKind;
-    use pronghorn_workloads::by_name;
+    use pronghorn_workloads::{by_name, InputVariance};
 
     #[test]
     fn classification_is_total_and_ordered() {

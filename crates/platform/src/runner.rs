@@ -1,25 +1,30 @@
-//! The experiment runners: closed-loop (Figures 4–5) and trace-driven
-//! (Figure 6) evaluation protocols.
+//! The experiment runners — closed-loop (Figures 4–5), trace-driven
+//! (Figure 6) and production replay — and the [`Session`] and
+//! [`Deployment`] state every runner provisions, serves, checkpoints and
+//! retires workers through. The event loop itself is [`crate::engine`].
 
 use crate::config::RunConfig;
+use crate::engine::{self, Arrivals, Topology};
 use crate::result::{ProvisionKind, RunResult};
 use crate::stale::IoStaleModel;
 use crate::worker::{DeltaTracking, Worker};
 use pronghorn_checkpoint::{
-    delta::dirty_nominal_bytes, CheckpointScratch, Checkpointable, DeltaBase, SimCriuEngine,
-    Snapshot, SnapshotId, SnapshotMeta,
+    delta::dirty_nominal_bytes, CheckpointScratch, Checkpointable, CodecStats, DeltaBase,
+    SimCriuEngine, Snapshot, SnapshotId, SnapshotMeta,
 };
-use pronghorn_core::{baselines::make_policy, Orchestrator};
+use pronghorn_core::{baselines::make_policy, Orchestrator, OverheadTotals};
 use pronghorn_forecast::{PreRestorePlan, ProvisionStats, Provisioner};
-use pronghorn_jit::Runtime;
+use pronghorn_jit::{RequestWork, Runtime};
 use pronghorn_kv::KvStore;
 use pronghorn_metrics::Histogram;
 use pronghorn_restore::{
     FaultCostModel, LazyImage, PageMap, PagedSnapshotStore, RestoreInfo, RestoreStrategy,
     DEFAULT_PAGE_SIZE,
 };
-use pronghorn_sim::{Kernel, RngFactory, SimDuration, SimTime};
-use pronghorn_store::{saturating_accumulate, ObjectStore, StorageStats, TransferModel};
+use pronghorn_sim::{RngFactory, SimDuration, SimTime};
+use pronghorn_store::{
+    saturating_accumulate, ChainStats, ObjectStore, StorageStats, StoreStats, TransferModel,
+};
 use pronghorn_traces::Trace;
 use pronghorn_workloads::Workload;
 use rand::rngs::SmallRng;
@@ -31,27 +36,6 @@ use std::collections::{BTreeSet, VecDeque};
 /// batched prefetch. Folded into snapshot weights harmonically, so it
 /// biases — never vetoes — selection toward prefetch-ready snapshots.
 const RECORD_PREFETCH_PENALTY_US: f64 = 10_000.0;
-
-/// How many future arrivals [`run_production`] keeps scheduled in the
-/// kernel at once. Arrivals stream in sorted, so a bounded window is
-/// lossless; it keeps kernel memory O(lookahead) instead of
-/// O(invocations) over an hours-long trace.
-const PRODUCTION_LOOKAHEAD: usize = 1 << 16;
-
-/// Sentinel event payloads for predictive provisioning, carried in the
-/// same `u64` kernel payload as arrival indices (which stay far below
-/// them). [`ProvisionPolicy::Disabled`] schedules none of these, so the
-/// reactive event stream is byte-identical to runs predating them.
-///
-/// [`ProvisionPolicy::Disabled`]: pronghorn_forecast::ProvisionPolicy::Disabled
-pub(crate) const PRE_RESTORE_EVENT: u64 = u64::MAX;
-/// Keep-alive expiry of an unused pre-restored worker (see
-/// [`PRE_RESTORE_EVENT`]).
-pub(crate) const PRE_WARM_EXPIRY_EVENT: u64 = u64::MAX - 1;
-/// Idle-eviction probe [`run_production`] schedules so a worker slot can
-/// go cold — and be predictively re-warmed — *between* arrivals, not
-/// only when the next arrival happens to look.
-pub(crate) const IDLE_CHECK_EVENT: u64 = u64::MAX - 2;
 
 /// Simulated time of background IO-state freshening equivalent to one
 /// served request's worth of staleness decay: a pre-warmed worker
@@ -73,13 +57,6 @@ pub(crate) struct RestoredFrom {
     pub(crate) seed: u64,
 }
 
-/// Expected worker lifetimes over `invocations` requests at the given
-/// eviction rate — the preallocation size for provisioning-shaped
-/// accumulators (`+ 1` covers a trailing partial lifetime).
-fn lifetimes(invocations: usize, eviction_rate: u32) -> usize {
-    invocations / eviction_rate.max(1) as usize + 1
-}
-
 /// O(1)-memory running aggregates, used instead of the per-invocation
 /// `Vec` accumulators when a [`Session`] runs in streaming mode
 /// (production-scale replays where only summary statistics are wanted).
@@ -87,35 +64,22 @@ struct StreamAgg {
     /// Log-bucketed latency distribution (µs); 1% bucket growth keeps
     /// quantile error ≪ the paper's reporting precision.
     latency: Histogram,
-    latency_max: f64,
-    cold_starts: u64,
-    restores: u64,
-    checkpoints: u64,
-    checkpoint_ms_total: f64,
-    restore_ms_total: f64,
-    snapshot_mb_total: f64,
-    restore_faults: u64,
+    /// The running counters and totals of the stats being built.
+    stats: ProductionStats,
 }
 
 impl StreamAgg {
     fn new() -> Self {
         StreamAgg {
             latency: Histogram::new(1.0, 1e9, 1.01).expect("static bounds are valid"),
-            latency_max: 0.0,
-            cold_starts: 0,
-            restores: 0,
-            checkpoints: 0,
-            checkpoint_ms_total: 0.0,
-            restore_ms_total: 0.0,
-            snapshot_mb_total: 0.0,
-            restore_faults: 0,
+            stats: ProductionStats::default(),
         }
     }
 }
 
 /// Summary statistics of a [`run_production`] replay: everything the
 /// kernel bench and capacity analyses need, O(1) in the invocation count.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ProductionStats {
     /// Requests served.
     pub invocations: u64,
@@ -156,45 +120,25 @@ pub struct ProductionStats {
     pub peak_pending_events: usize,
 }
 
-/// Shared machinery of the runners (including the cluster runner in
-/// [`crate::cluster`], which drives one shared session across N nodes).
-pub(crate) struct Session<'w> {
-    workload: &'w dyn Workload,
-    cfg: RunConfig,
-    pub(crate) orch: Orchestrator,
-    engine: SimCriuEngine,
-    /// Encoder scratch + dirty-tracking cache, reused across checkpoints.
-    scratch: CheckpointScratch,
-    factory: RngFactory,
-    policy_rng: SmallRng,
-    engine_rng: SmallRng,
-    stale: IoStaleModel,
-    policy_w: u32,
+/// One deployment's orchestration state: the orchestrator (policy,
+/// snapshot pool, Database) with its object store and paged view, the
+/// predictive provisioner, and the RNG stream names its workers draw
+/// from. Every runner drives one, except [`crate::run_partitioned`],
+/// which drives one per input class.
+pub(crate) struct Deployment {
+    /// Function name the orchestrator, snapshots and page maps carry.
+    label: String,
+    /// Stream names of the deployment's worker runtimes and cold boots.
+    worker_stream: String,
+    boot_stream: String,
     worker_seq: u64,
+    pub(crate) orch: Orchestrator,
     store: ObjectStore,
     /// Page-granular store view; `Some` iff the strategy is non-eager.
     paged: Option<PagedSnapshotStore>,
-    fault_costs: FaultCostModel,
-    transfer: TransferModel,
-    // Accumulators. In the default (paper) mode these are per-event Vecs,
-    // preallocated from the expected invocation count so they never grow
-    // by repeated push reallocation; in streaming mode they stay empty and
-    // `stream` holds O(1) running aggregates instead.
-    pub(crate) latencies: Vec<f64>,
-    provisions: Vec<ProvisionKind>,
-    checkpoint_ms: Vec<f64>,
-    restore_ms: Vec<f64>,
-    snapshot_mb: Vec<f64>,
-    snapshot_requests: Vec<u32>,
-    pub(crate) provision_us: f64,
-    served_total: u32,
-    restore_infos: Vec<RestoreInfo>,
-    stream: Option<StreamAgg>,
     /// Predictive-provisioning decision state; `None` when disabled, so
     /// the reactive path carries (and mutates) nothing.
     provisioner: Option<Provisioner>,
-    /// Pre-restore accounting for the run.
-    pub(crate) provisioning: ProvisionStats,
     /// Keep-alives of planned-but-not-yet-fired pre-restores, popped in
     /// kernel order (plans fire strictly after they are made, and the
     /// kernel is FIFO across monotone schedule times).
@@ -204,34 +148,27 @@ pub(crate) struct Session<'w> {
     last_image_bytes: u64,
 }
 
-impl<'w> Session<'w> {
-    /// A session recording every per-invocation measurement, preallocated
-    /// for `expected` invocations.
-    pub(crate) fn new(workload: &'w dyn Workload, cfg: RunConfig, expected: usize) -> Self {
-        Session::build(workload, cfg, expected, None)
+impl Deployment {
+    /// The one deployment of `workload` the shared-deployment runners use.
+    pub(crate) fn shared(workload: &dyn Workload, cfg: &RunConfig) -> Self {
+        Deployment::new(workload, cfg, workload.name().to_string(), "")
     }
 
-    /// A session keeping only O(1) running aggregates — memory stays
-    /// O(workers) no matter how many invocations stream through.
-    fn streaming(workload: &'w dyn Workload, cfg: RunConfig) -> Self {
-        Session::build(workload, cfg, 0, Some(StreamAgg::new()))
-    }
-
-    fn build(
-        workload: &'w dyn Workload,
-        cfg: RunConfig,
-        expected: usize,
-        stream: Option<StreamAgg>,
+    /// A deployment of `workload` labelled `label`, whose workers draw from
+    /// the `worker{suffix}` and `boot{suffix}` streams.
+    pub(crate) fn new(
+        workload: &dyn Workload,
+        cfg: &RunConfig,
+        label: String,
+        suffix: &str,
     ) -> Self {
-        let factory = RngFactory::new(cfg.seed);
-        let kv = KvStore::new();
         let store = ObjectStore::new();
         let mut policy_config = cfg.resolve_policy_config(workload.kind());
         if cfg.restore == RestoreStrategy::RecordPrefetch {
             policy_config = policy_config.with_restore_penalty(RECORD_PREFETCH_PENALTY_US);
         }
         let policy = make_policy(cfg.policy, policy_config);
-        let mut orch = Orchestrator::new(policy, kv, store.clone(), workload.name());
+        let mut orch = Orchestrator::new(policy, KvStore::new(), store.clone(), label.as_str());
         if cfg.restore != RestoreStrategy::Eager {
             orch = orch.with_paging(DEFAULT_PAGE_SIZE);
         }
@@ -241,41 +178,132 @@ impl<'w> Session<'w> {
         if cfg.storage.enabled() {
             orch = orch.with_storage(cfg.storage);
         }
-        let paged = orch.paged_store();
+        Deployment {
+            label,
+            worker_stream: format!("worker{suffix}"),
+            boot_stream: format!("boot{suffix}"),
+            worker_seq: 0,
+            paged: orch.paged_store(),
+            orch,
+            store,
+            provisioner: Provisioner::new(cfg.provision),
+            pending_keepalives: VecDeque::new(),
+            last_image_bytes: 0,
+        }
+    }
+
+    /// The deterministic page decomposition of `snapshot`, matching what
+    /// the orchestrator published into the page bucket.
+    fn page_map(&self, snapshot: &Snapshot) -> PageMap {
+        let page_size = self
+            .paged
+            .as_ref()
+            .map_or(DEFAULT_PAGE_SIZE, PagedSnapshotStore::page_size);
+        PageMap::for_snapshot(
+            &self.label,
+            snapshot.payload_hash(),
+            snapshot.nominal_size,
+            page_size,
+        )
+    }
+
+    /// Plans a pre-restore for a slot of this deployment that just went
+    /// cold: `Some` is the kernel time at which to fire it, with the plan's
+    /// keep-alive queued for [`Session::mark_pre_restored`] (or
+    /// [`Self::cancel_pre_restore`]) to consume when it does. Reserves
+    /// provisioning budget immediately so back-to-back evictions cannot
+    /// over-issue.
+    pub(crate) fn plan_pre_restore(&mut self, now: SimTime) -> Option<SimTime> {
+        let provisioner = self.provisioner.as_mut()?;
+        let PreRestorePlan { at, keepalive } = provisioner.plan(now, self.last_image_bytes)?;
+        provisioner.note_issued();
+        self.pending_keepalives.push_back(keepalive);
+        Some(at)
+    }
+
+    /// Drops a planned pre-restore whose event fired into an occupied
+    /// slot (a reactive provision beat it), releasing its budget.
+    pub(crate) fn cancel_pre_restore(&mut self) {
+        self.pending_keepalives.pop_front();
+        if let Some(p) = self.provisioner.as_mut() {
+            p.note_resolved();
+        }
+    }
+}
+
+/// What every deployment of a run shares: the workload, the seeded RNG
+/// streams and checkpoint engine, and the measurement sink.
+pub(crate) struct Session<'w> {
+    workload: &'w dyn Workload,
+    pub(crate) cfg: RunConfig,
+    engine: SimCriuEngine,
+    factory: RngFactory,
+    policy_rng: SmallRng,
+    engine_rng: SmallRng,
+    stale: IoStaleModel,
+    policy_w: u32,
+    fault_costs: FaultCostModel,
+    transfer: TransferModel,
+    /// The result under construction. In the default (paper) mode its
+    /// per-event Vecs are preallocated from the expected invocation count
+    /// so they never grow by repeated push reallocation; in streaming mode
+    /// they stay empty and `stream` holds O(1) running aggregates instead.
+    pub(crate) out: RunResult,
+    stream: Option<StreamAgg>,
+    served_total: u32,
+}
+
+impl<'w> Session<'w> {
+    /// A session recording every per-invocation measurement, preallocated
+    /// for `expected` invocations — or, when `streaming`, only O(1)
+    /// running aggregates, so memory stays O(workers) however many
+    /// invocations stream through.
+    pub(crate) fn new(
+        workload: &'w dyn Workload,
+        cfg: RunConfig,
+        expected: usize,
+        streaming: bool,
+    ) -> Self {
+        let factory = RngFactory::new(cfg.seed);
+        // A worker serves `eviction_rate` requests per lifetime, so
+        // provisioning-shaped accumulators need roughly one entry per
+        // lifetime (`+ 1` covers a trailing partial one; checkpoints are
+        // bounded by lifetimes too — each worker snapshots at most once in
+        // every policy in-tree).
+        let lifetimes = expected / cfg.eviction_rate.max(1) as usize + 1;
         Session {
             workload,
             cfg,
-            orch,
             engine: SimCriuEngine::new(),
-            scratch: CheckpointScratch::new(),
             policy_rng: factory.stream("policy"),
             engine_rng: factory.stream("engine"),
             factory,
             stale: IoStaleModel::default(),
-            policy_w: policy_config.w,
-            worker_seq: 0,
-            store,
-            paged,
+            policy_w: cfg.resolve_policy_config(workload.kind()).w,
             fault_costs: FaultCostModel::default(),
             transfer: TransferModel::default(),
-            latencies: Vec::with_capacity(expected),
-            // A worker serves `eviction_rate` requests per lifetime, so
-            // provisioning-shaped accumulators need roughly one entry per
-            // lifetime (checkpoints are bounded by lifetimes too — each
-            // worker snapshots at most once in every policy in-tree).
-            provisions: Vec::with_capacity(lifetimes(expected, cfg.eviction_rate)),
-            checkpoint_ms: Vec::with_capacity(lifetimes(expected, cfg.eviction_rate)),
-            restore_ms: Vec::with_capacity(lifetimes(expected, cfg.eviction_rate)),
-            snapshot_mb: Vec::with_capacity(lifetimes(expected, cfg.eviction_rate)),
-            snapshot_requests: Vec::with_capacity(lifetimes(expected, cfg.eviction_rate)),
-            provision_us: 0.0,
+            out: RunResult {
+                workload: workload.name().to_string(),
+                policy: cfg.policy,
+                eviction_rate: cfg.eviction_rate,
+                latencies_us: Vec::with_capacity(expected),
+                overheads: OverheadTotals::default(),
+                store_stats: StoreStats::default(),
+                provisions: Vec::with_capacity(lifetimes),
+                checkpoint_ms: Vec::with_capacity(lifetimes),
+                restore_ms: Vec::with_capacity(lifetimes),
+                snapshot_mb: Vec::with_capacity(lifetimes),
+                snapshot_requests: Vec::with_capacity(lifetimes),
+                provision_us: 0.0,
+                codec: CodecStats::default(),
+                restore_strategy: cfg.restore,
+                restore_infos: Vec::with_capacity(lifetimes),
+                chain: ChainStats::default(),
+                provisioning: ProvisionStats::default(),
+                storage: StorageStats::default(),
+            },
+            stream: streaming.then(StreamAgg::new),
             served_total: 0,
-            restore_infos: Vec::with_capacity(lifetimes(expected, cfg.eviction_rate)),
-            stream,
-            provisioner: Provisioner::new(cfg.provision),
-            provisioning: ProvisionStats::default(),
-            pending_keepalives: VecDeque::new(),
-            last_image_bytes: 0,
         }
     }
 
@@ -284,11 +312,11 @@ impl<'w> Session<'w> {
         match &mut self.stream {
             Some(agg) => {
                 agg.latency.record(latency_us.max(1.0));
-                if latency_us > agg.latency_max {
-                    agg.latency_max = latency_us;
+                if latency_us > agg.stats.max_latency_us {
+                    agg.stats.max_latency_us = latency_us;
                 }
             }
-            None => self.latencies.push(latency_us),
+            None => self.out.latencies_us.push(latency_us),
         }
     }
 
@@ -296,18 +324,18 @@ impl<'w> Session<'w> {
     fn record_provision(&mut self, kind: ProvisionKind) {
         match &mut self.stream {
             Some(agg) => match kind {
-                ProvisionKind::Cold => agg.cold_starts += 1,
-                ProvisionKind::Restored(_) => agg.restores += 1,
+                ProvisionKind::Cold => agg.stats.cold_starts += 1,
+                ProvisionKind::Restored(_) => agg.stats.restores += 1,
             },
-            None => self.provisions.push(kind),
+            None => self.out.provisions.push(kind),
         }
     }
 
     /// Records one restore's critical-path cost.
     fn record_restore_ms(&mut self, ms: f64) {
         match &mut self.stream {
-            Some(agg) => agg.restore_ms_total += ms,
-            None => self.restore_ms.push(ms),
+            Some(agg) => agg.stats.restore_ms_total += ms,
+            None => self.out.restore_ms.push(ms),
         }
     }
 
@@ -315,79 +343,89 @@ impl<'w> Session<'w> {
     fn record_checkpoint(&mut self, downtime_ms: f64, size_mb: f64, request_number: u32) {
         match &mut self.stream {
             Some(agg) => {
-                agg.checkpoints += 1;
-                agg.checkpoint_ms_total += downtime_ms;
-                agg.snapshot_mb_total += size_mb;
+                agg.stats.checkpoints += 1;
+                agg.stats.checkpoint_ms_total += downtime_ms;
+                agg.stats.snapshot_mb_total += size_mb;
             }
             None => {
-                self.checkpoint_ms.push(downtime_ms);
-                self.snapshot_mb.push(size_mb);
-                self.snapshot_requests.push(request_number);
+                self.out.checkpoint_ms.push(downtime_ms);
+                self.out.snapshot_mb.push(size_mb);
+                self.out.snapshot_requests.push(request_number);
             }
         }
     }
 
-    /// Provisions a worker per the orchestration policy — entirely off the
-    /// request critical path (§5.3).
-    fn provision(&mut self, now: SimTime) -> Worker {
-        self.provision_traced(now).0
+    /// The request arrival `index` carries, drawn from its own input
+    /// stream (so where and when it is served never shifts it).
+    pub(crate) fn generate(&self, index: u64) -> RequestWork {
+        let mut input_rng = self.factory.stream_indexed("input", index);
+        self.workload.generate(&mut input_rng, self.cfg.variance)
     }
 
-    /// Like [`Self::provision`], but also reporting which snapshot the
-    /// worker restored from (and what the store shipped) — the cluster
-    /// runner's hook for locality accounting. `None` origin means a cold
-    /// boot (including the corrupt-snapshot degradation path).
-    pub(crate) fn provision_traced(&mut self, now: SimTime) -> (Worker, Option<RestoredFrom>) {
+    /// Provisions a worker for `dep` per the orchestration policy —
+    /// entirely off the request critical path (§5.3) — also reporting
+    /// which snapshot it restored from (and what the store shipped), the
+    /// cluster's hook for locality accounting. `None` origin means a cold
+    /// boot (including the corrupt-snapshot degradation path). A worker
+    /// that does not `explore` never checkpoints (the fleet's amortization
+    /// knob).
+    pub(crate) fn provision(
+        &mut self,
+        dep: &mut Deployment,
+        scratch: &mut CheckpointScratch,
+        explore: bool,
+        now: SimTime,
+    ) -> (Worker, Option<RestoredFrom>) {
         // A new worker is a new process instance: its state-version counter
         // restarts, so the encode cache must not match across instances.
-        self.scratch.invalidate();
-        let plan = self.orch.begin_worker(&mut self.policy_rng);
+        scratch.invalidate();
+        let plan = dep.orch.begin_worker(&mut self.policy_rng);
         let mut provision_us = plan.startup_overhead.as_micros() as f64;
-        let wrng = self.factory.stream_indexed("worker", self.worker_seq);
-        self.worker_seq += 1;
+        let wrng = self
+            .factory
+            .stream_indexed(&dep.worker_stream, dep.worker_seq);
+        dep.worker_seq += 1;
 
         let mut origin = None;
-        let (runtime, resume, restore, image, delta) = match plan.snapshot {
-            Some(snapshot) => match self.restore_worker(&snapshot, plan.download_nominal) {
-                Some((runtime, info, image)) => {
-                    provision_us += info.restore_us;
-                    self.record_restore_ms(info.restore_us / 1_000.0);
-                    origin = Some(RestoredFrom {
-                        id: snapshot.id,
-                        nominal: plan.download_nominal,
-                        chain_len: self
-                            .orch
-                            .chain_depth(snapshot.id)
-                            .map_or(1, |d| d as usize + 1),
-                        seed: snapshot.payload_hash(),
-                    });
-                    // The restored snapshot becomes the worker's prospective
-                    // delta parent: keep its payload as the diff base and
-                    // start an empty dirty-page set.
-                    let delta = self.cfg.delta.enabled().then(|| DeltaTracking {
-                        parent_id: snapshot.id,
-                        parent_payload: snapshot.payload.clone(),
-                        parent_hash: snapshot.payload_hash(),
-                        parent_depth: self.orch.chain_depth(snapshot.id).unwrap_or(0),
-                        parent_page_count: snapshot.nominal_size.div_ceil(DEFAULT_PAGE_SIZE) as u32,
-                        dirty_pages: BTreeSet::new(),
-                    });
-                    (runtime, plan.resume_request, Some(info), image, delta)
-                }
-                None => {
-                    // Corrupt snapshot: degrade to a cold start.
-                    let mut boot_rng = self.factory.stream_indexed("boot", self.worker_seq);
-                    let (rt, cost) = Runtime::cold_start(
-                        self.workload.runtime_profile(),
-                        self.workload.method_profiles(),
-                        &mut boot_rng,
-                    );
-                    provision_us += cost.as_micros() as f64;
-                    (rt, 0, None, None, None)
-                }
-            },
+        let mut restored = None;
+        if let Some(snapshot) = &plan.snapshot {
+            if let Some((runtime, info, image)) =
+                self.restore_worker(dep, snapshot, plan.download_nominal)
+            {
+                provision_us += info.restore_us;
+                self.record_restore_ms(info.restore_us / 1_000.0);
+                origin = Some(RestoredFrom {
+                    id: snapshot.id,
+                    nominal: plan.download_nominal,
+                    chain_len: dep
+                        .orch
+                        .chain_depth(snapshot.id)
+                        .map_or(1, |d| d as usize + 1),
+                    seed: snapshot.payload_hash(),
+                });
+                // The restored snapshot becomes the worker's prospective
+                // delta parent: keep its payload as the diff base and
+                // start an empty dirty-page set.
+                let delta = self.cfg.delta.enabled().then(|| DeltaTracking {
+                    parent_id: snapshot.id,
+                    parent_payload: snapshot.payload.clone(),
+                    parent_hash: snapshot.payload_hash(),
+                    parent_depth: dep.orch.chain_depth(snapshot.id).unwrap_or(0),
+                    parent_page_count: snapshot.nominal_size.div_ceil(DEFAULT_PAGE_SIZE) as u32,
+                    dirty_pages: BTreeSet::new(),
+                });
+                restored = Some((runtime, info, image, delta));
+            }
+        }
+        let (runtime, resume, restore, image, delta) = match restored {
+            Some((runtime, info, image, delta)) => {
+                (runtime, plan.resume_request, Some(info), image, delta)
+            }
+            // No snapshot, or a corrupt one: boot cold.
             None => {
-                let mut boot_rng = self.factory.stream_indexed("boot", self.worker_seq);
+                let mut boot_rng = self
+                    .factory
+                    .stream_indexed(&dep.boot_stream, dep.worker_seq);
                 let (rt, cost) = Runtime::cold_start(
                     self.workload.runtime_profile(),
                     self.workload.method_profiles(),
@@ -397,20 +435,21 @@ impl<'w> Session<'w> {
                 (rt, 0, None, None, None)
             }
         };
-        self.provision_us += provision_us;
+        self.out.provision_us += provision_us;
         self.record_provision(if restore.is_some() {
             ProvisionKind::Restored(resume)
         } else {
             ProvisionKind::Cold
         });
 
-        let mut worker = Worker::new(runtime, wrng, resume, plan.checkpoint_at, restore, now);
+        let checkpoint_at = plan.checkpoint_at.filter(|_| explore);
+        let mut worker = Worker::new(runtime, wrng, resume, checkpoint_at, restore, now);
         worker.image = image;
         worker.delta = delta;
-        self.last_image_bytes = worker.runtime.image_size_bytes();
+        dep.last_image_bytes = worker.runtime.image_size_bytes();
         // An immediately-due plan (e.g. checkpoint-after-init's request 0)
         // snapshots before the first request is served.
-        self.maybe_checkpoint(&mut worker);
+        self.maybe_checkpoint(dep, scratch, &mut worker);
         (worker, origin)
     }
 
@@ -425,118 +464,85 @@ impl<'w> Session<'w> {
     /// during [`Session::serve`].
     fn restore_worker(
         &mut self,
+        dep: &mut Deployment,
         snapshot: &Snapshot,
         download_nominal: u64,
     ) -> Option<(Runtime, RestoreInfo, Option<LazyImage>)> {
-        match self.cfg.restore {
-            RestoreStrategy::Eager => {
-                let (runtime, cost) = self
-                    .engine
-                    .restore::<Runtime, _>(&mut self.engine_rng, snapshot)
-                    .ok()?;
-                // `download_nominal` is what the store actually shipped:
-                // the full image for a chain root, the root plus every
-                // delta's dirty bytes for a composed restore. With delta
-                // off it equals `snapshot.nominal_size` exactly.
-                let info = RestoreInfo::eager(cost.as_micros() as f64, download_nominal);
-                Some((runtime, info, None))
-            }
-            RestoreStrategy::Lazy => {
-                let runtime = self.engine.restore_mapped::<Runtime>(snapshot).ok()?;
-                let info = RestoreInfo {
-                    strategy: RestoreStrategy::Lazy,
-                    restore_us: self.fault_costs.map_base_us,
-                    ..RestoreInfo::default()
-                };
-                let image =
-                    LazyImage::new(self.workload.name(), snapshot.id.0, self.page_map(snapshot));
-                Some((runtime, info, Some(image)))
-            }
-            RestoreStrategy::RecordPrefetch => {
-                let runtime = self.engine.restore_mapped::<Runtime>(snapshot).ok()?;
-                let function = self.workload.name();
-                let mut info = RestoreInfo {
-                    strategy: RestoreStrategy::RecordPrefetch,
-                    restore_us: self.fault_costs.map_base_us,
-                    ..RestoreInfo::default()
-                };
-                let recorded = self
-                    .paged
-                    .as_ref()
-                    .and_then(|p| p.load_manifest(function, snapshot.id.0));
-                let image = match recorded {
-                    Some(manifest) => {
-                        // A prior restore recorded this snapshot's working
-                        // set: bulk-prefetch it in one batched transfer and
-                        // fault only the cold tail.
-                        let pages = manifest.to_sorted_vec();
-                        let mut image =
-                            LazyImage::new(function, snapshot.id.0, self.page_map(snapshot));
-                        let bytes = match &self.paged {
-                            Some(paged) => paged
-                                .fetch_pages(function, snapshot.id.0, image.map(), &pages)
-                                .unwrap_or(0),
-                            None => 0,
-                        };
-                        image.mark_prefetched(&pages);
-                        info.prefetched_pages = pages.len() as u32;
-                        info.bytes_transferred = bytes;
-                        // The prefetch batch is the restore critical path:
-                        // price it through the storage tier when one is
-                        // active (SSD bandwidth if the provisioning
-                        // download staged the image locally, wire bytes +
-                        // decompression from the store otherwise).
-                        match self.orch.storage_mut() {
-                            Some(tier) => {
-                                let price =
-                                    tier.read(snapshot.id.0, bytes, snapshot.payload_hash());
-                                info.restore_us = self.fault_costs.prefetch_us(
-                                    &price.model,
-                                    price.billed_bytes,
-                                    pages.len() as u32,
-                                );
-                                info.decompress_us = price.decompress_us;
-                            }
-                            None => {
-                                info.restore_us = self.fault_costs.prefetch_us(
-                                    &self.transfer,
-                                    bytes,
-                                    pages.len() as u32,
-                                );
-                            }
-                        }
-                        image
-                    }
-                    // First restore of this snapshot: record the working
-                    // set; serve() persists it as the manifest.
-                    None => {
-                        LazyImage::with_recording(function, snapshot.id.0, self.page_map(snapshot))
-                    }
-                };
-                Some((runtime, info, Some(image)))
-            }
+        let strategy = self.cfg.restore;
+        if strategy == RestoreStrategy::Eager {
+            let (runtime, cost) = self
+                .engine
+                .restore::<Runtime, _>(&mut self.engine_rng, snapshot)
+                .ok()?;
+            // `download_nominal` is what the store actually shipped: the
+            // full image for a chain root, the root plus every delta's
+            // dirty bytes for a composed restore. With delta off it equals
+            // `snapshot.nominal_size` exactly.
+            let info = RestoreInfo::eager(cost.as_micros() as f64, download_nominal);
+            return Some((runtime, info, None));
         }
-    }
-
-    /// The deterministic page decomposition of `snapshot`, matching what
-    /// the orchestrator published into the page bucket.
-    fn page_map(&self, snapshot: &Snapshot) -> PageMap {
-        let page_size = self
-            .paged
-            .as_ref()
-            .map_or(DEFAULT_PAGE_SIZE, PagedSnapshotStore::page_size);
-        PageMap::for_snapshot(
-            self.workload.name(),
-            snapshot.payload_hash(),
-            snapshot.nominal_size,
-            page_size,
-        )
+        let runtime = self.engine.restore_mapped::<Runtime>(snapshot).ok()?;
+        let (function, id, map) = (dep.label.as_str(), snapshot.id.0, dep.page_map(snapshot));
+        let mut info = RestoreInfo {
+            strategy,
+            restore_us: self.fault_costs.map_base_us,
+            ..RestoreInfo::default()
+        };
+        let recorded = (strategy == RestoreStrategy::RecordPrefetch)
+            .then(|| dep.paged.as_ref()?.load_manifest(function, id))
+            .flatten();
+        let Some(manifest) = recorded else {
+            // Lazy maps on fault; the first record-prefetch restore of a
+            // snapshot records its working set, which serve() persists as
+            // the manifest.
+            let image = match strategy {
+                RestoreStrategy::Lazy => LazyImage::new(function, id, map),
+                _ => LazyImage::with_recording(function, id, map),
+            };
+            return Some((runtime, info, Some(image)));
+        };
+        // A prior restore recorded this snapshot's working set:
+        // bulk-prefetch it in one batched transfer and fault only the cold
+        // tail.
+        let pages = manifest.to_sorted_vec();
+        let mut image = LazyImage::new(function, id, map);
+        let bytes = match &dep.paged {
+            Some(paged) => paged
+                .fetch_pages(function, id, image.map(), &pages)
+                .unwrap_or(0),
+            None => 0,
+        };
+        image.mark_prefetched(&pages);
+        info.prefetched_pages = pages.len() as u32;
+        info.bytes_transferred = bytes;
+        // The prefetch batch is the restore critical path: price it through
+        // the storage tier when one is active (SSD bandwidth if the
+        // provisioning download staged the image locally, wire bytes +
+        // decompression from the store otherwise).
+        info.restore_us = match dep.orch.storage_mut() {
+            Some(tier) => {
+                let price = tier.read(id, bytes, snapshot.payload_hash());
+                info.decompress_us = price.decompress_us;
+                let model = &price.model;
+                self.fault_costs
+                    .prefetch_us(model, price.billed_bytes, pages.len() as u32)
+            }
+            None => self
+                .fault_costs
+                .prefetch_us(&self.transfer, bytes, pages.len() as u32),
+        };
+        Some((runtime, info, Some(image)))
     }
 
     /// Takes the planned checkpoint if the worker has reached it. Runs
     /// after the response is returned, so the downtime stays invisible to
     /// the client (§5.3).
-    fn maybe_checkpoint(&mut self, worker: &mut Worker) {
+    fn maybe_checkpoint(
+        &mut self,
+        dep: &mut Deployment,
+        scratch: &mut CheckpointScratch,
+        worker: &mut Worker,
+    ) {
         if !worker.checkpoint_due() {
             return;
         }
@@ -551,7 +557,7 @@ impl<'w> Session<'w> {
         }
         worker.checkpoint_at = None;
         let meta = SnapshotMeta {
-            function: self.workload.name().to_string(),
+            function: dep.label.clone(),
             request_number: worker.runtime.requests_executed() as u32,
             runtime: self.workload.kind().label().to_string(),
         };
@@ -563,10 +569,10 @@ impl<'w> Session<'w> {
         // RNG streams of a seeded run.
         let mut consolidate = false;
         let base = worker.delta.as_ref().and_then(|t| {
-            if !self.orch.chain_live(t.parent_id) {
+            if !dep.orch.chain_live(t.parent_id) {
                 return None;
             }
-            let depth = self.orch.chain_depth(t.parent_id).unwrap_or(0);
+            let depth = dep.orch.chain_depth(t.parent_id).unwrap_or(0);
             // Tracking only exists when the policy is enabled, so K is Some.
             if depth >= self.cfg.delta.max_depth().unwrap_or(u32::MAX) {
                 consolidate = true;
@@ -585,30 +591,40 @@ impl<'w> Session<'w> {
             })
         });
         let (snapshot, outcome, downtime) = self.engine.checkpoint_delta_with(
-            &mut self.scratch,
+            scratch,
             &mut self.engine_rng,
             &worker.runtime,
             meta,
             base.as_ref(),
         );
         if consolidate {
-            self.orch.note_consolidation();
+            dep.orch.note_consolidation();
         }
         self.record_checkpoint(
             downtime.as_millis_f64(),
             snapshot.nominal_size_mb(),
             snapshot.meta.request_number,
         );
-        self.orch
+        dep.orch
             .record_snapshot_with(&snapshot, &outcome, downtime, &mut self.policy_rng);
     }
 
-    /// Serves one request end to end, returning the client-visible latency.
-    pub(crate) fn serve(&mut self, worker: &mut Worker, arrival_index: u64, now: SimTime) -> f64 {
+    /// Serves `request` end to end on `worker`, returning its execution
+    /// latency. The client additionally sees `queue_us` of queueing, which
+    /// the policy never observes.
+    pub(crate) fn serve(
+        &mut self,
+        dep: &mut Deployment,
+        scratch: &mut CheckpointScratch,
+        worker: &mut Worker,
+        request: RequestWork,
+        queue_us: f64,
+        now: SimTime,
+    ) -> f64 {
         // Every runner serves exactly one request per arrival, so this is
         // the single point where the forecaster observes the arrival
         // process. A no-op (no state, no draws) when provisioning is off.
-        if let Some(p) = self.provisioner.as_mut() {
+        if let Some(p) = dep.provisioner.as_mut() {
             p.observe(now);
         }
         // A pre-restored worker resolves at its first request: the lead
@@ -618,15 +634,13 @@ impl<'w> Session<'w> {
             let waited = now.saturating_since(since);
             worker.prewarm_credit =
                 (waited.as_micros() / PREWARM_REQUEST_US).min(u64::from(u32::MAX)) as u32;
-            self.provisioning.pre_restores_used += 1;
-            self.provisioning.keepalive_byte_s +=
+            self.out.provisioning.pre_restores_used += 1;
+            self.out.provisioning.keepalive_byte_s +=
                 worker.runtime.image_size_bytes() as f64 * waited.as_secs_f64();
-            if let Some(p) = self.provisioner.as_mut() {
+            if let Some(p) = dep.provisioner.as_mut() {
                 p.note_resolved();
             }
         }
-        let mut input_rng = self.factory.stream_indexed("input", arrival_index);
-        let request = self.workload.generate(&mut input_rng, self.cfg.variance);
         let request_number = worker.next_request_number();
         let breakdown = worker.runtime.execute(&request, &mut worker.rng);
         let mut latency = breakdown.total_us();
@@ -650,7 +664,7 @@ impl<'w> Session<'w> {
                 .page_access_trace(&request, image.map().page_count());
             let touches = image.first_touches(&trace);
             if !touches.is_empty() {
-                let fetched = match &self.paged {
+                let fetched = match &dep.paged {
                     Some(paged) => paged
                         .fetch_pages(image.function(), image.snapshot_id(), image.map(), &touches)
                         .unwrap_or(0),
@@ -662,7 +676,7 @@ impl<'w> Session<'w> {
                 // bandwidth when the image is node-resident, wire bytes
                 // plus per-page decompression from the store otherwise
                 // (the page's content hash seeds its compression ratio).
-                let (fault_us, fault_decompress_us) = match self.orch.storage_mut() {
+                let (fault_us, fault_decompress_us) = match dep.orch.storage_mut() {
                     Some(tier) => {
                         let mut service = 0.0;
                         let mut decompress = 0.0;
@@ -704,12 +718,12 @@ impl<'w> Session<'w> {
             // grows — but only while the snapshot is still pooled (an
             // evicted snapshot's manifest would leak forever).
             if image.recording_dirty() {
-                if let (Some(paged), Some(manifest)) = (&self.paged, image.recording()) {
+                if let (Some(paged), Some(manifest)) = (&dep.paged, image.recording()) {
                     let id = SnapshotId(image.snapshot_id());
-                    if self.orch.policy().snapshot_request_number(id).is_some() {
+                    if dep.orch.policy().snapshot_request_number(id).is_some() {
                         if let Ok(was_new) = paged.store_manifest(manifest) {
                             if was_new {
-                                self.orch.note_manifest_recorded(id);
+                                dep.orch.note_manifest_recorded(id);
                             }
                         }
                     }
@@ -721,10 +735,8 @@ impl<'w> Session<'w> {
         // Restored processes re-establish stale IO state lazily; how much
         // of it there is to re-establish is workload-specific. Staleness
         // decays with requests served, so only *freshly* restored workers
-        // pay it (the old `restored` bool conflated the two).
-        // Prewarm credit ages the penalty down exactly as served requests
-        // would; at credit zero (every reactive worker) this is
-        // bit-identical to the old `freshly_restored` gate.
+        // pay it. Prewarm credit ages the penalty down exactly as served
+        // requests would; every reactive worker has credit zero.
         let nth = worker.served.saturating_add(worker.prewarm_credit);
         if worker.restored() && nth < self.stale.horizon {
             // `stale_age` is nonzero only for cross-node restores; at age
@@ -739,13 +751,14 @@ impl<'w> Session<'w> {
                 );
         }
 
-        self.record_latency(latency);
+        // Adding a zero queue leaves the latency bit-identical.
+        self.record_latency(latency + queue_us);
         self.served_total += 1;
-        self.orch
+        dep.orch
             .complete_request(request_number.min(u64::from(u32::MAX)) as u32, latency);
         worker.served += 1;
         worker.last_active = now;
-        self.maybe_checkpoint(worker);
+        self.maybe_checkpoint(dep, scratch, worker);
         latency
     }
 
@@ -753,92 +766,58 @@ impl<'w> Session<'w> {
     /// accumulated restore/fault statistics. A still-pre-warmed worker
     /// retires as a *wasted* pre-restore: it paid keep-alive without ever
     /// serving.
-    pub(crate) fn retire(&mut self, worker: Worker, now: SimTime) {
+    pub(crate) fn retire(&mut self, dep: &mut Deployment, worker: Worker, now: SimTime) {
         if let Some(since) = worker.pre_warmed_since {
             let waited = now.saturating_since(since);
-            self.provisioning.pre_restores_wasted += 1;
-            self.provisioning.keepalive_byte_s +=
+            self.out.provisioning.pre_restores_wasted += 1;
+            self.out.provisioning.keepalive_byte_s +=
                 worker.runtime.image_size_bytes() as f64 * waited.as_secs_f64();
-            if let Some(p) = self.provisioner.as_mut() {
+            if let Some(p) = dep.provisioner.as_mut() {
                 p.note_resolved();
             }
         }
         if let Some(info) = worker.restore {
             match &mut self.stream {
-                Some(agg) => agg.restore_faults += u64::from(info.faults),
-                None => self.restore_infos.push(info),
+                Some(agg) => agg.stats.restore_faults += u64::from(info.faults),
+                None => self.out.restore_infos.push(info),
             }
         }
     }
 
-    /// Whether predictive provisioning is active for this run.
-    pub(crate) fn provision_enabled(&self) -> bool {
-        self.provisioner.is_some()
-    }
-
-    /// Plans a pre-restore for a worker slot that just went cold: `Some`
-    /// is the kernel time at which to fire [`PRE_RESTORE_EVENT`], with
-    /// the plan's keep-alive queued for [`Self::pre_restore`] (or
-    /// [`Self::cancel_pre_restore`]) to consume when it does. Reserves
-    /// provisioning budget immediately so back-to-back evictions cannot
-    /// over-issue.
-    pub(crate) fn plan_pre_restore(&mut self, now: SimTime) -> Option<SimTime> {
-        let image_bytes = self.last_image_bytes;
-        let provisioner = self.provisioner.as_mut()?;
-        let PreRestorePlan { at, keepalive } = provisioner.plan(now, image_bytes)?;
-        provisioner.note_issued();
-        self.pending_keepalives.push_back(keepalive);
-        Some(at)
-    }
-
-    /// Drops a planned pre-restore whose event fired into an occupied
-    /// slot (a reactive provision beat it), releasing its budget.
-    pub(crate) fn cancel_pre_restore(&mut self) {
-        self.pending_keepalives.pop_front();
-        if let Some(p) = self.provisioner.as_mut() {
-            p.note_resolved();
-        }
-    }
-
-    /// Provisions a worker ahead of demand (a *pre-restore*): the normal
-    /// provisioning path plus background hydration of the lazy image,
-    /// all charged off the critical path. The caller schedules
-    /// [`PRE_WARM_EXPIRY_EVENT`] at the returned worker's
-    /// `pre_warm_expires`.
-    pub(crate) fn pre_restore(&mut self, now: SimTime) -> Worker {
-        let mut worker = self.provision(now);
-        self.mark_pre_restored(&mut worker, now);
-        worker
-    }
-
-    /// Marks an already-provisioned worker pre-warmed at `now` (consuming
-    /// the oldest planned keep-alive) and hydrates its lazy image in the
-    /// background: every absent page is pulled in one batched prefetch,
-    /// so the predicted burst's first requests demand-fault nothing. The
-    /// hydration bytes stay out of `bytes_transferred` — that counter
-    /// means "shipped on the restore path" to the cluster's byte
-    /// conservation — and out of the recording manifest, which must keep
-    /// reflecting what requests actually touch.
-    pub(crate) fn mark_pre_restored(&mut self, worker: &mut Worker, now: SimTime) {
-        let keepalive = self.pending_keepalives.pop_front().unwrap_or_else(|| {
-            self.provisioner
+    /// Marks a freshly provisioned worker pre-warmed at `now` (a
+    /// *pre-restore*, consuming the oldest planned keep-alive) and
+    /// hydrates its lazy image in the background: every absent page is
+    /// pulled in one batched prefetch, so the predicted burst's first
+    /// requests demand-fault nothing. All of it is charged off the
+    /// critical path. The hydration bytes stay out of `bytes_transferred`
+    /// — that counter means "shipped on the restore path" to the cluster's
+    /// byte conservation — and out of the recording manifest, which must
+    /// keep reflecting what requests actually touch.
+    pub(crate) fn mark_pre_restored(
+        &mut self,
+        dep: &mut Deployment,
+        worker: &mut Worker,
+        now: SimTime,
+    ) {
+        let keepalive = dep.pending_keepalives.pop_front().unwrap_or_else(|| {
+            dep.provisioner
                 .as_ref()
                 .map_or(SimDuration::ZERO, Provisioner::horizon)
         });
         worker.pre_warmed_since = Some(now);
         worker.pre_warm_expires = now + keepalive;
-        self.provisioning.pre_restores_issued += 1;
+        self.out.provisioning.pre_restores_issued += 1;
         if let Some(image) = worker.image.as_mut() {
             let absent = image.absent_pages();
             if !absent.is_empty() {
-                let fetched = match &self.paged {
+                let fetched = match &dep.paged {
                     Some(paged) => paged
                         .fetch_pages(image.function(), image.snapshot_id(), image.map(), &absent)
                         .unwrap_or(0),
                     None => 0,
                 };
                 image.mark_prefetched(&absent);
-                self.provision_us +=
+                self.out.provision_us +=
                     self.fault_costs
                         .prefetch_us(&self.transfer, fetched, absent.len() as u32);
                 if let Some(info) = worker.restore.as_mut() {
@@ -853,98 +832,60 @@ impl<'w> Session<'w> {
     /// (orchestrator knowledge, pooled snapshots, object-store contents) —
     /// used to measure a window of an already-deployed function.
     fn reset_measurements(&mut self) {
-        self.latencies.clear();
-        self.provisions.clear();
-        self.checkpoint_ms.clear();
-        self.restore_ms.clear();
-        self.snapshot_mb.clear();
-        self.snapshot_requests.clear();
-        self.provision_us = 0.0;
-        self.restore_infos.clear();
-        self.provisioning = ProvisionStats::default();
+        let out = &mut self.out;
+        out.latencies_us.clear();
+        out.provisions.clear();
+        out.checkpoint_ms.clear();
+        out.restore_ms.clear();
+        out.snapshot_mb.clear();
+        out.snapshot_requests.clear();
+        out.provision_us = 0.0;
+        out.restore_infos.clear();
+        out.provisioning = ProvisionStats::default();
         if let Some(agg) = &mut self.stream {
             *agg = StreamAgg::new();
         }
     }
 
-    pub(crate) fn finish(self) -> RunResult {
+    /// Folds every slot's codec counters and every deployment's
+    /// accounting into the result. Deployments are disjoint, so their
+    /// orchestrator, store, chain and storage counters add up.
+    fn collect(&mut self, topo: &Topology) {
+        self.out.codec = topo.codec();
+        for dep in &topo.deps {
+            self.out.overheads.merge(dep.orch.overheads());
+            self.out.store_stats.merge(&dep.store.stats());
+            self.out.chain.merge(&dep.orch.chain_stats());
+            self.out.storage.merge(&dep.orch.storage_stats());
+        }
+    }
+
+    /// Collapses the run into its [`RunResult`].
+    pub(crate) fn finish(mut self, topo: &Topology) -> RunResult {
         debug_assert!(
             self.stream.is_none(),
             "streaming sessions report via finish_production"
         );
-        RunResult {
-            workload: self.workload.name().to_string(),
-            policy: self.cfg.policy,
-            eviction_rate: self.cfg.eviction_rate,
-            latencies_us: self.latencies,
-            overheads: *self.orch.overheads(),
-            store_stats: self.store.stats(),
-            provisions: self.provisions,
-            checkpoint_ms: self.checkpoint_ms,
-            restore_ms: self.restore_ms,
-            snapshot_mb: self.snapshot_mb,
-            snapshot_requests: self.snapshot_requests,
-            provision_us: self.provision_us,
-            codec: *self.scratch.stats(),
-            restore_strategy: self.cfg.restore,
-            restore_infos: self.restore_infos,
-            chain: self.orch.chain_stats(),
-            provisioning: self.provisioning,
-            storage: self.orch.storage_stats(),
-        }
+        self.collect(topo);
+        self.out
     }
 
-    /// Collapses a streaming session into [`ProductionStats`].
-    fn finish_production(self, end_time: SimTime, peak_pending_events: usize) -> ProductionStats {
-        let storage = self.orch.storage_stats();
-        let agg = self
+    /// Collapses a streaming session into [`ProductionStats`], given the
+    /// engine's last arrival instant and peak pending-event count.
+    fn finish_production(mut self, topo: &Topology, end: (SimTime, usize)) -> ProductionStats {
+        self.collect(topo);
+        let StreamAgg { latency, mut stats } = self
             .stream
             .expect("production sessions run in streaming mode");
-        ProductionStats {
-            invocations: agg.latency.count(),
-            mean_latency_us: agg.latency.mean(),
-            p50_latency_us: agg.latency.quantile(0.5),
-            p99_latency_us: agg.latency.quantile(0.99),
-            max_latency_us: agg.latency_max,
-            cold_starts: agg.cold_starts,
-            restores: agg.restores,
-            checkpoints: agg.checkpoints,
-            checkpoint_ms_total: agg.checkpoint_ms_total,
-            restore_ms_total: agg.restore_ms_total,
-            snapshot_mb_total: agg.snapshot_mb_total,
-            restore_faults: agg.restore_faults,
-            provision_us_total: self.provision_us,
-            provisioning: self.provisioning,
-            storage,
-            end_time,
-            peak_pending_events,
-        }
-    }
-
-    /// Prices a cross-node fetch of `origin`'s blob over the `remote`
-    /// link: the legacy serial chain walk without a storage tier, or —
-    /// with one — a single batched fetch of the composed image's wire
-    /// bytes (the per-page newest-writer resolution already collapsed the
-    /// chain, so re-paying per-link latency across the cluster would
-    /// double-walk it). Nominal byte accounting is the caller's.
-    pub(crate) fn remote_fetch_price(
-        &self,
-        origin: &RestoredFrom,
-        remote: &TransferModel,
-    ) -> SimDuration {
-        match self.orch.storage() {
-            Some(tier) => tier.price_remote_fetch(origin.nominal, origin.seed, remote),
-            None => remote.chained_transfer_time(origin.nominal, origin.chain_len.max(1)),
-        }
-    }
-
-    /// Lands a remotely fetched image on this node's SSD tier (no-op
-    /// without one) with the snapshot's θ-weight as admission priority.
-    pub(crate) fn note_remote_fetched(&mut self, origin: &RestoredFrom) {
-        let weight = self.orch.snapshot_weight(origin.id);
-        if let Some(tier) = self.orch.storage_mut() {
-            tier.admit(origin.id.0, origin.nominal, weight, &[]);
-        }
+        stats.invocations = latency.count();
+        stats.mean_latency_us = latency.mean();
+        stats.p50_latency_us = latency.quantile(0.5);
+        stats.p99_latency_us = latency.quantile(0.99);
+        stats.provision_us_total = self.out.provision_us;
+        stats.provisioning = self.out.provisioning;
+        stats.storage = self.out.storage;
+        (stats.end_time, stats.peak_pending_events) = end;
+        stats
     }
 }
 
@@ -966,72 +907,11 @@ impl<'w> Session<'w> {
 /// assert!(result.median_us() > 0.0);
 /// ```
 pub fn run_closed_loop(workload: &dyn Workload, cfg: &RunConfig) -> RunResult {
-    let mut session = Session::new(workload, *cfg, cfg.invocations as usize);
-    let mut worker: Option<Worker> = None;
-    // Arrivals self-schedule through the kernel: arrival `i` fires at
-    // `(i + 1) * request_gap`, exactly the instants of the historical
-    // `now += gap` loop, so results are byte-identical on either kernel.
-    let mut kernel: Kernel<u64> = Kernel::new(cfg.kernel);
-    let total = u64::from(cfg.invocations);
-    if total > 0 {
-        kernel.schedule(SimTime::ZERO + cfg.request_gap, 0);
-    }
-    let mut last_now = SimTime::ZERO;
-    while let Some((now, event)) = kernel.pop() {
-        last_now = now;
-        match event {
-            PRE_RESTORE_EVENT => {
-                if worker.is_none() {
-                    let w = session.pre_restore(now);
-                    kernel.schedule(w.pre_warm_expires, PRE_WARM_EXPIRY_EVENT);
-                    worker = Some(w);
-                } else {
-                    session.cancel_pre_restore();
-                }
-                continue;
-            }
-            PRE_WARM_EXPIRY_EVENT => {
-                let expired = worker
-                    .as_ref()
-                    .is_some_and(|w| w.pre_warmed_since.is_some() && now >= w.pre_warm_expires);
-                if expired {
-                    if let Some(w) = worker.take() {
-                        session.retire(w, now);
-                    }
-                    // The slot went cold again; re-plan from the (now
-                    // more decayed) forecast.
-                    if let Some(at) = session.plan_pre_restore(now) {
-                        kernel.schedule(at, PRE_RESTORE_EVENT);
-                    }
-                }
-                continue;
-            }
-            _ => {}
-        }
-        let i = event;
-        let mut w = match worker.take() {
-            Some(w) => w,
-            None => session.provision(now),
-        };
-        session.serve(&mut w, i, now);
-        // Evict after the configured number of requests; otherwise the
-        // worker stays warm for the next request.
-        if w.served < cfg.eviction_rate {
-            worker = Some(w);
-        } else {
-            session.retire(w, now);
-            if let Some(at) = session.plan_pre_restore(now) {
-                kernel.schedule(at, PRE_RESTORE_EVENT);
-            }
-        }
-        if i + 1 < total {
-            kernel.schedule(now + cfg.request_gap, i + 1);
-        }
-    }
-    if let Some(w) = worker.take() {
-        session.retire(w, last_now);
-    }
-    session.finish()
+    let mut session = Session::new(workload, *cfg, cfg.invocations as usize, false);
+    let mut topo = Topology::single(Deployment::shared(workload, cfg));
+    let arrivals = Arrivals::closed_loop(cfg.invocations, cfg.request_gap, false);
+    engine::run(&mut session, &mut topo, arrivals);
+    session.finish(&topo)
 }
 
 /// Runs the Figure 6 trace-driven protocol: arrivals from an Azure-like
@@ -1051,71 +931,29 @@ pub fn run_trace_with_history(
     trace: &Trace,
     history_invocations: u32,
 ) -> RunResult {
-    let expected = history_invocations as usize + trace.len();
-    let mut session = Session::new(workload, *cfg, expected);
-
+    let history = u64::from(history_invocations);
+    let expected = history as usize + trace.len();
+    let mut session = Session::new(workload, *cfg, expected, false);
+    let mut topo = Topology::single(Deployment::shared(workload, cfg));
     // Deployment history: same protocol (and arrival instants) as the
     // closed loop.
-    let mut worker: Option<Worker> = None;
-    let mut kernel: Kernel<u64> = Kernel::new(cfg.kernel);
-    let history = u64::from(history_invocations);
-    if history > 0 {
-        kernel.schedule(SimTime::ZERO + cfg.request_gap, 0);
-    }
-    let mut last_now = SimTime::ZERO;
-    while let Some((now, i)) = kernel.pop() {
-        last_now = now;
-        let mut w = match worker.take() {
-            Some(w) => w,
-            None => session.provision(now),
-        };
-        session.serve(&mut w, i, now);
-        if w.served < cfg.eviction_rate {
-            worker = Some(w);
-        } else {
-            session.retire(w, now);
-        }
-        if i + 1 < history {
-            kernel.schedule(now + cfg.request_gap, i + 1);
-        }
-    }
-    if let Some(w) = worker.take() {
-        session.retire(w, last_now);
-    }
+    let past = Arrivals::closed_loop(history_invocations, cfg.request_gap, false);
+    engine::run(&mut session, &mut topo, past);
     // The measured window starts with whatever state the deployment has;
     // in-flight workers from the history are evicted (the window is a
-    // fresh 15 minutes much later). A fresh kernel restarts the clock at
-    // the window origin — the history clock has run far past it.
+    // fresh 15 minutes much later), and the window's own kernel restarts
+    // the clock at its origin.
     session.reset_measurements();
-
-    let mut kernel: Kernel<u64> = Kernel::new(cfg.kernel);
-    for (i, &arrival) in trace.arrivals().iter().enumerate() {
-        kernel.schedule(arrival, history + i as u64);
-    }
-    let mut worker: Option<Worker> = None;
-    let mut last_arrival = SimTime::ZERO;
-    while let Some((arrival, i)) = kernel.pop() {
-        last_arrival = arrival;
-        // Idle eviction.
-        let idle = worker
-            .as_ref()
-            .is_some_and(|w| arrival.saturating_since(w.last_active) > cfg.idle_timeout);
-        if idle {
-            if let Some(w) = worker.take() {
-                session.retire(w, arrival);
-            }
-        }
-        let mut w = match worker.take() {
-            Some(w) => w,
-            None => session.provision(arrival),
-        };
-        session.serve(&mut w, i, arrival);
-        worker = Some(w);
-    }
-    if let Some(w) = worker.take() {
-        session.retire(w, last_arrival);
-    }
-    session.finish()
+    let iter = trace.arrivals().iter().copied();
+    engine::run(
+        &mut session,
+        &mut topo,
+        Arrivals::Sorted {
+            first: history,
+            iter,
+        },
+    );
+    session.finish(&topo)
 }
 
 /// Replays a production-scale arrival stream (e.g.
@@ -1149,112 +987,11 @@ pub fn run_production<I>(workload: &dyn Workload, cfg: &RunConfig, arrivals: I) 
 where
     I: IntoIterator<Item = SimTime>,
 {
-    let mut session = Session::streaming(workload, *cfg);
-    let mut kernel: Kernel<u64> = Kernel::new(cfg.kernel);
-    let mut arrivals = arrivals.into_iter();
-    let mut next_index: u64 = 0;
-    let mut peak_pending = 0usize;
-    let mut worker: Option<Worker> = None;
-    let mut end_time = SimTime::ZERO;
-    let mut last_now = SimTime::ZERO;
-    // Whether an IDLE_CHECK_EVENT is already pending: the probe chain is
-    // kept at most one deep so sentinels never accumulate in the kernel.
-    let mut idle_check_pending = false;
-    let probe_gap = cfg.idle_timeout + SimDuration::from_micros(1);
-    loop {
-        while kernel.len() < PRODUCTION_LOOKAHEAD {
-            let Some(at) = arrivals.next() else { break };
-            kernel.schedule(at, next_index);
-            next_index += 1;
-        }
-        peak_pending = peak_pending.max(kernel.len());
-        let Some((now, event)) = kernel.pop() else {
-            break;
-        };
-        last_now = now;
-        match event {
-            PRE_RESTORE_EVENT => {
-                if worker.is_none() {
-                    let w = session.pre_restore(now);
-                    kernel.schedule(w.pre_warm_expires, PRE_WARM_EXPIRY_EVENT);
-                    worker = Some(w);
-                } else {
-                    session.cancel_pre_restore();
-                }
-                continue;
-            }
-            PRE_WARM_EXPIRY_EVENT => {
-                let expired = worker
-                    .as_ref()
-                    .is_some_and(|w| w.pre_warmed_since.is_some() && now >= w.pre_warm_expires);
-                if expired {
-                    if let Some(w) = worker.take() {
-                        session.retire(w, now);
-                    }
-                    if let Some(at) = session.plan_pre_restore(now) {
-                        kernel.schedule(at, PRE_RESTORE_EVENT);
-                    }
-                }
-                continue;
-            }
-            IDLE_CHECK_EVENT => {
-                idle_check_pending = false;
-                // A pre-warmed worker is waiting on its own expiry event,
-                // not the idle clock.
-                let state = worker
-                    .as_ref()
-                    .filter(|w| w.pre_warmed_since.is_none())
-                    .map(|w| w.last_active);
-                if let Some(last_active) = state {
-                    if now.saturating_since(last_active) > cfg.idle_timeout {
-                        if let Some(w) = worker.take() {
-                            session.retire(w, now);
-                        }
-                        if let Some(at) = session.plan_pre_restore(now) {
-                            kernel.schedule(at, PRE_RESTORE_EVENT);
-                        }
-                    } else {
-                        kernel.schedule(last_active + probe_gap, IDLE_CHECK_EVENT);
-                        idle_check_pending = true;
-                    }
-                }
-                continue;
-            }
-            _ => {}
-        }
-        let index = event;
-        // Arrival-time idle eviction (the reactive path's only probe —
-        // and still the one that fires when a pre-restored worker's slot
-        // is taken over by real traffic before any sentinel looks).
-        // Pre-warmed workers are exempt: they exist precisely to absorb
-        // the arrival that ends a long gap.
-        let idle = worker.as_ref().is_some_and(|w| {
-            w.pre_warmed_since.is_none() && now.saturating_since(w.last_active) > cfg.idle_timeout
-        });
-        if idle {
-            if let Some(w) = worker.take() {
-                session.retire(w, now);
-            }
-        }
-        let mut w = match worker.take() {
-            Some(w) => w,
-            None => session.provision(now),
-        };
-        session.serve(&mut w, index, now);
-        worker = Some(w);
-        end_time = now;
-        // With provisioning on, arm the between-arrivals idle probe so
-        // the slot can go cold — and be predictively re-warmed — during
-        // a gap instead of only at the next arrival.
-        if session.provision_enabled() && !idle_check_pending {
-            kernel.schedule(now + probe_gap, IDLE_CHECK_EVENT);
-            idle_check_pending = true;
-        }
-    }
-    if let Some(w) = worker.take() {
-        session.retire(w, last_now);
-    }
-    session.finish_production(end_time, peak_pending)
+    let mut session = Session::new(workload, *cfg, 0, true);
+    let mut topo = Topology::single(Deployment::shared(workload, cfg));
+    let iter = arrivals.into_iter();
+    let end = engine::run(&mut session, &mut topo, Arrivals::Sorted { first: 0, iter });
+    session.finish_production(&topo, end)
 }
 
 #[cfg(test)]
@@ -1648,6 +1385,25 @@ mod tests {
         let b = crate::run_partitioned(&bench, &wheel_cfg, 2);
         assert_eq!(a.latencies_us, b.latencies_us);
         assert_eq!(a.provisions, b.provisions);
+
+        let fleet = crate::FleetConfig::default();
+        let a = crate::run_fleet(&bench, &heap_cfg, &fleet);
+        let b = crate::run_fleet(&bench, &wheel_cfg, &fleet);
+        assert_eq!(a.latencies_us, b.latencies_us);
+        assert_eq!(a.provisions, b.provisions);
+        assert_eq!(a.checkpoint_ms, b.checkpoint_ms);
+
+        let spec = crate::ClusterSpec::new(4)
+            .with_capacity(2)
+            .with_routing(crate::RoutingPolicy::LoadAware);
+        let mut hot = heap_cfg.with_cluster(spec);
+        hot.request_gap = SimDuration::from_millis(1);
+        let a = crate::run_cluster(&bench, &hot);
+        let b = crate::run_cluster(&bench, &hot.with_kernel(KernelKind::TimerWheel));
+        assert_eq!(a.result.latencies_us, b.result.latencies_us);
+        assert_eq!(a.result.provisions, b.result.provisions);
+        assert_eq!(a.nodes, b.nodes);
+        assert_eq!(a.locality, b.locality);
     }
 
     #[test]

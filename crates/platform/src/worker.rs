@@ -112,15 +112,6 @@ impl Worker {
         self.restore.is_some()
     }
 
-    /// Whether the worker was restored *and* is still within its first
-    /// `horizon` requests — the window in which restored IO state is
-    /// stale. The old `restored: bool` conflated this with "was ever
-    /// restored"; staleness decays with served requests, so the two
-    /// diverge as soon as a restored worker warms back up.
-    pub fn freshly_restored(&self, horizon: u32) -> bool {
-        self.restore.is_some() && self.served < horizon
-    }
-
     /// 0-based request number of the *next* request this worker will serve
     /// within its function's lineage.
     pub fn next_request_number(&self) -> u64 {
@@ -180,22 +171,17 @@ mod tests {
     }
 
     #[test]
-    fn freshly_restored_decays_with_served_requests() {
+    fn restored_outlives_the_stale_window() {
         let (rt, rng) = runtime();
         let info = RestoreInfo::eager(50_000.0, 12 << 20);
         let mut w = Worker::new(rt, rng, 5, None, Some(info), SimTime::ZERO);
         assert!(w.restored());
-        assert!(w.freshly_restored(4));
-        w.served = 3;
-        assert!(w.freshly_restored(4));
-        w.served = 4;
-        // Still "restored", but no longer fresh: stale-IO penalties stop.
+        // Staleness decays with served requests (the session's stale
+        // window), but the worker stays "restored" for its whole life.
+        w.served = 100;
         assert!(w.restored());
-        assert!(!w.freshly_restored(4));
-        // A cold worker is never fresh.
         let (rt, rng) = runtime();
         let cold = Worker::new(rt, rng, 0, None, None, SimTime::ZERO);
         assert!(!cold.restored());
-        assert!(!cold.freshly_restored(4));
     }
 }

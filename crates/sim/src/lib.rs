@@ -30,18 +30,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod driver;
 pub mod hash;
 pub mod kernel;
-pub mod log;
 pub mod queue;
 pub mod rng;
 pub mod time;
 pub mod wheel;
 
-pub use driver::{RunOutcome, Scheduler, Simulation};
 pub use kernel::{Kernel, KernelKind};
-pub use log::{EventLog, LogEntry};
 pub use queue::EventQueue;
 pub use rng::RngFactory;
 pub use time::{SimDuration, SimTime};

@@ -16,6 +16,7 @@
 //! transfer counters record, while `bytes_stored` tracks physical
 //! (deduplicated) residency.
 
+use crate::accounting::saturating_accumulate;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use pronghorn_sim::hash::{fnv1a_wide, Fnv1aWide};
@@ -98,6 +99,39 @@ pub struct StoreStats {
     pub gets: u64,
     /// Completed delete operations.
     pub deletes: u64,
+}
+
+impl StoreStats {
+    /// Folds `other` into `self`, for aggregating disjoint stores (one per
+    /// deployment). Every counter adds, so the peak becomes an upper bound
+    /// on the stores' joint peak.
+    pub fn merge(&mut self, other: &StoreStats) {
+        saturating_accumulate("bytes_stored", &mut self.bytes_stored, other.bytes_stored);
+        saturating_accumulate(
+            "peak_bytes_stored",
+            &mut self.peak_bytes_stored,
+            other.peak_bytes_stored,
+        );
+        saturating_accumulate(
+            "bytes_uploaded",
+            &mut self.bytes_uploaded,
+            other.bytes_uploaded,
+        );
+        saturating_accumulate(
+            "bytes_downloaded",
+            &mut self.bytes_downloaded,
+            other.bytes_downloaded,
+        );
+        saturating_accumulate(
+            "bytes_deduped",
+            &mut self.bytes_deduped,
+            other.bytes_deduped,
+        );
+        self.objects += other.objects;
+        self.puts += other.puts;
+        self.gets += other.gets;
+        self.deletes += other.deletes;
+    }
 }
 
 /// A refcounted, content-addressed payload blob.
@@ -273,7 +307,7 @@ impl ObjectStore {
             .insert(key.to_string(), object);
         inner.stats.bytes_stored = required;
         inner.stats.peak_bytes_stored = inner.stats.peak_bytes_stored.max(required);
-        inner.stats.bytes_uploaded += size;
+        saturating_accumulate("bytes_uploaded", &mut inner.stats.bytes_uploaded, size);
         inner.stats.puts += 1;
         if !replaced {
             inner.stats.objects += 1;
@@ -335,9 +369,9 @@ impl ObjectStore {
             .insert(key.to_string(), object);
         inner.stats.bytes_stored = required;
         inner.stats.peak_bytes_stored = inner.stats.peak_bytes_stored.max(required);
-        inner.stats.bytes_uploaded += added;
+        saturating_accumulate("bytes_uploaded", &mut inner.stats.bytes_uploaded, added);
         if !blob_is_new {
-            inner.stats.bytes_deduped += payload_len;
+            saturating_accumulate("bytes_deduped", &mut inner.stats.bytes_deduped, payload_len);
         }
         inner.stats.puts += 1;
         if !replaced {
@@ -372,7 +406,8 @@ impl ObjectStore {
                 Bytes::from(out)
             }
         };
-        inner.stats.bytes_downloaded += data.len() as u64;
+        let len = data.len() as u64;
+        saturating_accumulate("bytes_downloaded", &mut inner.stats.bytes_downloaded, len);
         inner.stats.gets += 1;
         Ok(data)
     }
@@ -397,7 +432,8 @@ impl ObjectStore {
                 object.tail.clone(),
             ],
         };
-        inner.stats.bytes_downloaded += chunks.iter().map(|c| c.len() as u64).sum::<u64>();
+        let len = chunks.iter().map(|c| c.len() as u64).sum::<u64>();
+        saturating_accumulate("bytes_downloaded", &mut inner.stats.bytes_downloaded, len);
         inner.stats.gets += 1;
         Ok(chunks)
     }
@@ -432,7 +468,7 @@ impl ObjectStore {
             bytes += data.len() as u64;
             out.push(Some(data));
         }
-        inner.stats.bytes_downloaded += bytes;
+        saturating_accumulate("bytes_downloaded", &mut inner.stats.bytes_downloaded, bytes);
         inner.stats.gets += 1;
         Ok(out)
     }
