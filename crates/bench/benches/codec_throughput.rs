@@ -12,10 +12,36 @@
 
 #![forbid(unsafe_code)]
 
+use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pronghorn_checkpoint::{Encoder, Snapshot, SnapshotMeta};
-use pronghorn_experiments::bench_report::{legacy_encode, pattern_payload};
 use pronghorn_sim::hash::{fnv1a, fnv1a_wide};
+
+/// A deterministic incompressible-ish payload of `len` bytes.
+fn pattern_payload(len: usize) -> Bytes {
+    let mut buf = vec![0u8; len];
+    let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+    for chunk in buf.chunks_exact_mut(8) {
+        x = x.wrapping_mul(0xd129_0d3b_3f82_ab1d).wrapping_add(1);
+        chunk.copy_from_slice(&x.to_le_bytes());
+    }
+    Bytes::from(buf)
+}
+
+/// The codec's pre-fast-path encode: a fresh buffer every call, the
+/// payload copied into it, and a byte-at-a-time FNV over the whole frame.
+fn legacy_encode(snapshot: &Snapshot, payload: &Bytes) -> Bytes {
+    let mut buf = Vec::with_capacity(payload.len() + 128);
+    buf.extend_from_slice(b"PRONGSNAP");
+    buf.extend_from_slice(&snapshot.id.0.to_le_bytes());
+    buf.extend_from_slice(&(snapshot.meta.request_number).to_le_bytes());
+    buf.extend_from_slice(&snapshot.nominal_size.to_le_bytes());
+    buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    buf.extend_from_slice(payload);
+    let sum = fnv1a(&buf);
+    buf.extend_from_slice(&sum.to_le_bytes());
+    Bytes::from(buf)
+}
 
 fn meta() -> SnapshotMeta {
     SnapshotMeta {

@@ -6,7 +6,7 @@
 //! worker-lifetime misestimation (§6), fleet exploration amortization
 //! (§5.3), and input-aware partitioning (§6).
 
-use crate::render::write_results_csv;
+use crate::render::write_results_file;
 use crate::ExperimentContext;
 use pronghorn_core::{PolicyConfig, PolicyKind, SelectionStrategy};
 use pronghorn_platform::{run_closed_loop, run_fleet, run_partitioned, FleetConfig, RunConfig};
@@ -212,7 +212,7 @@ impl AblationResult {
 
     /// Writes `results/ablations.csv`.
     pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_csv("ablations.csv", &self.to_csv())
+        write_results_file("ablations.csv", &self.to_csv())
     }
 
     /// Rows of one group.

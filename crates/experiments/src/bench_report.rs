@@ -2,10 +2,10 @@
 //! machine-readable performance report the `summary` command writes next
 //! to `summary.csv`.
 //!
-//! Every benchmark report in `results/` ( `BENCH_grid.json`,
+//! Every benchmark report in `results/` (`BENCH_grid.json`,
 //! `BENCH_restore.json`, `BENCH_delta.json`, `BENCH_cluster.json`,
-//! `BENCH_kernel.json`, `BENCH_provision.json`) is rendered through
-//! [`BenchReport`], so they all share one header:
+//! `BENCH_kernel.json`, `BENCH_provision.json`, `BENCH_storage.json`) is
+//! rendered through [`BenchReport`], so they all share one header:
 //!
 //! ```json
 //! {
@@ -23,27 +23,18 @@
 //! objects are built with [`JsonObj`], which renders NaN as `null` so a
 //! cell that never exercised a path stays machine-readable.
 //!
-//! This module also owns the grid report proper. Two kinds of numbers
-//! land in `BENCH_grid.json`, both strictly observational (simulated
-//! results stay bit-identical for a fixed seed):
-//!
-//! * **Grid wall-clock and codec counters** — how long each figure grid
-//!   took on the host, plus the [`CodecStats`] merged across every cell:
-//!   encodes performed vs skipped by dirty tracking, bytes encoded vs
-//!   avoided, allocations saved by scratch reuse.
-//! * **An inline codec micro-benchmark** — the legacy encode path (fresh
-//!   allocation, full payload copy, byte-at-a-time FNV over the whole
-//!   frame, exactly what the codec did before the zero-copy fast path)
-//!   against the current one, at 10/32/64 MB payloads, reported as MB/s
-//!   and a speedup ratio.
+//! This module also owns the grid report proper: how long each figure
+//! grid took on the host, plus the [`CodecStats`] merged across every
+//! cell — encodes performed vs skipped by dirty tracking, bytes encoded
+//! vs avoided, allocations saved by scratch reuse. These numbers are
+//! strictly observational (simulated results stay bit-identical for a
+//! fixed seed). Codec throughput is measured by the `codec_throughput`
+//! criterion bench, not here.
 
 use crate::grid::Grid;
 use crate::render::write_results_file;
-use bytes::Bytes;
-use pronghorn_checkpoint::{CodecStats, Encoder, Snapshot, SnapshotMeta};
-use pronghorn_sim::hash::{fnv1a, fnv1a_wide};
+use pronghorn_checkpoint::CodecStats;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Version stamped into every `BENCH_*.json` header. Bump when the
 /// shared header shape (not a report's arm fields) changes.
@@ -203,115 +194,6 @@ impl BenchReport {
     }
 }
 
-/// Payload sizes exercised by the inline micro-benchmark, in MiB.
-pub const MICRO_SIZES_MB: [usize; 3] = [10, 32, 64];
-
-/// One row of the inline legacy-vs-fast codec comparison.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MicroRow {
-    /// Payload size, MiB.
-    pub payload_mb: usize,
-    /// Pre-fast-path encode throughput (alloc + copy + byte-wise FNV).
-    pub legacy_encode_mb_s: f64,
-    /// Current encode throughput (scratch reuse + zero-copy framing).
-    pub fast_encode_mb_s: f64,
-    /// Single-pass payload checksum throughput (word-folded FNV).
-    pub checksum_mb_s: f64,
-    /// Zero-copy decode throughput (`Snapshot::from_shared`).
-    pub decode_mb_s: f64,
-}
-
-impl MicroRow {
-    /// Encode-path speedup of the fast path over the legacy path.
-    pub fn encode_speedup(&self) -> f64 {
-        if self.legacy_encode_mb_s > 0.0 {
-            self.fast_encode_mb_s / self.legacy_encode_mb_s
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Best-of-five wall-clock nanoseconds for one call of `f`.
-fn best_ns<F: FnMut()>(mut f: F) -> f64 {
-    f(); // warm-up (page in the payload, populate scratch capacity)
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_nanos() as f64);
-    }
-    best.max(1.0)
-}
-
-fn mb_per_s(bytes: usize, ns: f64) -> f64 {
-    bytes as f64 / (ns / 1e9) / 1e6
-}
-
-/// A deterministic incompressible-ish payload of `len` bytes.
-pub fn pattern_payload(len: usize) -> Bytes {
-    let mut buf = vec![0u8; len];
-    let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
-    for chunk in buf.chunks_exact_mut(8) {
-        x = x.wrapping_mul(0xd129_0d3b_3f82_ab1d).wrapping_add(1);
-        chunk.copy_from_slice(&x.to_le_bytes());
-    }
-    Bytes::from(buf)
-}
-
-/// The codec's pre-fast-path encode, replicated byte for byte in spirit:
-/// a fresh buffer every call, the payload copied into it, and a
-/// byte-at-a-time FNV computed over the entire frame. Kept public so the
-/// `codec_throughput` bench and this module's inline micro-bench measure
-/// the same baseline.
-pub fn legacy_encode(snapshot: &Snapshot, payload: &Bytes) -> Bytes {
-    let mut buf = Vec::with_capacity(payload.len() + 128);
-    buf.extend_from_slice(b"PRONGSNAP");
-    buf.extend_from_slice(&snapshot.id.0.to_le_bytes());
-    buf.extend_from_slice(&(snapshot.meta.request_number).to_le_bytes());
-    buf.extend_from_slice(&snapshot.nominal_size.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    buf.extend_from_slice(payload);
-    let sum = fnv1a(&buf);
-    buf.extend_from_slice(&sum.to_le_bytes());
-    Bytes::from(buf)
-}
-
-/// Runs the inline micro-benchmark at `mb` MiB.
-pub fn micro_row(mb: usize) -> MicroRow {
-    let len = mb << 20;
-    let payload = pattern_payload(len);
-    let meta = SnapshotMeta {
-        function: "bench".to_string(),
-        request_number: 7,
-        runtime: "JVM".to_string(),
-    };
-    let snapshot = Snapshot::with_nonce(meta, payload.clone(), len as u64, 1);
-    let mut enc = Encoder::new();
-
-    let legacy_ns = best_ns(|| {
-        std::hint::black_box(legacy_encode(&snapshot, &payload));
-    });
-    let fast_ns = best_ns(|| {
-        std::hint::black_box(snapshot.to_frame_with(&mut enc));
-    });
-    let checksum_ns = best_ns(|| {
-        std::hint::black_box(fnv1a_wide(&payload));
-    });
-    let frame = snapshot.to_frame_with(&mut enc).to_bytes();
-    let decode_ns = best_ns(|| {
-        std::hint::black_box(Snapshot::from_shared(&frame).expect("round trip"));
-    });
-
-    MicroRow {
-        payload_mb: mb,
-        legacy_encode_mb_s: mb_per_s(len, legacy_ns),
-        fast_encode_mb_s: mb_per_s(len, fast_ns),
-        checksum_mb_s: mb_per_s(len, checksum_ns),
-        decode_mb_s: mb_per_s(len, decode_ns),
-    }
-}
-
 /// Merges the codec counters of every cell in a grid.
 pub fn grid_codec(grid: &Grid) -> CodecStats {
     let mut total = CodecStats::default();
@@ -335,13 +217,11 @@ fn codec_obj(s: &CodecStats) -> JsonObj {
 }
 
 /// Renders the report as a JSON document in the shared [`BenchReport`]
-/// schema: one arm per labelled grid, with the pooled codec totals and
-/// the micro-benchmark as trailing sections. `grids` pairs a label (for
-/// example `"fig4"`) with the grid it names; `micro` is typically the
-/// output of [`micro_row`] over [`MICRO_SIZES_MB`].
-pub fn render_json(grids: &[(&str, &Grid)], micro: &[MicroRow]) -> String {
-    let mut report =
-        BenchReport::new("grid").config("micro_payload_mb", format!("{MICRO_SIZES_MB:?}"));
+/// schema: one arm per labelled grid, with the pooled codec totals as a
+/// trailing section. `grids` pairs a label (for example `"fig4"`) with
+/// the grid it names.
+pub fn render_json(grids: &[(&str, &Grid)]) -> String {
+    let mut report = BenchReport::new("grid");
     let mut total = CodecStats::default();
     for (name, grid) in grids {
         let codec = grid_codec(grid);
@@ -355,31 +235,13 @@ pub fn render_json(grids: &[(&str, &Grid)], micro: &[MicroRow]) -> String {
         );
     }
     report.section("codec_total", codec_obj(&total).render());
-    let rows: Vec<String> = micro
-        .iter()
-        .map(|row| {
-            JsonObj::new()
-                .uint("payload_mb", row.payload_mb as u64)
-                .float("legacy_encode_mb_s", row.legacy_encode_mb_s, 1)
-                .float("fast_encode_mb_s", row.fast_encode_mb_s, 1)
-                .float("encode_speedup", row.encode_speedup(), 1)
-                .float("checksum_mb_s", row.checksum_mb_s, 1)
-                .float("decode_mb_s", row.decode_mb_s, 1)
-                .render()
-        })
-        .collect();
-    report.section(
-        "codec_micro",
-        format!("[\n    {}\n  ]", rows.join(",\n    ")),
-    );
     report.render()
 }
 
-/// Runs the micro-benchmark and writes `results/BENCH_grid.json` for the
-/// given labelled grids, returning the path written.
+/// Writes `results/BENCH_grid.json` for the given labelled grids,
+/// returning the path written.
 pub fn write(grids: &[(&str, &Grid)]) -> std::io::Result<std::path::PathBuf> {
-    let micro: Vec<MicroRow> = MICRO_SIZES_MB.iter().map(|&mb| micro_row(mb)).collect();
-    write_results_file("BENCH_grid.json", &render_json(grids, &micro))
+    write_results_file("BENCH_grid.json", &render_json(grids))
 }
 
 #[cfg(test)]
@@ -473,23 +335,17 @@ mod tests {
     }
 
     #[test]
-    fn json_report_carries_grids_and_micro_rows() {
+    fn json_report_carries_grids_and_codec_totals() {
         let g = grid();
-        let micro = [MicroRow {
-            payload_mb: 10,
-            legacy_encode_mb_s: 500.0,
-            fast_encode_mb_s: 5000.0,
-            checksum_mb_s: 4000.0,
-            decode_mb_s: 6000.0,
-        }];
-        let json = render_json(&[("fig4", &g), ("fig5", &g)], &micro);
+        let json = render_json(&[("fig4", &g), ("fig5", &g)]);
         assert!(json.contains("\"name\": \"fig4\""));
         assert!(json.contains("\"name\": \"fig5\""));
         assert!(json.contains("\"wall_clock_s\": 1.250"));
         assert!(json.contains("\"encodes\": 8"));
         // codec_total sums both grids.
         assert!(json.contains("\"encodes\": 16"));
-        assert!(json.contains("\"encode_speedup\": 10.0"));
+        assert!(json.contains("\"config\": {}"));
+        assert!(!json.contains("codec_micro"));
         // Balanced braces/brackets — cheap structural sanity without a
         // JSON parser in the tree.
         assert_eq!(
@@ -498,20 +354,5 @@ mod tests {
             "unbalanced braces in:\n{json}"
         );
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn micro_bench_fast_path_beats_legacy_encode() {
-        // 1 MiB keeps the test quick; the ratio claim (the acceptance
-        // criterion proper is demonstrated at 64 MiB by the codec_throughput
-        // bench) holds at every size because the fast path never touches
-        // payload bytes.
-        let row = micro_row(1);
-        assert!(row.legacy_encode_mb_s > 0.0);
-        assert!(
-            row.encode_speedup() >= 2.0,
-            "fast path only {:.2}x over legacy",
-            row.encode_speedup()
-        );
     }
 }

@@ -21,16 +21,13 @@
 //!   identical (byte-for-byte) single-node run.
 
 use crate::bench_report::{BenchReport, JsonObj};
-use crate::delta_ablation::benchmarks;
-use crate::render::write_results_csv;
+use crate::render::write_results_file;
+use crate::sweep::{csv_f64, paper_benchmarks, Ablation};
 use crate::ExperimentContext;
 use pronghorn_core::PolicyKind;
 use pronghorn_metrics::{Table, TableStyle};
 use pronghorn_platform::{run_cluster, ClusterRunResult, ClusterSpec, RoutingPolicy, RunConfig};
 use pronghorn_sim::SimDuration;
-use pronghorn_workloads::by_name;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Cluster sizes the ablation sweeps.
 pub const NODE_COUNTS: [u32; 3] = [1, 4, 8];
@@ -47,46 +44,14 @@ pub const CONTENTION_GAP_MS: u64 = 1;
 /// traffic, which is what the locality accounting measures.
 const ABLATION_RATE: u32 = 1;
 
-/// One benchmark × nodes × routing measurement.
-#[derive(Debug, Clone)]
-pub struct ClusterCell {
-    /// Benchmark name.
-    pub workload: String,
-    /// Cluster size the cell ran on.
-    pub nodes: u32,
-    /// Gateway routing policy.
-    pub routing: RoutingPolicy,
-    /// Full cluster-run measurements.
-    pub result: ClusterRunResult,
-}
-
-/// A completed cluster ablation.
-#[derive(Debug, Clone, Default)]
-pub struct ClusterAblation {
-    /// All cells, in completion order (lookups are keyed, so order does
-    /// not affect any rendered output).
-    pub cells: Vec<ClusterCell>,
-    /// Real wall-clock time the sweep took, seconds.
-    pub wall_clock_s: f64,
-}
-
-/// The [`RunConfig`] one ablation cell runs under.
-fn cell_config(seed: u64, invocations: u32, nodes: u32, routing: RoutingPolicy) -> RunConfig {
-    let mut cfg = RunConfig::paper(PolicyKind::RequestCentric, ABLATION_RATE, seed)
-        .with_invocations(invocations)
-        .with_cluster(
-            ClusterSpec::new(nodes)
-                .with_capacity(NODE_CAPACITY)
-                .with_routing(routing),
-        );
-    cfg.request_gap = SimDuration::from_millis(CONTENTION_GAP_MS);
-    cfg
-}
+/// A completed cluster ablation: benchmarks × node counts (the axis) ×
+/// [`RoutingPolicy::ALL`] (the arms).
+pub type ClusterAblation = Ablation<RoutingPolicy, ClusterRunResult>;
 
 /// Runs the full ablation: 13 benchmarks × [`NODE_COUNTS`] × both
 /// routing policies.
 pub fn run(ctx: &ExperimentContext) -> ClusterAblation {
-    run_for(ctx, &benchmarks(), &NODE_COUNTS)
+    run_for(ctx, &paper_benchmarks(), &NODE_COUNTS)
 }
 
 /// Runs the ablation over an explicit benchmark and node-count set.
@@ -100,47 +65,24 @@ pub fn run_for(
     benchmarks: &[&str],
     node_counts: &[u32],
 ) -> ClusterAblation {
-    for name in benchmarks {
-        assert!(by_name(name).is_some(), "unknown benchmark {name}");
-    }
-    let mut tasks: Vec<(String, u32, RoutingPolicy)> = Vec::new();
-    for &bench in benchmarks {
-        for &nodes in node_counts {
-            for routing in RoutingPolicy::ALL {
-                tasks.push((bench.to_string(), nodes, routing));
-            }
-        }
-    }
-    let next = AtomicUsize::new(0);
-    let cells = Mutex::new(Vec::with_capacity(tasks.len()));
-    let threads = ctx.effective_threads();
-    let started = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((bench, nodes, routing)) = tasks.get(i) else {
-                    break;
-                };
-                let workload = by_name(bench).expect("validated above");
-                // Seed shared across the routing arms of one
-                // (bench, nodes): the paired-comparison trick.
-                let seed = ctx.cell_seed(&["cluster", bench, &nodes.to_string()]);
-                let cfg = cell_config(seed, ctx.invocations, *nodes, *routing);
-                let result = run_cluster(&workload, &cfg);
-                cells.lock().expect("no poisoned lock").push(ClusterCell {
-                    workload: bench.clone(),
-                    nodes: *nodes,
-                    routing: *routing,
-                    result,
-                });
-            });
-        }
-    });
-    ClusterAblation {
-        cells: cells.into_inner().expect("no poisoned lock"),
-        wall_clock_s: started.elapsed().as_secs_f64(),
-    }
+    Ablation::run(
+        ctx,
+        benchmarks,
+        node_counts,
+        &RoutingPolicy::ALL,
+        |bench, nodes| ctx.cell_seed(&["cluster", bench, &nodes.to_string()]),
+        |workload, nodes, routing, seed| {
+            let mut cfg = RunConfig::paper(PolicyKind::RequestCentric, ABLATION_RATE, seed)
+                .with_invocations(ctx.invocations)
+                .with_cluster(
+                    ClusterSpec::new(nodes)
+                        .with_capacity(NODE_CAPACITY)
+                        .with_routing(routing),
+                );
+            cfg.request_gap = SimDuration::from_millis(CONTENTION_GAP_MS);
+            run_cluster(workload, &cfg)
+        },
+    )
 }
 
 /// Pooled per-arm (nodes × routing) aggregates.
@@ -184,39 +126,6 @@ impl ClusterArmAggregate {
 }
 
 impl ClusterAblation {
-    /// Finds a cell.
-    pub fn cell(&self, workload: &str, nodes: u32, routing: RoutingPolicy) -> Option<&ClusterCell> {
-        self.cells
-            .iter()
-            .find(|c| c.workload == workload && c.nodes == nodes && c.routing == routing)
-    }
-
-    /// Distinct workloads present, in paper order (non-paper test
-    /// benchmarks follow, in cell order).
-    pub fn workloads(&self) -> Vec<String> {
-        let mut seen = Vec::new();
-        for bench in benchmarks() {
-            if self.cells.iter().any(|c| c.workload == bench) && !seen.contains(&bench.to_string())
-            {
-                seen.push(bench.to_string());
-            }
-        }
-        for cell in &self.cells {
-            if !seen.contains(&cell.workload) {
-                seen.push(cell.workload.clone());
-            }
-        }
-        seen
-    }
-
-    /// Distinct node counts present, ascending.
-    pub fn node_counts(&self) -> Vec<u32> {
-        let mut counts: Vec<u32> = self.cells.iter().map(|c| c.nodes).collect();
-        counts.sort_unstable();
-        counts.dedup();
-        counts
-    }
-
     /// Benchmarks where load-aware routing's p99 latency (queueing
     /// included) beats pure hashing's at `nodes`, as `(wins, total)`.
     pub fn load_aware_p99_wins(&self, nodes: u32) -> (usize, usize) {
@@ -241,12 +150,11 @@ impl ClusterAblation {
     /// order.
     pub fn arm_aggregates(&self) -> Vec<ClusterArmAggregate> {
         let mut out = Vec::new();
-        for nodes in self.node_counts() {
+        for nodes in self.axes() {
             for routing in RoutingPolicy::ALL {
-                let cells: Vec<&ClusterCell> = self
-                    .cells
-                    .iter()
-                    .filter(|c| c.nodes == nodes && c.routing == routing)
+                let cells: Vec<_> = self
+                    .arm_cells(routing)
+                    .filter(|c| c.axis == nodes)
                     .collect();
                 if cells.is_empty() {
                     continue;
@@ -314,7 +222,7 @@ impl ClusterAblation {
              capacity {NODE_CAPACITY}/node)\n\n{}\n",
             table.render(TableStyle::Plain)
         );
-        for nodes in self.node_counts() {
+        for nodes in self.axes() {
             if nodes == 1 {
                 continue;
             }
@@ -346,7 +254,7 @@ impl ClusterAblation {
             "p99_latency_us",
         ]);
         for w in self.workloads() {
-            for nodes in self.node_counts() {
+            for nodes in self.axes() {
                 for routing in RoutingPolicy::ALL {
                     let Some(cell) = self.cell(&w, nodes, routing) else {
                         continue;
@@ -380,7 +288,7 @@ impl ClusterAblation {
 
     /// Writes `results/cluster_ablation.csv`.
     pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_csv("cluster_ablation.csv", &self.to_csv())
+        write_results_file("cluster_ablation.csv", &self.to_csv())
     }
 
     /// Writes `results/BENCH_cluster.json`: per-arm locality hit rates,
@@ -420,7 +328,7 @@ impl ClusterAblation {
                     .raw("per_node", format!("[{}]", per_node.join(", "))),
             );
         }
-        let multi: Vec<u32> = self.node_counts().into_iter().filter(|&n| n > 1).collect();
+        let multi: Vec<u32> = self.axes().into_iter().filter(|&n| n > 1).collect();
         let wins: Vec<String> = multi
             .iter()
             .map(|&nodes| {
@@ -437,15 +345,6 @@ impl ClusterAblation {
             format!("[\n    {}\n  ]", wins.join(",\n    ")),
         );
         report.save("BENCH_cluster.json")
-    }
-}
-
-/// Formats a float for CSV; NaN renders as the empty field.
-fn csv_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        String::new()
     }
 }
 
@@ -466,7 +365,7 @@ mod tests {
         let ablation = quick_ablation();
         assert_eq!(ablation.cells.len(), 3 * 2 * 2);
         assert_eq!(ablation.workloads(), vec!["DFS", "MatrixMult", "Hash"]);
-        assert_eq!(ablation.node_counts(), vec![1, 4]);
+        assert_eq!(ablation.axes(), vec![1, 4]);
         for cell in &ablation.cells {
             assert_eq!(cell.result.served(), 120);
         }
@@ -510,14 +409,14 @@ mod tests {
         let remote: u64 = ablation
             .cells
             .iter()
-            .filter(|c| c.routing == RoutingPolicy::LoadAware && c.nodes == 4)
+            .filter(|c| c.arm == RoutingPolicy::LoadAware && c.axis == 4)
             .map(|c| c.result.locality.remote_bytes)
             .sum();
         assert!(remote > 0, "no remote transfer despite spillover");
         let spill: u64 = ablation
             .cells
             .iter()
-            .filter(|c| c.routing == RoutingPolicy::LoadAware && c.nodes == 4)
+            .filter(|c| c.arm == RoutingPolicy::LoadAware && c.axis == 4)
             .map(|c| c.result.spillovers())
             .sum();
         assert!(spill > 0);

@@ -11,17 +11,14 @@
 //! to the full-snapshot arm.
 
 use crate::bench_report::{BenchReport, JsonObj};
-use crate::fig45::{FIG4_BENCHMARKS, FIG5_BENCHMARKS};
 use crate::grid::PAPER_RATES;
-use crate::render::write_results_csv;
+use crate::render::write_results_file;
+use crate::sweep::{csv_f64, paper_benchmarks, Ablation};
 use crate::ExperimentContext;
 use pronghorn_checkpoint::DeltaPolicy;
 use pronghorn_core::PolicyKind;
 use pronghorn_metrics::{Table, TableStyle};
 use pronghorn_platform::{run_closed_loop, RunConfig, RunResult};
-use pronghorn_workloads::by_name;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// One arm of the ablation: a delta policy under a stable label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,42 +55,13 @@ impl DeltaArm {
     }
 }
 
-/// One benchmark × rate × arm measurement.
-#[derive(Debug, Clone)]
-pub struct DeltaCell {
-    /// Benchmark name.
-    pub workload: String,
-    /// Eviction rate.
-    pub rate: u32,
-    /// Delta arm the cell ran under.
-    pub arm: DeltaArm,
-    /// Full run measurements.
-    pub result: RunResult,
-}
-
-/// A completed delta ablation.
-#[derive(Debug, Clone, Default)]
-pub struct DeltaAblation {
-    /// All cells, in completion order (lookups are keyed, so order does
-    /// not affect any rendered output).
-    pub cells: Vec<DeltaCell>,
-    /// Real wall-clock time the sweep took, seconds.
-    pub wall_clock_s: f64,
-}
-
-/// The paper's 13 benchmarks (Figure 4's nine Python + Figure 5's four
-/// Java), in figure order.
-pub fn benchmarks() -> Vec<&'static str> {
-    FIG4_BENCHMARKS
-        .iter()
-        .chain(FIG5_BENCHMARKS.iter())
-        .copied()
-        .collect()
-}
+/// A completed delta ablation: benchmarks × eviction rates (the axis) ×
+/// [`DeltaArm::ALL`] (the arms).
+pub type DeltaAblation = Ablation<DeltaArm, RunResult>;
 
 /// Runs the full ablation: 13 benchmarks × paper rates × all arms.
 pub fn run(ctx: &ExperimentContext) -> DeltaAblation {
-    run_for(ctx, &benchmarks(), &PAPER_RATES)
+    run_for(ctx, &paper_benchmarks(), &PAPER_RATES)
 }
 
 /// Runs the ablation over an explicit benchmark and rate set.
@@ -103,49 +71,19 @@ pub fn run(ctx: &ExperimentContext) -> DeltaAblation {
 /// Panics if a benchmark name is unknown — experiment tables are static
 /// and must fail loudly.
 pub fn run_for(ctx: &ExperimentContext, benchmarks: &[&str], rates: &[u32]) -> DeltaAblation {
-    for name in benchmarks {
-        assert!(by_name(name).is_some(), "unknown benchmark {name}");
-    }
-    let mut tasks: Vec<(String, u32, DeltaArm)> = Vec::new();
-    for &bench in benchmarks {
-        for &rate in rates {
-            for arm in DeltaArm::ALL {
-                tasks.push((bench.to_string(), rate, arm));
-            }
-        }
-    }
-    let next = AtomicUsize::new(0);
-    let cells = Mutex::new(Vec::with_capacity(tasks.len()));
-    let threads = ctx.effective_threads();
-    let started = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((bench, rate, arm)) = tasks.get(i) else {
-                    break;
-                };
-                let workload = by_name(bench).expect("validated above");
-                // Seed shared across arms of the same (bench, rate): the
-                // paired-comparison trick of the policy grid.
-                let seed = ctx.cell_seed(&["delta", bench, &rate.to_string()]);
-                let cfg = RunConfig::paper(PolicyKind::RequestCentric, *rate, seed)
-                    .with_invocations(ctx.invocations)
-                    .with_delta(arm.policy());
-                let result = run_closed_loop(&workload, &cfg);
-                cells.lock().expect("no poisoned lock").push(DeltaCell {
-                    workload: bench.clone(),
-                    rate: *rate,
-                    arm: *arm,
-                    result,
-                });
-            });
-        }
-    });
-    DeltaAblation {
-        cells: cells.into_inner().expect("no poisoned lock"),
-        wall_clock_s: started.elapsed().as_secs_f64(),
-    }
+    Ablation::run(
+        ctx,
+        benchmarks,
+        rates,
+        &DeltaArm::ALL,
+        |bench, rate| ctx.cell_seed(&["delta", bench, &rate.to_string()]),
+        |workload, rate, arm, seed| {
+            let cfg = RunConfig::paper(PolicyKind::RequestCentric, rate, seed)
+                .with_invocations(ctx.invocations)
+                .with_delta(arm.policy());
+            run_closed_loop(workload, &cfg)
+        },
+    )
 }
 
 /// Pooled per-arm upload/chain accounting.
@@ -170,45 +108,11 @@ pub struct ArmAggregate {
 }
 
 impl DeltaAblation {
-    /// Finds a cell.
-    pub fn cell(&self, workload: &str, rate: u32, arm: DeltaArm) -> Option<&DeltaCell> {
-        self.cells
-            .iter()
-            .find(|c| c.workload == workload && c.rate == rate && c.arm == arm)
-    }
-
-    /// Distinct workloads present, in first-seen deterministic order.
-    pub fn workloads(&self) -> Vec<String> {
-        let mut seen = Vec::new();
-        for bench in benchmarks() {
-            if self.cells.iter().any(|c| c.workload == bench) && !seen.contains(&bench.to_string())
-            {
-                seen.push(bench.to_string());
-            }
-        }
-        // Any non-paper benchmarks (tests) follow, in cell order.
-        for cell in &self.cells {
-            if !seen.contains(&cell.workload) {
-                seen.push(cell.workload.clone());
-            }
-        }
-        seen
-    }
-
-    /// Distinct rates present, ascending.
-    pub fn rates(&self) -> Vec<u32> {
-        let mut rates: Vec<u32> = self.cells.iter().map(|c| c.rate).collect();
-        rates.sort_unstable();
-        rates.dedup();
-        rates
-    }
-
     /// Nominal bytes a benchmark's checkpoints uploaded under `arm`,
     /// pooled across every rate present.
     pub fn uploaded_bytes(&self, workload: &str, arm: DeltaArm) -> u64 {
-        self.cells
-            .iter()
-            .filter(|c| c.workload == workload && c.arm == arm)
+        self.arm_cells(arm)
+            .filter(|c| c.workload == workload)
             .map(|c| c.result.overheads.nominal_bytes_uploaded)
             .sum()
     }
@@ -247,11 +151,9 @@ impl DeltaAblation {
     /// latency streams byte-identical, so this must be zero — anything
     /// else is a determinism bug, not noise.
     pub fn latency_regressions(&self, arm: DeltaArm) -> usize {
-        self.cells
-            .iter()
-            .filter(|c| c.arm == arm)
+        self.arm_cells(arm)
             .filter(|c| {
-                self.cell(&c.workload, c.rate, DeltaArm::Full)
+                self.cell(&c.workload, c.axis, DeltaArm::Full)
                     .is_some_and(|full| c.result.median_us() > full.result.median_us())
             })
             .count()
@@ -262,7 +164,7 @@ impl DeltaAblation {
         DeltaArm::ALL
             .iter()
             .map(|&arm| {
-                let cells: Vec<&DeltaCell> = self.cells.iter().filter(|c| c.arm == arm).collect();
+                let cells: Vec<_> = self.arm_cells(arm).collect();
                 ArmAggregate {
                     arm,
                     checkpoints: cells.iter().map(|c| c.result.checkpoint_ms.len()).sum(),
@@ -345,7 +247,7 @@ impl DeltaAblation {
             "p99_latency_us",
         ]);
         for w in self.workloads() {
-            for rate in self.rates() {
+            for rate in self.axes() {
                 for arm in DeltaArm::ALL {
                     let Some(cell) = self.cell(&w, rate, arm) else {
                         continue;
@@ -373,7 +275,7 @@ impl DeltaAblation {
 
     /// Writes `results/delta_ablation.csv`.
     pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_csv("delta_ablation.csv", &self.to_csv())
+        write_results_file("delta_ablation.csv", &self.to_csv())
     }
 
     /// Writes `results/BENCH_delta.json`: per-arm upload totals and the
@@ -407,15 +309,6 @@ impl DeltaAblation {
     }
 }
 
-/// Formats a float for CSV; NaN renders as the empty field.
-fn csv_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        String::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,7 +326,7 @@ mod tests {
         let ablation = quick_ablation();
         assert_eq!(ablation.cells.len(), 3 * 2 * 3);
         assert_eq!(ablation.workloads(), vec!["DFS", "Compression", "Hash"]);
-        assert_eq!(ablation.rates(), vec![1, 4]);
+        assert_eq!(ablation.axes(), vec![1, 4]);
         for arm in DeltaArm::ALL {
             let cell = ablation.cell("DFS", 1, arm).unwrap();
             let deltas = cell.result.chain.deltas;
@@ -477,7 +370,7 @@ mod tests {
         // Stronger than "no regression": the paired latency streams are
         // byte-identical (the engine's RNG-lockstep guarantee).
         for w in ablation.workloads() {
-            for rate in ablation.rates() {
+            for rate in ablation.axes() {
                 let full = &ablation.cell(&w, rate, DeltaArm::Full).unwrap().result;
                 for arm in [DeltaArm::DeltaK4, DeltaArm::DeltaK16] {
                     let delta = &ablation.cell(&w, rate, arm).unwrap().result;

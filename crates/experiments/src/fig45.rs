@@ -6,7 +6,7 @@
 //! §5.1 input variance.
 
 use crate::grid::{run_grid, Grid, PAPER_POLICIES, PAPER_RATES};
-use crate::render::{ascii_cdf, write_results_csv};
+use crate::render::{ascii_cdf, write_results_file};
 use crate::ExperimentContext;
 use pronghorn_metrics::Table;
 
@@ -124,7 +124,7 @@ impl FigureResult {
 
     /// Writes `results/fig4.csv` / `results/fig5.csv`.
     pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_csv(&format!("fig{}.csv", self.figure), &self.to_csv())
+        write_results_file(&format!("fig{}.csv", self.figure), &self.to_csv())
     }
 
     /// Full latency dump CSV (for re-plotting exact CDFs).
@@ -174,10 +174,36 @@ mod tests {
     }
 
     #[test]
+    fn csv_bytes_do_not_depend_on_thread_count() {
+        let figure = |threads| FigureResult {
+            figure: 5,
+            grid: run_grid(
+                &ExperimentContext {
+                    threads,
+                    ..tiny_ctx()
+                },
+                &["Hash", "MatrixMult"],
+                &PAPER_POLICIES,
+                &PAPER_RATES,
+            ),
+        };
+        let one = figure(1).to_csv();
+        assert_eq!(one, figure(2).to_csv());
+        // Rows follow the task order: benchmark, then rate, then policy.
+        let keys: Vec<&str> = one
+            .lines()
+            .skip(1)
+            .map(|l| l.split(',').next().unwrap())
+            .collect();
+        assert_eq!(keys[..9], ["Hash"; 9]);
+        assert_eq!(keys[9..], ["MatrixMult"; 9]);
+    }
+
+    #[test]
     fn fig4_benchmark_list_matches_paper_rows() {
         assert_eq!(FIG4_BENCHMARKS.len(), 9);
         assert_eq!(FIG5_BENCHMARKS.len(), 4);
-        for b in FIG4_BENCHMARKS.iter().chain(FIG5_BENCHMARKS.iter()) {
+        for b in crate::sweep::paper_benchmarks() {
             assert!(pronghorn_workloads::by_name(b).is_some(), "{b} missing");
         }
     }

@@ -7,7 +7,7 @@
 //! one pathological case: MST at the 50th percentile, whose trace carried
 //! only 3 requests.
 
-use crate::render::write_results_csv;
+use crate::render::write_results_file;
 use crate::ExperimentContext;
 use pronghorn_core::PolicyKind;
 use pronghorn_metrics::Table;
@@ -184,7 +184,7 @@ impl Fig6Result {
 
     /// Writes `results/fig6.csv`.
     pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_csv("fig6.csv", &self.to_csv())
+        write_results_file("fig6.csv", &self.to_csv())
     }
 }
 

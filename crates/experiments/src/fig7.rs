@@ -8,7 +8,7 @@
 //! below ~2× (pool maintenance in the database). All of it is off the
 //! critical path.
 
-use crate::render::write_results_csv;
+use crate::render::write_results_file;
 use crate::ExperimentContext;
 use pronghorn_core::{OverheadTotals, PolicyKind};
 use pronghorn_metrics::{Table, TableStyle};
@@ -149,7 +149,7 @@ impl Fig7Result {
 
     /// Writes `results/fig7.csv`.
     pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_csv("fig7.csv", &self.to_csv())
+        write_results_file("fig7.csv", &self.to_csv())
     }
 }
 

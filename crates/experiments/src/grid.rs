@@ -1,19 +1,18 @@
 //! The evaluation grid runner: benchmarks × policies × eviction rates,
-//! executed in parallel across threads.
+//! executed in parallel through the shared [`crate::sweep`] harness.
 //!
 //! Cells that differ only in policy share a seed, so the workload-input
 //! stream is identical across policies (paired comparison — the same trick
 //! the paper gets by replaying the same benchmark inputs against each
 //! strategy).
 
+use crate::sweep::Ablation;
 use crate::ExperimentContext;
 use pronghorn_core::PolicyKind;
 use pronghorn_platform::{
     run_closed_loop, run_cluster, ClusterSpec, KernelKind, RunConfig, RunResult,
 };
-use pronghorn_workloads::by_name;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use pronghorn_workloads::SpecWorkload;
 
 /// The three policies of §5.1, in the paper's order.
 pub const PAPER_POLICIES: [PolicyKind; 3] = [
@@ -41,7 +40,8 @@ pub struct GridCell {
 /// A completed grid of runs.
 #[derive(Debug, Clone, Default)]
 pub struct Grid {
-    /// All cells, in completion order.
+    /// All cells, in task order: benchmark-major, then rate, then
+    /// policy — independent of the thread count.
     pub cells: Vec<GridCell>,
     /// Real wall-clock time the grid took to run, seconds.
     pub wall_clock_s: f64,
@@ -112,49 +112,9 @@ pub fn run_grid_with_kernel(
     rates: &[u32],
     kernel: KernelKind,
 ) -> Grid {
-    // Validate names up front.
-    for name in benchmarks {
-        assert!(by_name(name).is_some(), "unknown benchmark {name}");
-    }
-    let mut tasks: Vec<(String, PolicyKind, u32)> = Vec::new();
-    for &bench in benchmarks {
-        for &rate in rates {
-            for &policy in policies {
-                tasks.push((bench.to_string(), policy, rate));
-            }
-        }
-    }
-    let next = AtomicUsize::new(0);
-    let cells = Mutex::new(Vec::with_capacity(tasks.len()));
-    let threads = ctx.effective_threads();
-    let started = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((bench, policy, rate)) = tasks.get(i) else {
-                    break;
-                };
-                let workload = by_name(bench).expect("validated above");
-                // Seed shared across policies of the same (bench, rate).
-                let seed = ctx.cell_seed(&[bench, &rate.to_string()]);
-                let cfg = RunConfig::paper(*policy, *rate, seed)
-                    .with_invocations(ctx.invocations)
-                    .with_kernel(kernel);
-                let result = run_closed_loop(&workload, &cfg);
-                cells.lock().expect("no poisoned lock").push(GridCell {
-                    workload: bench.clone(),
-                    policy: *policy,
-                    rate: *rate,
-                    result,
-                });
-            });
-        }
-    });
-    Grid {
-        cells: cells.into_inner().expect("no poisoned lock"),
-        wall_clock_s: started.elapsed().as_secs_f64(),
-    }
+    grid(ctx, benchmarks, policies, rates, |workload, cfg| {
+        run_closed_loop(workload, &cfg.with_kernel(kernel))
+    })
 }
 
 /// [`run_grid_with_kernel`], but every cell runs through the cluster
@@ -174,47 +134,51 @@ pub fn run_grid_cluster(
     rates: &[u32],
     kernel: KernelKind,
 ) -> Grid {
-    for name in benchmarks {
-        assert!(by_name(name).is_some(), "unknown benchmark {name}");
-    }
-    let mut tasks: Vec<(String, PolicyKind, u32)> = Vec::new();
-    for &bench in benchmarks {
-        for &rate in rates {
-            for &policy in policies {
-                tasks.push((bench.to_string(), policy, rate));
-            }
-        }
-    }
-    let next = AtomicUsize::new(0);
-    let cells = Mutex::new(Vec::with_capacity(tasks.len()));
-    let threads = ctx.effective_threads();
-    let started = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((bench, policy, rate)) = tasks.get(i) else {
-                    break;
-                };
-                let workload = by_name(bench).expect("validated above");
-                let seed = ctx.cell_seed(&[bench, &rate.to_string()]);
-                let cfg = RunConfig::paper(*policy, *rate, seed)
-                    .with_invocations(ctx.invocations)
-                    .with_kernel(kernel)
-                    .with_cluster(ClusterSpec::single_node());
-                let result = run_cluster(&workload, &cfg).result;
-                cells.lock().expect("no poisoned lock").push(GridCell {
-                    workload: bench.clone(),
-                    policy: *policy,
-                    rate: *rate,
-                    result,
-                });
-            });
-        }
-    });
+    grid(ctx, benchmarks, policies, rates, |workload, cfg| {
+        let cfg = cfg
+            .with_kernel(kernel)
+            .with_cluster(ClusterSpec::single_node());
+        run_cluster(workload, &cfg).result
+    })
+}
+
+/// The grid as a sweep: policies are the arms, the eviction rate is the
+/// axis, and the seed is shared across policies of one (bench, rate).
+fn grid<F>(
+    ctx: &ExperimentContext,
+    benchmarks: &[&str],
+    policies: &[PolicyKind],
+    rates: &[u32],
+    run: F,
+) -> Grid
+where
+    F: Fn(&SpecWorkload, RunConfig) -> RunResult + Sync,
+{
+    let sweep = Ablation::run(
+        ctx,
+        benchmarks,
+        rates,
+        policies,
+        |bench, rate| ctx.cell_seed(&[bench, &rate.to_string()]),
+        |workload, rate, policy, seed| {
+            run(
+                workload,
+                RunConfig::paper(policy, rate, seed).with_invocations(ctx.invocations),
+            )
+        },
+    );
     Grid {
-        cells: cells.into_inner().expect("no poisoned lock"),
-        wall_clock_s: started.elapsed().as_secs_f64(),
+        cells: sweep
+            .cells
+            .into_iter()
+            .map(|c| GridCell {
+                workload: c.workload,
+                policy: c.arm,
+                rate: c.axis,
+                result: c.result,
+            })
+            .collect(),
+        wall_clock_s: sweep.wall_clock_s,
     }
 }
 

@@ -17,6 +17,8 @@
 //! | [`kernel_bench`] | timer-wheel vs binary-heap simulation-kernel benchmark at production-trace scale (`BENCH_kernel.json`) |
 //! | [`provision_ablation`] | the predictive-provisioning ablation: reactive vs sliding-window/EWMA/MPC pre-restore on sparse bursty traces (`BENCH_provision.json`) |
 //! | [`storage_ablation`] | the tiered-storage ablation: flat store vs SSD cache vs compression vs composed-chain prefetch (`BENCH_storage.json`) |
+//! | [`sweep`] | the one harness under the grid and the restore, delta, cluster, provision and storage ablations: a task-ordered worker pool and the generic benchmarks × axis × arms [`sweep::Ablation`] with paired seeds |
+//! | [`bench_report`] | the shared `BENCH_*.json` schema and `BENCH_grid.json` |
 //!
 //! Each module exposes a `run(ctx)` returning a structured result with a
 //! `render()` that prints paper-style rows and a `to_csv()` for the
@@ -41,6 +43,7 @@ pub mod render;
 pub mod restore_ablation;
 pub mod storage_ablation;
 pub mod summary;
+pub mod sweep;
 pub mod table1;
 pub mod table4;
 pub mod table5;
@@ -85,7 +88,7 @@ impl ExperimentContext {
     /// instead of a grid that silently runs nothing.
     ///
     /// Thread count never affects results: every cell derives its own
-    /// seed and the collectors reorder by cell index.
+    /// seed and [`crate::sweep::sweep`] returns results in task order.
     ///
     /// # Panics
     ///

@@ -177,13 +177,6 @@ fn run_command(command: &str, ctx: &ExperimentContext, quick: bool) -> Result<()
                 "BENCH_grid.json",
                 bench_report::write(&[("fig4", &f4.grid), ("fig5", &f5.grid)]),
             );
-            save(
-                "BENCH_restore.json",
-                restore_ablation::write_bench_restore(
-                    &s.restore,
-                    f4.grid.wall_clock_s + f5.grid.wall_clock_s,
-                ),
-            );
         }
         "all" => {
             for cmd in [
@@ -203,8 +196,6 @@ fn run_command(command: &str, ctx: &ExperimentContext, quick: bool) -> Result<()
             // Reuse fresh grids for the summary.
             println!("==================== summary ====================");
             run_command("summary", ctx, quick)?;
-            // Last, so its three-strategy BENCH_restore.json is the one
-            // that survives (summary writes an eager-only version).
             println!("==================== restore-ablation ====================");
             run_command("restore-ablation", ctx, quick)?;
             println!("==================== delta-ablation ====================");

@@ -27,8 +27,8 @@
 //! closed-loop tests.
 
 use crate::bench_report::{BenchReport, JsonObj};
-use crate::fig45::{FIG4_BENCHMARKS, FIG5_BENCHMARKS};
-use crate::render::write_results_csv;
+use crate::render::write_results_file;
+use crate::sweep::{csv_f64, paper_benchmarks, Ablation};
 use crate::ExperimentContext;
 use pronghorn_core::PolicyKind;
 use pronghorn_metrics::{Table, TableStyle};
@@ -38,9 +38,6 @@ use pronghorn_platform::{
 };
 use pronghorn_sim::{RngFactory, SimDuration};
 use pronghorn_traces::TraceSpec;
-use pronghorn_workloads::{by_name, Workload};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Mean arrival rate the trace is scaled to, requests/second. One
 /// request every 90 s on average puts on-phase gaps (~40 s) above the
@@ -77,58 +74,31 @@ pub fn arms() -> [ProvisionPolicy; 4] {
     ]
 }
 
-/// One benchmark × arm measurement.
-#[derive(Debug, Clone)]
-pub struct ProvisionCell {
-    /// Benchmark name.
-    pub workload: String,
-    /// The provisioning arm the cell ran under.
-    pub arm: ProvisionPolicy,
-    /// Whether the benchmark is IO-bound (where the stale-IO credit of a
-    /// pre-warmed worker matters most).
-    pub io_bound: bool,
-    /// Full production-run measurements.
-    pub stats: ProductionStats,
-}
-
-impl ProvisionCell {
-    /// Fraction of invocations that paid provisioning (cold boot or
-    /// restore) on the critical path. Pre-restores are provisioned
-    /// off-path, so issued pre-restores are subtracted out.
-    pub fn demand_fraction(&self) -> f64 {
-        if self.stats.invocations == 0 {
-            return f64::NAN;
-        }
-        let demand = (self.stats.cold_starts + self.stats.restores)
-            .saturating_sub(self.stats.provisioning.pre_restores_issued);
-        demand as f64 / self.stats.invocations as f64
+/// Fraction of invocations that paid provisioning (cold boot or restore)
+/// on the critical path. Pre-restores are provisioned off-path, so issued
+/// pre-restores are subtracted out.
+pub fn demand_fraction(stats: &ProductionStats) -> f64 {
+    if stats.invocations == 0 {
+        return f64::NAN;
     }
+    let demand =
+        (stats.cold_starts + stats.restores).saturating_sub(stats.provisioning.pre_restores_issued);
+    demand as f64 / stats.invocations as f64
 }
 
 /// A completed provisioning ablation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ProvisionAblation {
-    /// All cells, in completion order (lookups are keyed).
-    pub cells: Vec<ProvisionCell>,
+    /// Benchmarks × [`arms`]; every cell's axis is [`ABLATION_RATE`].
+    pub sweep: Ablation<ProvisionPolicy, ProductionStats>,
     /// Simulated hours per cell.
     pub hours: f64,
-    /// Real wall-clock time the sweep took, seconds.
-    pub wall_clock_s: f64,
-}
-
-/// The paper's 13 benchmarks, in figure order.
-pub fn benchmarks() -> Vec<&'static str> {
-    FIG4_BENCHMARKS
-        .iter()
-        .chain(FIG5_BENCHMARKS.iter())
-        .copied()
-        .collect()
 }
 
 /// Runs the full ablation: 13 benchmarks × the four provisioning arms.
 pub fn run(ctx: &ExperimentContext, quick: bool) -> ProvisionAblation {
     let hours = if quick { QUICK_HOURS } else { FULL_HOURS };
-    run_for(ctx, &benchmarks(), hours)
+    run_for(ctx, &paper_benchmarks(), hours)
 }
 
 /// The paired, scaled, bursty trace spec every cell replays.
@@ -146,86 +116,42 @@ fn trace_spec(hours: f64) -> pronghorn_traces::ProductionTraceSpec {
 /// Panics if a benchmark name is unknown — experiment tables are static
 /// and must fail loudly.
 pub fn run_for(ctx: &ExperimentContext, benchmarks: &[&str], hours: f64) -> ProvisionAblation {
-    for name in benchmarks {
-        assert!(by_name(name).is_some(), "unknown benchmark {name}");
-    }
-    let mut tasks: Vec<(String, ProvisionPolicy)> = Vec::new();
-    for &bench in benchmarks {
-        for arm in arms() {
-            tasks.push((bench.to_string(), arm));
-        }
-    }
-    let next = AtomicUsize::new(0);
-    let cells = Mutex::new(Vec::with_capacity(tasks.len()));
-    let threads = ctx.effective_threads();
-    let started = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((bench, arm)) = tasks.get(i) else {
-                    break;
-                };
-                let workload = by_name(bench).expect("validated above");
-                // Seed shared across arms of the same benchmark: the
-                // paired-comparison trick of every other grid here.
-                let seed = ctx.cell_seed(&["provision", bench]);
-                let cfg = RunConfig::paper(PolicyKind::RequestCentric, ABLATION_RATE, seed)
-                    .with_restore(RestoreStrategy::RecordPrefetch)
-                    .with_kernel(KernelKind::TimerWheel)
-                    .with_idle_timeout(SimDuration::from_secs(IDLE_TIMEOUT_S))
-                    .with_provision(*arm);
-                let stream = trace_spec(hours).stream(RngFactory::new(seed).stream("provision"));
-                let stats = run_production(&workload, &cfg, stream);
-                cells.lock().expect("no poisoned lock").push(ProvisionCell {
-                    workload: bench.clone(),
-                    arm: *arm,
-                    io_bound: workload.io_bound(),
-                    stats,
-                });
-            });
-        }
-    });
-    ProvisionAblation {
-        cells: cells.into_inner().expect("no poisoned lock"),
-        hours,
-        wall_clock_s: started.elapsed().as_secs_f64(),
-    }
+    let sweep = Ablation::run(
+        ctx,
+        benchmarks,
+        &[ABLATION_RATE],
+        &arms(),
+        // Arms of one benchmark replay the same trace.
+        |bench, _| ctx.cell_seed(&["provision", bench]),
+        |workload, rate, arm, seed| {
+            let cfg = RunConfig::paper(PolicyKind::RequestCentric, rate, seed)
+                .with_restore(RestoreStrategy::RecordPrefetch)
+                .with_kernel(KernelKind::TimerWheel)
+                .with_idle_timeout(SimDuration::from_secs(IDLE_TIMEOUT_S))
+                .with_provision(arm);
+            let stream = trace_spec(hours).stream(RngFactory::new(seed).stream("provision"));
+            run_production(workload, &cfg, stream)
+        },
+    );
+    ProvisionAblation { sweep, hours }
 }
 
 impl ProvisionAblation {
-    /// Finds a cell.
-    pub fn cell(&self, workload: &str, arm: ProvisionPolicy) -> Option<&ProvisionCell> {
-        self.cells
-            .iter()
-            .find(|c| c.workload == workload && c.arm == arm)
-    }
-
-    /// Distinct workloads present, in paper order then first-seen order.
-    pub fn workloads(&self) -> Vec<String> {
-        let mut seen = Vec::new();
-        for bench in benchmarks() {
-            if self.cells.iter().any(|c| c.workload == bench) && !seen.contains(&bench.to_string())
-            {
-                seen.push(bench.to_string());
-            }
-        }
-        for cell in &self.cells {
-            if !seen.contains(&cell.workload) {
-                seen.push(cell.workload.clone());
-            }
-        }
-        seen
+    /// The measurements of one benchmark under one arm.
+    pub fn stats(&self, workload: &str, arm: ProvisionPolicy) -> Option<&ProductionStats> {
+        self.sweep
+            .cell(workload, ABLATION_RATE, arm)
+            .map(|c| &c.result)
     }
 
     /// Whether `arm` beats the reactive baseline on `workload`: strictly
     /// lower p99 latency, or a strictly lower critical-path provisioning
     /// fraction. `None` when either cell is missing.
     pub fn beats_reactive(&self, workload: &str, arm: ProvisionPolicy) -> Option<bool> {
-        let reactive = self.cell(workload, ProvisionPolicy::Disabled)?;
-        let cell = self.cell(workload, arm)?;
-        let p99_win = cell.stats.p99_latency_us < reactive.stats.p99_latency_us;
-        let demand_win = cell.demand_fraction() < reactive.demand_fraction();
+        let reactive = self.stats(workload, ProvisionPolicy::Disabled)?;
+        let stats = self.stats(workload, arm)?;
+        let p99_win = stats.p99_latency_us < reactive.p99_latency_us;
+        let demand_win = demand_fraction(stats) < demand_fraction(reactive);
         Some(p99_win || demand_win)
     }
 
@@ -233,7 +159,7 @@ impl ProvisionAblation {
     pub fn wins(&self, arm: ProvisionPolicy) -> (usize, usize) {
         let mut wins = 0;
         let mut total = 0;
-        for w in self.workloads() {
+        for w in self.sweep.workloads() {
             if let Some(win) = self.beats_reactive(&w, arm) {
                 total += 1;
                 wins += usize::from(win);
@@ -247,7 +173,7 @@ impl ProvisionAblation {
     pub fn best_arm_wins(&self) -> (usize, usize) {
         let mut wins = 0;
         let mut total = 0;
-        for w in self.workloads() {
+        for w in self.sweep.workloads() {
             let any: Vec<bool> = arms()
                 .into_iter()
                 .filter(|a| a.enabled())
@@ -268,8 +194,8 @@ impl ProvisionAblation {
         let mut used = 0;
         let mut wasted = 0;
         let mut byte_s = 0.0;
-        for cell in self.cells.iter().filter(|c| c.arm == arm) {
-            let p = &cell.stats.provisioning;
+        for cell in self.sweep.arm_cells(arm) {
+            let p = &cell.result.provisioning;
             issued += p.pre_restores_issued;
             used += p.pre_restores_used;
             wasted += p.pre_restores_wasted;
@@ -336,22 +262,22 @@ impl ProvisionAblation {
             "keepalive_byte_s",
             "beats_reactive",
         ]);
-        for w in self.workloads() {
+        for w in self.sweep.workloads() {
             for arm in arms() {
-                let Some(cell) = self.cell(&w, arm) else {
+                let Some(stats) = self.stats(&w, arm) else {
                     continue;
                 };
-                let p = &cell.stats.provisioning;
+                let p = &stats.provisioning;
                 table.row(vec![
                     w.clone(),
                     arm.label().to_string(),
-                    cell.stats.invocations.to_string(),
-                    csv_f64(cell.stats.p50_latency_us),
-                    csv_f64(cell.stats.p99_latency_us),
-                    csv_f64(cell.stats.max_latency_us),
-                    cell.stats.cold_starts.to_string(),
-                    cell.stats.restores.to_string(),
-                    csv_f64(cell.demand_fraction()),
+                    stats.invocations.to_string(),
+                    csv_f64(stats.p50_latency_us),
+                    csv_f64(stats.p99_latency_us),
+                    csv_f64(stats.max_latency_us),
+                    stats.cold_starts.to_string(),
+                    stats.restores.to_string(),
+                    csv_f64(demand_fraction(stats)),
                     p.pre_restores_issued.to_string(),
                     p.pre_restores_used.to_string(),
                     p.pre_restores_wasted.to_string(),
@@ -373,7 +299,7 @@ impl ProvisionAblation {
 
     /// Writes `results/provision_ablation.csv`.
     pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_csv("provision_ablation.csv", &self.to_csv())
+        write_results_file("provision_ablation.csv", &self.to_csv())
     }
 
     /// Writes `results/BENCH_provision.json` in the shared
@@ -382,7 +308,7 @@ impl ProvisionAblation {
     /// byte-seconds), plus the headline best-arm section.
     pub fn save_bench_report(&self) -> std::io::Result<std::path::PathBuf> {
         let mut report = BenchReport::new("provision")
-            .wall_clock(self.wall_clock_s)
+            .wall_clock(self.sweep.wall_clock_s)
             .config("hours", format!("{:.3}", self.hours))
             .config("target_rate_per_sec", format!("{TARGET_RATE_PER_SEC:.6}"))
             .config("burst_on_frac", format!("{BURST_ON_FRAC}"))
@@ -416,15 +342,6 @@ impl ProvisionAblation {
     }
 }
 
-/// Formats a float for CSV; NaN renders as the empty field.
-fn csv_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        String::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,7 +353,7 @@ mod tests {
     #[test]
     fn predictive_beats_reactive_on_uploader_and_friends() {
         let ablation = quick_ablation(&["Uploader", "DFS", "Hash"]);
-        assert_eq!(ablation.cells.len(), 3 * 4);
+        assert_eq!(ablation.sweep.cells.len(), 3 * 4);
         // The headline claim holds on the quick subset, and in
         // particular on the IO-bound Uploader — the benchmark the
         // request-centric policy regresses without pre-warming.

@@ -108,12 +108,6 @@ pub fn write_results_file(name: &str, contents: &str) -> std::io::Result<std::pa
     Ok(path)
 }
 
-/// Writes a CSV file under the `results/` directory (created on demand),
-/// returning the path written.
-pub fn write_results_csv(name: &str, csv: &str) -> std::io::Result<std::path::PathBuf> {
-    write_results_file(name, csv)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

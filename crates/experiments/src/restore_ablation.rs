@@ -11,41 +11,18 @@
 //! benchmarks whose working set is a fraction of the image.
 
 use crate::bench_report::{BenchReport, JsonObj};
-use crate::fig45::{FIG4_BENCHMARKS, FIG5_BENCHMARKS};
 use crate::grid::PAPER_RATES;
-use crate::render::write_results_csv;
+use crate::render::write_results_file;
+use crate::sweep::{csv_f64, paper_benchmarks, Ablation};
 use crate::ExperimentContext;
 use pronghorn_core::PolicyKind;
 use pronghorn_metrics::{mean_and_std, Quantiles, Table, TableStyle};
 use pronghorn_platform::{run_closed_loop, RestoreInfo, RestoreStrategy, RunConfig, RunResult};
 use pronghorn_workloads::{by_name, Workload};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-/// One benchmark × rate × strategy measurement.
-#[derive(Debug, Clone)]
-pub struct AblationCell {
-    /// Benchmark name.
-    pub workload: String,
-    /// Eviction rate.
-    pub rate: u32,
-    /// Restore strategy the cell ran under.
-    pub strategy: RestoreStrategy,
-    /// Whether the benchmark is IO-bound (bytes comparisons exclude these).
-    pub io_bound: bool,
-    /// Full run measurements.
-    pub result: RunResult,
-}
-
-/// A completed restore ablation.
-#[derive(Debug, Clone, Default)]
-pub struct RestoreAblation {
-    /// All cells, in completion order (lookups are keyed, so order does
-    /// not affect any rendered output).
-    pub cells: Vec<AblationCell>,
-    /// Real wall-clock time the sweep took, seconds.
-    pub wall_clock_s: f64,
-}
+/// A completed restore ablation: benchmarks × eviction rates (the axis)
+/// × [`RestoreStrategy::ALL`] (the arms).
+pub type RestoreAblation = Ablation<RestoreStrategy, RunResult>;
 
 /// Pooled per-strategy restore statistics (across every restore of every
 /// cell run under that strategy).
@@ -69,19 +46,9 @@ pub struct StrategyAggregate {
     pub prefetched_pages: u64,
 }
 
-/// The paper's 13 benchmarks (Figure 4's nine Python + Figure 5's four
-/// Java), in figure order.
-pub fn benchmarks() -> Vec<&'static str> {
-    FIG4_BENCHMARKS
-        .iter()
-        .chain(FIG5_BENCHMARKS.iter())
-        .copied()
-        .collect()
-}
-
 /// Runs the full ablation: 13 benchmarks × paper rates × all strategies.
 pub fn run(ctx: &ExperimentContext) -> RestoreAblation {
-    run_for(ctx, &benchmarks(), &PAPER_RATES)
+    run_for(ctx, &paper_benchmarks(), &PAPER_RATES)
 }
 
 /// Runs the ablation over an explicit benchmark and rate set.
@@ -91,65 +58,22 @@ pub fn run(ctx: &ExperimentContext) -> RestoreAblation {
 /// Panics if a benchmark name is unknown — experiment tables are static
 /// and must fail loudly.
 pub fn run_for(ctx: &ExperimentContext, benchmarks: &[&str], rates: &[u32]) -> RestoreAblation {
-    for name in benchmarks {
-        assert!(by_name(name).is_some(), "unknown benchmark {name}");
-    }
-    let mut tasks: Vec<(String, u32, RestoreStrategy)> = Vec::new();
-    for &bench in benchmarks {
-        for &rate in rates {
-            for strategy in RestoreStrategy::ALL {
-                tasks.push((bench.to_string(), rate, strategy));
-            }
-        }
-    }
-    let next = AtomicUsize::new(0);
-    let cells = Mutex::new(Vec::with_capacity(tasks.len()));
-    let threads = ctx.effective_threads();
-    let started = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((bench, rate, strategy)) = tasks.get(i) else {
-                    break;
-                };
-                let workload = by_name(bench).expect("validated above");
-                // Seed shared across strategies of the same (bench, rate):
-                // the paired-comparison trick of the policy grid.
-                let seed = ctx.cell_seed(&["restore", bench, &rate.to_string()]);
-                let cfg = RunConfig::paper(PolicyKind::RequestCentric, *rate, seed)
-                    .with_invocations(ctx.invocations)
-                    .with_restore(*strategy);
-                let result = run_closed_loop(&workload, &cfg);
-                cells.lock().expect("no poisoned lock").push(AblationCell {
-                    workload: bench.clone(),
-                    rate: *rate,
-                    strategy: *strategy,
-                    io_bound: workload.io_bound(),
-                    result,
-                });
-            });
-        }
-    });
-    RestoreAblation {
-        cells: cells.into_inner().expect("no poisoned lock"),
-        wall_clock_s: started.elapsed().as_secs_f64(),
-    }
+    Ablation::run(
+        ctx,
+        benchmarks,
+        rates,
+        &RestoreStrategy::ALL,
+        |bench, rate| ctx.cell_seed(&["restore", bench, &rate.to_string()]),
+        |workload, rate, strategy, seed| {
+            let cfg = RunConfig::paper(PolicyKind::RequestCentric, rate, seed)
+                .with_invocations(ctx.invocations)
+                .with_restore(strategy);
+            run_closed_loop(workload, &cfg)
+        },
+    )
 }
 
 impl RestoreAblation {
-    /// Finds a cell.
-    pub fn cell(
-        &self,
-        workload: &str,
-        rate: u32,
-        strategy: RestoreStrategy,
-    ) -> Option<&AblationCell> {
-        self.cells
-            .iter()
-            .find(|c| c.workload == workload && c.rate == rate && c.strategy == strategy)
-    }
-
     /// Median end-to-end restore time of a cell, µs (NaN when absent or
     /// the cell never restored).
     pub fn median_restore_us(&self, workload: &str, rate: u32, strategy: RestoreStrategy) -> f64 {
@@ -158,41 +82,13 @@ impl RestoreAblation {
             .unwrap_or(f64::NAN)
     }
 
-    /// Distinct workloads present, in first-seen deterministic order.
-    pub fn workloads(&self) -> Vec<String> {
-        let mut seen = Vec::new();
-        for bench in benchmarks() {
-            if self.cells.iter().any(|c| c.workload == bench) && !seen.contains(&bench.to_string())
-            {
-                seen.push(bench.to_string());
-            }
-        }
-        // Any non-paper benchmarks (tests) follow, in cell order.
-        for cell in &self.cells {
-            if !seen.contains(&cell.workload) {
-                seen.push(cell.workload.clone());
-            }
-        }
-        seen
-    }
-
-    /// Distinct rates present, ascending.
-    pub fn rates(&self) -> Vec<u32> {
-        let mut rates: Vec<u32> = self.cells.iter().map(|c| c.rate).collect();
-        rates.sort_unstable();
-        rates.dedup();
-        rates
-    }
-
     /// Pooled per-strategy aggregates, in [`RestoreStrategy::ALL`] order.
     pub fn strategy_aggregates(&self) -> Vec<StrategyAggregate> {
         RestoreStrategy::ALL
             .iter()
             .map(|&strategy| {
                 let infos: Vec<&RestoreInfo> = self
-                    .cells
-                    .iter()
-                    .filter(|c| c.strategy == strategy)
+                    .arm_cells(strategy)
                     .flat_map(|c| c.result.restore_infos.iter())
                     .collect();
                 aggregate(strategy, &infos)
@@ -224,7 +120,7 @@ impl RestoreAblation {
             let Some(rp) = self.cell(&w, rate, RestoreStrategy::RecordPrefetch) else {
                 continue;
             };
-            if rp.io_bound {
+            if by_name(&w).is_some_and(|wl| wl.io_bound()) {
                 continue;
             }
             let Some(eager) = self.cell(&w, rate, RestoreStrategy::Eager) else {
@@ -270,7 +166,7 @@ impl RestoreAblation {
             table.render(TableStyle::Plain)
         );
         let n = self.workloads().len();
-        for rate in self.rates() {
+        for rate in self.axes() {
             let (bw, bt) = self.byte_wins_at_rate(rate);
             out.push_str(&format!(
                 "rate {:>2}: record-prefetch beats lazy and eager restore latency on \
@@ -298,7 +194,7 @@ impl RestoreAblation {
             "median_latency_us",
         ]);
         for w in self.workloads() {
-            for rate in self.rates() {
+            for rate in self.axes() {
                 for strategy in RestoreStrategy::ALL {
                     let Some(cell) = self.cell(&w, rate, strategy) else {
                         continue;
@@ -322,13 +218,30 @@ impl RestoreAblation {
 
     /// Writes `results/restore_ablation.csv`.
     pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_csv("restore_ablation.csv", &self.to_csv())
+        write_results_file("restore_ablation.csv", &self.to_csv())
     }
 
-    /// Writes `results/BENCH_restore.json` from this ablation's pooled
-    /// per-strategy stats.
+    /// Writes `results/BENCH_restore.json`: per-strategy median restore
+    /// time and bytes moved, in the shared [`BenchReport`] schema (one arm
+    /// per strategy).
     pub fn save_bench_report(&self) -> std::io::Result<std::path::PathBuf> {
-        write_bench_restore(&self.strategy_aggregates(), self.wall_clock_s)
+        let mut report = BenchReport::new("restore")
+            .wall_clock(self.wall_clock_s)
+            .config("policy", "\"request-centric\"");
+        for agg in self.strategy_aggregates() {
+            report.arm(
+                JsonObj::new()
+                    .str("strategy", agg.strategy.label())
+                    .uint("restores", agg.restores as u64)
+                    .float("median_restore_us", agg.median_restore_us, 3)
+                    .float("mean_restore_us", agg.mean_restore_us, 3)
+                    .float("std_restore_us", agg.std_restore_us, 3)
+                    .uint("total_bytes", agg.total_bytes)
+                    .uint("faults", agg.faults)
+                    .uint("prefetched_pages", agg.prefetched_pages),
+            );
+        }
+        report.save("BENCH_restore.json")
     }
 }
 
@@ -350,47 +263,12 @@ pub fn aggregate(strategy: RestoreStrategy, infos: &[&RestoreInfo]) -> StrategyA
     }
 }
 
-/// Writes `results/BENCH_restore.json`: per-strategy median restore time
-/// and bytes moved — the restore counterpart of `BENCH_grid.json`, in
-/// the shared [`BenchReport`] schema (one arm per strategy).
-pub fn write_bench_restore(
-    aggregates: &[StrategyAggregate],
-    wall_clock_s: f64,
-) -> std::io::Result<std::path::PathBuf> {
-    let mut report = BenchReport::new("restore")
-        .wall_clock(wall_clock_s)
-        .config("policy", "\"request-centric\"");
-    for agg in aggregates {
-        report.arm(
-            JsonObj::new()
-                .str("strategy", agg.strategy.label())
-                .uint("restores", agg.restores as u64)
-                .float("median_restore_us", agg.median_restore_us, 3)
-                .float("mean_restore_us", agg.mean_restore_us, 3)
-                .float("std_restore_us", agg.std_restore_us, 3)
-                .uint("total_bytes", agg.total_bytes)
-                .uint("faults", agg.faults)
-                .uint("prefetched_pages", agg.prefetched_pages),
-        );
-    }
-    report.save("BENCH_restore.json")
-}
-
 /// Formats a µs value for human tables; NaN renders as "-".
 fn format_us(us: f64) -> String {
     if us.is_finite() {
         format!("{us:.0} µs")
     } else {
         "-".to_string()
-    }
-}
-
-/// Formats a float for CSV; NaN renders as the empty field.
-fn csv_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        String::new()
     }
 }
 
@@ -411,7 +289,7 @@ mod tests {
         let ablation = quick_ablation();
         assert_eq!(ablation.cells.len(), 3 * 3);
         assert_eq!(ablation.workloads(), vec!["DFS", "Uploader", "Hash"]);
-        assert_eq!(ablation.rates(), vec![4]);
+        assert_eq!(ablation.axes(), vec![4]);
         for strategy in RestoreStrategy::ALL {
             let cell = ablation.cell("DFS", 4, strategy).unwrap();
             assert_eq!(cell.result.restore_strategy, strategy);

@@ -14,9 +14,9 @@
 //! benchmarks.
 
 use crate::bench_report::{BenchReport, JsonObj};
-use crate::delta_ablation::benchmarks;
 use crate::grid::PAPER_RATES;
-use crate::render::write_results_csv;
+use crate::render::write_results_file;
+use crate::sweep::{csv_f64, paper_benchmarks, Ablation};
 use crate::ExperimentContext;
 use pronghorn_checkpoint::DeltaPolicy;
 use pronghorn_core::PolicyKind;
@@ -25,9 +25,6 @@ use pronghorn_platform::{
     run_closed_loop, KernelKind, RestoreStrategy, RunConfig, RunResult, StoragePolicy,
 };
 use pronghorn_store::StorageStats;
-use pronghorn_workloads::by_name;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Chain depth shared by every arm: the PR 4 delta baseline.
 const DELTA_DEPTH: u32 = 16;
@@ -91,32 +88,13 @@ impl StorageArm {
     }
 }
 
-/// One benchmark × rate × arm measurement.
-#[derive(Debug, Clone)]
-pub struct StorageCell {
-    /// Benchmark name.
-    pub workload: String,
-    /// Eviction rate.
-    pub rate: u32,
-    /// Storage arm the cell ran under.
-    pub arm: StorageArm,
-    /// Full run measurements.
-    pub result: RunResult,
-}
-
-/// A completed storage ablation.
-#[derive(Debug, Clone, Default)]
-pub struct StorageAblation {
-    /// All cells, in completion order (lookups are keyed, so order does
-    /// not affect any rendered output).
-    pub cells: Vec<StorageCell>,
-    /// Real wall-clock time the sweep took, seconds.
-    pub wall_clock_s: f64,
-}
+/// A completed storage ablation: benchmarks × eviction rates (the axis)
+/// × [`StorageArm::ALL`] (the arms).
+pub type StorageAblation = Ablation<StorageArm, RunResult>;
 
 /// Runs the full ablation: 13 benchmarks × paper rates × all arms.
 pub fn run(ctx: &ExperimentContext) -> StorageAblation {
-    run_for(ctx, &benchmarks(), &PAPER_RATES)
+    run_for(ctx, &paper_benchmarks(), &PAPER_RATES)
 }
 
 /// Runs the ablation over an explicit benchmark and rate set.
@@ -138,54 +116,24 @@ pub fn run_for_with_kernel(
     rates: &[u32],
     kernel: KernelKind,
 ) -> StorageAblation {
-    for name in benchmarks {
-        assert!(by_name(name).is_some(), "unknown benchmark {name}");
-    }
-    let mut tasks: Vec<(String, u32, StorageArm)> = Vec::new();
-    for &bench in benchmarks {
-        for &rate in rates {
-            for arm in StorageArm::ALL {
-                tasks.push((bench.to_string(), rate, arm));
-            }
-        }
-    }
-    let next = AtomicUsize::new(0);
-    let cells = Mutex::new(Vec::with_capacity(tasks.len()));
-    let threads = ctx.effective_threads();
-    let started = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((bench, rate, arm)) = tasks.get(i) else {
-                    break;
-                };
-                let workload = by_name(bench).expect("validated above");
-                // Seed shared across arms of the same (bench, rate): the
-                // paired-comparison trick of the policy grid.
-                let seed = ctx.cell_seed(&["storage", bench, &rate.to_string()]);
-                let cfg = RunConfig::paper(PolicyKind::RequestCentric, *rate, seed)
-                    .with_invocations(ctx.invocations)
-                    .with_delta(DeltaPolicy::Enabled {
-                        max_depth: DELTA_DEPTH,
-                    })
-                    .with_restore(arm.restore())
-                    .with_storage(arm.policy())
-                    .with_kernel(kernel);
-                let result = run_closed_loop(&workload, &cfg);
-                cells.lock().expect("no poisoned lock").push(StorageCell {
-                    workload: bench.clone(),
-                    rate: *rate,
-                    arm: *arm,
-                    result,
-                });
-            });
-        }
-    });
-    StorageAblation {
-        cells: cells.into_inner().expect("no poisoned lock"),
-        wall_clock_s: started.elapsed().as_secs_f64(),
-    }
+    Ablation::run(
+        ctx,
+        benchmarks,
+        rates,
+        &StorageArm::ALL,
+        |bench, rate| ctx.cell_seed(&["storage", bench, &rate.to_string()]),
+        |workload, rate, arm, seed| {
+            let cfg = RunConfig::paper(PolicyKind::RequestCentric, rate, seed)
+                .with_invocations(ctx.invocations)
+                .with_delta(DeltaPolicy::Enabled {
+                    max_depth: DELTA_DEPTH,
+                })
+                .with_restore(arm.restore())
+                .with_storage(arm.policy())
+                .with_kernel(kernel);
+            run_closed_loop(workload, &cfg)
+        },
+    )
 }
 
 /// Pooled per-arm storage accounting.
@@ -202,45 +150,11 @@ pub struct StorageArmAggregate {
 }
 
 impl StorageAblation {
-    /// Finds a cell.
-    pub fn cell(&self, workload: &str, rate: u32, arm: StorageArm) -> Option<&StorageCell> {
-        self.cells
-            .iter()
-            .find(|c| c.workload == workload && c.rate == rate && c.arm == arm)
-    }
-
-    /// Distinct workloads present, in first-seen deterministic order.
-    pub fn workloads(&self) -> Vec<String> {
-        let mut seen = Vec::new();
-        for bench in benchmarks() {
-            if self.cells.iter().any(|c| c.workload == bench) && !seen.contains(&bench.to_string())
-            {
-                seen.push(bench.to_string());
-            }
-        }
-        // Any non-paper benchmarks (tests) follow, in cell order.
-        for cell in &self.cells {
-            if !seen.contains(&cell.workload) {
-                seen.push(cell.workload.clone());
-            }
-        }
-        seen
-    }
-
-    /// Distinct rates present, ascending.
-    pub fn rates(&self) -> Vec<u32> {
-        let mut rates: Vec<u32> = self.cells.iter().map(|c| c.rate).collect();
-        rates.sort_unstable();
-        rates.dedup();
-        rates
-    }
-
     /// Total restore bytes a benchmark transferred under `arm`, pooled
     /// across every rate present.
     pub fn restore_bytes(&self, workload: &str, arm: StorageArm) -> u64 {
-        self.cells
-            .iter()
-            .filter(|c| c.workload == workload && c.arm == arm)
+        self.arm_cells(arm)
+            .filter(|c| c.workload == workload)
             .map(|c| c.result.restore_bytes())
             .sum()
     }
@@ -249,9 +163,8 @@ impl StorageAblation {
     /// benchmark under `arm`; NaN when the arm restored nothing.
     pub fn mean_median_restore_us(&self, workload: &str, arm: StorageArm) -> f64 {
         let medians: Vec<f64> = self
-            .cells
-            .iter()
-            .filter(|c| c.workload == workload && c.arm == arm)
+            .arm_cells(arm)
+            .filter(|c| c.workload == workload)
             .map(|c| c.result.median_restore_us())
             .filter(|m| m.is_finite())
             .collect();
@@ -286,11 +199,9 @@ impl StorageAblation {
     /// accounting, so this must be zero — anything else means the tier
     /// leaked onto the critical path.
     pub fn latency_divergences(&self, arm: StorageArm) -> usize {
-        self.cells
-            .iter()
-            .filter(|c| c.arm == arm)
+        self.arm_cells(arm)
             .filter(|c| {
-                self.cell(&c.workload, c.rate, StorageArm::Flat)
+                self.cell(&c.workload, c.axis, StorageArm::Flat)
                     .is_some_and(|flat| c.result.latencies_us != flat.result.latencies_us)
             })
             .count()
@@ -301,7 +212,7 @@ impl StorageAblation {
         StorageArm::ALL
             .iter()
             .map(|&arm| {
-                let cells: Vec<&StorageCell> = self.cells.iter().filter(|c| c.arm == arm).collect();
+                let cells: Vec<_> = self.arm_cells(arm).collect();
                 let mut storage = StorageStats::default();
                 for c in &cells {
                     storage.merge(&c.result.storage);
@@ -382,7 +293,7 @@ impl StorageAblation {
             "median_latency_us",
         ]);
         for w in self.workloads() {
-            for rate in self.rates() {
+            for rate in self.axes() {
                 for arm in StorageArm::ALL {
                     let Some(cell) = self.cell(&w, rate, arm) else {
                         continue;
@@ -412,7 +323,7 @@ impl StorageAblation {
 
     /// Writes `results/storage_ablation.csv`.
     pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_csv("storage_ablation.csv", &self.to_csv())
+        write_results_file("storage_ablation.csv", &self.to_csv())
     }
 
     /// Writes `results/BENCH_storage.json`: per-arm pooled storage
@@ -449,15 +360,6 @@ impl StorageAblation {
     }
 }
 
-/// Formats a float for CSV; NaN renders as the empty field.
-fn csv_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        String::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,10 +377,10 @@ mod tests {
         let ablation = quick_ablation();
         assert_eq!(ablation.cells.len(), 3 * 2 * 4);
         assert_eq!(ablation.workloads(), vec!["DFS", "Compression", "Hash"]);
-        assert_eq!(ablation.rates(), vec![1, 4]);
+        assert_eq!(ablation.axes(), vec![1, 4]);
         // The flat arm never constructs a tier: its counters stay zero.
         for w in ablation.workloads() {
-            for rate in ablation.rates() {
+            for rate in ablation.axes() {
                 let flat = &ablation.cell(&w, rate, StorageArm::Flat).unwrap().result;
                 assert_eq!(flat.storage, StorageStats::default(), "{w} rate {rate}");
             }
@@ -511,7 +413,7 @@ mod tests {
         // Nominal byte accounting is storage-invariant on the eager arms:
         // compression changes wire bytes and transfer time only.
         for w in ablation.workloads() {
-            for rate in ablation.rates() {
+            for rate in ablation.axes() {
                 let flat = &ablation.cell(&w, rate, StorageArm::Flat).unwrap().result;
                 for arm in [StorageArm::Cache, StorageArm::CacheCompress] {
                     let cell = &ablation.cell(&w, rate, arm).unwrap().result;

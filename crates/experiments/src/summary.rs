@@ -7,7 +7,7 @@
 //! 28 better / 9 on-par / 2 worse across the 39 cells.
 
 use crate::grid::{Grid, PAPER_RATES};
-use crate::render::write_results_csv;
+use crate::render::write_results_file;
 use crate::restore_ablation::{aggregate, StrategyAggregate};
 use pronghorn_metrics::{classify, geo_mean_of_improvements, Table, TableStyle, Verdict};
 use pronghorn_platform::{RestoreInfo, RestoreStrategy};
@@ -33,10 +33,10 @@ pub struct SummaryResult {
     /// One aggregate per eviction rate.
     pub rates: Vec<RateSummary>,
     /// Pooled restore-path statistics per strategy present in the grids
-    /// (the policy grids run eagerly, so this is usually one row; the
-    /// restore ablation produces all three). Rendered as an extra
-    /// section and exported to `BENCH_restore.json` — never into
-    /// `summary.csv`, whose bytes are a compatibility surface.
+    /// (the policy grids run eagerly, so this is usually one row).
+    /// Rendered as an extra section only — never into `summary.csv`,
+    /// whose bytes are a compatibility surface. `BENCH_restore.json` is
+    /// written by the restore ablation alone.
     pub restore: Vec<StrategyAggregate>,
 }
 
@@ -179,7 +179,7 @@ impl SummaryResult {
 
     /// Writes `results/summary.csv`.
     pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_csv("summary.csv", &self.to_csv())
+        write_results_file("summary.csv", &self.to_csv())
     }
 }
 

@@ -6,7 +6,7 @@
 //! JSON 360 ms baselines) — non-monotonic because of deoptimizations and
 //! compilation interference.
 
-use crate::render::write_results_csv;
+use crate::render::write_results_file;
 use crate::ExperimentContext;
 use pronghorn_jit::Runtime;
 use pronghorn_metrics::{table::fmt_f64, Table, TableStyle};
@@ -126,7 +126,7 @@ impl Table1Result {
 
     /// Writes `results/table1.csv`.
     pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_csv("table1.csv", &self.to_csv())
+        write_results_file("table1.csv", &self.to_csv())
     }
 }
 

@@ -9,7 +9,7 @@
 //! eviction rate 4). We report both the analytic bound and the bytes the
 //! simulated Object Store actually moved.
 
-use crate::render::write_results_csv;
+use crate::render::write_results_file;
 use crate::ExperimentContext;
 use pronghorn_core::PolicyKind;
 use pronghorn_metrics::{Table, TableStyle};
@@ -145,7 +145,7 @@ impl Table5Result {
 
     /// Writes `results/table5.csv`.
     pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_csv("table5.csv", &self.to_csv())
+        write_results_file("table5.csv", &self.to_csv())
     }
 }
 

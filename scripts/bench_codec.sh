@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Collects the codec performance numbers the PR claims:
+# Collects the codec performance numbers quoted in README and DESIGN §9:
 #
 #   1. runs the codec_throughput bench with PRONGHORN_BENCH_JSON set, so
 #      every result is also appended to results/codec_throughput.jsonl
 #      (one JSON object per line: group, bench, ns_per_iter, MB/s);
 #   2. runs `experiments summary`, which writes results/BENCH_grid.json
-#      (grid wall-clock + merged codec counters + the inline
-#      legacy-vs-fast micro-bench at 10/32/64 MiB).
+#      (grid wall-clock + merged codec counters; no throughput numbers —
+#      those come from step 1 alone).
 #
 # Usage: scripts/bench_codec.sh [--quick]
 #   --quick  forwards the experiments harness's reduced-size mode.
