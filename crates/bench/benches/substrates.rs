@@ -1,6 +1,7 @@
 //! Micro-benchmarks of every substrate: the checkpoint engine and codec,
 //! the object store and database, the JIT runtime's request execution,
-//! and the real workload kernels.
+//! the real workload kernels, and each benchmark's `generate` (its
+//! work-unit form).
 
 #![forbid(unsafe_code)]
 
@@ -11,7 +12,7 @@ use pronghorn_jit::Runtime;
 use pronghorn_kv::KvStore;
 use pronghorn_store::ObjectStore;
 use pronghorn_workloads::kernels::{compress, graph, hashing, json};
-use pronghorn_workloads::{by_name, InputVariance, Workload};
+use pronghorn_workloads::{by_name, evaluation_benchmarks, InputVariance, Workload};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -140,11 +141,26 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// One request draw per iteration at the paper's input variance, for each
+/// of the 13 evaluation benchmarks: the per-benchmark split of the
+/// workload layer's host time.
+fn bench_workload_generate(c: &mut Criterion) {
+    let mut group = c.benchmark_group("workload_generate");
+    for workload in evaluation_benchmarks() {
+        let mut rng = SmallRng::seed_from_u64(10);
+        group.bench_function(workload.name(), |b| {
+            b.iter(|| workload.generate(&mut rng, InputVariance::paper()))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     substrates,
     bench_checkpoint_engine,
     bench_jit_execution,
     bench_stores,
     bench_kernels,
+    bench_workload_generate,
 );
 criterion_main!(substrates);

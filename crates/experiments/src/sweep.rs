@@ -122,11 +122,13 @@ impl<A: Copy + PartialEq, R> Ablation<A, R> {
         S: Fn(&str, u32) -> u64 + Sync,
         F: Fn(&SpecWorkload, u32, A, u64) -> R + Sync,
     {
-        for name in benchmarks {
-            assert!(by_name(name).is_some(), "unknown benchmark {name}");
-        }
+        // Built once per sweep and shared by every worker.
+        let workloads: Vec<SpecWorkload> = benchmarks
+            .iter()
+            .map(|name| by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}")))
+            .collect();
         let mut tasks = Vec::new();
-        for &bench in benchmarks {
+        for bench in 0..benchmarks.len() {
             for &axis in axes {
                 for &arm in arms {
                     tasks.push((bench, axis, arm));
@@ -134,14 +136,13 @@ impl<A: Copy + PartialEq, R> Ablation<A, R> {
             }
         }
         let (results, wall_clock_s) = sweep(ctx, &tasks, |&(bench, axis, arm)| {
-            let workload = by_name(bench).expect("validated above");
-            run(&workload, axis, arm, seed(bench, axis))
+            run(&workloads[bench], axis, arm, seed(benchmarks[bench], axis))
         });
         let cells = tasks
             .iter()
             .zip(results)
             .map(|(&(bench, axis, arm), result)| Cell {
-                workload: bench.to_string(),
+                workload: benchmarks[bench].to_string(),
                 axis,
                 arm,
                 result,

@@ -50,6 +50,16 @@ fn jvm_methods(driver: &'static str, mid: &'static str, hot: &'static str) -> Ve
 /// Figure 1b workload (75.6% reduction, ~2 500-request convergence) and
 /// Table 1's "HTML" column (650 ms first request).
 pub fn html_rendering() -> SpecWorkload {
+    let template = html::Template::parse(
+        "<table>{% for row in rows %}<tr><td>{{ row }}</td>\
+         <td>{% if hot %}{{ label }}{% end %}</td></tr>{% end %}</table>",
+    )
+    .expect("static template parses");
+    let mut ctx = HashMap::new();
+    ctx.insert("hot".to_string(), html::Value::Number(1.0));
+    ctx.insert("label".to_string(), html::Value::Text("r&d".into()));
+    let render =
+        html::IntListRender::measure(&template, &ctx, "rows").expect("static template renders");
     SpecWorkload::new(WorkloadSpec {
         name: "HTMLRendering",
         kind: RuntimeKind::Jvm,
@@ -60,25 +70,12 @@ pub fn html_rendering() -> SpecWorkload {
         io_rel_jitter: 0.0,
         io_stale_sensitivity: 1.0,
         methods: jvm_methods("render_template", "render_block", "write_escaped"),
-        kernel: Box::new(|rng, f| {
+        kernel: Box::new(move |rng, f| {
             let rows = ((120.0 * f) as usize).max(1);
-            let template = html::Template::parse(
-                "<table>{% for row in rows %}<tr><td>{{ row }}</td>\
-                 <td>{% if hot %}{{ label }}{% end %}</td></tr>{% end %}</table>",
-            )
-            .expect("static template parses");
-            let mut ctx = HashMap::new();
-            ctx.insert("hot".to_string(), html::Value::Number(1.0));
-            ctx.insert("label".to_string(), html::Value::Text("r&d".into()));
-            ctx.insert(
-                "rows".to_string(),
-                html::Value::List(
-                    (0..rows)
-                        .map(|_| html::Value::Number(f64::from(rng.gen_range(0..1_000_000))))
-                        .collect(),
-                ),
-            );
-            let (_, stats) = template.render(&ctx).expect("static template renders");
+            let digits = (0..rows)
+                .map(|_| html::decimal_digits(rng.gen_range(0..1_000_000)))
+                .sum();
+            let stats = render.stats(rows, digits);
             (stats.nodes_rendered + stats.lookups + stats.chars_escaped) as f64
                 + stats.bytes_out as f64 / 8.0
         }),
@@ -100,10 +97,10 @@ pub fn matrix_mult() -> SpecWorkload {
         kernel: Box::new(|rng, f| {
             // Latency scales with f (cube of the linear dimension).
             let n = ((24.0 * f.cbrt()) as usize).max(2);
-            let a = matrix::Matrix::random(rng, n, n);
-            let b = matrix::Matrix::random(rng, n, n);
-            let (_, flops) = a.multiply(&b).expect("square matrices multiply");
-            flops as f64
+            // Two random n × n operands; the product costs n³ multiply-adds.
+            matrix::Matrix::skip_random(rng, n, n);
+            matrix::Matrix::skip_random(rng, n, n);
+            (n * n * n) as f64
         }),
     })
 }
@@ -125,10 +122,7 @@ pub fn hash() -> SpecWorkload {
             let bytes = ((8_192.0 * f) as usize).max(64);
             let mut data = vec![0u8; bytes];
             rng.fill_bytes(&mut data);
-            let mut h = hashing::Sha256::new();
-            h.update(&data);
-            let (_, blocks) = h.finalize();
-            let _ = hashing::adler32(&data);
+            let blocks = hashing::sha256_blocks(bytes as u64);
             blocks as f64 * 64.0 + bytes as f64 / 8.0
         }),
     })
@@ -149,9 +143,9 @@ pub fn word_count() -> SpecWorkload {
         methods: jvm_methods("count_words", "tokenize", "update_map"),
         kernel: Box::new(|rng, f| {
             let words = ((800.0 * f) as usize).max(1);
-            let text = text::generate_text(rng, words);
-            let wc = text::word_count(&text);
-            (4 * wc.tokens) as f64 + wc.bytes as f64 / 4.0
+            // Every generated word is one token.
+            let bytes = text::generated_text_len(rng, words);
+            (4 * words) as f64 + bytes as f64 / 4.0
         }),
     })
 }
@@ -179,27 +173,6 @@ pub fn json_bench() -> SpecWorkload {
     })
 }
 
-/// The four Java benchmarks of Figure 5, in row order.
-pub fn figure5() -> Vec<SpecWorkload> {
-    vec![matrix_mult(), hash(), html_rendering(), word_count()]
-}
-
-/// The four Table 1 benchmarks, in column order.
-pub fn table1() -> Vec<SpecWorkload> {
-    vec![hash(), html_rendering(), word_count(), json_bench()]
-}
-
-/// All five Java benchmarks.
-pub fn all() -> Vec<SpecWorkload> {
-    vec![
-        html_rendering(),
-        matrix_mult(),
-        hash(),
-        word_count(),
-        json_bench(),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,7 +183,7 @@ mod tests {
 
     #[test]
     fn all_java_benchmarks_construct() {
-        let benches = all();
+        let benches = crate::java_benchmarks();
         assert_eq!(benches.len(), 5);
         for b in &benches {
             assert_eq!(b.kind(), RuntimeKind::Jvm);
@@ -223,7 +196,7 @@ mod tests {
         // Table 1: lazy init + interpreted execution should approximate the
         // paper's first-request latencies (27 / 650 / 64 / 360 ms).
         let targets_ms = [27.0, 650.0, 64.0, 360.0];
-        for (b, target) in table1().into_iter().zip(targets_ms) {
+        for (b, target) in crate::table1_benchmarks().into_iter().zip(targets_ms) {
             let spec_first_ms = (b.spec().lazy_init_us + b.spec().interp_exec_us) / 1_000.0;
             let rel = (spec_first_ms - target).abs() / target;
             assert!(
@@ -261,7 +234,7 @@ mod tests {
 
     #[test]
     fn generated_requests_reference_valid_methods() {
-        for b in all() {
+        for b in crate::java_benchmarks() {
             let mut rng = SmallRng::seed_from_u64(6);
             let req = b.generate(&mut rng, InputVariance::paper());
             let n = b.method_profiles().len();

@@ -62,10 +62,10 @@ pub fn bfs() -> SpecWorkload {
         io_stale_sensitivity: 1.0,
         methods: pypy_methods("parse_graph", "pop_frontier", "scan_edges"),
         kernel: Box::new(|rng, f| {
+            // BFS visits all n nodes and scans all 2E directed edges.
             let n = ((600.0 * f) as usize).max(2);
-            let g = graph::Graph::random(rng, n, n);
-            let (_, stats) = graph::bfs(&g);
-            (stats.edges_scanned + 2 * stats.nodes_visited) as f64
+            let edges = graph::random_edge_count(rng, n, n);
+            (2 * edges + 2 * n) as f64
         }),
     })
 }
@@ -83,10 +83,10 @@ pub fn dfs() -> SpecWorkload {
         io_stale_sensitivity: 1.0,
         methods: pypy_methods("parse_graph", "push_stack", "scan_edges"),
         kernel: Box::new(|rng, f| {
+            // DFS visits all n nodes and scans all 2E directed edges.
             let n = ((500.0 * f) as usize).max(2);
-            let g = graph::Graph::random(rng, n, n);
-            let (_, stats) = graph::dfs(&g);
-            (stats.edges_scanned + stats.nodes_visited) as f64
+            let edges = graph::random_edge_count(rng, n, n);
+            (2 * edges + n) as f64
         }),
     })
 }
@@ -105,8 +105,7 @@ pub fn mst() -> SpecWorkload {
         methods: pypy_methods("sort_edges", "union", "find_root"),
         kernel: Box::new(|rng, f| {
             let n = ((400.0 * f) as usize).max(2);
-            let g = graph::Graph::random(rng, n, 2 * n);
-            let r = graph::mst_kruskal(&g);
+            let r = graph::EdgeList::random(rng, n, 2 * n).mst_kruskal();
             let m = r.edges_examined.max(2) as f64;
             m * m.log2() + 3.0 * r.find_steps as f64
         }),
@@ -127,8 +126,7 @@ pub fn pagerank() -> SpecWorkload {
         methods: pypy_methods("build_matrix", "iterate", "spread_rank"),
         kernel: Box::new(|rng, f| {
             let n = ((250.0 * f) as usize).max(2);
-            let g = graph::Graph::random(rng, n, 3 * n);
-            let r = graph::pagerank(&g, 25, 1e-7);
+            let r = graph::EdgeList::random(rng, n, 3 * n).pagerank(25, 1e-7);
             (r.edge_updates + r.iterations * n) as f64
         }),
     })
@@ -137,6 +135,20 @@ pub fn pagerank() -> SpecWorkload {
 /// `DynamicHTML`: SeBS HTML generation with randomized content — the
 /// Figure 1a workload (PyPy: 33.3% reduction, ~1 000-request convergence).
 pub fn dynamic_html() -> SpecWorkload {
+    let template = html::Template::parse(
+        "<html><body><h1>{{ title }}</h1><ul>\
+         {% for r in rows %}<li class=\"row\">{{ r }}</li>{% end %}\
+         </ul>{% if footer %}<footer>{{ footer }}</footer>{% end %}</body></html>",
+    )
+    .expect("static template parses");
+    let mut ctx = HashMap::new();
+    ctx.insert(
+        "title".to_string(),
+        html::Value::Text("Random numbers".into()),
+    );
+    ctx.insert("footer".to_string(), html::Value::Text("generated".into()));
+    let render =
+        html::IntListRender::measure(&template, &ctx, "rows").expect("static template renders");
     SpecWorkload::new(WorkloadSpec {
         name: "DynamicHTML",
         kind: RuntimeKind::PyPy,
@@ -147,29 +159,12 @@ pub fn dynamic_html() -> SpecWorkload {
         io_rel_jitter: 0.0,
         io_stale_sensitivity: 1.0,
         methods: pypy_methods("render_page", "render_row", "escape"),
-        kernel: Box::new(|rng, f| {
+        kernel: Box::new(move |rng, f| {
             let rows = ((40.0 * f) as usize).max(1);
-            let template = html::Template::parse(
-                "<html><body><h1>{{ title }}</h1><ul>\
-                 {% for r in rows %}<li class=\"row\">{{ r }}</li>{% end %}\
-                 </ul>{% if footer %}<footer>{{ footer }}</footer>{% end %}</body></html>",
-            )
-            .expect("static template parses");
-            let mut ctx = HashMap::new();
-            ctx.insert(
-                "title".to_string(),
-                html::Value::Text("Random numbers".into()),
-            );
-            ctx.insert("footer".to_string(), html::Value::Text("generated".into()));
-            ctx.insert(
-                "rows".to_string(),
-                html::Value::List(
-                    (0..rows)
-                        .map(|_| html::Value::Number(f64::from(rng.gen_range(0..100_000))))
-                        .collect(),
-                ),
-            );
-            let (_, stats) = template.render(&ctx).expect("static template renders");
+            let digits = (0..rows)
+                .map(|_| html::decimal_digits(rng.gen_range(0..100_000)))
+                .sum();
+            let stats = render.stats(rows, digits);
             (stats.nodes_rendered + stats.lookups) as f64 + stats.bytes_out as f64 / 8.0
         }),
     })
@@ -198,7 +193,7 @@ pub fn compression() -> SpecWorkload {
                 }
             }
             data.truncate(bytes);
-            let (_, stats) = compress::compress(&data);
+            let stats = compress::compress_stats(&data);
             stats.probes as f64 + (stats.bytes_in + stats.bytes_out) as f64 / 4.0
         }),
     })
@@ -243,9 +238,9 @@ pub fn thumbnailer() -> SpecWorkload {
                 ((96.0 * scale) as usize).max(8),
                 ((72.0 * scale) as usize).max(8),
             );
-            let img = media::Image::random(rng, w, h);
-            let (_, stats) =
-                media::thumbnail(&img, (w / 3).max(1), (h / 3).max(1)).expect("valid downscale");
+            media::skip_random_image(rng, w, h);
+            let stats = media::thumbnail_stats(w, h, (w / 3).max(1), (h / 3).max(1))
+                .expect("valid downscale");
             (stats.pixels_read + 4 * stats.pixels_written) as f64
         }),
     })
@@ -269,28 +264,14 @@ pub fn video() -> SpecWorkload {
                 ((40.0 * scale) as usize).max(8),
                 ((24.0 * scale) as usize).max(8),
             );
-            let mut frames: Vec<media::Image> =
-                (0..6).map(|_| media::Image::random(rng, w, h)).collect();
-            let mark = media::Image::random(rng, 4, 4);
-            let (bytes, stats) = media::gif_pipeline(&mut frames, &mark);
+            for _ in 0..6 {
+                media::skip_random_image(rng, w, h);
+            }
+            media::skip_random_image(rng, 4, 4);
+            let (bytes, stats) = media::gif_pipeline_stats(6, w, h, 4, 4);
             (stats.pixels_read + stats.pixels_written) as f64 + bytes as f64 / 16.0
         }),
     })
-}
-
-/// All nine Python benchmarks, in Figure 4's row order.
-pub fn all() -> Vec<SpecWorkload> {
-    vec![
-        bfs(),
-        dfs(),
-        dynamic_html(),
-        mst(),
-        pagerank(),
-        compression(),
-        uploader(),
-        thumbnailer(),
-        video(),
-    ]
 }
 
 #[cfg(test)]
@@ -303,7 +284,7 @@ mod tests {
 
     #[test]
     fn all_python_benchmarks_construct() {
-        let benches = all();
+        let benches = crate::python_benchmarks();
         assert_eq!(benches.len(), 9);
         for b in &benches {
             assert_eq!(b.kind(), RuntimeKind::PyPy);

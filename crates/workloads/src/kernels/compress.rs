@@ -109,6 +109,82 @@ pub fn compress(input: &[u8]) -> (Vec<u8>, CompressStats) {
     (out, stats)
 }
 
+/// The counters [`compress`] returns for `input`, without building the
+/// token stream.
+///
+/// The hash-chain search is [`compress`]'s, probe for probe; only the
+/// match extension compares 8 bytes at a time. `bytes_out` is counted:
+/// each flushed literal run of `L` bytes costs `L` plus a 2-byte header
+/// per started 255-byte chunk, each match 4 bytes.
+pub fn compress_stats(input: &[u8]) -> CompressStats {
+    let mut stats = CompressStats {
+        bytes_in: input.len(),
+        ..CompressStats::default()
+    };
+    let mut head = vec![usize::MAX; 1 << HASH_BITS];
+    let mut prev = vec![usize::MAX; input.len()];
+    let mut run = 0usize;
+    let flush = |run: &mut usize, stats: &mut CompressStats| {
+        stats.bytes_out += *run + 2 * run.div_ceil(255);
+        stats.literals += *run;
+        *run = 0;
+    };
+    let mut pos = 0usize;
+    while pos < input.len() {
+        let mut best_len = 0usize;
+        if pos + MIN_MATCH <= input.len() {
+            let h = hash4(&input[pos..]);
+            let max = (input.len() - pos).min(MAX_MATCH);
+            let mut candidate = head[h];
+            let mut chain = 0;
+            while candidate != usize::MAX && pos - candidate <= WINDOW && chain < 32 {
+                stats.probes += 1;
+                let len = common_prefix(&input[candidate..], &input[pos..], max);
+                best_len = best_len.max(len);
+                candidate = prev[candidate];
+                chain += 1;
+            }
+            prev[pos] = head[h];
+            head[h] = pos;
+        }
+        if best_len >= MIN_MATCH {
+            flush(&mut run, &mut stats);
+            stats.bytes_out += 4;
+            stats.matches += 1;
+            for p in pos + 1..(pos + best_len).min(input.len().saturating_sub(MIN_MATCH)) {
+                let h = hash4(&input[p..]);
+                prev[p] = head[h];
+                head[h] = p;
+            }
+            pos += best_len;
+        } else {
+            run += 1;
+            pos += 1;
+        }
+    }
+    flush(&mut run, &mut stats);
+    stats
+}
+
+/// Length of the common prefix of `a` and `b`, capped at `max`; both are
+/// at least `max` long.
+fn common_prefix(a: &[u8], b: &[u8], max: usize) -> usize {
+    let mut len = 0;
+    while len + 8 <= max {
+        let x = u64::from_le_bytes(a[len..len + 8].try_into().expect("8 bytes"));
+        let y = u64::from_le_bytes(b[len..len + 8].try_into().expect("8 bytes"));
+        let diff = x ^ y;
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while len < max && a[len] == b[len] {
+        len += 1;
+    }
+    len
+}
+
 /// Decompression errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecompressError {

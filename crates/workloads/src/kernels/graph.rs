@@ -5,7 +5,9 @@
 //! These are real implementations — the traversal/work counters they
 //! return become the request's JIT work units, so request latency scales
 //! with the random input exactly as in the paper ("the execution latency
-//! directly scales with the size of the random graph").
+//! directly scales with the size of the random graph"). The benchmarks
+//! get those counters from [`random_edge_count`] and [`EdgeList`], which
+//! make the same draws without building adjacency lists.
 
 use rand::Rng;
 
@@ -79,6 +81,178 @@ impl Graph {
             }
         }
         out
+    }
+}
+
+/// Makes exactly the draws [`Graph::random`] makes and hands each created
+/// edge `(u, v, w)` to `add`, in creation order, without building
+/// adjacency lists.
+fn draw_random_edges<R: Rng + ?Sized>(
+    rng: &mut R,
+    n: usize,
+    extra_edges: usize,
+    mut add: impl FnMut(u32, u32, u32),
+) {
+    let n = n.max(1);
+    for i in 1..n {
+        let parent = rng.gen_range(0..i);
+        let w = rng.gen_range(1..=1_000);
+        add(parent as u32, i as u32, w);
+    }
+    for _ in 0..extra_edges {
+        let u = rng.gen_range(0..n) as u32;
+        let v = rng.gen_range(0..n) as u32;
+        if u != v {
+            let w = rng.gen_range(1..=1_000);
+            add(u, v, w);
+        }
+    }
+}
+
+/// The edge count of the graph [`Graph::random`] would build, making the
+/// same draws. The graph is connected, so a traversal from node 0 visits
+/// all `n` nodes and scans all `2E` directed edges: this count is all
+/// [`bfs`] and [`dfs`] work depends on.
+pub fn random_edge_count<R: Rng + ?Sized>(rng: &mut R, n: usize, extra_edges: usize) -> usize {
+    let mut edges = 0;
+    draw_random_edges(rng, n, extra_edges, |_, _, _| edges += 1);
+    edges
+}
+
+/// The graph [`Graph::random`] builds, as a flat edge list in creation
+/// order: the form [`EdgeList::mst_kruskal`] and [`EdgeList::pagerank`]
+/// compute the same results from without adjacency `Vec`s.
+#[derive(Debug, Clone)]
+pub struct EdgeList {
+    nodes: usize,
+    /// `(u, v, w)` as drawn.
+    edges: Vec<(u32, u32, u32)>,
+}
+
+impl EdgeList {
+    /// Makes exactly the draws of [`Graph::random`] with the same
+    /// arguments and keeps its edges.
+    pub fn random<R: Rng + ?Sized>(rng: &mut R, n: usize, extra_edges: usize) -> EdgeList {
+        let mut edges = Vec::with_capacity(n.saturating_sub(1) + extra_edges);
+        draw_random_edges(rng, n, extra_edges, |u, v, w| edges.push((u, v, w)));
+        EdgeList {
+            nodes: n.max(1),
+            edges,
+        }
+    }
+
+    /// Number of (undirected) edges.
+    pub fn edge_count(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// [`mst_kruskal`] of the equivalent [`Graph`], bit for bit.
+    ///
+    /// [`Graph::edge_list`] emits each edge from its lower endpoint's
+    /// adjacency list, in creation order, and `mst_kruskal` stable-sorts
+    /// that by weight: the order is `(w, lower endpoint, creation index)`.
+    /// That key is unique, so an unstable sort of it packed into a `u64`
+    /// gives the same order. `union(lo, hi)` keeps the argument order,
+    /// which path compression's step counts depend on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has 2^22 or more nodes or edges.
+    pub fn mst_kruskal(&self) -> MstResult {
+        const BITS: u32 = 22;
+        assert!(
+            self.nodes < 1 << BITS && self.edges.len() < 1 << BITS,
+            "graph too large for the packed sort key"
+        );
+        let mut keys: Vec<u64> = self
+            .edges
+            .iter()
+            .enumerate()
+            .map(|(i, &(u, v, w))| {
+                (u64::from(w) << (2 * BITS)) | (u64::from(u.min(v)) << BITS) | i as u64
+            })
+            .collect();
+        keys.sort_unstable();
+        let mut uf = UnionFind::new(self.nodes);
+        let mut total = 0u64;
+        let mut tree_edges = 0;
+        for key in keys {
+            let (u, v, w) = self.edges[(key & ((1 << BITS) - 1)) as usize];
+            if uf.union(u.min(v), u.max(v)) {
+                total += u64::from(w);
+                tree_edges += 1;
+                if tree_edges + 1 == self.nodes {
+                    break;
+                }
+            }
+        }
+        MstResult {
+            total_weight: total,
+            tree_edges,
+            edges_examined: self.edges.len(),
+            find_steps: uf.find_steps,
+        }
+    }
+
+    /// [`pagerank`] of the equivalent [`Graph`], bit for bit.
+    ///
+    /// The neighbours sit in one CSR array, filled in edge-creation order
+    /// like [`Graph`]'s adjacency lists. Each `next[v]` receives its
+    /// shares from `u` in ascending order, the initial value of `next` and
+    /// the order of the delta sum are [`pagerank`]'s, so every float comes
+    /// out the same. The two rank buffers are swapped instead of
+    /// reallocated.
+    pub fn pagerank(&self, max_iters: usize, tol: f64) -> PageRankResult {
+        const DAMPING: f64 = 0.85;
+        let n = self.nodes;
+        let mut start = vec![0usize; n + 1];
+        for &(u, v, _) in &self.edges {
+            start[u as usize + 1] += 1;
+            start[v as usize + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start.clone();
+        let mut nbrs = vec![0u32; 2 * self.edges.len()];
+        for &(u, v, _) in &self.edges {
+            nbrs[fill[u as usize]] = v;
+            fill[u as usize] += 1;
+            nbrs[fill[v as usize]] = u;
+            fill[v as usize] += 1;
+        }
+        let mut ranks = vec![1.0 / n as f64; n];
+        let mut next = vec![0.0; n];
+        let mut edge_updates = 0;
+        let mut iterations = 0;
+        for _ in 0..max_iters {
+            iterations += 1;
+            next.fill((1.0 - DAMPING) / n as f64);
+            for (u, &rank) in ranks.iter().enumerate() {
+                let adj = &nbrs[start[u]..start[u + 1]];
+                if adj.is_empty() {
+                    for r in next.iter_mut() {
+                        *r += DAMPING * rank / n as f64;
+                    }
+                    continue;
+                }
+                let share = DAMPING * rank / adj.len() as f64;
+                for &v in adj {
+                    next[v as usize] += share;
+                }
+                edge_updates += adj.len();
+            }
+            let delta: f64 = ranks.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
+            std::mem::swap(&mut ranks, &mut next);
+            if delta < tol {
+                break;
+            }
+        }
+        PageRankResult {
+            ranks,
+            iterations,
+            edge_updates,
+        }
     }
 }
 

@@ -142,8 +142,15 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     h.finalize().0
 }
 
+/// The compression-block count [`Sha256::finalize`] reports for a
+/// `len`-byte message: the message, the `0x80` marker and the 8-byte
+/// length, zero-padded to whole 64-byte blocks.
+pub fn sha256_blocks(len: u64) -> u64 {
+    (len + 9).div_ceil(64)
+}
+
 /// Adler-32 checksum (zlib RFC 1950) — the "cheap pass" of the Hash
-/// benchmark.
+/// benchmark's reference kernel, whose result it discards.
 pub fn adler32(data: &[u8]) -> u32 {
     const MOD: u32 = 65_521;
     let mut a: u32 = 1;

@@ -201,6 +201,63 @@ impl Template {
     }
 }
 
+/// A template's [`RenderStats`] as a function of one list of integers,
+/// measured once with the real engine.
+///
+/// When each item of the list renders the same nodes and lookups and
+/// prints the item's decimal digits once (a loop body that substitutes
+/// the loop variable once and depends on nothing else that varies), the
+/// counters are affine in the item count plus the digits printed.
+/// [`measure`](Self::measure) renders zero items and one item (the number
+/// 0, one digit) to get the fixed and per-item parts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IntListRender {
+    fixed: RenderStats,
+    per_item: RenderStats,
+}
+
+impl IntListRender {
+    /// Measures `template` rendered against `context` with `list` bound to
+    /// an empty list and to `[0]`.
+    pub fn measure(
+        template: &Template,
+        context: &HashMap<String, Value>,
+        list: &str,
+    ) -> Result<IntListRender, TemplateError> {
+        let mut ctx = context.clone();
+        let mut render = |items: Vec<Value>| {
+            ctx.insert(list.to_string(), Value::List(items));
+            template.render(&ctx).map(|(_, stats)| stats)
+        };
+        let fixed = render(Vec::new())?;
+        let one = render(vec![Value::Number(0.0)])?;
+        let per_item = RenderStats {
+            nodes_rendered: one.nodes_rendered - fixed.nodes_rendered,
+            lookups: one.lookups - fixed.lookups,
+            chars_escaped: one.chars_escaped - fixed.chars_escaped,
+            // Without the one digit of "0".
+            bytes_out: one.bytes_out - fixed.bytes_out - 1,
+        };
+        Ok(IntListRender { fixed, per_item })
+    }
+
+    /// The counters of rendering `items` integers whose decimal digit
+    /// counts (see [`decimal_digits`]) sum to `digits`.
+    pub fn stats(&self, items: usize, digits: usize) -> RenderStats {
+        RenderStats {
+            nodes_rendered: self.fixed.nodes_rendered + items * self.per_item.nodes_rendered,
+            lookups: self.fixed.lookups + items * self.per_item.lookups,
+            chars_escaped: self.fixed.chars_escaped + items * self.per_item.chars_escaped,
+            bytes_out: self.fixed.bytes_out + items * self.per_item.bytes_out + digits,
+        }
+    }
+}
+
+/// Decimal digits the engine prints for the number `n`.
+pub fn decimal_digits(n: u32) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
 fn render_nodes(
     nodes: &[Node],
     scope: &mut HashMap<String, Value>,

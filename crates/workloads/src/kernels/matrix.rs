@@ -34,6 +34,14 @@ impl Matrix {
         }
     }
 
+    /// Makes the draws [`Matrix::random`] makes for a `rows × cols`
+    /// matrix, without keeping them.
+    pub fn skip_random<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize) {
+        for _ in 0..rows * cols {
+            let _: f64 = rng.gen_range(-1.0..1.0);
+        }
+    }
+
     /// Identity matrix of size `n`.
     pub fn identity(n: usize) -> Matrix {
         let mut m = Matrix::zeros(n, n);

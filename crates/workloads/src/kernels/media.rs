@@ -66,6 +66,14 @@ impl Image {
     }
 }
 
+/// Makes the draws [`Image::random`] makes for a `width × height` image,
+/// without keeping them.
+pub fn skip_random_image<R: Rng + ?Sized>(rng: &mut R, width: usize, height: usize) {
+    for _ in 0..3 * width * height {
+        let _: u8 = rng.gen();
+    }
+}
+
 /// Work counters for media operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MediaStats {
@@ -117,6 +125,26 @@ pub fn thumbnail(src: &Image, out_w: usize, out_h: usize) -> Option<(Image, Medi
         }
     }
     Some((out, stats))
+}
+
+/// The counters [`thumbnail`] returns for a `src_w × src_h` source,
+/// without reading a pixel. When the target is no larger than the
+/// source, the box-filter windows partition it: every source pixel is
+/// read once and every target pixel written once.
+pub fn thumbnail_stats(
+    src_w: usize,
+    src_h: usize,
+    out_w: usize,
+    out_h: usize,
+) -> Option<MediaStats> {
+    if out_w == 0 || out_h == 0 || out_w > src_w || out_h > src_h {
+        return None;
+    }
+    Some(MediaStats {
+        pixels_read: src_w * src_h,
+        pixels_written: out_w * out_h,
+        frames: 0,
+    })
 }
 
 /// Alpha-blends `mark` onto `frame` at `(x, y)` with 50% opacity.
@@ -172,6 +200,28 @@ pub fn gif_pipeline(frames: &mut [Image], mark: &Image) -> (usize, MediaStats) {
         stats.frames += 1;
     }
     (bytes, stats)
+}
+
+/// What [`gif_pipeline`] returns for `frames` frames of `width × height`
+/// and a `mark_w × mark_h` mark, without touching a pixel: per frame, the
+/// part of the mark inside the frame (it sits at `(4, 4)`) is read twice
+/// and written once, then every pixel is quantized once, and the frame
+/// encodes to one byte per pixel plus a 16-byte header.
+pub fn gif_pipeline_stats(
+    frames: usize,
+    width: usize,
+    height: usize,
+    mark_w: usize,
+    mark_h: usize,
+) -> (usize, MediaStats) {
+    let blended = mark_w.min(width.saturating_sub(4)) * mark_h.min(height.saturating_sub(4));
+    let pixels = width * height;
+    let stats = MediaStats {
+        pixels_read: frames * (2 * blended + pixels),
+        pixels_written: frames * (blended + pixels),
+        frames,
+    };
+    (frames * (pixels + 16), stats)
 }
 
 #[cfg(test)]

@@ -1,9 +1,15 @@
-//! Real algorithm kernels backing the benchmark suite.
+//! Real algorithm kernels behind the benchmark suite, and their
+//! work-unit forms.
 //!
-//! Every benchmark in Table 3 (plus Table 1's JSON workload) executes an
-//! actual algorithm on randomized input; the work counters the kernels
-//! return become JIT work units, so latency scales with input size the way
-//! the paper's graph-based benchmarks do.
+//! Every benchmark in Table 3 (plus Table 1's JSON workload) is an actual
+//! algorithm on randomized input, and its work counters become the
+//! request's JIT work units, so latency scales with input size the way the
+//! paper's graph-based benchmarks do. Next to each algorithm sits the form
+//! the benchmarks call: it makes the same random draws and returns the
+//! same counters without building the discarded output
+//! ([`graph::EdgeList`], [`compress::compress_stats`],
+//! [`html::IntListRender`], [`media::thumbnail_stats`], ...). The
+//! algorithms stay as the oracle those forms are tested against.
 
 pub mod compress;
 pub mod graph;

@@ -70,6 +70,25 @@ pub fn generate_text<R: Rng + ?Sized>(rng: &mut R, words: usize) -> String {
     out
 }
 
+/// The byte length of the text [`generate_text`] would produce, making
+/// the same draws: the words, a space between each two, a dot after each
+/// sentence and a closing dot unless the last word ended one.
+pub fn generated_text_len<R: Rng + ?Sized>(rng: &mut R, words: usize) -> usize {
+    let mut len = words.saturating_sub(1);
+    let mut sentence_len = 0usize;
+    let mut ends_with_dot = false;
+    for _ in 0..words {
+        len += VOCAB[rng.gen_range(0..VOCAB.len())].len();
+        sentence_len += 1;
+        ends_with_dot = sentence_len >= rng.gen_range(5..15);
+        if ends_with_dot {
+            len += 1;
+            sentence_len = 0;
+        }
+    }
+    len + usize::from(!ends_with_dot)
+}
+
 /// Result of a word count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WordCountResult {

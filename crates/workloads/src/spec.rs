@@ -3,10 +3,11 @@
 //! Every benchmark is described declaratively by a [`WorkloadSpec`]: the
 //! runtime it targets, calibration targets (first-request lazy init,
 //! interpreted execution time, fully-optimized speedup, IO time), its
-//! method table, and a *kernel* — a closure running the real algorithm and
-//! returning raw work units. At construction the spec runs the kernel once
-//! at the base input size and derives `µs-per-unit`, so the calibration
-//! targets hold exactly regardless of kernel internals.
+//! method table, and a *kernel* — a closure drawing a random input and
+//! returning the raw work units the benchmark's algorithm performs on it.
+//! At construction the spec runs the kernel at the base input size and
+//! derives `µs-per-unit`, so the calibration targets hold exactly
+//! regardless of kernel internals.
 
 use crate::input::InputVariance;
 use pronghorn_checkpoint::cost::gaussian;
@@ -81,7 +82,7 @@ pub struct WorkloadSpec {
     pub io_stale_sensitivity: f64,
     /// Method table (shares should sum to ~1).
     pub methods: Vec<MethodSpec>,
-    /// The real kernel: `(rng, size_factor) -> raw work units`.
+    /// The kernel: `(rng, size_factor) -> raw work units`.
     pub kernel: KernelFn,
 }
 

@@ -1,8 +1,9 @@
 //! Property-based tests for the benchmark kernels.
 //!
-//! The kernels are real algorithms whose outputs feed the latency model;
-//! these properties pin their correctness on arbitrary inputs, not just
-//! the unit-test vectors.
+//! The kernels are real algorithms. The benchmarks price requests with
+//! their work-unit forms, and `work_units.rs` checks those forms against
+//! these algorithms; these properties pin the algorithms themselves on
+//! arbitrary inputs, not just the unit-test vectors.
 
 #![forbid(unsafe_code)]
 
