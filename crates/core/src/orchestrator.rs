@@ -17,10 +17,11 @@
 
 use crate::policy::{Policy, PolicyKind, StartDecision};
 use crate::pool::PoolEntry;
+use bytes::Bytes;
 use pronghorn_checkpoint::delta::is_delta_frame;
 use pronghorn_checkpoint::{CheckpointOutcome, DeltaFrame, Encoder, Snapshot, SnapshotId};
 use pronghorn_kv::{types as kvtypes, KvCosts, KvStore};
-use pronghorn_restore::{PageMap, PagedSnapshotStore};
+use pronghorn_restore::{PageMap, WorkingSetManifest, DEFAULT_PAGE_SIZE};
 use pronghorn_sim::SimDuration;
 use pronghorn_store::{
     saturating_accumulate, ChainIndex, ChainStats, DownloadPrice, DownloadRequest, ObjectStore,
@@ -31,6 +32,10 @@ use std::collections::BTreeMap;
 
 /// Object-store bucket holding snapshot blobs.
 pub const SNAPSHOT_BUCKET: &str = "snapshots";
+
+/// Object-store bucket holding working-set manifests, one per recorded
+/// snapshot — the only paged objects (page maps are recomputed).
+pub const MANIFESTS_BUCKET: &str = "manifests";
 
 /// Upper bound on a download's parent walk — chains are consolidated at
 /// depth K (≤ 16 in the sweeps), so anything past this is a corrupt or
@@ -176,9 +181,9 @@ pub struct Orchestrator {
     /// record/evict so the Table 5 peak is O(pool) bookkeeping rather than
     /// a download-and-decode scan of every blob.
     pool_sizes: BTreeMap<SnapshotId, u64>,
-    /// Page-granular publication state; present only when a lazy restore
-    /// strategy is active (eager runs never touch the page buckets).
-    paging: Option<PagingState>,
+    /// Page-granular restore support; set only when a lazy restore
+    /// strategy is active (eager runs never touch the manifest bucket).
+    paging: bool,
     /// Delta-chain lineage index; present only when delta checkpointing
     /// is enabled (the full-snapshot path never consults it).
     chains: Option<ChainIndex>,
@@ -194,13 +199,6 @@ pub struct Orchestrator {
     recorded_log: Vec<(SnapshotId, u64)>,
     /// Snapshots pool-evicted since the last drain.
     evicted_log: Vec<SnapshotId>,
-}
-
-/// Bookkeeping for page-granular snapshot publication.
-struct PagingState {
-    pages: PagedSnapshotStore,
-    /// Published page count per snapshot, for exact unpublish on evict.
-    published: BTreeMap<SnapshotId, u32>,
 }
 
 /// Result of a (possibly composed) snapshot download.
@@ -230,7 +228,7 @@ impl Orchestrator {
             overheads: OverheadTotals::default(),
             frame_scratch: Encoder::new(),
             pool_sizes: BTreeMap::new(),
-            paging: None,
+            paging: false,
             chains: None,
             storage: None,
             recorded_log: Vec::new(),
@@ -250,22 +248,56 @@ impl Orchestrator {
         self
     }
 
-    /// Enables page-granular snapshot publication at `page_size`: every
-    /// recorded snapshot additionally publishes its page map into the
-    /// store's page bucket (deduplicated per page), and evictions
-    /// unpublish the pages and drop any recorded working-set manifest.
-    pub fn with_paging(mut self, page_size: u64) -> Self {
-        self.paging = Some(PagingState {
-            pages: PagedSnapshotStore::new(self.store.clone(), page_size),
-            published: BTreeMap::new(),
-        });
+    /// Enables page-granular restore: every recorded snapshot's pages
+    /// become fetchable (see [`Self::page_bytes`]), restores may persist
+    /// working-set manifests, and evictions drop them.
+    pub fn with_paging(mut self) -> Self {
+        self.paging = true;
         self
     }
 
-    /// The paged store view, when paging is enabled — the platform's
-    /// handle for prefetching and demand-faulting pages.
-    pub fn paged_store(&self) -> Option<PagedSnapshotStore> {
-        self.paging.as_ref().map(|p| p.pages.clone())
+    /// Payload bytes a fetch of `pages` of snapshot `id` moves: all of
+    /// them while the snapshot is pooled, none once it is evicted. The
+    /// page map is a pure function of the snapshot, so nothing per page
+    /// is stored.
+    pub fn page_bytes(&self, id: SnapshotId, map: &PageMap, pages: &[u32]) -> u64 {
+        if self.pool_sizes.contains_key(&id) {
+            map.bytes_for(pages)
+        } else {
+            0
+        }
+    }
+
+    /// Loads the working-set manifest recorded for `id`, if any. A corrupt
+    /// manifest decodes as `None` — the restore falls back to recording.
+    pub fn load_manifest(&self, id: SnapshotId) -> Option<WorkingSetManifest> {
+        if !self.paging {
+            return None;
+        }
+        let bytes = self
+            .store
+            .get(MANIFESTS_BUCKET, &self.manifest_key(id))
+            .ok()?;
+        WorkingSetManifest::from_bytes(&bytes).ok()
+    }
+
+    /// Persists a restore's recorded working set — but only while its
+    /// snapshot is pooled (an evicted snapshot's manifest would leak
+    /// forever) — and tells the policy the snapshot is prefetch-ready, so
+    /// selection stops charging it the unrecorded-restore penalty.
+    pub fn persist_manifest(&mut self, manifest: &WorkingSetManifest) {
+        let id = SnapshotId(manifest.snapshot_id());
+        if !self.paging || !self.pool_sizes.contains_key(&id) {
+            return;
+        }
+        let bytes = Bytes::from(manifest.to_bytes());
+        if self
+            .store
+            .put(MANIFESTS_BUCKET, &self.manifest_key(id), bytes)
+            .is_ok()
+        {
+            self.policy.note_prefetch_ready(id);
+        }
     }
 
     /// Enables delta-chain bookkeeping: recorded snapshots register in a
@@ -356,13 +388,6 @@ impl Orchestrator {
         self.chains.as_ref().map(|c| *c.stats()).unwrap_or_default()
     }
 
-    /// Tells the policy a working-set manifest now exists for `id` (the
-    /// recording restore persisted it): selection may stop charging that
-    /// snapshot the unrecorded-restore penalty.
-    pub fn note_manifest_recorded(&mut self, id: SnapshotId) {
-        self.policy.note_prefetch_ready(id);
-    }
-
     /// The policy being orchestrated.
     pub fn policy(&self) -> &dyn Policy {
         self.policy.as_ref()
@@ -384,6 +409,10 @@ impl Orchestrator {
 
     fn blob_key(&self, id: SnapshotId) -> String {
         format!("{}/{id}", self.function)
+    }
+
+    fn manifest_key(&self, id: SnapshotId) -> String {
+        format!("{}/{:020}", self.function, id.0)
     }
 
     /// Fixed compute cost of the start decision, per policy kind. The
@@ -576,8 +605,7 @@ impl Orchestrator {
     /// the leaf's page map, so sizing the touched pages against it prices
     /// the composed fetch without walking the chain.
     fn working_set_of(&self, id: SnapshotId, snapshot: &Snapshot) -> Option<(u64, usize)> {
-        let paging = self.paging.as_ref()?;
-        let manifest = paging.pages.load_manifest(&self.function, id.0)?;
+        let manifest = self.load_manifest(id)?;
         if manifest.is_empty() {
             return None;
         }
@@ -585,7 +613,7 @@ impl Orchestrator {
             &self.function,
             snapshot.payload_hash(),
             snapshot.nominal_size,
-            paging.pages.page_size(),
+            DEFAULT_PAGE_SIZE,
         );
         let pages = manifest.to_sorted_vec();
         Some((map.bytes_for(&pages), pages.len()))
@@ -745,21 +773,10 @@ impl Orchestrator {
             }
             self.pool_sizes.insert(snapshot.id, stored_nominal);
             self.recorded_log.push((snapshot.id, stored_nominal));
-            if let Some(paging) = &mut self.paging {
-                // Publish the page map alongside the blob. Page descriptors
-                // are content-addressed, so base-region pages dedup across
-                // snapshots and twin heaps share blobs (one extra metadata
-                // write's worth of orchestration cost).
-                let map = PageMap::for_snapshot(
-                    &self.function,
-                    snapshot.payload_hash(),
-                    snapshot.nominal_size,
-                    paging.pages.page_size(),
-                );
-                if let Ok(count) = paging.pages.publish(&self.function, snapshot.id.0, &map) {
-                    paging.published.insert(snapshot.id, count);
-                    overhead_us += self.kv_costs.write_us;
-                }
+            if self.paging {
+                // The snapshot's page table is metadata the restore path
+                // maps from: one extra metadata write's worth of cost.
+                overhead_us += self.kv_costs.write_us;
             }
             let evicted = self.policy.on_snapshot_taken(
                 PoolEntry {
@@ -793,11 +810,11 @@ impl Orchestrator {
                 }
                 self.pool_sizes.remove(&entry.id);
                 self.evicted_log.push(entry.id);
-                if let Some(paging) = &mut self.paging {
-                    if let Some(count) = paging.published.remove(&entry.id) {
-                        paging.pages.unpublish(&self.function, entry.id.0, count);
-                    }
-                    paging.pages.delete_manifest(&self.function, entry.id.0);
+                if self.paging {
+                    // Idempotent: most snapshots never record a manifest.
+                    let _ = self
+                        .store
+                        .delete(MANIFESTS_BUCKET, &self.manifest_key(entry.id));
                 }
                 overhead_us += self.kv_costs.write_us;
             }
@@ -844,7 +861,6 @@ mod tests {
     use crate::baselines::CheckpointAfterFirstPolicy;
     use crate::config::PolicyConfig;
     use crate::request_centric::RequestCentricPolicy;
-    use bytes::Bytes;
     use pronghorn_checkpoint::{SnapshotDelta, SnapshotMeta};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -1015,45 +1031,110 @@ mod tests {
         assert_eq!(orch.policy().pool_len(), store.stats().objects as usize);
     }
 
-    #[test]
-    fn paging_publishes_and_evicts_pages_and_manifests() {
-        use pronghorn_restore::{WorkingSetManifest, DEFAULT_PAGE_SIZE, PAGES_BUCKET};
-        let config = PolicyConfig::paper_pypy().with_capacity(2).with_beta(4);
-        let store = ObjectStore::new();
-        let mut orch = Orchestrator::new(
-            Box::new(RequestCentricPolicy::new(config)),
-            KvStore::new(),
-            store.clone(),
+    fn manifest_of(snap: &Snapshot, pages: &[u32]) -> WorkingSetManifest {
+        let mut manifest = WorkingSetManifest::new("f", snap.id.0, DEFAULT_PAGE_SIZE);
+        manifest.record_all(pages);
+        manifest
+    }
+
+    fn page_map_of(snap: &Snapshot) -> PageMap {
+        PageMap::for_snapshot(
             "f",
+            snap.payload_hash(),
+            snap.nominal_size,
+            DEFAULT_PAGE_SIZE,
         )
-        .with_paging(DEFAULT_PAGE_SIZE);
-        let paged = orch.paged_store().unwrap();
+    }
+
+    #[test]
+    fn pages_are_fetchable_exactly_while_pooled() {
+        let mut orch = orchestrator(Box::new(LatestOnlyPolicy { pooled: None })).with_paging();
         let mut rng = SmallRng::seed_from_u64(31);
-        let first = snapshot(0, 0);
+        let first = snapshot(1, 1);
+        let map = page_map_of(&first);
+        let pages = [0, 1, 5, map.page_count() - 1];
+        // Not yet recorded: nothing to fetch.
+        assert_eq!(orch.page_bytes(first.id, &map, &pages), 0);
         orch.record_snapshot(&first, SimDuration::from_millis(70), &mut rng);
-        // 12 MiB at 256 KiB pages = 48 page objects.
-        assert_eq!(store.list(PAGES_BUCKET).len(), 48);
-        // Record a manifest for the first snapshot, then force evictions.
-        let mut manifest = WorkingSetManifest::new("f", first.id.0, DEFAULT_PAGE_SIZE);
-        manifest.record_all(&[0, 1, 5]);
-        paged.store_manifest(&manifest).unwrap();
-        orch.note_manifest_recorded(first.id);
-        for i in 1..8 {
-            let snap = snapshot(i, i as u8);
-            orch.record_snapshot(&snap, SimDuration::from_millis(70), &mut rng);
-        }
-        // Pages of evicted snapshots are unpublished; at most two
-        // snapshots' worth of page objects remain.
-        assert!(store.list(PAGES_BUCKET).len() <= 2 * 48);
-        // If the first snapshot was evicted, its manifest went with it.
-        if orch.policy().snapshot_request_number(first.id).is_none() {
-            assert!(paged.load_manifest("f", first.id.0).is_none());
-        }
+        assert_eq!(
+            orch.page_bytes(first.id, &map, &pages),
+            map.bytes_for(&pages)
+        );
+        assert_eq!(orch.page_bytes(first.id, &map, &[]), 0);
+        // The next recording evicts it; a lazily restored worker that
+        // outlives its snapshot fetches nothing more.
+        orch.record_snapshot(&snapshot(2, 2), SimDuration::from_millis(70), &mut rng);
+        assert_eq!(orch.page_bytes(first.id, &map, &pages), 0);
+        // No per-page objects: only the two snapshot blobs were ever put.
+        assert_eq!(orch.store.stats().puts, 2);
+    }
+
+    #[test]
+    fn evicted_snapshot_loses_its_manifest() {
+        let mut orch = orchestrator(Box::new(LatestOnlyPolicy { pooled: None })).with_paging();
+        let mut rng = SmallRng::seed_from_u64(32);
+        let first = snapshot(1, 1);
+        orch.record_snapshot(&first, SimDuration::from_millis(70), &mut rng);
+        let manifest = manifest_of(&first, &[3, 1, 4]);
+        orch.persist_manifest(&manifest);
+        assert_eq!(orch.load_manifest(first.id), Some(manifest));
+        assert_eq!(orch.store.list(MANIFESTS_BUCKET).len(), 1);
+        orch.record_snapshot(&snapshot(2, 2), SimDuration::from_millis(70), &mut rng);
+        assert!(orch.load_manifest(first.id).is_none());
+        assert!(orch.store.list(MANIFESTS_BUCKET).is_empty());
+    }
+
+    #[test]
+    fn recording_for_an_unpooled_snapshot_is_not_persisted() {
+        let mut orch = orchestrator(Box::new(LatestOnlyPolicy { pooled: None })).with_paging();
+        let mut rng = SmallRng::seed_from_u64(33);
+        // Never recorded.
+        let stray = snapshot(1, 1);
+        orch.persist_manifest(&manifest_of(&stray, &[0]));
+        // Recorded, then evicted before its restore's recording grew.
+        let evicted = snapshot(2, 2);
+        orch.record_snapshot(&evicted, SimDuration::from_millis(70), &mut rng);
+        orch.record_snapshot(&snapshot(3, 3), SimDuration::from_millis(70), &mut rng);
+        orch.persist_manifest(&manifest_of(&evicted, &[0]));
+        assert!(orch.store.list(MANIFESTS_BUCKET).is_empty());
+        assert!(orch.load_manifest(stray.id).is_none());
+        assert!(orch.load_manifest(evicted.id).is_none());
+    }
+
+    #[test]
+    fn corrupt_manifest_prices_the_download_without_a_working_set() {
+        let mut orch = orchestrator(Box::new(CheckpointAfterFirstPolicy::new()))
+            .with_paging()
+            .with_storage(StoragePolicy::disabled().with_composed_prefetch());
+        let mut rng = SmallRng::seed_from_u64(34);
+        orch.begin_worker(&mut rng);
+        let snap = snapshot(1, 7);
+        orch.record_snapshot(&snap, SimDuration::from_millis(65), &mut rng);
+        let pages = [0, 2, 9];
+        orch.persist_manifest(&manifest_of(&snap, &pages));
+        // A recorded working set: the download moves only those pages.
+        let plan = orch.begin_worker(&mut rng);
+        assert_eq!(plan.start, StartDecision::Restore(snap.id));
+        assert_eq!(plan.download_nominal, page_map_of(&snap).bytes_for(&pages));
+        assert_eq!(orch.storage_stats().composed_prefetches, 1);
+        // Garbage over the stored manifest decodes as no manifest, and the
+        // download falls back to the whole image.
+        orch.store
+            .put(
+                MANIFESTS_BUCKET,
+                &orch.manifest_key(snap.id),
+                Bytes::from_static(b"not a manifest"),
+            )
+            .unwrap();
+        assert!(orch.load_manifest(snap.id).is_none());
+        let plan = orch.begin_worker(&mut rng);
+        assert_eq!(plan.start, StartDecision::Restore(snap.id));
+        assert_eq!(plan.download_nominal, snap.nominal_size);
+        assert_eq!(orch.storage_stats().composed_prefetches, 1);
     }
 
     #[test]
     fn eager_orchestrator_never_touches_page_buckets() {
-        use pronghorn_restore::{MANIFESTS_BUCKET, PAGES_BUCKET};
         let store = ObjectStore::new();
         let mut orch = Orchestrator::new(
             Box::new(CheckpointAfterFirstPolicy::new()),
@@ -1061,11 +1142,14 @@ mod tests {
             store.clone(),
             "f",
         );
-        assert!(orch.paged_store().is_none());
-        let mut rng = SmallRng::seed_from_u64(32);
-        orch.record_snapshot(&snapshot(1, 1), SimDuration::from_millis(65), &mut rng);
-        assert!(store.list(PAGES_BUCKET).is_empty());
+        let mut rng = SmallRng::seed_from_u64(35);
+        let snap = snapshot(1, 1);
+        orch.record_snapshot(&snap, SimDuration::from_millis(65), &mut rng);
+        // Without paging a recording is never persisted or loaded.
+        orch.persist_manifest(&manifest_of(&snap, &[0, 1]));
+        assert!(orch.load_manifest(snap.id).is_none());
         assert!(store.list(MANIFESTS_BUCKET).is_empty());
+        assert_eq!(store.list(SNAPSHOT_BUCKET).len(), 1);
     }
 
     /// Pools only the newest snapshot, evicting the previous one — the

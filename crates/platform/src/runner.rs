@@ -18,8 +18,7 @@ use pronghorn_jit::{RequestWork, Runtime};
 use pronghorn_kv::KvStore;
 use pronghorn_metrics::Histogram;
 use pronghorn_restore::{
-    FaultCostModel, LazyImage, PageMap, PagedSnapshotStore, RestoreInfo, RestoreStrategy,
-    DEFAULT_PAGE_SIZE,
+    FaultCostModel, LazyImage, PageMap, RestoreInfo, RestoreStrategy, DEFAULT_PAGE_SIZE,
 };
 use pronghorn_sim::{RngFactory, SimDuration, SimTime};
 use pronghorn_store::{
@@ -121,7 +120,7 @@ pub struct ProductionStats {
 }
 
 /// One deployment's orchestration state: the orchestrator (policy,
-/// snapshot pool, Database) with its object store and paged view, the
+/// snapshot pool, Database) with its object store, the
 /// predictive provisioner, and the RNG stream names its workers draw
 /// from. Every runner drives one, except [`crate::run_partitioned`],
 /// which drives one per input class.
@@ -134,8 +133,6 @@ pub(crate) struct Deployment {
     worker_seq: u64,
     pub(crate) orch: Orchestrator,
     store: ObjectStore,
-    /// Page-granular store view; `Some` iff the strategy is non-eager.
-    paged: Option<PagedSnapshotStore>,
     /// Predictive-provisioning decision state; `None` when disabled, so
     /// the reactive path carries (and mutates) nothing.
     provisioner: Option<Provisioner>,
@@ -170,7 +167,7 @@ impl Deployment {
         let policy = make_policy(cfg.policy, policy_config);
         let mut orch = Orchestrator::new(policy, KvStore::new(), store.clone(), label.as_str());
         if cfg.restore != RestoreStrategy::Eager {
-            orch = orch.with_paging(DEFAULT_PAGE_SIZE);
+            orch = orch.with_paging();
         }
         if cfg.delta.enabled() {
             orch = orch.with_delta_chains();
@@ -183,7 +180,6 @@ impl Deployment {
             worker_stream: format!("worker{suffix}"),
             boot_stream: format!("boot{suffix}"),
             worker_seq: 0,
-            paged: orch.paged_store(),
             orch,
             store,
             provisioner: Provisioner::new(cfg.provision),
@@ -192,18 +188,14 @@ impl Deployment {
         }
     }
 
-    /// The deterministic page decomposition of `snapshot`, matching what
-    /// the orchestrator published into the page bucket.
+    /// The deterministic page decomposition of `snapshot` — a pure
+    /// function of the snapshot, so it is recomputed, never stored.
     fn page_map(&self, snapshot: &Snapshot) -> PageMap {
-        let page_size = self
-            .paged
-            .as_ref()
-            .map_or(DEFAULT_PAGE_SIZE, PagedSnapshotStore::page_size);
         PageMap::for_snapshot(
             &self.label,
             snapshot.payload_hash(),
             snapshot.nominal_size,
-            page_size,
+            DEFAULT_PAGE_SIZE,
         )
     }
 
@@ -489,14 +481,14 @@ impl<'w> Session<'w> {
             ..RestoreInfo::default()
         };
         let recorded = (strategy == RestoreStrategy::RecordPrefetch)
-            .then(|| dep.paged.as_ref()?.load_manifest(function, id))
+            .then(|| dep.orch.load_manifest(snapshot.id))
             .flatten();
         let Some(manifest) = recorded else {
             // Lazy maps on fault; the first record-prefetch restore of a
             // snapshot records its working set, which serve() persists as
             // the manifest.
             let image = match strategy {
-                RestoreStrategy::Lazy => LazyImage::new(function, id, map),
+                RestoreStrategy::Lazy => LazyImage::new(id, map),
                 _ => LazyImage::with_recording(function, id, map),
             };
             return Some((runtime, info, Some(image)));
@@ -505,13 +497,8 @@ impl<'w> Session<'w> {
         // bulk-prefetch it in one batched transfer and fault only the cold
         // tail.
         let pages = manifest.to_sorted_vec();
-        let mut image = LazyImage::new(function, id, map);
-        let bytes = match &dep.paged {
-            Some(paged) => paged
-                .fetch_pages(function, id, image.map(), &pages)
-                .unwrap_or(0),
-            None => 0,
-        };
+        let bytes = dep.orch.page_bytes(snapshot.id, &map, &pages);
+        let mut image = LazyImage::new(id, map);
         image.mark_prefetched(&pages);
         info.prefetched_pages = pages.len() as u32;
         info.bytes_transferred = bytes;
@@ -664,12 +651,8 @@ impl<'w> Session<'w> {
                 .page_access_trace(&request, image.map().page_count());
             let touches = image.first_touches(&trace);
             if !touches.is_empty() {
-                let fetched = match &dep.paged {
-                    Some(paged) => paged
-                        .fetch_pages(image.function(), image.snapshot_id(), image.map(), &touches)
-                        .unwrap_or(0),
-                    None => 0,
-                };
+                let id = SnapshotId(image.snapshot_id());
+                let fetched = dep.orch.page_bytes(id, image.map(), &touches);
                 // Faults are served one at a time (no batching on the
                 // demand path), so each pays the full service + transfer.
                 // With a storage tier, each fault routes through it: SSD
@@ -715,18 +698,11 @@ impl<'w> Session<'w> {
                 }
             }
             // A recording restore persists its working set once the trace
-            // grows — but only while the snapshot is still pooled (an
-            // evicted snapshot's manifest would leak forever).
+            // grows (the orchestrator keeps it only while the snapshot is
+            // pooled).
             if image.recording_dirty() {
-                if let (Some(paged), Some(manifest)) = (&dep.paged, image.recording()) {
-                    let id = SnapshotId(image.snapshot_id());
-                    if dep.orch.policy().snapshot_request_number(id).is_some() {
-                        if let Ok(was_new) = paged.store_manifest(manifest) {
-                            if was_new {
-                                dep.orch.note_manifest_recorded(id);
-                            }
-                        }
-                    }
+                if let Some(manifest) = image.recording() {
+                    dep.orch.persist_manifest(manifest);
                 }
                 image.clear_dirty();
             }
@@ -810,12 +786,8 @@ impl<'w> Session<'w> {
         if let Some(image) = worker.image.as_mut() {
             let absent = image.absent_pages();
             if !absent.is_empty() {
-                let fetched = match &dep.paged {
-                    Some(paged) => paged
-                        .fetch_pages(image.function(), image.snapshot_id(), image.map(), &absent)
-                        .unwrap_or(0),
-                    None => 0,
-                };
+                let id = SnapshotId(image.snapshot_id());
+                let fetched = dep.orch.page_bytes(id, image.map(), &absent);
                 image.mark_prefetched(&absent);
                 self.out.provision_us +=
                     self.fault_costs
@@ -1127,7 +1099,7 @@ mod tests {
         assert_eq!(r.restore_infos.len(), r.restores());
         assert!(r.total_faults() > 0, "lazy restores must demand-fault");
         assert_eq!(r.prefetched_pages(), 0);
-        // Every fault moved bytes from the page bucket.
+        // Every fault moved bytes of the pooled snapshot.
         assert!(r.restore_bytes() > 0);
     }
 

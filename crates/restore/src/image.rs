@@ -15,7 +15,6 @@ use crate::page::PageMap;
 /// Residency and recording state for one lazily-restored worker.
 #[derive(Debug, Clone)]
 pub struct LazyImage {
-    function: String,
     snapshot_id: u64,
     map: PageMap,
     resident: BTreeSet<u32>,
@@ -26,9 +25,8 @@ pub struct LazyImage {
 impl LazyImage {
     /// A lazy image with no recording (plain `Lazy`, or a prefetched
     /// `RecordPrefetch` restore).
-    pub fn new(function: &str, snapshot_id: u64, map: PageMap) -> Self {
+    pub fn new(snapshot_id: u64, map: PageMap) -> Self {
         LazyImage {
-            function: function.to_string(),
             snapshot_id,
             map,
             resident: BTreeSet::new(),
@@ -43,18 +41,13 @@ impl LazyImage {
         let recording = WorkingSetManifest::new(function, snapshot_id, map.page_size());
         LazyImage {
             recording: Some(recording),
-            ..LazyImage::new(function, snapshot_id, map)
+            ..LazyImage::new(snapshot_id, map)
         }
     }
 
     /// The snapshot this image restores.
     pub fn snapshot_id(&self) -> u64 {
         self.snapshot_id
-    }
-
-    /// The owning function.
-    pub fn function(&self) -> &str {
-        &self.function
     }
 
     /// The page map backing the image.
@@ -135,7 +128,7 @@ mod tests {
         if recording {
             LazyImage::with_recording("BFS", 1, map)
         } else {
-            LazyImage::new("BFS", 1, map)
+            LazyImage::new(1, map)
         }
     }
 

@@ -10,12 +10,13 @@
 //! clock:
 //!
 //! - [`PageMap`] slices a snapshot payload into fixed-size pages with
-//!   deterministic content addresses, so the object store's dedup
-//!   refcounting applies at page granularity;
-//! - [`PagedSnapshotStore`] publishes page descriptors and working-set
-//!   manifests into an [`pronghorn_store::ObjectStore`];
+//!   deterministic content addresses. It is a pure function of the
+//!   snapshot, so it is recomputed wherever it is needed and never
+//!   stored; the orchestrator decides which pages can be fetched (all of
+//!   them while the snapshot is pooled, none after it is evicted);
 //! - [`WorkingSetManifest`] is the recorded set of touched pages, with a
-//!   versioned binary codec;
+//!   versioned binary codec — the one paged object the orchestrator
+//!   keeps in its object store, one per recorded snapshot;
 //! - [`LazyImage`] is a restored-but-unmapped snapshot image that tracks
 //!   residency and first-touch faults per request;
 //! - [`RestoreStrategy`] selects eager / lazy / record-prefetch restore,
@@ -24,8 +25,7 @@
 //!   prefetch on the virtual clock.
 //!
 //! Everything here is deterministic: page maps and manifests iterate in
-//! ascending page order, page keys are zero-padded so store listings sort
-//! numerically, and no RNG is consumed anywhere in the crate.
+//! ascending page order, and no RNG is consumed anywhere in the crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,12 +34,10 @@ pub mod fault;
 pub mod image;
 pub mod manifest;
 pub mod page;
-pub mod paged;
 pub mod strategy;
 
 pub use fault::FaultCostModel;
 pub use image::LazyImage;
 pub use manifest::{ManifestError, WorkingSetManifest, MANIFEST_MAGIC, MANIFEST_VERSION};
 pub use page::{PageMap, DEFAULT_PAGE_SIZE};
-pub use paged::{PagedSnapshotStore, MANIFESTS_BUCKET, PAGES_BUCKET};
 pub use strategy::{RestoreInfo, RestoreStrategy};

@@ -72,11 +72,6 @@ impl WorkingSetManifest {
         }
     }
 
-    /// The owning function.
-    pub fn function(&self) -> &str {
-        &self.function
-    }
-
     /// The recorded snapshot's id.
     pub fn snapshot_id(&self) -> u64 {
         self.snapshot_id

@@ -1,24 +1,23 @@
 //! The page-granular snapshot memory model.
 //!
 //! A snapshot payload is sliced into fixed-size pages, each with a
-//! deterministic 64-bit content address. Two regions get different
-//! addressing so the store's dedup refcounting matches how real snapshot
-//! memory behaves:
+//! deterministic 64-bit content address (the storage tier seeds a page's
+//! modeled compression ratio with it). Two regions get different
+//! addressing so that addresses match how real snapshot memory behaves:
 //!
 //! - the **base region** (first quarter of the image, at least one page)
 //!   holds runtime text and never-written data segments — identical
 //!   across every snapshot of the same function, so its page addresses
-//!   are keyed by `(function, index)` and dedup across snapshots;
+//!   are keyed by `(function, index)` and shared across snapshots;
 //! - the **heap region** (the rest) is checkpoint-specific, keyed by
 //!   `(payload_hash, index)` — twin snapshots with byte-identical
-//!   payloads still dedup (PR 1's refcounting), distinct checkpoints do
-//!   not.
+//!   payloads share it, distinct checkpoints do not.
 
 use pronghorn_sim::hash::{fnv1a, mix64};
 
 /// Default page size: 256 KiB. Large enough that a Table 4 snapshot maps
-/// to tens-to-hundreds of pages (tractable per-page store objects), small
-/// enough that working sets resolve well below the full image.
+/// to tens-to-hundreds of pages (cheap maps and manifests), small enough
+/// that working sets resolve well below the full image.
 pub const DEFAULT_PAGE_SIZE: u64 = 256 * 1024;
 
 /// Salt separating base-region page addresses from other hash domains.

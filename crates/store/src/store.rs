@@ -438,41 +438,6 @@ impl ObjectStore {
         Ok(chunks)
     }
 
-    /// Downloads many objects from one bucket in a single batched
-    /// operation — the transport for a working-set prefetch. Missing keys
-    /// yield `None` in their slot instead of failing the batch; resident
-    /// objects are verified and reassembled like [`Self::get`]. The whole
-    /// batch counts as one `get` in the accounting stats.
-    pub fn get_many(&self, bucket: &str, keys: &[&str]) -> Result<Vec<Option<Bytes>>, StoreError> {
-        let mut inner = self.inner.lock();
-        let mut out = Vec::with_capacity(keys.len());
-        let mut bytes = 0u64;
-        for key in keys {
-            let Some(object) = inner.buckets.get(bucket).and_then(|b| b.get(*key)) else {
-                out.push(None);
-                continue;
-            };
-            inner.verify(object)?;
-            let data = match object.blob {
-                None => object.head.clone(),
-                Some(hash) => {
-                    let blob = &inner.blobs[&hash].data;
-                    let mut buf =
-                        Vec::with_capacity(object.head.len() + blob.len() + object.tail.len());
-                    buf.extend_from_slice(&object.head);
-                    buf.extend_from_slice(blob);
-                    buf.extend_from_slice(&object.tail);
-                    Bytes::from(buf)
-                }
-            };
-            bytes += data.len() as u64;
-            out.push(Some(data));
-        }
-        saturating_accumulate("bytes_downloaded", &mut inner.stats.bytes_downloaded, bytes);
-        inner.stats.gets += 1;
-        Ok(out)
-    }
-
     /// Returns metadata without transferring the object.
     pub fn head(&self, bucket: &str, key: &str) -> Result<ObjectMeta, StoreError> {
         let inner = self.inner.lock();
@@ -738,29 +703,5 @@ mod tests {
         s.put("z", "a", payload.clone()).unwrap();
         s.put("z", "b", payload.clone()).unwrap();
         assert_eq!(s.stats().bytes_stored, 24 * 2 + 200 + 200 + 200);
-    }
-
-    #[test]
-    fn get_many_batches_with_holes() {
-        let s = ObjectStore::new();
-        s.put("b", "k0", Bytes::from_static(b"aa")).unwrap();
-        let (h, p, t) = chunked(1, &blob(100));
-        s.put_chunked("b", "k2", h, p, t).unwrap();
-        let before = s.stats();
-        let got = s.get_many("b", &["k0", "missing", "k2"]).unwrap();
-        assert_eq!(got.len(), 3);
-        assert_eq!(got[0].as_deref(), Some(&b"aa"[..]));
-        assert!(got[1].is_none());
-        assert_eq!(got[2].as_ref().unwrap().len(), 124);
-        let after = s.stats();
-        // The whole batch is one accounted get; bytes cover both hits.
-        assert_eq!(after.gets, before.gets + 1);
-        assert_eq!(after.bytes_downloaded, before.bytes_downloaded + 2 + 124);
-    }
-
-    #[test]
-    fn get_many_of_nothing_is_empty() {
-        let s = ObjectStore::new();
-        assert_eq!(s.get_many("b", &[]).unwrap(), Vec::new());
     }
 }
