@@ -616,7 +616,7 @@ pub fn kernel_misuse(files: &[XFile<'_>]) -> Vec<Finding> {
                         "kernel-misuse",
                         "hand-rolled `BinaryHeap` event list in a crate that handles \
                          `SimTime`: the pop order of a bare heap has no `(at, seq)` \
-                         FIFO tie-break; drive events through `pronghorn_sim::Kernel`, \
+                         FIFO tie-break; drive events through `pronghorn_sim::TimerWheel`, \
                          or annotate `// pronglint: allow(kernel-misuse): <why>`"
                             .to_string(),
                     ));

@@ -11,7 +11,7 @@ use crate::cost::CheckpointCostModel;
 use crate::delta::{
     diff_payload, CheckpointOutcome, DeltaBase, SnapshotDelta, PAYLOAD_DIFF_PAGE_SIZE,
 };
-use crate::snapshot::{Snapshot, SnapshotFormatError, SnapshotMeta};
+use crate::snapshot::{Snapshot, SnapshotMeta};
 use crate::stats::CodecStats;
 use bytes::Bytes;
 use pronghorn_sim::SimDuration;
@@ -96,8 +96,6 @@ impl CheckpointScratch {
 /// Errors surfaced by checkpoint/restore operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
-    /// The snapshot container failed validation.
-    Format(SnapshotFormatError),
     /// The payload decoded but did not describe a valid process state.
     State(CodecError),
 }
@@ -105,19 +103,12 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EngineError::Format(e) => write!(f, "snapshot format error: {e}"),
             EngineError::State(e) => write!(f, "process state error: {e}"),
         }
     }
 }
 
 impl std::error::Error for EngineError {}
-
-impl From<SnapshotFormatError> for EngineError {
-    fn from(e: SnapshotFormatError) -> Self {
-        EngineError::Format(e)
-    }
-}
 
 impl From<CodecError> for EngineError {
     fn from(e: CodecError) -> Self {
@@ -323,37 +314,6 @@ impl SimCriuEngine {
         dec.finish().map_err(EngineError::State)?;
         Ok(process)
     }
-
-    /// Restores from transport bytes (store download), validating framing.
-    pub fn restore_from_bytes<T, R>(
-        &self,
-        rng: &mut R,
-        bytes: &[u8],
-    ) -> Result<(T, Snapshot, SimDuration), EngineError>
-    where
-        T: Checkpointable,
-        R: Rng + ?Sized,
-    {
-        let snapshot = Snapshot::from_bytes(bytes)?;
-        let (process, cost) = self.restore(rng, &snapshot)?;
-        Ok((process, snapshot, cost))
-    }
-
-    /// Like [`Self::restore_from_bytes`], but zero-copy: the snapshot's
-    /// payload shares `bytes` instead of being copied out of it.
-    pub fn restore_from_shared<T, R>(
-        &self,
-        rng: &mut R,
-        bytes: &Bytes,
-    ) -> Result<(T, Snapshot, SimDuration), EngineError>
-    where
-        T: Checkpointable,
-        R: Rng + ?Sized,
-    {
-        let snapshot = Snapshot::from_shared(bytes)?;
-        let (process, cost) = self.restore(rng, &snapshot)?;
-        Ok((process, snapshot, cost))
-    }
 }
 
 #[cfg(test)]
@@ -410,23 +370,6 @@ mod tests {
         let (restored, rest_cost): (Counter, _) = engine.restore(&mut rng, &snap).unwrap();
         assert!(rest_cost > SimDuration::ZERO);
         assert_eq!(restored, process);
-    }
-
-    #[test]
-    fn restore_from_transport_bytes() {
-        let engine = SimCriuEngine::new();
-        let mut rng = SmallRng::seed_from_u64(4);
-        let process = Counter {
-            value: 7,
-            history: vec![],
-        };
-        let (snap, _) = engine.checkpoint(&mut rng, &process, meta());
-        let bytes = snap.to_bytes();
-        let (restored, snap2, _) = engine
-            .restore_from_bytes::<Counter, _>(&mut rng, &bytes)
-            .unwrap();
-        assert_eq!(restored, process);
-        assert_eq!(snap2, snap);
     }
 
     /// Counter variant that reports a state version for dirty tracking.
@@ -594,23 +537,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_from_shared_is_zero_copy() {
-        let engine = SimCriuEngine::new();
-        let mut rng = SmallRng::seed_from_u64(25);
-        let process = Counter {
-            value: 7,
-            history: vec![4.0],
-        };
-        let (snap, _) = engine.checkpoint(&mut rng, &process, meta());
-        let framed = snap.to_bytes();
-        let (restored, snap2, _) = engine
-            .restore_from_shared::<Counter, _>(&mut rng, &framed)
-            .unwrap();
-        assert_eq!(restored, process);
-        assert_eq!(snap2, snap);
-    }
-
-    #[test]
     fn corrupt_payload_is_a_state_error() {
         let engine = SimCriuEngine::new();
         let mut rng = SmallRng::seed_from_u64(5);
@@ -642,16 +568,6 @@ mod tests {
             err,
             EngineError::State(CodecError::TrailingBytes { remaining: 1 })
         ));
-    }
-
-    #[test]
-    fn corrupt_transport_is_a_format_error() {
-        let engine = SimCriuEngine::new();
-        let mut rng = SmallRng::seed_from_u64(7);
-        let err = engine
-            .restore_from_bytes::<Counter, _>(&mut rng, b"junk")
-            .unwrap_err();
-        assert!(matches!(err, EngineError::Format(_)));
     }
 
     #[test]

@@ -501,10 +501,13 @@ mod tests {
         let restored = Snapshot::from_shared(&framed).unwrap();
         assert_eq!(restored, snap);
         let header_len = framed.len() - snap.payload.len() - 8;
-        assert_eq!(
-            &framed[header_len..header_len + snap.payload.len()],
-            &restored.payload[..]
-        );
+        let in_frame = &framed[header_len..header_len + snap.payload.len()];
+        assert_eq!(in_frame, &restored.payload[..]);
+        // Zero-copy: the payload points into the frame's own buffer.
+        assert_eq!(restored.payload.as_ptr(), in_frame.as_ptr());
+        // `from_bytes` copies the payload out instead.
+        let copied = Snapshot::from_bytes(&framed).unwrap();
+        assert_ne!(copied.payload.as_ptr(), in_frame.as_ptr());
     }
 
     #[test]
@@ -593,6 +596,8 @@ mod tests {
         let bytes = sample().to_bytes();
         assert!(Snapshot::from_bytes(&bytes[..bytes.len() - 3]).is_err());
         assert!(Snapshot::from_bytes(&[]).is_err());
+        assert!(Snapshot::from_bytes(b"junk").is_err());
+        assert!(Snapshot::from_shared(&Bytes::from_static(b"junk")).is_err());
     }
 
     #[test]

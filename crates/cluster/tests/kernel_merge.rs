@@ -2,18 +2,18 @@
 //!
 //! The cluster runner drives all nodes from one global kernel. This test
 //! pins the alternative decomposition — one kernel per node, merged by
-//! `(time, global arrival seq)` — to the single-queue reference: for any
+//! `(time, global arrival seq)` — to the single-kernel reference: for any
 //! arrival set, the per-node kernels popped and merged yield exactly the
-//! global kernel's pop order, under every combination of `KernelKind`s.
+//! global kernel's pop order.
 
 #![forbid(unsafe_code)]
 
 use pronghorn_cluster::HashRing;
-use pronghorn_sim::{Kernel, KernelKind, SimTime};
+use pronghorn_sim::{SimTime, TimerWheel};
 use proptest::prelude::*;
 
 /// Pops everything out of `kernel`, tagging each event with its pop time.
-fn drain(kernel: &mut Kernel<u64>) -> Vec<(SimTime, u64)> {
+fn drain(kernel: &mut TimerWheel<u64>) -> Vec<(SimTime, u64)> {
     let mut out = Vec::new();
     while let Some((at, seq)) = kernel.pop() {
         out.push((at, seq));
@@ -21,18 +21,18 @@ fn drain(kernel: &mut Kernel<u64>) -> Vec<(SimTime, u64)> {
     out
 }
 
-/// Runs one arrival set through the reference single queue and through
-/// per-node queues + merge, asserting identical order.
-fn check(arrivals: &[(u64, u32)], nodes: u32, reference_kind: KernelKind, node_kind: KernelKind) {
+/// Runs one arrival set through the reference single kernel and through
+/// per-node kernels + merge, asserting identical order.
+fn check(arrivals: &[(u64, u32)], nodes: u32) {
     // Reference: one global kernel; insertion order is the global seq.
-    let mut global: Kernel<u64> = Kernel::new(reference_kind);
+    let mut global = TimerWheel::new();
     for (seq, &(at, _)) in arrivals.iter().enumerate() {
         global.schedule(SimTime::from_micros(at), seq as u64);
     }
     let expected = drain(&mut global);
 
     // Sharded: one kernel per node, same global seq payloads.
-    let mut shards: Vec<Kernel<u64>> = (0..nodes).map(|_| Kernel::new(node_kind)).collect();
+    let mut shards: Vec<TimerWheel<u64>> = (0..nodes).map(|_| TimerWheel::new()).collect();
     for (seq, &(at, node)) in arrivals.iter().enumerate() {
         shards[(node % nodes) as usize].schedule(SimTime::from_micros(at), seq as u64);
     }
@@ -40,31 +40,27 @@ fn check(arrivals: &[(u64, u32)], nodes: u32, reference_kind: KernelKind, node_k
     for shard in &mut shards {
         merged.extend(drain(shard));
     }
-    // The single-queue reference breaks same-instant ties by insertion
+    // The single-kernel reference breaks same-instant ties by insertion
     // order, which is exactly the global seq — so the merge key is
     // (time, seq).
     merged.sort_unstable_by_key(|&(at, seq)| (at, seq));
 
     assert_eq!(
         merged, expected,
-        "merge of {nodes} {node_kind:?} shards diverged from the {reference_kind:?} reference"
+        "merge of {nodes} shards diverged from the single-kernel reference"
     );
 }
 
 proptest! {
     /// Per-node kernels merged by (time, seq) equal the single global
-    /// queue, for both kernel kinds on either side — including bursts of
-    /// same-instant arrivals landing on different nodes.
+    /// kernel — including bursts of same-instant arrivals landing on
+    /// different nodes.
     #[test]
     fn sharded_kernels_merge_to_the_single_queue_order(
         nodes in 1u32..9,
         arrivals in prop::collection::vec((0u64..50_000, any::<u32>()), 0..300),
     ) {
-        for reference_kind in KernelKind::ALL {
-            for node_kind in KernelKind::ALL {
-                check(&arrivals, nodes, reference_kind, node_kind);
-            }
-        }
+        check(&arrivals, nodes);
     }
 
     /// The routed decomposition (arrivals sharded by the consistent-hash
@@ -84,6 +80,6 @@ proptest! {
                 (t, ring.route(&id))
             })
             .collect();
-        check(&arrivals, nodes, KernelKind::BinaryHeap, KernelKind::TimerWheel);
+        check(&arrivals, nodes);
     }
 }

@@ -549,8 +549,9 @@ impl Orchestrator {
     /// prefetch policy — fetches only the composed chain's touched pages
     /// in one batched request.
     fn price_download(&mut self, id: SnapshotId, dl: &Download) -> DownloadPrice {
-        let Some(composed_wanted) = self.storage.as_ref().map(|t| t.policy().composed_prefetch)
-        else {
+        // The tier is taken out for the call, so the lookups below can
+        // borrow the rest of `self`, and put straight back.
+        let Some(mut tier) = self.storage.take() else {
             return DownloadPrice {
                 transfer_us: self
                     .transfer
@@ -562,7 +563,7 @@ impl Orchestrator {
             };
         };
         let weight = self.snapshot_weight(id);
-        let working_set = if composed_wanted {
+        let working_set = if tier.policy().composed_prefetch {
             self.working_set_of(id, &dl.snapshot)
         } else {
             None
@@ -574,21 +575,7 @@ impl Orchestrator {
             .as_ref()
             .map(|c| c.chain_to_root(id.0).into_iter().skip(1).collect())
             .unwrap_or_default();
-        let Some(tier) = self.storage.as_mut() else {
-            // Unreachable in practice (`storage` was `Some` above and
-            // nothing in between clears it), but priced legacy rather
-            // than panicking on the policy decision path.
-            return DownloadPrice {
-                transfer_us: self
-                    .transfer
-                    .chained_transfer_time(dl.nominal, dl.chain_len)
-                    .as_micros() as f64,
-                accounted_nominal: dl.nominal,
-                cache_hit: false,
-                composed: false,
-            };
-        };
-        tier.price_restore_download(DownloadRequest {
+        let price = tier.price_restore_download(DownloadRequest {
             id: id.0,
             chain_nominal: dl.nominal,
             chain_len: dl.chain_len,
@@ -596,7 +583,9 @@ impl Orchestrator {
             weight,
             working_set,
             ancestors: &ancestors,
-        })
+        });
+        self.storage = Some(tier);
+        price
     }
 
     /// The recorded working set of `id` as `(nominal_bytes, pages)`, when

@@ -4,7 +4,7 @@
 //!
 //! Every benchmark report in `results/` (`BENCH_grid.json`,
 //! `BENCH_restore.json`, `BENCH_delta.json`, `BENCH_cluster.json`,
-//! `BENCH_kernel.json`, `BENCH_provision.json`, `BENCH_storage.json`) is
+//! `BENCH_provision.json`, `BENCH_storage.json`) is
 //! rendered through [`BenchReport`], so they all share one header:
 //!
 //! ```json

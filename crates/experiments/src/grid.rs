@@ -9,9 +9,7 @@
 use crate::sweep::Ablation;
 use crate::ExperimentContext;
 use pronghorn_core::PolicyKind;
-use pronghorn_platform::{
-    run_closed_loop, run_cluster, ClusterSpec, KernelKind, RunConfig, RunResult,
-};
+use pronghorn_platform::{run_closed_loop, run_cluster, ClusterSpec, RunConfig, RunResult};
 use pronghorn_workloads::SpecWorkload;
 
 /// The three policies of §5.1, in the paper's order.
@@ -94,30 +92,12 @@ pub fn run_grid(
     policies: &[PolicyKind],
     rates: &[u32],
 ) -> Grid {
-    run_grid_with_kernel(ctx, benchmarks, policies, rates, KernelKind::BinaryHeap)
-}
-
-/// [`run_grid`] with an explicit simulation kernel. Results are
-/// byte-identical under either kernel (pinned by `tests/full_invariance.rs`
-/// and the `kernel-bench` command); the knob exists so the equivalence is
-/// checked at grid scale, not assumed.
-///
-/// # Panics
-///
-/// Panics if a benchmark name is unknown.
-pub fn run_grid_with_kernel(
-    ctx: &ExperimentContext,
-    benchmarks: &[&str],
-    policies: &[PolicyKind],
-    rates: &[u32],
-    kernel: KernelKind,
-) -> Grid {
     grid(ctx, benchmarks, policies, rates, |workload, cfg| {
-        run_closed_loop(workload, &cfg.with_kernel(kernel))
+        run_closed_loop(workload, &cfg)
     })
 }
 
-/// [`run_grid_with_kernel`], but every cell runs through the cluster
+/// [`run_grid`], but every cell runs through the cluster
 /// runner with the default single-node [`ClusterSpec`]. A 1-node cluster
 /// is pinned byte-identical to [`run_closed_loop`] (the golden tests in
 /// `tests/full_invariance.rs` hold both paths to the same committed CSV),
@@ -132,13 +112,9 @@ pub fn run_grid_cluster(
     benchmarks: &[&str],
     policies: &[PolicyKind],
     rates: &[u32],
-    kernel: KernelKind,
 ) -> Grid {
     grid(ctx, benchmarks, policies, rates, |workload, cfg| {
-        let cfg = cfg
-            .with_kernel(kernel)
-            .with_cluster(ClusterSpec::single_node());
-        run_cluster(workload, &cfg).result
+        run_cluster(workload, &cfg.with_cluster(ClusterSpec::single_node())).result
     })
 }
 

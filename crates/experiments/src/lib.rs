@@ -14,7 +14,6 @@
 //! | [`restore_ablation`] | the restore-strategy ablation: eager vs lazy vs REAP-style record-&-prefetch |
 //! | [`delta_ablation`] | the delta-checkpointing ablation: full snapshots vs page-delta chains at consolidation depths 4 and 16 |
 //! | [`cluster_ablation`] | the cluster ablation: {1, 4, 8} nodes × hash vs load-aware gateway routing (`BENCH_cluster.json`) |
-//! | [`kernel_bench`] | timer-wheel vs binary-heap simulation-kernel benchmark at production-trace scale (`BENCH_kernel.json`) |
 //! | [`provision_ablation`] | the predictive-provisioning ablation: reactive vs sliding-window/EWMA/MPC pre-restore on sparse bursty traces (`BENCH_provision.json`) |
 //! | [`storage_ablation`] | the tiered-storage ablation: flat store vs SSD cache vs compression vs composed-chain prefetch (`BENCH_storage.json`) |
 //! | [`sweep`] | the one harness under the grid and the restore, delta, cluster, provision and storage ablations: a task-ordered worker pool and the generic benchmarks × axis × arms [`sweep::Ablation`] with paired seeds |
@@ -37,7 +36,6 @@ pub mod fig45;
 pub mod fig6;
 pub mod fig7;
 pub mod grid;
-pub mod kernel_bench;
 pub mod provision_ablation;
 pub mod render;
 pub mod restore_ablation;

@@ -17,7 +17,6 @@
 //!   restore-ablation  restore strategies: eager vs lazy vs record-prefetch
 //!   delta-ablation    checkpoint forms: full snapshots vs delta chains (K=4, K=16)
 //!   cluster-ablation  cluster sizes x gateway routing: hash vs load-aware spillover
-//!   kernel-bench      timer-wheel vs binary-heap kernel at production-trace scale
 //!   provision-ablation  provisioning: reactive vs sliding-window/ewma/mpc pre-restore
 //!   storage-ablation  tiered storage: flat vs SSD cache vs compression vs composed prefetch
 //!   all      everything above, CSVs written to results/
@@ -28,8 +27,7 @@
 use pronghorn_experiments::ExperimentContext;
 use pronghorn_experiments::{
     ablation, bench_report, cluster_ablation, delta_ablation, fig1, fig45, fig6, fig7,
-    kernel_bench, provision_ablation, restore_ablation, storage_ablation, summary, table1, table4,
-    table5,
+    provision_ablation, restore_ablation, storage_ablation, summary, table1, table4, table5,
 };
 use std::process::ExitCode;
 
@@ -73,7 +71,7 @@ fn parse_args() -> Result<(String, ExperimentContext, bool), String> {
 
 fn usage() -> String {
     "usage: experiments <fig1|table1|fig4|fig5|fig6|table4|table5|fig7|ablations|\
-     restore-ablation|delta-ablation|cluster-ablation|kernel-bench|provision-ablation|\
+     restore-ablation|delta-ablation|cluster-ablation|provision-ablation|\
      storage-ablation|summary|all> [--quick] [--seed N] [--invocations N] [--threads N]"
         .to_string()
 }
@@ -150,11 +148,6 @@ fn run_command(command: &str, ctx: &ExperimentContext, quick: bool) -> Result<()
             save("cluster_ablation.csv", r.save());
             save("BENCH_cluster.json", r.save_bench_report());
         }
-        "kernel-bench" => {
-            let r = kernel_bench::run(ctx);
-            println!("{}", r.render());
-            save("BENCH_kernel.json", r.save());
-        }
         "provision-ablation" => {
             let r = provision_ablation::run(ctx, quick);
             println!("{}", r.render());
@@ -202,8 +195,6 @@ fn run_command(command: &str, ctx: &ExperimentContext, quick: bool) -> Result<()
             run_command("delta-ablation", ctx, quick)?;
             println!("==================== cluster-ablation ====================");
             run_command("cluster-ablation", ctx, quick)?;
-            println!("==================== kernel-bench ====================");
-            run_command("kernel-bench", ctx, quick)?;
             println!("==================== provision-ablation ====================");
             run_command("provision-ablation", ctx, quick)?;
             println!("==================== storage-ablation ====================");

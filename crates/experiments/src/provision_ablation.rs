@@ -33,8 +33,7 @@ use crate::ExperimentContext;
 use pronghorn_core::PolicyKind;
 use pronghorn_metrics::{Table, TableStyle};
 use pronghorn_platform::{
-    run_production, ForecasterKind, KernelKind, ProductionStats, ProvisionPolicy, RestoreStrategy,
-    RunConfig,
+    run_production, ForecasterKind, ProductionStats, ProvisionPolicy, RestoreStrategy, RunConfig,
 };
 use pronghorn_sim::{RngFactory, SimDuration};
 use pronghorn_traces::TraceSpec;
@@ -126,7 +125,6 @@ pub fn run_for(ctx: &ExperimentContext, benchmarks: &[&str], hours: f64) -> Prov
         |workload, rate, arm, seed| {
             let cfg = RunConfig::paper(PolicyKind::RequestCentric, rate, seed)
                 .with_restore(RestoreStrategy::RecordPrefetch)
-                .with_kernel(KernelKind::TimerWheel)
                 .with_idle_timeout(SimDuration::from_secs(IDLE_TIMEOUT_S))
                 .with_provision(arm);
             let stream = trace_spec(hours).stream(RngFactory::new(seed).stream("provision"));

@@ -21,9 +21,7 @@ use crate::ExperimentContext;
 use pronghorn_checkpoint::DeltaPolicy;
 use pronghorn_core::PolicyKind;
 use pronghorn_metrics::{Table, TableStyle};
-use pronghorn_platform::{
-    run_closed_loop, KernelKind, RestoreStrategy, RunConfig, RunResult, StoragePolicy,
-};
+use pronghorn_platform::{run_closed_loop, RestoreStrategy, RunConfig, RunResult, StoragePolicy};
 use pronghorn_store::StorageStats;
 
 /// Chain depth shared by every arm: the PR 4 delta baseline.
@@ -104,18 +102,6 @@ pub fn run(ctx: &ExperimentContext) -> StorageAblation {
 /// Panics if a benchmark name is unknown — experiment tables are static
 /// and must fail loudly.
 pub fn run_for(ctx: &ExperimentContext, benchmarks: &[&str], rates: &[u32]) -> StorageAblation {
-    run_for_with_kernel(ctx, benchmarks, rates, KernelKind::default())
-}
-
-/// [`run_for`] under an explicit simulation kernel (for cross-kernel
-/// invariance tests; kernel choice is a performance knob, never a result
-/// knob).
-pub fn run_for_with_kernel(
-    ctx: &ExperimentContext,
-    benchmarks: &[&str],
-    rates: &[u32],
-    kernel: KernelKind,
-) -> StorageAblation {
     Ablation::run(
         ctx,
         benchmarks,
@@ -129,8 +115,7 @@ pub fn run_for_with_kernel(
                     max_depth: DELTA_DEPTH,
                 })
                 .with_restore(arm.restore())
-                .with_storage(arm.policy())
-                .with_kernel(kernel);
+                .with_storage(arm.policy());
             run_closed_loop(workload, &cfg)
         },
     )
@@ -454,22 +439,5 @@ mod tests {
         // Same-seed rerun produces byte-identical CSV.
         let again = quick_ablation();
         assert_eq!(csv, again.to_csv());
-    }
-
-    #[test]
-    fn kernel_choice_never_changes_results() {
-        let ctx = ExperimentContext {
-            invocations: 100,
-            ..ExperimentContext::quick()
-        };
-        let heap = run_for_with_kernel(&ctx, &["DFS"], &[1], KernelKind::BinaryHeap);
-        let wheel = run_for_with_kernel(&ctx, &["DFS"], &[1], KernelKind::TimerWheel);
-        assert_eq!(heap.to_csv(), wheel.to_csv());
-        for arm in StorageArm::ALL {
-            let h = &heap.cell("DFS", 1, arm).unwrap().result;
-            let w = &wheel.cell("DFS", 1, arm).unwrap().result;
-            assert_eq!(h.latencies_us, w.latencies_us, "{}", arm.label());
-            assert_eq!(h.storage, w.storage, "{}", arm.label());
-        }
     }
 }

@@ -9,14 +9,14 @@
 //! consume before, changed what it uploads, or altered the summary CSV
 //! shape — any of which breaks comparability with published numbers and
 //! must be gated behind `RunConfig::with_delta`.
+//!
+//! The golden was generated on the binary-heap kernel, which is now only
+//! the timer wheel's test oracle; these tests pin the wheel to it.
 
 #![forbid(unsafe_code)]
 
-use pronghorn_experiments::grid::{
-    run_grid, run_grid_cluster, run_grid_with_kernel, PAPER_POLICIES, PAPER_RATES,
-};
+use pronghorn_experiments::grid::{run_grid, run_grid_cluster, PAPER_POLICIES, PAPER_RATES};
 use pronghorn_experiments::{summary, ExperimentContext};
-use pronghorn_platform::KernelKind;
 
 fn golden_ctx() -> ExperimentContext {
     ExperimentContext {
@@ -45,26 +45,6 @@ fn full_summary_csv_matches_pre_delta_golden() {
 }
 
 #[test]
-fn timer_wheel_summary_csv_matches_the_same_golden() {
-    // The golden was generated by the binary-heap kernel. The timer wheel
-    // must reproduce it byte for byte: kernel choice is a pure performance
-    // knob, never a result knob.
-    let grid = run_grid_with_kernel(
-        &golden_ctx(),
-        &GOLDEN_BENCHES,
-        &PAPER_POLICIES,
-        &PAPER_RATES,
-        KernelKind::TimerWheel,
-    );
-    let csv = summary::summarize(&[&grid]).to_csv();
-    let golden = include_str!("data/summary_full_golden.csv");
-    assert_eq!(
-        csv, golden,
-        "timer-wheel summary.csv diverged from the binary-heap golden output"
-    );
-}
-
-#[test]
 fn single_node_cluster_summary_csv_matches_the_same_golden() {
     // The golden was generated by the single-node closed-loop runner. A
     // 1-node cluster behind the consistent-hash gateway must reproduce it
@@ -75,31 +55,11 @@ fn single_node_cluster_summary_csv_matches_the_same_golden() {
         &GOLDEN_BENCHES,
         &PAPER_POLICIES,
         &PAPER_RATES,
-        KernelKind::BinaryHeap,
     );
     let csv = summary::summarize(&[&grid]).to_csv();
     let golden = include_str!("data/summary_full_golden.csv");
     assert_eq!(
         csv, golden,
         "single-node cluster summary.csv diverged from the closed-loop golden output"
-    );
-}
-
-#[test]
-fn single_node_cluster_on_the_timer_wheel_matches_the_same_golden() {
-    // Both knobs at once: cluster gateway + timer-wheel kernel. Still the
-    // same committed bytes.
-    let grid = run_grid_cluster(
-        &golden_ctx(),
-        &GOLDEN_BENCHES,
-        &PAPER_POLICIES,
-        &PAPER_RATES,
-        KernelKind::TimerWheel,
-    );
-    let csv = summary::summarize(&[&grid]).to_csv();
-    let golden = include_str!("data/summary_full_golden.csv");
-    assert_eq!(
-        csv, golden,
-        "single-node cluster (timer wheel) summary.csv diverged from the golden output"
     );
 }

@@ -29,10 +29,9 @@
 //! The whole cluster shares one deployment — one orchestrator, snapshot
 //! pool and set of seeded RNG streams — so the `nodes = 1` run replays
 //! the exact event sequence of [`crate::run_closed_loop`] and is pinned
-//! byte-identical to it (see the goldens in `tests/`), and N-node runs
-//! are byte-identical under either [`pronghorn_sim::KernelKind`]. Each
-//! worker slot keeps its own encode cache, so a checkpoint can never
-//! reuse another live worker's cached payload.
+//! byte-identical to it (see the goldens in `tests/`). Each worker slot
+//! keeps its own encode cache, so a checkpoint can never reuse another
+//! live worker's cached payload.
 
 use crate::config::RunConfig;
 use crate::engine::{self, Arrivals, Topology};
@@ -144,7 +143,7 @@ mod tests {
     use crate::runner::run_closed_loop;
     use pronghorn_cluster::{PlacementPolicy, RoutingPolicy};
     use pronghorn_core::PolicyKind;
-    use pronghorn_sim::{KernelKind, SimDuration};
+    use pronghorn_sim::SimDuration;
     use pronghorn_workloads::{by_name, InputVariance};
 
     fn cfg(policy: PolicyKind, rate: u32) -> RunConfig {
@@ -199,19 +198,6 @@ mod tests {
             assert_eq!(cluster.spillovers(), 0);
             assert_eq!(cluster.total_queue_delay_us(), 0.0);
         }
-    }
-
-    #[test]
-    fn multi_node_runs_are_byte_identical_across_kernels() {
-        let bench = by_name("Hash").unwrap();
-        let base = contended(PolicyKind::RequestCentric, 4).with_cluster(
-            ClusterSpec::new(4)
-                .with_capacity(2)
-                .with_routing(RoutingPolicy::LoadAware),
-        );
-        let heap = run_cluster(&bench, &base);
-        let wheel = run_cluster(&bench, &base.with_kernel(KernelKind::TimerWheel));
-        assert_same_cluster_run(&heap, &wheel);
     }
 
     #[test]

@@ -52,10 +52,10 @@ pub struct RunConfig {
     /// the full-snapshot path stays bit-identical to runs predating this
     /// knob (pinned by `tests/full_invariance.rs`).
     pub delta: DeltaPolicy,
-    /// Which future-event-list implementation drives the run. Both kernels
-    /// pop in identical `(at, seq)` order, so every result is byte-identical
-    /// under either; the timer wheel is O(1) per event and wins at
-    /// production-trace scale (see `results/BENCH_kernel.json`).
+    /// Read by nothing in the workspace: every run drives the timer wheel.
+    /// The field and [`Self::with_kernel`] exist only so the `benchmark/`
+    /// package builds unchanged, and are removed in the next change to the
+    /// benchmark.
     pub kernel: KernelKind,
     /// Proactive provisioning policy: arrival forecasting driving
     /// pre-restores ahead of predicted bursts, running alongside the
@@ -94,7 +94,7 @@ impl RunConfig {
             stop_checkpointing_after: None,
             restore: RestoreStrategy::Eager,
             delta: DeltaPolicy::Disabled,
-            kernel: KernelKind::BinaryHeap,
+            kernel: KernelKind::TimerWheel,
             provision: ProvisionPolicy::Disabled,
             cluster: ClusterSpec::single_node(),
             storage: StoragePolicy::disabled(),
@@ -158,7 +158,7 @@ impl RunConfig {
         self
     }
 
-    /// Sets the simulation kernel.
+    /// Sets [`Self::kernel`], which nothing reads (see there).
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
         self.kernel = kernel;
         self
@@ -202,7 +202,6 @@ mod tests {
         assert_eq!(c.variance, InputVariance::paper());
         assert_eq!(c.restore, RestoreStrategy::Eager);
         assert_eq!(c.delta, DeltaPolicy::Disabled);
-        assert_eq!(c.kernel, KernelKind::BinaryHeap);
         assert_eq!(c.provision, ProvisionPolicy::Disabled);
         assert_eq!(c.cluster, ClusterSpec::single_node());
         let predictive = c.with_provision(ProvisionPolicy::predictive(
@@ -212,10 +211,6 @@ mod tests {
         let clustered = c.with_cluster(ClusterSpec::new(4).with_capacity(2));
         assert_eq!(clustered.cluster.nodes, 4);
         assert_eq!(clustered.cluster.capacity, 2);
-        assert_eq!(
-            c.with_kernel(KernelKind::TimerWheel).kernel,
-            KernelKind::TimerWheel
-        );
         let lazy = c.with_restore(RestoreStrategy::Lazy);
         assert_eq!(lazy.restore, RestoreStrategy::Lazy);
         let delta = c.with_delta(DeltaPolicy::Enabled { max_depth: 4 });

@@ -28,7 +28,7 @@ use pronghorn_cluster::{
     BlobDirectory, ClusterSpec, HashRing, LocalityStats, PlacementPolicy, RoutingPolicy,
 };
 use pronghorn_jit::RequestWork;
-use pronghorn_sim::{Kernel, SimDuration, SimTime};
+use pronghorn_sim::{SimDuration, SimTime, TimerWheel};
 use pronghorn_store::saturating_accumulate;
 use pronghorn_workloads::InputVariance;
 
@@ -335,7 +335,7 @@ impl Topology {
     fn evict(
         &mut self,
         session: &mut Session<'_>,
-        kernel: &mut Kernel<Event>,
+        kernel: &mut TimerWheel<Event>,
         (n, s): (usize, usize),
         w: Worker,
         now: SimTime,
@@ -379,7 +379,7 @@ pub(crate) fn run<I: Iterator<Item = SimTime>>(
     arrivals: Arrivals<I>,
 ) -> (SimTime, usize) {
     let cfg = session.cfg;
-    let mut kernel: Kernel<Event> = Kernel::new(cfg.kernel);
+    let mut kernel: TimerWheel<Event> = TimerWheel::new();
     let (mut sorted, closed, evict_idle) = match arrivals {
         Arrivals::ClosedLoop {
             total,

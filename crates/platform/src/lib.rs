@@ -2,9 +2,9 @@
 //!
 //! Reproduces the evaluation protocol of §5.1 end to end. Every runner is
 //! a thin wrapper over one deployment engine — a single event loop over
-//! typed events, generic over the arrival source, the topology of
-//! deployments × nodes × worker slots, and the measurement sink — so each
-//! knob below applies to every runner:
+//! typed events on the `pronghorn-sim` timer wheel, generic over the
+//! arrival source, the topology of deployments × nodes × worker slots, and
+//! the measurement sink — so each knob below applies to every runner:
 //!
 //! - **closed-loop runs** ([`run_closed_loop`]): 500 invocations of one
 //!   function, workers evicted every 1/4/20 requests, under one of the
@@ -33,10 +33,7 @@
 //! - **production-scale replay** ([`run_production`]): streams a
 //!   multi-hour Poisson/burst arrival process (`TraceSpec::production`)
 //!   through the platform with O(workers) memory, aggregating latency into
-//!   a log-bucketed histogram instead of per-invocation vectors — the
-//!   driver behind `results/BENCH_kernel.json`;
-//! - **kernel selection** ([`RunConfig::with_kernel`]): the reference
-//!   binary heap or the O(1) timer wheel ([`KernelKind`]), byte-identical;
+//!   a log-bucketed histogram instead of per-invocation vectors;
 //! - **cluster mode** ([`run_cluster`]): the closed loop on an N-node
 //!   cluster behind a deterministic consistent-hash gateway, with
 //!   load-aware spillover, per-node snapshot residency and Table 5
@@ -70,6 +67,7 @@ pub use partitioned::run_partitioned;
 pub use pronghorn_cluster::{ClusterSpec, LocalityStats, PlacementPolicy, RoutingPolicy};
 pub use pronghorn_forecast::{ForecasterKind, ProvisionPolicy, ProvisionStats};
 pub use pronghorn_restore::{RestoreInfo, RestoreStrategy};
+// Kept only for the `benchmark/` package; see `pronghorn_sim::kernel`.
 pub use pronghorn_sim::KernelKind;
 pub use pronghorn_store::{CacheConfig, StoragePolicy, StorageStats};
 pub use result::{ProvisionKind, RunResult};

@@ -1295,23 +1295,6 @@ mod tests {
     }
 
     #[test]
-    fn predictive_runs_are_byte_identical_under_both_kernels() {
-        use pronghorn_forecast::{ForecasterKind, ProvisionPolicy};
-        use pronghorn_sim::KernelKind;
-        let bench = by_name("Uploader").unwrap();
-        for kind in ForecasterKind::ALL {
-            let heap_cfg = cfg(PolicyKind::RequestCentric, 4)
-                .with_provision(ProvisionPolicy::predictive(kind));
-            let wheel_cfg = heap_cfg.with_kernel(KernelKind::TimerWheel);
-            let a = run_closed_loop(&bench, &heap_cfg);
-            let b = run_closed_loop(&bench, &wheel_cfg);
-            assert_eq!(a.latencies_us, b.latencies_us, "{}", kind.label());
-            assert_eq!(a.provisions, b.provisions, "{}", kind.label());
-            assert_eq!(a.provisioning, b.provisioning, "{}", kind.label());
-        }
-    }
-
-    #[test]
     fn pre_restores_resolve_exactly_once() {
         use pronghorn_forecast::{ForecasterKind, ProvisionPolicy};
         // Conservation: every issued pre-restore is eventually used or
@@ -1330,70 +1313,6 @@ mod tests {
             s.pre_restores_used,
             s.pre_restores_wasted
         );
-    }
-
-    #[test]
-    fn timer_wheel_is_byte_identical_on_every_runner() {
-        use pronghorn_sim::KernelKind;
-        let bench = by_name("DFS").unwrap();
-        let heap_cfg = cfg(PolicyKind::RequestCentric, 4);
-        let wheel_cfg = heap_cfg.with_kernel(KernelKind::TimerWheel);
-
-        let a = run_closed_loop(&bench, &heap_cfg);
-        let b = run_closed_loop(&bench, &wheel_cfg);
-        assert_eq!(a.latencies_us, b.latencies_us);
-        assert_eq!(a.provisions, b.provisions);
-        assert_eq!(a.checkpoint_ms, b.checkpoint_ms);
-        assert_eq!(a.snapshot_requests, b.snapshot_requests);
-
-        let factory = RngFactory::new(7);
-        let trace = TraceSpec::percentile(0.75).generate(&mut factory.stream("t"));
-        let a = run_trace_with_history(&bench, &heap_cfg, &trace, 40);
-        let b = run_trace_with_history(&bench, &wheel_cfg, &trace, 40);
-        assert_eq!(a.latencies_us, b.latencies_us);
-        assert_eq!(a.provisions, b.provisions);
-
-        let a = crate::run_partitioned(&bench, &heap_cfg, 2);
-        let b = crate::run_partitioned(&bench, &wheel_cfg, 2);
-        assert_eq!(a.latencies_us, b.latencies_us);
-        assert_eq!(a.provisions, b.provisions);
-
-        let fleet = crate::FleetConfig::default();
-        let a = crate::run_fleet(&bench, &heap_cfg, &fleet);
-        let b = crate::run_fleet(&bench, &wheel_cfg, &fleet);
-        assert_eq!(a.latencies_us, b.latencies_us);
-        assert_eq!(a.provisions, b.provisions);
-        assert_eq!(a.checkpoint_ms, b.checkpoint_ms);
-
-        let spec = crate::ClusterSpec::new(4)
-            .with_capacity(2)
-            .with_routing(crate::RoutingPolicy::LoadAware);
-        let mut hot = heap_cfg.with_cluster(spec);
-        hot.request_gap = SimDuration::from_millis(1);
-        let a = crate::run_cluster(&bench, &hot);
-        let b = crate::run_cluster(&bench, &hot.with_kernel(KernelKind::TimerWheel));
-        assert_eq!(a.result.latencies_us, b.result.latencies_us);
-        assert_eq!(a.result.provisions, b.result.provisions);
-        assert_eq!(a.nodes, b.nodes);
-        assert_eq!(a.locality, b.locality);
-    }
-
-    #[test]
-    fn production_replay_matches_under_both_kernels() {
-        use pronghorn_sim::KernelKind;
-        let bench = by_name("Hash").unwrap();
-        let heap_cfg = cfg(PolicyKind::RequestCentric, 4);
-        let wheel_cfg = heap_cfg.with_kernel(KernelKind::TimerWheel);
-        let spec = TraceSpec::production(0.002, 0.9);
-        let factory = RngFactory::new(heap_cfg.seed);
-        let a = run_production(&bench, &heap_cfg, spec.stream(factory.stream("production")));
-        let b = run_production(
-            &bench,
-            &wheel_cfg,
-            spec.stream(factory.stream("production")),
-        );
-        assert!(a.invocations > 0, "empty production stream");
-        assert_eq!(a, b);
     }
 
     #[test]

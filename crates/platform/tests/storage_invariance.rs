@@ -8,8 +8,8 @@ use pronghorn_checkpoint::DeltaPolicy;
 use pronghorn_cluster::{ClusterSpec, RoutingPolicy};
 use pronghorn_core::PolicyKind;
 use pronghorn_platform::{
-    run_closed_loop, run_cluster, run_production, KernelKind, RestoreStrategy, RunConfig,
-    StoragePolicy, StorageStats,
+    run_closed_loop, run_cluster, run_production, RestoreStrategy, RunConfig, StoragePolicy,
+    StorageStats,
 };
 use pronghorn_sim::{RngFactory, SimDuration};
 use pronghorn_traces::TraceSpec;
@@ -43,66 +43,66 @@ fn disabled_storage_policy_is_byte_identical_to_the_default() {
 fn eager_cache_and_compression_never_touch_the_critical_path() {
     // On the eager restore path the tier only reprices off-critical-path
     // transfer accounting: client latencies and nominal byte counters
-    // must stay byte-identical to the flat run, under both kernels.
+    // must stay byte-identical to the flat run.
     let bench = by_name("Hash").unwrap();
-    for kernel in [KernelKind::BinaryHeap, KernelKind::TimerWheel] {
-        let flat = run_closed_loop(
-            &bench,
-            &cfg(PolicyKind::RequestCentric, 1)
-                .with_delta(DeltaPolicy::Enabled { max_depth: 16 })
-                .with_kernel(kernel),
-        );
-        let tiered = run_closed_loop(
-            &bench,
-            &cfg(PolicyKind::RequestCentric, 1)
-                .with_delta(DeltaPolicy::Enabled { max_depth: 16 })
-                .with_kernel(kernel)
-                .with_storage(StoragePolicy::disabled().with_cache().with_compression()),
-        );
-        assert_eq!(flat.latencies_us, tiered.latencies_us, "{kernel:?}");
-        assert_eq!(
-            flat.overheads.nominal_bytes_downloaded,
-            tiered.overheads.nominal_bytes_downloaded
-        );
-        assert_eq!(
-            flat.overheads.nominal_bytes_uploaded,
-            tiered.overheads.nominal_bytes_uploaded
-        );
-        assert_eq!(flat.restore_bytes(), tiered.restore_bytes());
-        // ... while the tier itself was demonstrably exercised.
-        assert!(tiered.storage.cache_hits > 0, "{kernel:?}: no SSD hits");
-        assert!(
-            tiered.storage.wire_bytes_uploaded > 0
-                && tiered.storage.wire_bytes_uploaded < tiered.overheads.nominal_bytes_uploaded,
-            "{kernel:?}: compression never shrank an upload"
-        );
-        assert!(tiered.storage.compress_us > 0.0);
-    }
+    let flat_cfg =
+        cfg(PolicyKind::RequestCentric, 1).with_delta(DeltaPolicy::Enabled { max_depth: 16 });
+    let flat = run_closed_loop(&bench, &flat_cfg);
+    let tiered = run_closed_loop(
+        &bench,
+        &flat_cfg.with_storage(StoragePolicy::disabled().with_cache().with_compression()),
+    );
+    assert_eq!(flat.latencies_us, tiered.latencies_us);
+    assert_eq!(
+        flat.overheads.nominal_bytes_downloaded,
+        tiered.overheads.nominal_bytes_downloaded
+    );
+    assert_eq!(
+        flat.overheads.nominal_bytes_uploaded,
+        tiered.overheads.nominal_bytes_uploaded
+    );
+    assert_eq!(flat.restore_bytes(), tiered.restore_bytes());
+    // ... while the tier itself was demonstrably exercised.
+    assert!(tiered.storage.cache_hits > 0, "no SSD hits");
+    assert!(
+        tiered.storage.wire_bytes_uploaded > 0
+            && tiered.storage.wire_bytes_uploaded < tiered.overheads.nominal_bytes_uploaded,
+        "compression never shrank an upload"
+    );
+    assert!(tiered.storage.compress_us > 0.0);
 }
 
 #[test]
-fn composed_prefetch_is_kernel_invariant() {
+fn composed_prefetch_changes_only_download_accounting() {
+    // Composed prefetch fetches a chain's recorded working set instead of
+    // every blob of the chain. That shrinks what the store sends, and
+    // nothing else of the run's byte accounting or provisioning.
     let bench = by_name("DFS").unwrap();
-    let storage = StoragePolicy::disabled()
-        .with_cache()
-        .with_compression()
-        .with_composed_prefetch();
-    let run = |kernel| {
+    let tier = StoragePolicy::disabled().with_cache().with_compression();
+    let run = |storage| {
         run_closed_loop(
             &bench,
             &cfg(PolicyKind::RequestCentric, 1)
                 .with_delta(DeltaPolicy::Enabled { max_depth: 16 })
                 .with_restore(RestoreStrategy::RecordPrefetch)
-                .with_storage(storage)
-                .with_kernel(kernel),
+                .with_storage(storage),
         )
     };
-    let heap = run(KernelKind::BinaryHeap);
-    let wheel = run(KernelKind::TimerWheel);
-    assert_eq!(heap.latencies_us, wheel.latencies_us);
-    assert_eq!(heap.restore_bytes(), wheel.restore_bytes());
-    assert_eq!(heap.storage, wheel.storage);
-    assert!(heap.storage.composed_prefetches > 0, "prefetch never fired");
+    let chained = run(tier);
+    let composed = run(tier.with_composed_prefetch());
+    assert!(
+        composed.storage.composed_prefetches > 0,
+        "prefetch never fired"
+    );
+    assert!(
+        composed.overheads.nominal_bytes_downloaded < chained.overheads.nominal_bytes_downloaded
+    );
+    assert_eq!(composed.restore_bytes(), chained.restore_bytes());
+    assert_eq!(
+        composed.overheads.nominal_bytes_uploaded,
+        chained.overheads.nominal_bytes_uploaded
+    );
+    assert_eq!(composed.provisions, chained.provisions);
 }
 
 #[test]

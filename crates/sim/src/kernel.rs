@@ -1,176 +1,40 @@
-//! Kernel selection: binary-heap vs timer-wheel future-event list.
-//!
-//! Both implementations expose the identical deterministic contract —
-//! events pop in `(at, seq)` order with past schedules clamped to `now` —
-//! so every simulation result is byte-identical under either. [`Kernel`]
-//! is the small enum dispatcher the platform runners drive, and
-//! [`KernelKind`] the knob surfaced on run configurations; the default is
-//! the reference [`EventQueue`], with [`TimerWheel`] as the O(1)
-//! production-scale kernel (see `results/BENCH_kernel.json`).
+//! A one-variant kernel selector kept only so the `benchmark/` package
+//! builds unchanged: it names `KernelKind::TimerWheel`, `Kernel::new`,
+//! `RunConfig::kernel` and `RunConfig::with_kernel`. Nothing in the
+//! workspace selects a kernel — every simulation runs on [`TimerWheel`].
+//! This shim is removed together with those uses, in the next change to
+//! the benchmark.
 
-use crate::queue::EventQueue;
-use crate::time::SimTime;
 use crate::wheel::TimerWheel;
-use std::fmt;
+use std::ops::{Deref, DerefMut};
 
-/// Which future-event-list implementation a simulation runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// The simulation kernel. It has one variant: the timer wheel.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KernelKind {
-    /// The reference `BinaryHeap<(at, seq)>` queue (O(log n) per op).
-    #[default]
-    BinaryHeap,
-    /// The hierarchical timer wheel (O(1) schedule, amortized-O(1) pop).
+    /// The hierarchical timer wheel.
     TimerWheel,
 }
 
-impl KernelKind {
-    /// Every kernel, in report order.
-    pub const ALL: [KernelKind; 2] = [KernelKind::BinaryHeap, KernelKind::TimerWheel];
-
-    /// Stable label used in reports and CLI flags.
-    pub fn label(self) -> &'static str {
-        match self {
-            KernelKind::BinaryHeap => "binary-heap",
-            KernelKind::TimerWheel => "timer-wheel",
-        }
-    }
-
-    /// Parses a [`label`](Self::label) back into a kind.
-    pub fn parse(s: &str) -> Option<KernelKind> {
-        KernelKind::ALL.into_iter().find(|k| k.label() == s)
-    }
-}
-
-impl fmt::Display for KernelKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// A future-event list of either kind, behind one API.
-#[derive(Debug)]
-pub enum Kernel<E> {
-    /// Backed by the reference [`EventQueue`].
-    BinaryHeap(EventQueue<E>),
-    /// Backed by the [`TimerWheel`] (boxed: the wheel's slot table is
-    /// ~3 KB, far larger than the queue variant).
-    TimerWheel(Box<TimerWheel<E>>),
-}
+/// A [`TimerWheel`] built from a [`KernelKind`]; derefs to the wheel.
+pub struct Kernel<E>(TimerWheel<E>);
 
 impl<E> Kernel<E> {
-    /// Creates an empty kernel of the given kind.
-    pub fn new(kind: KernelKind) -> Self {
-        match kind {
-            KernelKind::BinaryHeap => Kernel::BinaryHeap(EventQueue::new()),
-            KernelKind::TimerWheel => Kernel::TimerWheel(Box::default()),
-        }
-    }
-
-    /// Which implementation backs this kernel.
-    pub fn kind(&self) -> KernelKind {
-        match self {
-            Kernel::BinaryHeap(_) => KernelKind::BinaryHeap,
-            Kernel::TimerWheel(_) => KernelKind::TimerWheel,
-        }
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        match self {
-            Kernel::BinaryHeap(q) => q.now(),
-            Kernel::TimerWheel(w) => w.now(),
-        }
-    }
-
-    /// Schedules `event` at `at` (past schedules clamp to `now`).
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        match self {
-            Kernel::BinaryHeap(q) => q.schedule(at, event),
-            Kernel::TimerWheel(w) => w.schedule(at, event),
-        }
-    }
-
-    /// Removes and returns the earliest event, advancing the clock.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match self {
-            Kernel::BinaryHeap(q) => q.pop(),
-            Kernel::TimerWheel(w) => w.pop(),
-        }
-    }
-
-    /// Timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match self {
-            Kernel::BinaryHeap(q) => q.peek_time(),
-            Kernel::TimerWheel(w) => w.peek_time(),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match self {
-            Kernel::BinaryHeap(q) => q.len(),
-            Kernel::TimerWheel(w) => w.len(),
-        }
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every pending event, keeping the clock where it is.
-    pub fn clear(&mut self) {
-        match self {
-            Kernel::BinaryHeap(q) => q.clear(),
-            Kernel::TimerWheel(w) => w.clear(),
-        }
+    /// Creates an empty timer wheel.
+    pub fn new(_kind: KernelKind) -> Self {
+        Kernel(TimerWheel::new())
     }
 }
 
-impl<E> Default for Kernel<E> {
-    fn default() -> Self {
-        Kernel::new(KernelKind::default())
+impl<E> Deref for Kernel<E> {
+    type Target = TimerWheel<E>;
+
+    fn deref(&self) -> &TimerWheel<E> {
+        &self.0
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kinds_round_trip_through_labels() {
-        for kind in KernelKind::ALL {
-            assert_eq!(KernelKind::parse(kind.label()), Some(kind));
-            assert_eq!(kind.to_string(), kind.label());
-        }
-        assert_eq!(KernelKind::parse("fibonacci-heap"), None);
-    }
-
-    #[test]
-    fn default_kernel_is_the_reference_queue() {
-        let k: Kernel<()> = Kernel::default();
-        assert_eq!(k.kind(), KernelKind::BinaryHeap);
-    }
-
-    #[test]
-    fn both_kinds_honor_the_queue_contract() {
-        for kind in KernelKind::ALL {
-            let mut k = Kernel::new(kind);
-            assert!(k.is_empty());
-            k.schedule(SimTime::from_micros(20), "b");
-            k.schedule(SimTime::from_micros(10), "a");
-            assert_eq!(k.len(), 2);
-            assert_eq!(k.peek_time(), Some(SimTime::from_micros(10)));
-            assert_eq!(k.pop(), Some((SimTime::from_micros(10), "a")));
-            assert_eq!(k.now(), SimTime::from_micros(10));
-            k.clear();
-            assert!(k.is_empty());
-            assert_eq!(
-                k.now(),
-                SimTime::from_micros(10),
-                "{kind}: clear keeps clock"
-            );
-        }
+impl<E> DerefMut for Kernel<E> {
+    fn deref_mut(&mut self) -> &mut TimerWheel<E> {
+        &mut self.0
     }
 }

@@ -4,11 +4,12 @@
 //!
 //! - [`SimTime`] / [`SimDuration`]: a virtual microsecond clock, the unit in
 //!   which every latency in the paper's evaluation is reported;
-//! - [`EventQueue`]: a deterministic time-ordered event queue with FIFO
-//!   tie-breaking, the core of the serverless-platform simulator;
-//! - [`TimerWheel`] / [`Kernel`]: a hierarchical timer-wheel kernel with
-//!   the identical ordering contract (O(1) instead of O(log n) per event,
-//!   for production-trace-scale replays), selectable via [`KernelKind`];
+//! - [`TimerWheel`]: the simulation kernel, a hierarchical timer wheel
+//!   that pops events in `(at, seq)` order — time order with FIFO
+//!   tie-breaking — at O(1) per event. Every runner drives it. Its test
+//!   oracle, a binary-heap queue with the same contract, lives in
+//!   `tests/oracle/` and is property-tested against it in
+//!   `tests/kernel_equivalence.rs`;
 //! - [`RngFactory`]: reproducible named random-number streams, so that every
 //!   source of randomness (JIT compile jitter, input-size noise, policy
 //!   sampling, ...) is independently seeded and bit-for-bit replayable;
@@ -18,13 +19,13 @@
 //! # Examples
 //!
 //! ```
-//! use pronghorn_sim::{EventQueue, SimDuration, SimTime};
+//! use pronghorn_sim::{SimDuration, SimTime, TimerWheel};
 //!
-//! let mut queue: EventQueue<&str> = EventQueue::new();
-//! queue.schedule(SimTime::ZERO + SimDuration::from_millis(5), "second");
-//! queue.schedule(SimTime::ZERO, "first");
-//! assert_eq!(queue.pop().unwrap().1, "first");
-//! assert_eq!(queue.pop().unwrap().1, "second");
+//! let mut kernel: TimerWheel<&str> = TimerWheel::new();
+//! kernel.schedule(SimTime::ZERO + SimDuration::from_millis(5), "second");
+//! kernel.schedule(SimTime::ZERO, "first");
+//! assert_eq!(kernel.pop().unwrap().1, "first");
+//! assert_eq!(kernel.pop().unwrap().1, "second");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -32,13 +33,16 @@
 
 pub mod hash;
 pub mod kernel;
-pub mod queue;
 pub mod rng;
 pub mod time;
 pub mod wheel;
 
+// Kept only for the `benchmark/` package; see `kernel`.
 pub use kernel::{Kernel, KernelKind};
-pub use queue::EventQueue;
 pub use rng::RngFactory;
 pub use time::{SimDuration, SimTime};
 pub use wheel::TimerWheel;
+
+#[cfg(test)]
+#[path = "../tests/oracle/queue.rs"]
+mod queue;

@@ -1,11 +1,11 @@
 //! Hierarchical timer wheel: an O(1) future-event list.
 //!
-//! [`crate::EventQueue`] keeps pending events in a binary heap, paying
-//! O(log n) pointer-chasing sifts per operation. That is fine for the
-//! paper's 500-invocation figure runs but dominates once a single cell
-//! replays hours of production traffic (1e6+ invocations, see ROADMAP item
-//! 2). [`TimerWheel`] is the classic discrete-event-simulation fix — a
-//! Varghese–Lauck hierarchical timing wheel over the µs tick grid:
+//! A binary-heap event queue pays O(log n) pointer-chasing sifts per
+//! operation. That is fine for the paper's 500-invocation figure runs but
+//! dominates once a single cell replays hours of production traffic (1e6+
+//! invocations). [`TimerWheel`] is the classic discrete-event-simulation
+//! fix — a Varghese–Lauck hierarchical timing wheel over the µs tick grid —
+//! and the one kernel every simulation runs on:
 //!
 //! - **Levels.** [`LEVELS`] levels of [`SLOTS`] slots, each level covering
 //!   [`BITS`] more bits of the timestamp. An event whose timestamp first
@@ -21,13 +21,12 @@
 //!   lowest occupied level is re-distributed ("cascaded") to lower levels.
 //!   Cascading appends in list order, which preserves FIFO order among
 //!   same-instant events; combined with the radix level rule this
-//!   reproduces the exact `(at, seq)` total order of the reference
-//!   [`crate::EventQueue`] — the two kernels are interchangeable
-//!   bit-for-bit (property-tested in `tests/kernel_equivalence.rs`).
+//!   reproduces the exact `(at, seq)` total order of a binary heap keyed
+//!   by `(at, seq)` — the test oracle in `tests/oracle/queue.rs`, which
+//!   `tests/kernel_equivalence.rs` property-tests the wheel against.
 //!
-//! The public API mirrors `EventQueue` exactly (`schedule`/`pop`/
-//! `peek_time`/`now`/`len`/`clear`, past scheduling clamped to `now`), so
-//! callers switch between the two via [`crate::Kernel`].
+//! The API is `schedule`/`pop`/`peek_time`/`now`/`len`/`clear`, with past
+//! schedules clamped to `now`, exactly as the oracle's.
 
 use crate::time::SimTime;
 
@@ -80,7 +79,7 @@ impl Level {
 }
 
 /// A deterministic future-event list with O(1) schedule and amortized-O(1)
-/// pop, drop-in order-compatible with [`crate::EventQueue`].
+/// pop, in `(at, seq)` order: time order, FIFO among same-instant events.
 ///
 /// # Examples
 ///
@@ -130,8 +129,9 @@ impl<E> TimerWheel<E> {
 
     /// Schedules `event` at instant `at`.
     ///
-    /// Scheduling in the past is clamped to `now()`, exactly like
-    /// [`crate::EventQueue::schedule`].
+    /// Scheduling in the past is clamped to `now()`: the event fires
+    /// immediately but time never rewinds. This matches how a real
+    /// platform treats work that was due while the handler was busy.
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let at = at.as_micros().max(self.now);
         let seq = self.next_seq;
@@ -508,7 +508,7 @@ mod tests {
     #[test]
     fn interleaved_pop_and_schedule_matches_reference_queue() {
         // A deterministic pseudo-random workload cross-checked against the
-        // reference BinaryHeap queue (the heavier property test lives in
+        // binary-heap oracle (the heavier property test lives in
         // tests/kernel_equivalence.rs).
         let mut w = TimerWheel::new();
         let mut q = EventQueue::new();

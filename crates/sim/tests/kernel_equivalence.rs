@@ -1,5 +1,5 @@
 //! Model-equivalence property tests: the timer wheel is observationally
-//! identical to the reference binary-heap queue.
+//! identical to the binary-heap oracle in `oracle/queue.rs`.
 //!
 //! Arbitrary interleaved `schedule`/`pop`/`clear` sequences — including
 //! same-instant bursts, past-clamped schedules, level-rollover-straddling
@@ -9,8 +9,13 @@
 
 #![forbid(unsafe_code)]
 
-use pronghorn_sim::{EventQueue, SimDuration, SimTime, TimerWheel};
+use pronghorn_sim::{SimDuration, SimTime, TimerWheel};
 use proptest::prelude::*;
+
+#[path = "oracle/queue.rs"]
+mod queue;
+
+use queue::EventQueue;
 
 /// One scripted kernel operation. `Schedule` offsets are relative to the
 /// clock at execution time so that scripts stay meaningful wherever the
@@ -93,8 +98,8 @@ proptest! {
         }
     }
 
-    /// Scheduling everything up front (the kernel-bench shape) pops in
-    /// globally sorted `(at, seq)` order.
+    /// Scheduling everything up front pops in globally sorted `(at, seq)`
+    /// order.
     #[test]
     fn bulk_schedule_pops_sorted(ats in prop::collection::vec(0u64..1u64 << 38, 1..400)) {
         let mut wheel = TimerWheel::new();

@@ -1,11 +1,17 @@
-//! Deterministic time-ordered event queue.
+//! The reference future-event list: the test oracle of the timer wheel.
 //!
 //! A thin wrapper over a binary heap keyed by `(SimTime, sequence)`. The
 //! monotone sequence number gives FIFO ordering among events scheduled for
-//! the same instant, which makes the simulation fully deterministic — a
-//! plain `BinaryHeap<(SimTime, E)>` would break ties arbitrarily.
+//! the same instant — a plain `BinaryHeap<(SimTime, E)>` would break ties
+//! arbitrarily. Every simulation runs on the timer wheel; this queue is
+//! the obviously-correct model the wheel must pop in step with, so it lives
+//! in test code only. One copy is compiled into both the crate's unit tests
+//! (`src/lib.rs`) and `tests/kernel_equivalence.rs` (its own unit tests run
+//! in both). Each parent imports `SimTime`, so it is reached via `super`.
 
-use crate::time::SimTime;
+#![allow(dead_code)]
+
+use super::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -41,20 +47,7 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// A deterministic future-event list.
-///
-/// # Examples
-///
-/// ```
-/// use pronghorn_sim::{EventQueue, SimTime};
-///
-/// let mut q = EventQueue::new();
-/// q.schedule(SimTime::from_micros(10), "late");
-/// q.schedule(SimTime::from_micros(10), "later"); // same instant: FIFO
-/// q.schedule(SimTime::from_micros(1), "early");
-/// let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-/// assert_eq!(order, ["early", "late", "later"]);
-/// ```
+/// A deterministic future-event list ordered by `(at, seq)`.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
@@ -128,7 +121,6 @@ impl<E> Default for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
@@ -176,12 +168,12 @@ mod tests {
     #[test]
     fn clear_preserves_clock() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO + SimDuration::from_secs(1), ());
+        q.schedule(SimTime::from_micros(1_000_000), ());
         q.pop();
-        q.schedule(SimTime::ZERO + SimDuration::from_secs(2), ());
+        q.schedule(SimTime::from_micros(2_000_000), ());
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.now(), SimTime::ZERO + SimDuration::from_secs(1));
+        assert_eq!(q.now(), SimTime::from_micros(1_000_000));
     }
 
     #[test]
