@@ -319,6 +319,7 @@ impl SimCriuEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::SnapshotFormatError;
     use rand::rngs::SmallRng;
     use rand::{RngCore, SeedableRng};
 
@@ -537,6 +538,26 @@ mod tests {
     }
 
     #[test]
+    fn restore_from_shared_is_zero_copy() {
+        // A download parsed with `Snapshot::from_shared` restores without
+        // copying the payload out of the transport buffer.
+        let engine = SimCriuEngine::new();
+        let mut rng = SmallRng::seed_from_u64(25);
+        let process = Counter {
+            value: 7,
+            history: vec![4.0],
+        };
+        let (snap, _) = engine.checkpoint(&mut rng, &process, meta());
+        let framed = snap.to_bytes();
+        let snap2 = Snapshot::from_shared(&framed).unwrap();
+        assert_eq!(snap2, snap);
+        let frame_range = framed.as_ptr_range();
+        assert!(frame_range.contains(&snap2.payload.as_ptr()));
+        let (restored, _): (Counter, _) = engine.restore(&mut rng, &snap2).unwrap();
+        assert_eq!(restored, process);
+    }
+
+    #[test]
     fn corrupt_payload_is_a_state_error() {
         let engine = SimCriuEngine::new();
         let mut rng = SmallRng::seed_from_u64(5);
@@ -567,6 +588,28 @@ mod tests {
         assert!(matches!(
             err,
             EngineError::State(CodecError::TrailingBytes { remaining: 1 })
+        ));
+    }
+
+    #[test]
+    fn corrupt_transport_is_a_format_error() {
+        // Damaged transport bytes fail frame validation, so they never
+        // reach the engine's state decoder.
+        let engine = SimCriuEngine::new();
+        let mut rng = SmallRng::seed_from_u64(7);
+        assert!(Snapshot::from_bytes(b"junk").is_err());
+        assert!(Snapshot::from_shared(&Bytes::from_static(b"junk")).is_err());
+        let process = Counter {
+            value: 7,
+            history: vec![1.0],
+        };
+        let (snap, _) = engine.checkpoint(&mut rng, &process, meta());
+        let mut framed = snap.to_bytes().to_vec();
+        let header_len = framed.len() - snap.payload.len() - 8;
+        framed[header_len] ^= 0xff;
+        assert!(matches!(
+            Snapshot::from_bytes(&framed),
+            Err(SnapshotFormatError::ChecksumMismatch { .. })
         ));
     }
 

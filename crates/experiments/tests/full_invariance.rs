@@ -45,6 +45,25 @@ fn full_summary_csv_matches_pre_delta_golden() {
 }
 
 #[test]
+fn timer_wheel_summary_csv_matches_the_same_golden() {
+    // The golden was generated by the binary-heap kernel on four sweep
+    // threads. The timer wheel must reproduce it byte for byte on one
+    // thread too: neither the kernel nor the sweep's scheduling is a
+    // result knob.
+    let ctx = ExperimentContext {
+        threads: 1,
+        ..golden_ctx()
+    };
+    let grid = run_grid(&ctx, &GOLDEN_BENCHES, &PAPER_POLICIES, &PAPER_RATES);
+    let csv = summary::summarize(&[&grid]).to_csv();
+    let golden = include_str!("data/summary_full_golden.csv");
+    assert_eq!(
+        csv, golden,
+        "single-threaded timer-wheel summary.csv diverged from the binary-heap golden output"
+    );
+}
+
+#[test]
 fn single_node_cluster_summary_csv_matches_the_same_golden() {
     // The golden was generated by the single-node closed-loop runner. A
     // 1-node cluster behind the consistent-hash gateway must reproduce it
@@ -61,5 +80,22 @@ fn single_node_cluster_summary_csv_matches_the_same_golden() {
     assert_eq!(
         csv, golden,
         "single-node cluster summary.csv diverged from the closed-loop golden output"
+    );
+}
+
+#[test]
+fn single_node_cluster_on_the_timer_wheel_matches_the_same_golden() {
+    // Both knobs at once: cluster gateway + timer-wheel kernel, on one
+    // sweep thread. Still the same committed bytes.
+    let ctx = ExperimentContext {
+        threads: 1,
+        ..golden_ctx()
+    };
+    let grid = run_grid_cluster(&ctx, &GOLDEN_BENCHES, &PAPER_POLICIES, &PAPER_RATES);
+    let csv = summary::summarize(&[&grid]).to_csv();
+    let golden = include_str!("data/summary_full_golden.csv");
+    assert_eq!(
+        csv, golden,
+        "single-node cluster (timer wheel) summary.csv diverged from the golden output"
     );
 }
