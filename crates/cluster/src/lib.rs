@@ -17,7 +17,8 @@
 //! - [`BlobDirectory`] — the shared content-addressed blob namespace with
 //!   per-node residency views: a restore on the node that checkpointed
 //!   (or previously fetched) a snapshot is a local hit; anything else
-//!   pays the remote chained-transfer price and then becomes resident.
+//!   pays the remote fetch price its caller quotes and then becomes
+//!   resident.
 //!   Residency refcounts are conserved and drain to zero on teardown.
 //!
 //! The cluster *runner* lives in `pronghorn-platform` (`run_cluster`),

@@ -7,7 +7,8 @@
 //! resident copy plus the virtual time the blob was first placed. A
 //! restore on a resident node is a **local hit** (the single-node price,
 //! unchanged); a restore anywhere else is a **remote miss** that pays the
-//! Table 5 chained-transfer price for the composed chain, after which the
+//! cross-node fetch price the deployment's storage tier quotes (the flat
+//! store's serial walk of the composed chain by default), after which the
 //! fetching node becomes resident too.
 //!
 //! Residency entries are refcounts on the shared blob: conservation
@@ -15,7 +16,7 @@
 //! cluster tears down — pinned by proptests in `tests/`.
 
 use pronghorn_sim::{SimDuration, SimTime};
-use pronghorn_store::{saturating_accumulate, TransferModel};
+use pronghorn_store::saturating_accumulate;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Cluster-wide locality counters, accumulated across a run.
@@ -85,14 +86,14 @@ struct BlobEntry {
 ///
 /// let mut dir = BlobDirectory::new(4);
 /// dir.record(7, 0, SimTime::from_micros(10));
-/// let model = TransferModel::default();
+/// let fetch = TransferModel::default().transfer_time(1 << 20);
 /// // Node 0 checkpointed blob 7: restoring there is free...
-/// let hit = dir.access(7, 0, 1 << 20, SimTime::from_micros(20), &model, 1);
+/// let hit = dir.access(7, 0, 1 << 20, SimTime::from_micros(20), fetch);
 /// assert!(hit.hit);
 /// // ...while node 2 pays the remote transfer, then becomes resident.
-/// let miss = dir.access(7, 2, 1 << 20, SimTime::from_micros(30), &model, 1);
-/// assert!(!miss.hit && miss.bytes == 1 << 20);
-/// assert!(dir.access(7, 2, 1 << 20, SimTime::from_micros(40), &model, 1).hit);
+/// let miss = dir.access(7, 2, 1 << 20, SimTime::from_micros(30), fetch);
+/// assert!(!miss.hit && miss.bytes == 1 << 20 && miss.transfer == fetch);
+/// assert!(dir.access(7, 2, 1 << 20, SimTime::from_micros(40), fetch).hit);
 /// ```
 #[derive(Debug, Clone)]
 pub struct BlobDirectory {
@@ -157,34 +158,17 @@ impl BlobDirectory {
 
     /// Resolves a restore of `id` on `node` at the node's clock `now`:
     /// a local hit if resident, otherwise a remote fetch of `bytes`
-    /// nominal bytes over `remote`, priced as a `links`-link chain walk
-    /// (`links = 1` for a plain blob — one latency, the batched price).
-    /// After a miss the node is resident; stats accumulate either way.
+    /// nominal bytes charged `transfer` — priced by the caller's storage
+    /// tier, while `bytes` stays nominal so the Table 5 conservation law
+    /// (`restore_bytes == nominal_downloaded + remote_bytes`) is unaffected
+    /// by compression. After a miss the node is resident; stats accumulate
+    /// either way.
     ///
     /// An id the directory has never seen (possible only if a restore
     /// precedes any recorded checkpoint of it) is adopted as resident on
     /// the accessing node and counted as a hit — there is no origin to
     /// price a transfer from.
     pub fn access(
-        &mut self,
-        id: u64,
-        node: u32,
-        bytes: u64,
-        now: SimTime,
-        remote: &TransferModel,
-        links: usize,
-    ) -> BlobAccess {
-        let transfer = remote.chained_transfer_time(bytes, links.max(1));
-        self.access_priced(id, node, bytes, now, transfer)
-    }
-
-    /// Like [`Self::access`], but with the miss-path transfer time priced
-    /// by the caller — the storage tier prices a composed image as one
-    /// batched wire-byte fetch instead of re-walking the delta chain
-    /// serially across the cluster link, while `bytes` stays nominal so
-    /// the Table 5 conservation law (`restore_bytes == nominal_downloaded
-    /// + remote_bytes`) is unaffected by compression.
-    pub fn access_priced(
         &mut self,
         id: u64,
         node: u32,
@@ -262,16 +246,22 @@ impl BlobDirectory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pronghorn_store::TransferModel;
 
     fn model() -> TransferModel {
         TransferModel::default()
+    }
+
+    /// The flat store's price for a `links`-link chain of `bytes`.
+    fn chained(bytes: u64, links: usize) -> SimDuration {
+        model().chained_transfer_time(bytes, links)
     }
 
     #[test]
     fn record_then_local_access_is_a_hit() {
         let mut dir = BlobDirectory::new(2);
         dir.record(1, 0, SimTime::from_micros(5));
-        let a = dir.access(1, 0, 4096, SimTime::from_micros(9), &model(), 1);
+        let a = dir.access(1, 0, 4096, SimTime::from_micros(9), chained(4096, 1));
         assert!(a.hit);
         assert_eq!(a.bytes, 0);
         assert_eq!(dir.stats().local_hits, 1);
@@ -282,13 +272,25 @@ mod tests {
     fn remote_access_pays_then_caches() {
         let mut dir = BlobDirectory::new(3);
         dir.record(1, 0, SimTime::from_micros(100));
-        let a = dir.access(1, 2, 1 << 20, SimTime::from_micros(700), &model(), 1);
+        let a = dir.access(
+            1,
+            2,
+            1 << 20,
+            SimTime::from_micros(700),
+            chained(1 << 20, 1),
+        );
         assert!(!a.hit);
         assert_eq!(a.bytes, 1 << 20);
         assert_eq!(a.transfer, model().batched_transfer_time(1 << 20, 1));
         assert_eq!(a.age, SimDuration::from_micros(600));
         assert!(dir.is_resident(1, 2));
-        let b = dir.access(1, 2, 1 << 20, SimTime::from_micros(800), &model(), 1);
+        let b = dir.access(
+            1,
+            2,
+            1 << 20,
+            SimTime::from_micros(800),
+            chained(1 << 20, 1),
+        );
         assert!(b.hit);
         assert_eq!(dir.stats().remote_bytes, 1 << 20);
         assert_eq!(dir.stats().remote_age_us, 600.0);
@@ -298,7 +300,7 @@ mod tests {
     fn chained_misses_pay_per_link_latency() {
         let mut dir = BlobDirectory::new(2);
         dir.record(9, 0, SimTime::ZERO);
-        let a = dir.access(9, 1, 1 << 20, SimTime::from_micros(50), &model(), 3);
+        let a = dir.access(9, 1, 1 << 20, SimTime::from_micros(50), chained(1 << 20, 3));
         assert_eq!(a.transfer, model().chained_transfer_time(1 << 20, 3));
         assert!(a.transfer > model().chained_transfer_time(1 << 20, 1));
     }
@@ -308,7 +310,7 @@ mod tests {
         let mut dir = BlobDirectory::new(2);
         dir.record(3, 0, SimTime::ZERO);
         let custom = SimDuration::from_micros(123);
-        let a = dir.access_priced(3, 1, 2048, SimTime::from_micros(10), custom);
+        let a = dir.access(3, 1, 2048, SimTime::from_micros(10), custom);
         assert!(!a.hit);
         assert_eq!(a.transfer, custom);
         assert_eq!(a.bytes, 2048, "bytes stay nominal regardless of pricing");
@@ -319,7 +321,7 @@ mod tests {
     #[test]
     fn unknown_blob_is_adopted_as_local() {
         let mut dir = BlobDirectory::new(4);
-        let a = dir.access(42, 3, 4096, SimTime::from_micros(10), &model(), 1);
+        let a = dir.access(42, 3, 4096, SimTime::from_micros(10), chained(4096, 1));
         assert!(a.hit);
         assert!(dir.is_resident(42, 3));
         assert_eq!(dir.stats().remote_misses, 0);
@@ -345,7 +347,7 @@ mod tests {
         let mut dir = BlobDirectory::new(3);
         dir.record(1, 0, SimTime::ZERO);
         dir.record(2, 1, SimTime::ZERO);
-        dir.access(1, 2, 100, SimTime::from_micros(1), &model(), 1);
+        dir.access(1, 2, 100, SimTime::from_micros(1), chained(100, 1));
         assert_eq!(dir.total_refs(), 3);
         assert_eq!(dir.evict(1), 2);
         assert_eq!(dir.total_refs(), 1);

@@ -79,9 +79,9 @@ pub struct ClusterSpec {
     pub routing: RoutingPolicy,
     /// Snapshot placement policy.
     pub placement: PlacementPolicy,
-    /// Price of moving a snapshot between nodes — the same Table 5
-    /// network model the store uses (`chained_transfer_time` for composed
-    /// delta chains, latency-once batching for single blobs).
+    /// Link a snapshot moves over between nodes — the same Table 5
+    /// network model the store uses. The deployment's storage tier prices
+    /// each fetch on it (`StorageTier::price_remote_fetch`).
     pub remote: TransferModel,
 }
 

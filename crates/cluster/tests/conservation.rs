@@ -69,8 +69,7 @@ proptest! {
                         node,
                         4096,
                         SimTime::from_micros(at),
-                        &model_link,
-                        1,
+                        model_link.chained_transfer_time(4096, 1),
                     );
                     accesses += 1;
                     let set = model.entry(id).or_default();

@@ -52,7 +52,7 @@ pub mod weights;
 pub use baselines::{CheckpointAfterFirstPolicy, CheckpointAfterInitPolicy, ColdStartPolicy};
 pub use config::{PolicyConfig, SelectionStrategy};
 pub use error::ConfigError;
-pub use orchestrator::{Orchestrator, OverheadTotals, WorkerPlan};
+pub use orchestrator::{Orchestrator, OverheadTotals, PageFetch, WorkerPlan};
 pub use policy::{Policy, PolicyKind, StartDecision};
 pub use pool::{PoolEntry, SnapshotPool};
 pub use request_centric::RequestCentricPolicy;

@@ -21,8 +21,9 @@
 //!   object store, but *residency* is per node
 //!   ([`pronghorn_cluster::BlobDirectory`]): a restore on the node that
 //!   checkpointed (or previously fetched) the blob is a local hit at the
-//!   single-node price; anywhere else it pays the Table 5
-//!   chained-transfer price for the composed chain, and the cross-node
+//!   single-node price; anywhere else it pays the cross-node fetch the
+//!   storage tier prices (the flat store's serial walk of the composed
+//!   chain at Table 5 bandwidth by default), and the cross-node
 //!   snapshot age feeds the staleness model
 //!   ([`crate::IoStaleModel::penalty_frac_aged`]).
 //!

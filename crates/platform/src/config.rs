@@ -70,10 +70,10 @@ pub struct RunConfig {
     /// runner's behaviour (and the `nodes = 1` cluster run is pinned
     /// bit-identical to [`crate::run_closed_loop`]).
     pub cluster: ClusterSpec,
-    /// Tiered snapshot storage: local-SSD cache, modeled wire
-    /// compression, and delta-aware composed-chain prefetch.
-    /// [`StoragePolicy::disabled`] (the default) builds no tier and keeps
-    /// the flat-store path byte-identical to runs predating this knob
+    /// The storage tier every snapshot transfer is priced through:
+    /// local-SSD cache, modeled wire compression, and delta-aware
+    /// composed-chain prefetch. [`StoragePolicy::disabled`] (the default)
+    /// is the flat store, byte-identical to runs predating this knob
     /// (pinned by `tests/full_invariance.rs`).
     pub storage: StoragePolicy,
 }

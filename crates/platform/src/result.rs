@@ -58,7 +58,8 @@ pub struct RunResult {
     /// disabled.
     pub provisioning: ProvisionStats,
     /// Storage-hierarchy accounting (SSD cache, wire compression,
-    /// composed prefetch); all-zero when tiered storage is disabled.
+    /// composed prefetch); all-zero under the flat store (a disabled
+    /// storage policy), whose tier reports no counters.
     pub storage: StorageStats,
 }
 

@@ -21,8 +21,8 @@ fn cfg(policy: PolicyKind, rate: u32) -> RunConfig {
 
 #[test]
 fn disabled_storage_policy_is_byte_identical_to_the_default() {
-    // `with_storage(disabled())` must construct no tier: the run is the
-    // same run, not an approximation of it.
+    // `with_storage(disabled())` is the flat store: the run is the same
+    // run, not an approximation of it, and reports no tier counters.
     let bench = by_name("DFS").unwrap();
     let base = run_closed_loop(&bench, &cfg(PolicyKind::RequestCentric, 1));
     let gated = run_closed_loop(

@@ -9,15 +9,19 @@
 //! hierarchy:
 //!
 //! - [`StoragePolicy`] — which tiers are enabled. The default is
-//!   *disabled*, and a disabled policy constructs no tier at all, so the
-//!   flat-store path stays byte-identical to the pre-tier simulator.
+//!   *disabled*: no cache, no compression, no composed prefetch — the
+//!   flat object store of the base simulator.
 //! - [`CacheTier`] — a capacity-bounded local-SSD blob cache with a
 //!   θ-weight-driven admission/eviction policy (the same per-request
 //!   weights the request-centric checkpoint policy learns) that never
 //!   evicts a chain ancestor still referenced by a resident leaf.
-//! - [`StorageTier`] — the pricing facade: routes reads to SSD or
-//!   network, applies [`compress`](crate::compress) wire sizing, and
-//!   accumulates [`StorageStats`].
+//! - [`StorageTier`] — the one pricer of snapshot transfers: every
+//!   upload, restore download, page fetch and cross-node fetch turns
+//!   bytes into time here. It routes reads to SSD or network, applies
+//!   [`compress`](crate::compress) wire sizing, and accumulates
+//!   [`StorageStats`]. Every orchestrator holds one; under a disabled
+//!   policy it prices exactly like the flat store and reports zeroed
+//!   stats.
 //!
 //! Everything here is deterministic and RNG-free: enabling a tier
 //! re-prices transfers but never perturbs a seeded run's random streams.
@@ -55,8 +59,8 @@ impl Default for CacheConfig {
 }
 
 /// Which storage tiers are active for a run. `Default`/[`Self::disabled`]
-/// turns everything off; the platform constructs no [`StorageTier`] for a
-/// disabled policy, pinning the flat-store arm bit-identical.
+/// turns everything off: a [`StorageTier`] under it is the flat object
+/// store, priced bit-identically to the pre-tier simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StoragePolicy {
     /// Local-SSD cache tier, if enabled.
@@ -76,7 +80,7 @@ impl StoragePolicy {
         StoragePolicy::default()
     }
 
-    /// True when any tier is active (a tier object is worth building).
+    /// True when any tier is active (anything beyond the flat store).
     pub fn enabled(&self) -> bool {
         self.cache.is_some() || self.compression || self.composed_prefetch
     }
@@ -84,12 +88,6 @@ impl StoragePolicy {
     /// Enables the SSD cache tier with default sizing.
     pub fn with_cache(mut self) -> Self {
         self.cache = Some(CacheConfig::default());
-        self
-    }
-
-    /// Enables the SSD cache tier with an explicit configuration.
-    pub fn with_cache_config(mut self, cfg: CacheConfig) -> Self {
-        self.cache = Some(cfg);
         self
     }
 
@@ -167,56 +165,18 @@ pub struct StorageStats {
 impl StorageStats {
     /// Folds `other` into `self` (for aggregating partitions or nodes).
     pub fn merge(&mut self, other: &StorageStats) {
-        saturating_accumulate("cache_hits", &mut self.cache_hits, other.cache_hits);
-        saturating_accumulate("cache_misses", &mut self.cache_misses, other.cache_misses);
-        saturating_accumulate("cache_admits", &mut self.cache_admits, other.cache_admits);
-        saturating_accumulate(
-            "cache_evictions",
-            &mut self.cache_evictions,
-            other.cache_evictions,
-        );
-        saturating_accumulate(
-            "cache_rejects",
-            &mut self.cache_rejects,
-            other.cache_rejects,
-        );
-        saturating_accumulate(
-            "cache_hit_bytes",
-            &mut self.cache_hit_bytes,
-            other.cache_hit_bytes,
-        );
-        saturating_accumulate(
-            "cache_miss_bytes",
-            &mut self.cache_miss_bytes,
-            other.cache_miss_bytes,
-        );
-        saturating_accumulate(
-            "cache_evicted_bytes",
-            &mut self.cache_evicted_bytes,
-            other.cache_evicted_bytes,
-        );
-        saturating_accumulate(
-            "wire_bytes_downloaded",
-            &mut self.wire_bytes_downloaded,
-            other.wire_bytes_downloaded,
-        );
-        saturating_accumulate(
-            "wire_bytes_uploaded",
-            &mut self.wire_bytes_uploaded,
-            other.wire_bytes_uploaded,
-        );
+        macro_rules! add {
+            ($($counter:ident),* $(,)?) => {
+                $(saturating_accumulate(stringify!($counter), &mut self.$counter, other.$counter);)*
+            };
+        }
+        add! {
+            cache_hits, cache_misses, cache_admits, cache_evictions, cache_rejects,
+            cache_hit_bytes, cache_miss_bytes, cache_evicted_bytes,
+            wire_bytes_downloaded, wire_bytes_uploaded, composed_prefetches, composed_bytes_saved,
+        }
         self.compress_us += other.compress_us;
         self.decompress_us += other.decompress_us;
-        saturating_accumulate(
-            "composed_prefetches",
-            &mut self.composed_prefetches,
-            other.composed_prefetches,
-        );
-        saturating_accumulate(
-            "composed_bytes_saved",
-            &mut self.composed_bytes_saved,
-            other.composed_bytes_saved,
-        );
     }
 }
 
@@ -467,8 +427,9 @@ pub struct DownloadRequest<'a> {
 
 /// The pricing facade over cache + compression + composed prefetch.
 ///
-/// Holds the node-local [`CacheTier`] (if configured) and the
-/// [`StorageStats`] for the run. All methods are deterministic.
+/// Owns the object-store network link, the node-local [`CacheTier`] (if
+/// configured) and the [`StorageStats`] for the run. All methods are
+/// deterministic.
 #[derive(Debug, Clone)]
 pub struct StorageTier {
     policy: StoragePolicy,
@@ -493,9 +454,19 @@ impl StorageTier {
         &self.policy
     }
 
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &StorageStats {
-        &self.stats
+    /// The object-store network link misses are priced on.
+    pub fn network(&self) -> &TransferModel {
+        &self.network
+    }
+
+    /// Accumulated statistics — all zero under a disabled policy: the flat
+    /// store is the baseline the tiers' counters are read against.
+    pub fn stats(&self) -> StorageStats {
+        if self.policy.enabled() {
+            self.stats
+        } else {
+            StorageStats::default()
+        }
     }
 
     /// The cache tier, if configured.
@@ -518,11 +489,11 @@ impl StorageTier {
         }
     }
 
-    /// Decompression CPU for `nominal` bytes fetched from the store (0
+    /// Modeled (de)compression CPU `cost` of `nominal` bytes, µs (0
     /// without compression).
-    pub fn decompress_cost_us(&self, nominal: u64) -> f64 {
+    fn cpu_us(&self, cost: fn(u64) -> f64, nominal: u64) -> f64 {
         if self.policy.compression {
-            compress::decompress_us(nominal)
+            cost(nominal)
         } else {
             0.0
         }
@@ -533,37 +504,29 @@ impl StorageTier {
     /// pages, so hits bill nominal bytes on the SSD link with no CPU
     /// cost; misses bill wire bytes on the network plus decompression.
     pub fn read(&mut self, id: u64, nominal: u64, seed: u64) -> ReadPrice {
-        if self.resident(id) {
-            saturating_accumulate("cache_hits", &mut self.stats.cache_hits, 1);
-            saturating_accumulate("cache_hit_bytes", &mut self.stats.cache_hit_bytes, nominal);
-            if let Some(c) = self.policy.cache.as_ref() {
-                return ReadPrice {
-                    model: c.ssd,
-                    billed_bytes: nominal,
-                    decompress_us: 0.0,
-                    hit: true,
-                };
+        let hit = self.resident(id);
+        let (model, bytes, decompress_us) = match self.policy.cache {
+            Some(c) if hit => (c.ssd, nominal, 0.0),
+            _ => {
+                let cpu_us = self.cpu_us(compress::decompress_us, nominal);
+                (self.network, self.wire_bytes(nominal, seed), cpu_us)
             }
+        };
+        let s = &mut self.stats;
+        if hit {
+            saturating_accumulate("cache_hits", &mut s.cache_hits, 1);
+            saturating_accumulate("cache_hit_bytes", &mut s.cache_hit_bytes, nominal);
+        } else {
+            saturating_accumulate("cache_misses", &mut s.cache_misses, 1);
+            saturating_accumulate("cache_miss_bytes", &mut s.cache_miss_bytes, nominal);
+            saturating_accumulate("wire_bytes_downloaded", &mut s.wire_bytes_downloaded, bytes);
+            s.decompress_us += decompress_us;
         }
-        let wire = self.wire_bytes(nominal, seed);
-        let decompress_us = self.decompress_cost_us(nominal);
-        saturating_accumulate("cache_misses", &mut self.stats.cache_misses, 1);
-        saturating_accumulate(
-            "cache_miss_bytes",
-            &mut self.stats.cache_miss_bytes,
-            nominal,
-        );
-        saturating_accumulate(
-            "wire_bytes_downloaded",
-            &mut self.stats.wire_bytes_downloaded,
-            wire,
-        );
-        self.stats.decompress_us += decompress_us;
         ReadPrice {
-            model: self.network,
-            billed_bytes: wire,
+            model,
+            billed_bytes: bytes,
             decompress_us,
-            hit: false,
+            hit,
         }
     }
 
@@ -578,11 +541,7 @@ impl StorageTier {
     /// index, so no serial walk and no per-link latency. The fetched
     /// image is admitted to the cache with the snapshot's θ-weight.
     pub fn price_restore_download(&mut self, req: DownloadRequest<'_>) -> DownloadPrice {
-        let composed_ws = if self.policy.composed_prefetch {
-            req.working_set
-        } else {
-            None
-        };
+        let composed_ws = req.working_set.filter(|_| self.policy.composed_prefetch);
         let composed = composed_ws.is_some();
         let (nominal, blobs) = match composed_ws {
             Some((ws_bytes, pages)) => (ws_bytes.min(req.chain_nominal), pages.max(1)),
@@ -595,16 +554,9 @@ impl StorageTier {
             price.model.chained_transfer_time(price.billed_bytes, blobs)
         };
         if composed {
-            saturating_accumulate(
-                "composed_prefetches",
-                &mut self.stats.composed_prefetches,
-                1,
-            );
-            saturating_accumulate(
-                "composed_bytes_saved",
-                &mut self.stats.composed_bytes_saved,
-                req.chain_nominal.saturating_sub(nominal),
-            );
+            let (s, saved) = (&mut self.stats, req.chain_nominal.saturating_sub(nominal));
+            saturating_accumulate("composed_prefetches", &mut s.composed_prefetches, 1);
+            saturating_accumulate("composed_bytes_saved", &mut s.composed_bytes_saved, saved);
         }
         if !price.hit {
             self.admit(req.id, nominal, req.weight, req.ancestors);
@@ -624,33 +576,34 @@ impl StorageTier {
     /// stays with the caller.
     pub fn price_upload(&mut self, id: u64, nominal: u64, seed: u64, weight: f64) -> f64 {
         let wire = self.wire_bytes(nominal, seed);
-        let compress_us = if self.policy.compression {
-            compress::compress_us(nominal)
-        } else {
-            0.0
-        };
-        saturating_accumulate(
-            "wire_bytes_uploaded",
-            &mut self.stats.wire_bytes_uploaded,
-            wire,
-        );
-        self.stats.compress_us += compress_us;
+        let compress_us = self.cpu_us(compress::compress_us, nominal);
+        let s = &mut self.stats;
+        saturating_accumulate("wire_bytes_uploaded", &mut s.wire_bytes_uploaded, wire);
+        s.compress_us += compress_us;
         self.admit(id, nominal, weight, &[]);
         self.network.transfer_time(wire).as_micros() as f64 + compress_us
     }
 
-    /// Prices fetching a remote node's composed image over `remote` as a
-    /// single batched request on wire bytes — the decomposed alternative
-    /// to re-walking the delta chain serially across the cluster link.
-    /// Pure: whether the fetch actually happens (the access may be a
-    /// local hit) is the blob directory's call; admit separately on miss.
+    /// Prices fetching a peer node's copy of a restored image (`nominal`
+    /// bytes, a `chain_len`-link delta chain) over `remote`. The flat store
+    /// re-walks the chain serially across the cluster link, one latency
+    /// per link; any enabled tier fetches the composed image as one
+    /// batched request on wire bytes (the per-page resolution already
+    /// collapsed the chain). Pure: whether the fetch happens (the access
+    /// may be a local hit) is the blob directory's call; admit separately
+    /// on a miss.
     pub fn price_remote_fetch(
         &self,
         nominal: u64,
+        chain_len: usize,
         seed: u64,
         remote: &TransferModel,
     ) -> SimDuration {
-        remote.batched_transfer_time(self.wire_bytes(nominal, seed), 1)
+        if self.policy.enabled() {
+            remote.batched_transfer_time(self.wire_bytes(nominal, seed), 1)
+        } else {
+            remote.chained_transfer_time(nominal, chain_len.max(1))
+        }
     }
 
     /// Admits `id` into the cache (if configured), recording stats.
@@ -659,18 +612,15 @@ impl StorageTier {
             return;
         };
         let outcome = cache.admit(id, nominal, weight, ancestors);
+        let s = &mut self.stats;
         if outcome.admitted {
-            saturating_accumulate("cache_admits", &mut self.stats.cache_admits, 1);
+            saturating_accumulate("cache_admits", &mut s.cache_admits, 1);
         } else {
-            saturating_accumulate("cache_rejects", &mut self.stats.cache_rejects, 1);
+            saturating_accumulate("cache_rejects", &mut s.cache_rejects, 1);
         }
         for (_, bytes) in outcome.evicted {
-            saturating_accumulate("cache_evictions", &mut self.stats.cache_evictions, 1);
-            saturating_accumulate(
-                "cache_evicted_bytes",
-                &mut self.stats.cache_evicted_bytes,
-                bytes,
-            );
+            saturating_accumulate("cache_evictions", &mut s.cache_evictions, 1);
+            saturating_accumulate("cache_evicted_bytes", &mut s.cache_evicted_bytes, bytes);
         }
     }
 
@@ -812,10 +762,11 @@ mod tests {
 
     #[test]
     fn disabled_flags_price_exactly_like_the_flat_store() {
-        // A tier with everything off reproduces legacy pricing bit for
-        // bit — the platform never builds one, but the equivalence pins
-        // the model.
-        let mut t = StorageTier::new(StoragePolicy::disabled(), TransferModel::default());
+        // A tier with everything off is the flat store: every transfer it
+        // prices is the legacy formula bit for bit, and it reports no
+        // counters.
+        let flat = TransferModel::default();
+        let mut t = StorageTier::new(StoragePolicy::disabled(), flat);
         let price = t.price_restore_download(DownloadRequest {
             id: 1,
             chain_nominal: 5_000_000,
@@ -825,10 +776,32 @@ mod tests {
             working_set: None,
             ancestors: &[],
         });
-        let legacy = TransferModel::default().chained_transfer_time(5_000_000, 4);
+        let legacy = flat.chained_transfer_time(5_000_000, 4);
         assert_eq!(price.transfer_us, legacy.as_micros() as f64);
         assert_eq!(price.accounted_nominal, 5_000_000);
         assert!(!price.cache_hit && !price.composed);
+        // Upload: nominal bytes over the link, no compression CPU.
+        let upload = t.price_upload(2, 3_000_000, 77, 0.9);
+        assert_eq!(upload, flat.transfer_time(3_000_000).as_micros() as f64);
+        // Prefetch and fault reads: nominal bytes on the network link with
+        // no decompression — also right after the upload: nothing caches.
+        let read = t.read(2, 1 << 18, 77);
+        let expect = ReadPrice {
+            model: flat,
+            billed_bytes: 1 << 18,
+            decompress_us: 0.0,
+            hit: false,
+        };
+        assert_eq!(read, expect);
+        // Cross-node fetch: the serial chain walk over the remote link,
+        // where any enabled tier fetches the composed image in one batch.
+        let remote = TransferModel::from_gbps(500.0, 1.0);
+        let fetch = t.price_remote_fetch(5_000_000, 4, 77, &remote);
+        assert_eq!(fetch, remote.chained_transfer_time(5_000_000, 4));
+        let cached = StorageTier::new(StoragePolicy::disabled().with_cache(), flat);
+        let batched = cached.price_remote_fetch(5_000_000, 4, 77, &remote);
+        assert_eq!(batched, remote.batched_transfer_time(5_000_000, 1));
+        assert_eq!(t.stats(), StorageStats::default());
     }
 
     #[test]
