@@ -117,10 +117,10 @@ fn restore_chain_store_work_is_bounded_per_snapshot_and_restore() {
             stats.puts
         );
         // Per restore: the composed chain's blobs (at most K deltas and
-        // their root) plus at most two manifest reads (download pricing
-        // and the restore itself).
+        // their root) plus at most one manifest read, shared by the
+        // download pricing and the restore itself.
         assert!(
-            stats.gets <= (u64::from(MAX_DEPTH) + 3) * restores,
+            stats.gets <= (u64::from(MAX_DEPTH) + 2) * restores,
             "{bench}: {} gets for {restores} restores",
             stats.gets
         );
