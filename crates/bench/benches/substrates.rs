@@ -1,5 +1,5 @@
 //! Micro-benchmarks of every substrate: the checkpoint engine and codec,
-//! the object store and database, the JIT runtime's request execution,
+//! the object store, the JIT runtime's request execution,
 //! the real workload kernels, and each benchmark's `generate` (its
 //! work-unit form).
 
@@ -9,7 +9,6 @@ use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pronghorn_checkpoint::{Checkpointable, SimCriuEngine, Snapshot, SnapshotMeta};
 use pronghorn_jit::Runtime;
-use pronghorn_kv::KvStore;
 use pronghorn_store::ObjectStore;
 use pronghorn_workloads::kernels::{compress, graph, hashing, json};
 use pronghorn_workloads::{by_name, evaluation_benchmarks, InputVariance, Workload};
@@ -91,19 +90,6 @@ fn bench_jit_execution(c: &mut Criterion) {
 
 fn bench_stores(c: &mut Criterion) {
     let mut group = c.benchmark_group("stores");
-    let kv = KvStore::new();
-    let theta: Vec<f64> = (0..200).map(f64::from).collect();
-    let encoded = pronghorn_kv::types::encode_f64_vec(&theta);
-    group.bench_function("kv_put_theta_w200", |b| {
-        b.iter(|| kv.put("fn/bench/theta", encoded.clone()))
-    });
-    kv.put("fn/bench/theta", encoded);
-    group.bench_function("kv_get_plus_decode", |b| {
-        b.iter(|| {
-            let v = kv.get("fn/bench/theta").unwrap();
-            pronghorn_kv::types::decode_f64_vec(&v.value).unwrap()
-        })
-    });
     let store = ObjectStore::new();
     let blob = Bytes::from(vec![0xabu8; 64 * 1024]);
     group.throughput(Throughput::Bytes(blob.len() as u64));

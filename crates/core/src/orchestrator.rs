@@ -1,13 +1,17 @@
 //! The per-function Orchestrator: policy + Database + Object Store.
 //!
 //! Figure 2's execution steps live here. At worker start the Orchestrator
-//! reads the shared policy state from the Database, asks the policy for a
+//! pays the Database read of the policy state, asks the policy for a
 //! start decision, and downloads the chosen snapshot from the Object Store
 //! (steps 3–4 plus the restore path). After each request it folds the
-//! end-to-end latency into the Database-persisted weight vector (step 3).
-//! When the policy schedules a checkpoint, the Orchestrator uploads the
-//! snapshot and records its metadata (steps 5–8), deleting any blobs the
-//! pool evicted.
+//! end-to-end latency into the policy's weight vector and pays the
+//! Database write (step 3). When the policy schedules a checkpoint, the
+//! Orchestrator uploads the snapshot and records its metadata (steps 5–8),
+//! deleting any blobs the pool evicted.
+//!
+//! Each deployment owns exactly one Orchestrator, so θ lives only in its
+//! policy: the paper's Database exists to share θ between orchestrator
+//! processes, and here only its round trips ([`KvCosts`]) are modelled.
 //!
 //! Every operation's virtual cost is accumulated into [`OverheadTotals`] —
 //! the per-worker-startup / per-request / per-checkpoint decomposition of
@@ -20,7 +24,7 @@ use crate::pool::PoolEntry;
 use bytes::Bytes;
 use pronghorn_checkpoint::delta::is_delta_frame;
 use pronghorn_checkpoint::{CheckpointOutcome, DeltaFrame, Encoder, Snapshot, SnapshotId};
-use pronghorn_kv::{types as kvtypes, KvCosts, KvStore};
+use pronghorn_kv::KvCosts;
 use pronghorn_restore::{
     FaultCostModel, PageMap, RestoreStrategy, WorkingSetManifest, DEFAULT_PAGE_SIZE,
 };
@@ -167,14 +171,12 @@ pub struct PageFetch {
 ///
 /// ```
 /// use pronghorn_core::{CheckpointAfterFirstPolicy, Orchestrator, StartDecision};
-/// use pronghorn_kv::KvStore;
 /// use pronghorn_store::ObjectStore;
 /// use rand::rngs::SmallRng;
 /// use rand::SeedableRng;
 ///
 /// let mut orch = Orchestrator::new(
 ///     Box::new(CheckpointAfterFirstPolicy::new()),
-///     KvStore::new(),
 ///     ObjectStore::new(),
 ///     "dynamic-html",
 /// );
@@ -187,7 +189,6 @@ pub struct PageFetch {
 /// ```
 pub struct Orchestrator {
     policy: Box<dyn Policy>,
-    kv: KvStore,
     store: ObjectStore,
     function: String,
     kv_costs: KvCosts,
@@ -230,15 +231,9 @@ struct Download {
 
 impl Orchestrator {
     /// Creates an orchestrator for `function`.
-    pub fn new(
-        policy: Box<dyn Policy>,
-        kv: KvStore,
-        store: ObjectStore,
-        function: impl Into<String>,
-    ) -> Self {
+    pub fn new(policy: Box<dyn Policy>, store: ObjectStore, function: impl Into<String>) -> Self {
         Orchestrator {
             policy,
-            kv,
             store,
             function: function.into(),
             kv_costs: KvCosts::default(),
@@ -349,21 +344,22 @@ impl Orchestrator {
         self.storage.stats()
     }
 
-    /// Prices the record-prefetch batch of a restore: `pages` of snapshot
-    /// `id` (payload hash `seed`) in one batched fetch through the storage
-    /// tier — SSD bandwidth if the provisioning download staged the image
-    /// on the node, wire bytes plus decompression from the store otherwise.
-    /// `us` includes the page-table mapping.
+    /// Prices `pages` of snapshot `id` in one batched fetch through the
+    /// storage tier — SSD bandwidth if the provisioning download staged the
+    /// image on the node, wire bytes plus decompression from the store
+    /// otherwise, with the snapshot's payload hash seeding the compression
+    /// ratio. `us` includes the page-table mapping. Both a record-prefetch
+    /// restore's batch and a pre-restored worker's background hydration
+    /// are priced here.
     pub fn prefetch_pages(
         &mut self,
         id: SnapshotId,
-        seed: u64,
         map: &PageMap,
         pages: &[u32],
         costs: &FaultCostModel,
     ) -> PageFetch {
         let bytes = self.page_bytes(id, map, pages);
-        let price = self.storage.read(id.0, bytes, seed);
+        let price = self.storage.read(id.0, bytes, map.payload_hash());
         PageFetch {
             bytes,
             us: costs.prefetch_us(&price.model, price.billed_bytes, pages.len() as u32),
@@ -396,24 +392,6 @@ impl Orchestrator {
         fetch
     }
 
-    /// Prices a pre-restored worker's background hydration of `pages` of
-    /// snapshot `id`: one batched prefetch on the object-store link,
-    /// outside the cache and compression.
-    pub fn hydrate_pages(
-        &self,
-        id: SnapshotId,
-        map: &PageMap,
-        pages: &[u32],
-        costs: &FaultCostModel,
-    ) -> PageFetch {
-        let bytes = self.page_bytes(id, map, pages);
-        PageFetch {
-            bytes,
-            us: costs.prefetch_us(self.storage.network(), bytes, pages.len() as u32),
-            decompress_us: 0.0,
-        }
-    }
-
     /// Prices fetching a restored snapshot's image (`nominal` bytes, a
     /// `chain_len`-link chain, payload hash `seed`) from a peer node over
     /// `remote`; see [`StorageTier::price_remote_fetch`].
@@ -438,13 +416,10 @@ impl Orchestrator {
     }
 
     /// The θ-weight the policy has learned for checkpoints taken at
-    /// `request_number` (0.0 for policies without exported weights) —
-    /// the cache tier's admission priority.
+    /// `request_number` (0.0 for policies without weights) — the cache
+    /// tier's admission priority.
     fn theta_weight(&self, request_number: u32) -> f64 {
-        self.policy
-            .export_weights()
-            .and_then(|w| w.get(request_number as usize).copied())
-            .unwrap_or(0.0)
+        self.policy.theta().map_or(0.0, |w| w.get(request_number))
     }
 
     /// The θ-weight of pooled snapshot `id` (0.0 when untracked).
@@ -495,10 +470,6 @@ impl Orchestrator {
         &self.overheads
     }
 
-    fn theta_key(&self) -> String {
-        format!("fn/{}/theta", self.function)
-    }
-
     fn blob_key(&self, id: SnapshotId) -> String {
         format!("{}/{id}", self.function)
     }
@@ -521,18 +492,8 @@ impl Orchestrator {
 
     /// Worker start: Figure 2 steps 3–4 plus the snapshot download.
     pub fn begin_worker(&mut self, rng: &mut dyn RngCore) -> WorkerPlan {
-        let mut overhead_us = self.decision_cost_us();
-
-        // Refresh policy knowledge from the Database (step 4). Other
-        // workers may have updated it concurrently.
-        if let Some(stored) = self.kv.get(&self.theta_key()) {
-            overhead_us += self.kv_costs.read_us;
-            if let Ok(slots) = kvtypes::decode_f64_vec(&stored.value) {
-                self.policy.import_weights(&slots);
-            }
-        } else {
-            overhead_us += self.kv_costs.read_us;
-        }
+        // The decision plus one Database read of the policy state (step 4).
+        let overhead_us = self.decision_cost_us() + self.kv_costs.read_us;
 
         let start = self.policy.on_worker_start(rng);
         // Blob transfer is provisioning work (charged to the worker plan
@@ -687,36 +648,15 @@ impl Orchestrator {
     }
 
     /// Request completion: Figure 2 step 3 — fold the end-to-end latency
-    /// into the policy and persist the updated weight vector.
+    /// into the policy and pay the Database write of the result.
     pub fn complete_request(&mut self, request_number: u32, latency_us: f64) -> SimDuration {
         self.policy.record_latency(request_number, latency_us);
-        // One Database round trip for either policy family; the
-        // request-centric policy additionally folds the sample into the
-        // weight vector (a few array operations, §5.3: "some extra array
-        // read-write operations, whose computation time is outweighed by
-        // network latency").
+        // One Database round trip for either policy family; a policy with
+        // a weight vector additionally folds the sample into it (a few
+        // array operations, §5.3: "some extra array read-write operations,
+        // whose computation time is outweighed by network latency").
         let mut overhead_us = 200.0 + self.kv_costs.write_us;
-        if self.policy.persists_weights() {
-            let key = self.theta_key();
-            // Delta path: a single latency sample touches one θ slot, so
-            // persist 8 bytes at a fixed offset instead of re-encoding all
-            // W slots. The virtual cost charged is the same round trip —
-            // only host-side work shrinks.
-            let patched = match self.policy.take_weight_delta() {
-                Some((r, v)) => self
-                    .kv
-                    .patch(&key, |buf| kvtypes::patch_f64_slot(buf, r as usize, v)),
-                // Sample was ignored (out of range / invalid): the stored
-                // vector is already current if it exists at all.
-                None => self.kv.contains(&key),
-            };
-            if !patched {
-                // First write for this function, or a stored vector of the
-                // wrong shape: fall back to the full encode.
-                if let Some(slots) = self.policy.export_weights() {
-                    self.kv.put(&key, kvtypes::encode_f64_vec(&slots));
-                }
-            }
+        if self.policy.theta().is_some() {
             overhead_us += 150.0;
         }
         self.overheads.request_us += overhead_us;
@@ -936,7 +876,7 @@ mod tests {
     }
 
     fn orchestrator(policy: Box<dyn Policy>) -> Orchestrator {
-        Orchestrator::new(policy, KvStore::new(), ObjectStore::new(), "f")
+        Orchestrator::new(policy, ObjectStore::new(), "f")
     }
 
     #[test]
@@ -984,59 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn weights_persist_through_the_database() {
-        let kv = KvStore::new();
-        let store = ObjectStore::new();
-        let config = PolicyConfig::paper_pypy();
-        let mut orch = Orchestrator::new(
-            Box::new(RequestCentricPolicy::new(config)),
-            kv.clone(),
-            store.clone(),
-            "f",
-        );
-        let mut rng = SmallRng::seed_from_u64(4);
-        orch.begin_worker(&mut rng);
-        orch.complete_request(0, 50_000.0);
-        // A second orchestrator (another worker's view) sees the update.
-        let mut orch2 =
-            Orchestrator::new(Box::new(RequestCentricPolicy::new(config)), kv, store, "f");
-        orch2.begin_worker(&mut rng);
-        let weights = orch2.policy().export_weights().unwrap();
-        assert_eq!(weights[0], 50_000.0);
-    }
-
-    #[test]
-    fn delta_persistence_matches_full_reencode() {
-        let kv = KvStore::new();
-        let config = PolicyConfig::paper_pypy();
-        let mut orch = Orchestrator::new(
-            Box::new(RequestCentricPolicy::new(config)),
-            kv.clone(),
-            ObjectStore::new(),
-            "f",
-        );
-        let mut rng = SmallRng::seed_from_u64(21);
-        orch.begin_worker(&mut rng);
-        // A mix of fresh slots, EWMA re-blends, ignored out-of-range and
-        // invalid samples: after every request the persisted bytes must be
-        // exactly what a full re-encode of the live weights would produce.
-        let samples = [
-            (0, 50_000.0),
-            (3, 20_000.0),
-            (0, 10_000.0),
-            (9_999, 5_000.0),
-            (2, f64::NAN),
-            (7, 42_000.0),
-        ];
-        for (r, lat) in samples {
-            orch.complete_request(r, lat);
-            let stored = kv.get("fn/f/theta").unwrap().value;
-            let full = kvtypes::encode_f64_vec(&orch.policy().export_weights().unwrap());
-            assert_eq!(stored, full, "divergence after sample ({r}, {lat})");
-        }
-    }
-
-    #[test]
     fn twin_snapshots_dedup_in_the_store() {
         let mut orch = orchestrator(Box::new(CheckpointAfterFirstPolicy::new()));
         let mut rng = SmallRng::seed_from_u64(22);
@@ -1072,7 +959,6 @@ mod tests {
         let store = ObjectStore::new();
         let mut orch = Orchestrator::new(
             Box::new(RequestCentricPolicy::new(config)),
-            KvStore::new(),
             store.clone(),
             "f",
         );
@@ -1199,7 +1085,6 @@ mod tests {
         let store = ObjectStore::new();
         let mut orch = Orchestrator::new(
             Box::new(CheckpointAfterFirstPolicy::new()),
-            KvStore::new(),
             store.clone(),
             "f",
         );
@@ -1405,7 +1290,6 @@ mod tests {
         let run_with = |kv_costs: KvCosts| -> f64 {
             let mut orch = Orchestrator::new(
                 Box::new(CheckpointAfterFirstPolicy::new()),
-                KvStore::new(),
                 ObjectStore::new(),
                 "f",
             )
@@ -1426,7 +1310,6 @@ mod tests {
         let build = |transfer: TransferModel| {
             let mut orch = Orchestrator::new(
                 Box::new(CheckpointAfterFirstPolicy::new()),
-                KvStore::new(),
                 ObjectStore::new(),
                 "f",
             )

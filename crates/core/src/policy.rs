@@ -7,6 +7,7 @@
 //! knowledge-update and pool-management hooks of Algorithm 1.
 
 use crate::pool::PoolEntry;
+use crate::weights::WeightVector;
 use pronghorn_checkpoint::SnapshotId;
 use rand::RngCore;
 
@@ -77,28 +78,11 @@ pub trait Policy: Send {
     /// Number of snapshots currently pooled.
     fn pool_len(&self) -> usize;
 
-    /// Exports the policy's learned weights for persistence, if it has any.
-    fn export_weights(&self) -> Option<Vec<f64>> {
-        None
-    }
-
-    /// Restores previously persisted weights, if supported.
-    fn import_weights(&mut self, _slots: &[f64]) {}
-
-    /// Whether this policy persists weights to the Database at all. When
-    /// `true` the orchestrator charges the weight-write overhead and
-    /// persists after every request, preferring the single-slot delta from
-    /// [`Self::take_weight_delta`] over a full [`Self::export_weights`]
-    /// re-encode.
-    fn persists_weights(&self) -> bool {
-        false
-    }
-
-    /// Takes the single-slot weight change produced by the most recent
-    /// [`Self::record_latency`] call, if any: `(request_number, new_value)`.
-    /// Returns `None` when the sample was ignored or the policy does not
-    /// track deltas; the orchestrator then falls back to a full export.
-    fn take_weight_delta(&mut self) -> Option<(u32, f64)> {
+    /// The learned weight vector θ, for policies that learn one (`None`
+    /// for the baselines). The orchestrator reads single slots of it as
+    /// the cache tier's admission priority, and charges a policy that has
+    /// one the weight-write overhead on every request.
+    fn theta(&self) -> Option<&WeightVector> {
         None
     }
 

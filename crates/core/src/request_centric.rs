@@ -17,8 +17,6 @@ pub struct RequestCentricPolicy {
     pool: SnapshotPool,
     /// Reused across decisions: no per-draw allocation on the hot path.
     scratch: DecisionScratch,
-    /// Slot updated by the latest `record_latency`, for delta persistence.
-    pending_delta: Option<(u32, f64)>,
     /// Pooled snapshots with a recorded working-set manifest; only
     /// consulted when `config.restore_penalty_us > 0`.
     prefetch_ready: std::collections::BTreeSet<u64>,
@@ -49,7 +47,6 @@ impl RequestCentricPolicy {
             weights: WeightVector::new(config.w, config.alpha),
             pool: SnapshotPool::new(config.capacity),
             scratch: DecisionScratch::new(),
-            pending_delta: None,
             prefetch_ready: std::collections::BTreeSet::new(),
             config,
         })
@@ -58,11 +55,6 @@ impl RequestCentricPolicy {
     /// The configuration in force.
     pub fn config(&self) -> &PolicyConfig {
         &self.config
-    }
-
-    /// The learned weight vector.
-    pub fn weights(&self) -> &WeightVector {
-        &self.weights
     }
 
     /// The snapshot pool.
@@ -154,12 +146,8 @@ impl Policy for RequestCentricPolicy {
     }
 
     fn record_latency(&mut self, request_number: u32, latency_us: f64) {
-        // Part 3: EWMA knowledge update. The touched slot is remembered so
-        // the orchestrator can persist a single-slot delta.
-        self.pending_delta = self
-            .weights
-            .update(request_number, latency_us)
-            .map(|v| (request_number, v));
+        // Part 3: EWMA knowledge update.
+        self.weights.update(request_number, latency_us);
     }
 
     fn on_snapshot_taken(&mut self, entry: PoolEntry, rng: &mut dyn RngCore) -> Vec<PoolEntry> {
@@ -187,22 +175,8 @@ impl Policy for RequestCentricPolicy {
         self.pool.len()
     }
 
-    fn export_weights(&self) -> Option<Vec<f64>> {
-        Some(self.weights.slots().to_vec())
-    }
-
-    fn import_weights(&mut self, slots: &[f64]) {
-        if slots.len() == self.config.w as usize {
-            self.weights = WeightVector::from_slots(slots.to_vec(), self.config.alpha);
-        }
-    }
-
-    fn persists_weights(&self) -> bool {
-        true
-    }
-
-    fn take_weight_delta(&mut self) -> Option<(u32, f64)> {
-        self.pending_delta.take()
+    fn theta(&self) -> Option<&WeightVector> {
+        Some(&self.weights)
     }
 
     fn note_prefetch_ready(&mut self, id: SnapshotId) {
@@ -314,16 +288,15 @@ mod tests {
     }
 
     #[test]
-    fn weights_round_trip_through_export_import() {
+    fn theta_borrows_the_live_weights() {
         let mut p = RequestCentricPolicy::new(config());
         p.record_latency(5, 1234.0);
-        let exported = p.export_weights().unwrap();
-        let mut q = RequestCentricPolicy::new(config());
-        q.import_weights(&exported);
-        assert_eq!(q.weights().get(5), 1234.0);
-        // Mismatched length is ignored.
-        q.import_weights(&[1.0, 2.0]);
-        assert_eq!(q.weights().get(5), 1234.0);
+        // An ignored sample (past W) leaves θ as it was.
+        p.record_latency(10_000, 99.0);
+        let theta = p.theta().unwrap();
+        assert_eq!(theta.get(5), 1234.0);
+        assert_eq!(theta.explored(), 1);
+        assert!(crate::ColdStartPolicy.theta().is_none());
     }
 
     #[test]

@@ -48,23 +48,9 @@ impl WeightVector {
         }
     }
 
-    /// Reconstructs a vector from persisted slots (the Database round
-    /// trip).
-    pub fn from_slots(theta: Vec<f64>, alpha: f64) -> Self {
-        WeightVector {
-            theta,
-            alpha: alpha.clamp(f64::MIN_POSITIVE, 1.0),
-        }
-    }
-
     /// The search-space bound `W`.
     pub fn w(&self) -> u32 {
         self.theta.len() as u32
-    }
-
-    /// Raw slots (for persistence).
-    pub fn slots(&self) -> &[f64] {
-        &self.theta
     }
 
     /// Latency estimate for request number `r` (0 = unexplored).
@@ -84,8 +70,7 @@ impl WeightVector {
     /// samples blend with `θ[R] ← α·L + (1−α)·θ[R]`.
     ///
     /// Returns the slot's new value when the sample landed, `None` when it
-    /// was ignored — the hook delta persistence uses to write a single
-    /// Database slot instead of re-encoding all `W` of them.
+    /// was ignored.
     pub fn update(&mut self, r: u32, latency_us: f64) -> Option<f64> {
         if !(latency_us.is_finite() && latency_us > 0.0) {
             return None;

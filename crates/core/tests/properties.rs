@@ -167,31 +167,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    /// Persisting θ as single-slot deltas (`patch_f64_slot` on the slot
-    /// reported by `WeightVector::update`) keeps the stored bytes equal
-    /// to a full re-encode of the live vector after every observation.
-    #[test]
-    fn delta_persistence_equals_full_reencode(
-        w in 4u32..64,
-        alpha in 0.05f64..0.95,
-        samples in prop::collection::vec((any::<u32>(), 1.0f64..1e7), 1..64),
-    ) {
-        let mut weights = WeightVector::new(w, alpha);
-        let mut stored = pronghorn_kv::types::encode_f64_vec(weights.slots());
-        for (slot, latency) in samples {
-            if let Some(value) = weights.update(slot, latency) {
-                prop_assert!(pronghorn_kv::types::patch_f64_slot(
-                    &mut stored,
-                    slot as usize,
-                    value,
-                ));
-            }
-            prop_assert_eq!(
-                &stored,
-                &pronghorn_kv::types::encode_f64_vec(weights.slots())
-            );
-        }
-    }
-}

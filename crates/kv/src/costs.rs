@@ -4,20 +4,16 @@
 //! each policy read/write costs a sub-millisecond round trip. Figure 7
 //! shows these costs showing up as per-request and per-checkpoint
 //! orchestrator overhead (off the critical path). The orchestrator charges
-//! the costs below into its overhead accounting; the store itself stays
-//! synchronous and instant.
+//! the costs below into its overhead accounting.
 
 /// Per-operation virtual latency, in microseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KvCosts {
-    /// One point read round trip.
+    /// One point read round trip (the policy state, per worker start).
     pub read_us: f64,
-    /// One write round trip.
+    /// One write round trip (the weights per request; pool and page-table
+    /// metadata per checkpoint and per eviction).
     pub write_us: f64,
-    /// One atomic read-modify-write round trip (read + write under lock).
-    pub update_us: f64,
-    /// One prefix scan.
-    pub scan_us: f64,
 }
 
 impl Default for KvCosts {
@@ -27,8 +23,6 @@ impl Default for KvCosts {
         KvCosts {
             read_us: 300.0,
             write_us: 500.0,
-            update_us: 800.0,
-            scan_us: 600.0,
         }
     }
 }
@@ -39,8 +33,6 @@ impl KvCosts {
         KvCosts {
             read_us: 0.0,
             write_us: 0.0,
-            update_us: 0.0,
-            scan_us: 0.0,
         }
     }
 
@@ -49,8 +41,6 @@ impl KvCosts {
         KvCosts {
             read_us: self.read_us * factor,
             write_us: self.write_us * factor,
-            update_us: self.update_us * factor,
-            scan_us: self.scan_us * factor,
         }
     }
 }
@@ -64,13 +54,12 @@ mod tests {
         let c = KvCosts::default();
         assert!(c.read_us > 0.0 && c.read_us < 1_000.0);
         assert!(c.write_us > 0.0 && c.write_us < 1_000.0);
-        assert!(c.update_us >= c.write_us);
     }
 
     #[test]
     fn free_is_all_zero() {
         let c = KvCosts::free();
-        assert_eq!(c.read_us + c.write_us + c.update_us + c.scan_us, 0.0);
+        assert_eq!(c.read_us + c.write_us, 0.0);
     }
 
     #[test]
@@ -78,6 +67,6 @@ mod tests {
         let c = KvCosts::default().scaled(2.0);
         let d = KvCosts::default();
         assert_eq!(c.read_us, d.read_us * 2.0);
-        assert_eq!(c.scan_us, d.scan_us * 2.0);
+        assert_eq!(c.write_us, d.write_us * 2.0);
     }
 }

@@ -1,10 +1,9 @@
-//! Latency time-series utilities: bucketing and smoothing.
+//! Latency time-series utilities.
 //!
 //! Warm-up curves (Figure 1) are noisy per-request series spanning
-//! thousands of points; rendering and analysis both want bucketed medians
-//! (robust to deopt spikes) and running quantiles. These helpers are the
-//! series-side complement of the distribution-side tools in
-//! [`crate::quantile`].
+//! thousands of points; rendering wants them as bucketed medians (robust
+//! to deopt spikes). This is the series-side complement of the
+//! distribution-side tools in [`crate::quantile`].
 
 /// Downsamples a series into `buckets` equal-width buckets, taking the
 /// median of each — the robust smoother behind the ASCII warm-up plots.
@@ -26,45 +25,6 @@ pub fn bucket_medians(series: &[f64], buckets: usize) -> Vec<f64> {
                 (v[v.len() / 2 - 1] + v[v.len() / 2]) / 2.0
             }
         })
-        .collect()
-}
-
-/// Centered moving median with the given half-window (window = `2h + 1`,
-/// truncated at the edges). Robust to isolated spikes, unlike a moving
-/// mean.
-pub fn moving_median(series: &[f64], half_window: usize) -> Vec<f64> {
-    if series.is_empty() {
-        return Vec::new();
-    }
-    (0..series.len())
-        .map(|i| {
-            let lo = i.saturating_sub(half_window);
-            let hi = (i + half_window + 1).min(series.len());
-            let mut w: Vec<f64> = series[lo..hi].to_vec();
-            w.sort_by(|a, b| a.partial_cmp(b).expect("finite series"));
-            if w.len() % 2 == 1 {
-                w[w.len() / 2]
-            } else {
-                (w[w.len() / 2 - 1] + w[w.len() / 2]) / 2.0
-            }
-        })
-        .collect()
-}
-
-/// The relative improvement trajectory of a warm-up series: for each
-/// bucket, the reduction (in percent) of its median versus the first
-/// bucket's median — how Figure 1's "latency reduction" accrues over time.
-pub fn reduction_trajectory(series: &[f64], buckets: usize) -> Vec<f64> {
-    let medians = bucket_medians(series, buckets);
-    let Some(&first) = medians.first() else {
-        return Vec::new();
-    };
-    if first <= 0.0 {
-        return vec![0.0; medians.len()];
-    }
-    medians
-        .iter()
-        .map(|&m| (first - m) / first * 100.0)
         .collect()
 }
 
@@ -96,41 +56,5 @@ mod tests {
         series[25] = 1e9;
         let medians = bucket_medians(&series, 5);
         assert!(medians.iter().all(|&m| m == 10.0));
-    }
-
-    #[test]
-    fn moving_median_smooths_isolated_spikes() {
-        let mut series = vec![5.0; 21];
-        series[10] = 1e6;
-        let smooth = moving_median(&series, 2);
-        assert_eq!(smooth.len(), series.len());
-        assert!(smooth.iter().all(|&v| v == 5.0));
-    }
-
-    #[test]
-    fn moving_median_truncates_at_edges() {
-        let series = [1.0, 2.0, 3.0];
-        let smooth = moving_median(&series, 5);
-        // Every window is the whole series: median 2.
-        assert_eq!(smooth, vec![2.0, 2.0, 2.0]);
-        assert!(moving_median(&[], 2).is_empty());
-    }
-
-    #[test]
-    fn reduction_trajectory_tracks_warmup() {
-        // 1000µs dropping to 250µs: final reduction 75%.
-        let mut series = vec![1_000.0; 100];
-        series.extend(vec![250.0; 100]);
-        let traj = reduction_trajectory(&series, 4);
-        assert_eq!(traj.len(), 4);
-        assert_eq!(traj[0], 0.0);
-        assert_eq!(traj[3], 75.0);
-    }
-
-    #[test]
-    fn reduction_trajectory_degenerate_inputs() {
-        assert!(reduction_trajectory(&[], 4).is_empty());
-        let flat = reduction_trajectory(&[0.0, 0.0, 0.0, 0.0], 2);
-        assert_eq!(flat, vec![0.0, 0.0]);
     }
 }

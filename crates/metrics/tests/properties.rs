@@ -3,8 +3,7 @@
 #![forbid(unsafe_code)]
 
 use pronghorn_metrics::{
-    convergence_request, geometric_mean, Cdf, ConvergenceCriteria, Ewma, Histogram, Quantiles,
-    Summary,
+    convergence_request, geometric_mean, Cdf, ConvergenceCriteria, Histogram, Quantiles, Summary,
 };
 use proptest::prelude::*;
 
@@ -61,20 +60,6 @@ proptest! {
         let direct = Summary::of(&all);
         prop_assert_eq!(merged.count(), direct.count());
         prop_assert!((merged.mean() - direct.mean()).abs() < 1e-6 * direct.mean().abs().max(1.0));
-    }
-
-    #[test]
-    fn ewma_stays_in_sample_hull(samples in finite_samples(), alpha in 0.01f64..1.0) {
-        let mut e = Ewma::new(alpha);
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for &x in &samples {
-            e.update(x);
-            lo = lo.min(x);
-            hi = hi.max(x);
-            let v = e.value().unwrap();
-            prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9);
-        }
     }
 
     #[test]

@@ -15,7 +15,6 @@ use pronghorn_checkpoint::{
 use pronghorn_core::{baselines::make_policy, Orchestrator, OverheadTotals, WorkerPlan};
 use pronghorn_forecast::{PreRestorePlan, ProvisionStats, Provisioner};
 use pronghorn_jit::{RequestWork, Runtime};
-use pronghorn_kv::KvStore;
 use pronghorn_metrics::Histogram;
 use pronghorn_restore::{
     FaultCostModel, LazyImage, RestoreInfo, RestoreStrategy, DEFAULT_PAGE_SIZE,
@@ -163,7 +162,7 @@ impl Deployment {
             policy_config = policy_config.with_restore_penalty(RECORD_PREFETCH_PENALTY_US);
         }
         let policy = make_policy(cfg.policy, policy_config);
-        let mut orch = Orchestrator::new(policy, KvStore::new(), store.clone(), label.as_str())
+        let mut orch = Orchestrator::new(policy, store.clone(), label.as_str())
             .with_restore(cfg.restore)
             .with_storage(cfg.storage);
         if cfg.delta.enabled() {
@@ -476,10 +475,9 @@ impl<'w> Session<'w> {
         // A prior restore recorded this snapshot's working set:
         // bulk-prefetch it in one batched transfer and fault only the cold
         // tail. The prefetch batch is the restore critical path.
-        let seed = snapshot.payload_hash();
         let fetch = dep
             .orch
-            .prefetch_pages(snapshot.id, seed, &map, &pages, &self.fault_costs);
+            .prefetch_pages(snapshot.id, &map, &pages, &self.fault_costs);
         let mut image = LazyImage::new(id, map);
         image.mark_prefetched(&pages);
         info.prefetched_pages = pages.len() as u32;
@@ -701,9 +699,10 @@ impl<'w> Session<'w> {
     /// Marks a freshly provisioned worker pre-warmed at `now` (a
     /// *pre-restore*, consuming the oldest planned keep-alive) and
     /// hydrates its lazy image in the background: every absent page is
-    /// pulled in one batched prefetch, so the predicted burst's first
-    /// requests demand-fault nothing. All of it is charged off the
-    /// critical path. The hydration bytes stay out of `bytes_transferred`
+    /// pulled in one batched prefetch through the storage tier, so the
+    /// predicted burst's first requests demand-fault nothing. All of it,
+    /// decompression included, is charged off the critical path. The
+    /// hydration bytes stay out of `bytes_transferred`
     /// — that counter means "shipped on the restore path" to the cluster's
     /// byte conservation — and out of the recording manifest, which must
     /// keep reflecting what requests actually touch.
@@ -727,9 +726,9 @@ impl<'w> Session<'w> {
                 let id = SnapshotId(image.snapshot_id());
                 let fetch = dep
                     .orch
-                    .hydrate_pages(id, image.map(), &absent, &self.fault_costs);
+                    .prefetch_pages(id, image.map(), &absent, &self.fault_costs);
                 image.mark_prefetched(&absent);
-                self.out.provision_us += fetch.us;
+                self.out.provision_us += fetch.us + fetch.decompress_us;
                 if let Some(info) = worker.restore.as_mut() {
                     info.prefetched_pages =
                         info.prefetched_pages.saturating_add(absent.len() as u32);

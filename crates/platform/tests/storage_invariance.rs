@@ -7,6 +7,7 @@
 use pronghorn_checkpoint::DeltaPolicy;
 use pronghorn_cluster::{ClusterSpec, RoutingPolicy};
 use pronghorn_core::PolicyKind;
+use pronghorn_forecast::{ForecasterKind, ProvisionPolicy};
 use pronghorn_platform::{
     run_closed_loop, run_cluster, run_production, RestoreStrategy, RunConfig, StoragePolicy,
     StorageStats,
@@ -143,5 +144,31 @@ fn production_runs_carry_storage_stats() {
         stats.storage.wire_bytes_uploaded > 0,
         "production runs must surface tier counters: {:?}",
         stats.storage
+    );
+}
+
+#[test]
+fn pre_restore_hydration_reads_through_the_storage_tier() {
+    // A pre-restored worker hydrates its lazy image in the background;
+    // that fetch goes through the tier like every other read. Under the
+    // lazy strategy a tier read is one of three things: a restore's
+    // download, a demand fault (one per page), or one hydration batch —
+    // which is the only thing that marks pages prefetched.
+    let bench = by_name("Uploader").unwrap();
+    let c = cfg(PolicyKind::RequestCentric, 1)
+        .with_restore(RestoreStrategy::Lazy)
+        .with_provision(ProvisionPolicy::predictive(ForecasterKind::Ewma))
+        .with_storage(StoragePolicy::disabled().with_cache().with_compression());
+    let r = run_closed_loop(&bench, &c);
+    let infos = &r.restore_infos;
+    let hydrations = infos.iter().filter(|i| i.prefetched_pages > 0).count() as u64;
+    let faults: u64 = infos.iter().map(|i| u64::from(i.faults)).sum();
+    assert!(hydrations > 0, "{:?}", r.provisioning);
+    let reads = r.storage.cache_hits + r.storage.cache_misses;
+    assert_eq!(
+        reads,
+        infos.len() as u64 + faults + hydrations,
+        "{:?}",
+        r.storage
     );
 }

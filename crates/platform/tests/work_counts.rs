@@ -7,7 +7,9 @@
 //!   and the full storage tier — and bounds the object-store operations
 //!   per checkpoint and per restore. Page maps are recomputed from the
 //!   snapshot, so a snapshot costs one blob plus at most one working-set
-//!   manifest in the store.
+//!   manifest in the store. At depth bound K = 1 every restore's chain
+//!   length is known from the counters, so the gets are counted exactly:
+//!   a second read of a manifest fails there.
 //! - **Workload generation.** `Workload::generate` runs the benchmark's
 //!   real kernel and dominates host time, so the closed loop (above), the
 //!   cluster and the production runner must each draw exactly one request
@@ -83,12 +85,10 @@ impl Workload for Counting {
 /// The delta-chain depth bound of the configuration.
 const MAX_DEPTH: u32 = 16;
 
-fn restore_chain(seed: u64) -> RunConfig {
+fn restore_chain(seed: u64, max_depth: u32) -> RunConfig {
     RunConfig::paper(PolicyKind::RequestCentric, 1, seed)
         .with_invocations(100)
-        .with_delta(DeltaPolicy::Enabled {
-            max_depth: MAX_DEPTH,
-        })
+        .with_delta(DeltaPolicy::Enabled { max_depth })
         .with_restore(RestoreStrategy::RecordPrefetch)
         .with_storage(
             StoragePolicy::disabled()
@@ -102,7 +102,7 @@ fn restore_chain(seed: u64) -> RunConfig {
 fn restore_chain_store_work_is_bounded_per_snapshot_and_restore() {
     for (seed, bench) in [(1, "DFS"), (2, "Hash"), (3, "Uploader")] {
         let workload = Counting::new(bench);
-        let r = run_closed_loop(&workload, &restore_chain(seed));
+        let r = run_closed_loop(&workload, &restore_chain(seed, MAX_DEPTH));
         let checkpoints = r.overheads.checkpoints;
         let restores = r.restores() as u64;
         let stats = r.store_stats;
@@ -129,6 +129,34 @@ fn restore_chain_store_work_is_bounded_per_snapshot_and_restore() {
         // Every served request is drawn exactly once.
         assert_eq!(r.latencies_us.len(), 100, "{bench}");
         assert_eq!(workload.generates(), 100, "{bench}");
+    }
+}
+
+#[test]
+fn restore_gets_are_exact_at_depth_one() {
+    for (seed, bench) in [(1, "DFS"), (2, "Hash"), (3, "Uploader")] {
+        let r = run_closed_loop(&by_name(bench).unwrap(), &restore_chain(seed, 1));
+        let restores = r.restore_infos.len() as u64;
+        // A restore prefetches exactly when it read a recorded manifest.
+        let manifest_reads = r
+            .restore_infos
+            .iter()
+            .filter(|i| i.prefetched_pages > 0)
+            .count() as u64;
+        // The configuration exercises both chain lengths and both kinds
+        // of restore.
+        assert!(r.chain.composed_restores > 0, "{bench}: {:?}", r.chain);
+        assert!(r.chain.composed_restores < restores, "{bench}");
+        assert!(manifest_reads > 0 && manifest_reads < restores, "{bench}");
+        // At K = 1 a restore fetches its blob, plus its parent when
+        // composed, plus the one manifest read shared by the download
+        // pricing and the restore.
+        assert_eq!(
+            r.store_stats.gets,
+            restores + r.chain.composed_restores + manifest_reads,
+            "{bench}: {restores} restores, {} composed, {manifest_reads} manifests",
+            r.chain.composed_restores
+        );
     }
 }
 

@@ -26,6 +26,7 @@ const BASE_PAGE_SALT: u64 = 0x7052_4247; // "pRBG"
 /// A deterministic page-granular view of one snapshot payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PageMap {
+    payload_hash: u64,
     page_size: u64,
     total_bytes: u64,
     /// Content address per page, ascending by page index.
@@ -58,10 +59,17 @@ impl PageMap {
             })
             .collect();
         PageMap {
+            payload_hash,
             page_size,
             total_bytes,
             hashes,
         }
+    }
+
+    /// Content address of the whole payload the map pages — the storage
+    /// tier's compression seed for fetches of several pages at once.
+    pub fn payload_hash(&self) -> u64 {
+        self.payload_hash
     }
 
     /// The fixed page size in bytes.

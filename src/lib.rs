@@ -20,9 +20,9 @@
 //! | [`forecast`] | arrival forecasting and the predictive pre-restore provisioning policy |
 //! | [`cluster`] | the N-node cluster layer: consistent-hash ring, cluster spec, blob residency |
 //! | [`checkpoint`] | the CRIU-calibrated checkpoint engine and snapshot format |
-//! | [`store`] / [`kv`] | the Object Store (MinIO) and Database substrates |
+//! | [`store`] / [`kv`] | the Object Store (MinIO) and the Database's round-trip costs |
 //! | [`traces`] | synthetic Azure-like invocation traces |
-//! | [`metrics`] | CDFs, quantiles, EWMA, convergence detection |
+//! | [`metrics`] | CDFs, quantiles, convergence detection |
 //! | [`sim`] | virtual clock, event queue, deterministic RNG streams |
 //! | [`experiments`] | regenerators for every table and figure of the paper |
 //!
