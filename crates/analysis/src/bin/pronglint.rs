@@ -1,15 +1,12 @@
-//! The `pronglint` CLI: walk the workspace, evaluate rules D1–D5, apply
-//! the ratcheted baseline, and report.
+//! The `pronglint` CLI: walk the workspace, evaluate every rule, and
+//! report. Any finding fails the run.
 //!
 //! ```text
-//! cargo run -p analysis --bin pronglint -- [--json] [--update-baseline]
-//!     [--baseline <path>] [--root <path>] [--explain <rule>]
-//!     [--validate-json <path>]
+//! cargo run -p analysis --bin pronglint -- [--root <path>] [--explain <rule>]
 //! ```
 
 #![forbid(unsafe_code)]
 
-use analysis::baseline::{ratchet, Baseline};
 use analysis::report;
 use analysis::rules;
 use std::path::PathBuf;
@@ -21,46 +18,30 @@ USAGE:
     cargo run -p analysis --bin pronglint -- [OPTIONS]
 
 OPTIONS:
-    --json                  emit the machine-readable JSON report
-    --update-baseline       rewrite the baseline to current findings (ratchet down)
-    --baseline <path>       baseline file (default: <root>/analysis/baseline.toml)
     --root <path>           workspace root (default: inferred from this crate)
     --explain <rule>        print the long-form rationale for a rule and exit
-    --validate-json <path>  check a saved --json report against the schema and exit
     --help                  print this help
 
+To accept a finding, mark it in source: `// pronglint: allow(<rule>): <why>`.
+
 EXIT STATUS:
-    0  no findings beyond the baseline
-    1  regressions (new findings)
+    0  no findings
+    1  findings
     2  usage or I/O error";
 
 struct Options {
-    json: bool,
-    update_baseline: bool,
-    baseline: Option<PathBuf>,
     root: Option<PathBuf>,
     explain: Option<String>,
-    validate_json: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Option<Options>, String> {
     let mut opts = Options {
-        json: false,
-        update_baseline: false,
-        baseline: None,
         root: None,
         explain: None,
-        validate_json: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => opts.json = true,
-            "--update-baseline" => opts.update_baseline = true,
-            "--baseline" => {
-                let v = args.next().ok_or("--baseline requires a path")?;
-                opts.baseline = Some(PathBuf::from(v));
-            }
             "--root" => {
                 let v = args.next().ok_or("--root requires a path")?;
                 opts.root = Some(PathBuf::from(v));
@@ -68,10 +49,6 @@ fn parse_args() -> Result<Option<Options>, String> {
             "--explain" => {
                 let v = args.next().ok_or("--explain requires a rule id")?;
                 opts.explain = Some(v);
-            }
-            "--validate-json" => {
-                let v = args.next().ok_or("--validate-json requires a path")?;
-                opts.validate_json = Some(PathBuf::from(v));
             }
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown argument `{other}`")),
@@ -107,29 +84,6 @@ fn main() -> ExitCode {
             }
         };
     }
-    if let Some(path) = opts.validate_json {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("pronglint: cannot read {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        return match report::validate(&text) {
-            Ok(()) => {
-                println!(
-                    "pronglint: {} conforms to schema v{}",
-                    path.display(),
-                    report::SCHEMA_VERSION
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("pronglint: {} is off-schema: {e}", path.display());
-                ExitCode::from(2)
-            }
-        };
-    }
     // Default root: this crate lives at <root>/crates/analysis.
     let root = opts.root.unwrap_or_else(|| {
         PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -138,10 +92,6 @@ fn main() -> ExitCode {
             .map(PathBuf::from)
             .unwrap_or_else(|| PathBuf::from("."))
     });
-    let baseline_path = opts
-        .baseline
-        .unwrap_or_else(|| root.join("analysis").join("baseline.toml"));
-
     let findings = match analysis::analyze_workspace(&root) {
         Ok(f) => f,
         Err(e) => {
@@ -149,57 +99,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline = if baseline_path.is_file() {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => match Baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("pronglint: {}: {e}", baseline_path.display());
-                    return ExitCode::from(2);
-                }
-            },
-            Err(e) => {
-                eprintln!("pronglint: cannot read {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        Baseline::empty()
-    };
-
-    let result = ratchet(&findings, &baseline);
-
-    if opts.update_baseline {
-        // Capture everything currently present: known debt plus whatever
-        // is new this run (the run still reports the latter as failing —
-        // the baseline only takes effect from the next run on).
-        let mut all = result.baselined.clone();
-        all.extend(result.regressions.iter().cloned());
-        let updated = Baseline::from_findings(&all);
-        if let Some(parent) = baseline_path.parent() {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                eprintln!("pronglint: cannot create {}: {e}", parent.display());
-                return ExitCode::from(2);
-            }
-        }
-        if let Err(e) = std::fs::write(&baseline_path, updated.to_toml()) {
-            eprintln!("pronglint: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "pronglint: baseline ratcheted to {} entr{} at {}",
-            updated.len(),
-            if updated.len() == 1 { "y" } else { "ies" },
-            baseline_path.display()
-        );
-    }
-
-    if opts.json {
-        print!("{}", report::json(&result));
-    } else {
-        print!("{}", report::human(&result));
-    }
-    if result.passed() {
+    print!("{}", report::human(&findings));
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

@@ -7,9 +7,11 @@
 //! `results/` artifact. This crate is the guard for that contract: a
 //! hand-rolled Rust [`lexer`] (no `syn`, no network — in the spirit of the
 //! `compat/` stubs), a line/context-aware [`rules`] engine enforcing the
-//! D1–D5 invariants of DESIGN.md §10, a ratcheted [`baseline`] so
-//! pre-existing debt burns down without blocking CI, and [`report`]
-//! rendering in human and JSON form.
+//! D1–D5 invariants of DESIGN.md §10, a workspace call graph for the
+//! interprocedural rules, and the human [`report`]. There is one gate:
+//! every finding fails the run, and an in-source
+//! `// pronglint: allow(<rule>): <why>` marker is the only way to accept
+//! one.
 //!
 //! Run it as:
 //!
@@ -17,16 +19,14 @@
 //! cargo run -p analysis --bin pronglint
 //! ```
 //!
-//! Exit status: 0 when no findings exceed the baseline, 1 on regressions,
-//! 2 on usage or I/O errors.
+//! Exit status: 0 when there are no findings, 1 when there are any, 2 on
+//! usage or I/O errors.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod engine;
 pub mod graph;
-pub mod json;
 pub mod lexer;
 pub mod parser;
 pub mod report;
@@ -34,7 +34,6 @@ pub mod rules;
 pub mod walk;
 pub mod xrules;
 
-pub use baseline::{ratchet, Baseline, Ratchet};
 pub use engine::{analyze_units, SourceUnit};
 pub use graph::CallGraph;
 pub use lexer::{lex, Token, TokenKind};

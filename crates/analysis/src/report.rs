@@ -1,20 +1,14 @@
-//! Human and JSON rendering of a pronglint run.
+//! Human rendering of a pronglint run.
 
-use crate::baseline::Ratchet;
-use crate::json::{self, Value};
-use crate::rules::{Finding, ALL_RULES};
+use crate::rules::Finding;
 use std::fmt::Write as _;
 
-/// Version tag of the machine-readable findings schema. Bump only with a
-/// breaking change; CI validates every `--json` artifact against it.
-pub const SCHEMA_VERSION: u32 = 2;
-
-/// Renders the human-readable report: one `file:line: [rule] message` per
-/// finding (regressions first, interprocedural call chains indented
-/// below), then the improvement notes and a summary.
-pub fn human(r: &Ratchet) -> String {
+/// Renders the report for sorted `findings`: one `file:line: [rule]
+/// message` per finding (interprocedural call chains indented below),
+/// then a summary line.
+pub fn human(findings: &[Finding]) -> String {
     let mut out = String::new();
-    for f in &r.regressions {
+    for f in findings {
         let _ = writeln!(out, "{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
         for (i, frame) in f.chain.iter().enumerate() {
             let _ = writeln!(
@@ -27,197 +21,10 @@ pub fn human(r: &Ratchet) -> String {
             );
         }
     }
-    if !r.baselined.is_empty() {
-        let _ = writeln!(
-            out,
-            "note: {} baselined finding(s) tolerated (see analysis/baseline.toml)",
-            r.baselined.len()
-        );
-    }
-    for (rule, file, was, now) in &r.improvements {
-        let _ = writeln!(
-            out,
-            "note: {file} [{rule}] improved {was} -> {now}; run with --update-baseline to ratchet"
-        );
-    }
-    if r.passed() {
+    if findings.is_empty() {
         let _ = writeln!(out, "pronglint: OK");
     } else {
-        let _ = writeln!(
-            out,
-            "pronglint: FAILED — {} new finding(s) beyond the baseline",
-            r.regressions.len()
-        );
-    }
-    out
-}
-
-/// Renders the machine-readable JSON report (schema
-/// [`SCHEMA_VERSION`]; validated by [`validate`]).
-pub fn json(r: &Ratchet) -> String {
-    let mut out = format!("{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"regressions\": [");
-    append_findings(&mut out, &r.regressions);
-    out.push_str("],\n  \"baselined\": [");
-    append_findings(&mut out, &r.baselined);
-    out.push_str("],\n  \"improvements\": [");
-    for (i, (rule, file, was, now)) in r.improvements.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"baselined\": {}, \"current\": {}}}",
-            escape(rule),
-            escape(file),
-            was,
-            now
-        );
-    }
-    if !r.improvements.is_empty() {
-        out.push_str("\n  ");
-    }
-    let _ = write!(out, "],\n  \"passed\": {}\n}}\n", r.passed());
-    out
-}
-
-fn append_findings(out: &mut String, findings: &[Finding]) {
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\", \"chain\": [",
-            escape(f.rule),
-            escape(&f.file),
-            f.line,
-            escape(&f.message)
-        );
-        for (j, frame) in f.chain.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"func\": \"{}\", \"file\": \"{}\", \"line\": {}}}",
-                escape(&frame.func),
-                escape(&frame.file),
-                frame.line
-            );
-        }
-        out.push_str("]}");
-    }
-    if !findings.is_empty() {
-        out.push_str("\n  ");
-    }
-}
-
-/// Validates `text` against the findings schema: parses as JSON and
-/// checks every structural requirement of schema [`SCHEMA_VERSION`].
-/// Returns a description of the first violation.
-pub fn validate(text: &str) -> Result<(), String> {
-    let doc = json::parse(text).map_err(|e| e.to_string())?;
-    let obj = doc.as_object().ok_or("top level must be an object")?;
-    match doc.get("schema_version").and_then(Value::as_f64) {
-        Some(v) if v == f64::from(SCHEMA_VERSION) => {}
-        Some(v) => return Err(format!("schema_version {v} != {SCHEMA_VERSION}")),
-        None => return Err("missing numeric `schema_version`".into()),
-    }
-    doc.get("passed")
-        .and_then(Value::as_bool)
-        .ok_or("missing boolean `passed`")?;
-    for key in ["regressions", "baselined"] {
-        let items = doc
-            .get(key)
-            .and_then(Value::as_array)
-            .ok_or_else(|| format!("missing array `{key}`"))?;
-        for (i, f) in items.iter().enumerate() {
-            let at = |msg: &str| format!("{key}[{i}]: {msg}");
-            let rule = f
-                .get("rule")
-                .and_then(Value::as_str)
-                .ok_or_else(|| at("missing string `rule`"))?;
-            if !ALL_RULES.contains(&rule) {
-                return Err(at(&format!("unknown rule `{rule}`")));
-            }
-            f.get("file")
-                .and_then(Value::as_str)
-                .ok_or_else(|| at("missing string `file`"))?;
-            let line = f
-                .get("line")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| at("missing numeric `line`"))?;
-            if line < 1.0 || line.fract() != 0.0 {
-                return Err(at("`line` must be a positive integer"));
-            }
-            f.get("message")
-                .and_then(Value::as_str)
-                .ok_or_else(|| at("missing string `message`"))?;
-            let chain = f
-                .get("chain")
-                .and_then(Value::as_array)
-                .ok_or_else(|| at("missing array `chain`"))?;
-            for (j, frame) in chain.iter().enumerate() {
-                let fat = |msg: &str| format!("{key}[{i}].chain[{j}]: {msg}");
-                frame
-                    .get("func")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| fat("missing string `func`"))?;
-                frame
-                    .get("file")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| fat("missing string `file`"))?;
-                frame
-                    .get("line")
-                    .and_then(Value::as_f64)
-                    .ok_or_else(|| fat("missing numeric `line`"))?;
-            }
-        }
-    }
-    let improvements = doc
-        .get("improvements")
-        .and_then(Value::as_array)
-        .ok_or("missing array `improvements`")?;
-    for (i, imp) in improvements.iter().enumerate() {
-        for key in ["rule", "file"] {
-            imp.get(key)
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("improvements[{i}]: missing string `{key}`"))?;
-        }
-        for key in ["baselined", "current"] {
-            imp.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("improvements[{i}]: missing numeric `{key}`"))?;
-        }
-    }
-    // No unexpected top-level keys: the schema is closed by design so
-    // consumers can rely on exhaustive knowledge of it.
-    for key in obj.keys() {
-        if !matches!(
-            key.as_str(),
-            "schema_version" | "regressions" | "baselined" | "improvements" | "passed"
-        ) {
-            return Err(format!("unexpected top-level key `{key}`"));
-        }
-    }
-    Ok(())
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+        let _ = writeln!(out, "pronglint: FAILED — {} finding(s)", findings.len());
     }
     out
 }
@@ -225,117 +32,38 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::{ratchet, Baseline};
+    use crate::rules::ChainFrame;
 
-    fn sample() -> Ratchet {
+    #[test]
+    fn human_report_names_file_line_rule() {
         let findings = vec![Finding::new(
             "crates/core/src/x.rs".into(),
             4,
             "panic-path",
             "say \"no\" to panics".into(),
         )];
-        ratchet(&findings, &Baseline::empty())
-    }
-
-    #[test]
-    fn human_report_names_file_line_rule() {
-        let text = human(&sample());
+        let text = human(&findings);
         assert!(text.contains("crates/core/src/x.rs:4: [panic-path]"));
         assert!(text.contains("FAILED"));
-        let ok = human(&ratchet(&[], &Baseline::empty()));
-        assert_eq!(ok, "pronglint: OK\n");
-    }
-
-    #[test]
-    fn json_report_escapes_and_flags() {
-        let text = json(&sample());
-        assert!(text.contains("\\\"no\\\""));
-        assert!(text.contains("\"passed\": false"));
-        assert!(json(&ratchet(&[], &Baseline::empty())).contains("\"passed\": true"));
-    }
-
-    #[test]
-    fn json_schema_round_trips_with_chains() {
-        let mut finding = Finding::new(
-            "crates/core/src/x.rs".into(),
-            4,
-            "determinism-taint",
-            "taint \"flows\" here".into(),
-        );
-        finding.chain = vec![
-            crate::rules::ChainFrame {
-                func: "Orchestrator::decide".into(),
-                file: "crates/core/src/x.rs".into(),
-                line: 4,
-            },
-            crate::rules::ChainFrame {
-                func: "shuffle_like".into(),
-                file: "crates/util/src/lib.rs".into(),
-                line: 9,
-            },
-        ];
-        let r = ratchet(&[finding.clone()], &Baseline::empty());
-        let text = json(&r);
-        validate(&text).expect("schema-valid");
-        // Field-level round trip through the JSON reader.
-        let doc = json::parse(&text).unwrap();
-        let f = &doc.get("regressions").unwrap().as_array().unwrap()[0];
-        assert_eq!(f.get("rule").unwrap().as_str(), Some("determinism-taint"));
-        assert_eq!(f.get("file").unwrap().as_str(), Some(finding.file.as_str()));
-        assert_eq!(f.get("line").unwrap().as_f64(), Some(4.0));
-        assert_eq!(
-            f.get("message").unwrap().as_str(),
-            Some(finding.message.as_str())
-        );
-        let chain = f.get("chain").unwrap().as_array().unwrap();
-        assert_eq!(chain.len(), 2);
-        assert_eq!(chain[1].get("func").unwrap().as_str(), Some("shuffle_like"));
-        assert_eq!(chain[1].get("line").unwrap().as_f64(), Some(9.0));
-        // The empty report is valid too.
-        validate(&json(&ratchet(&[], &Baseline::empty()))).expect("empty report valid");
-    }
-
-    #[test]
-    fn validate_rejects_off_schema_documents() {
-        for (bad, why) in [
-            ("{}", "missing everything"),
-            (
-                "{\"schema_version\": 1, \"regressions\": [], \"baselined\": [], \
-                 \"improvements\": [], \"passed\": true}",
-                "wrong version",
-            ),
-            (
-                "{\"schema_version\": 2, \"regressions\": [{\"rule\": \"nope\", \
-                 \"file\": \"f\", \"line\": 1, \"message\": \"m\", \"chain\": []}], \
-                 \"baselined\": [], \"improvements\": [], \"passed\": true}",
-                "unknown rule",
-            ),
-            (
-                "{\"schema_version\": 2, \"regressions\": [], \"baselined\": [], \
-                 \"improvements\": [], \"passed\": true, \"extra\": 1}",
-                "unexpected key",
-            ),
-        ] {
-            assert!(validate(bad).is_err(), "accepted {why}: {bad}");
-        }
+        assert_eq!(human(&[]), "pronglint: OK\n");
     }
 
     #[test]
     fn human_report_renders_chains_indented() {
         let mut finding = Finding::new("a.rs".into(), 1, "panic-reach", "m".into());
         finding.chain = vec![
-            crate::rules::ChainFrame {
+            ChainFrame {
                 func: "entry".into(),
                 file: "a.rs".into(),
                 line: 1,
             },
-            crate::rules::ChainFrame {
+            ChainFrame {
                 func: "leaf".into(),
                 file: "b.rs".into(),
                 line: 7,
             },
         ];
-        let text = human(&ratchet(&[finding], &Baseline::empty()));
+        let text = human(&[finding]);
         assert!(text.contains("chain: entry (a.rs:1)"));
         assert!(text.contains("-> leaf (b.rs:7)"));
     }

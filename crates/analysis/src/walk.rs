@@ -5,7 +5,7 @@
 //! `src/` and `tests/`. The `compat/` stubs (API-subset stand-ins for
 //! registry crates) and generated `target/` output are deliberately out of
 //! scope — they model *other* crates' surfaces, not Pronghorn invariants.
-//! Walk order is sorted by path so output and baselines are deterministic.
+//! Walk order is sorted by path so the output is deterministic.
 
 use crate::rules::FileContext;
 use std::fs;
