@@ -10,8 +10,7 @@
 //! ```json
 //! {
 //!   "report": "pronghorn-<name>",
-//!   "schema_version": 2,
-//!   "wall_clock_s": 1.234,
+//!   "schema_version": 3,
 //!   "config": { ... },
 //!   "arms": [ {...}, {...} ],
 //!   ...report-specific trailing sections...
@@ -23,12 +22,14 @@
 //! objects are built with [`JsonObj`], which renders NaN as `null` so a
 //! cell that never exercised a path stays machine-readable.
 //!
-//! This module also owns the grid report proper: how long each figure
-//! grid took on the host, plus the [`CodecStats`] merged across every
-//! cell — encodes performed vs skipped by dirty tracking, bytes encoded
-//! vs avoided, allocations saved by scratch reuse. These numbers are
-//! strictly observational (simulated results stay bit-identical for a
-//! fixed seed). Codec throughput is measured by the `codec_throughput`
+//! No report carries host time, so a rerun with the same seed rewrites
+//! every `BENCH_*.json` byte for byte; wall-clock belongs to the
+//! benchmark package.
+//!
+//! This module also owns the grid report proper: the [`CodecStats`]
+//! merged across every cell — encodes performed vs skipped by dirty
+//! tracking, bytes encoded vs avoided, allocations saved by scratch
+//! reuse. Codec throughput is measured by the `codec_throughput`
 //! criterion bench, not here.
 
 use crate::grid::Grid;
@@ -38,7 +39,7 @@ use std::fmt::Write as _;
 
 /// Version stamped into every `BENCH_*.json` header. Bump when the
 /// shared header shape (not a report's arm fields) changes.
-pub const BENCH_SCHEMA_VERSION: u32 = 2;
+pub const BENCH_SCHEMA_VERSION: u32 = 3;
 
 /// A single-line JSON object builder for arm entries and config values.
 ///
@@ -110,7 +111,6 @@ impl JsonObj {
 #[derive(Debug, Clone)]
 pub struct BenchReport {
     name: &'static str,
-    wall_clock_s: Option<f64>,
     config: Vec<(String, String)>,
     arms: Vec<String>,
     sections: Vec<(String, String)>,
@@ -122,17 +122,10 @@ impl BenchReport {
     pub fn new(name: &'static str) -> Self {
         Self {
             name,
-            wall_clock_s: None,
             config: Vec::new(),
             arms: Vec::new(),
             sections: Vec::new(),
         }
-    }
-
-    /// Records the host wall-clock the sweep took.
-    pub fn wall_clock(mut self, seconds: f64) -> Self {
-        self.wall_clock_s = Some(seconds);
-        self
     }
 
     /// Adds one `config` entry; `raw` is a pre-rendered JSON value.
@@ -162,9 +155,6 @@ impl BenchReport {
             "{{\n  \"report\": \"pronghorn-{}\",\n  \"schema_version\": {BENCH_SCHEMA_VERSION},\n",
             self.name
         );
-        if let Some(s) = self.wall_clock_s {
-            let _ = writeln!(out, "  \"wall_clock_s\": {s:.3},");
-        }
         let config: Vec<String> = self
             .config
             .iter()
@@ -212,8 +202,6 @@ fn codec_obj(s: &CodecStats) -> JsonObj {
         .uint("bytes_encoded", s.bytes_encoded)
         .uint("bytes_skipped", s.bytes_skipped)
         .uint("allocations_avoided", s.allocations_avoided)
-        .uint("encode_ns", s.encode_ns)
-        .uint("checksum_ns", s.checksum_ns)
 }
 
 /// Renders the report as a JSON document in the shared [`BenchReport`]
@@ -230,7 +218,6 @@ pub fn render_json(grids: &[(&str, &Grid)]) -> String {
             JsonObj::new()
                 .str("name", name)
                 .uint("cells", grid.cells.len() as u64)
-                .float("wall_clock_s", grid.wall_clock_s, 3)
                 .raw("codec", codec_obj(&codec).render()),
         );
     }
@@ -288,14 +275,12 @@ mod tests {
     fn grid() -> Grid {
         Grid {
             cells: vec![cell(3, 1), cell(5, 3)],
-            wall_clock_s: 1.25,
         }
     }
 
     #[test]
     fn shared_schema_has_header_config_and_arms() {
         let mut report = BenchReport::new("example")
-            .wall_clock(0.5)
             .config("rates", "[1, 4]")
             .config("policy", "\"request-centric\"");
         report.arm(
@@ -315,7 +300,7 @@ mod tests {
         let json = report.render();
         assert!(json.starts_with("{\n  \"report\": \"pronghorn-example\",\n"));
         assert!(json.contains(&format!("\"schema_version\": {BENCH_SCHEMA_VERSION}")));
-        assert!(json.contains("\"wall_clock_s\": 0.500"));
+        assert!(!json.contains("wall_clock"));
         assert!(json.contains("\"config\": {\"rates\": [1, 4], \"policy\": \"request-centric\"}"));
         assert!(json.contains(
             "{\"arm\": \"a\", \"n\": 3, \"p99_us\": 1234.5, \"unused\": null, \"ok\": true},"
@@ -340,7 +325,8 @@ mod tests {
         let json = render_json(&[("fig4", &g), ("fig5", &g)]);
         assert!(json.contains("\"name\": \"fig4\""));
         assert!(json.contains("\"name\": \"fig5\""));
-        assert!(json.contains("\"wall_clock_s\": 1.250"));
+        // Host time stays out of the report.
+        assert!(!json.contains("wall_clock") && !json.contains("_ns"));
         assert!(json.contains("\"encodes\": 8"));
         // codec_total sums both grids.
         assert!(json.contains("\"encodes\": 16"));

@@ -297,7 +297,6 @@ impl ClusterAblation {
     /// schema.
     pub fn save_bench_report(&self) -> std::io::Result<std::path::PathBuf> {
         let mut report = BenchReport::new("cluster")
-            .wall_clock(self.wall_clock_s)
             .config("request_gap_ms", CONTENTION_GAP_MS.to_string())
             .config("node_capacity", NODE_CAPACITY.to_string());
         for agg in self.arm_aggregates() {

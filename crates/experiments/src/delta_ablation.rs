@@ -282,9 +282,7 @@ impl DeltaAblation {
     /// headline byte-reduction win counts, in the shared [`BenchReport`]
     /// schema.
     pub fn save_bench_report(&self) -> std::io::Result<std::path::PathBuf> {
-        let mut report = BenchReport::new("delta")
-            .wall_clock(self.wall_clock_s)
-            .config("byte_win_threshold_x", "5.0");
+        let mut report = BenchReport::new("delta").config("byte_win_threshold_x", "5.0");
         for agg in self.arm_aggregates() {
             let (wins, total) = self.byte_wins(agg.arm, 5.0);
             report.arm(

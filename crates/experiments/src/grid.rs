@@ -41,8 +41,6 @@ pub struct Grid {
     /// All cells, in task order: benchmark-major, then rate, then
     /// policy — independent of the thread count.
     pub cells: Vec<GridCell>,
-    /// Real wall-clock time the grid took to run, seconds.
-    pub wall_clock_s: f64,
 }
 
 impl Grid {
@@ -154,7 +152,6 @@ where
                 result: c.result,
             })
             .collect(),
-        wall_clock_s: sweep.wall_clock_s,
     }
 }
 

@@ -306,7 +306,6 @@ impl ProvisionAblation {
     /// byte-seconds), plus the headline best-arm section.
     pub fn save_bench_report(&self) -> std::io::Result<std::path::PathBuf> {
         let mut report = BenchReport::new("provision")
-            .wall_clock(self.sweep.wall_clock_s)
             .config("hours", format!("{:.3}", self.hours))
             .config("target_rate_per_sec", format!("{TARGET_RATE_PER_SEC:.6}"))
             .config("burst_on_frac", format!("{BURST_ON_FRAC}"))

@@ -225,9 +225,7 @@ impl RestoreAblation {
     /// time and bytes moved, in the shared [`BenchReport`] schema (one arm
     /// per strategy).
     pub fn save_bench_report(&self) -> std::io::Result<std::path::PathBuf> {
-        let mut report = BenchReport::new("restore")
-            .wall_clock(self.wall_clock_s)
-            .config("policy", "\"request-centric\"");
+        let mut report = BenchReport::new("restore").config("policy", "\"request-centric\"");
         for agg in self.strategy_aggregates() {
             report.arm(
                 JsonObj::new()

@@ -315,9 +315,7 @@ impl StorageAblation {
     /// counters and the headline both-axes win count, in the shared
     /// [`BenchReport`] schema.
     pub fn save_bench_report(&self) -> std::io::Result<std::path::PathBuf> {
-        let mut report = BenchReport::new("storage")
-            .wall_clock(self.wall_clock_s)
-            .config("delta_depth", DELTA_DEPTH.to_string());
+        let mut report = BenchReport::new("storage").config("delta_depth", DELTA_DEPTH.to_string());
         for agg in self.arm_aggregates() {
             let (wins, total) = self.restore_wins(agg.arm);
             report.arm(

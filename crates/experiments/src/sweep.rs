@@ -21,18 +21,16 @@ use pronghorn_workloads::{by_name, SpecWorkload};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs `run` on every task across [`ExperimentContext::effective_threads`]
-/// workers, returning the results in task order and the wall-clock
-/// seconds the sweep took.
+/// workers, returning the results in task order.
 ///
 /// A panic in `run` propagates to the caller with its original payload.
-pub fn sweep<T, R, F>(ctx: &ExperimentContext, tasks: &[T], run: F) -> (Vec<R>, f64)
+pub fn sweep<T, R, F>(ctx: &ExperimentContext, tasks: &[T], run: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
     let next = AtomicUsize::new(0);
-    let started = std::time::Instant::now();
     let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..ctx.effective_threads())
             .map(|_| {
@@ -53,9 +51,8 @@ where
             .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
     });
-    let wall_clock_s = started.elapsed().as_secs_f64();
     done.sort_unstable_by_key(|(i, _)| *i);
-    (done.into_iter().map(|(_, r)| r).collect(), wall_clock_s)
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// The paper's 13 benchmarks (Figure 4's nine Python + Figure 5's four
@@ -95,8 +92,6 @@ pub struct Cell<A, R> {
 pub struct Ablation<A, R> {
     /// All cells, in task order: benchmark-major, then axis, then arm.
     pub cells: Vec<Cell<A, R>>,
-    /// Real wall-clock time the sweep took, seconds.
-    pub wall_clock_s: f64,
 }
 
 impl<A: Copy + PartialEq, R> Ablation<A, R> {
@@ -135,7 +130,7 @@ impl<A: Copy + PartialEq, R> Ablation<A, R> {
                 }
             }
         }
-        let (results, wall_clock_s) = sweep(ctx, &tasks, |&(bench, axis, arm)| {
+        let results = sweep(ctx, &tasks, |&(bench, axis, arm)| {
             run(&workloads[bench], axis, arm, seed(benchmarks[bench], axis))
         });
         let cells = tasks
@@ -148,10 +143,7 @@ impl<A: Copy + PartialEq, R> Ablation<A, R> {
                 result,
             })
             .collect();
-        Ablation {
-            cells,
-            wall_clock_s,
-        }
+        Ablation { cells }
     }
 
     /// Finds a cell.
@@ -207,7 +199,7 @@ mod tests {
             ..ExperimentContext::quick()
         };
         let task1_done = AtomicBool::new(false);
-        let (results, _) = sweep(&ctx, &[0u32, 1, 2, 3], |&t| {
+        let results = sweep(&ctx, &[0u32, 1, 2, 3], |&t| {
             if t == 0 {
                 let deadline = Instant::now() + Duration::from_secs(5);
                 while !task1_done.load(Ordering::Acquire) && Instant::now() < deadline {
