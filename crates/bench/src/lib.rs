@@ -1,34 +1,12 @@
-//! Benchmark harness support: shared contexts for the Criterion benches.
+//! Benchmark harness support for the Criterion benches.
 //!
-//! The benches under `benches/` regenerate each of the paper's tables and
-//! figures at a reduced scale (Criterion repeats every measurement many
-//! times; the full-scale regeneration is the `experiments` binary's job)
-//! plus micro-benchmarks of the policy hot paths and every substrate.
+//! The benches under `benches/` time the policy hot paths, every
+//! substrate and the checkpoint codec, and run the design ablations.
+//! End-to-end timing of the paper's tables and figures is the
+//! `benchmark/` package's job.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pronghorn_experiments::ExperimentContext;
-
-/// The reduced-scale context every paper-experiment bench uses, so their
-/// numbers are comparable across groups.
-pub fn bench_context() -> ExperimentContext {
-    ExperimentContext {
-        seed: 0xBE7C4,
-        invocations: 60,
-        threads: 4,
-    }
-}
-
 /// Invocation count for single-run benches.
 pub const BENCH_INVOCATIONS: u32 = 60;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_context_is_reduced_scale() {
-        assert!(bench_context().invocations < 500);
-    }
-}
