@@ -86,11 +86,6 @@ impl CheckpointScratch {
     pub fn stats(&self) -> &CodecStats {
         &self.stats
     }
-
-    /// Takes the accumulated perf counters, resetting them to zero.
-    pub fn take_stats(&mut self) -> CodecStats {
-        std::mem::take(&mut self.stats)
-    }
 }
 
 /// Errors surfaced by checkpoint/restore operations.
@@ -127,11 +122,6 @@ impl SimCriuEngine {
     /// Creates an engine with the default (Table 4) cost model.
     pub fn new() -> Self {
         SimCriuEngine::default()
-    }
-
-    /// Creates an engine with a custom cost model.
-    pub fn with_costs(costs: CheckpointCostModel) -> Self {
-        SimCriuEngine { costs }
     }
 
     /// Checkpoints `process`, returning the snapshot and the worker

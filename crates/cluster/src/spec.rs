@@ -126,12 +126,6 @@ impl ClusterSpec {
         self.placement = placement;
         self
     }
-
-    /// Sets the cross-node transfer model.
-    pub fn with_remote(mut self, remote: TransferModel) -> Self {
-        self.remote = remote;
-        self
-    }
 }
 
 impl Default for ClusterSpec {

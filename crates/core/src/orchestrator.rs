@@ -248,12 +248,6 @@ impl Orchestrator {
         }
     }
 
-    /// Overrides the Database cost model.
-    pub fn with_kv_costs(mut self, costs: KvCosts) -> Self {
-        self.kv_costs = costs;
-        self
-    }
-
     /// Overrides the Object Store transfer model.
     pub fn with_transfer(mut self, transfer: TransferModel) -> Self {
         self.storage = StorageTier::new(*self.storage.policy(), transfer);
@@ -324,11 +318,6 @@ impl Orchestrator {
     pub fn with_delta_chains(mut self) -> Self {
         self.chains = Some(ChainIndex::new());
         self
-    }
-
-    /// Whether delta-chain bookkeeping is enabled.
-    pub fn delta_enabled(&self) -> bool {
-        self.chains.is_some()
     }
 
     /// Prices snapshot transfers under `policy`: local-SSD cache, modeled
@@ -458,11 +447,6 @@ impl Orchestrator {
     /// The policy being orchestrated.
     pub fn policy(&self) -> &dyn Policy {
         self.policy.as_ref()
-    }
-
-    /// Which built-in policy is running.
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.policy.kind()
     }
 
     /// Accumulated overheads.
@@ -1283,25 +1267,6 @@ mod tests {
         assert!(o.per_request_us() > 0.0);
         assert!(o.per_checkpoint_us() >= 65_000.0);
         assert_eq!(o.nominal_bytes_uploaded, 12 * 1024 * 1024);
-    }
-
-    #[test]
-    fn cost_models_scale_reported_overheads() {
-        let run_with = |kv_costs: KvCosts| -> f64 {
-            let mut orch = Orchestrator::new(
-                Box::new(CheckpointAfterFirstPolicy::new()),
-                ObjectStore::new(),
-                "f",
-            )
-            .with_kv_costs(kv_costs);
-            let mut rng = SmallRng::seed_from_u64(11);
-            orch.begin_worker(&mut rng);
-            orch.complete_request(0, 10_000.0);
-            orch.overheads().per_request_us()
-        };
-        let cheap = run_with(KvCosts::free());
-        let pricey = run_with(KvCosts::default().scaled(4.0));
-        assert!(pricey > cheap, "pricey {pricey} <= cheap {cheap}");
     }
 
     #[test]

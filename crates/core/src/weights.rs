@@ -68,20 +68,18 @@ impl WeightVector {
     ///
     /// Implements `OnRequest` exactly: first sample initializes, later
     /// samples blend with `θ[R] ← α·L + (1−α)·θ[R]`.
-    ///
-    /// Returns the slot's new value when the sample landed, `None` when it
-    /// was ignored.
-    pub fn update(&mut self, r: u32, latency_us: f64) -> Option<f64> {
+    pub fn update(&mut self, r: u32, latency_us: f64) {
         if !(latency_us.is_finite() && latency_us > 0.0) {
-            return None;
+            return;
         }
-        let slot = self.theta.get_mut(r as usize)?;
+        let Some(slot) = self.theta.get_mut(r as usize) else {
+            return;
+        };
         if *slot == 0.0 {
             *slot = latency_us;
         } else {
             *slot = self.alpha * latency_us + (1.0 - self.alpha) * *slot;
         }
-        Some(*slot)
     }
 
     /// The probability map `D`: `Pr[i] ∝ 1/(θ[i]+µ)` (unnormalized).
@@ -426,15 +424,6 @@ mod tests {
             let b = w.sample_checkpoint_request_with(&mut scratch, start, 10, 1e-3, &mut rng_b);
             assert_eq!(a, b, "diverged at start {start}");
         }
-    }
-
-    #[test]
-    fn update_reports_the_new_slot_value() {
-        let mut w = WeightVector::new(4, 0.5);
-        assert_eq!(w.update(1, 100.0), Some(100.0));
-        assert_eq!(w.update(1, 200.0), Some(150.0));
-        assert_eq!(w.update(9, 100.0), None);
-        assert_eq!(w.update(0, f64::NAN), None);
     }
 
     #[test]

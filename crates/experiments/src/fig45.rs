@@ -126,23 +126,6 @@ impl FigureResult {
     pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
         write_results_file(&format!("fig{}.csv", self.figure), &self.to_csv())
     }
-
-    /// Full latency dump CSV (for re-plotting exact CDFs).
-    pub fn to_latency_csv(&self) -> String {
-        let mut table = Table::new(vec!["workload", "rate", "policy", "request", "latency_us"]);
-        for cell in &self.grid.cells {
-            for (i, lat) in cell.result.latencies_us.iter().enumerate() {
-                table.row(vec![
-                    cell.workload.clone(),
-                    cell.rate.to_string(),
-                    cell.policy.label().to_string(),
-                    i.to_string(),
-                    format!("{lat:.1}"),
-                ]);
-            }
-        }
-        table.to_csv()
-    }
 }
 
 #[cfg(test)]

@@ -27,24 +27,6 @@ impl Default for KvCosts {
     }
 }
 
-impl KvCosts {
-    /// A zero-cost model, for tests that want pure policy behaviour.
-    pub const fn free() -> Self {
-        KvCosts {
-            read_us: 0.0,
-            write_us: 0.0,
-        }
-    }
-
-    /// Uniformly scales every cost, e.g. to model a slower network.
-    pub fn scaled(self, factor: f64) -> Self {
-        KvCosts {
-            read_us: self.read_us * factor,
-            write_us: self.write_us * factor,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,19 +36,5 @@ mod tests {
         let c = KvCosts::default();
         assert!(c.read_us > 0.0 && c.read_us < 1_000.0);
         assert!(c.write_us > 0.0 && c.write_us < 1_000.0);
-    }
-
-    #[test]
-    fn free_is_all_zero() {
-        let c = KvCosts::free();
-        assert_eq!(c.read_us + c.write_us, 0.0);
-    }
-
-    #[test]
-    fn scaling_multiplies_each_field() {
-        let c = KvCosts::default().scaled(2.0);
-        let d = KvCosts::default();
-        assert_eq!(c.read_us, d.read_us * 2.0);
-        assert_eq!(c.write_us, d.write_us * 2.0);
     }
 }

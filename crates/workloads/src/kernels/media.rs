@@ -59,11 +59,6 @@ impl Image {
     pub fn set(&mut self, x: usize, y: usize, rgb: [u8; 3]) {
         self.pixels[y * self.width + x] = rgb;
     }
-
-    /// Size of the raw bitmap in bytes.
-    pub fn byte_size(&self) -> usize {
-        self.pixels.len() * 3
-    }
 }
 
 /// Makes the draws [`Image::random`] makes for a `width × height` image,
