@@ -61,6 +61,12 @@ pub const CLOCK_EXEMPT_CRATES: &[&str] = &["bench", "experiments"];
 /// panicking (rule `panic-path`).
 pub const POLICY_CRATES: &[&str] = &["core", "checkpoint"];
 
+/// Entry points outside the policy crates, as `(crate, fn)`, from which no
+/// panic may be reachable (rule `panic-reach`): the platform's validated
+/// `run` rejects bad input with a typed error, so nothing below it may
+/// panic on it.
+pub const ENTRY_POINTS: &[(&str, &str)] = &[("platform", "run")];
+
 /// Crates whose f64 reductions must be marked order-deterministic (rule
 /// `float-accum`): the policy math and the statistics it feeds.
 pub const FLOAT_ORDER_CRATES: &[&str] = &["core", "metrics"];

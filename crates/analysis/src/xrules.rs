@@ -5,7 +5,7 @@
 //! |---|---|
 //! | `determinism-taint` (T1) | no unordered-iteration / entropy / wall-clock taint may flow into a sim-visible crate through a call chain |
 //! | `byte-conservation` (C1) | byte-accounting counters mutate only via `checked_`/`saturating_` arithmetic, and every accounting field is pinned by at least one assertion or test |
-//! | `panic-reach` (P1) | no `unwrap`/`expect`/`panic!` reachable from a policy entry point, wherever the panic site lives |
+//! | `panic-reach` (P1) | no `unwrap`/`expect`/`panic!` reachable from a policy entry point or a listed [`ENTRY_POINTS`] function, wherever the panic site lives |
 //! | `kernel-misuse` (K1) | kernel events are never scheduled with subtraction-derived (possibly past) timestamps, and hand-rolled event orderings must carry the `(at, seq)` tie-break |
 //!
 //! T1 and P1 are what the per-file D rules structurally cannot see: a
@@ -24,7 +24,7 @@ use crate::graph::{CallGraph, NodeId};
 use crate::lexer::TokenKind;
 use crate::parser::ParsedFile;
 use crate::rules::{
-    ChainFrame, FileAnalysis, FileContext, Finding, POLICY_CRATES, SIM_VISIBLE_CRATES,
+    ChainFrame, FileAnalysis, FileContext, Finding, ENTRY_POINTS, POLICY_CRATES, SIM_VISIBLE_CRATES,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -402,15 +402,19 @@ pub fn byte_conservation(files: &[XFile<'_>]) -> Vec<Finding> {
     out
 }
 
-/// P1 — panic sites reachable from policy entry points, wherever they
-/// live.
+/// P1 — panic sites reachable from policy entry points (every public
+/// function of a policy crate) and from [`ENTRY_POINTS`], wherever they
+/// live. An entry is matched by crate and bare name, so a same-named
+/// private helper of that crate joins the set.
 pub fn panic_reach(files: &[XFile<'_>], graph: &CallGraph) -> Vec<Finding> {
     let entries: Vec<NodeId> = graph
         .nodes
         .iter()
         .enumerate()
         .filter(|(_, n)| {
-            n.is_pub && !n.in_test_scope && POLICY_CRATES.contains(&n.crate_name.as_str())
+            let listed = ENTRY_POINTS.contains(&(n.crate_name.as_str(), n.qual_name.as_str()));
+            !n.in_test_scope
+                && (listed || (n.is_pub && POLICY_CRATES.contains(&n.crate_name.as_str())))
         })
         .map(|(id, _)| id)
         .collect();
@@ -474,9 +478,9 @@ pub fn panic_reach(files: &[XFile<'_>], graph: &CallGraph) -> Vec<Finding> {
                 line,
                 rule: "panic-reach",
                 message: format!(
-                    "`{name}` in `{}` is reachable from policy entry point \
-                     `{}::{}` ({} call{}): a panic here aborts the policy decision \
-                     path; surface a typed error, prove the invariant locally, or \
+                    "`{name}` in `{}` is reachable from entry point \
+                     `{}::{}` ({} call{}): a panic here aborts a caller promised a \
+                     typed error; surface a typed error, prove the invariant locally, or \
                      annotate `// pronglint: allow(panic-reach): <why>`",
                     h.qual_name,
                     entry.crate_name,

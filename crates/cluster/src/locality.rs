@@ -233,6 +233,11 @@ impl BlobDirectory {
         &self.stats
     }
 
+    /// Zeroes the locality counters; residency is kept.
+    pub fn reset_stats(&mut self) {
+        self.stats = LocalityStats::default();
+    }
+
     /// Releases every residency reference (cluster teardown), returning
     /// how many were dropped. Afterwards [`Self::total_refs`] is zero and
     /// no blob is tracked; stats survive for reporting.

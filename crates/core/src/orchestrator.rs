@@ -31,7 +31,7 @@ use pronghorn_restore::{
 use pronghorn_sim::SimDuration;
 use pronghorn_store::{
     saturating_accumulate, ChainIndex, ChainStats, DownloadPrice, DownloadRequest, ObjectStore,
-    StoragePolicy, StorageStats, StorageTier, StoreError, TransferModel,
+    StoragePolicy, StorageStats, StorageTier, StoreError, StoreStats, TransferModel,
 };
 use rand::RngCore;
 use std::collections::BTreeMap;
@@ -191,7 +191,6 @@ pub struct Orchestrator {
     policy: Box<dyn Policy>,
     store: ObjectStore,
     function: String,
-    kv_costs: KvCosts,
     overheads: OverheadTotals,
     /// Reusable frame-encoding scratch: one allocation amortized over every
     /// snapshot upload instead of a fresh buffer per checkpoint.
@@ -236,7 +235,6 @@ impl Orchestrator {
             policy,
             store,
             function: function.into(),
-            kv_costs: KvCosts::default(),
             overheads: OverheadTotals::default(),
             frame_scratch: Encoder::new(),
             pool_sizes: BTreeMap::new(),
@@ -454,6 +452,11 @@ impl Orchestrator {
         &self.overheads
     }
 
+    /// The object store's accounting.
+    pub fn store_stats(&self) -> StoreStats {
+        self.store.stats()
+    }
+
     fn blob_key(&self, id: SnapshotId) -> String {
         format!("{}/{id}", self.function)
     }
@@ -477,7 +480,7 @@ impl Orchestrator {
     /// Worker start: Figure 2 steps 3–4 plus the snapshot download.
     pub fn begin_worker(&mut self, rng: &mut dyn RngCore) -> WorkerPlan {
         // The decision plus one Database read of the policy state (step 4).
-        let overhead_us = self.decision_cost_us() + self.kv_costs.read_us;
+        let overhead_us = self.decision_cost_us() + KvCosts::PAPER.read_us;
 
         let start = self.policy.on_worker_start(rng);
         // Blob transfer is provisioning work (charged to the worker plan
@@ -639,7 +642,7 @@ impl Orchestrator {
         // a weight vector additionally folds the sample into it (a few
         // array operations, §5.3: "some extra array read-write operations,
         // whose computation time is outweighed by network latency").
-        let mut overhead_us = 200.0 + self.kv_costs.write_us;
+        let mut overhead_us = 200.0 + KvCosts::PAPER.write_us;
         if self.policy.theta().is_some() {
             overhead_us += 150.0;
         }
@@ -760,7 +763,7 @@ impl Orchestrator {
             if self.paging() {
                 // The snapshot's page table is metadata the restore path
                 // maps from: one extra metadata write's worth of cost.
-                overhead_us += self.kv_costs.write_us;
+                overhead_us += KvCosts::PAPER.write_us;
             }
             let evicted = self.policy.on_snapshot_taken(
                 PoolEntry {
@@ -771,7 +774,7 @@ impl Orchestrator {
                 rng,
             );
             // Pool metadata write (step 8).
-            overhead_us += self.kv_costs.write_us;
+            overhead_us += KvCosts::PAPER.write_us;
             for entry in evicted {
                 // Chain-aware release: the blob may only be deleted
                 // when no live delta child references it; the index
@@ -798,7 +801,7 @@ impl Orchestrator {
                         .store
                         .delete(MANIFESTS_BUCKET, &self.manifest_key(entry.id));
                 }
-                overhead_us += self.kv_costs.write_us;
+                overhead_us += KvCosts::PAPER.write_us;
             }
         }
 

@@ -9,8 +9,9 @@
 use crate::render::write_results_file;
 use crate::ExperimentContext;
 use pronghorn_core::{PolicyConfig, PolicyKind, SelectionStrategy};
-use pronghorn_platform::{run_closed_loop, run_fleet, run_partitioned, FleetConfig, RunConfig};
+use pronghorn_platform::{run_closed_loop, ArrivalSpec, RunConfig, TopologySpec};
 use pronghorn_workloads::{by_name, InputVariance};
+use std::num::NonZeroU32;
 
 /// One ablation row.
 #[derive(Debug, Clone)]
@@ -123,24 +124,20 @@ pub fn run(ctx: &ExperimentContext) -> AblationResult {
 
     // Fleet amortization (§5.3).
     let workload = by_name(BENCH).expect("bench exists");
-    for (label, explorers) in [
-        ("4 workers, 1 explorer", 1usize),
-        ("4 workers, 0 explorers", 0),
-    ] {
+    let four = NonZeroU32::new(4).expect("4 is non-zero");
+    for (label, explorers) in [("4 workers, 1 explorer", 1), ("4 workers, 0 explorers", 0)] {
         let cfg = RunConfig::paper(
             PolicyKind::RequestCentric,
             4,
             ctx.cell_seed(&["ablation-fleet", BENCH]),
         )
         .with_invocations(ctx.invocations.max(300));
-        let r = run_fleet(
-            &workload,
-            &cfg,
-            &FleetConfig {
-                fleet_size: 4,
-                explorers,
-            },
-        );
+        let fleet = TopologySpec::Fleet {
+            workers: four,
+            explorers,
+        };
+        let r = pronghorn_platform::run(&workload, &cfg, ArrivalSpec::ClosedLoop, fleet)
+            .expect("ablation is valid");
         push(
             "fleet",
             label.to_string(),
@@ -162,7 +159,9 @@ pub fn run(ctx: &ExperimentContext) -> AblationResult {
         "shared deployment".to_string(),
         (shared.median_us(), shared.checkpoint_ms.len()),
     );
-    let split = run_partitioned(&workload, &cfg, 2);
+    let two = TopologySpec::Classes(NonZeroU32::new(2).expect("2 is non-zero"));
+    let split = pronghorn_platform::run(&workload, &cfg, ArrivalSpec::ClosedLoop, two)
+        .expect("ablation is valid");
     push(
         "partitioning",
         "2 input classes".to_string(),

@@ -268,6 +268,8 @@ mod tests {
                 chain: pronghorn_store::ChainStats::default(),
                 provisioning: pronghorn_platform::ProvisionStats::default(),
                 storage: pronghorn_store::StorageStats::default(),
+                nodes: vec![],
+                locality: pronghorn_platform::LocalityStats::default(),
             },
         }
     }

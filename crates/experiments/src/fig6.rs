@@ -11,7 +11,7 @@ use crate::render::write_results_file;
 use crate::ExperimentContext;
 use pronghorn_core::PolicyKind;
 use pronghorn_metrics::Table;
-use pronghorn_platform::{run_trace_with_history, RunConfig, RunResult};
+use pronghorn_platform::{ArrivalSpec, RunConfig, RunResult, TopologySpec};
 use pronghorn_sim::RngFactory;
 use pronghorn_traces::TraceSpec;
 use pronghorn_workloads::{by_name, InputVariance};
@@ -66,9 +66,12 @@ pub fn run(ctx: &ExperimentContext) -> Fig6Result {
                 PolicyKind::AfterFirst,
                 PolicyKind::RequestCentric,
             ] {
-                let cfg =
-                    RunConfig::paper(policy, 4, trace_seed).with_variance(InputVariance::low());
-                let result = run_trace_with_history(&workload, &cfg, &trace, DEPLOYMENT_HISTORY);
+                let cfg = RunConfig::paper(policy, 4, trace_seed)
+                    .with_variance(InputVariance::low())
+                    .with_invocations(DEPLOYMENT_HISTORY);
+                let plan = ArrivalSpec::Trace(&trace);
+                let result = pronghorn_platform::run(&workload, &cfg, plan, TopologySpec::Single)
+                    .expect("figure configs are valid");
                 cells.push(TraceCell {
                     workload: bench.to_string(),
                     percentile,

@@ -16,14 +16,20 @@ pub struct KvCosts {
     pub write_us: f64,
 }
 
+impl KvCosts {
+    /// The costs the orchestrator charges, calibrated to an intra-cluster
+    /// HTTP key-value service like the paper's Flask Database: ~300µs
+    /// reads, ~500µs writes.
+    pub const PAPER: KvCosts = KvCosts {
+        read_us: 300.0,
+        write_us: 500.0,
+    };
+}
+
 impl Default for KvCosts {
-    /// Defaults calibrated to an intra-cluster HTTP key-value service like
-    /// the paper's Flask Database: ~300µs reads, ~500µs writes.
+    /// [`KvCosts::PAPER`].
     fn default() -> Self {
-        KvCosts {
-            read_us: 300.0,
-            write_us: 500.0,
-        }
+        KvCosts::PAPER
     }
 }
 

@@ -89,9 +89,10 @@ impl Quantiles {
         self.sorted[0]
     }
 
-    /// Maximum sample.
+    /// Maximum sample. The samples are non-empty by construction, so the
+    /// NaN of an empty set never shows.
     pub fn max(&self) -> f64 {
-        *self.sorted.last().expect("non-empty by construction")
+        self.sorted.last().copied().unwrap_or(f64::NAN)
     }
 
     /// The sorted samples.

@@ -1,9 +1,5 @@
-//! The N-node cluster runner: a sharded gateway over per-node worker
-//! pools, driven by the deployment engine ([`crate::engine`]).
-//!
-//! [`run_cluster`] generalizes [`crate::run_closed_loop`] to a cluster of
-//! `ClusterSpec::nodes` nodes behind a deterministic consistent-hash
-//! gateway:
+//! Cluster mode ([`TopologySpec::Cluster`]): `cfg.cluster`'s nodes behind
+//! a deterministic consistent-hash gateway.
 //!
 //! - **Routing.** A function's invocations land on its ring owner
 //!   ([`pronghorn_cluster::HashRing::route`]); under
@@ -24,8 +20,7 @@
 //!   single-node price; anywhere else it pays the cross-node fetch the
 //!   storage tier prices (the flat store's serial walk of the composed
 //!   chain at Table 5 bandwidth by default), and the cross-node
-//!   snapshot age feeds the staleness model
-//!   ([`crate::IoStaleModel::penalty_frac_aged`]).
+//!   snapshot age feeds the staleness model (`IoStaleModel::penalty_frac_aged`).
 //!
 //! The whole cluster shares one deployment — one orchestrator, snapshot
 //! pool and set of seeded RNG streams — so the `nodes = 1` run replays
@@ -35,41 +30,16 @@
 //! live worker's cached payload.
 
 use crate::config::RunConfig;
-use crate::engine::{self, Arrivals, Topology};
-use crate::result::RunResult;
-use crate::runner::{Deployment, Session};
+use crate::plan::{run, ArrivalSpec, TopologySpec};
+use crate::result::{NodeBreakdown, RunResult};
 use pronghorn_cluster::{ClusterSpec, LocalityStats};
 use pronghorn_workloads::Workload;
 
-/// Per-node counters of one cluster run.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct NodeBreakdown {
-    /// Node index on the ring.
-    pub node: u32,
-    /// Requests served on this node.
-    pub served: u64,
-    /// Requests served here although another node was the ring owner.
-    pub spillovers: u64,
-    /// Workers cold-booted on this node.
-    pub cold_starts: u64,
-    /// Workers restored from a snapshot on this node.
-    pub restores: u64,
-    /// Restores served from a node-resident blob.
-    pub local_hits: u64,
-    /// Restores that fetched their blob from a peer node.
-    pub remote_misses: u64,
-    /// Total queueing delay added to client latencies on this node (µs).
-    pub queue_delay_us: f64,
-    /// Largest number of concurrently live workers (≤ the spec capacity).
-    pub peak_workers: u32,
-}
-
-/// Result of a [`run_cluster`] run: the familiar [`RunResult`] plus the
-/// cluster-only dimensions (per-node breakdowns and locality counters).
+/// Result of a [`run_cluster`] run: the [`RunResult`] with its cluster
+/// shape, and copies of its per-node breakdowns and locality counters.
 #[derive(Debug, Clone)]
 pub struct ClusterRunResult {
-    /// The single-function measurements, same shape as the single-node
-    /// runners (latencies include queueing delay).
+    /// The measurements (latencies include queueing delay).
     pub result: RunResult,
     /// The cluster shape the run used.
     pub spec: ClusterSpec,
@@ -102,11 +72,14 @@ impl ClusterRunResult {
     }
 }
 
-/// Runs the closed-loop protocol on an N-node cluster behind a
-/// consistent-hash gateway (see the module docs for the model).
+/// Runs the closed loop on `cfg.cluster`: [`run`] with
+/// [`TopologySpec::Cluster`]. Kept for the `benchmark/` package and removed
+/// in the next change to the benchmark.
 ///
-/// With `cfg.cluster == ClusterSpec::single_node()` this replays the
-/// exact event sequence of [`crate::run_closed_loop`].
+/// # Panics
+///
+/// Panics where [`run`] returns a [`crate::ConfigError`]: an invalid
+/// policy configuration or a cluster without nodes or slots.
 ///
 /// # Examples
 ///
@@ -124,17 +97,18 @@ impl ClusterRunResult {
 /// assert!(r.locality_hit_rate() >= 0.0);
 /// ```
 pub fn run_cluster(workload: &dyn Workload, cfg: &RunConfig) -> ClusterRunResult {
-    let mut session = Session::new(workload, *cfg, cfg.invocations as usize, false);
-    let dep = Deployment::shared(workload, cfg);
-    let mut topo = Topology::cluster(dep, cfg.cluster, workload.name());
-    let arrivals = Arrivals::closed_loop(cfg.invocations, cfg.request_gap, false);
-    engine::run(&mut session, &mut topo, arrivals);
-    let locality = topo.teardown_locality();
+    let result = run(
+        workload,
+        cfg,
+        ArrivalSpec::ClosedLoop,
+        TopologySpec::Cluster,
+    )
+    .unwrap_or_else(|e| panic!("run_cluster: {e}"));
     ClusterRunResult {
-        result: session.finish(&topo),
         spec: cfg.cluster,
-        nodes: topo.nodes.iter().map(|n| n.stats).collect(),
-        locality,
+        nodes: result.nodes.clone(),
+        locality: result.locality,
+        result,
     }
 }
 
@@ -156,24 +130,16 @@ mod tests {
     /// Full simulated-behaviour equality between two runs — every field
     /// except `codec`, whose wall-clock counters are not deterministic.
     fn assert_same_run(a: &RunResult, b: &RunResult) {
-        assert_eq!(a.latencies_us, b.latencies_us);
-        assert_eq!(a.provisions, b.provisions);
-        assert_eq!(a.checkpoint_ms, b.checkpoint_ms);
-        assert_eq!(a.restore_ms, b.restore_ms);
-        assert_eq!(a.snapshot_mb, b.snapshot_mb);
-        assert_eq!(a.snapshot_requests, b.snapshot_requests);
-        assert_eq!(a.provision_us, b.provision_us);
-        assert_eq!(a.overheads, b.overheads);
-        assert_eq!(a.store_stats, b.store_stats);
-        assert_eq!(a.restore_infos, b.restore_infos);
-        assert_eq!(a.chain, b.chain);
+        let sim = |r: &RunResult| {
+            let codec = Default::default();
+            format!("{:?}", RunResult { codec, ..r.clone() })
+        };
+        assert_eq!(sim(a), sim(b));
     }
 
     fn assert_same_cluster_run(a: &ClusterRunResult, b: &ClusterRunResult) {
         assert_same_run(&a.result, &b.result);
         assert_eq!(a.spec, b.spec);
-        assert_eq!(a.nodes, b.nodes);
-        assert_eq!(a.locality, b.locality);
     }
 
     /// A request gap far below the benchmarks' service times, so the ring

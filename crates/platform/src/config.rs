@@ -24,11 +24,11 @@ pub struct RunConfig {
     pub policy: PolicyKind,
     /// Input-size noise (§5.1's Gaussian perturbation).
     pub variance: InputVariance,
-    /// Virtual gap between consecutive request arrivals in closed-loop
-    /// mode; long enough that provisioning and checkpointing stay off the
-    /// critical path.
+    /// Virtual gap between consecutive closed-loop arrivals; long enough
+    /// that provisioning and checkpointing stay off the critical path.
     pub request_gap: SimDuration,
-    /// Idle timeout for trace-driven eviction (paper: ~10 minutes).
+    /// A worker idle this long is evicted, under every arrival source
+    /// (paper: ~10 minutes).
     pub idle_timeout: SimDuration,
     /// Override for the request-centric policy parameters; `None` derives
     /// the paper's defaults from the runtime kind and eviction rate.
@@ -64,11 +64,11 @@ pub struct RunConfig {
     /// byte-identical to those predating this knob (pinned by
     /// `tests/full_invariance.rs`).
     pub provision: ProvisionPolicy,
-    /// Cluster shape for [`crate::run_cluster`]: node count, per-node
-    /// worker capacity, gateway routing and snapshot placement. The
-    /// default [`ClusterSpec::single_node`] keeps every single-node
-    /// runner's behaviour (and the `nodes = 1` cluster run is pinned
-    /// bit-identical to [`crate::run_closed_loop`]).
+    /// Cluster shape for [`crate::TopologySpec::Cluster`]: node count,
+    /// per-node worker capacity, gateway routing and snapshot placement.
+    /// Every other topology requires the default
+    /// [`ClusterSpec::single_node`] (the `nodes = 1` cluster run is pinned
+    /// bit-identical to [`crate::TopologySpec::Single`]).
     pub cluster: ClusterSpec,
     /// The storage tier every snapshot transfer is priced through:
     /// local-SSD cache, modeled wire compression, and delta-aware
@@ -164,7 +164,7 @@ impl RunConfig {
         self
     }
 
-    /// Sets the cluster shape for [`crate::run_cluster`].
+    /// Sets the cluster shape for [`crate::TopologySpec::Cluster`].
     pub fn with_cluster(mut self, cluster: ClusterSpec) -> Self {
         self.cluster = cluster;
         self
@@ -182,8 +182,7 @@ impl RunConfig {
         self
     }
 
-    /// Sets the keep-alive window the production runner evicts idle
-    /// workers after.
+    /// Sets the keep-alive window idle workers are evicted after.
     pub fn with_idle_timeout(mut self, timeout: SimDuration) -> Self {
         self.idle_timeout = timeout;
         self

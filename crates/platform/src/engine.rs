@@ -1,15 +1,14 @@
-//! The one deployment engine: the single event loop every runner drives.
+//! The one deployment engine: the single event loop every run drives.
 //!
-//! The paper's closed loop (§5.1), fleet amortization (§5.3) and
-//! input-aware partitioning (§6) — and the trace, production and cluster
-//! runners built on them — run one orchestration protocol: orchestrators,
-//! snapshot pools and worker slots. They differ only in how many slots
-//! there are and how requests reach them. [`run`] is that protocol, generic
-//! over three inputs:
+//! The paper's closed loop (§5.1), trace replay (Figure 6), fleet
+//! amortization (§5.3), input-aware partitioning (§6) and cluster mode run
+//! one orchestration protocol: orchestrators, snapshot pools and worker
+//! slots. They differ only in how many slots there are and how requests
+//! reach them. [`run`] is that protocol, generic over three inputs:
 //!
 //! - an **arrival source** ([`Arrivals`]): a self-scheduling closed loop
-//!   that evicts workers by rate, or sorted arrival instants streamed
-//!   through a bounded lookahead window that evict workers on idle;
+//!   that also evicts workers by rate, or sorted arrival instants streamed
+//!   through a bounded lookahead window; both evict workers on idle;
 //! - a **topology** ([`Topology`]): deployments × nodes × worker slots,
 //!   plus the [`Routing`] rule that places each arrival;
 //! - the [`Session`]'s measurement sink: per-event `Vec`s or O(1)
@@ -17,10 +16,9 @@
 //!
 //! Kernel events are typed ([`Event`]). With predictive provisioning
 //! disabled only arrivals are ever scheduled, so the reactive event stream
-//! is exactly the one the runners have always produced.
+//! is exactly the one the reactive runs have always produced.
 
-use crate::cluster::NodeBreakdown;
-use crate::partitioned::{class_centre, classify_factor};
+use crate::result::NodeBreakdown;
 use crate::runner::{Deployment, Session};
 use crate::worker::Worker;
 use pronghorn_checkpoint::{CheckpointScratch, CodecStats};
@@ -53,31 +51,40 @@ pub(crate) enum Event {
     IdleCheck,
 }
 
-/// Where arrivals come from, and so how workers are evicted.
+/// Where arrivals come from. Under every source a worker retires after
+/// `cfg.idle_timeout` without a request.
 pub(crate) enum Arrivals<I> {
     /// Arrival `k` of `total` fires at `(k + 1) × gap`, scheduled by its
-    /// predecessor. Workers retire after `cfg.eviction_rate` requests, and
-    /// with `evict_idle` also after `cfg.idle_timeout` without one.
-    ClosedLoop {
-        total: u64,
-        gap: SimDuration,
-        evict_idle: bool,
-    },
+    /// predecessor. Workers also retire after `cfg.eviction_rate` requests.
+    ClosedLoop { total: u64, gap: SimDuration },
     /// Non-decreasing arrival instants, indexed from `first` (an
-    /// out-of-order instant is clamped to the kernel clock). Workers retire
-    /// after `cfg.idle_timeout` without a request.
+    /// out-of-order instant is clamped to the kernel clock).
     Sorted { first: u64, iter: I },
 }
 
 impl Arrivals<std::iter::Empty<SimTime>> {
     /// A closed loop of `total` requests `gap` apart.
-    pub(crate) fn closed_loop(total: u32, gap: SimDuration, evict_idle: bool) -> Self {
+    pub(crate) fn closed_loop(total: u32, gap: SimDuration) -> Self {
         Arrivals::ClosedLoop {
             total: u64::from(total),
             gap,
-            evict_idle,
         }
     }
+}
+
+/// Classifies `factor` into one of `classes` log-spaced buckets over
+/// `[0.08, 12.0]` (the variance model's clamp range).
+fn classify_factor(factor: f64, classes: usize) -> usize {
+    let (lo, hi) = (0.08f64.ln(), 12.0f64.ln());
+    let t = ((factor.max(1e-9).ln() - lo) / (hi - lo)).clamp(0.0, 1.0);
+    ((t * classes as f64) as usize).min(classes.saturating_sub(1))
+}
+
+/// Geometric centre of class `k` of `classes`.
+fn class_centre(k: usize, classes: usize) -> f64 {
+    let (lo, hi) = (0.08f64.ln(), 12.0f64.ln());
+    let width = (hi - lo) / classes as f64;
+    (lo + width * (k as f64 + 0.5)).exp()
 }
 
 /// How an arrival picks its node and slot.
@@ -85,7 +92,7 @@ pub(crate) enum Routing {
     /// One node with one slot.
     Single,
     /// One node; arrival `i` goes to slot `i mod slots`, and only the first
-    /// `explorers` slots take checkpoints.
+    /// `explorers` slots take checkpoints (§5.3's amortization).
     RoundRobin { explorers: usize },
     /// One single-slot node per deployment: a request goes to the
     /// deployment of its input-size class, with its novelty re-based to
@@ -167,11 +174,6 @@ impl Topology {
         }
     }
 
-    /// One deployment on one node with one slot.
-    pub(crate) fn single(dep: Deployment) -> Self {
-        Topology::new(vec![dep], 1, 1, Routing::Single)
-    }
-
     /// The cluster `spec` serving `function` behind a consistent-hash
     /// gateway. One function per run, so the probe order is fixed.
     pub(crate) fn cluster(dep: Deployment, spec: ClusterSpec, function: &str) -> Self {
@@ -190,16 +192,36 @@ impl Topology {
         codec
     }
 
-    /// The cluster's locality counters, after releasing every residency
-    /// reference (conservation: they must all drain).
+    /// The locality counters, after releasing every residency reference
+    /// (conservation: they must all drain). Outside a cluster every
+    /// restore is a local hit.
     pub(crate) fn teardown_locality(&mut self) -> LocalityStats {
         let Routing::Ring { dir, .. } = &mut self.routing else {
-            return LocalityStats::default();
+            let local_hits = self.nodes.iter().map(|n| n.stats.local_hits).sum();
+            return LocalityStats {
+                local_hits,
+                ..LocalityStats::default()
+            };
         };
         let locality = *dir.stats();
         dir.teardown();
         debug_assert_eq!(dir.total_refs(), 0, "residency refs must drain");
         locality
+    }
+
+    /// Zeroes the per-node and locality counters, keeping every learned
+    /// state (blob residency included), so a measured window reports only
+    /// its own requests.
+    pub(crate) fn reset_measurements(&mut self) {
+        for node in &mut self.nodes {
+            node.stats = NodeBreakdown {
+                node: node.stats.node,
+                ..NodeBreakdown::default()
+            };
+        }
+        if let Routing::Ring { dir, .. } = &mut self.routing {
+            dir.reset_stats();
+        }
     }
 
     /// Places arrival `index`: its node and slot, and the request as that
@@ -236,7 +258,8 @@ impl Topology {
 
     /// Provisions a worker into slot `s` of node `n`. Under ring routing a
     /// restore whose blob is not resident on the node also pays the
-    /// cross-node fetch, and the snapshot's age there.
+    /// cross-node fetch, and the snapshot's age there; any other topology
+    /// has one node per deployment, so its restores are local hits.
     fn provision(&mut self, session: &mut Session<'_>, n: usize, s: usize, now: SimTime) -> Worker {
         let (deps, nodes, routing) = (&mut self.deps, &mut self.nodes, &mut self.routing);
         let node = &mut nodes[n];
@@ -246,17 +269,24 @@ impl Topology {
             _ => true,
         };
         let (mut worker, origin) = session.provision(dep, &mut node.slots[s].scratch, explore, now);
-        let Routing::Ring { spec, dir, .. } = routing else {
-            return worker;
+        let ring = match routing {
+            Routing::Ring { spec, dir, .. } => {
+                // An immediately-due plan checkpoints inside provisioning;
+                // those blobs become resident here.
+                drain_pool_events(dep, dir, n as u32, spec, now);
+                Some((spec, dir))
+            }
+            _ => None,
         };
-        // An immediately-due plan checkpoints inside provisioning; those
-        // blobs become resident here.
-        drain_pool_events(dep, dir, n as u32, spec, now);
         let Some(o) = origin else {
             node.stats.cold_starts += 1;
             return worker;
         };
         node.stats.restores += 1;
+        let Some((spec, dir)) = ring else {
+            node.stats.local_hits += 1;
+            return worker;
+        };
         // Price the would-be miss up front (pure in the inputs, so
         // computing it eagerly is value-identical). `bytes` stays nominal
         // whatever the price, preserving the conservation law under
@@ -305,17 +335,17 @@ impl Topology {
         let Some(w) = slot.worker.as_mut() else {
             return;
         };
+        node.stats.peak_workers = node.stats.peak_workers.max(occupied);
+        node.stats.served += 1;
         let Routing::Ring { spec, probe, dir } = routing else {
             session.serve(dep, &mut slot.scratch, w, request, 0.0, now);
             return;
         };
-        node.stats.peak_workers = node.stats.peak_workers.max(occupied);
         let wait_us = slot.busy_until.saturating_since(now).as_micros() as f64;
         let latency = session.serve(dep, &mut slot.scratch, w, request, wait_us, now);
         drain_pool_events(dep, dir, n as u32, spec, now);
         node.stats.queue_delay_us += wait_us;
         slot.busy_until = now.max(slot.busy_until) + SimDuration::from_micros_f64(latency);
-        node.stats.served += 1;
         if n as u32 != probe[0] {
             node.stats.spillovers += 1;
         }
@@ -362,8 +392,9 @@ fn drain_pool_events(
 }
 
 /// Drives `arrivals` through `topo` until the kernel drains, then retires
-/// every remaining worker. Returns the instant of the last arrival and the
-/// largest number of events pending in the kernel at once.
+/// every remaining worker and frees every slot, so a later source can
+/// restart the clock at its origin. Returns the instant of the last arrival
+/// and the largest number of events pending in the kernel at once.
 pub(crate) fn run<I: Iterator<Item = SimTime>>(
     session: &mut Session<'_>,
     topo: &mut Topology,
@@ -371,18 +402,14 @@ pub(crate) fn run<I: Iterator<Item = SimTime>>(
 ) -> (SimTime, usize) {
     let cfg = session.cfg;
     let mut kernel: TimerWheel<Event> = TimerWheel::new();
-    let (mut sorted, closed, evict_idle) = match arrivals {
-        Arrivals::ClosedLoop {
-            total,
-            gap,
-            evict_idle,
-        } => {
+    let (mut sorted, closed) = match arrivals {
+        Arrivals::ClosedLoop { total, gap } => {
             if total > 0 {
                 kernel.schedule(SimTime::ZERO + gap, Event::Arrival(0));
             }
-            (None, Some((total, gap)), evict_idle)
+            (None, Some((total, gap)))
         }
-        Arrivals::Sorted { first, iter } => (Some((iter, first)), None, true),
+        Arrivals::Sorted { first, iter } => (Some((iter, first)), None),
     };
     // Idle probes run on sorted sources with provisioning on, at most one
     // pending at a time so they never accumulate in the kernel.
@@ -413,7 +440,7 @@ pub(crate) fn run<I: Iterator<Item = SimTime>>(
                 last_arrival = now;
                 let (request, n, s) = topo.route(session.generate(i), i, now);
                 let slot = &mut topo.nodes[n].slots[s].worker;
-                if let Some(w) = slot.take_if(|w| evict_idle && idle(w, now)) {
+                if let Some(w) = slot.take_if(|w| idle(w, now)) {
                     session.retire(&mut topo.deps[topo.nodes[n].dep], w, now);
                 }
                 if topo.nodes[n].slots[s].worker.is_none() {
@@ -494,6 +521,7 @@ pub(crate) fn run<I: Iterator<Item = SimTime>>(
             if let Some(w) = slot.worker.take() {
                 session.retire(&mut deps[node.dep], w, last_now);
             }
+            slot.busy_until = SimTime::ZERO;
         }
     }
     (last_arrival, peak_pending)
@@ -503,6 +531,7 @@ pub(crate) fn run<I: Iterator<Item = SimTime>>(
 mod tests {
     use super::*;
     use crate::config::RunConfig;
+    use crate::worker::DeltaTracking;
     use pronghorn_checkpoint::DeltaPolicy;
     use pronghorn_core::PolicyKind;
     use pronghorn_workloads::{by_name, Workload};
@@ -518,10 +547,10 @@ mod tests {
             .with_delta(DeltaPolicy::Enabled { max_depth: 4 })
             .with_cluster(spec);
         cfg.request_gap = SimDuration::from_millis(1);
-        let mut session = Session::new(&workload, cfg, 0, false);
+        let mut session = Session::new(&workload, cfg, 0, None);
         let dep = Deployment::shared(&workload, &cfg);
         let mut topo = Topology::cluster(dep, spec, workload.name());
-        let arrivals = Arrivals::closed_loop(cfg.invocations, cfg.request_gap, false);
+        let arrivals = Arrivals::closed_loop(cfg.invocations, cfg.request_gap);
         run(&mut session, &mut topo, arrivals);
         let locality = |topo: &Topology| match &topo.routing {
             Routing::Ring { dir, .. } => *dir.stats(),
@@ -537,7 +566,12 @@ mod tests {
             let w = topo.provision(&mut session, n, 0, now);
             let after = locality(&topo);
             if after.remote_misses > before.remote_misses {
-                let links = w.delta.as_ref().map_or(1, |d| d.parent_depth as usize + 1);
+                let depth = |d: &DeltaTracking| topo.deps[0].orch.chain_depth(d.parent_id);
+                let links = w
+                    .delta
+                    .as_ref()
+                    .and_then(depth)
+                    .map_or(1, |k| k as usize + 1);
                 let nominal = after.remote_bytes - before.remote_bytes;
                 let walk = spec.remote.chained_transfer_time(nominal, links);
                 assert_eq!(after.remote_us - before.remote_us, walk.as_micros() as f64);
@@ -546,6 +580,32 @@ mod tests {
             session.retire(&mut topo.deps[0], w, now);
         }
         assert!(chained_misses > 0, "no miss restored a delta chain");
+    }
+
+    #[test]
+    fn classification_is_total_and_ordered() {
+        for classes in 1..6 {
+            for &f in &[0.01, 0.08, 0.2, 1.0, 3.0, 12.0, 100.0] {
+                let k = classify_factor(f, classes);
+                assert!(k < classes, "f={f} classes={classes} -> {k}");
+            }
+            // Monotone: larger factors never land in smaller classes.
+            let ks: Vec<usize> = [0.1, 0.5, 1.0, 2.0, 8.0]
+                .iter()
+                .map(|&f| classify_factor(f, classes))
+                .collect();
+            assert!(ks.windows(2).all(|w| w[0] <= w[1]));
+        }
+    }
+
+    #[test]
+    fn class_centres_are_inside_their_buckets() {
+        for classes in 1..5 {
+            for k in 0..classes {
+                let centre = class_centre(k, classes);
+                assert_eq!(classify_factor(centre, classes), k);
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Results of one experiment run.
 
 use pronghorn_checkpoint::CodecStats;
+use pronghorn_cluster::LocalityStats;
 use pronghorn_core::{OverheadTotals, PolicyKind};
 use pronghorn_forecast::ProvisionStats;
 use pronghorn_metrics::{convergence_request, Cdf, ConvergenceCriteria, Quantiles};
@@ -16,7 +17,34 @@ pub enum ProvisionKind {
     Restored(u32),
 }
 
-/// Everything measured during one run.
+/// Per-node counters of one run.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct NodeBreakdown {
+    /// Node index: on the ring for a cluster, else the deployment's index.
+    pub node: u32,
+    /// Requests served on this node.
+    pub served: u64,
+    /// Requests served here although another node was the ring owner.
+    pub spillovers: u64,
+    /// Workers cold-booted on this node.
+    pub cold_starts: u64,
+    /// Workers restored from a snapshot on this node.
+    pub restores: u64,
+    /// Restores served from a node-resident blob.
+    pub local_hits: u64,
+    /// Restores that fetched their blob from a peer node.
+    pub remote_misses: u64,
+    /// Total queueing delay added to client latencies on this node (µs).
+    pub queue_delay_us: f64,
+    /// Largest number of concurrently live workers (≤ the node's slots).
+    pub peak_workers: u32,
+}
+
+/// Everything measured during one run. With a trace, the per-request and
+/// per-provision measurements — latencies, provisions, checkpoints,
+/// restores, provisioning, node and locality counters — cover the measured
+/// window only; the orchestrator's accounting (overheads, store, chain and
+/// storage counters) covers the deployment's history too.
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// Benchmark name.
@@ -61,6 +89,10 @@ pub struct RunResult {
     /// composed prefetch); all-zero under the flat store (a disabled
     /// storage policy), whose tier reports no counters.
     pub storage: StorageStats,
+    /// Per-node counters, indexed by node.
+    pub nodes: Vec<NodeBreakdown>,
+    /// Locality counters; outside a cluster every restore is a local hit.
+    pub locality: LocalityStats,
 }
 
 impl RunResult {
@@ -168,6 +200,8 @@ mod tests {
             chain: ChainStats::default(),
             provisioning: ProvisionStats::default(),
             storage: StorageStats::default(),
+            nodes: Vec::new(),
+            locality: LocalityStats::default(),
         }
     }
 

@@ -1,10 +1,11 @@
-//! The experiment runners — closed-loop (Figures 4–5), trace-driven
-//! (Figure 6) and production replay — and the [`Session`] and
-//! [`Deployment`] state every runner provisions, serves, checkpoints and
-//! retires workers through. The event loop itself is [`crate::engine`].
+//! The [`Session`] and [`Deployment`] state every run provisions, serves,
+//! checkpoints and retires workers through, and the closed-loop and
+//! production wrappers the `benchmark/` package calls. The event loop
+//! itself is [`crate::engine`]; the entry point is [`crate::run`].
 
 use crate::config::RunConfig;
-use crate::engine::{self, Arrivals, Topology};
+use crate::engine::{self, Arrivals, Routing, Topology};
+use crate::plan::{run, ArrivalSpec, TopologySpec};
 use crate::result::{ProvisionKind, RunResult};
 use crate::stale::IoStaleModel;
 use crate::worker::{DeltaTracking, Worker};
@@ -12,6 +13,7 @@ use pronghorn_checkpoint::{
     delta::dirty_nominal_bytes, CheckpointScratch, Checkpointable, CodecStats, DeltaBase,
     SimCriuEngine, Snapshot, SnapshotId, SnapshotMeta,
 };
+use pronghorn_cluster::{ClusterSpec, LocalityStats};
 use pronghorn_core::{baselines::make_policy, Orchestrator, OverheadTotals, WorkerPlan};
 use pronghorn_forecast::{PreRestorePlan, ProvisionStats, Provisioner};
 use pronghorn_jit::{RequestWork, Runtime};
@@ -21,7 +23,6 @@ use pronghorn_restore::{
 };
 use pronghorn_sim::{RngFactory, SimDuration, SimTime};
 use pronghorn_store::{saturating_accumulate, ChainStats, ObjectStore, StorageStats, StoreStats};
-use pronghorn_traces::Trace;
 use pronghorn_workloads::Workload;
 use rand::rngs::SmallRng;
 use std::collections::{BTreeSet, VecDeque};
@@ -62,15 +63,6 @@ struct StreamAgg {
     latency: Histogram,
     /// The running counters and totals of the stats being built.
     stats: ProductionStats,
-}
-
-impl StreamAgg {
-    fn new() -> Self {
-        StreamAgg {
-            latency: Histogram::new(1.0, 1e9, 1.01).expect("static bounds are valid"),
-            stats: ProductionStats::default(),
-        }
-    }
 }
 
 /// Summary statistics of a [`run_production`] replay: everything the
@@ -117,10 +109,9 @@ pub struct ProductionStats {
 }
 
 /// One deployment's orchestration state: the orchestrator (policy,
-/// snapshot pool, Database) with its object store, the
-/// predictive provisioner, and the RNG stream names its workers draw
-/// from. Every runner drives one, except [`crate::run_partitioned`],
-/// which drives one per input class.
+/// snapshot pool, Database, object store), the predictive provisioner,
+/// and the RNG stream names its workers draw from. Every topology drives
+/// one, except [`TopologySpec::Classes`], which drives one per input class.
 pub(crate) struct Deployment {
     /// Function name the orchestrator, snapshots and page maps carry.
     label: String,
@@ -129,7 +120,6 @@ pub(crate) struct Deployment {
     boot_stream: String,
     worker_seq: u64,
     pub(crate) orch: Orchestrator,
-    store: ObjectStore,
     /// Predictive-provisioning decision state; `None` when disabled, so
     /// the reactive path carries (and mutates) nothing.
     provisioner: Option<Provisioner>,
@@ -143,26 +133,27 @@ pub(crate) struct Deployment {
 }
 
 impl Deployment {
-    /// The one deployment of `workload` the shared-deployment runners use.
+    /// The one deployment of `workload` every topology but
+    /// [`TopologySpec::Classes`] uses.
     pub(crate) fn shared(workload: &dyn Workload, cfg: &RunConfig) -> Self {
         Deployment::new(workload, cfg, workload.name().to_string(), "")
     }
 
     /// A deployment of `workload` labelled `label`, whose workers draw from
-    /// the `worker{suffix}` and `boot{suffix}` streams.
+    /// the `worker{suffix}` and `boot{suffix}` streams. `cfg`'s policy
+    /// configuration must be valid (see [`crate::run`]).
     pub(crate) fn new(
         workload: &dyn Workload,
         cfg: &RunConfig,
         label: String,
         suffix: &str,
     ) -> Self {
-        let store = ObjectStore::new();
         let mut policy_config = cfg.resolve_policy_config(workload.kind());
         if cfg.restore == RestoreStrategy::RecordPrefetch {
             policy_config = policy_config.with_restore_penalty(RECORD_PREFETCH_PENALTY_US);
         }
         let policy = make_policy(cfg.policy, policy_config);
-        let mut orch = Orchestrator::new(policy, store.clone(), label.as_str())
+        let mut orch = Orchestrator::new(policy, ObjectStore::new(), label.as_str())
             .with_restore(cfg.restore)
             .with_storage(cfg.storage);
         if cfg.delta.enabled() {
@@ -174,7 +165,6 @@ impl Deployment {
             boot_stream: format!("boot{suffix}"),
             worker_seq: 0,
             orch,
-            store,
             provisioner: Provisioner::new(cfg.provision),
             pending_keepalives: VecDeque::new(),
             last_image_bytes: 0,
@@ -228,14 +218,14 @@ pub(crate) struct Session<'w> {
 
 impl<'w> Session<'w> {
     /// A session recording every per-invocation measurement, preallocated
-    /// for `expected` invocations — or, when `streaming`, only O(1)
-    /// running aggregates, so memory stays O(workers) however many
+    /// for `expected` invocations — or, given a `stream` histogram, only
+    /// O(1) running aggregates, so memory stays O(workers) however many
     /// invocations stream through.
     pub(crate) fn new(
         workload: &'w dyn Workload,
         cfg: RunConfig,
         expected: usize,
-        streaming: bool,
+        stream: Option<Histogram>,
     ) -> Self {
         let factory = RngFactory::new(cfg.seed);
         // A worker serves `eviction_rate` requests per lifetime, so
@@ -273,8 +263,13 @@ impl<'w> Session<'w> {
                 chain: ChainStats::default(),
                 provisioning: ProvisionStats::default(),
                 storage: StorageStats::default(),
+                nodes: Vec::new(),
+                locality: LocalityStats::default(),
             },
-            stream: streaming.then(StreamAgg::new),
+            stream: stream.map(|latency| StreamAgg {
+                latency,
+                stats: ProductionStats::default(),
+            }),
             served_total: 0,
         }
     }
@@ -380,7 +375,6 @@ impl<'w> Session<'w> {
                     parent_id: snapshot.id,
                     parent_payload: snapshot.payload.clone(),
                     parent_hash: snapshot.payload_hash(),
-                    parent_depth: dep.orch.chain_depth(snapshot.id).unwrap_or(0),
                     parent_page_count: snapshot.nominal_size.div_ceil(DEFAULT_PAGE_SIZE) as u32,
                     dirty_pages: BTreeSet::new(),
                 });
@@ -451,11 +445,10 @@ impl<'w> Session<'w> {
             let info = RestoreInfo::eager(cost.as_micros() as f64, plan.download_nominal);
             return Some((runtime, info, None));
         }
+        // A paged restore carries its page map; without one the snapshot
+        // cannot be mapped, which degrades to a cold boot like corruption.
+        let map = plan.page_map.take()?;
         let runtime = self.engine.restore_mapped::<Runtime>(snapshot).ok()?;
-        let map = plan
-            .page_map
-            .take()
-            .expect("a paged restore carries its page map");
         let (function, id) = (dep.label.as_str(), snapshot.id.0);
         let mut info = RestoreInfo {
             strategy,
@@ -574,7 +567,7 @@ impl<'w> Session<'w> {
         queue_us: f64,
         now: SimTime,
     ) -> f64 {
-        // Every runner serves exactly one request per arrival, so this is
+        // Every run serves exactly one request per arrival, so this is
         // the single point where the forecaster observes the arrival
         // process. A no-op (no state, no draws) when provisioning is off.
         if let Some(p) = dep.provisioner.as_mut() {
@@ -739,8 +732,9 @@ impl<'w> Session<'w> {
 
     /// Clears the measurement accumulators while keeping all learned state
     /// (orchestrator knowledge, pooled snapshots, object-store contents) —
-    /// used to measure a window of an already-deployed function.
-    fn reset_measurements(&mut self) {
+    /// used to measure a window of an already-deployed function. Only
+    /// per-event (non-streaming) sessions measure windows.
+    pub(crate) fn reset_measurements(&mut self) {
         let out = &mut self.out;
         out.latencies_us.clear();
         out.provisions.clear();
@@ -751,9 +745,6 @@ impl<'w> Session<'w> {
         out.provision_us = 0.0;
         out.restore_infos.clear();
         out.provisioning = ProvisionStats::default();
-        if let Some(agg) = &mut self.stream {
-            *agg = StreamAgg::new();
-        }
     }
 
     /// Folds every slot's codec counters and every deployment's
@@ -763,29 +754,33 @@ impl<'w> Session<'w> {
         self.out.codec = topo.codec();
         for dep in &topo.deps {
             self.out.overheads.merge(dep.orch.overheads());
-            self.out.store_stats.merge(&dep.store.stats());
+            self.out.store_stats.merge(&dep.orch.store_stats());
             self.out.chain.merge(&dep.orch.chain_stats());
             self.out.storage.merge(&dep.orch.storage_stats());
         }
     }
 
-    /// Collapses the run into its [`RunResult`].
-    pub(crate) fn finish(mut self, topo: &Topology) -> RunResult {
+    /// Collapses the run into its [`RunResult`], with every node's
+    /// counters and the locality counters.
+    pub(crate) fn finish(mut self, topo: &mut Topology) -> RunResult {
         debug_assert!(
             self.stream.is_none(),
             "streaming sessions report via finish_production"
         );
         self.collect(topo);
+        self.out.nodes = topo.nodes.iter().map(|n| n.stats).collect();
+        self.out.locality = topo.teardown_locality();
         self.out
     }
 
     /// Collapses a streaming session into [`ProductionStats`], given the
-    /// engine's last arrival instant and peak pending-event count.
+    /// engine's last arrival instant and peak pending-event count. A
+    /// session without a stream has no aggregates to report.
     fn finish_production(mut self, topo: &Topology, end: (SimTime, usize)) -> ProductionStats {
         self.collect(topo);
-        let StreamAgg { latency, mut stats } = self
-            .stream
-            .expect("production sessions run in streaming mode");
+        let Some(StreamAgg { latency, mut stats }) = self.stream.take() else {
+            return ProductionStats::default();
+        };
         stats.invocations = latency.count();
         stats.mean_latency_us = latency.mean();
         stats.p50_latency_us = latency.quantile(0.5);
@@ -798,9 +793,15 @@ impl<'w> Session<'w> {
     }
 }
 
-/// Runs the §5.1 closed-loop protocol: `cfg.invocations` requests with a
-/// fixed eviction rate, returning every measurement the paper's tables and
-/// figures need.
+/// Runs the §5.1 closed loop: [`run`] with [`ArrivalSpec::ClosedLoop`] on
+/// [`TopologySpec::Single`], or on [`TopologySpec::Cluster`] when
+/// `cfg.cluster` is not [`ClusterSpec::single_node`]. Kept for the
+/// `benchmark/` package and removed in the next change to the benchmark.
+///
+/// # Panics
+///
+/// Panics where [`run`] returns a [`crate::ConfigError`]: an invalid
+/// policy configuration or a cluster without nodes or slots.
 ///
 /// # Examples
 ///
@@ -816,53 +817,13 @@ impl<'w> Session<'w> {
 /// assert!(result.median_us() > 0.0);
 /// ```
 pub fn run_closed_loop(workload: &dyn Workload, cfg: &RunConfig) -> RunResult {
-    let mut session = Session::new(workload, *cfg, cfg.invocations as usize, false);
-    let mut topo = Topology::single(Deployment::shared(workload, cfg));
-    let arrivals = Arrivals::closed_loop(cfg.invocations, cfg.request_gap, false);
-    engine::run(&mut session, &mut topo, arrivals);
-    session.finish(&topo)
-}
-
-/// Runs the Figure 6 trace-driven protocol: arrivals from an Azure-like
-/// trace, workers evicted after `cfg.idle_timeout` of inactivity.
-pub fn run_trace(workload: &dyn Workload, cfg: &RunConfig, trace: &Trace) -> RunResult {
-    run_trace_with_history(workload, cfg, trace, 0)
-}
-
-/// Runs the trace protocol against an *already-deployed* function: first
-/// replays `history_invocations` closed-loop requests (the function's past
-/// production traffic, during which the policy learns and the pool fills),
-/// then measures the 15-minute trace window. Only the window's requests
-/// are reported.
-pub fn run_trace_with_history(
-    workload: &dyn Workload,
-    cfg: &RunConfig,
-    trace: &Trace,
-    history_invocations: u32,
-) -> RunResult {
-    let history = u64::from(history_invocations);
-    let expected = history as usize + trace.len();
-    let mut session = Session::new(workload, *cfg, expected, false);
-    let mut topo = Topology::single(Deployment::shared(workload, cfg));
-    // Deployment history: same protocol (and arrival instants) as the
-    // closed loop.
-    let past = Arrivals::closed_loop(history_invocations, cfg.request_gap, false);
-    engine::run(&mut session, &mut topo, past);
-    // The measured window starts with whatever state the deployment has;
-    // in-flight workers from the history are evicted (the window is a
-    // fresh 15 minutes much later), and the window's own kernel restarts
-    // the clock at its origin.
-    session.reset_measurements();
-    let iter = trace.arrivals().iter().copied();
-    engine::run(
-        &mut session,
-        &mut topo,
-        Arrivals::Sorted {
-            first: history,
-            iter,
-        },
-    );
-    session.finish(&topo)
+    let topology = if cfg.cluster == ClusterSpec::single_node() {
+        TopologySpec::Single
+    } else {
+        TopologySpec::Cluster
+    };
+    run(workload, cfg, ArrivalSpec::ClosedLoop, topology)
+        .unwrap_or_else(|e| panic!("run_closed_loop: {e}"))
 }
 
 /// Replays a production-scale arrival stream (e.g.
@@ -872,6 +833,14 @@ pub fn run_trace_with_history(
 ///
 /// Arrivals must be non-decreasing (arrival streams are); an out-of-order
 /// arrival is clamped to the kernel clock rather than rewinding time.
+/// Kept for the `benchmark/` package and removed in the next change to the
+/// benchmark.
+///
+/// # Panics
+///
+/// Panics where [`run`] with [`TopologySpec::Single`] returns a
+/// [`crate::ConfigError`]: an invalid policy configuration, or a
+/// `cfg.cluster` other than [`ClusterSpec::single_node`].
 ///
 /// # Examples
 ///
@@ -896,8 +865,13 @@ pub fn run_production<I>(workload: &dyn Workload, cfg: &RunConfig, arrivals: I) 
 where
     I: IntoIterator<Item = SimTime>,
 {
-    let mut session = Session::new(workload, *cfg, 0, true);
-    let mut topo = Topology::single(Deployment::shared(workload, cfg));
+    if let Err(e) = crate::plan::validate(workload, cfg, TopologySpec::Single) {
+        panic!("run_production: {e}");
+    }
+    let latency = Histogram::new(1.0, 1e9, 1.01).expect("static bounds are valid");
+    let mut session = Session::new(workload, *cfg, 0, Some(latency));
+    let dep = Deployment::shared(workload, cfg);
+    let mut topo = Topology::new(vec![dep], 1, 1, Routing::Single);
     let iter = arrivals.into_iter();
     let end = engine::run(&mut session, &mut topo, Arrivals::Sorted { first: 0, iter });
     session.finish_production(&topo, end)
@@ -908,13 +882,19 @@ mod tests {
     use super::*;
     use pronghorn_core::PolicyKind;
     use pronghorn_sim::SimDuration;
-    use pronghorn_traces::TraceSpec;
+    use pronghorn_traces::{Trace, TraceSpec};
     use pronghorn_workloads::{by_name, InputVariance};
 
     fn cfg(policy: PolicyKind, rate: u32) -> RunConfig {
         RunConfig::paper(policy, rate, 42)
             .with_invocations(120)
             .with_variance(InputVariance::none())
+    }
+
+    /// The trace window alone, with no deployment history.
+    fn run_trace(workload: &dyn Workload, c: &RunConfig, trace: &Trace) -> RunResult {
+        let (c, plan) = (c.with_invocations(0), ArrivalSpec::Trace(trace));
+        run(workload, &c, plan, TopologySpec::Single).unwrap()
     }
 
     #[test]
@@ -1254,7 +1234,7 @@ mod tests {
 
     #[test]
     fn production_aggregates_match_the_vec_accumulating_trace_runner() {
-        // The same arrivals through run_trace (per-invocation Vecs) and
+        // The same arrivals through a trace run (per-invocation Vecs) and
         // run_production (streaming aggregates) must agree exactly on
         // counts and means, and within bucket resolution on quantiles.
         let bench = by_name("Hash").unwrap();

@@ -60,17 +60,6 @@ impl Default for IoStaleModel {
 }
 
 impl IoStaleModel {
-    /// A disabled model (no penalty), for ablations.
-    pub const fn disabled() -> Self {
-        IoStaleModel {
-            base_frac: 0.0,
-            depth_frac: 0.0,
-            decay: 0.5,
-            horizon: 0,
-            age_frac_per_min: 0.0,
-        }
-    }
-
     /// Penalty fraction of `io_us` for the `nth_since_restore`-th request
     /// (0-based) after restoring a snapshot taken at `snapshot_request` of
     /// a search space bounded by `w`.
@@ -143,7 +132,13 @@ mod tests {
 
     #[test]
     fn disabled_model_is_zero_everywhere() {
-        let m = IoStaleModel::disabled();
+        let m = IoStaleModel {
+            base_frac: 0.0,
+            depth_frac: 0.0,
+            decay: 0.5,
+            horizon: 0,
+            age_frac_per_min: 0.0,
+        };
         assert_eq!(m.penalty_frac(50, 100, 0), 0.0);
     }
 

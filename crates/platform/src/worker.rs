@@ -20,8 +20,6 @@ pub struct DeltaTracking {
     pub parent_payload: Bytes,
     /// Content address of the parent payload.
     pub parent_hash: u64,
-    /// The parent's delta-chain depth (0 = chain root).
-    pub parent_depth: u32,
     /// Image pages the parent covered, on the nominal page grid.
     pub parent_page_count: u32,
     /// Nominal image pages touched by requests served since the restore —

@@ -1,17 +1,26 @@
-//! Edge-case integration tests for the platform runners.
+//! Edge-case integration tests for the platform's entry point.
 
 #![forbid(unsafe_code)]
 
 use pronghorn_core::{PolicyKind, SelectionStrategy};
-use pronghorn_platform::{
-    run_closed_loop, run_fleet, run_partitioned, run_trace, FleetConfig, RunConfig,
-};
+use pronghorn_platform::{run, ArrivalSpec, RunConfig, RunResult, TopologySpec};
 use pronghorn_sim::{SimDuration, SimTime};
 use pronghorn_traces::Trace;
-use pronghorn_workloads::{by_name, InputVariance};
+use pronghorn_workloads::{by_name, InputVariance, Workload};
+use std::num::NonZeroU32;
 
 fn cfg(policy: PolicyKind) -> RunConfig {
     RunConfig::paper(policy, 4, 1).with_variance(InputVariance::none())
+}
+
+fn run_closed_loop(workload: &dyn Workload, c: &RunConfig) -> RunResult {
+    run(workload, c, ArrivalSpec::ClosedLoop, TopologySpec::Single).unwrap()
+}
+
+/// The trace window alone, with no deployment history.
+fn run_trace(workload: &dyn Workload, c: &RunConfig, trace: &Trace) -> RunResult {
+    let (c, plan) = (c.with_invocations(0), ArrivalSpec::Trace(trace));
+    run(workload, &c, plan, TopologySpec::Single).unwrap()
 }
 
 #[test]
@@ -95,14 +104,12 @@ fn beta_misestimation_still_serves_all_requests() {
 #[test]
 fn fleet_of_one_with_zero_explorers_is_all_cold() {
     let bench = by_name("Hash").unwrap();
-    let result = run_fleet(
-        &bench,
-        &cfg(PolicyKind::RequestCentric).with_invocations(60),
-        &FleetConfig {
-            fleet_size: 1,
-            explorers: 0,
-        },
-    );
+    let fleet = TopologySpec::Fleet {
+        workers: NonZeroU32::MIN,
+        explorers: 0,
+    };
+    let c = cfg(PolicyKind::RequestCentric).with_invocations(60);
+    let result = run(&bench, &c, ArrivalSpec::ClosedLoop, fleet).unwrap();
     assert_eq!(result.cold_starts(), result.provisions.len());
 }
 
@@ -112,7 +119,8 @@ fn partitioned_with_many_classes_still_serves_everything() {
     let run_cfg = cfg(PolicyKind::RequestCentric)
         .with_invocations(90)
         .with_variance(InputVariance::paper());
-    let result = run_partitioned(&bench, &run_cfg, 5);
+    let classes = TopologySpec::Classes(NonZeroU32::new(5).unwrap());
+    let result = run(&bench, &run_cfg, ArrivalSpec::ClosedLoop, classes).unwrap();
     assert_eq!(result.latencies_us.len(), 90);
     assert!(result
         .latencies_us

@@ -1,19 +1,20 @@
-//! Every runner honours every knob: the fleet, partitioned and trace
-//! runners restore, checkpoint and provision through the same session as
-//! the closed loop, so the restore strategy, delta chains and predictive
-//! provisioning apply to them too.
+//! Every topology and arrival source honours every knob: fleets, input
+//! classes and trace windows restore, checkpoint and provision through the
+//! same session as the closed loop, so the restore strategy, delta chains
+//! and predictive provisioning apply to them too.
 
 #![forbid(unsafe_code)]
 
 use pronghorn_checkpoint::DeltaPolicy;
 use pronghorn_core::PolicyKind;
 use pronghorn_platform::{
-    run_fleet, run_partitioned, run_trace, FleetConfig, ForecasterKind, ProvisionPolicy,
-    ProvisionStats, RestoreStrategy, RunConfig, RunResult,
+    run, ArrivalSpec, ForecasterKind, ProvisionPolicy, ProvisionStats, RestoreStrategy, RunConfig,
+    RunResult, TopologySpec,
 };
 use pronghorn_sim::{SimDuration, SimTime};
 use pronghorn_traces::Trace;
 use pronghorn_workloads::{by_name, InputVariance};
+use std::num::NonZeroU32;
 
 fn cfg(policy: PolicyKind, rate: u32) -> RunConfig {
     RunConfig::paper(policy, rate, 17)
@@ -21,13 +22,23 @@ fn cfg(policy: PolicyKind, rate: u32) -> RunConfig {
         .with_variance(InputVariance::bimodal())
 }
 
-/// The fleet and partitioned runs of one workload under `c`.
+/// The closed loop of one workload under `c` on a fleet of four workers
+/// with one explorer, and on two input classes.
 fn fleet_and_partitioned(bench: &str, c: &RunConfig) -> [RunResult; 2] {
     let workload = by_name(bench).unwrap();
-    [
-        run_fleet(&workload, c, &FleetConfig::default()),
-        run_partitioned(&workload, c, 2),
-    ]
+    let fleet = TopologySpec::Fleet {
+        workers: NonZeroU32::new(4).unwrap(),
+        explorers: 1,
+    };
+    let classes = TopologySpec::Classes(NonZeroU32::new(2).unwrap());
+    [fleet, classes].map(|t| run(&workload, c, ArrivalSpec::ClosedLoop, t).unwrap())
+}
+
+/// The trace window alone, with no deployment history.
+fn run_trace(c: &RunConfig, trace: &Trace) -> RunResult {
+    let workload = by_name("Uploader").unwrap();
+    let (c, plan) = (c.with_invocations(0), ArrivalSpec::Trace(trace));
+    run(&workload, &c, plan, TopologySpec::Single).unwrap()
 }
 
 fn assert_conserved(p: &ProvisionStats, runner: &str) {
@@ -94,14 +105,10 @@ fn trace_window_honours_predictive_provisioning() {
     let c = cfg(PolicyKind::RequestCentric, 4)
         .with_idle_timeout(SimDuration::from_secs(30))
         .with_provision(ProvisionPolicy::predictive(ForecasterKind::Ewma));
-    let r = run_trace(&by_name("Uploader").unwrap(), &c, &trace);
+    let r = run_trace(&c, &trace);
     assert_eq!(r.latencies_us.len(), trace.len());
     assert_conserved(&r.provisioning, "trace");
     // Without the knob the same trace issues nothing.
-    let reactive = run_trace(
-        &by_name("Uploader").unwrap(),
-        &cfg(PolicyKind::RequestCentric, 4),
-        &trace,
-    );
+    let reactive = run_trace(&cfg(PolicyKind::RequestCentric, 4), &trace);
     assert_eq!(reactive.provisioning, ProvisionStats::default());
 }

@@ -162,6 +162,8 @@ impl<E> TimerWheel<E> {
                 }
                 let node = &mut self.arena[idx as usize];
                 let at = node.at;
+                // pronglint: allow(panic-reach): a node linked into a slot
+                // list always holds its event; only this pop takes it.
                 let event = node.event.take().expect("pending node holds an event");
                 self.release(idx);
                 self.len -= 1;

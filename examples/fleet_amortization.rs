@@ -15,13 +15,17 @@
 
 #![forbid(unsafe_code)]
 
-use pronghorn::platform::{run_fleet, FleetConfig};
 use pronghorn::prelude::*;
+use std::num::NonZeroU32;
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let bench = args.next().unwrap_or_else(|| "PageRank".to_string());
-    let fleet_size: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
+    let workers = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
+    let Some(fleet_size) = NonZeroU32::new(workers) else {
+        eprintln!("a fleet needs at least one worker");
+        std::process::exit(1);
+    };
     let Some(workload) = by_name(&bench) else {
         eprintln!("unknown benchmark: {bench}");
         std::process::exit(1);
@@ -37,19 +41,17 @@ fn main() {
         "{:<26} {:>12} {:>12} {:>13} {:>10}",
         "explorers", "median (µs)", "p90 (µs)", "checkpoints", "restores"
     );
-    for explorers in [0usize, 1, fleet_size] {
-        let result = run_fleet(
-            &workload,
-            &cfg,
-            &FleetConfig {
-                fleet_size,
-                explorers,
-            },
-        );
+    for explorers in [0, 1, workers] {
+        let fleet = TopologySpec::Fleet {
+            workers: fleet_size,
+            explorers,
+        };
+        let result = run(&workload, &cfg, ArrivalSpec::ClosedLoop, fleet)
+            .expect("explorers never exceed workers");
         let label = match explorers {
             0 => "none (no snapshots)".to_string(),
             1 => "one explorer".to_string(),
-            n if n == fleet_size => "every worker".to_string(),
+            n if n == workers => "every worker".to_string(),
             n => format!("{n} explorers"),
         };
         println!(

@@ -16,8 +16,12 @@ use pronghorn::prelude::*;
 use pronghorn::traces::Trace;
 
 fn replay(workload: &dyn Workload, policy: PolicyKind, trace: &Trace, seed: u64) -> RunResult {
-    let cfg = RunConfig::paper(policy, 4, seed).with_variance(InputVariance::low());
-    run_trace(workload, &cfg, trace)
+    // No deployment history: the trace is the function's first traffic.
+    let cfg = RunConfig::paper(policy, 4, seed)
+        .with_variance(InputVariance::low())
+        .with_invocations(0);
+    let plan = ArrivalSpec::Trace(trace);
+    run(workload, &cfg, plan, TopologySpec::Single).expect("paper configs are valid")
 }
 
 fn main() {

@@ -16,7 +16,7 @@
 //! | [`core`] | the request-centric orchestration policy (Algorithm 1), baselines, pool, orchestrator |
 //! | [`jit`] | the tiered-JIT language-runtime simulator (JVM/PyPy profiles) |
 //! | [`workloads`] | the 14 benchmark kernels of Tables 1 & 3, implemented for real |
-//! | [`platform`] | the serverless-platform simulator (closed-loop + trace-driven runners) |
+//! | [`platform`] | the serverless-platform simulator (one `run` entry point over arrivals × topology) |
 //! | [`forecast`] | arrival forecasting and the predictive pre-restore provisioning policy |
 //! | [`cluster`] | the N-node cluster layer: consistent-hash ring, cluster spec, blob residency |
 //! | [`checkpoint`] | the CRIU-calibrated checkpoint engine and snapshot format |
@@ -68,8 +68,8 @@ pub mod prelude {
     pub use pronghorn_jit::{Runtime, RuntimeKind, RuntimeProfile};
     pub use pronghorn_metrics::{Cdf, Quantiles, Summary};
     pub use pronghorn_platform::{
-        run_closed_loop, run_cluster, run_production, run_trace, ClusterRunResult, RunConfig,
-        RunResult,
+        run, run_closed_loop, run_cluster, run_production, ArrivalSpec, ClusterRunResult,
+        ConfigError, RunConfig, RunResult, TopologySpec,
     };
     pub use pronghorn_sim::{RngFactory, SimDuration, SimTime};
     pub use pronghorn_store::{CacheConfig, StoragePolicy, StorageStats};

@@ -77,8 +77,14 @@ fn trace_replay_through_facade() {
     let workload = by_name("Thumbnailer").expect("bundled benchmark");
     let factory = RngFactory::new(5);
     let trace = TraceSpec::percentile(0.75).generate(&mut factory.stream("t"));
-    let cfg = RunConfig::paper(PolicyKind::RequestCentric, 4, 5);
-    let result = run_trace(&workload, &cfg, &trace);
+    let cfg = RunConfig::paper(PolicyKind::RequestCentric, 4, 5).with_invocations(0);
+    let result = run(
+        &workload,
+        &cfg,
+        ArrivalSpec::Trace(&trace),
+        TopologySpec::Single,
+    )
+    .unwrap();
     assert_eq!(result.latencies_us.len(), trace.len());
 }
 
