@@ -6,10 +6,16 @@
 //! real `rand` 0.8 uses for `SmallRng` on 64-bit targets),
 //! [`distributions::Standard`], and [`seq::SliceRandom`]. Everything is
 //! deterministic and dependency-free; nothing here is cryptographic.
+//!
+//! One extension goes beyond the rand 0.8 API: [`RngCore::discard`],
+//! which advances a generator past `n` draws nobody reads. `SmallRng`
+//! jumps there in O(log n) with xoshiro256's characteristic polynomial,
+//! so the stream stays exactly the one `n` draws would leave.
 
 #![forbid(unsafe_code)]
 
 pub mod distributions;
+mod jump;
 pub mod rngs;
 pub mod seq;
 
@@ -23,6 +29,14 @@ pub trait RngCore {
     fn next_u64(&mut self) -> u64;
     /// Fills `dest` with random bytes.
     fn fill_bytes(&mut self, dest: &mut [u8]);
+    /// Advances the generator past `n` [`next_u64`](RngCore::next_u64)
+    /// draws without returning them, like C++'s `engine.discard(n)`.
+    /// [`rngs::SmallRng`] jumps in O(log n); the default makes the draws.
+    fn discard(&mut self, n: u64) {
+        for _ in 0..n {
+            self.next_u64();
+        }
+    }
 }
 
 impl<R: RngCore + ?Sized> RngCore for &mut R {
@@ -35,6 +49,9 @@ impl<R: RngCore + ?Sized> RngCore for &mut R {
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         (**self).fill_bytes(dest)
     }
+    fn discard(&mut self, n: u64) {
+        (**self).discard(n)
+    }
 }
 
 impl<R: RngCore + ?Sized> RngCore for Box<R> {
@@ -46,6 +63,9 @@ impl<R: RngCore + ?Sized> RngCore for Box<R> {
     }
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         (**self).fill_bytes(dest)
+    }
+    fn discard(&mut self, n: u64) {
+        (**self).discard(n)
     }
 }
 
@@ -174,11 +194,73 @@ mod tests {
         let _: u64 = dyn_rng.gen();
     }
 
+    /// Counts the calls that reach it.
+    #[derive(Default)]
+    struct Counting {
+        draws: u64,
+        discards: u64,
+    }
+
+    impl RngCore for Counting {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            0
+        }
+        fn fill_bytes(&mut self, _: &mut [u8]) {}
+        fn discard(&mut self, _: u64) {
+            self.discards += 1;
+        }
+    }
+
+    #[test]
+    fn wrappers_forward_discard() {
+        fn discard_via<R: RngCore>(mut rng: R) -> R {
+            rng.discard(1_000);
+            rng
+        }
+        let mut inner = Counting::default();
+        discard_via(&mut inner);
+        discard_via(&mut &mut inner);
+        discard_via(&mut inner as &mut dyn RngCore);
+        discard_via(Box::new(&mut inner as &mut dyn RngCore));
+        let inner = *discard_via(Box::new(inner));
+        assert_eq!((inner.draws, inner.discards), (0, 5));
+    }
+
+    #[test]
+    fn default_discard_makes_the_draws() {
+        struct Stepping(u64);
+        impl RngCore for Stepping {
+            fn next_u32(&mut self) -> u32 {
+                self.next_u64() as u32
+            }
+            fn next_u64(&mut self) -> u64 {
+                self.0 += 1;
+                self.0
+            }
+            fn fill_bytes(&mut self, _: &mut [u8]) {}
+        }
+        let mut rng = Stepping(0);
+        rng.discard(37);
+        assert_eq!(rng.0, 37);
+    }
+
     #[test]
     fn fill_bytes_covers_partial_words() {
-        let mut rng = SmallRng::seed_from_u64(4);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
+        for len in [0, 7, 8, 13, 4096] {
+            let mut rng = SmallRng::seed_from_u64(len as u64);
+            let mut reference = rng.clone();
+            let mut got = vec![0u8; len];
+            rng.fill_bytes(&mut got);
+            let want: Vec<u8> = (0..len.div_ceil(8))
+                .flat_map(|_| reference.next_u64().to_le_bytes())
+                .take(len)
+                .collect();
+            assert_eq!(got, want, "len {len}");
+            assert_eq!(rng, reference, "len {len}: one step per started word");
+        }
     }
 }

@@ -1,19 +1,19 @@
 //! Micro-benchmarks of every substrate: the checkpoint engine and codec,
 //! the object store, the JIT runtime's request execution,
-//! the real workload kernels, and each benchmark's `generate` (its
-//! work-unit form).
+//! the real workload kernels, each benchmark's `generate` (its work-unit
+//! form), and the generator's `discard` jump against stepping.
 
 #![forbid(unsafe_code)]
 
 use bytes::Bytes;
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use pronghorn_checkpoint::{Checkpointable, SimCriuEngine, Snapshot, SnapshotMeta};
 use pronghorn_jit::Runtime;
 use pronghorn_store::ObjectStore;
 use pronghorn_workloads::kernels::{compress, graph, hashing, json};
 use pronghorn_workloads::{by_name, evaluation_benchmarks, InputVariance, Workload};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 fn warm_runtime() -> Runtime {
     let workload = by_name("BFS").expect("bundled");
@@ -141,6 +141,23 @@ fn bench_workload_generate(c: &mut Criterion) {
     group.finish();
 }
 
+/// Skipping Thumbnailer's `3·96·72` pixel draws at the base size: one
+/// `next_u64` per draw against `SmallRng`'s polynomial jump.
+fn bench_rng_discard(c: &mut Criterion) {
+    const DRAWS: u64 = 3 * 96 * 72;
+    let mut group = c.benchmark_group("rng_discard");
+    let mut rng = SmallRng::seed_from_u64(11);
+    group.bench_function("step_20736", |b| {
+        b.iter(|| {
+            for _ in 0..DRAWS {
+                black_box(rng.next_u64());
+            }
+        })
+    });
+    group.bench_function("jump_20736", |b| b.iter(|| rng.discard(black_box(DRAWS))));
+    group.finish();
+}
+
 criterion_group!(
     substrates,
     bench_checkpoint_engine,
@@ -148,5 +165,6 @@ criterion_group!(
     bench_stores,
     bench_kernels,
     bench_workload_generate,
+    bench_rng_discard,
 );
 criterion_main!(substrates);

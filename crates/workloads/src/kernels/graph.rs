@@ -7,9 +7,13 @@
 //! with the random input exactly as in the paper ("the execution latency
 //! directly scales with the size of the random graph"). The benchmarks
 //! get those counters from [`random_edge_count`] and [`EdgeList`], which
-//! make the same draws without building adjacency lists.
+//! leave the generator where [`Graph::random`] does without building
+//! adjacency lists.
 
 use rand::Rng;
+
+/// Edge weights are drawn from `1..=MAX_WEIGHT`.
+const MAX_WEIGHT: u32 = 1_000;
 
 /// An undirected weighted graph in adjacency-list form.
 #[derive(Debug, Clone)]
@@ -35,14 +39,14 @@ impl Graph {
         // Random spanning tree: attach node i to a random earlier node.
         for i in 1..n {
             let parent = rng.gen_range(0..i);
-            let w = rng.gen_range(1..=1_000);
+            let w = rng.gen_range(1..=MAX_WEIGHT);
             g.add_edge(parent as u32, i as u32, w);
         }
         for _ in 0..extra_edges {
             let u = rng.gen_range(0..n) as u32;
             let v = rng.gen_range(0..n) as u32;
             if u != v {
-                let w = rng.gen_range(1..=1_000);
+                let w = rng.gen_range(1..=MAX_WEIGHT);
                 g.add_edge(u, v, w);
             }
         }
@@ -96,26 +100,38 @@ fn draw_random_edges<R: Rng + ?Sized>(
     let n = n.max(1);
     for i in 1..n {
         let parent = rng.gen_range(0..i);
-        let w = rng.gen_range(1..=1_000);
+        let w = rng.gen_range(1..=MAX_WEIGHT);
         add(parent as u32, i as u32, w);
     }
     for _ in 0..extra_edges {
         let u = rng.gen_range(0..n) as u32;
         let v = rng.gen_range(0..n) as u32;
         if u != v {
-            let w = rng.gen_range(1..=1_000);
+            let w = rng.gen_range(1..=MAX_WEIGHT);
             add(u, v, w);
         }
     }
 }
 
-/// The edge count of the graph [`Graph::random`] would build, making the
-/// same draws. The graph is connected, so a traversal from node 0 visits
-/// all `n` nodes and scans all `2E` directed edges: this count is all
-/// [`bfs`] and [`dfs`] work depends on.
+/// The edge count of the graph [`Graph::random`] would build, leaving
+/// `rng` where it leaves it. The graph is connected, so a traversal from
+/// node 0 visits all `n` nodes and scans all `2E` directed edges: this
+/// count is all [`bfs`] and [`dfs`] work depends on. The spanning tree's
+/// `n - 1` edges always exist, so their parent and weight draws are
+/// jumped over; only an extra edge's `u != v` decides whether it exists.
 pub fn random_edge_count<R: Rng + ?Sized>(rng: &mut R, n: usize, extra_edges: usize) -> usize {
-    let mut edges = 0;
-    draw_random_edges(rng, n, extra_edges, |_, _, _| edges += 1);
+    let n = n.max(1);
+    rng.discard(2 * (n - 1) as u64);
+    let mut edges = n - 1;
+    for _ in 0..extra_edges {
+        let u = rng.gen_range(0..n);
+        let v = rng.gen_range(0..n);
+        if u != v {
+            // The weight.
+            rng.discard(1);
+            edges += 1;
+        }
+    }
     edges
 }
 
@@ -151,33 +167,22 @@ impl EdgeList {
     /// [`Graph::edge_list`] emits each edge from its lower endpoint's
     /// adjacency list, in creation order, and `mst_kruskal` stable-sorts
     /// that by weight: the order is `(w, lower endpoint, creation index)`.
-    /// That key is unique, so an unstable sort of it packed into a `u64`
-    /// gives the same order. `union(lo, hi)` keeps the argument order,
-    /// which path compression's step counts depend on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has 2^22 or more nodes or edges.
+    /// Two stable counting passes, by lower endpoint and then by weight,
+    /// give that order. `union(lo, hi)` keeps the argument order, which
+    /// path compression's step counts depend on.
     pub fn mst_kruskal(&self) -> MstResult {
-        const BITS: u32 = 22;
-        assert!(
-            self.nodes < 1 << BITS && self.edges.len() < 1 << BITS,
-            "graph too large for the packed sort key"
-        );
-        let mut keys: Vec<u64> = self
-            .edges
-            .iter()
-            .enumerate()
-            .map(|(i, &(u, v, w))| {
-                (u64::from(w) << (2 * BITS)) | (u64::from(u.min(v)) << BITS) | i as u64
-            })
-            .collect();
-        keys.sort_unstable();
+        let by_lo = counting_sort(0..self.edges.len(), self.nodes, |i| {
+            let (u, v, _) = self.edges[i];
+            u.min(v) as usize
+        });
+        let order = counting_sort(by_lo.iter().copied(), MAX_WEIGHT as usize + 1, |i| {
+            self.edges[i].2 as usize
+        });
         let mut uf = UnionFind::new(self.nodes);
         let mut total = 0u64;
         let mut tree_edges = 0;
-        for key in keys {
-            let (u, v, w) = self.edges[(key & ((1 << BITS) - 1)) as usize];
+        for i in order {
+            let (u, v, w) = self.edges[i];
             if uf.union(u.min(v), u.max(v)) {
                 total += u64::from(w);
                 tree_edges += 1;
@@ -254,6 +259,28 @@ impl EdgeList {
             edge_updates,
         }
     }
+}
+
+/// `items` sorted stably by `key`, which must be below `buckets`.
+fn counting_sort(
+    items: impl ExactSizeIterator<Item = usize> + Clone,
+    buckets: usize,
+    key: impl Fn(usize) -> usize,
+) -> Vec<usize> {
+    let mut next = vec![0usize; buckets + 1];
+    for i in items.clone() {
+        next[key(i) + 1] += 1;
+    }
+    for b in 0..buckets {
+        next[b + 1] += next[b];
+    }
+    let mut out = vec![0; items.len()];
+    for i in items {
+        let slot = &mut next[key(i)];
+        out[*slot] = i;
+        *slot += 1;
+    }
+    out
 }
 
 /// Work counters produced by a traversal.

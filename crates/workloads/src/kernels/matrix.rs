@@ -34,12 +34,11 @@ impl Matrix {
         }
     }
 
-    /// Makes the draws [`Matrix::random`] makes for a `rows × cols`
-    /// matrix, without keeping them.
+    /// Leaves `rng` where [`Matrix::random`] leaves it for a `rows × cols`
+    /// matrix: past `rows·cols` draws of one generator step each, jumped
+    /// over.
     pub fn skip_random<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize) {
-        for _ in 0..rows * cols {
-            let _: f64 = rng.gen_range(-1.0..1.0);
-        }
+        rng.discard((rows * cols) as u64);
     }
 
     /// Identity matrix of size `n`.

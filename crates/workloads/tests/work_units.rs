@@ -476,8 +476,25 @@ fn compression_stats_match_on_edge_inputs() {
 }
 
 #[test]
+fn image_skips_above_the_jump_crossover() {
+    // `SmallRng::discard` steps below 2,048 draws and jumps above, so
+    // these sizes take the jump: base-size Thumbnailer and Video frames,
+    // an upper-clamp Thumbnailer image, and 2,106 draws, just above.
+    for (w, h) in [(96, 72), (40, 24), (333, 249), (26, 27)] {
+        for seed in 0..20u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut skipped = rng.clone();
+            media::Image::random(&mut rng, w, h);
+            media::skip_random_image(&mut skipped, w, h);
+            assert_eq!(rng, skipped, "{w}x{h}, seed {seed}");
+        }
+    }
+}
+
+#[test]
 fn matrix_skip_makes_the_draws_of_random() {
-    for n in [1, 2, 7] {
+    // 46 × 46 and 100 × 100 are above the jump crossover.
+    for n in [1, 2, 7, 46, 100] {
         let mut a = SmallRng::seed_from_u64(n as u64);
         let mut b = a.clone();
         let m = matrix::Matrix::random(&mut a, n, n);
