@@ -1,7 +1,7 @@
 //! Micro-benchmarks of every substrate: the checkpoint engine and codec,
 //! the object store, the JIT runtime's request execution,
-//! the real workload kernels, each benchmark's `generate` (its work-unit
-//! form), and the generator's `discard` jump against stepping.
+//! the work-unit forms of the workload kernels, each benchmark's
+//! `generate`, and the generator's `discard` jump against stepping.
 
 #![forbid(unsafe_code)]
 
@@ -10,7 +10,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use pronghorn_checkpoint::{Checkpointable, SimCriuEngine, Snapshot, SnapshotMeta};
 use pronghorn_jit::Runtime;
 use pronghorn_store::ObjectStore;
-use pronghorn_workloads::kernels::{compress, graph, hashing, json};
+use pronghorn_workloads::kernels::{compress, graph, json};
 use pronghorn_workloads::{by_name, evaluation_benchmarks, InputVariance, Workload};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
@@ -102,25 +102,34 @@ fn bench_stores(c: &mut Criterion) {
     group.finish();
 }
 
+/// The work-unit forms requests run, at each benchmark's base size: BFS's
+/// edge count, MST's and PageRank's edge lists, Compression's counters,
+/// and the JSON benchmark's parse.
 fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("workload_kernels");
     let mut rng = SmallRng::seed_from_u64(8);
-    let g = graph::Graph::random(&mut rng, 600, 600);
-    group.bench_function("bfs_600_nodes", |b| b.iter(|| graph::bfs(&g)));
-    group.bench_function("mst_kruskal_600", |b| b.iter(|| graph::mst_kruskal(&g)));
-    group.bench_function("pagerank_600", |b| b.iter(|| graph::pagerank(&g, 25, 1e-7)));
-
-    let data = vec![0x5au8; 8 * 1024];
-    group.throughput(Throughput::Bytes(data.len() as u64));
-    group.bench_function("sha256_8k", |b| b.iter(|| hashing::sha256(&data)));
+    let mst = graph::EdgeList::random(&mut rng, 400, 800);
+    let pagerank = graph::EdgeList::random(&mut rng, 250, 750);
+    group.bench_function("random_edge_count_600", |b| {
+        b.iter(|| graph::random_edge_count(&mut rng, 600, 600))
+    });
+    group.bench_function("edge_list_mst_kruskal_400", |b| {
+        b.iter(|| mst.mst_kruskal())
+    });
+    group.bench_function("edge_list_pagerank_250", |b| {
+        b.iter(|| pagerank.pagerank(25, 1e-7))
+    });
 
     let text = b"the quick serverless function jumped over the jit ".repeat(160);
     group.throughput(Throughput::Bytes(text.len() as u64));
-    group.bench_function("lz77_compress_8k", |b| b.iter(|| compress::compress(&text)));
+    group.bench_function("lz77_compress_stats_8k", |b| {
+        b.iter(|| compress::compress_stats(&text))
+    });
 
     let mut rng = SmallRng::seed_from_u64(9);
     let doc = json::random_document(&mut rng, 300);
     let (serialized, _) = json::serialize(&doc);
+    group.throughput(Throughput::Bytes(serialized.len() as u64));
     group.bench_function("json_parse_300_nodes", |b| {
         b.iter(|| json::parse(&serialized).unwrap())
     });

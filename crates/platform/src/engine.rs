@@ -16,10 +16,13 @@
 //!
 //! Kernel events are typed ([`Event`]). With predictive provisioning
 //! disabled only arrivals are ever scheduled, so the reactive event stream
-//! is exactly the one the reactive runs have always produced.
+//! is exactly the one the reactive runs have always produced. Request
+//! inputs are generated ahead of their arrivals, split across cores
+//! ([`Ahead`]); an input depends only on its arrival number, so no result
+//! depends on the core count.
 
 use crate::result::NodeBreakdown;
-use crate::runner::{Deployment, Session};
+use crate::runner::{Deployment, RequestInputs, Session};
 use crate::worker::Worker;
 use pronghorn_checkpoint::{CheckpointScratch, CodecStats};
 use pronghorn_cluster::{
@@ -29,12 +32,19 @@ use pronghorn_jit::RequestWork;
 use pronghorn_sim::{SimDuration, SimTime, TimerWheel};
 use pronghorn_store::saturating_accumulate;
 use pronghorn_workloads::InputVariance;
+use std::collections::VecDeque;
+use std::num::NonZeroUsize;
+use std::ops::Range;
 
 /// How many future arrivals a sorted source keeps scheduled in the kernel
 /// at once. Arrivals stream in sorted, so a bounded window is lossless; it
 /// keeps kernel memory O(lookahead) instead of O(invocations) over an
 /// hours-long trace.
 const LOOKAHEAD: usize = 1 << 16;
+
+/// The most request inputs generated in one batch ahead of their
+/// arrivals. It bounds the memory the generated inputs hold.
+const GENERATE_AHEAD: u64 = 1 << 10;
 
 /// A kernel event. It stays at 16 bytes (pinned by a test), so the timer
 /// wheel's arena node stays 40 bytes across a replay's pending window.
@@ -391,6 +401,88 @@ fn drain_pool_events(
     }
 }
 
+/// Request inputs generated ahead of their arrivals, indexed by arrival
+/// number. Arrival `i`'s input depends only on the session seed and `i`,
+/// so a batch can be split across cores and no result moves.
+struct Ahead<'w> {
+    inputs: RequestInputs<'w>,
+    threads: usize,
+    /// The arrival number of `buf[0]`.
+    first: u64,
+    /// Generated inputs; `None` once taken.
+    buf: VecDeque<Option<RequestWork>>,
+}
+
+impl<'w> Ahead<'w> {
+    fn new(inputs: RequestInputs<'w>, first: u64, threads: usize) -> Self {
+        Ahead {
+            inputs,
+            threads,
+            first,
+            buf: VecDeque::new(),
+        }
+    }
+
+    /// Arrival `i`'s input. Inputs not generated yet are generated in
+    /// batches of at most [`GENERATE_AHEAD`] that stop before `known`, the
+    /// first arrival not yet known to exist, so each arrival's input is
+    /// generated exactly once. With one thread nothing is gained by
+    /// generating ahead, so the input is generated on demand.
+    fn take(&mut self, i: u64, known: u64) -> RequestWork {
+        if self.threads == 1 {
+            return self.inputs.generate(i);
+        }
+        let mut end = self.first + self.buf.len() as u64;
+        while end <= i {
+            let batch = end..(end + GENERATE_AHEAD).min(known.max(i + 1));
+            end = batch.end;
+            let inputs = generate_batch(self.inputs, batch, self.threads);
+            self.buf.extend(inputs.into_iter().map(Some));
+        }
+        let taken = i
+            .checked_sub(self.first)
+            .and_then(|k| self.buf.get_mut(k as usize))
+            .and_then(Option::take);
+        while let Some(None) = self.buf.front() {
+            self.buf.pop_front();
+            self.first += 1;
+        }
+        // Each arrival is taken once, so only a repeated number misses.
+        taken.unwrap_or_else(|| self.inputs.generate(i))
+    }
+}
+
+/// The inputs of arrivals `batch`, in arrival order, split across
+/// `threads` scoped threads; the caller's thread generates the first
+/// share. A panic in `generate` resumes on the caller with its payload.
+fn generate_batch(
+    inputs: RequestInputs<'_>,
+    batch: Range<u64>,
+    threads: usize,
+) -> Vec<RequestWork> {
+    let (start, len) = (batch.start, batch.end.saturating_sub(batch.start));
+    let threads = (threads as u64).clamp(1, len.max(1));
+    let share = |t: u64| start + t * len / threads..start + (t + 1) * len / threads;
+    let generate = |r: Range<u64>| r.map(|i| inputs.generate(i)).collect::<Vec<_>>();
+    if threads == 1 {
+        return generate(batch);
+    }
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads)
+            .map(|t| scope.spawn(move || generate(share(t))))
+            .collect();
+        let mut out = generate(share(0));
+        for helper in helpers {
+            out.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+            );
+        }
+        out
+    })
+}
+
 /// Drives `arrivals` through `topo` until the kernel drains, then retires
 /// every remaining worker and frees every slot, so a later source can
 /// restart the clock at its origin. Returns the instant of the last arrival
@@ -411,6 +503,11 @@ pub(crate) fn run<I: Iterator<Item = SimTime>>(
         }
         Arrivals::Sorted { first, iter } => (Some((iter, first)), None),
     };
+    // Reading the CPU count costs microseconds (cgroup files), so once per
+    // run, not per batch.
+    let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let first = sorted.as_ref().map_or(0, |(_, first)| *first);
+    let mut ahead = Ahead::new(session.inputs(), first, threads);
     // Idle probes run on sorted sources with provisioning on, at most one
     // pending at a time so they never accumulate in the kernel.
     let probing = sorted.is_some() && cfg.provision.enabled();
@@ -438,7 +535,13 @@ pub(crate) fn run<I: Iterator<Item = SimTime>>(
         match event {
             Event::Arrival(i) => {
                 last_arrival = now;
-                let (request, n, s) = topo.route(session.generate(i), i, now);
+                // The first arrival not yet known to exist: a closed loop's
+                // end, or a sorted source's next unscheduled arrival.
+                let known = match &sorted {
+                    Some((_, next)) => *next,
+                    None => closed.map_or(i + 1, |(total, _)| total),
+                };
+                let (request, n, s) = topo.route(ahead.take(i, known), i, now);
                 let slot = &mut topo.nodes[n].slots[s].worker;
                 if let Some(w) = slot.take_if(|w| idle(w, now)) {
                     session.retire(&mut topo.deps[topo.nodes[n].dep], w, now);
@@ -531,10 +634,16 @@ pub(crate) fn run<I: Iterator<Item = SimTime>>(
 mod tests {
     use super::*;
     use crate::config::RunConfig;
+    use crate::plan::{ArrivalSpec, TopologySpec};
     use crate::worker::DeltaTracking;
     use pronghorn_checkpoint::DeltaPolicy;
     use pronghorn_core::PolicyKind;
-    use pronghorn_workloads::{by_name, Workload};
+    use pronghorn_jit::{MethodProfile, RuntimeKind, RuntimeProfile};
+    use pronghorn_sim::RngFactory;
+    use pronghorn_workloads::{by_name, SpecWorkload, Workload};
+    use rand::RngCore;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn flat_storage_remote_fetch_walks_the_chain_serially() {
@@ -606,6 +715,152 @@ mod tests {
                 assert_eq!(classify_factor(centre, classes), k);
             }
         }
+    }
+
+    /// Delegates to a benchmark, counting `generate` calls and panicking
+    /// on the one whose input stream starts with `poison`.
+    struct Probe {
+        inner: SpecWorkload,
+        poison: Option<u64>,
+        generates: AtomicU64,
+    }
+
+    impl Probe {
+        fn new(bench: &str) -> Self {
+            Probe {
+                inner: by_name(bench).unwrap(),
+                poison: None,
+                generates: AtomicU64::new(0),
+            }
+        }
+
+        /// Panics on arrival `index` of a run seeded `seed`.
+        fn poisoned(bench: &str, seed: u64, index: u64) -> Self {
+            let first = RngFactory::new(seed)
+                .stream_indexed("input", index)
+                .next_u64();
+            Probe {
+                poison: Some(first),
+                ..Probe::new(bench)
+            }
+        }
+    }
+
+    impl Workload for Probe {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn kind(&self) -> RuntimeKind {
+            self.inner.kind()
+        }
+        fn runtime_profile(&self) -> RuntimeProfile {
+            self.inner.runtime_profile()
+        }
+        fn method_profiles(&self) -> Vec<MethodProfile> {
+            self.inner.method_profiles()
+        }
+        fn generate(&self, rng: &mut dyn RngCore, variance: InputVariance) -> RequestWork {
+            self.generates.fetch_add(1, Ordering::Relaxed);
+            if let Some(poison) = self.poison {
+                assert_ne!(rng.next_u64(), poison, "poisoned input");
+            }
+            self.inner.generate(rng, variance)
+        }
+        fn io_bound(&self) -> bool {
+            self.inner.io_bound()
+        }
+    }
+
+    fn paper_session(workload: &dyn Workload, seed: u64) -> Session<'_> {
+        let cfg = RunConfig::paper(PolicyKind::RequestCentric, 4, seed);
+        Session::new(workload, cfg, 0, None)
+    }
+
+    /// The payload of the panic `f` raises.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(f)).unwrap_err();
+        match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload.downcast::<&str>().unwrap().to_string(),
+        }
+    }
+
+    #[test]
+    fn batched_generation_matches_sequential_generation() {
+        for bench in ["Compression", "MST"] {
+            let workload = by_name(bench).unwrap();
+            let inputs = paper_session(&workload, 3).inputs();
+            // Batches of one, odd sizes, and sizes that are not a multiple
+            // of any thread count below.
+            for (start, len) in [(0, 1), (9, 1), (4, 2), (0, 5), (11, 13), (2, 64), (40, 101)] {
+                let batch = start..start + len;
+                let sequential: Vec<_> = batch.clone().map(|i| inputs.generate(i)).collect();
+                for threads in [1, 2, 3, 7] {
+                    let batched = generate_batch(inputs, batch.clone(), threads);
+                    assert_eq!(
+                        batched, sequential,
+                        "{bench} {batch:?} on {threads} threads"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ahead_generates_each_known_arrival_once_in_any_order() {
+        let plain = by_name("Hash").unwrap();
+        let expected = paper_session(&plain, 4).inputs();
+        let workload = Probe::new("Hash");
+        let inputs = paper_session(&workload, 4).inputs();
+        let generated = || workload.generates.load(Ordering::Relaxed);
+        // Arrivals 5.. of a source 2,100 long (not a multiple of the
+        // batch), taken in reverse within blocks of 7, as a sorted source
+        // pops them when its instants run backwards.
+        let total = 7 * 300;
+        let order: Vec<u64> = (0..total).map(|k| 5 + k / 7 * 7 + (6 - k % 7)).collect();
+        for threads in [2, 3] {
+            let mut ahead = Ahead::new(inputs, 5, threads);
+            let before = generated();
+            for &i in &order {
+                assert_eq!(
+                    ahead.take(i, 5 + total),
+                    expected.generate(i),
+                    "arrival {i}"
+                );
+            }
+            assert_eq!(generated() - before, total, "{threads} threads");
+            assert!(ahead.buf.is_empty());
+        }
+        // Never past the first arrival not yet known to exist.
+        let mut ahead = Ahead::new(inputs, 0, 2);
+        for i in 0..10 {
+            assert_eq!(ahead.take(i, i + 1), expected.generate(i));
+        }
+        assert_eq!(generated(), 2 * total + 10);
+    }
+
+    #[test]
+    fn a_panic_in_a_helper_share_resumes_with_its_payload() {
+        let workload = Probe::poisoned("Hash", 4, 9);
+        let inputs = paper_session(&workload, 4).inputs();
+        // Arrival 9 is in the last share: a helper thread's.
+        for threads in [2, 3] {
+            let message = panic_message(|| {
+                generate_batch(inputs, 0..10, threads);
+            });
+            assert!(message.contains("poisoned input"), "{message}");
+        }
+        // And through the entry point, whatever the host's core count.
+        let cfg = RunConfig::paper(PolicyKind::RequestCentric, 4, 4).with_invocations(10);
+        let message = panic_message(|| {
+            let _ = crate::run(
+                &workload,
+                &cfg,
+                ArrivalSpec::ClosedLoop,
+                TopologySpec::Single,
+            );
+        });
+        assert!(message.contains("poisoned input"), "{message}");
     }
 
     #[test]

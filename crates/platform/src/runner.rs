@@ -23,7 +23,7 @@ use pronghorn_restore::{
 };
 use pronghorn_sim::{RngFactory, SimDuration, SimTime};
 use pronghorn_store::{saturating_accumulate, ChainStats, ObjectStore, StorageStats, StoreStats};
-use pronghorn_workloads::Workload;
+use pronghorn_workloads::{InputVariance, Workload};
 use rand::rngs::SmallRng;
 use std::collections::{BTreeSet, VecDeque};
 
@@ -52,6 +52,24 @@ pub(crate) struct RestoredFrom {
     /// Content hash of the restored payload — the storage tier's
     /// deterministic compression seed for pricing cross-node transfers.
     pub(crate) seed: u64,
+}
+
+/// Everything a request's input is drawn from: arrival `i`'s input is a
+/// pure function of the session seed and `i`.
+#[derive(Clone, Copy)]
+pub(crate) struct RequestInputs<'w> {
+    workload: &'w dyn Workload,
+    factory: RngFactory,
+    variance: InputVariance,
+}
+
+impl RequestInputs<'_> {
+    /// The request arrival `index` carries, drawn from its own input
+    /// stream (so where and when it is served never shifts it).
+    pub(crate) fn generate(&self, index: u64) -> RequestWork {
+        let mut input_rng = self.factory.stream_indexed("input", index);
+        self.workload.generate(&mut input_rng, self.variance)
+    }
 }
 
 /// O(1)-memory running aggregates, used instead of the per-invocation
@@ -322,11 +340,14 @@ impl<'w> Session<'w> {
         }
     }
 
-    /// The request arrival `index` carries, drawn from its own input
-    /// stream (so where and when it is served never shifts it).
-    pub(crate) fn generate(&self, index: u64) -> RequestWork {
-        let mut input_rng = self.factory.stream_indexed("input", index);
-        self.workload.generate(&mut input_rng, self.cfg.variance)
+    /// What the session's requests are drawn from. It borrows only the
+    /// workload, so inputs can be generated while the session serves.
+    pub(crate) fn inputs(&self) -> RequestInputs<'w> {
+        RequestInputs {
+            workload: self.workload,
+            factory: self.factory,
+            variance: self.cfg.variance,
+        }
     }
 
     /// Provisions a worker for `dep` per the orchestration policy —

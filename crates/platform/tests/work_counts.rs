@@ -12,8 +12,9 @@
 //!   a second read of a manifest fails there.
 //! - **Workload generation.** `Workload::generate` runs the benchmark's
 //!   real kernel and dominates host time, so the closed loop (above), the
-//!   cluster and the production runner must each draw exactly one request
-//!   per request they serve.
+//!   cluster, the production runner and a trace plan must each draw
+//!   exactly one request per request they serve, although inputs are
+//!   generated ahead of their arrivals in batches.
 
 #![forbid(unsafe_code)]
 
@@ -23,10 +24,11 @@ use pronghorn_core::PolicyKind;
 use pronghorn_forecast::{ForecasterKind, ProvisionPolicy};
 use pronghorn_jit::{MethodProfile, RequestWork, RuntimeKind, RuntimeProfile};
 use pronghorn_platform::{
-    run_closed_loop, run_cluster, run_production, RestoreStrategy, RunConfig, StoragePolicy,
+    run, run_closed_loop, run_cluster, run_production, ArrivalSpec, RestoreStrategy, RunConfig,
+    StoragePolicy, TopologySpec,
 };
-use pronghorn_sim::{RngFactory, SimDuration};
-use pronghorn_traces::TraceSpec;
+use pronghorn_sim::{RngFactory, SimDuration, SimTime};
+use pronghorn_traces::{Trace, TraceSpec};
 use pronghorn_workloads::{by_name, InputVariance, SpecWorkload, Workload};
 use rand::RngCore;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -192,4 +194,25 @@ fn production_generates_one_request_per_served_request() {
         stats.provisioning
     );
     assert_eq!(workload.generates(), stats.invocations);
+}
+
+#[test]
+fn trace_plan_generates_one_request_per_arrival() {
+    // 1,500 arrivals: more than one batch of inputs generated ahead, and
+    // not a multiple of it. The history draws its own 40.
+    let workload = Counting::new("DFS");
+    let c = RunConfig::paper(PolicyKind::RequestCentric, 4, 8).with_invocations(40);
+    let arrivals = (1..=1_500)
+        .map(|k| SimTime::from_micros(k * 150_000))
+        .collect();
+    let trace = Trace::new(arrivals, SimDuration::from_secs(240));
+    let r = run(
+        &workload,
+        &c,
+        ArrivalSpec::Trace(&trace),
+        TopologySpec::Single,
+    )
+    .unwrap();
+    assert_eq!(r.latencies_us.len(), 1_500);
+    assert_eq!(workload.generates(), 40 + 1_500);
 }

@@ -112,17 +112,27 @@ pub fn compress(input: &[u8]) -> (Vec<u8>, CompressStats) {
 /// The counters [`compress`] returns for `input`, without building the
 /// token stream.
 ///
-/// The hash-chain search is [`compress`]'s, probe for probe; only the
-/// match extension compares 8 bytes at a time. `bytes_out` is counted:
-/// each flushed literal run of `L` bytes costs `L` plus a 2-byte header
-/// per started 255-byte chunk, each match 4 bytes.
+/// The hash-chain search is [`compress`]'s, probe for probe. A candidate
+/// is compared only if it matches at the best length so far (zlib's
+/// pre-check: otherwise it cannot beat the best match), and the match
+/// extension compares 8 bytes at a time. `bytes_out` is counted: each
+/// flushed literal run of `L` bytes costs `L` plus a 2-byte header per
+/// started 255-byte chunk, each match 4 bytes.
+///
+/// The chain links live in a ring of at most `WINDOW` positions, not one
+/// per input byte: a chain is only followed to positions within `WINDOW`
+/// of the current one, and in a longer input a position's slot is next
+/// written by the position `WINDOW` after it, once that one's search is
+/// done. The scratch memory is then bounded whatever the input's length.
 pub fn compress_stats(input: &[u8]) -> CompressStats {
     let mut stats = CompressStats {
         bytes_in: input.len(),
         ..CompressStats::default()
     };
     let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; input.len()];
+    let ring = input.len().clamp(1, WINDOW).next_power_of_two();
+    let mut prev = vec![usize::MAX; ring];
+    let link = ring - 1;
     let mut run = 0usize;
     let flush = |run: &mut usize, stats: &mut CompressStats| {
         stats.bytes_out += *run + 2 * run.div_ceil(255);
@@ -139,12 +149,14 @@ pub fn compress_stats(input: &[u8]) -> CompressStats {
             let mut chain = 0;
             while candidate != usize::MAX && pos - candidate <= WINDOW && chain < 32 {
                 stats.probes += 1;
-                let len = common_prefix(&input[candidate..], &input[pos..], max);
-                best_len = best_len.max(len);
-                candidate = prev[candidate];
+                if best_len < max && input[candidate + best_len] == input[pos + best_len] {
+                    let len = common_prefix(&input[candidate..], &input[pos..], max);
+                    best_len = best_len.max(len);
+                }
+                candidate = prev[candidate & link];
                 chain += 1;
             }
-            prev[pos] = head[h];
+            prev[pos & link] = head[h];
             head[h] = pos;
         }
         if best_len >= MIN_MATCH {
@@ -153,7 +165,7 @@ pub fn compress_stats(input: &[u8]) -> CompressStats {
             stats.matches += 1;
             for p in pos + 1..(pos + best_len).min(input.len().saturating_sub(MIN_MATCH)) {
                 let h = hash4(&input[p..]);
-                prev[p] = head[h];
+                prev[p & link] = head[h];
                 head[h] = p;
             }
             pos += best_len;

@@ -469,6 +469,16 @@ fn compression_stats_match_on_edge_inputs() {
         noise.clone(),
         // 255- and 256-byte literal runs around one match.
         [&noise[..255], b"abcdabcd", &noise[255..511]].concat(),
+        // Longer than the chain ring (`2 × WINDOW`), so its slots wrap:
+        // a long repetition, and mixed text and noise at the 12× clamp.
+        b"serverless ".repeat(5_000),
+        (0..2_048)
+            .flat_map(|k| match k % 3 {
+                0 => noise[k % 2_000..k % 2_000 + 48].to_vec(),
+                _ => b"the quick serverless function jumped over the jit ".to_vec(),
+            })
+            .take(12 * 8_192)
+            .collect(),
     ];
     for input in &inputs {
         assert_eq!(compress::compress_stats(input), compress::compress(input).1);
