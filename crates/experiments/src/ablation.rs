@@ -6,7 +6,6 @@
 //! worker-lifetime misestimation (§6), fleet exploration amortization
 //! (§5.3), and input-aware partitioning (§6).
 
-use crate::render::write_results_file;
 use crate::ExperimentContext;
 use pronghorn_core::{PolicyConfig, PolicyKind, SelectionStrategy};
 use pronghorn_platform::{run_closed_loop, ArrivalSpec, RunConfig, TopologySpec};
@@ -207,11 +206,6 @@ impl AblationResult {
             ]);
         }
         table.to_csv()
-    }
-
-    /// Writes `results/ablations.csv`.
-    pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_file("ablations.csv", &self.to_csv())
     }
 
     /// Rows of one group.

@@ -18,9 +18,9 @@
 //! ```
 //!
 //! `config` records the knobs the run was taken under; `arms` is the
-//! per-variant comparison the report exists to make. Individual arm
-//! objects are built with [`JsonObj`], which renders NaN as `null` so a
-//! cell that never exercised a path stays machine-readable.
+//! per-variant comparison the report exists to make. Each arm object is
+//! one list of named [`Value`]s ([`json_object`]), and NaN renders as
+//! `null` so a cell that never exercised a path stays machine-readable.
 //!
 //! No report carries host time, so a rerun with the same seed rewrites
 //! every `BENCH_*.json` byte for byte; wall-clock belongs to the
@@ -33,7 +33,7 @@
 //! criterion bench, not here.
 
 use crate::grid::Grid;
-use crate::render::write_results_file;
+use crate::sweep::{Field, Value};
 use pronghorn_checkpoint::CodecStats;
 use std::fmt::Write as _;
 
@@ -41,68 +41,16 @@ use std::fmt::Write as _;
 /// shared header shape (not a report's arm fields) changes.
 pub const BENCH_SCHEMA_VERSION: u32 = 3;
 
-/// A single-line JSON object builder for arm entries and config values.
+/// Renders a list as a single-line JSON object: `{"a": 1, "b": "x"}`.
 ///
 /// Keys and string values are trusted (static labels) and are not
-/// escaped. Floats render at a caller-chosen precision, with NaN and
-/// infinities as `null` — the JSON-safe spelling of "this cell never
-/// exercised the path".
-#[derive(Debug, Clone, Default)]
-pub struct JsonObj {
-    fields: Vec<(String, String)>,
-}
-
-impl JsonObj {
-    /// An empty object.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn push(mut self, key: &str, raw: String) -> Self {
-        self.fields.push((key.to_string(), raw));
-        self
-    }
-
-    /// A quoted string field.
-    pub fn str(self, key: &str, value: &str) -> Self {
-        self.push(key, format!("\"{value}\""))
-    }
-
-    /// An unsigned integer field.
-    pub fn uint(self, key: &str, value: u64) -> Self {
-        self.push(key, value.to_string())
-    }
-
-    /// A boolean field.
-    pub fn bool(self, key: &str, value: bool) -> Self {
-        self.push(key, value.to_string())
-    }
-
-    /// A float field at `precision` decimal places; non-finite values
-    /// render as `null`.
-    pub fn float(self, key: &str, value: f64, precision: usize) -> Self {
-        let raw = if value.is_finite() {
-            format!("{value:.precision$}")
-        } else {
-            "null".to_string()
-        };
-        self.push(key, raw)
-    }
-
-    /// A pre-rendered JSON value (nested array or object).
-    pub fn raw(self, key: &str, value: String) -> Self {
-        self.push(key, value)
-    }
-
-    /// Renders the object on one line: `{"a": 1, "b": "x"}`.
-    pub fn render(&self) -> String {
-        let body: Vec<String> = self
-            .fields
-            .iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        format!("{{{}}}", body.join(", "))
-    }
+/// escaped; see [`Value::json`] for the value forms.
+pub fn json_object(fields: &[Field]) -> String {
+    let body: Vec<String> = fields
+        .iter()
+        .map(|(key, value)| format!("\"{key}\": {}", value.json()))
+        .collect();
+    format!("{{{}}}", body.join(", "))
 }
 
 /// Builder for the shared `BENCH_*.json` document described in the
@@ -135,8 +83,8 @@ impl BenchReport {
     }
 
     /// Appends one arm to the `arms` array.
-    pub fn arm(&mut self, arm: JsonObj) -> &mut Self {
-        self.arms.push(arm.render());
+    pub fn arm(&mut self, fields: &[Field]) -> &mut Self {
+        self.arms.push(json_object(fields));
         self
     }
 
@@ -177,11 +125,6 @@ impl BenchReport {
         out.push_str("\n}\n");
         out
     }
-
-    /// Renders and writes `results/<filename>`, returning the path.
-    pub fn save(&self, filename: &str) -> std::io::Result<std::path::PathBuf> {
-        write_results_file(filename, &self.render())
-    }
 }
 
 /// Merges the codec counters of every cell in a grid.
@@ -194,41 +137,35 @@ pub fn grid_codec(grid: &Grid) -> CodecStats {
 }
 
 /// One [`CodecStats`] block as a single-line JSON object.
-fn codec_obj(s: &CodecStats) -> JsonObj {
-    JsonObj::new()
-        .uint("encodes", s.encodes)
-        .uint("encode_skips", s.encode_skips)
-        .float("skip_ratio", s.skip_ratio(), 4)
-        .uint("bytes_encoded", s.bytes_encoded)
-        .uint("bytes_skipped", s.bytes_skipped)
-        .uint("allocations_avoided", s.allocations_avoided)
+fn codec_obj(s: &CodecStats) -> String {
+    json_object(&[
+        ("encodes", Value::Uint(s.encodes)),
+        ("encode_skips", Value::Uint(s.encode_skips)),
+        ("skip_ratio", Value::Float(s.skip_ratio(), 4)),
+        ("bytes_encoded", Value::Uint(s.bytes_encoded)),
+        ("bytes_skipped", Value::Uint(s.bytes_skipped)),
+        ("allocations_avoided", Value::Uint(s.allocations_avoided)),
+    ])
 }
 
 /// Renders the report as a JSON document in the shared [`BenchReport`]
 /// schema: one arm per labelled grid, with the pooled codec totals as a
 /// trailing section. `grids` pairs a label (for example `"fig4"`) with
 /// the grid it names.
-pub fn render_json(grids: &[(&str, &Grid)]) -> String {
+pub fn render_json(grids: &[(&'static str, &Grid)]) -> String {
     let mut report = BenchReport::new("grid");
     let mut total = CodecStats::default();
-    for (name, grid) in grids {
+    for &(name, grid) in grids {
         let codec = grid_codec(grid);
         total.merge(&codec);
-        report.arm(
-            JsonObj::new()
-                .str("name", name)
-                .uint("cells", grid.cells.len() as u64)
-                .raw("codec", codec_obj(&codec).render()),
-        );
+        report.arm(&[
+            ("name", Value::Str(name)),
+            ("cells", Value::Uint(grid.cells.len() as u64)),
+            ("codec", Value::Raw(codec_obj(&codec))),
+        ]);
     }
-    report.section("codec_total", codec_obj(&total).render());
+    report.section("codec_total", codec_obj(&total));
     report.render()
-}
-
-/// Writes `results/BENCH_grid.json` for the given labelled grids,
-/// returning the path written.
-pub fn write(grids: &[(&str, &Grid)]) -> std::io::Result<std::path::PathBuf> {
-    write_results_file("BENCH_grid.json", &render_json(grids))
 }
 
 #[cfg(test)]
@@ -285,19 +222,17 @@ mod tests {
         let mut report = BenchReport::new("example")
             .config("rates", "[1, 4]")
             .config("policy", "\"request-centric\"");
-        report.arm(
-            JsonObj::new()
-                .str("arm", "a")
-                .uint("n", 3)
-                .float("p99_us", 1234.5, 1)
-                .float("unused", f64::NAN, 3)
-                .bool("ok", true),
-        );
-        report.arm(
-            JsonObj::new()
-                .str("arm", "b")
-                .raw("nested", "[1, 2]".into()),
-        );
+        report.arm(&[
+            ("arm", Value::Str("a")),
+            ("n", Value::Uint(3)),
+            ("p99_us", Value::Float(1234.5, 1)),
+            ("unused", Value::Float(f64::NAN, 3)),
+            ("ok", Value::Raw("true".into())),
+        ]);
+        report.arm(&[
+            ("arm", Value::Str("b")),
+            ("nested", Value::Raw("[1, 2]".into())),
+        ]);
         report.section("extra", "{\"k\": 1}");
         let json = report.render();
         assert!(json.starts_with("{\n  \"report\": \"pronghorn-example\",\n"));

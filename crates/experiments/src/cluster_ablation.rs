@@ -20,12 +20,10 @@
 //! - a 1-node cluster is routing-invariant: both arms replay the
 //!   identical (byte-for-byte) single-node run.
 
-use crate::bench_report::{BenchReport, JsonObj};
-use crate::render::write_results_file;
-use crate::sweep::{csv_f64, paper_benchmarks, Ablation};
+use crate::bench_report::json_object;
+use crate::sweep::{paper_benchmarks, Ablation, Cell, Columns, Field, Value};
 use crate::ExperimentContext;
 use pronghorn_core::PolicyKind;
-use pronghorn_metrics::{Table, TableStyle};
 use pronghorn_platform::{run_cluster, ClusterRunResult, ClusterSpec, RoutingPolicy, RunConfig};
 use pronghorn_sim::SimDuration;
 
@@ -85,142 +83,26 @@ pub fn run_for(
     )
 }
 
-/// Pooled per-arm (nodes × routing) aggregates.
-#[derive(Debug, Clone)]
-pub struct ClusterArmAggregate {
-    /// Cluster size.
-    pub nodes: u32,
-    /// Routing policy.
-    pub routing: RoutingPolicy,
-    /// Cells pooled into this arm.
-    pub cells: usize,
-    /// Restores served from node-resident blobs, summed.
-    pub local_hits: u64,
-    /// Restores that fetched from a peer node, summed.
-    pub remote_misses: u64,
-    /// Nominal bytes moved between nodes, summed.
-    pub remote_bytes: u64,
-    /// Cold boots, summed.
-    pub cold_starts: u64,
-    /// Snapshot restores, summed.
-    pub restores: u64,
-    /// Requests served off their ring owner, summed.
-    pub spillovers: u64,
-    /// Queueing delay added to client latencies, summed (µs).
-    pub queue_delay_us: f64,
-    /// Per-node (cold starts, restores, served) pooled across cells,
-    /// indexed by node.
-    pub per_node: Vec<(u64, u64, u64)>,
-}
-
-impl ClusterArmAggregate {
-    /// Pooled locality hit rate (1.0 when nothing restored).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.local_hits + self.remote_misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.local_hits as f64 / total as f64
-        }
-    }
-}
-
 impl ClusterAblation {
     /// Benchmarks where load-aware routing's p99 latency (queueing
     /// included) beats pure hashing's at `nodes`, as `(wins, total)`.
     pub fn load_aware_p99_wins(&self, nodes: u32) -> (usize, usize) {
-        let mut wins = 0;
-        let mut total = 0;
-        for w in self.workloads() {
-            let (Some(hash), Some(aware)) = (
-                self.cell(&w, nodes, RoutingPolicy::Hash),
-                self.cell(&w, nodes, RoutingPolicy::LoadAware),
-            ) else {
-                continue;
+        self.tally(|w| {
+            let p99 = |routing| {
+                let cell = self.cell(w, nodes, routing)?;
+                Some(cell.result.result.percentile_us(99.0))
             };
-            total += 1;
-            if aware.result.result.percentile_us(99.0) < hash.result.result.percentile_us(99.0) {
-                wins += 1;
-            }
-        }
-        (wins, total)
-    }
-
-    /// Pooled per-arm aggregates, in node-count-major, [`RoutingPolicy::ALL`]
-    /// order.
-    pub fn arm_aggregates(&self) -> Vec<ClusterArmAggregate> {
-        let mut out = Vec::new();
-        for nodes in self.axes() {
-            for routing in RoutingPolicy::ALL {
-                let cells: Vec<_> = self
-                    .arm_cells(routing)
-                    .filter(|c| c.axis == nodes)
-                    .collect();
-                if cells.is_empty() {
-                    continue;
-                }
-                let mut per_node = vec![(0u64, 0u64, 0u64); nodes as usize];
-                for cell in &cells {
-                    for n in &cell.result.nodes {
-                        let slot = &mut per_node[n.node as usize];
-                        slot.0 += n.cold_starts;
-                        slot.1 += n.restores;
-                        slot.2 += n.served;
-                    }
-                }
-                out.push(ClusterArmAggregate {
-                    nodes,
-                    routing,
-                    cells: cells.len(),
-                    local_hits: cells.iter().map(|c| c.result.locality.local_hits).sum(),
-                    remote_misses: cells.iter().map(|c| c.result.locality.remote_misses).sum(),
-                    remote_bytes: cells.iter().map(|c| c.result.locality.remote_bytes).sum(),
-                    cold_starts: cells
-                        .iter()
-                        .map(|c| c.result.nodes.iter().map(|n| n.cold_starts).sum::<u64>())
-                        .sum(),
-                    restores: cells
-                        .iter()
-                        .map(|c| c.result.nodes.iter().map(|n| n.restores).sum::<u64>())
-                        .sum(),
-                    spillovers: cells.iter().map(|c| c.result.spillovers()).sum(),
-                    queue_delay_us: cells.iter().map(|c| c.result.total_queue_delay_us()).sum(),
-                    per_node,
-                });
-            }
-        }
-        out
+            Some(p99(RoutingPolicy::LoadAware)? < p99(RoutingPolicy::Hash)?)
+        })
     }
 
     /// Paper-style rendering: per-arm pooled stats, then the headline
     /// routing comparison.
     pub fn render(&self) -> String {
-        let mut table = Table::new(vec![
-            "Nodes",
-            "Routing",
-            "Hit rate",
-            "Remote",
-            "Cold",
-            "Restores",
-            "Spillovers",
-            "Queue delay",
-        ]);
-        for agg in self.arm_aggregates() {
-            table.row(vec![
-                agg.nodes.to_string(),
-                agg.routing.label().to_string(),
-                format!("{:.3}", agg.hit_rate()),
-                format!("{:.1} MB", agg.remote_bytes as f64 / 1e6),
-                agg.cold_starts.to_string(),
-                agg.restores.to_string(),
-                agg.spillovers.to_string(),
-                format!("{:.1} ms", agg.queue_delay_us / 1e3),
-            ]);
-        }
         let mut out = format!(
             "Cluster ablation (request-centric policy, {CONTENTION_GAP_MS} ms gap, \
              capacity {NODE_CAPACITY}/node)\n\n{}\n",
-            table.render(TableStyle::Plain)
+            self.arm_table()
         );
         for nodes in self.axes() {
             if nodes == 1 {
@@ -234,117 +116,132 @@ impl ClusterAblation {
         out
     }
 
-    /// CSV form: one row per cell, in fixed benchmark × nodes × routing
-    /// order (byte-identical across same-seed reruns).
-    pub fn to_csv(&self) -> String {
-        let mut table = Table::new(vec![
-            "workload",
-            "nodes",
-            "routing",
-            "served",
-            "spillovers",
-            "cold_starts",
-            "restores",
-            "local_hits",
-            "remote_misses",
-            "locality_hit_rate",
-            "remote_transfer_bytes",
-            "queue_delay_us",
-            "median_latency_us",
-            "p99_latency_us",
-        ]);
-        for w in self.workloads() {
-            for nodes in self.axes() {
-                for routing in RoutingPolicy::ALL {
-                    let Some(cell) = self.cell(&w, nodes, routing) else {
-                        continue;
-                    };
-                    let r = &cell.result;
-                    table.row(vec![
-                        w.clone(),
-                        nodes.to_string(),
-                        routing.label().to_string(),
-                        r.served().to_string(),
-                        r.spillovers().to_string(),
-                        r.nodes
-                            .iter()
-                            .map(|n| n.cold_starts)
-                            .sum::<u64>()
-                            .to_string(),
-                        r.nodes.iter().map(|n| n.restores).sum::<u64>().to_string(),
-                        r.locality.local_hits.to_string(),
-                        r.locality.remote_misses.to_string(),
-                        csv_f64(r.locality_hit_rate()),
-                        r.locality.remote_bytes.to_string(),
-                        csv_f64(r.total_queue_delay_us()),
-                        csv_f64(r.result.median_us()),
-                        csv_f64(r.result.percentile_us(99.0)),
-                    ]);
-                }
-            }
-        }
-        table.to_csv()
-    }
-
-    /// Writes `results/cluster_ablation.csv`.
-    pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_file("cluster_ablation.csv", &self.to_csv())
-    }
-
-    /// Writes `results/BENCH_cluster.json`: per-arm locality hit rates,
-    /// remote transfer bytes, per-node cold/hot-start breakdowns and the
-    /// headline load-aware win counts, in the shared [`BenchReport`]
-    /// schema.
-    pub fn save_bench_report(&self) -> std::io::Result<std::path::PathBuf> {
-        let mut report = BenchReport::new("cluster")
+    /// `BENCH_cluster.json`: per-arm locality hit rates, remote transfer
+    /// bytes, per-node cold/hot-start breakdowns and the headline
+    /// load-aware win counts.
+    pub fn bench_json(&self) -> String {
+        let mut report = self
+            .bench_report("cluster")
             .config("request_gap_ms", CONTENTION_GAP_MS.to_string())
             .config("node_capacity", NODE_CAPACITY.to_string());
-        for agg in self.arm_aggregates() {
-            let per_node: Vec<String> = agg
-                .per_node
-                .iter()
-                .enumerate()
-                .map(|(node, (cold, restores, served))| {
-                    JsonObj::new()
-                        .uint("node", node as u64)
-                        .uint("cold_starts", *cold)
-                        .uint("restores", *restores)
-                        .uint("served", *served)
-                        .render()
-                })
-                .collect();
-            report.arm(
-                JsonObj::new()
-                    .uint("nodes", u64::from(agg.nodes))
-                    .str("routing", agg.routing.label())
-                    .uint("benchmarks", agg.cells as u64)
-                    .float("locality_hit_rate", agg.hit_rate(), 6)
-                    .uint("remote_transfer_bytes", agg.remote_bytes)
-                    .uint("cold_starts", agg.cold_starts)
-                    .uint("restores", agg.restores)
-                    .uint("spillovers", agg.spillovers)
-                    .float("queue_delay_us", agg.queue_delay_us, 1)
-                    .raw("per_node", format!("[{}]", per_node.join(", "))),
-            );
-        }
         let multi: Vec<u32> = self.axes().into_iter().filter(|&n| n > 1).collect();
         let wins: Vec<String> = multi
             .iter()
             .map(|&nodes| {
                 let (wins, total) = self.load_aware_p99_wins(nodes);
-                JsonObj::new()
-                    .uint("nodes", u64::from(nodes))
-                    .uint("wins", wins as u64)
-                    .uint("benchmarks", total as u64)
-                    .render()
+                json_object(&[
+                    ("nodes", Value::Uint(u64::from(nodes))),
+                    ("wins", Value::Uint(wins as u64)),
+                    ("benchmarks", Value::Uint(total as u64)),
+                ])
             })
             .collect();
         report.section(
             "load_aware_p99_wins",
             format!("[\n    {}\n  ]", wins.join(",\n    ")),
         );
-        report.save("BENCH_cluster.json")
+        report.render()
     }
+}
+
+/// One cell, or one routing at one node count pooled.
+impl Columns<ClusterRunResult> for RoutingPolicy {
+    const AXIS: Option<&'static str> = Some("nodes");
+    const ARM: &'static str = "routing";
+    const PER_AXIS: bool = true;
+
+    fn arm_label(self) -> &'static str {
+        self.label()
+    }
+
+    fn cell(_: &ClusterAblation, cell: &Cell<Self, ClusterRunResult>) -> Vec<Field> {
+        let r = &cell.result;
+        vec![
+            ("served", Value::Uint(r.served())),
+            ("spillovers", Value::Uint(r.spillovers())),
+            (
+                "cold_starts",
+                Value::Uint(r.nodes.iter().map(|n| n.cold_starts).sum()),
+            ),
+            (
+                "restores",
+                Value::Uint(r.nodes.iter().map(|n| n.restores).sum()),
+            ),
+            ("local_hits", Value::Uint(r.locality.local_hits)),
+            ("remote_misses", Value::Uint(r.locality.remote_misses)),
+            ("locality_hit_rate", Value::Float(r.locality_hit_rate(), 3)),
+            (
+                "remote_transfer_bytes",
+                Value::Uint(r.locality.remote_bytes),
+            ),
+            ("queue_delay_us", Value::Float(r.total_queue_delay_us(), 3)),
+            ("median_latency_us", Value::Float(r.result.median_us(), 3)),
+            (
+                "p99_latency_us",
+                Value::Float(r.result.percentile_us(99.0), 3),
+            ),
+        ]
+    }
+
+    fn pooled(_: &ClusterAblation, _: Self, cells: &[&Cell<Self, ClusterRunResult>]) -> Vec<Field> {
+        let sum =
+            |count: fn(&ClusterRunResult) -> u64| cells.iter().map(|c| count(&c.result)).sum();
+        let local: u64 = sum(|r| r.locality.local_hits);
+        let remote: u64 = sum(|r| r.locality.remote_misses);
+        // Nothing restored counts as perfect locality.
+        let hit_rate = if local + remote == 0 {
+            1.0
+        } else {
+            local as f64 / (local + remote) as f64
+        };
+        let nodes = per_node(cells);
+        let per_node: Vec<String> = nodes
+            .iter()
+            .enumerate()
+            .map(|(node, &(cold, restores, served))| {
+                json_object(&[
+                    ("node", Value::Uint(node as u64)),
+                    ("cold_starts", Value::Uint(cold)),
+                    ("restores", Value::Uint(restores)),
+                    ("served", Value::Uint(served)),
+                ])
+            })
+            .collect();
+        vec![
+            ("benchmarks", Value::Uint(cells.len() as u64)),
+            ("locality_hit_rate", Value::Float(hit_rate, 6)),
+            (
+                "remote_transfer_bytes",
+                Value::Uint(sum(|r| r.locality.remote_bytes)),
+            ),
+            ("cold_starts", Value::Uint(nodes.iter().map(|n| n.0).sum())),
+            ("restores", Value::Uint(nodes.iter().map(|n| n.1).sum())),
+            ("spillovers", Value::Uint(sum(ClusterRunResult::spillovers))),
+            (
+                "queue_delay_us",
+                Value::Float(
+                    cells.iter().map(|c| c.result.total_queue_delay_us()).sum(),
+                    1,
+                ),
+            ),
+            ("per_node", Value::Raw(format!("[{}]", per_node.join(", ")))),
+        ]
+    }
+}
+
+/// Per-node (cold starts, restores, served) pooled across `cells`, all
+/// at one node count, indexed by node.
+fn per_node(cells: &[&Cell<RoutingPolicy, ClusterRunResult>]) -> Vec<(u64, u64, u64)> {
+    let mut per_node = vec![(0, 0, 0); cells[0].axis as usize];
+    for cell in cells {
+        for n in &cell.result.nodes {
+            let slot = &mut per_node[n.node as usize];
+            slot.0 += n.cold_starts;
+            slot.1 += n.restores;
+            slot.2 += n.served;
+        }
+    }
+    per_node
 }
 
 #[cfg(test)]
@@ -435,13 +332,21 @@ mod tests {
     fn bench_report_is_valid_shaped_json() {
         // Hand-rolled JSON: pin the keys the CI schema check greps for.
         let ablation = quick_ablation();
-        let aggs = ablation.arm_aggregates();
-        assert_eq!(aggs.len(), 4);
-        assert_eq!(aggs[0].per_node.len(), 1);
-        assert_eq!(aggs[2].per_node.len(), 4);
-        for agg in &aggs {
-            let served: u64 = agg.per_node.iter().map(|n| n.2).sum();
-            assert_eq!(served, 3 * 120, "{}x {}", agg.nodes, agg.routing.label());
+        assert_eq!(ablation.arm_rows().len(), 4);
+        let pooled = |nodes, routing| -> Vec<_> {
+            let cells: Vec<_> = ablation
+                .arm_cells(routing)
+                .filter(|c| c.axis == nodes)
+                .collect();
+            per_node(&cells)
+        };
+        assert_eq!(pooled(1, RoutingPolicy::Hash).len(), 1);
+        assert_eq!(pooled(4, RoutingPolicy::Hash).len(), 4);
+        for nodes in [1, 4] {
+            for routing in RoutingPolicy::ALL {
+                let served: u64 = pooled(nodes, routing).iter().map(|n| n.2).sum();
+                assert_eq!(served, 3 * 120, "{nodes}x {}", routing.label());
+            }
         }
     }
 }

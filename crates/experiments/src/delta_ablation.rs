@@ -10,15 +10,13 @@
 //! RNG-lockstep guarantee keeps client-visible latencies byte-identical
 //! to the full-snapshot arm.
 
-use crate::bench_report::{BenchReport, JsonObj};
 use crate::grid::PAPER_RATES;
-use crate::render::write_results_file;
-use crate::sweep::{csv_f64, paper_benchmarks, Ablation};
+use crate::sweep::{paper_benchmarks, Ablation, Cell, Columns, Field, Value};
 use crate::ExperimentContext;
 use pronghorn_checkpoint::DeltaPolicy;
 use pronghorn_core::PolicyKind;
-use pronghorn_metrics::{Table, TableStyle};
 use pronghorn_platform::{run_closed_loop, RunConfig, RunResult};
+use pronghorn_store::ChainStats;
 
 /// One arm of the ablation: a delta policy under a stable label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,27 +84,6 @@ pub fn run_for(ctx: &ExperimentContext, benchmarks: &[&str], rates: &[u32]) -> D
     )
 }
 
-/// Pooled per-arm upload/chain accounting.
-#[derive(Debug, Clone)]
-pub struct ArmAggregate {
-    /// The arm.
-    pub arm: DeltaArm,
-    /// Checkpoints taken across every cell of the arm.
-    pub checkpoints: usize,
-    /// Nominal bytes uploaded to the store across every cell.
-    pub uploaded_bytes: u64,
-    /// Delta frames persisted.
-    pub deltas: u64,
-    /// Full chain roots persisted (every checkpoint, for the full arm).
-    pub roots: u64,
-    /// Chain consolidations (deltas rebased into a fresh full root).
-    pub consolidations: u64,
-    /// Deepest chain observed in any cell.
-    pub max_depth: u32,
-    /// Restores that composed a multi-link chain.
-    pub composed_restores: u64,
-}
-
 impl DeltaAblation {
     /// Nominal bytes a benchmark's checkpoints uploaded under `arm`,
     /// pooled across every rate present.
@@ -131,19 +108,10 @@ impl DeltaAblation {
     /// Benchmarks where `arm` uploaded at least `factor`× fewer bytes than
     /// the full arm, as `(wins, total)`.
     pub fn byte_wins(&self, arm: DeltaArm, factor: f64) -> (usize, usize) {
-        let mut wins = 0;
-        let mut total = 0;
-        for w in self.workloads() {
-            let ratio = self.bytes_ratio(&w, arm);
-            if !ratio.is_finite() {
-                continue;
-            }
-            total += 1;
-            if ratio >= factor {
-                wins += 1;
-            }
-        }
-        (wins, total)
+        self.tally(|w| {
+            let ratio = self.bytes_ratio(w, arm);
+            ratio.is_finite().then_some(ratio >= factor)
+        })
     }
 
     /// Cells where `arm`'s median end-to-end latency exceeds the paired
@@ -159,61 +127,12 @@ impl DeltaAblation {
             .count()
     }
 
-    /// Pooled per-arm aggregates, in [`DeltaArm::ALL`] order.
-    pub fn arm_aggregates(&self) -> Vec<ArmAggregate> {
-        DeltaArm::ALL
-            .iter()
-            .map(|&arm| {
-                let cells: Vec<_> = self.arm_cells(arm).collect();
-                ArmAggregate {
-                    arm,
-                    checkpoints: cells.iter().map(|c| c.result.checkpoint_ms.len()).sum(),
-                    uploaded_bytes: cells
-                        .iter()
-                        .map(|c| c.result.overheads.nominal_bytes_uploaded)
-                        .sum(),
-                    deltas: cells.iter().map(|c| c.result.chain.deltas).sum(),
-                    roots: cells.iter().map(|c| c.result.chain.roots).sum(),
-                    consolidations: cells.iter().map(|c| c.result.chain.consolidations).sum(),
-                    max_depth: cells
-                        .iter()
-                        .map(|c| c.result.chain.max_depth)
-                        .max()
-                        .unwrap_or(0),
-                    composed_restores: cells.iter().map(|c| c.result.chain.composed_restores).sum(),
-                }
-            })
-            .collect()
-    }
-
     /// Paper-style rendering: per-arm pooled stats, then the headline
     /// byte-reduction win counts.
     pub fn render(&self) -> String {
-        let mut table = Table::new(vec![
-            "Arm",
-            "Checkpoints",
-            "Uploaded",
-            "Deltas",
-            "Roots",
-            "Consolidations",
-            "Max depth",
-            "Composed restores",
-        ]);
-        for agg in self.arm_aggregates() {
-            table.row(vec![
-                agg.arm.label().to_string(),
-                agg.checkpoints.to_string(),
-                format!("{:.1} MB", agg.uploaded_bytes as f64 / 1e6),
-                agg.deltas.to_string(),
-                agg.roots.to_string(),
-                agg.consolidations.to_string(),
-                agg.max_depth.to_string(),
-                agg.composed_restores.to_string(),
-            ]);
-        }
         let mut out = format!(
             "Delta-checkpointing ablation (request-centric policy)\n\n{}\n",
-            table.render(TableStyle::Plain)
+            self.arm_table()
         );
         for arm in [DeltaArm::DeltaK4, DeltaArm::DeltaK16] {
             let (w5, total) = self.byte_wins(arm, 5.0);
@@ -228,83 +147,78 @@ impl DeltaAblation {
         out
     }
 
-    /// CSV form: one row per cell, in fixed benchmark × rate × arm order
-    /// (byte-identical across same-seed reruns).
-    pub fn to_csv(&self) -> String {
-        let mut table = Table::new(vec![
-            "workload",
-            "rate",
-            "arm",
-            "checkpoints",
-            "uploaded_bytes",
-            "deltas",
-            "roots",
-            "consolidations",
-            "max_depth",
-            "composed_restores",
-            "restore_bytes",
-            "median_latency_us",
-            "p99_latency_us",
-        ]);
-        for w in self.workloads() {
-            for rate in self.axes() {
-                for arm in DeltaArm::ALL {
-                    let Some(cell) = self.cell(&w, rate, arm) else {
-                        continue;
-                    };
-                    table.row(vec![
-                        w.clone(),
-                        rate.to_string(),
-                        arm.label().to_string(),
-                        cell.result.checkpoint_ms.len().to_string(),
-                        cell.result.overheads.nominal_bytes_uploaded.to_string(),
-                        cell.result.chain.deltas.to_string(),
-                        cell.result.chain.roots.to_string(),
-                        cell.result.chain.consolidations.to_string(),
-                        cell.result.chain.max_depth.to_string(),
-                        cell.result.chain.composed_restores.to_string(),
-                        cell.result.restore_bytes().to_string(),
-                        csv_f64(cell.result.median_us()),
-                        csv_f64(cell.result.percentile_us(99.0)),
-                    ]);
-                }
-            }
-        }
-        table.to_csv()
+    /// `BENCH_delta.json`: per-arm upload totals and the headline
+    /// byte-reduction win counts.
+    pub fn bench_json(&self) -> String {
+        self.bench_report("delta")
+            .config("byte_win_threshold_x", "5.0")
+            .render()
+    }
+}
+
+impl Columns<RunResult> for DeltaArm {
+    const AXIS: Option<&'static str> = Some("rate");
+    const ARM: &'static str = "arm";
+
+    fn arm_label(self) -> &'static str {
+        self.label()
     }
 
-    /// Writes `results/delta_ablation.csv`.
-    pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_file("delta_ablation.csv", &self.to_csv())
+    fn cell(_: &DeltaAblation, cell: &Cell<Self, RunResult>) -> Vec<Field> {
+        let r = &cell.result;
+        let uploads = upload_fields(
+            r.checkpoint_ms.len(),
+            r.overheads.nominal_bytes_uploaded,
+            &r.chain,
+        );
+        uploads
+            .into_iter()
+            .chain([
+                ("restore_bytes", Value::Uint(r.restore_bytes())),
+                ("median_latency_us", Value::Float(r.median_us(), 3)),
+                ("p99_latency_us", Value::Float(r.percentile_us(99.0), 3)),
+            ])
+            .collect()
     }
 
-    /// Writes `results/BENCH_delta.json`: per-arm upload totals and the
-    /// headline byte-reduction win counts, in the shared [`BenchReport`]
-    /// schema.
-    pub fn save_bench_report(&self) -> std::io::Result<std::path::PathBuf> {
-        let mut report = BenchReport::new("delta").config("byte_win_threshold_x", "5.0");
-        for agg in self.arm_aggregates() {
-            let (wins, total) = self.byte_wins(agg.arm, 5.0);
-            report.arm(
-                JsonObj::new()
-                    .str("arm", agg.arm.label())
-                    .uint("checkpoints", agg.checkpoints as u64)
-                    .uint("uploaded_bytes", agg.uploaded_bytes)
-                    .uint("deltas", agg.deltas)
-                    .uint("roots", agg.roots)
-                    .uint("consolidations", agg.consolidations)
-                    .uint("max_depth", u64::from(agg.max_depth))
-                    .uint("composed_restores", agg.composed_restores)
-                    .uint("five_x_byte_wins", wins as u64)
-                    .uint("benchmarks", total as u64)
-                    .uint(
-                        "latency_regressions",
-                        self.latency_regressions(agg.arm) as u64,
-                    ),
-            );
+    fn pooled(ablation: &DeltaAblation, arm: Self, cells: &[&Cell<Self, RunResult>]) -> Vec<Field> {
+        let mut chain = ChainStats::default();
+        for c in cells {
+            chain.merge(&c.result.chain);
         }
-        report.save("BENCH_delta.json")
+        let uploads = upload_fields(
+            cells.iter().map(|c| c.result.checkpoint_ms.len()).sum(),
+            cells
+                .iter()
+                .map(|c| c.result.overheads.nominal_bytes_uploaded)
+                .sum(),
+            &chain,
+        );
+        let (wins, total) = ablation.byte_wins(arm, 5.0);
+        let regressions = ablation.latency_regressions(arm);
+        uploads
+            .into_iter()
+            .chain([
+                ("five_x_byte_wins", Value::Uint(wins as u64)),
+                ("benchmarks", Value::Uint(total as u64)),
+                ("latency_regressions", Value::Uint(regressions as u64)),
+            ])
+            .collect()
     }
+}
+
+/// The upload list shared by a cell and a pooled arm: checkpoints taken,
+/// nominal bytes uploaded and the delta-chain counters.
+fn upload_fields(checkpoints: usize, uploaded_bytes: u64, chain: &ChainStats) -> [Field; 7] {
+    [
+        ("checkpoints", Value::Uint(checkpoints as u64)),
+        ("uploaded_bytes", Value::Uint(uploaded_bytes)),
+        ("deltas", Value::Uint(chain.deltas)),
+        ("roots", Value::Uint(chain.roots)),
+        ("consolidations", Value::Uint(chain.consolidations)),
+        ("max_depth", Value::Uint(u64::from(chain.max_depth))),
+        ("composed_restores", Value::Uint(chain.composed_restores)),
+    ]
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! (the converged region), and reporting the latency reduction between
 //! them: **33.33% on PyPy, 75.60% on the JVM**.
 
-use crate::render::{ascii_series, write_results_file};
+use crate::render::ascii_series;
 use crate::ExperimentContext;
 use pronghorn_jit::Runtime;
 use pronghorn_metrics::{convergence_request, ConvergenceCriteria, Table};
@@ -142,11 +142,6 @@ impl Fig1Result {
             }
         }
         table.to_csv()
-    }
-
-    /// Writes the CSV into `results/fig1.csv`.
-    pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_file("fig1.csv", &self.to_csv())
     }
 }
 

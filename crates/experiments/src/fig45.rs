@@ -6,7 +6,7 @@
 //! §5.1 input variance.
 
 use crate::grid::{run_grid, Grid, PAPER_POLICIES, PAPER_RATES};
-use crate::render::{ascii_cdf, write_results_file};
+use crate::render::ascii_cdf;
 use crate::ExperimentContext;
 use pronghorn_metrics::Table;
 
@@ -120,11 +120,6 @@ impl FigureResult {
             ]);
         }
         table.to_csv()
-    }
-
-    /// Writes `results/fig4.csv` / `results/fig5.csv`.
-    pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_file(&format!("fig{}.csv", self.figure), &self.to_csv())
     }
 }
 

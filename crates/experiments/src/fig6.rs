@@ -7,7 +7,6 @@
 //! one pathological case: MST at the 50th percentile, whose trace carried
 //! only 3 requests.
 
-use crate::render::write_results_file;
 use crate::ExperimentContext;
 use pronghorn_core::PolicyKind;
 use pronghorn_metrics::Table;
@@ -183,11 +182,6 @@ impl Fig6Result {
             ]);
         }
         table.to_csv()
-    }
-
-    /// Writes `results/fig6.csv`.
-    pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_file("fig6.csv", &self.to_csv())
     }
 }
 

@@ -8,7 +8,6 @@
 //! below ~2× (pool maintenance in the database). All of it is off the
 //! critical path.
 
-use crate::render::write_results_file;
 use crate::ExperimentContext;
 use pronghorn_core::{OverheadTotals, PolicyKind};
 use pronghorn_metrics::{Table, TableStyle};
@@ -145,11 +144,6 @@ impl Fig7Result {
             ]);
         }
         table.to_csv()
-    }
-
-    /// Writes `results/fig7.csv`.
-    pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_file("fig7.csv", &self.to_csv())
     }
 }
 

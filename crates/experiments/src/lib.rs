@@ -16,13 +16,14 @@
 //! | [`cluster_ablation`] | the cluster ablation: {1, 4, 8} nodes × hash vs load-aware gateway routing (`BENCH_cluster.json`) |
 //! | [`provision_ablation`] | the predictive-provisioning ablation: reactive vs sliding-window/EWMA/MPC pre-restore on sparse bursty traces (`BENCH_provision.json`) |
 //! | [`storage_ablation`] | the tiered-storage ablation: flat store vs SSD cache vs compression vs composed-chain prefetch (`BENCH_storage.json`) |
-//! | [`sweep`] | the one harness under the grid and the restore, delta, cluster, provision and storage ablations: a task-ordered worker pool and the generic benchmarks × axis × arms [`sweep::Ablation`] with paired seeds |
+//! | [`sweep`] | the one harness under the grid and the restore, delta, cluster, provision and storage ablations: a task-ordered worker pool, the generic benchmarks × axis × arms [`sweep::Ablation`] with paired seeds, and the two column lists per ablation ([`sweep::Columns`]) that write its CSV, `BENCH_*.json` arms and printed table |
 //! | [`bench_report`] | the shared `BENCH_*.json` schema and `BENCH_grid.json` |
 //!
 //! Each module exposes a `run(ctx)` returning a structured result with a
-//! `render()` that prints paper-style rows and a `to_csv()` for the
-//! `results/` directory. The `experiments` binary wires them to the
-//! command line.
+//! `render()` that prints paper-style rows and a `to_csv()` (and, for the
+//! five extension ablations, a `bench_json()`) that returns a `results/`
+//! document as a string. The `experiments` binary wires them to the
+//! command line and writes the files.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -24,6 +24,7 @@
 
 #![forbid(unsafe_code)]
 
+use pronghorn_experiments::render::write_results_file;
 use pronghorn_experiments::ExperimentContext;
 use pronghorn_experiments::{
     ablation, bench_report, cluster_ablation, delta_ablation, fig1, fig45, fig6, fig7,
@@ -76,10 +77,11 @@ fn usage() -> String {
         .to_string()
 }
 
-fn save(label: &str, result: std::io::Result<std::path::PathBuf>) {
-    match result {
-        Ok(path) => println!("[saved {label} -> {}]", path.display()),
-        Err(e) => eprintln!("[warn: could not save {label}: {e}]"),
+/// Writes `results/<name>` and reports it.
+fn write(name: &str, contents: &str) {
+    match write_results_file(name, contents) {
+        Ok(path) => println!("[saved {name} -> {}]", path.display()),
+        Err(e) => eprintln!("[warn: could not save {name}: {e}]"),
     }
 }
 
@@ -88,88 +90,86 @@ fn run_command(command: &str, ctx: &ExperimentContext, quick: bool) -> Result<()
         "fig1" => {
             let r = fig1::run(ctx);
             println!("{}", r.render());
-            save("fig1.csv", r.save());
+            write("fig1.csv", &r.to_csv());
         }
         "table1" => {
             let r = table1::run(ctx);
             println!("{}", r.render());
-            save("table1.csv", r.save());
+            write("table1.csv", &r.to_csv());
         }
         "fig4" => {
             let r = fig45::run_fig4(ctx);
             println!("{}", r.render());
-            save("fig4.csv", r.save());
+            write("fig4.csv", &r.to_csv());
         }
         "fig5" => {
             let r = fig45::run_fig5(ctx);
             println!("{}", r.render());
-            save("fig5.csv", r.save());
+            write("fig5.csv", &r.to_csv());
         }
         "fig6" => {
             let r = fig6::run(ctx);
             println!("{}", r.render());
-            save("fig6.csv", r.save());
+            write("fig6.csv", &r.to_csv());
         }
         "table4" => {
             let r = table4::run(ctx);
             println!("{}", r.render());
-            save("table4.csv", r.save());
+            write("table4.csv", &r.to_csv());
         }
         "table5" => {
             let r = table5::run(ctx);
             println!("{}", r.render());
-            save("table5.csv", r.save());
+            write("table5.csv", &r.to_csv());
         }
         "fig7" => {
             let r = fig7::run(ctx);
             println!("{}", r.render());
-            save("fig7.csv", r.save());
+            write("fig7.csv", &r.to_csv());
         }
         "ablations" => {
             let r = ablation::run(ctx);
             println!("{}", r.render());
-            save("ablations.csv", r.save());
+            write("ablations.csv", &r.to_csv());
         }
         "restore-ablation" => {
             let r = restore_ablation::run(ctx);
             println!("{}", r.render());
-            save("restore_ablation.csv", r.save());
-            save("BENCH_restore.json", r.save_bench_report());
+            write("restore_ablation.csv", &r.to_csv());
+            write("BENCH_restore.json", &r.bench_json());
         }
         "delta-ablation" => {
             let r = delta_ablation::run(ctx);
             println!("{}", r.render());
-            save("delta_ablation.csv", r.save());
-            save("BENCH_delta.json", r.save_bench_report());
+            write("delta_ablation.csv", &r.to_csv());
+            write("BENCH_delta.json", &r.bench_json());
         }
         "cluster-ablation" => {
             let r = cluster_ablation::run(ctx);
             println!("{}", r.render());
-            save("cluster_ablation.csv", r.save());
-            save("BENCH_cluster.json", r.save_bench_report());
+            write("cluster_ablation.csv", &r.to_csv());
+            write("BENCH_cluster.json", &r.bench_json());
         }
         "provision-ablation" => {
             let r = provision_ablation::run(ctx, quick);
             println!("{}", r.render());
-            save("provision_ablation.csv", r.save());
-            save("BENCH_provision.json", r.save_bench_report());
+            write("provision_ablation.csv", &r.sweep.to_csv());
+            write("BENCH_provision.json", &r.bench_json());
         }
         "storage-ablation" => {
             let r = storage_ablation::run(ctx);
             println!("{}", r.render());
-            save("storage_ablation.csv", r.save());
-            save("BENCH_storage.json", r.save_bench_report());
+            write("storage_ablation.csv", &r.to_csv());
+            write("BENCH_storage.json", &r.bench_json());
         }
         "summary" => {
             let f4 = fig45::run_fig4(ctx);
             let f5 = fig45::run_fig5(ctx);
             let s = summary::summarize(&[&f4.grid, &f5.grid]);
             println!("{}", s.render());
-            save("summary.csv", s.save());
-            save(
-                "BENCH_grid.json",
-                bench_report::write(&[("fig4", &f4.grid), ("fig5", &f5.grid)]),
-            );
+            write("summary.csv", &s.to_csv());
+            let grids = [("fig4", &f4.grid), ("fig5", &f5.grid)];
+            write("BENCH_grid.json", &bench_report::render_json(&grids));
         }
         "all" => {
             for cmd in [
@@ -182,23 +182,16 @@ fn run_command(command: &str, ctx: &ExperimentContext, quick: bool) -> Result<()
                 "table5",
                 "fig7",
                 "ablations",
+                "summary",
+                "restore-ablation",
+                "delta-ablation",
+                "cluster-ablation",
+                "provision-ablation",
+                "storage-ablation",
             ] {
                 println!("==================== {cmd} ====================");
                 run_command(cmd, ctx, quick)?;
             }
-            // Reuse fresh grids for the summary.
-            println!("==================== summary ====================");
-            run_command("summary", ctx, quick)?;
-            println!("==================== restore-ablation ====================");
-            run_command("restore-ablation", ctx, quick)?;
-            println!("==================== delta-ablation ====================");
-            run_command("delta-ablation", ctx, quick)?;
-            println!("==================== cluster-ablation ====================");
-            run_command("cluster-ablation", ctx, quick)?;
-            println!("==================== provision-ablation ====================");
-            run_command("provision-ablation", ctx, quick)?;
-            println!("==================== storage-ablation ====================");
-            run_command("storage-ablation", ctx, quick)?;
         }
         other => return Err(format!("unknown command: {other}\n{}", usage())),
     }

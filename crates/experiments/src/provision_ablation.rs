@@ -26,14 +26,13 @@
 //! benchmarks, including the IO-bound Uploader regression pinned by the
 //! closed-loop tests.
 
-use crate::bench_report::{BenchReport, JsonObj};
-use crate::render::write_results_file;
-use crate::sweep::{csv_f64, paper_benchmarks, Ablation};
+use crate::bench_report::json_object;
+use crate::sweep::{paper_benchmarks, Ablation, Cell, Columns, Field, Value};
 use crate::ExperimentContext;
 use pronghorn_core::PolicyKind;
-use pronghorn_metrics::{Table, TableStyle};
 use pronghorn_platform::{
-    run_production, ForecasterKind, ProductionStats, ProvisionPolicy, RestoreStrategy, RunConfig,
+    run_production, ForecasterKind, ProductionStats, ProvisionPolicy, ProvisionStats,
+    RestoreStrategy, RunConfig,
 };
 use pronghorn_sim::{RngFactory, SimDuration};
 use pronghorn_traces::TraceSpec;
@@ -85,11 +84,14 @@ pub fn demand_fraction(stats: &ProductionStats) -> f64 {
     demand as f64 / stats.invocations as f64
 }
 
+/// Benchmarks × [`arms`]; every cell's axis is [`ABLATION_RATE`].
+pub type ProvisionSweep = Ablation<ProvisionPolicy, ProductionStats>;
+
 /// A completed provisioning ablation.
 #[derive(Debug, Clone)]
 pub struct ProvisionAblation {
-    /// Benchmarks × [`arms`]; every cell's axis is [`ABLATION_RATE`].
-    pub sweep: Ablation<ProvisionPolicy, ProductionStats>,
+    /// The sweep.
+    pub sweep: ProvisionSweep,
     /// Simulated hours per cell.
     pub hours: f64,
 }
@@ -134,20 +136,13 @@ pub fn run_for(ctx: &ExperimentContext, benchmarks: &[&str], hours: f64) -> Prov
     ProvisionAblation { sweep, hours }
 }
 
-impl ProvisionAblation {
-    /// The measurements of one benchmark under one arm.
-    pub fn stats(&self, workload: &str, arm: ProvisionPolicy) -> Option<&ProductionStats> {
-        self.sweep
-            .cell(workload, ABLATION_RATE, arm)
-            .map(|c| &c.result)
-    }
-
+impl ProvisionSweep {
     /// Whether `arm` beats the reactive baseline on `workload`: strictly
     /// lower p99 latency, or a strictly lower critical-path provisioning
     /// fraction. `None` when either cell is missing.
     pub fn beats_reactive(&self, workload: &str, arm: ProvisionPolicy) -> Option<bool> {
-        let reactive = self.stats(workload, ProvisionPolicy::Disabled)?;
-        let stats = self.stats(workload, arm)?;
+        let stats = |arm| self.cell(workload, ABLATION_RATE, arm).map(|c| &c.result);
+        let (reactive, stats) = (stats(ProvisionPolicy::Disabled)?, stats(arm)?);
         let p99_win = stats.p99_latency_us < reactive.p99_latency_us;
         let demand_win = demand_fraction(stats) < demand_fraction(reactive);
         Some(p99_win || demand_win)
@@ -155,193 +150,135 @@ impl ProvisionAblation {
 
     /// Benchmarks where `arm` beats reactive, as `(wins, total)`.
     pub fn wins(&self, arm: ProvisionPolicy) -> (usize, usize) {
-        let mut wins = 0;
-        let mut total = 0;
-        for w in self.sweep.workloads() {
-            if let Some(win) = self.beats_reactive(&w, arm) {
-                total += 1;
-                wins += usize::from(win);
-            }
-        }
-        (wins, total)
+        self.tally(|w| self.beats_reactive(w, arm))
     }
 
     /// Benchmarks where at least one predictive arm beats reactive, as
     /// `(wins, total)` — the headline acceptance number.
     pub fn best_arm_wins(&self) -> (usize, usize) {
-        let mut wins = 0;
-        let mut total = 0;
-        for w in self.sweep.workloads() {
-            let any: Vec<bool> = arms()
-                .into_iter()
-                .filter(|a| a.enabled())
-                .filter_map(|a| self.beats_reactive(&w, a))
+        self.tally(|w| {
+            let predictive = arms().into_iter().filter(ProvisionPolicy::enabled);
+            let verdicts: Vec<bool> = predictive
+                .filter_map(|a| self.beats_reactive(w, a))
                 .collect();
-            if !any.is_empty() {
-                total += 1;
-                wins += usize::from(any.iter().any(|&b| b));
-            }
-        }
-        (wins, total)
+            (!verdicts.is_empty()).then(|| verdicts.contains(&true))
+        })
     }
+}
 
-    /// Pooled provisioning counters for `arm` across all benchmarks:
-    /// `(issued, used, wasted, keepalive_byte_s)`.
-    pub fn pooled_provisioning(&self, arm: ProvisionPolicy) -> (u64, u64, u64, f64) {
-        let mut issued = 0;
-        let mut used = 0;
-        let mut wasted = 0;
-        let mut byte_s = 0.0;
-        for cell in self.sweep.arm_cells(arm) {
-            let p = &cell.result.provisioning;
-            issued += p.pre_restores_issued;
-            used += p.pre_restores_used;
-            wasted += p.pre_restores_wasted;
-            byte_s += p.keepalive_byte_s;
-        }
-        (issued, used, wasted, byte_s)
-    }
-
+impl ProvisionAblation {
     /// Paper-style rendering: per-arm win counts and pooled pre-restore
     /// accounting, then the headline best-arm count.
     pub fn render(&self) -> String {
-        let mut table = Table::new(vec![
-            "Arm",
-            "p99-or-demand wins",
-            "Pre-restores (used/issued)",
-            "Wasted",
-            "Keep-alive MB·s",
-        ]);
-        for arm in arms() {
-            let (issued, used, wasted, byte_s) = self.pooled_provisioning(arm);
-            let (wins, total) = self.wins(arm);
-            table.row(vec![
-                arm.label().to_string(),
-                if arm.enabled() {
-                    format!("{wins}/{total}")
-                } else {
-                    "baseline".to_string()
-                },
-                format!("{used}/{issued}"),
-                wasted.to_string(),
-                format!("{:.1}", byte_s / 1e6),
-            ]);
-        }
-        let (best, total) = self.best_arm_wins();
+        let (best, total) = self.sweep.best_arm_wins();
         let uploader = ForecasterKind::ALL
             .iter()
-            .filter_map(|&k| self.beats_reactive("Uploader", ProvisionPolicy::predictive(k)))
+            .filter_map(|&k| {
+                self.sweep
+                    .beats_reactive("Uploader", ProvisionPolicy::predictive(k))
+            })
             .any(|b| b);
         format!(
             "Predictive-provisioning ablation ({}h sparse bursty trace, idle timeout {IDLE_TIMEOUT_S}s)\n\n{}\n\
              best predictive arm beats reactive on {best}/{total} benchmarks; \
              Uploader win: {uploader}\n",
             self.hours,
-            table.render(TableStyle::Plain),
+            self.sweep.arm_table(),
         )
     }
 
-    /// CSV form: one row per cell, in fixed benchmark × arm order
-    /// (byte-identical across same-seed reruns).
-    pub fn to_csv(&self) -> String {
-        let mut table = Table::new(vec![
-            "workload",
-            "arm",
-            "invocations",
-            "p50_us",
-            "p99_us",
-            "max_us",
-            "cold_starts",
-            "restores",
-            "demand_fraction",
-            "pre_restores_issued",
-            "pre_restores_used",
-            "pre_restores_wasted",
-            "keepalive_byte_s",
-            "beats_reactive",
-        ]);
-        for w in self.sweep.workloads() {
-            for arm in arms() {
-                let Some(stats) = self.stats(&w, arm) else {
-                    continue;
-                };
-                let p = &stats.provisioning;
-                table.row(vec![
-                    w.clone(),
-                    arm.label().to_string(),
-                    stats.invocations.to_string(),
-                    csv_f64(stats.p50_latency_us),
-                    csv_f64(stats.p99_latency_us),
-                    csv_f64(stats.max_latency_us),
-                    stats.cold_starts.to_string(),
-                    stats.restores.to_string(),
-                    csv_f64(demand_fraction(stats)),
-                    p.pre_restores_issued.to_string(),
-                    p.pre_restores_used.to_string(),
-                    p.pre_restores_wasted.to_string(),
-                    csv_f64(p.keepalive_byte_s),
-                    if arm.enabled() {
-                        match self.beats_reactive(&w, arm) {
-                            Some(true) => "win".to_string(),
-                            Some(false) => "loss".to_string(),
-                            None => String::new(),
-                        }
-                    } else {
-                        "baseline".to_string()
-                    },
-                ]);
-            }
-        }
-        table.to_csv()
-    }
-
-    /// Writes `results/provision_ablation.csv`.
-    pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_file("provision_ablation.csv", &self.to_csv())
-    }
-
-    /// Writes `results/BENCH_provision.json` in the shared
-    /// [`BenchReport`] schema: one arm per provisioning policy with win
+    /// `BENCH_provision.json`: one arm per provisioning policy with win
     /// counts and pooled pre-restore accounting (including keep-alive
     /// byte-seconds), plus the headline best-arm section.
-    pub fn save_bench_report(&self) -> std::io::Result<std::path::PathBuf> {
-        let mut report = BenchReport::new("provision")
+    pub fn bench_json(&self) -> String {
+        let mut report = self
+            .sweep
+            .bench_report("provision")
             .config("hours", format!("{:.3}", self.hours))
             .config("target_rate_per_sec", format!("{TARGET_RATE_PER_SEC:.6}"))
             .config("burst_on_frac", format!("{BURST_ON_FRAC}"))
             .config("burst_period_s", BURST_PERIOD_S.to_string())
             .config("idle_timeout_s", IDLE_TIMEOUT_S.to_string())
             .config("eviction_rate", ABLATION_RATE.to_string());
-        for arm in arms() {
-            let (issued, used, wasted, byte_s) = self.pooled_provisioning(arm);
-            let (wins, total) = self.wins(arm);
-            let mut obj = JsonObj::new()
-                .str("arm", arm.label())
-                .uint("benchmarks", total as u64)
-                .uint("pre_restores_issued", issued)
-                .uint("pre_restores_used", used)
-                .uint("pre_restores_wasted", wasted)
-                .float("keepalive_byte_s", byte_s, 3);
-            if arm.enabled() {
-                obj = obj.uint("wins", wins as u64);
-            }
-            report.arm(obj);
-        }
-        let (best, total) = self.best_arm_wins();
+        let (best, total) = self.sweep.best_arm_wins();
         report.section(
             "best_arm",
-            JsonObj::new()
-                .uint("wins", best as u64)
-                .uint("benchmarks", total as u64)
-                .render(),
+            json_object(&[
+                ("wins", Value::Uint(best as u64)),
+                ("benchmarks", Value::Uint(total as u64)),
+            ]),
         );
-        report.save("BENCH_provision.json")
+        report.render()
+    }
+}
+
+/// The sweep has one axis value, so its CSV leaves the axis out.
+impl Columns<ProductionStats> for ProvisionPolicy {
+    const AXIS: Option<&'static str> = None;
+    const ARM: &'static str = "arm";
+
+    fn arm_label(self) -> &'static str {
+        self.label()
+    }
+
+    fn cell(sweep: &ProvisionSweep, cell: &Cell<Self, ProductionStats>) -> Vec<Field> {
+        let (stats, arm) = (&cell.result, cell.arm);
+        let p = &stats.provisioning;
+        let verdict = match (arm.enabled(), sweep.beats_reactive(&cell.workload, arm)) {
+            (false, _) => "baseline",
+            (true, Some(true)) => "win",
+            (true, Some(false)) => "loss",
+            (true, None) => "",
+        };
+        vec![
+            ("invocations", Value::Uint(stats.invocations)),
+            ("p50_us", Value::Float(stats.p50_latency_us, 3)),
+            ("p99_us", Value::Float(stats.p99_latency_us, 3)),
+            ("max_us", Value::Float(stats.max_latency_us, 3)),
+            ("cold_starts", Value::Uint(stats.cold_starts)),
+            ("restores", Value::Uint(stats.restores)),
+            ("demand_fraction", Value::Float(demand_fraction(stats), 3)),
+            ("pre_restores_issued", Value::Uint(p.pre_restores_issued)),
+            ("pre_restores_used", Value::Uint(p.pre_restores_used)),
+            ("pre_restores_wasted", Value::Uint(p.pre_restores_wasted)),
+            ("keepalive_byte_s", Value::Float(p.keepalive_byte_s, 3)),
+            ("beats_reactive", Value::Str(verdict)),
+        ]
+    }
+
+    /// Pooled pre-restore accounting; the reactive baseline has no `wins`.
+    fn pooled(
+        sweep: &ProvisionSweep,
+        arm: Self,
+        cells: &[&Cell<Self, ProductionStats>],
+    ) -> Vec<Field> {
+        let sum = |count: fn(&ProvisionStats) -> u64| {
+            Value::Uint(cells.iter().map(|c| count(&c.result.provisioning)).sum())
+        };
+        let byte_s = cells
+            .iter()
+            .map(|c| c.result.provisioning.keepalive_byte_s)
+            .sum();
+        let (wins, total) = sweep.wins(arm);
+        let mut fields = vec![
+            ("benchmarks", Value::Uint(total as u64)),
+            ("pre_restores_issued", sum(|p| p.pre_restores_issued)),
+            ("pre_restores_used", sum(|p| p.pre_restores_used)),
+            ("pre_restores_wasted", sum(|p| p.pre_restores_wasted)),
+            ("keepalive_byte_s", Value::Float(byte_s, 3)),
+        ];
+        if arm.enabled() {
+            fields.push(("wins", Value::Uint(wins as u64)));
+        }
+        fields
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::lookup;
+    use crate::sweep::tests::uint;
 
     fn quick_ablation(benches: &[&str]) -> ProvisionAblation {
         run_for(&ExperimentContext::quick(), benches, QUICK_HOURS)
@@ -354,12 +291,16 @@ mod tests {
         // The headline claim holds on the quick subset, and in
         // particular on the IO-bound Uploader — the benchmark the
         // request-centric policy regresses without pre-warming.
-        let (wins, total) = ablation.best_arm_wins();
+        let (wins, total) = ablation.sweep.best_arm_wins();
         assert_eq!(total, 3);
         assert_eq!(wins, 3, "{}", ablation.render());
         let uploader_win = ForecasterKind::ALL
             .iter()
-            .filter_map(|&k| ablation.beats_reactive("Uploader", ProvisionPolicy::predictive(k)))
+            .filter_map(|&k| {
+                ablation
+                    .sweep
+                    .beats_reactive("Uploader", ProvisionPolicy::predictive(k))
+            })
             .any(|b| b);
         assert!(uploader_win, "{}", ablation.render());
     }
@@ -367,28 +308,30 @@ mod tests {
     #[test]
     fn predictive_arms_actually_pre_restore() {
         let ablation = quick_ablation(&["Uploader"]);
-        for kind in ForecasterKind::ALL {
-            let arm = ProvisionPolicy::predictive(kind);
-            let (issued, used, wasted, _) = ablation.pooled_provisioning(arm);
+        // Arm lists in `arms()` order: reactive, sliding-window, EWMA, MPC.
+        let pooled = ablation.sweep.arm_rows();
+        for (kind, fields) in ForecasterKind::ALL.iter().zip(&pooled[1..]) {
+            let issued = uint(fields, "pre_restores_issued");
+            let used = uint(fields, "pre_restores_used");
+            let wasted = uint(fields, "pre_restores_wasted");
             assert_eq!(issued, used + wasted, "{kind:?} leaks pre-restores");
         }
         // The eager arms must fire on this trace; reactive never does.
-        let (issued, _, _, _) =
-            ablation.pooled_provisioning(ProvisionPolicy::predictive(ForecasterKind::Ewma));
-        assert!(issued > 0);
-        let (reactive, _, _, _) = ablation.pooled_provisioning(ProvisionPolicy::Disabled);
-        assert_eq!(reactive, 0);
+        assert_eq!(lookup(&pooled[2], "arm"), Some(&Value::Str("ewma")));
+        assert!(uint(&pooled[2], "pre_restores_issued") > 0);
+        assert_eq!(uint(&pooled[0], "pre_restores_issued"), 0);
+        assert_eq!(lookup(&pooled[0], "wins"), None);
     }
 
     #[test]
     fn csv_is_deterministic_and_flags_wins() {
         let ablation = quick_ablation(&["Uploader", "DFS"]);
-        let csv = ablation.to_csv();
+        let csv = ablation.sweep.to_csv();
         assert_eq!(csv.lines().count(), 1 + 2 * 4);
         assert!(csv.starts_with("workload,arm,"));
         assert!(csv.contains(",baseline"));
         assert!(csv.contains(",win"));
         let again = quick_ablation(&["Uploader", "DFS"]);
-        assert_eq!(csv, again.to_csv());
+        assert_eq!(csv, again.sweep.to_csv());
     }
 }

@@ -10,41 +10,17 @@
 //! dominates), while moving fewer bytes than eager on compute-bound
 //! benchmarks whose working set is a fraction of the image.
 
-use crate::bench_report::{BenchReport, JsonObj};
 use crate::grid::PAPER_RATES;
-use crate::render::write_results_file;
-use crate::sweep::{csv_f64, paper_benchmarks, Ablation};
+use crate::sweep::{paper_benchmarks, Ablation, Cell, Columns, Field, Value};
 use crate::ExperimentContext;
 use pronghorn_core::PolicyKind;
-use pronghorn_metrics::{mean_and_std, Quantiles, Table, TableStyle};
+use pronghorn_metrics::{mean_and_std, Quantiles};
 use pronghorn_platform::{run_closed_loop, RestoreInfo, RestoreStrategy, RunConfig, RunResult};
 use pronghorn_workloads::{by_name, Workload};
 
 /// A completed restore ablation: benchmarks × eviction rates (the axis)
 /// × [`RestoreStrategy::ALL`] (the arms).
 pub type RestoreAblation = Ablation<RestoreStrategy, RunResult>;
-
-/// Pooled per-strategy restore statistics (across every restore of every
-/// cell run under that strategy).
-#[derive(Debug, Clone)]
-pub struct StrategyAggregate {
-    /// The strategy.
-    pub strategy: RestoreStrategy,
-    /// Number of restores pooled.
-    pub restores: usize,
-    /// Median end-to-end restore time, µs (NaN with no restores).
-    pub median_restore_us: f64,
-    /// Mean and standard deviation of the restore times, µs.
-    pub mean_restore_us: f64,
-    /// Standard deviation companion to [`Self::mean_restore_us`].
-    pub std_restore_us: f64,
-    /// Total bytes moved from the store for restores.
-    pub total_bytes: u64,
-    /// Total demand faults served.
-    pub faults: u64,
-    /// Total pages brought in by batched prefetches.
-    pub prefetched_pages: u64,
-}
 
 /// Runs the full ablation: 13 benchmarks × paper rates × all strategies.
 pub fn run(ctx: &ExperimentContext) -> RestoreAblation {
@@ -78,92 +54,43 @@ impl RestoreAblation {
     /// the cell never restored).
     pub fn median_restore_us(&self, workload: &str, rate: u32, strategy: RestoreStrategy) -> f64 {
         self.cell(workload, rate, strategy)
-            .map(|c| c.result.median_restore_us())
-            .unwrap_or(f64::NAN)
-    }
-
-    /// Pooled per-strategy aggregates, in [`RestoreStrategy::ALL`] order.
-    pub fn strategy_aggregates(&self) -> Vec<StrategyAggregate> {
-        RestoreStrategy::ALL
-            .iter()
-            .map(|&strategy| {
-                let infos: Vec<&RestoreInfo> = self
-                    .arm_cells(strategy)
-                    .flat_map(|c| c.result.restore_infos.iter())
-                    .collect();
-                aggregate(strategy, &infos)
-            })
-            .collect()
+            .map_or(f64::NAN, |c| c.result.median_restore_us())
     }
 
     /// How many benchmarks at `rate` satisfy the REAP claim: the
     /// record-&-prefetch median restore is strictly below lazy's and at or
     /// below eager's.
     pub fn wins_at_rate(&self, rate: u32) -> usize {
-        self.workloads()
-            .iter()
-            .filter(|w| {
-                let eager = self.median_restore_us(w, rate, RestoreStrategy::Eager);
-                let lazy = self.median_restore_us(w, rate, RestoreStrategy::Lazy);
-                let rp = self.median_restore_us(w, rate, RestoreStrategy::RecordPrefetch);
-                rp.is_finite() && lazy.is_finite() && eager.is_finite() && rp < lazy && rp <= eager
-            })
-            .count()
+        let wins = self.tally(|w| {
+            let eager = self.median_restore_us(w, rate, RestoreStrategy::Eager);
+            let lazy = self.median_restore_us(w, rate, RestoreStrategy::Lazy);
+            let rp = self.median_restore_us(w, rate, RestoreStrategy::RecordPrefetch);
+            Some(
+                rp.is_finite() && lazy.is_finite() && eager.is_finite() && rp < lazy && rp <= eager,
+            )
+        });
+        wins.0
     }
 
     /// Compute-bound benchmarks at `rate` where record-&-prefetch moved
     /// strictly fewer bytes than eager, as `(wins, total)`.
     pub fn byte_wins_at_rate(&self, rate: u32) -> (usize, usize) {
-        let mut wins = 0;
-        let mut total = 0;
-        for w in self.workloads() {
-            let Some(rp) = self.cell(&w, rate, RestoreStrategy::RecordPrefetch) else {
-                continue;
-            };
-            if by_name(&w).is_some_and(|wl| wl.io_bound()) {
-                continue;
+        self.tally(|w| {
+            let rp = self.cell(w, rate, RestoreStrategy::RecordPrefetch)?;
+            if by_name(w).is_some_and(|wl| wl.io_bound()) {
+                return None;
             }
-            let Some(eager) = self.cell(&w, rate, RestoreStrategy::Eager) else {
-                continue;
-            };
-            total += 1;
-            if rp.result.restore_bytes() < eager.result.restore_bytes() {
-                wins += 1;
-            }
-        }
-        (wins, total)
+            let eager = self.cell(w, rate, RestoreStrategy::Eager)?;
+            Some(rp.result.restore_bytes() < eager.result.restore_bytes())
+        })
     }
 
     /// Paper-style rendering: per-strategy pooled stats, then per-rate
     /// benchmark win counts.
     pub fn render(&self) -> String {
-        let mut table = Table::new(vec![
-            "Strategy",
-            "Restores",
-            "Median restore",
-            "Mean ± std",
-            "Bytes moved",
-            "Faults",
-            "Prefetched pages",
-        ]);
-        for agg in self.strategy_aggregates() {
-            table.row(vec![
-                agg.strategy.label().to_string(),
-                agg.restores.to_string(),
-                format_us(agg.median_restore_us),
-                format!(
-                    "{} ± {}",
-                    format_us(agg.mean_restore_us),
-                    format_us(agg.std_restore_us)
-                ),
-                format!("{:.1} MB", agg.total_bytes as f64 / 1e6),
-                agg.faults.to_string(),
-                agg.prefetched_pages.to_string(),
-            ]);
-        }
         let mut out = format!(
             "Restore-strategy ablation (request-centric policy)\n\n{}\n",
-            table.render(TableStyle::Plain)
+            self.arm_table()
         );
         let n = self.workloads().len();
         for rate in self.axes() {
@@ -179,100 +106,65 @@ impl RestoreAblation {
         out
     }
 
-    /// CSV form: one row per cell, in fixed benchmark × rate × strategy
-    /// order (byte-identical across same-seed reruns).
-    pub fn to_csv(&self) -> String {
-        let mut table = Table::new(vec![
-            "workload",
-            "rate",
-            "strategy",
-            "restores",
-            "median_restore_us",
-            "restore_bytes",
-            "faults",
-            "prefetched_pages",
-            "median_latency_us",
-        ]);
-        for w in self.workloads() {
-            for rate in self.axes() {
-                for strategy in RestoreStrategy::ALL {
-                    let Some(cell) = self.cell(&w, rate, strategy) else {
-                        continue;
-                    };
-                    table.row(vec![
-                        w.clone(),
-                        rate.to_string(),
-                        strategy.label().to_string(),
-                        cell.result.restore_infos.len().to_string(),
-                        csv_f64(cell.result.median_restore_us()),
-                        cell.result.restore_bytes().to_string(),
-                        cell.result.total_faults().to_string(),
-                        cell.result.prefetched_pages().to_string(),
-                        csv_f64(cell.result.median_us()),
-                    ]);
-                }
-            }
-        }
-        table.to_csv()
-    }
-
-    /// Writes `results/restore_ablation.csv`.
-    pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_file("restore_ablation.csv", &self.to_csv())
-    }
-
-    /// Writes `results/BENCH_restore.json`: per-strategy median restore
-    /// time and bytes moved, in the shared [`BenchReport`] schema (one arm
-    /// per strategy).
-    pub fn save_bench_report(&self) -> std::io::Result<std::path::PathBuf> {
-        let mut report = BenchReport::new("restore").config("policy", "\"request-centric\"");
-        for agg in self.strategy_aggregates() {
-            report.arm(
-                JsonObj::new()
-                    .str("strategy", agg.strategy.label())
-                    .uint("restores", agg.restores as u64)
-                    .float("median_restore_us", agg.median_restore_us, 3)
-                    .float("mean_restore_us", agg.mean_restore_us, 3)
-                    .float("std_restore_us", agg.std_restore_us, 3)
-                    .uint("total_bytes", agg.total_bytes)
-                    .uint("faults", agg.faults)
-                    .uint("prefetched_pages", agg.prefetched_pages),
-            );
-        }
-        report.save("BENCH_restore.json")
+    /// `BENCH_restore.json`: per-strategy restore times and bytes moved,
+    /// one arm per strategy.
+    pub fn bench_json(&self) -> String {
+        self.bench_report("restore")
+            .config("policy", "\"request-centric\"")
+            .render()
     }
 }
 
-/// Pools restore infos into one [`StrategyAggregate`].
-pub fn aggregate(strategy: RestoreStrategy, infos: &[&RestoreInfo]) -> StrategyAggregate {
+impl Columns<RunResult> for RestoreStrategy {
+    const AXIS: Option<&'static str> = Some("rate");
+    const ARM: &'static str = "strategy";
+
+    fn arm_label(self) -> &'static str {
+        self.label()
+    }
+
+    fn cell(_: &RestoreAblation, cell: &Cell<Self, RunResult>) -> Vec<Field> {
+        let r = &cell.result;
+        vec![
+            ("restores", Value::Uint(r.restore_infos.len() as u64)),
+            ("median_restore_us", Value::Float(r.median_restore_us(), 3)),
+            ("restore_bytes", Value::Uint(r.restore_bytes())),
+            ("faults", Value::Uint(r.total_faults())),
+            ("prefetched_pages", Value::Uint(r.prefetched_pages())),
+            ("median_latency_us", Value::Float(r.median_us(), 3)),
+        ]
+    }
+
+    /// Pooled over every restore of every cell run under the strategy.
+    fn pooled(_: &RestoreAblation, _: Self, cells: &[&Cell<Self, RunResult>]) -> Vec<Field> {
+        let infos: Vec<&RestoreInfo> = cells.iter().flat_map(|c| &c.result.restore_infos).collect();
+        restore_fields(&infos)
+    }
+}
+
+/// The restore-path list over pooled restores: count, restore-time
+/// median, mean and standard deviation, bytes moved, faults, prefetched
+/// pages.
+pub fn restore_fields(infos: &[&RestoreInfo]) -> Vec<Field> {
+    let sum = |count: fn(&RestoreInfo) -> u64| Value::Uint(infos.iter().map(|i| count(i)).sum());
     let times: Vec<f64> = infos.iter().map(|i| i.total_restore_us()).collect();
     let (mean, std) = mean_and_std(&times).unwrap_or((f64::NAN, f64::NAN));
-    StrategyAggregate {
-        strategy,
-        restores: infos.len(),
-        median_restore_us: Quantiles::new(times)
-            .map(|q| q.median())
-            .unwrap_or(f64::NAN),
-        mean_restore_us: mean,
-        std_restore_us: std,
-        total_bytes: infos.iter().map(|i| i.bytes_transferred).sum(),
-        faults: infos.iter().map(|i| u64::from(i.faults)).sum(),
-        prefetched_pages: infos.iter().map(|i| u64::from(i.prefetched_pages)).sum(),
-    }
-}
-
-/// Formats a µs value for human tables; NaN renders as "-".
-fn format_us(us: f64) -> String {
-    if us.is_finite() {
-        format!("{us:.0} µs")
-    } else {
-        "-".to_string()
-    }
+    let median = Quantiles::new(times).map_or(f64::NAN, |q| q.median());
+    vec![
+        ("restores", Value::Uint(infos.len() as u64)),
+        ("median_restore_us", Value::Float(median, 3)),
+        ("mean_restore_us", Value::Float(mean, 3)),
+        ("std_restore_us", Value::Float(std, 3)),
+        ("total_bytes", sum(|i| i.bytes_transferred)),
+        ("faults", sum(|i| u64::from(i.faults))),
+        ("prefetched_pages", sum(|i| u64::from(i.prefetched_pages))),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::tests::uint;
 
     fn quick_ablation() -> RestoreAblation {
         let ctx = ExperimentContext {
@@ -323,13 +215,13 @@ mod tests {
         for strategy in RestoreStrategy::ALL {
             assert!(text.contains(strategy.label()), "{text}");
         }
-        let aggs = ablation.strategy_aggregates();
-        assert_eq!(aggs.len(), 3);
-        assert!(aggs.iter().all(|a| a.restores > 0));
+        let arms = ablation.arm_rows();
+        assert_eq!(arms.len(), 3);
+        assert!(arms.iter().all(|a| uint(a, "restores") > 0));
         // Eager accrues no faults; lazy strategies accrue no full-image
         // transfers beyond their pages.
-        assert_eq!(aggs[0].faults, 0);
-        assert!(aggs[1].faults > 0);
-        assert!(aggs[2].prefetched_pages > 0);
+        assert_eq!(uint(&arms[0], "faults"), 0);
+        assert!(uint(&arms[1], "faults") > 0);
+        assert!(uint(&arms[2], "prefetched_pages") > 0);
     }
 }

@@ -13,14 +13,11 @@
 //! the median restore critical path and total bytes transferred on most
 //! benchmarks.
 
-use crate::bench_report::{BenchReport, JsonObj};
 use crate::grid::PAPER_RATES;
-use crate::render::write_results_file;
-use crate::sweep::{csv_f64, paper_benchmarks, Ablation};
+use crate::sweep::{paper_benchmarks, Ablation, Cell, Columns, Field, Value};
 use crate::ExperimentContext;
 use pronghorn_checkpoint::DeltaPolicy;
 use pronghorn_core::PolicyKind;
-use pronghorn_metrics::{Table, TableStyle};
 use pronghorn_platform::{run_closed_loop, RestoreStrategy, RunConfig, RunResult, StoragePolicy};
 use pronghorn_store::StorageStats;
 
@@ -121,19 +118,6 @@ pub fn run_for(ctx: &ExperimentContext, benchmarks: &[&str], rates: &[u32]) -> S
     )
 }
 
-/// Pooled per-arm storage accounting.
-#[derive(Debug, Clone)]
-pub struct StorageArmAggregate {
-    /// The arm.
-    pub arm: StorageArm,
-    /// Total bytes the restore paths transferred (nominal accounting).
-    pub restore_bytes: u64,
-    /// Mean of the per-cell median restore critical-path times, µs.
-    pub mean_median_restore_us: f64,
-    /// Pooled storage-tier counters.
-    pub storage: StorageStats,
-}
-
 impl StorageAblation {
     /// Total restore bytes a benchmark transferred under `arm`, pooled
     /// across every rate present.
@@ -147,16 +131,7 @@ impl StorageAblation {
     /// Mean of the per-rate median restore critical-path times for one
     /// benchmark under `arm`; NaN when the arm restored nothing.
     pub fn mean_median_restore_us(&self, workload: &str, arm: StorageArm) -> f64 {
-        let medians: Vec<f64> = self
-            .arm_cells(arm)
-            .filter(|c| c.workload == workload)
-            .map(|c| c.result.median_restore_us())
-            .filter(|m| m.is_finite())
-            .collect();
-        if medians.is_empty() {
-            return f64::NAN;
-        }
-        medians.iter().sum::<f64>() / medians.len() as f64
+        mean_median_restore_us(self.arm_cells(arm).filter(|c| c.workload == workload))
     }
 
     /// Whether `arm` beats the flat baseline on BOTH the median restore
@@ -171,12 +146,7 @@ impl StorageAblation {
 
     /// Benchmarks where `arm` wins on both axes, as `(wins, total)`.
     pub fn restore_wins(&self, arm: StorageArm) -> (usize, usize) {
-        let workloads = self.workloads();
-        let wins = workloads
-            .iter()
-            .filter(|w| self.restore_win(w, arm))
-            .count();
-        (wins, workloads.len())
+        self.tally(|w| Some(self.restore_win(w, arm)))
     }
 
     /// Cells where an eager storage arm's latency stream differs from the
@@ -192,61 +162,12 @@ impl StorageAblation {
             .count()
     }
 
-    /// Pooled per-arm aggregates, in [`StorageArm::ALL`] order.
-    pub fn arm_aggregates(&self) -> Vec<StorageArmAggregate> {
-        StorageArm::ALL
-            .iter()
-            .map(|&arm| {
-                let cells: Vec<_> = self.arm_cells(arm).collect();
-                let mut storage = StorageStats::default();
-                for c in &cells {
-                    storage.merge(&c.result.storage);
-                }
-                let medians: Vec<f64> = cells
-                    .iter()
-                    .map(|c| c.result.median_restore_us())
-                    .filter(|m| m.is_finite())
-                    .collect();
-                StorageArmAggregate {
-                    arm,
-                    restore_bytes: cells.iter().map(|c| c.result.restore_bytes()).sum(),
-                    mean_median_restore_us: if medians.is_empty() {
-                        f64::NAN
-                    } else {
-                        medians.iter().sum::<f64>() / medians.len() as f64
-                    },
-                    storage,
-                }
-            })
-            .collect()
-    }
-
     /// Paper-style rendering: per-arm pooled stats, then the headline
     /// win counts.
     pub fn render(&self) -> String {
-        let mut table = Table::new(vec![
-            "Arm",
-            "Restore bytes",
-            "Median restore",
-            "Cache hits",
-            "Hit bytes",
-            "Wire down",
-            "Composed prefetches",
-        ]);
-        for agg in self.arm_aggregates() {
-            table.row(vec![
-                agg.arm.label().to_string(),
-                format!("{:.1} MB", agg.restore_bytes as f64 / 1e6),
-                format!("{:.1} ms", agg.mean_median_restore_us / 1e3),
-                agg.storage.cache_hits.to_string(),
-                format!("{:.1} MB", agg.storage.cache_hit_bytes as f64 / 1e6),
-                format!("{:.1} MB", agg.storage.wire_bytes_downloaded as f64 / 1e6),
-                agg.storage.composed_prefetches.to_string(),
-            ]);
-        }
         let mut out = format!(
             "Tiered-storage ablation (request-centric policy, delta K={DELTA_DEPTH})\n\n{}\n",
-            table.render(TableStyle::Plain)
+            self.arm_table()
         );
         let (wins, total) = self.restore_wins(StorageArm::Composed);
         out.push_str(&format!(
@@ -258,89 +179,92 @@ impl StorageAblation {
         out
     }
 
-    /// CSV form: one row per cell, in fixed benchmark × rate × arm order
-    /// (byte-identical across same-seed reruns).
-    pub fn to_csv(&self) -> String {
-        let mut table = Table::new(vec![
-            "workload",
-            "rate",
-            "arm",
-            "median_restore_us",
-            "restore_bytes",
-            "cache_hits",
-            "cache_misses",
-            "cache_hit_bytes",
-            "cache_evictions",
+    /// `BENCH_storage.json`: per-arm pooled storage counters and the
+    /// headline both-axes win count.
+    pub fn bench_json(&self) -> String {
+        self.bench_report("storage")
+            .config("delta_depth", DELTA_DEPTH.to_string())
+            .render()
+    }
+}
+
+impl Columns<RunResult> for StorageArm {
+    const AXIS: Option<&'static str> = Some("rate");
+    const ARM: &'static str = "arm";
+
+    fn arm_label(self) -> &'static str {
+        self.label()
+    }
+
+    fn cell(_: &StorageAblation, cell: &Cell<Self, RunResult>) -> Vec<Field> {
+        let r = &cell.result;
+        let head = [
+            ("median_restore_us", Value::Float(r.median_restore_us(), 3)),
+            ("restore_bytes", Value::Uint(r.restore_bytes())),
+        ];
+        let tail = ("median_latency_us", Value::Float(r.median_us(), 3));
+        head.into_iter()
+            .chain(tier_fields(&r.storage))
+            .chain([tail])
+            .collect()
+    }
+
+    fn pooled(
+        ablation: &StorageAblation,
+        arm: Self,
+        cells: &[&Cell<Self, RunResult>],
+    ) -> Vec<Field> {
+        let mut storage = StorageStats::default();
+        for c in cells {
+            storage.merge(&c.result.storage);
+        }
+        let restore_bytes = cells.iter().map(|c| c.result.restore_bytes()).sum();
+        let mean_median = mean_median_restore_us(cells.iter().copied());
+        let head = [
+            ("restore_bytes", Value::Uint(restore_bytes)),
+            ("mean_median_restore_us", Value::Float(mean_median, 3)),
+        ];
+        let (wins, total) = ablation.restore_wins(arm);
+        let divergences = ablation.latency_divergences(arm);
+        head.into_iter()
+            .chain(tier_fields(&storage))
+            .chain([
+                ("restore_wins", Value::Uint(wins as u64)),
+                ("benchmarks", Value::Uint(total as u64)),
+                ("latency_divergences", Value::Uint(divergences as u64)),
+            ])
+            .collect()
+    }
+}
+
+/// Mean of the cells' median restore critical-path times, skipping cells
+/// that never restored; NaN when none did.
+fn mean_median_restore_us<'a>(cells: impl Iterator<Item = &'a Cell<StorageArm, RunResult>>) -> f64 {
+    let medians: Vec<f64> = cells
+        .map(|c| c.result.median_restore_us())
+        .filter(|m| m.is_finite())
+        .collect();
+    if medians.is_empty() {
+        return f64::NAN;
+    }
+    medians.iter().sum::<f64>() / medians.len() as f64
+}
+
+/// The storage-tier list shared by a cell and a pooled arm.
+fn tier_fields(s: &StorageStats) -> [Field; 8] {
+    [
+        ("cache_hits", Value::Uint(s.cache_hits)),
+        ("cache_misses", Value::Uint(s.cache_misses)),
+        ("cache_hit_bytes", Value::Uint(s.cache_hit_bytes)),
+        ("cache_evictions", Value::Uint(s.cache_evictions)),
+        (
             "wire_bytes_downloaded",
-            "wire_bytes_uploaded",
-            "composed_prefetches",
-            "composed_bytes_saved",
-            "median_latency_us",
-        ]);
-        for w in self.workloads() {
-            for rate in self.axes() {
-                for arm in StorageArm::ALL {
-                    let Some(cell) = self.cell(&w, rate, arm) else {
-                        continue;
-                    };
-                    let s = &cell.result.storage;
-                    table.row(vec![
-                        w.clone(),
-                        rate.to_string(),
-                        arm.label().to_string(),
-                        csv_f64(cell.result.median_restore_us()),
-                        cell.result.restore_bytes().to_string(),
-                        s.cache_hits.to_string(),
-                        s.cache_misses.to_string(),
-                        s.cache_hit_bytes.to_string(),
-                        s.cache_evictions.to_string(),
-                        s.wire_bytes_downloaded.to_string(),
-                        s.wire_bytes_uploaded.to_string(),
-                        s.composed_prefetches.to_string(),
-                        s.composed_bytes_saved.to_string(),
-                        csv_f64(cell.result.median_us()),
-                    ]);
-                }
-            }
-        }
-        table.to_csv()
-    }
-
-    /// Writes `results/storage_ablation.csv`.
-    pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_file("storage_ablation.csv", &self.to_csv())
-    }
-
-    /// Writes `results/BENCH_storage.json`: per-arm pooled storage
-    /// counters and the headline both-axes win count, in the shared
-    /// [`BenchReport`] schema.
-    pub fn save_bench_report(&self) -> std::io::Result<std::path::PathBuf> {
-        let mut report = BenchReport::new("storage").config("delta_depth", DELTA_DEPTH.to_string());
-        for agg in self.arm_aggregates() {
-            let (wins, total) = self.restore_wins(agg.arm);
-            report.arm(
-                JsonObj::new()
-                    .str("arm", agg.arm.label())
-                    .uint("restore_bytes", agg.restore_bytes)
-                    .float("mean_median_restore_us", agg.mean_median_restore_us, 3)
-                    .uint("cache_hits", agg.storage.cache_hits)
-                    .uint("cache_misses", agg.storage.cache_misses)
-                    .uint("cache_hit_bytes", agg.storage.cache_hit_bytes)
-                    .uint("cache_evictions", agg.storage.cache_evictions)
-                    .uint("wire_bytes_downloaded", agg.storage.wire_bytes_downloaded)
-                    .uint("wire_bytes_uploaded", agg.storage.wire_bytes_uploaded)
-                    .uint("composed_prefetches", agg.storage.composed_prefetches)
-                    .uint("composed_bytes_saved", agg.storage.composed_bytes_saved)
-                    .uint("restore_wins", wins as u64)
-                    .uint("benchmarks", total as u64)
-                    .uint(
-                        "latency_divergences",
-                        self.latency_divergences(agg.arm) as u64,
-                    ),
-            );
-        }
-        report.save("BENCH_storage.json")
-    }
+            Value::Uint(s.wire_bytes_downloaded),
+        ),
+        ("wire_bytes_uploaded", Value::Uint(s.wire_bytes_uploaded)),
+        ("composed_prefetches", Value::Uint(s.composed_prefetches)),
+        ("composed_bytes_saved", Value::Uint(s.composed_bytes_saved)),
+    ]
 }
 
 #[cfg(test)]

@@ -7,10 +7,10 @@
 //! 28 better / 9 on-par / 2 worse across the 39 cells.
 
 use crate::grid::{Grid, PAPER_RATES};
-use crate::render::write_results_file;
-use crate::restore_ablation::{aggregate, StrategyAggregate};
+use crate::restore_ablation::restore_fields;
+use crate::sweep::{fields_table, Columns, Field, Value};
 use pronghorn_metrics::{classify, geo_mean_of_improvements, Table, TableStyle, Verdict};
-use pronghorn_platform::{RestoreInfo, RestoreStrategy};
+use pronghorn_platform::{RestoreInfo, RestoreStrategy, RunResult};
 
 /// Aggregate for one eviction rate.
 #[derive(Debug, Clone)]
@@ -32,12 +32,13 @@ pub struct RateSummary {
 pub struct SummaryResult {
     /// One aggregate per eviction rate.
     pub rates: Vec<RateSummary>,
-    /// Pooled restore-path statistics per strategy present in the grids
-    /// (the policy grids run eagerly, so this is usually one row).
+    /// Pooled restore-path list per strategy present in the grids, led by
+    /// the strategy label (the policy grids run eagerly, so this is
+    /// usually one row).
     /// Rendered as an extra section only — never into `summary.csv`,
     /// whose bytes are a compatibility surface. `BENCH_restore.json` is
     /// written by the restore ablation alone.
-    pub restore: Vec<StrategyAggregate>,
+    pub restore: Vec<Vec<Field>>,
 }
 
 /// Summarizes one or more completed grids (typically Figure 4's plus
@@ -81,10 +82,13 @@ pub fn summarize(grids: &[&Grid]) -> SummaryResult {
                 .flat_map(|c| c.result.restore_infos.iter())
                 .collect();
             if infos.is_empty() {
-                None
-            } else {
-                Some(aggregate(strategy, &infos))
+                return None;
             }
+            let label = (
+                <RestoreStrategy as Columns<RunResult>>::ARM,
+                Value::Str(strategy.label()),
+            );
+            Some([label].into_iter().chain(restore_fields(&infos)).collect())
         })
         .collect();
     SummaryResult { rates, restore }
@@ -133,15 +137,7 @@ impl SummaryResult {
         }
         if !self.restore.is_empty() {
             out.push_str("\nrestore path:\n");
-            for agg in &self.restore {
-                out.push_str(&format!(
-                    "  {:<16} median {:.0} µs over {} restores, {:.1} MB moved\n",
-                    agg.strategy.label(),
-                    agg.median_restore_us,
-                    agg.restores,
-                    agg.total_bytes as f64 / 1e6,
-                ));
-            }
+            out.push_str(&fields_table(&self.restore));
         }
         out
     }
@@ -175,11 +171,6 @@ impl SummaryResult {
             }
         }
         table.to_csv()
-    }
-
-    /// Writes `results/summary.csv`.
-    pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_file("summary.csv", &self.to_csv())
     }
 }
 
@@ -238,6 +229,6 @@ mod tests {
             );
         }
         assert_eq!(summary.restore.len(), 1);
-        assert!(summary.restore[0].restores > 0);
+        assert!(crate::sweep::tests::uint(&summary.restore[0], "restores") > 0);
     }
 }

@@ -12,11 +12,16 @@
 //!   same inputs, the paired comparison of §5.1.
 //!
 //! An ablation module is then an arm list, a closure that builds and
-//! runs one cell's `RunConfig`, and the metric extractors that read the
-//! resulting [`Ablation`].
+//! runs one cell's `RunConfig`, its two column lists ([`Columns`]) and
+//! the headline claims it makes from the resulting [`Ablation`]. The
+//! lists drive every output: the CSV ([`Ablation::to_csv`]), the
+//! `BENCH_*.json` arms ([`Ablation::bench_report`]) and the printed
+//! table ([`Ablation::arm_table`]).
 
+use crate::bench_report::BenchReport;
 use crate::fig45::{FIG4_BENCHMARKS, FIG5_BENCHMARKS};
 use crate::ExperimentContext;
+use pronghorn_metrics::{Table, TableStyle};
 use pronghorn_workloads::{by_name, SpecWorkload};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -65,13 +70,95 @@ pub fn paper_benchmarks() -> Vec<&'static str> {
         .collect()
 }
 
-/// Formats a float for CSV; NaN renders as the empty field.
-pub fn csv_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        String::new()
+/// One output value: a CSV cell, a `BENCH_*.json` arm value or a
+/// printed-table cell.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// An unsigned count.
+    Uint(u64),
+    /// A float at a fixed number of decimals. A non-finite value is the
+    /// empty CSV field and JSON `null`: the cell never exercised the path.
+    Float(f64, usize),
+    /// A static label.
+    Str(&'static str),
+    /// A pre-rendered JSON value (a nested array or object). It has no
+    /// plain-text form, so the printed table leaves it out.
+    Raw(String),
+}
+
+impl Value {
+    /// The plain-text form: the CSV cell and the printed-table cell.
+    pub fn text(&self) -> String {
+        match self {
+            Value::Uint(v) => v.to_string(),
+            Value::Float(v, decimals) if v.is_finite() => format!("{v:.decimals$}"),
+            Value::Float(..) => String::new(),
+            Value::Str(s) => (*s).to_string(),
+            Value::Raw(raw) => raw.clone(),
+        }
     }
+
+    /// The JSON form.
+    pub fn json(&self) -> String {
+        match self {
+            Value::Float(v, _) if !v.is_finite() => "null".to_string(),
+            Value::Str(s) => format!("\"{s}\""),
+            _ => self.text(),
+        }
+    }
+}
+
+/// A named value: a CSV column or a `BENCH_*.json` arm key.
+pub type Field = (&'static str, Value);
+
+/// The two column lists of an ablation, implemented by its arm type.
+///
+/// Every metric is named once, in one of the lists:
+/// - [`Columns::cell`], the per-cell list, is one CSV row after the
+///   workload, axis and arm columns;
+/// - [`Columns::pooled`], the per-arm list built from the pooled cells of
+///   one arm, is one `BENCH_*.json` arm entry and one printed-table row,
+///   after the arm's axis value (with [`Columns::PER_AXIS`]) and label.
+pub trait Columns<R>: Copy + PartialEq + Sized {
+    /// Heading of the swept-axis column; `None` leaves the axis out.
+    const AXIS: Option<&'static str>;
+    /// Heading of the arm column, and key of the arm label.
+    const ARM: &'static str;
+    /// Whether an arm pools the cells of one axis value (one routing at
+    /// one node count) rather than those of every axis value.
+    const PER_AXIS: bool = false;
+
+    /// The arm's label.
+    fn arm_label(self) -> &'static str;
+
+    /// The per-cell list.
+    fn cell(ablation: &Ablation<Self, R>, cell: &Cell<Self, R>) -> Vec<Field>;
+
+    /// The per-arm list over `cells`, the non-empty set of cells run
+    /// under `arm` (at one axis value, with [`Columns::PER_AXIS`]).
+    fn pooled(ablation: &Ablation<Self, R>, arm: Self, cells: &[&Cell<Self, R>]) -> Vec<Field>;
+}
+
+/// Lists as a printed table headed by their keys. Raw (nested) values
+/// stay in the JSON; a key a list lacks is a blank cell.
+pub fn fields_table(rows: &[Vec<Field>]) -> String {
+    let mut keys: Vec<&str> = Vec::new();
+    for (key, value) in rows.iter().flatten() {
+        if !matches!(value, Value::Raw(_)) && !keys.contains(key) {
+            keys.push(key);
+        }
+    }
+    let mut table = Table::new(keys.clone());
+    for row in rows {
+        let cell = |key: &str| lookup(row, key).map(Value::text).unwrap_or_default();
+        table.row(keys.iter().map(|key| cell(key)).collect());
+    }
+    table.render(TableStyle::Plain)
+}
+
+/// The value of `key` in a list, if the list has it.
+pub fn lookup<'a>(fields: &'a [Field], key: &str) -> Option<&'a Value> {
+    fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
 }
 
 /// One measured cell: a benchmark at one axis value under one arm.
@@ -181,10 +268,104 @@ impl<A: Copy + PartialEq, R> Ablation<A, R> {
         axes.dedup();
         axes
     }
+
+    /// Benchmarks where `win` holds, as `(wins, total)`. A benchmark for
+    /// which `win` gives `None` (a cell missing, or a path never taken)
+    /// is left out of both counts.
+    pub fn tally(&self, win: impl Fn(&str) -> Option<bool>) -> (usize, usize) {
+        let verdicts: Vec<bool> = self.workloads().iter().filter_map(|w| win(w)).collect();
+        (verdicts.iter().filter(|&&won| won).count(), verdicts.len())
+    }
+
+    /// Distinct arms present, in cell order.
+    pub fn arms(&self) -> Vec<A> {
+        let mut arms = Vec::new();
+        for cell in &self.cells {
+            if !arms.contains(&cell.arm) {
+                arms.push(cell.arm);
+            }
+        }
+        arms
+    }
+}
+
+impl<A: Columns<R>, R> Ablation<A, R> {
+    /// CSV form: one row per cell, in workload × axis × arm order, so
+    /// same-seed reruns write the same bytes. Empty when no cell ran.
+    pub fn to_csv(&self) -> String {
+        let mut table: Option<Table> = None;
+        for workload in self.workloads() {
+            for axis in self.axes() {
+                for arm in self.arms() {
+                    let Some(cell) = self.cell(&workload, axis, arm) else {
+                        continue;
+                    };
+                    let fields = A::cell(self, cell);
+                    let table = table.get_or_insert_with(|| {
+                        let names = fields.iter().map(|(name, _)| *name);
+                        let leading = ["workload"].into_iter().chain(A::AXIS).chain([A::ARM]);
+                        Table::new(leading.chain(names).collect())
+                    });
+                    let mut row = vec![workload.clone()];
+                    row.extend(A::AXIS.map(|_| axis.to_string()));
+                    row.push(arm.arm_label().to_string());
+                    row.extend(fields.iter().map(|(_, value)| value.text()));
+                    table.row(row);
+                }
+            }
+        }
+        table.map(|t| t.to_csv()).unwrap_or_default()
+    }
+
+    /// The per-arm lists, each led by its arm's axis value (with
+    /// [`Columns::PER_AXIS`]) and label: axis values ascending, then arms
+    /// in cell order.
+    pub fn arm_rows(&self) -> Vec<Vec<Field>> {
+        let groups: Vec<Option<u32>> = if A::PER_AXIS {
+            self.axes().into_iter().map(Some).collect()
+        } else {
+            vec![None]
+        };
+        let mut rows = Vec::new();
+        for axis in groups {
+            for arm in self.arms() {
+                let cells: Vec<&Cell<A, R>> = self
+                    .arm_cells(arm)
+                    .filter(|c| axis.is_none_or(|a| c.axis == a))
+                    .collect();
+                if cells.is_empty() {
+                    continue;
+                }
+                let mut row = Vec::new();
+                if let (Some(axis), Some(key)) = (axis, A::AXIS) {
+                    row.push((key, Value::Uint(u64::from(axis))));
+                }
+                row.push((A::ARM, Value::Str(arm.arm_label())));
+                row.extend(A::pooled(self, arm, &cells));
+                rows.push(row);
+            }
+        }
+        rows
+    }
+
+    /// The per-arm lists as a printed table (see [`fields_table`]).
+    pub fn arm_table(&self) -> String {
+        fields_table(&self.arm_rows())
+    }
+
+    /// A `BENCH_<name>.json` report with one arm entry per per-arm list;
+    /// the caller adds the `config` entries and any trailing sections.
+    pub fn bench_report(&self, name: &'static str) -> BenchReport {
+        let mut report = BenchReport::new(name);
+        for row in self.arm_rows() {
+            report.arm(&row);
+        }
+        report
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
     use std::time::{Duration, Instant};
@@ -263,8 +444,92 @@ mod tests {
 
     #[test]
     fn csv_f64_blanks_non_finite_values() {
-        assert_eq!(csv_f64(1.23456), "1.235");
-        assert_eq!(csv_f64(f64::NAN), "");
-        assert_eq!(csv_f64(f64::INFINITY), "");
+        assert_eq!(Value::Float(1.23456, 3).text(), "1.235");
+        assert_eq!(Value::Float(f64::NAN, 3).text(), "");
+        assert_eq!(Value::Float(f64::INFINITY, 3).text(), "");
+        assert_eq!(Value::Float(f64::NAN, 3).json(), "null");
+        assert_eq!(Value::Float(0.5, 6).json(), "0.500000");
+        assert_eq!(Value::Str("eager").json(), "\"eager\"");
+        assert_eq!(Value::Str("eager").text(), "eager");
+    }
+
+    /// The count under `key` in a list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the list has no count under `key`.
+    pub(crate) fn uint(fields: &[Field], key: &str) -> u64 {
+        match lookup(fields, key) {
+            Some(Value::Uint(n)) => *n,
+            other => panic!("no count under {key}: {other:?}"),
+        }
+    }
+
+    // Arms 'a' and 'b'; `pooled` gives arm 'a' alone a nested value
+    // and arm 'b' alone an extra key.
+    impl Columns<u64> for char {
+        const AXIS: Option<&'static str> = Some("rate");
+        const ARM: &'static str = "arm";
+        fn arm_label(self) -> &'static str {
+            if self == 'a' {
+                "a"
+            } else {
+                "b"
+            }
+        }
+        fn cell(_: &Ablation<char, u64>, cell: &Cell<char, u64>) -> Vec<Field> {
+            vec![("n", Value::Uint(cell.result))]
+        }
+        fn pooled(_: &Ablation<char, u64>, arm: char, cells: &[&Cell<char, u64>]) -> Vec<Field> {
+            let total = cells.iter().map(|c| c.result).sum();
+            let mut fields = vec![("total", Value::Uint(total))];
+            if arm == 'a' {
+                fields.push(("nested", Value::Raw("[1]".into())));
+            } else {
+                fields.push(("mean", Value::Float(f64::NAN, 3)));
+            }
+            fields
+        }
+    }
+
+    #[test]
+    fn column_lists_drive_csv_json_and_table() {
+        let ctx = ExperimentContext::quick();
+        let ablation = Ablation::run(
+            &ctx,
+            &["Hash", "DFS"],
+            &[4, 1],
+            &['a', 'b'],
+            |_, _| 0,
+            |_, axis, arm, _| u64::from(axis) * 10 + u64::from(arm == 'b'),
+        );
+        assert_eq!(ablation.arms(), vec!['a', 'b']);
+        assert_eq!(
+            ablation.to_csv(),
+            "workload,rate,arm,n\nDFS,1,a,10\nDFS,1,b,11\nDFS,4,a,40\nDFS,4,b,41\n\
+             Hash,1,a,10\nHash,1,b,11\nHash,4,a,40\nHash,4,b,41\n"
+        );
+        let rows = ablation.arm_rows();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(lookup(&rows[0], "arm"), Some(&Value::Str("a")));
+        assert_eq!(
+            lookup(&rows[1], "total"),
+            Some(&Value::Uint(2 * 11 + 2 * 41))
+        );
+        assert_eq!(lookup(&rows[0], "rate"), None, "arms pool every axis");
+        let json = ablation.bench_report("t").render();
+        assert!(json.contains("{\"arm\": \"a\", \"total\": 100, \"nested\": [1]},"));
+        assert!(json.contains("{\"arm\": \"b\", \"total\": 104, \"mean\": null}\n"));
+        let table = ablation.arm_table();
+        let mut lines = table.lines();
+        assert_eq!(
+            lines.next().unwrap().split_whitespace().collect::<Vec<_>>(),
+            ["arm", "total", "mean"]
+        );
+        assert_eq!(
+            lines.nth(1).unwrap().split_whitespace().collect::<Vec<_>>(),
+            ["a", "100"]
+        );
+        assert!(!table.contains("nested"));
     }
 }

@@ -6,7 +6,6 @@
 //! JSON 360 ms baselines) — non-monotonic because of deoptimizations and
 //! compilation interference.
 
-use crate::render::write_results_file;
 use crate::ExperimentContext;
 use pronghorn_jit::Runtime;
 use pronghorn_metrics::{table::fmt_f64, Table, TableStyle};
@@ -122,11 +121,6 @@ impl Table1Result {
             table.row(row);
         }
         table.to_csv()
-    }
-
-    /// Writes `results/table1.csv`.
-    pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_file("table1.csv", &self.to_csv())
     }
 }
 

@@ -7,7 +7,6 @@
 //! and snapshot sizes from checkpointing each benchmark 10 times after
 //! startup.
 
-use crate::render::write_results_file;
 use crate::ExperimentContext;
 use pronghorn_checkpoint::{SimCriuEngine, SnapshotMeta};
 use pronghorn_core::PolicyKind;
@@ -187,11 +186,6 @@ impl Table4Result {
             ]);
         }
         table.to_csv()
-    }
-
-    /// Writes `results/table4.csv`.
-    pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_file("table4.csv", &self.to_csv())
     }
 }
 

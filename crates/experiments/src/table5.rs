@@ -9,7 +9,6 @@
 //! eviction rate 4). We report both the analytic bound and the bytes the
 //! simulated Object Store actually moved.
 
-use crate::render::write_results_file;
 use crate::ExperimentContext;
 use pronghorn_core::PolicyKind;
 use pronghorn_metrics::{Table, TableStyle};
@@ -141,11 +140,6 @@ impl Table5Result {
             ]);
         }
         table.to_csv()
-    }
-
-    /// Writes `results/table5.csv`.
-    pub fn save(&self) -> std::io::Result<std::path::PathBuf> {
-        write_results_file("table5.csv", &self.to_csv())
     }
 }
 
