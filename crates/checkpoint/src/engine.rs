@@ -34,39 +34,15 @@ pub trait Checkpointable: Sized {
     /// Modeled size in bytes of the process image a real engine would dump
     /// (heap + code cache + runtime metadata), after compression.
     fn image_size_bytes(&self) -> u64;
-
-    /// Cheap dirty-tracking hook: a counter that changes whenever the
-    /// encoded state would change.
-    ///
-    /// Implementations returning `Some(v)` promise that two calls
-    /// returning the same `v` *on the same instance* would produce
-    /// byte-identical [`Self::encode_state`] output, which lets
-    /// [`SimCriuEngine::checkpoint_with`] serve repeat checkpoints from a
-    /// cached encode. The default `None` disables the cache.
-    fn state_version(&self) -> Option<u64> {
-        None
-    }
 }
 
-/// Reusable per-engine scratch state for the checkpoint fast path.
-///
-/// Holds the encode buffer reused across checkpoints, the last encoded
-/// payload keyed by its process state version (the dirty-tracking cache),
-/// and the [`CodecStats`] perf counters.
-///
-/// # Cache contract
-///
-/// The cache is keyed on [`Checkpointable::state_version`] *only*, and
-/// versions are meaningful within a single process instance: two freshly
-/// cold-started runtimes both report version 0 with different state.
-/// Whoever owns the scratch MUST call [`CheckpointScratch::invalidate`]
-/// every time the process instance behind it is replaced (new cold start,
-/// restore from snapshot) — the platform session does this on every
-/// worker provision.
+/// Reusable per-engine scratch state for the checkpoint fast path: the
+/// encode buffer reused across checkpoints and the [`CodecStats`] perf
+/// counters. Every checkpoint encodes afresh, so one scratch may serve
+/// any number of process instances.
 #[derive(Debug, Default)]
 pub struct CheckpointScratch {
     enc: Encoder,
-    cached: Option<(u64, Bytes)>,
     stats: CodecStats,
 }
 
@@ -74,12 +50,6 @@ impl CheckpointScratch {
     /// Creates empty scratch state.
     pub fn new() -> Self {
         CheckpointScratch::default()
-    }
-
-    /// Drops the cached encode. Call whenever the process instance this
-    /// scratch serves is swapped for another (see the cache contract).
-    pub fn invalidate(&mut self) {
-        self.cached = None;
     }
 
     /// The accumulated perf counters.
@@ -151,13 +121,11 @@ impl SimCriuEngine {
     }
 
     /// Like [`Self::checkpoint`], but using (and updating) `scratch`: the
-    /// encode buffer is reused across calls, and when the process reports
-    /// an unchanged [`Checkpointable::state_version`] the cached payload
-    /// is reused without re-encoding at all.
+    /// encode buffer is reused across calls.
     ///
     /// Draws exactly the same RNG sequence as [`Self::checkpoint`] (one
-    /// nonce, one cost sample) on both the cached and uncached paths, so
-    /// swapping one for the other never perturbs a seeded simulation.
+    /// nonce, one cost sample), so swapping one for the other never
+    /// perturbs a seeded simulation.
     pub fn checkpoint_with<T, R>(
         &self,
         scratch: &mut CheckpointScratch,
@@ -197,29 +165,14 @@ impl SimCriuEngine {
         T: Checkpointable,
         R: Rng + ?Sized,
     {
-        let version = process.state_version();
         // pronglint: allow(wall-clock): host-side perf counter (encode_ns);
         // measures real encoder time, never feeds a sim decision.
         let started = Instant::now();
-        let payload = match (&scratch.cached, version) {
-            (Some((cached_version, bytes)), Some(v)) if *cached_version == v => {
-                scratch.stats.encode_skips += 1;
-                scratch.stats.bytes_skipped += bytes.len() as u64;
-                scratch.stats.allocations_avoided += 1;
-                bytes.clone()
-            }
-            _ => {
-                scratch.enc.clear();
-                process.encode_state(&mut scratch.enc);
-                scratch.stats.encodes += 1;
-                scratch.stats.bytes_encoded += scratch.enc.len() as u64;
-                let payload = Bytes::from(scratch.enc.take_buffer());
-                if let Some(v) = version {
-                    scratch.cached = Some((v, payload.clone()));
-                }
-                payload
-            }
-        };
+        scratch.enc.clear();
+        process.encode_state(&mut scratch.enc);
+        scratch.stats.encodes += 1;
+        scratch.stats.bytes_encoded += scratch.enc.len() as u64;
+        let payload = Bytes::from(scratch.enc.take_buffer());
         scratch.stats.encode_ns += started.elapsed().as_nanos() as u64;
         let nominal = process.image_size_bytes();
         // Same draw order as `checkpoint`: nonce, then cost.
@@ -363,31 +316,6 @@ mod tests {
         assert_eq!(restored, process);
     }
 
-    /// Counter variant that reports a state version for dirty tracking.
-    #[derive(Debug, Clone, PartialEq)]
-    struct VersionedCounter {
-        inner: Counter,
-        version: u64,
-    }
-
-    impl Checkpointable for VersionedCounter {
-        fn encode_state(&self, enc: &mut Encoder) {
-            self.inner.encode_state(enc);
-        }
-        fn decode_state(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-            Ok(VersionedCounter {
-                inner: Counter::decode_state(dec)?,
-                version: 0,
-            })
-        }
-        fn image_size_bytes(&self) -> u64 {
-            self.inner.image_size_bytes()
-        }
-        fn state_version(&self) -> Option<u64> {
-            Some(self.version)
-        }
-    }
-
     #[test]
     fn checkpoint_with_matches_plain_checkpoint_exactly() {
         let engine = SimCriuEngine::new();
@@ -404,35 +332,6 @@ mod tests {
         assert_eq!(cost_a, cost_b);
         // And the RNG streams stay in lockstep afterwards.
         assert_eq!(rng_a.next_u64(), rng_b.next_u64());
-    }
-
-    #[test]
-    fn unchanged_state_version_skips_reencoding() {
-        let engine = SimCriuEngine::new();
-        let mut rng = SmallRng::seed_from_u64(22);
-        let mut scratch = CheckpointScratch::new();
-        let mut process = VersionedCounter {
-            inner: Counter {
-                value: 1,
-                history: vec![2.0],
-            },
-            version: 7,
-        };
-        let (a, _) = engine.checkpoint_with(&mut scratch, &mut rng, &process, meta());
-        assert_eq!(scratch.stats().encodes, 1);
-        assert_eq!(scratch.stats().encode_skips, 0);
-        // Same version: served from cache, payload byte-identical.
-        let (b, _) = engine.checkpoint_with(&mut scratch, &mut rng, &process, meta());
-        assert_eq!(scratch.stats().encodes, 1, "no re-encode");
-        assert_eq!(scratch.stats().encode_skips, 1);
-        assert_eq!(a.payload, b.payload);
-        assert_ne!(a.id, b.id, "nonces still differ");
-        // Mutation bumps the version: cache miss, fresh encode.
-        process.inner.value = 2;
-        process.version = 8;
-        let (c, _) = engine.checkpoint_with(&mut scratch, &mut rng, &process, meta());
-        assert_eq!(scratch.stats().encodes, 2);
-        assert_ne!(c.payload, b.payload);
     }
 
     #[test]
@@ -485,30 +384,24 @@ mod tests {
 
     #[test]
     fn invalidate_prevents_cross_instance_cache_hits() {
+        // One scratch serving two process instances in turn: the second
+        // checkpoint carries the second instance's state, never a stale
+        // payload of the first.
         let engine = SimCriuEngine::new();
         let mut rng = SmallRng::seed_from_u64(23);
         let mut scratch = CheckpointScratch::new();
-        let first = VersionedCounter {
-            inner: Counter {
-                value: 10,
-                history: vec![],
-            },
-            version: 0,
+        let first = Counter {
+            value: 10,
+            history: vec![],
         };
-        // A *different* instance that coincidentally shares version 0 —
-        // exactly the collision the invalidate contract guards against.
-        let second = VersionedCounter {
-            inner: Counter {
-                value: 99,
-                history: vec![],
-            },
-            version: 0,
+        let second = Counter {
+            value: 99,
+            history: vec![],
         };
         engine.checkpoint_with(&mut scratch, &mut rng, &first, meta());
-        scratch.invalidate();
         let (snap, _) = engine.checkpoint_with(&mut scratch, &mut rng, &second, meta());
-        let (restored, _): (VersionedCounter, _) = engine.restore(&mut rng, &snap).unwrap();
-        assert_eq!(restored.inner.value, 99, "stale cache must not leak");
+        let (restored, _): (Counter, _) = engine.restore(&mut rng, &snap).unwrap();
+        assert_eq!(restored.value, 99, "stale cache must not leak");
         assert_eq!(scratch.stats().encodes, 2);
     }
 

@@ -114,12 +114,10 @@ impl Runtime {
     /// (request execution, tier promotions, deoptimizations, code-cache
     /// installs, compile-queue changes).
     ///
-    /// Two observations with the same version are guaranteed to have
-    /// byte-identical encoded state, which lets a checkpoint engine skip
-    /// re-encoding entirely. The converse is *not* a guarantee across
-    /// runtime instances: two different lineages can coincidentally share
-    /// version numbers, so version-keyed caches must be invalidated
-    /// whenever the underlying runtime instance is swapped.
+    /// Two observations of one runtime with the same version have
+    /// byte-identical encoded state; two runtime instances may share a
+    /// version with different state. The counter is part of the encoded
+    /// state, so it travels through a checkpoint and restore.
     pub fn state_version(&self) -> u64 {
         self.state_version
     }

@@ -53,10 +53,6 @@ impl Checkpointable for Runtime {
         })
     }
 
-    fn state_version(&self) -> Option<u64> {
-        Some(self.state_version)
-    }
-
     fn image_size_bytes(&self) -> u64 {
         let code = self.code_cache_used as f64 * self.profile.image_bytes_per_code_byte;
         let profiles = self.method_profiles.len() as u64 * 48 * 1024;

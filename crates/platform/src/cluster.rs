@@ -25,9 +25,7 @@
 //! The whole cluster shares one deployment — one orchestrator, snapshot
 //! pool and set of seeded RNG streams — so the `nodes = 1` run replays
 //! the exact event sequence of [`crate::run_closed_loop`] and is pinned
-//! byte-identical to it (see the goldens in `tests/`). Each worker slot
-//! keeps its own encode cache, so a checkpoint can never reuse another
-//! live worker's cached payload.
+//! byte-identical to it (see the goldens in `tests/`).
 
 use crate::config::RunConfig;
 use crate::plan::{run, ArrivalSpec, TopologySpec};
@@ -274,24 +272,6 @@ mod tests {
             single.result.restore_bytes(),
             single.result.overheads.nominal_bytes_downloaded
         );
-    }
-
-    #[test]
-    fn checkpoints_never_reuse_another_workers_encode() {
-        // Eight live workers at rate 4 under saturation. An encode cache
-        // shared across slots would hand a worker whose state version
-        // collides with another's cached encode that worker's bytes. Each
-        // worker checkpoints at most once per instance, so a per-slot
-        // cache never has a legitimate hit.
-        let bench = by_name("MST").unwrap();
-        let spec = ClusterSpec::new(2)
-            .with_capacity(4)
-            .with_routing(RoutingPolicy::LoadAware);
-        let mut c = contended(PolicyKind::RequestCentric, 4).with_cluster(spec);
-        c.invocations = 500;
-        let r = run_cluster(&bench, &c);
-        assert!(r.result.codec.encodes > 50, "{:?}", r.result.codec);
-        assert_eq!(r.result.codec.encode_skips, 0, "{:?}", r.result.codec);
     }
 
     #[test]

@@ -132,8 +132,7 @@ struct Slot {
     /// When the slot's current (or last) request finishes on the virtual
     /// clock; only [`Routing::Ring`] queues on it.
     busy_until: SimTime,
-    /// The slot's own encode cache: a cached encode is only valid for the
-    /// process instance that produced it.
+    /// The slot's encoder scratch and codec counters.
     scratch: CheckpointScratch,
 }
 

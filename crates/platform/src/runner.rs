@@ -364,9 +364,6 @@ impl<'w> Session<'w> {
         explore: bool,
         now: SimTime,
     ) -> (Worker, Option<RestoredFrom>) {
-        // A new worker is a new process instance: its state-version counter
-        // restarts, so the encode cache must not match across instances.
-        scratch.invalidate();
         let mut plan = dep.orch.begin_worker(&mut self.policy_rng);
         let mut provision_us = plan.startup_overhead.as_micros() as f64;
         let wrng = self
