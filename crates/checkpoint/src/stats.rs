@@ -10,15 +10,15 @@
 pub struct CodecStats {
     /// Full state encodes performed.
     pub encodes: u64,
-    /// Encodes skipped because the process state version was unchanged
-    /// since the cached encode (dirty-tracking fast path).
+    /// Encodes skipped. Always 0, since every checkpoint encodes afresh;
+    /// the benchmark package still reports it.
     pub encode_skips: u64,
     /// Payload bytes produced by full encodes.
     pub bytes_encoded: u64,
-    /// Payload re-encodes avoided, in bytes (the cached payload's size,
-    /// counted once per skip).
+    /// Payload bytes of skipped encodes. Always 0, like
+    /// [`Self::encode_skips`].
     pub bytes_skipped: u64,
-    /// Buffer allocations avoided via scratch reuse and cache hits.
+    /// Buffer allocations avoided. Always 0: no code path counts them.
     pub allocations_avoided: u64,
     /// Wall-clock nanoseconds spent encoding process state.
     pub encode_ns: u64,
@@ -51,16 +51,6 @@ impl CodecStats {
         self.delta_bytes_written += other.delta_bytes_written;
         self.delta_pages_written += other.delta_pages_written;
         self.delta_pages_total += other.delta_pages_total;
-    }
-
-    /// Fraction of checkpoint requests served from the encode cache.
-    pub fn skip_ratio(&self) -> f64 {
-        let total = self.encodes + self.encode_skips;
-        if total == 0 {
-            0.0
-        } else {
-            self.encode_skips as f64 / total as f64
-        }
     }
 }
 
@@ -100,16 +90,5 @@ mod tests {
                 delta_pages_total: 22,
             }
         );
-    }
-
-    #[test]
-    fn skip_ratio_handles_empty_and_mixed() {
-        assert_eq!(CodecStats::default().skip_ratio(), 0.0);
-        let s = CodecStats {
-            encodes: 1,
-            encode_skips: 3,
-            ..CodecStats::default()
-        };
-        assert!((s.skip_ratio() - 0.75).abs() < 1e-12);
     }
 }

@@ -27,9 +27,8 @@
 //! benchmark package.
 //!
 //! This module also owns the grid report proper: the [`CodecStats`]
-//! merged across every cell — encodes performed vs skipped by dirty
-//! tracking, bytes encoded vs avoided, allocations saved by scratch
-//! reuse. Codec throughput is measured by the `codec_throughput`
+//! merged across every cell — encodes performed and payload bytes
+//! encoded. Codec throughput is measured by the `codec_throughput`
 //! criterion bench, not here.
 
 use crate::grid::Grid;
@@ -140,11 +139,7 @@ pub fn grid_codec(grid: &Grid) -> CodecStats {
 fn codec_obj(s: &CodecStats) -> String {
     json_object(&[
         ("encodes", Value::Uint(s.encodes)),
-        ("encode_skips", Value::Uint(s.encode_skips)),
-        ("skip_ratio", Value::Float(s.skip_ratio(), 4)),
         ("bytes_encoded", Value::Uint(s.bytes_encoded)),
-        ("bytes_skipped", Value::Uint(s.bytes_skipped)),
-        ("allocations_avoided", Value::Uint(s.allocations_avoided)),
     ])
 }
 
