@@ -56,6 +56,11 @@ impl CheckpointScratch {
     pub fn stats(&self) -> &CodecStats {
         &self.stats
     }
+
+    /// Zeroes the perf counters; the encode buffer is kept.
+    pub fn reset_stats(&mut self) {
+        self.stats = CodecStats::default();
+    }
 }
 
 /// Errors surfaced by checkpoint/restore operations.

@@ -452,6 +452,22 @@ impl Orchestrator {
         &self.overheads
     }
 
+    /// Restarts every accumulated counter (overheads, store, chain and
+    /// storage-tier accounting) and keeps what was learned: the pool, the
+    /// chains, the cache contents and θ. The pool's peak restarts from
+    /// its current size.
+    pub fn reset_measurements(&mut self) {
+        self.overheads = OverheadTotals {
+            peak_pool_nominal_bytes: self.pool_nominal_bytes(),
+            ..OverheadTotals::default()
+        };
+        self.store.reset_stats();
+        if let Some(chains) = &mut self.chains {
+            chains.reset_stats();
+        }
+        self.storage.reset_stats();
+    }
+
     /// The object store's accounting.
     pub fn store_stats(&self) -> StoreStats {
         self.store.stats()

@@ -218,15 +218,22 @@ impl Topology {
         locality
     }
 
-    /// Zeroes the per-node and locality counters, keeping every learned
-    /// state (blob residency included), so a measured window reports only
-    /// its own requests.
+    /// Zeroes the per-node, locality, codec and orchestrator counters,
+    /// keeping every learned state (pool, chains, cache contents, θ and
+    /// blob residency), so a measured window reports only its own
+    /// requests.
     pub(crate) fn reset_measurements(&mut self) {
         for node in &mut self.nodes {
             node.stats = NodeBreakdown {
                 node: node.stats.node,
                 ..NodeBreakdown::default()
             };
+            for slot in &mut node.slots {
+                slot.scratch.reset_stats();
+            }
+        }
+        for dep in &mut self.deps {
+            dep.orch.reset_measurements();
         }
         if let Routing::Ring { dir, .. } = &mut self.routing {
             dir.reset_stats();

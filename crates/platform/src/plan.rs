@@ -168,8 +168,10 @@ pub fn run(
     let history = Arrivals::closed_loop(cfg.invocations, gap);
     engine::run(&mut session, &mut topo, history);
     if let ArrivalSpec::Trace(trace) = arrivals {
-        // The window keeps what the deployment learned; the history's
-        // workers are gone (the window is a fresh 15 minutes much later).
+        // The window keeps what the deployment learned (pool, chains,
+        // cache contents, θ) and reports only its own counters; the
+        // history's workers are gone (the window is a fresh 15 minutes
+        // much later).
         session.reset_measurements();
         topo.reset_measurements();
         let (first, iter) = (u64::from(cfg.invocations), trace.arrivals().iter().copied());

@@ -40,11 +40,12 @@ pub struct NodeBreakdown {
     pub peak_workers: u32,
 }
 
-/// Everything measured during one run. With a trace, the per-request and
-/// per-provision measurements — latencies, provisions, checkpoints,
-/// restores, provisioning, node and locality counters — cover the measured
-/// window only; the orchestrator's accounting (overheads, store, chain and
-/// storage counters) covers the deployment's history too.
+/// Everything measured during one run. With a trace, every measurement —
+/// latencies, provisions, checkpoints, restores, provisioning, node,
+/// locality and codec counters, and the orchestrator's accounting
+/// (overheads, store, chain and storage counters) — covers the measured
+/// window only; the store's gauges and the pool's peak start from what
+/// the history left.
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// Benchmark name.

@@ -90,6 +90,10 @@ fn every_arrival_source_on_every_topology_serves_every_arrival() {
                 sum(|n| n.restores),
                 "{label}"
             );
+            // Every restored byte is a store download or a cross-node
+            // transfer, over the same span: the history's are not reported.
+            let moved = r.overheads.nominal_bytes_downloaded + l.remote_bytes;
+            assert_eq!(r.restore_bytes(), moved, "{label}");
             let p = r.provisioning;
             let resolved = p.pre_restores_used + p.pre_restores_wasted;
             assert_eq!(p.pre_restores_issued, resolved, "{label}: {p:?}");
@@ -97,6 +101,38 @@ fn every_arrival_source_on_every_topology_serves_every_arrival() {
         }
     }
     assert!(issued > 0, "no pair pre-restored");
+}
+
+#[test]
+fn a_trace_window_reports_only_its_own_counters() {
+    // Four load-aware nodes of one slot each; 120 arrivals 1 ms apart
+    // after the closed-loop history.
+    let workload = by_name("Hash").unwrap();
+    let arrivals = (0..120).map(|k| SimTime::from_micros(k * 1_000)).collect();
+    let trace = Trace::new(arrivals, SimDuration::from_secs(1));
+    let spec = ClusterSpec::new(4)
+        .with_capacity(1)
+        .with_routing(RoutingPolicy::LoadAware);
+    let c = RunConfig::paper(PolicyKind::RequestCentric, 1, 7)
+        .with_invocations(120)
+        .with_cluster(spec);
+    let r = run(
+        &workload,
+        &c,
+        ArrivalSpec::Trace(&trace),
+        TopologySpec::Cluster,
+    )
+    .unwrap();
+    assert_eq!(r.latencies_us.len(), 120);
+    let moved = r.overheads.nominal_bytes_downloaded + r.locality.remote_bytes;
+    assert_eq!(r.restore_bytes(), moved);
+    // The orchestrator's and the codec's counters cover the same window
+    // as the latencies.
+    assert_eq!(r.overheads.requests, 120);
+    assert_eq!(r.overheads.startups as usize, r.provisions.len());
+    assert_eq!(r.overheads.checkpoints as usize, r.checkpoint_ms.len());
+    assert_eq!(r.codec.encodes as usize, r.checkpoint_ms.len());
+    assert_eq!(r.store_stats.puts as usize, r.checkpoint_ms.len());
 }
 
 #[test]

@@ -251,6 +251,11 @@ impl ChainIndex {
         &self.stats
     }
 
+    /// Zeroes the chain counters; the lineage itself is kept.
+    pub fn reset_stats(&mut self) {
+        self.stats = ChainStats::default();
+    }
+
     /// Live (non-evicted) node count, for tests and debugging.
     pub fn live_count(&self) -> usize {
         self.nodes.values().filter(|n| !n.evicted).count()

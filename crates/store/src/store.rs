@@ -480,6 +480,19 @@ impl ObjectStore {
         self.inner.lock().stats
     }
 
+    /// Restarts the accounting: the cumulative counters go to zero, the
+    /// gauges (`bytes_stored`, `objects`) keep the current contents and
+    /// the peak restarts from them. Stored objects are untouched.
+    pub fn reset_stats(&self) {
+        let stats = &mut self.inner.lock().stats;
+        *stats = StoreStats {
+            bytes_stored: stats.bytes_stored,
+            peak_bytes_stored: stats.bytes_stored,
+            objects: stats.objects,
+            ..StoreStats::default()
+        };
+    }
+
     /// Number of distinct payload blobs resident in the dedup table.
     pub fn blob_count(&self) -> usize {
         self.inner.lock().blobs.len()

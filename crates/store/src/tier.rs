@@ -469,6 +469,11 @@ impl StorageTier {
         }
     }
 
+    /// Zeroes the statistics; the cache keeps its contents.
+    pub fn reset_stats(&mut self) {
+        self.stats = StorageStats::default();
+    }
+
     /// The cache tier, if configured.
     pub fn cache(&self) -> Option<&CacheTier> {
         self.cache.as_ref()
