@@ -21,7 +21,7 @@
 //!   identical (byte-for-byte) single-node run.
 
 use crate::bench_report::json_object;
-use crate::sweep::{paper_benchmarks, Ablation, Cell, Columns, Field, Value};
+use crate::sweep::{fields_table, paper_benchmarks, Ablation, Cell, Columns, Field, Value};
 use crate::ExperimentContext;
 use pronghorn_core::PolicyKind;
 use pronghorn_platform::{run_cluster, ClusterRunResult, ClusterSpec, RoutingPolicy, RunConfig};
@@ -102,7 +102,7 @@ impl ClusterAblation {
         let mut out = format!(
             "Cluster ablation (request-centric policy, {CONTENTION_GAP_MS} ms gap, \
              capacity {NODE_CAPACITY}/node)\n\n{}\n",
-            self.arm_table()
+            fields_table(&self.arm_rows())
         );
         for nodes in self.axes() {
             if nodes == 1 {

@@ -11,7 +11,7 @@
 //! to the full-snapshot arm.
 
 use crate::grid::PAPER_RATES;
-use crate::sweep::{paper_benchmarks, Ablation, Cell, Columns, Field, Value};
+use crate::sweep::{fields_table, paper_benchmarks, Ablation, Cell, Columns, Field, Value};
 use crate::ExperimentContext;
 use pronghorn_checkpoint::DeltaPolicy;
 use pronghorn_core::PolicyKind;
@@ -132,7 +132,7 @@ impl DeltaAblation {
     pub fn render(&self) -> String {
         let mut out = format!(
             "Delta-checkpointing ablation (request-centric policy)\n\n{}\n",
-            self.arm_table()
+            fields_table(&self.arm_rows())
         );
         for arm in [DeltaArm::DeltaK4, DeltaArm::DeltaK16] {
             let (w5, total) = self.byte_wins(arm, 5.0);

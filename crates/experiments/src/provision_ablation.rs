@@ -27,7 +27,7 @@
 //! closed-loop tests.
 
 use crate::bench_report::json_object;
-use crate::sweep::{paper_benchmarks, Ablation, Cell, Columns, Field, Value};
+use crate::sweep::{fields_table, paper_benchmarks, Ablation, Cell, Columns, Field, Value};
 use crate::ExperimentContext;
 use pronghorn_core::PolicyKind;
 use pronghorn_platform::{
@@ -183,7 +183,7 @@ impl ProvisionAblation {
              best predictive arm beats reactive on {best}/{total} benchmarks; \
              Uploader win: {uploader}\n",
             self.hours,
-            self.sweep.arm_table(),
+            fields_table(&self.sweep.arm_rows()),
         )
     }
 

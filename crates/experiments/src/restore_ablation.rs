@@ -11,7 +11,7 @@
 //! benchmarks whose working set is a fraction of the image.
 
 use crate::grid::PAPER_RATES;
-use crate::sweep::{paper_benchmarks, Ablation, Cell, Columns, Field, Value};
+use crate::sweep::{fields_table, paper_benchmarks, Ablation, Cell, Columns, Field, Value};
 use crate::ExperimentContext;
 use pronghorn_core::PolicyKind;
 use pronghorn_metrics::{mean_and_std, Quantiles};
@@ -90,7 +90,7 @@ impl RestoreAblation {
     pub fn render(&self) -> String {
         let mut out = format!(
             "Restore-strategy ablation (request-centric policy)\n\n{}\n",
-            self.arm_table()
+            fields_table(&self.arm_rows())
         );
         let n = self.workloads().len();
         for rate in self.axes() {

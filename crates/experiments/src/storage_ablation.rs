@@ -14,7 +14,7 @@
 //! benchmarks.
 
 use crate::grid::PAPER_RATES;
-use crate::sweep::{paper_benchmarks, Ablation, Cell, Columns, Field, Value};
+use crate::sweep::{fields_table, paper_benchmarks, Ablation, Cell, Columns, Field, Value};
 use crate::ExperimentContext;
 use pronghorn_checkpoint::DeltaPolicy;
 use pronghorn_core::PolicyKind;
@@ -167,7 +167,7 @@ impl StorageAblation {
     pub fn render(&self) -> String {
         let mut out = format!(
             "Tiered-storage ablation (request-centric policy, delta K={DELTA_DEPTH})\n\n{}\n",
-            self.arm_table()
+            fields_table(&self.arm_rows())
         );
         let (wins, total) = self.restore_wins(StorageArm::Composed);
         out.push_str(&format!(

@@ -16,7 +16,7 @@
 //! the headline claims it makes from the resulting [`Ablation`]. The
 //! lists drive every output: the CSV ([`Ablation::to_csv`]), the
 //! `BENCH_*.json` arms ([`Ablation::bench_report`]) and the printed
-//! table ([`Ablation::arm_table`]).
+//! table ([`fields_table`] of [`Ablation::arm_rows`]).
 
 use crate::bench_report::BenchReport;
 use crate::fig45::{FIG4_BENCHMARKS, FIG5_BENCHMARKS};
@@ -348,11 +348,6 @@ impl<A: Columns<R>, R> Ablation<A, R> {
         rows
     }
 
-    /// The per-arm lists as a printed table (see [`fields_table`]).
-    pub fn arm_table(&self) -> String {
-        fields_table(&self.arm_rows())
-    }
-
     /// A `BENCH_<name>.json` report with one arm entry per per-arm list;
     /// the caller adds the `config` entries and any trailing sections.
     pub fn bench_report(&self, name: &'static str) -> BenchReport {
@@ -520,7 +515,7 @@ pub(crate) mod tests {
         let json = ablation.bench_report("t").render();
         assert!(json.contains("{\"arm\": \"a\", \"total\": 100, \"nested\": [1]},"));
         assert!(json.contains("{\"arm\": \"b\", \"total\": 104, \"mean\": null}\n"));
-        let table = ablation.arm_table();
+        let table = fields_table(&ablation.arm_rows());
         let mut lines = table.lines();
         assert_eq!(
             lines.next().unwrap().split_whitespace().collect::<Vec<_>>(),
