@@ -98,8 +98,8 @@ pub fn matrix_mult() -> SpecWorkload {
             // Latency scales with f (cube of the linear dimension).
             let n = ((24.0 * f.cbrt()) as usize).max(2);
             // Two random n × n operands; the product costs n³ multiply-adds.
-            matrix::Matrix::skip_random(rng, n, n);
-            matrix::Matrix::skip_random(rng, n, n);
+            matrix::skip_random(rng, n, n);
+            matrix::skip_random(rng, n, n);
             (n * n * n) as f64
         }),
     })

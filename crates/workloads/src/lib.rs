@@ -2,16 +2,17 @@
 //!
 //! Table 3 lists thirteen benchmarks (four Java, nine Python) drawn from
 //! ServerlessBench, FaaSDom, SeBS, and the authors' HotOS'21 study; Table 1
-//! adds a JSON workload. [`kernels`] implements every one of them as an
-//! actual algorithm (graph traversals, a template engine, SHA-256, a JSON
-//! parser, an LZ77 compressor, image pipelines, ...) on randomized inputs.
-//! A request's work units are those algorithms' work counters. Each
-//! benchmark computes them in a *work-unit form*: the same random draws and
-//! the same counters, bit for bit, without building the output the
-//! algorithm would discard (distances, digests, token streams, HTML, word
-//! maps). The real algorithms are the oracle of a differential test
-//! (`tests/work_units.rs`); JSON, Table 1 only, still runs for real. The
-//! JIT runtime simulator prices the units by compilation tier, so:
+//! adds a JSON workload. Each one is an actual algorithm (graph
+//! traversals, a template engine, SHA-256, a JSON parser, an LZ77
+//! compressor, image pipelines, ...) on randomized inputs, and a
+//! request's work units are that algorithm's work counters. Each
+//! benchmark computes them in a *work-unit form* ([`kernels`]): the same
+//! random draws and the same counters, bit for bit, without building the
+//! output the algorithm would discard (distances, digests, token streams,
+//! HTML, word maps). The algorithms themselves live in `tests/oracle/`,
+//! the oracle of a differential test (`tests/work_units.rs`); JSON,
+//! Table 1 only, still runs for real. The JIT runtime simulator prices
+//! the units by compilation tier, so:
 //!
 //! - request latency scales with the random input size ("the execution
 //!   latency directly scales with the size of the random graph", §5.1);

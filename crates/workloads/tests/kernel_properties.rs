@@ -1,13 +1,16 @@
 //! Property-based tests for the benchmark kernels.
 //!
-//! The kernels are real algorithms. The benchmarks price requests with
-//! their work-unit forms, and `work_units.rs` checks those forms against
-//! these algorithms; these properties pin the algorithms themselves on
+//! The benchmarks price requests with work-unit forms, and `work_units.rs`
+//! checks those against the real algorithms in `oracle/`; these properties
+//! pin the algorithms (and the library's template engine and JSON) on
 //! arbitrary inputs, not just the unit-test vectors.
 
 #![forbid(unsafe_code)]
 
-use pronghorn_workloads::kernels::{compress, graph, hashing, html, json, media, text};
+mod oracle;
+
+use oracle::{compress, graph, hashing, media, text};
+use pronghorn_workloads::kernels::{html, json};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

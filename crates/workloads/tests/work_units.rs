@@ -2,15 +2,22 @@
 //!
 //! Each benchmark's `kernel` computes its work units without building the
 //! output its algorithm would discard. The reference functions below are
-//! the kernels as they were when they still ran the real algorithms, kept
-//! verbatim: for every seed and size factor, a kernel must return the
-//! reference's `f64` bit for bit and leave the generator in the same
-//! state. The edge cases at the end pin the closed forms where they are
-//! easiest to get wrong.
+//! the kernels as they were when they still ran the real algorithms (now
+//! in `oracle/`), kept verbatim: for every seed and size factor, a kernel
+//! must return the reference's `f64` bit for bit and leave the generator
+//! in the same state. The edge cases at the end pin the closed forms where
+//! they are easiest to get wrong.
 
 #![forbid(unsafe_code)]
 
-use pronghorn_workloads::kernels::{compress, graph, hashing, html, matrix, media, text};
+mod oracle;
+
+use oracle::{compress, graph, hashing, matrix, media, text};
+use pronghorn_workloads::kernels::compress::compress_stats;
+use pronghorn_workloads::kernels::graph::{random_edge_count, EdgeList};
+use pronghorn_workloads::kernels::media::{gif_pipeline_stats, skip_random_image, thumbnail_stats};
+use pronghorn_workloads::kernels::text::generated_text_len;
+use pronghorn_workloads::kernels::{hashing::sha256_blocks, html, matrix::skip_random};
 use pronghorn_workloads::{by_name, InputVariance, SpecWorkload, Workload};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -278,6 +285,17 @@ fn calibration_is_unchanged() {
     }
 }
 
+/// Asserts that `edges` gives the reference's MST and PageRank on `g`,
+/// bit for bit.
+fn assert_edge_list_matches(g: &graph::Graph, edges: &EdgeList, iters: usize, tol: f64) {
+    assert_eq!(edges.mst_kruskal(), graph::mst_kruskal(g));
+    let (want, got) = (graph::pagerank(g, iters, tol), edges.pagerank(iters, tol));
+    assert_eq!(got.iterations, want.iterations);
+    assert_eq!(got.edge_updates, want.edge_updates);
+    let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got.ranks), bits(&want.ranks));
+}
+
 #[test]
 fn two_node_graphs() {
     for seed in 0..200u64 {
@@ -286,18 +304,13 @@ fn two_node_graphs() {
             let mut b = a.clone();
             let mut c = a.clone();
             let g = graph::Graph::random(&mut a, 2, extra);
-            let edges = graph::EdgeList::random(&mut b, 2, extra);
-            let count = graph::random_edge_count(&mut c, 2, extra);
+            let edges = EdgeList::random(&mut b, 2, extra);
+            let count = random_edge_count(&mut c, 2, extra);
             assert_eq!(a, b);
             assert_eq!(a, c);
             assert_eq!(count, g.edge_count());
             assert_eq!(edges.edge_count(), g.edge_count());
-            assert_eq!(edges.mst_kruskal(), graph::mst_kruskal(&g));
-            let (want, got) = (graph::pagerank(&g, 25, 1e-7), edges.pagerank(25, 1e-7));
-            assert_eq!(got.iterations, want.iterations);
-            assert_eq!(got.edge_updates, want.edge_updates);
-            let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got.ranks), bits(&want.ranks));
+            assert_edge_list_matches(&g, &edges, 25, 1e-7);
             // Connected: a traversal scans every directed edge once.
             assert_eq!(graph::bfs(&g).1.edges_scanned, 2 * count);
             assert_eq!(graph::dfs(&g).1.edges_scanned, 2 * count);
@@ -312,17 +325,9 @@ fn edge_list_forms_match_on_single_node_and_dense_graphs() {
             let mut a = SmallRng::seed_from_u64(seed);
             let mut b = a.clone();
             let g = graph::Graph::random(&mut a, n, extra);
-            let edges = graph::EdgeList::random(&mut b, n, extra);
+            let edges = EdgeList::random(&mut b, n, extra);
             assert_eq!(a, b);
-            assert_eq!(edges.mst_kruskal(), graph::mst_kruskal(&g));
-            let (want, got) = (graph::pagerank(&g, 50, 1e-9), edges.pagerank(50, 1e-9));
-            assert_eq!(got.iterations, want.iterations);
-            assert_eq!(got.edge_updates, want.edge_updates);
-            assert!(got
-                .ranks
-                .iter()
-                .zip(&want.ranks)
-                .all(|(x, y)| x.to_bits() == y.to_bits()));
+            assert_edge_list_matches(&g, &edges, 50, 1e-9);
         }
     }
 }
@@ -335,11 +340,11 @@ fn hash_blocks_at_the_padding_boundary() {
         let data = vec![0xa5u8; len as usize];
         let mut h = hashing::Sha256::new();
         h.update(&data);
-        assert_eq!(hashing::sha256_blocks(len), h.finalize().1, "len {len}");
+        assert_eq!(sha256_blocks(len), h.finalize().1, "len {len}");
     }
-    assert_eq!(hashing::sha256_blocks(55), 1);
-    assert_eq!(hashing::sha256_blocks(56), 2);
-    assert_eq!(hashing::sha256_blocks(64), 2);
+    assert_eq!(sha256_blocks(55), 1);
+    assert_eq!(sha256_blocks(56), 2);
+    assert_eq!(sha256_blocks(64), 2);
     // Through the kernel: `bytes = 8192 f` is exact for f = bytes / 8192.
     let hash_bench = bench("Hash");
     for bytes in [64u32, 119, 120, 8_192 + 55, 8_192 + 56, 64 * 200 + 55] {
@@ -361,7 +366,7 @@ fn word_count_single_word_and_sentence_endings() {
             let mut a = SmallRng::seed_from_u64(seed);
             let mut b = a.clone();
             let prose = text::generate_text(&mut a, words);
-            assert_eq!(text::generated_text_len(&mut b, words), prose.len());
+            assert_eq!(generated_text_len(&mut b, words), prose.len());
             assert_eq!(a, b);
             assert_eq!(text::word_count(&prose).tokens, words);
             let longer = text::generate_text(&mut SmallRng::seed_from_u64(seed), words + 1);
@@ -384,17 +389,13 @@ fn eight_by_eight_images() {
         let mut rng = SmallRng::seed_from_u64(w as u64 * 100 + h as u64);
         let mut skipped = rng.clone();
         let img = media::Image::random(&mut rng, w, h);
-        media::skip_random_image(&mut skipped, w, h);
+        skip_random_image(&mut skipped, w, h);
         assert_eq!(rng, skipped);
         for (ow, oh) in [(w / 3, h / 3), (w, h), (1, 1), (w / 2, h)] {
             let real = media::thumbnail(&img, ow, oh).map(|(_, stats)| stats);
-            assert_eq!(
-                media::thumbnail_stats(w, h, ow, oh),
-                real,
-                "{w}x{h} -> {ow}x{oh}"
-            );
+            assert_eq!(thumbnail_stats(w, h, ow, oh), real, "{w}x{h} -> {ow}x{oh}");
         }
-        assert_eq!(media::thumbnail_stats(w, h, w + 1, h), None);
+        assert_eq!(thumbnail_stats(w, h, w + 1, h), None);
     }
     // The 4 × 4 watermark at (4, 4) fits an 8 × 8 frame exactly, and is
     // clipped in smaller ones.
@@ -405,7 +406,7 @@ fn eight_by_eight_images() {
             .collect();
         let mark = media::Image::random(&mut rng, 4, 4);
         let real = media::gif_pipeline(&mut frames, &mark);
-        assert_eq!(media::gif_pipeline_stats(6, w, h, 4, 4), real, "{w}x{h}");
+        assert_eq!(gif_pipeline_stats(6, w, h, 4, 4), real, "{w}x{h}");
     }
     let (thumb_bench, video_bench) = (bench("Thumbnailer"), bench("Video"));
     for seed in 0..50u64 {
@@ -481,7 +482,7 @@ fn compression_stats_match_on_edge_inputs() {
             .collect(),
     ];
     for input in &inputs {
-        assert_eq!(compress::compress_stats(input), compress::compress(input).1);
+        assert_eq!(compress_stats(input), compress::compress(input).1);
     }
 }
 
@@ -495,7 +496,7 @@ fn image_skips_above_the_jump_crossover() {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut skipped = rng.clone();
             media::Image::random(&mut rng, w, h);
-            media::skip_random_image(&mut skipped, w, h);
+            skip_random_image(&mut skipped, w, h);
             assert_eq!(rng, skipped, "{w}x{h}, seed {seed}");
         }
     }
@@ -508,7 +509,7 @@ fn matrix_skip_makes_the_draws_of_random() {
         let mut a = SmallRng::seed_from_u64(n as u64);
         let mut b = a.clone();
         let m = matrix::Matrix::random(&mut a, n, n);
-        matrix::Matrix::skip_random(&mut b, n, n);
+        skip_random(&mut b, n, n);
         assert_eq!(a, b);
         assert_eq!(m.multiply(&m).expect("square").1, n * n * n);
     }
