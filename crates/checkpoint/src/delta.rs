@@ -225,17 +225,6 @@ pub fn is_delta_frame(head: &[u8]) -> bool {
     head.len() >= 16 && &head[8..16] == DELTA_MAGIC
 }
 
-/// Per-page content addresses of `payload` at `page_size` granularity —
-/// the page ids a delta diff speaks in (index `i` covers bytes
-/// `[i*page_size, (i+1)*page_size)`).
-pub fn page_hashes(payload: &[u8], page_size: u64) -> Vec<u64> {
-    let page_size = page_size.max(1) as usize;
-    if payload.is_empty() {
-        return vec![fnv1a_wide(&[])];
-    }
-    payload.chunks(page_size).map(fnv1a_wide).collect()
-}
-
 /// Diffs `child` against `parent` over the child's page grid, returning
 /// the changed pages ascending by index. A page is changed when the
 /// parent has no bytes for it (the payload grew) or the bytes differ;
@@ -623,16 +612,6 @@ mod tests {
                 "header byte {i} accepted"
             );
         }
-    }
-
-    #[test]
-    fn page_hashes_cover_every_page() {
-        let payload: Vec<u8> = (0..2500).map(|i| i as u8).collect();
-        let hashes = page_hashes(&payload, 1024);
-        assert_eq!(hashes.len(), 3);
-        assert_eq!(hashes[0], fnv1a_wide(&payload[..1024]));
-        assert_eq!(hashes[2], fnv1a_wide(&payload[2048..]));
-        assert_eq!(page_hashes(&[], 1024).len(), 1);
     }
 
     #[test]

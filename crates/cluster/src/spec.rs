@@ -104,11 +104,6 @@ impl ClusterSpec {
         ClusterSpec::new(1)
     }
 
-    /// Whether this is the degenerate single-node shape.
-    pub fn is_single_node(&self) -> bool {
-        self.nodes == 1
-    }
-
     /// Sets per-node worker capacity (clamped to ≥ 1).
     pub fn with_capacity(mut self, capacity: u32) -> Self {
         self.capacity = capacity.max(1);
@@ -141,7 +136,7 @@ mod tests {
     #[test]
     fn single_node_defaults() {
         let s = ClusterSpec::single_node();
-        assert!(s.is_single_node());
+        assert_eq!(s.nodes, 1);
         assert_eq!(s.capacity, 1);
         assert_eq!(s.routing, RoutingPolicy::Hash);
         assert_eq!(s.placement, PlacementPolicy::Local);
@@ -161,7 +156,6 @@ mod tests {
             (s.nodes, s.capacity, s.routing, s.placement),
             (8, 3, RoutingPolicy::LoadAware, PlacementPolicy::Replicate)
         );
-        assert!(!s.is_single_node());
     }
 
     #[test]

@@ -157,21 +157,6 @@ impl WeightVector {
             .sum();
         total / f64::from(beta + 1)
     }
-
-    /// Estimated mean latency over a lifetime starting at `r0` — the
-    /// "lifetime latency" of §3.4, over the same inclusive window as
-    /// [`Self::lifetime_weight`], with unexplored slots contributing zero.
-    pub fn lifetime_latency(&self, r0: u32, beta: u32) -> f64 {
-        let beta = beta.max(1);
-        // pronglint: det-order — sums over the ascending range [r0, r0+beta].
-        let total: f64 = (r0..=r0 + beta)
-            .map(|r| {
-                let idx = (r as usize).min(self.theta.len().saturating_sub(1));
-                self.theta[idx]
-            })
-            .sum();
-        total / f64::from(beta + 1)
-    }
 }
 
 /// Draws an index proportionally to `weights`. Returns `None` for empty or
@@ -344,16 +329,6 @@ mod tests {
         let frontier = w.lifetime_weight(2, 1, 1e-3);
         let interior = w.lifetime_weight(0, 1, 1e-3);
         assert!(frontier > interior * 1_000.0, "{frontier} vs {interior}");
-    }
-
-    #[test]
-    fn lifetime_latency_is_mean_theta_inclusive() {
-        let mut w = WeightVector::new(4, 0.3);
-        w.update(0, 100.0);
-        w.update(1, 300.0);
-        w.update(2, 200.0);
-        // Inclusive window [0, 2]: (100 + 300 + 200) / 3.
-        assert_eq!(w.lifetime_latency(0, 2), 200.0);
     }
 
     #[test]

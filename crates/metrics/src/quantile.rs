@@ -157,29 +157,6 @@ impl Cdf {
             .enumerate()
             .map(move |(i, &x)| (x, (i + 1) as f64 / n))
     }
-
-    /// Samples the CDF at `n` log-spaced x positions between min and max —
-    /// the shape used to print Figure 4/5-style series on a log axis.
-    ///
-    /// Requires all samples to be strictly positive (latencies are);
-    /// returns an empty vector otherwise.
-    pub fn log_series(&self, n: usize) -> Vec<(f64, f64)> {
-        let lo = self.sorted[0];
-        let hi = *self.sorted.last().expect("non-empty");
-        if lo <= 0.0 || n == 0 {
-            return Vec::new();
-        }
-        if lo == hi {
-            return vec![(lo, 1.0)];
-        }
-        let (llo, lhi) = (lo.ln(), hi.ln());
-        (0..n)
-            .map(|i| {
-                let x = (llo + (lhi - llo) * i as f64 / (n - 1) as f64).exp();
-                (x, self.eval(x))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -252,26 +229,6 @@ mod tests {
         let c = Cdf::new(vec![5.0, 1.0]).unwrap();
         let pts: Vec<_> = c.points().collect();
         assert_eq!(pts, vec![(1.0, 0.5), (5.0, 1.0)]);
-    }
-
-    #[test]
-    fn log_series_spans_range_and_is_monotone() {
-        let c = Cdf::new(vec![100.0, 1_000.0, 10_000.0, 100_000.0]).unwrap();
-        let series = c.log_series(16);
-        assert_eq!(series.len(), 16);
-        assert!((series[0].0 - 100.0).abs() < 1e-9);
-        assert!((series[15].0 - 100_000.0).abs() < 1e-6);
-        for w in series.windows(2) {
-            assert!(w[1].0 > w[0].0);
-            assert!(w[1].1 >= w[0].1);
-        }
-        assert_eq!(series[15].1, 1.0);
-    }
-
-    #[test]
-    fn log_series_degenerate_single_value() {
-        let c = Cdf::new(vec![3.0, 3.0]).unwrap();
-        assert_eq!(c.log_series(8), vec![(3.0, 1.0)]);
     }
 
     #[test]

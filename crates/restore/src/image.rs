@@ -96,11 +96,6 @@ impl LazyImage {
         faults
     }
 
-    /// Number of currently resident pages.
-    pub fn resident_pages(&self) -> u32 {
-        self.resident.len() as u32
-    }
-
     /// The recording manifest, when this image records.
     pub fn recording(&self) -> Option<&WorkingSetManifest> {
         self.recording.as_ref()
@@ -139,7 +134,7 @@ mod tests {
         // Second request touching the same pages faults nothing.
         assert_eq!(img.first_touches(&[2, 5]), Vec::<u32>::new());
         assert_eq!(img.first_touches(&[5, 3]), vec![3]);
-        assert_eq!(img.resident_pages(), 4);
+        assert_eq!(img.resident.len(), 4);
     }
 
     #[test]

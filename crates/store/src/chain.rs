@@ -75,13 +75,6 @@ impl ChainStats {
         self.delta_nominal_bytes += other.delta_nominal_bytes;
         self.full_nominal_bytes += other.full_nominal_bytes;
     }
-
-    /// Nominal upload bytes saved by storing deltas instead of fulls is
-    /// not directly recoverable here; callers compare
-    /// `delta_nominal_bytes` against what fulls would have cost.
-    pub fn stored_total_nominal(&self) -> u64 {
-        self.delta_nominal_bytes + self.full_nominal_bytes
-    }
 }
 
 /// Lineage index over snapshot ids (a forest of delta chains).
@@ -382,6 +375,6 @@ mod tests {
         assert_eq!(b.max_depth, 6, "depth maxes, not sums");
         assert_eq!(b.composed_restores, 7);
         assert_eq!(b.composed_nominal_downloaded, 8);
-        assert_eq!(b.stored_total_nominal(), 19);
+        assert_eq!((b.delta_nominal_bytes, b.full_nominal_bytes), (9, 10));
     }
 }
