@@ -514,9 +514,10 @@ pub(crate) fn run<I: Iterator<Item = SimTime>>(
     let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
     let first = sorted.as_ref().map_or(0, |(_, first)| *first);
     let mut ahead = Ahead::new(session.inputs(), first, threads);
-    // Idle probes run on sorted sources with provisioning on, at most one
-    // pending at a time so they never accumulate in the kernel.
-    let probing = sorted.is_some() && cfg.provision.enabled();
+    // Idle probes run whenever provisioning is on, at most one pending at
+    // a time so they never accumulate in the kernel: they retire idle
+    // workers on time, and each retirement may plan a pre-restore.
+    let probing = cfg.provision.enabled();
     let probe_gap = cfg.idle_timeout + SimDuration::from_micros(1);
     let mut probe_pending = false;
     // Pre-warmed workers are exempt from idle eviction: they wait on

@@ -146,6 +146,23 @@ fn closed_loop_evicts_idle_workers() {
 }
 
 #[test]
+fn a_closed_loop_probes_idle_workers_and_pre_restores() {
+    // Every worker idles past the timeout before the next arrival, and
+    // none is evicted by count: only an idle probe retires it on time,
+    // and only that retirement plans a pre-restore.
+    let mut c = RunConfig::paper(PolicyKind::RequestCentric, 1_000, 5)
+        .with_invocations(60)
+        .with_idle_timeout(SimDuration::from_secs(30))
+        .with_provision(ProvisionPolicy::predictive(ForecasterKind::Ewma));
+    c.request_gap = SimDuration::from_secs(40);
+    let r = closed("Hash", &c, TopologySpec::Single).unwrap();
+    let p = r.provisioning;
+    assert!(p.pre_restores_used > 0, "{p:?}");
+    let resolved = p.pre_restores_used + p.pre_restores_wasted;
+    assert_eq!(p.pre_restores_issued, resolved, "{p:?}");
+}
+
+#[test]
 fn a_cluster_shape_outside_the_cluster_topology_is_rejected() {
     let spec = ClusterSpec::new(4);
     let c = RunConfig::paper(PolicyKind::RequestCentric, 4, 1).with_cluster(spec);
