@@ -5,6 +5,13 @@
 //! reports the best per-iteration time (plus MB/s when a
 //! [`Throughput`] was declared on the group).
 //!
+//! As in the real crate, the command line selects what runs: the first
+//! positional argument keeps only benchmarks whose `group/id` contains
+//! it (`cargo bench --bench substrates -- workload_generate`), and
+//! benchmarks are timed only when cargo passes `--bench`. Without it
+//! (`cargo test --benches`) each closure runs once, untimed, so a bench
+//! that panics fails the test run.
+//!
 //! When the `PRONGHORN_BENCH_JSON` environment variable names a file,
 //! every result is appended to it as one JSON object per line — the
 //! hook `scripts/bench_codec.sh` uses to assemble `BENCH_grid.json`.
@@ -46,15 +53,37 @@ pub enum BatchSize {
 pub struct Criterion {
     sample_size: usize,
     target_time: Duration,
+    /// Substring a benchmark's `group/id` must contain to run.
+    filter: Option<String>,
+    /// Time the benchmarks (`--bench`), or run each closure once.
+    timed: bool,
 }
 
 impl Default for Criterion {
+    /// Reads the filter and the mode from the process's arguments.
     fn default() -> Self {
+        let (filter, timed) = parse_args(std::env::args().skip(1));
         Criterion {
             sample_size: 10,
             target_time: Duration::from_millis(300),
+            filter,
+            timed,
         }
     }
+}
+
+/// The filter (the first argument that is not a flag) and whether
+/// `--bench` was passed.
+fn parse_args(args: impl IntoIterator<Item = String>) -> (Option<String>, bool) {
+    let (mut filter, mut timed) = (None, false);
+    for arg in args {
+        if arg == "--bench" {
+            timed = true;
+        } else if !arg.starts_with('-') && filter.is_none() {
+            filter = Some(arg);
+        }
+    }
+    (filter, timed)
 }
 
 impl Criterion {
@@ -65,16 +94,43 @@ impl Criterion {
             sample_size: self.sample_size,
             target_time: self.target_time,
             throughput: None,
-            _criterion: self,
+            criterion: self,
         }
     }
 
     /// Benchmarks `f` outside any group.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, f: F) -> &mut Self {
-        let sample_size = self.sample_size;
-        let target_time = self.target_time;
-        run_benchmark("", id, sample_size, target_time, None, f);
+        self.run("", id, self.sample_size, self.target_time, None, f);
         self
+    }
+
+    /// Runs one benchmark if its label passes the filter: timed, or once.
+    fn run<F: FnMut(&mut Bencher)>(
+        &self,
+        group: &str,
+        id: &str,
+        sample_size: usize,
+        target_time: Duration,
+        throughput: Option<Throughput>,
+        mut f: F,
+    ) {
+        let label = if group.is_empty() {
+            id.to_string()
+        } else {
+            format!("{group}/{id}")
+        };
+        if self.filter.as_ref().is_some_and(|s| !label.contains(s)) {
+            return;
+        }
+        if self.timed {
+            run_benchmark(group, id, &label, sample_size, target_time, throughput, f);
+        } else {
+            f(&mut Bencher {
+                iters: 1,
+                elapsed: Duration::ZERO,
+            });
+            println!("Testing {label}: Success");
+        }
     }
 }
 
@@ -84,7 +140,7 @@ pub struct BenchmarkGroup<'a> {
     sample_size: usize,
     target_time: Duration,
     throughput: Option<Throughput>,
-    _criterion: &'a mut Criterion,
+    criterion: &'a mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
@@ -112,7 +168,7 @@ impl BenchmarkGroup<'_> {
         id: impl Into<String>,
         f: F,
     ) -> &mut Self {
-        run_benchmark(
+        self.criterion.run(
             &self.name,
             &id.into(),
             self.sample_size,
@@ -164,6 +220,7 @@ impl Bencher {
 fn run_benchmark<F: FnMut(&mut Bencher)>(
     group: &str,
     id: &str,
+    label: &str,
     sample_size: usize,
     target_time: Duration,
     throughput: Option<Throughput>,
@@ -190,11 +247,6 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(
         }
     }
 
-    let label = if group.is_empty() {
-        id.to_string()
-    } else {
-        format!("{group}/{id}")
-    };
     let mut line = format!("bench: {label:<48} {}/iter", format_ns(best_ns));
     let mut rate = None;
     if let Some(t) = throughput {
@@ -269,12 +321,22 @@ macro_rules! criterion_main {
 mod tests {
     use super::*;
 
-    #[test]
-    fn bench_function_reports_plausible_time() {
-        let mut c = Criterion {
+    fn criterion(filter: Option<&str>, timed: bool) -> Criterion {
+        Criterion {
             sample_size: 3,
             target_time: Duration::from_millis(5),
-        };
+            filter: filter.map(str::to_string),
+            timed,
+        }
+    }
+
+    fn args(list: &[&str]) -> (Option<String>, bool) {
+        parse_args(list.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn bench_function_reports_plausible_time() {
+        let mut c = criterion(None, true);
         let mut group = c.benchmark_group("compat");
         group.throughput(Throughput::Bytes(1024));
         group.bench_function("sum", |b| b.iter(|| (0..100u64).sum::<u64>()));
@@ -282,5 +344,65 @@ mod tests {
             b.iter_batched(|| vec![1u8; 64], |v| v.len(), BatchSize::SmallInput)
         });
         group.finish();
+    }
+
+    #[test]
+    fn arguments_give_the_filter_and_the_mode() {
+        assert_eq!(args(&[]), (None, false));
+        assert_eq!(args(&["--bench"]), (None, true));
+        assert_eq!(
+            args(&["--bench", "workload_generate"]),
+            (Some("workload_generate".into()), true)
+        );
+        // Only the first argument that is not a flag filters.
+        assert_eq!(args(&["--quiet", "a", "b"]), (Some("a".into()), false));
+        assert_eq!(
+            args(&["--exact", "kernels", "--bench"]),
+            (Some("kernels".into()), true)
+        );
+    }
+
+    /// Calls of each benchmark's closure under `c`, in declaration order.
+    fn closure_calls(mut c: Criterion) -> [usize; 3] {
+        let mut calls = [0; 3];
+        let mut group = c.benchmark_group("compat");
+        group.bench_function("sum", |b| {
+            calls[0] += 1;
+            b.iter(|| 1)
+        });
+        group.bench_function("sum_batched", |b| {
+            calls[1] += 1;
+            b.iter_batched(|| 1, |x| x, BatchSize::SmallInput)
+        });
+        group.finish();
+        c.bench_function("ungrouped", |b| {
+            calls[2] += 1;
+            b.iter(|| 1)
+        });
+        calls
+    }
+
+    #[test]
+    fn filter_keeps_only_labels_that_contain_it() {
+        assert_eq!(
+            closure_calls(criterion(Some("compat/sum"), false)),
+            [1, 1, 0]
+        );
+        assert_eq!(closure_calls(criterion(Some("batched"), false)), [0, 1, 0]);
+        assert_eq!(
+            closure_calls(criterion(Some("ungrouped"), false)),
+            [0, 0, 1]
+        );
+        assert_eq!(closure_calls(criterion(Some("absent"), true)), [0, 0, 0]);
+    }
+
+    #[test]
+    fn only_bench_mode_times() {
+        // Untimed: each closure once; timed: calibration plus 3 samples.
+        assert_eq!(closure_calls(criterion(None, false)), [1, 1, 1]);
+        assert_eq!(
+            closure_calls(criterion(Some("compat/sum"), true)),
+            [4, 4, 0]
+        );
     }
 }
