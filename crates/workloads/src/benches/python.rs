@@ -183,20 +183,26 @@ pub fn compression() -> SpecWorkload {
         io_stale_sensitivity: 1.0,
         methods: pypy_methods("walk_files", "emit_tokens", "match_window"),
         kernel: Box::new(|rng, f| {
-            let bytes = ((8_192.0 * f) as usize).max(64);
-            let mut data = Vec::with_capacity(bytes);
-            while data.len() < bytes {
-                if rng.gen_bool(0.6) {
-                    data.extend_from_slice(b"the quick serverless function jumped over the jit ");
-                } else {
-                    data.extend((0..48).map(|_| rng.gen::<u8>()));
-                }
-            }
-            data.truncate(bytes);
+            let data = compression_files(rng, ((8_192.0 * f) as usize).max(64));
             let stats = compress::compress_stats(&data);
             stats.probes as f64 + (stats.bytes_in + stats.bytes_out) as f64 / 4.0
         }),
     })
+}
+
+/// The `bytes` of files the `Compression` benchmark zips: chunks of a
+/// 50-byte phrase (probability 0.6) or of 48 random bytes, cut to length.
+pub fn compression_files<R: Rng + ?Sized>(rng: &mut R, bytes: usize) -> Vec<u8> {
+    let mut data = Vec::with_capacity(bytes);
+    while data.len() < bytes {
+        if rng.gen_bool(0.6) {
+            data.extend_from_slice(b"the quick serverless function jumped over the jit ");
+        } else {
+            data.extend((0..48).map(|_| rng.gen::<u8>()));
+        }
+    }
+    data.truncate(bytes);
+    data
 }
 
 /// `Uploader`: upload a file from a URL to cloud storage — "entirely IO

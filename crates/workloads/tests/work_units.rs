@@ -13,12 +13,14 @@
 mod oracle;
 
 use oracle::{compress, graph, hashing, matrix, media, text};
+use pronghorn_workloads::benches::python::compression_files;
 use pronghorn_workloads::kernels::compress::compress_stats;
 use pronghorn_workloads::kernels::graph::{random_edge_count, EdgeList};
 use pronghorn_workloads::kernels::media::{gif_pipeline_stats, skip_random_image, thumbnail_stats};
 use pronghorn_workloads::kernels::text::generated_text_len;
 use pronghorn_workloads::kernels::{hashing::sha256_blocks, html, matrix::skip_random};
 use pronghorn_workloads::{by_name, InputVariance, SpecWorkload, Workload};
+use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::HashMap;
@@ -333,6 +335,25 @@ fn edge_list_forms_match_on_single_node_and_dense_graphs() {
 }
 
 #[test]
+fn pagerank_lanes_match_around_the_u16_node_limit() {
+    // Up to 65,535 nodes the lanes store `u16` indices (the sentinel is
+    // `n`); from 65,536 on, `u32`.
+    for n in [65_535, 65_536, 70_000] {
+        let mut a = SmallRng::seed_from_u64(n as u64);
+        let mut b = a.clone();
+        let g = graph::Graph::random(&mut a, n, n / 2);
+        let edges = EdgeList::random(&mut b, n, n / 2);
+        let (want, got) = (graph::pagerank(&g, 3, 0.0), edges.pagerank(3, 0.0));
+        assert_eq!(
+            (got.iterations, got.edge_updates),
+            (want.iterations, want.edge_updates)
+        );
+        let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.ranks), bits(&want.ranks), "{n} nodes");
+    }
+}
+
+#[test]
 fn hash_blocks_at_the_padding_boundary() {
     // The 0x80 marker and the 8-byte length fit after 55 bytes of a block
     // but not after 56.
@@ -512,5 +533,61 @@ fn matrix_skip_makes_the_draws_of_random() {
         skip_random(&mut b, n, n);
         assert_eq!(a, b);
         assert_eq!(m.multiply(&m).expect("square").1, n * n * n);
+    }
+}
+
+/// The compressor's search window, in bytes.
+const WINDOW: usize = 8_192;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The pull form's lanes give the reference's ranks, iterations and
+    /// edge updates on graphs of 1 to 799 nodes with up to `4n` extra
+    /// edges (repeated pairs become multi-edges), for every iteration cap
+    /// and tolerance the form treats alike: 0 stops only at the cap.
+    #[test]
+    fn pagerank_lanes_match_the_reference(
+        seed in any::<u64>(),
+        n in 1usize..800,
+        extra_draw in 0usize..3_200,
+        max_iters in 0usize..30,
+        tol_index in 0usize..3,
+    ) {
+        let extra = extra_draw % (4 * n + 1);
+        let tol = [0.0, 1e-3, 1e-7][tol_index];
+        let mut a = SmallRng::seed_from_u64(seed);
+        let mut b = a.clone();
+        let g = graph::Graph::random(&mut a, n, extra);
+        let edges = EdgeList::random(&mut b, n, extra);
+        let (want, got) = (graph::pagerank(&g, max_iters, tol), edges.pagerank(max_iters, tol));
+        prop_assert_eq!(got.iterations, want.iterations);
+        prop_assert_eq!(got.edge_updates, want.edge_updates);
+        let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got.ranks), bits(&want.ranks));
+    }
+
+    /// The count-driven probes and the filtered walks give the reference's
+    /// counters on the benchmark's own phrase and noise mix, across one to
+    /// three windows, where the window slides and the chain ring wraps.
+    #[test]
+    fn compression_counters_match_on_the_benchmark_mix(
+        seed in any::<u64>(),
+        bytes in 1usize..=3 * WINDOW,
+    ) {
+        let data = compression_files(&mut SmallRng::seed_from_u64(seed), bytes);
+        prop_assert_eq!(compress_stats(&data), compress::compress(&data).1);
+    }
+
+    /// A single-byte run longer than two windows: one hash holds the whole
+    /// window, so every count saturates at 32 probes and every match
+    /// reaches the longest length.
+    #[test]
+    fn compression_counters_match_on_long_single_byte_runs(
+        byte in any::<u8>(),
+        len in 2 * WINDOW + 1..=3 * WINDOW,
+    ) {
+        let data = vec![byte; len];
+        prop_assert_eq!(compress_stats(&data), compress::compress(&data).1);
     }
 }
