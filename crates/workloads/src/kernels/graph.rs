@@ -149,18 +149,21 @@ impl EdgeList {
         let n = self.nodes;
         let base = (1.0 - DAMPING) / n as f64;
         let mut ranks = vec![1.0 / n as f64; n];
-        let mut next = vec![0.0; n];
-        // One slot past the nodes: the padding's sentinel source.
-        let mut share = vec![0.0; n + 1];
+        // `next`, then `share` with one slot past the nodes for the
+        // padding's sentinel source.
+        let mut scratch = vec![0.0; 2 * n + 1];
+        let (next, share) = scratch.split_at_mut(n);
         let mut iterations = 0;
         for _ in 0..max_iters {
             iterations += 1;
             for ((s, &rank), &d) in share.iter_mut().zip(&ranks).zip(&lanes.degree) {
                 *s = DAMPING * rank / f64::from(d);
             }
-            for (targets, bounds) in lanes.order.chunks(LANES).zip(lanes.start.windows(2)) {
+            let mut first = 0;
+            for targets in lanes.order.chunks(LANES) {
+                let end = first + lanes.lane_len(targets);
                 let mut acc = [base; LANES];
-                for sources in lanes.sources[bounds[0]..bounds[1]].chunks_exact(LANES) {
+                for sources in lanes.sources[first..end].chunks_exact(LANES) {
                     for (a, &u) in acc.iter_mut().zip(sources) {
                         *a += share[u.index()];
                     }
@@ -168,9 +171,10 @@ impl EdgeList {
                 for (&v, a) in targets.iter().zip(acc) {
                     next[v.index()] = a;
                 }
+                first = end;
             }
-            let delta: f64 = ranks.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
-            std::mem::swap(&mut ranks, &mut next);
+            let delta: f64 = ranks.iter().zip(&*next).map(|(a, b)| (a - b).abs()).sum();
+            ranks.copy_from_slice(next);
             if delta < tol {
                 break;
             }
@@ -246,17 +250,17 @@ impl Node for u32 {
 /// Every node's in-list in ascending source order, laid out for
 /// [`EdgeList::pagerank`]'s lanes.
 ///
-/// The targets are ordered by degree, so a group's in-lists are about
-/// equally long, and cut into groups of [`LANES`]; group `g`'s lists are
-/// interleaved in `sources[start[g]..start[g + 1]]` (step `k` of its `j`th
-/// target at `start[g] + LANES * k + j`) and padded to the longest with
-/// the sentinel source `n`. One counting pass over the edges gives the
-/// degrees, which size both the lanes and a by-source array of the edges'
-/// two directions; walking that array in source order then fills each
+/// The targets are sorted by ascending degree, so a group's in-lists are
+/// about equally long, and cut into groups of [`LANES`]. The groups'
+/// lists follow each other in `sources`, interleaved (step `k` of a
+/// group's `j`th target at `LANES * k + j` from the group's start) and
+/// padded to the group's longest, its last target's, with the sentinel
+/// source `n`. One counting pass over the edges gives the degrees, which
+/// size both the lanes and a by-source array of the edges' two
+/// directions; walking that array in source order then fills each
 /// in-list in ascending source order.
 struct InLanes<N> {
     sources: Vec<N>,
-    start: Vec<usize>,
     /// The targets, group by group.
     order: Vec<N>,
     /// Each node's degree: its in-list's and its out-list's length.
@@ -272,22 +276,33 @@ impl<N: Node> InLanes<N> {
             degree[v as usize] += 1;
         }
         let longest = degree.iter().copied().max().unwrap_or(0) as usize;
-        let order: Vec<N> = counting_sort(0..n, longest + 1, |v| degree[v] as usize)
-            .into_iter()
-            .map(N::new)
-            .collect();
-        let mut start = Vec::with_capacity(n.div_ceil(LANES) + 1);
-        start.push(0);
-        for group in order.chunks(LANES) {
-            let len = group.iter().map(|v| degree[v.index()]).max().unwrap_or(0);
-            start.push(start[start.len() - 1] + LANES * len as usize);
+        // A counting sort of the nodes by degree: `at[d]` is where the
+        // next node of degree `d` goes.
+        let mut at = vec![0usize; longest + 2];
+        for &d in &degree {
+            at[d as usize + 1] += 1;
         }
-        let mut sources = vec![N::new(n); start[start.len() - 1]];
+        for d in 0..=longest {
+            at[d + 1] += at[d];
+        }
+        let mut order = vec![N::new(0); n];
+        for (v, &d) in degree.iter().enumerate() {
+            order[at[d as usize]] = N::new(v);
+            at[d as usize] += 1;
+        }
+        drop(at);
+        let mut lanes = InLanes {
+            sources: Vec::new(),
+            order,
+            degree,
+        };
+        let total = lanes.order.chunks(LANES).map(|g| lanes.lane_len(g)).sum();
+        lanes.sources = vec![N::new(n); total];
         // `next[u]` is where `u`'s next arc goes in `arcs`, the edges' two
         // directions by source.
         let mut next = Vec::with_capacity(n);
         let mut arc_count = 0;
-        for &d in &degree {
+        for &d in &lanes.degree {
             next.push(arc_count);
             arc_count += d as usize;
         }
@@ -300,19 +315,23 @@ impl<N: Node> InLanes<N> {
             next[v] += 1;
         }
         // Now `next[v]` is where target `v`'s next source goes in `sources`.
-        for (rank, v) in order.iter().enumerate() {
-            next[v.index()] = start[rank / LANES] + rank % LANES;
+        let mut first = 0;
+        for group in lanes.order.chunks(LANES) {
+            for (j, v) in group.iter().enumerate() {
+                next[v.index()] = first + j;
+            }
+            first += lanes.lane_len(group);
         }
         for &(u, v) in &arcs {
-            sources[next[v.index()]] = u;
+            lanes.sources[next[v.index()]] = u;
             next[v.index()] += LANES;
         }
-        InLanes {
-            sources,
-            start,
-            order,
-            degree,
-        }
+        lanes
+    }
+
+    /// The length of a group's interleaved lists in `sources`.
+    fn lane_len(&self, group: &[N]) -> usize {
+        LANES * self.degree[group[group.len() - 1].index()] as usize
     }
 }
 
