@@ -276,21 +276,10 @@ impl<N: Node> InLanes<N> {
             degree[v as usize] += 1;
         }
         let longest = degree.iter().copied().max().unwrap_or(0) as usize;
-        // A counting sort of the nodes by degree: `at[d]` is where the
-        // next node of degree `d` goes.
-        let mut at = vec![0usize; longest + 2];
-        for &d in &degree {
-            at[d as usize + 1] += 1;
-        }
-        for d in 0..=longest {
-            at[d + 1] += at[d];
-        }
-        let mut order = vec![N::new(0); n];
-        for (v, &d) in degree.iter().enumerate() {
-            order[at[d as usize]] = N::new(v);
-            at[d as usize] += 1;
-        }
-        drop(at);
+        let order = counting_sort(0..n, longest + 1, |v| degree[v] as usize)
+            .into_iter()
+            .map(N::new)
+            .collect();
         let mut lanes = InLanes {
             sources: Vec::new(),
             order,
