@@ -72,13 +72,28 @@ impl Default for Criterion {
     }
 }
 
-/// The filter (the first argument that is not a flag) and whether
-/// `--bench` was passed.
+/// The libtest flags whose value is the next argument, which must not be
+/// taken for the filter.
+const FLAGS_WITH_VALUE: [&str; 7] = [
+    "--color",
+    "--format",
+    "--logfile",
+    "--shuffle-seed",
+    "--skip",
+    "--test-threads",
+    "-Z",
+];
+
+/// The filter (the first argument that is neither a flag nor a flag's
+/// value) and whether `--bench` was passed.
 fn parse_args(args: impl IntoIterator<Item = String>) -> (Option<String>, bool) {
     let (mut filter, mut timed) = (None, false);
-    for arg in args {
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
         if arg == "--bench" {
             timed = true;
+        } else if FLAGS_WITH_VALUE.contains(&arg.as_str()) {
+            args.next();
         } else if !arg.starts_with('-') && filter.is_none() {
             filter = Some(arg);
         }
@@ -360,6 +375,16 @@ mod tests {
             args(&["--exact", "kernels", "--bench"]),
             (Some("kernels".into()), true)
         );
+        // A flag's value is not the filter.
+        assert_eq!(
+            args(&["--test-threads", "1", "--color", "never", "kernels"]),
+            (Some("kernels".into()), false)
+        );
+        assert_eq!(
+            args(&["--skip", "x", "--format", "terse", "--bench"]),
+            (None, true)
+        );
+        assert_eq!(args(&["--test-threads=1", "a"]), (Some("a".into()), false));
     }
 
     /// Calls of each benchmark's closure under `c`, in declaration order.
