@@ -131,7 +131,8 @@ impl EdgeList {
             return self.dangling_pagerank(max_iters, tol);
         }
         // The benchmark's graphs (n ≤ 3,000) store their node indices and
-        // the sentinel as `u16`, which halves the lanes' memory.
+        // the sentinel as `u16`: against `u32` everywhere, that measured
+        // ~2% less `wall_s` and ~5% less `peak_rss_mb` (DESIGN §20).
         if self.nodes <= usize::from(u16::MAX) {
             self.pull_pagerank(&InLanes::<u16>::new(self), max_iters, tol)
         } else {
