@@ -25,23 +25,15 @@
 //!   real incremental engine would dump — the number that drives the
 //!   checkpoint cost sample and the Table 5 transfer/storage accounting.
 //!
-//! The delta frame reuses the snapshot container conventions (length-
-//! prefixed magic, version, checksummed header, payload as its own chunk)
-//! so the orchestrator's chunked upload path and the store's dedup work
-//! unchanged.
+//! A delta is stored as a [`crate::frame`] whose header shares the full
+//! snapshot's envelope and prelude, so the orchestrator's chunked upload
+//! path and the store's dedup work unchanged.
 
-use crate::codec::{CodecError, Decoder, Encoder};
+use crate::codec::CodecError;
+use crate::frame::{check_hash, FrameError};
 use crate::snapshot::{Snapshot, SnapshotId, SnapshotMeta};
 use bytes::Bytes;
-use pronghorn_sim::hash::fnv1a_wide;
 use std::collections::BTreeSet;
-use std::fmt;
-
-/// Magic bytes opening every serialized delta frame.
-pub const DELTA_MAGIC: &[u8; 8] = b"PRDELT\x00\x01";
-
-/// Current delta frame format version.
-pub const DELTA_VERSION: u16 = 1;
 
 /// Physical diff granularity over the encoded payload. The encoded state
 /// is a static prefix (profile + method profiles) followed by a mutable
@@ -126,36 +118,8 @@ pub struct SnapshotDelta {
     pub dirty_nominal_bytes: u64,
 }
 
-/// A delta frame serialized as zero-copy transport chunks, mirroring
-/// [`crate::snapshot::EncodedSnapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EncodedDelta {
-    /// Frame header: magic through the page table.
-    pub header: Bytes,
-    /// Concatenated changed-page bytes, in table order.
-    pub payload: Bytes,
-    /// Eight bytes: little-endian `Fnv1aWide` checksum of `header`.
-    pub trailer: Bytes,
-}
-
-impl EncodedDelta {
-    /// The frame as its three transport chunks, in wire order.
-    pub fn chunks(&self) -> [Bytes; 3] {
-        [
-            self.header.clone(),
-            self.payload.clone(),
-            self.trailer.clone(),
-        ]
-    }
-
-    /// Total frame size in bytes.
-    pub fn total_len(&self) -> usize {
-        self.header.len() + self.payload.len() + self.trailer.len()
-    }
-}
-
 /// A parsed delta frame: the child snapshot's identity plus the delta
-/// record, ready for [`compose`].
+/// record, ready for [`DeltaFrame::compose`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaFrame {
     /// Child snapshot id (what the pool references).
@@ -168,61 +132,6 @@ pub struct DeltaFrame {
     pub payload_hash: u64,
     /// The delta record.
     pub delta: SnapshotDelta,
-}
-
-/// Errors produced while diffing, framing, or composing deltas.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DeltaFormatError {
-    /// The magic bytes do not open the buffer.
-    BadMagic,
-    /// A newer (or corrupt) frame version.
-    UnsupportedVersion(u16),
-    /// Header checksum or composed payload hash mismatch.
-    ChecksumMismatch {
-        /// Value stored in the frame.
-        expected: u64,
-        /// Value computed from the content.
-        actual: u64,
-    },
-    /// A page table entry points outside the composed payload.
-    PageOutOfBounds {
-        /// Offending page index.
-        index: u32,
-    },
-    /// Structural decode failure.
-    Codec(CodecError),
-}
-
-impl fmt::Display for DeltaFormatError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DeltaFormatError::BadMagic => write!(f, "not a delta frame (bad magic)"),
-            DeltaFormatError::UnsupportedVersion(v) => {
-                write!(f, "unsupported delta frame version {v}")
-            }
-            DeltaFormatError::ChecksumMismatch { expected, actual } => {
-                write!(f, "delta checksum mismatch ({expected:#x} != {actual:#x})")
-            }
-            DeltaFormatError::PageOutOfBounds { index } => {
-                write!(f, "delta page {index} lies outside the composed payload")
-            }
-            DeltaFormatError::Codec(e) => write!(f, "delta decode error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for DeltaFormatError {}
-
-impl From<CodecError> for DeltaFormatError {
-    fn from(e: CodecError) -> Self {
-        DeltaFormatError::Codec(e)
-    }
-}
-
-/// Whether a stored head chunk opens a delta frame (vs. a full snapshot
-/// frame): both formats start with a length-prefixed 8-byte magic.
-pub fn is_delta_frame(head: &[u8]) -> bool {
-    head.len() >= 16 && &head[8..16] == DELTA_MAGIC
 }
 
 /// Diffs `child` against `parent` over the child's page grid, returning
@@ -257,24 +166,32 @@ pub fn delta_payload_bytes(pages: &[(u32, Bytes)]) -> u64 {
 
 /// Applies `delta` on top of `parent`, returning the composed child
 /// payload. Inverse of [`diff_payload`]: for any parent/child pair,
-/// `apply(parent, diff(parent, child)) == child` byte-for-byte.
-pub fn apply(parent: &[u8], delta: &SnapshotDelta) -> Result<Bytes, DeltaFormatError> {
+/// `apply(parent, diff(parent, child)) == child` byte-for-byte. Every
+/// composed byte past the parent's end comes from a page, which bounds
+/// the composed length before anything is allocated.
+pub fn apply(parent: &[u8], delta: &SnapshotDelta) -> Result<Bytes, FrameError> {
+    let bound = parent.len() as u64 + delta.payload_bytes();
+    if delta.total_len > bound {
+        return Err(FrameError::Codec(CodecError::LengthOutOfBounds {
+            declared: delta.total_len,
+            remaining: bound as usize,
+        }));
+    }
     let total = delta.total_len as usize;
     let mut out = vec![0u8; total];
     let shared = parent.len().min(total);
     out[..shared].copy_from_slice(&parent[..shared]);
     let page_size = delta.page_size.max(1) as usize;
     for (idx, bytes) in &delta.pages {
-        let start = *idx as usize * page_size;
-        let end = start
-            .checked_add(bytes.len())
-            .ok_or(DeltaFormatError::PageOutOfBounds { index: *idx })?;
+        let start = (*idx as usize)
+            .checked_mul(page_size)
+            .filter(|&start| start <= total)
+            .ok_or(FrameError::PageOutOfBounds { index: *idx })?;
         // Every page except a partial tail must fill its slot exactly.
-        let expected = page_size.min(total.saturating_sub(start));
-        if end > total || bytes.len() != expected {
-            return Err(DeltaFormatError::PageOutOfBounds { index: *idx });
+        if bytes.len() != page_size.min(total - start) {
+            return Err(FrameError::PageOutOfBounds { index: *idx });
         }
-        out[start..end].copy_from_slice(bytes);
+        out[start..start + bytes.len()].copy_from_slice(bytes);
     }
     Ok(Bytes::from(out))
 }
@@ -285,148 +202,17 @@ impl SnapshotDelta {
     pub fn payload_bytes(&self) -> u64 {
         delta_payload_bytes(&self.pages)
     }
-
-    /// Serializes the delta for `snapshot` (the composed child) into
-    /// zero-copy frame chunks, reusing `scratch` for the header.
-    pub fn to_frame_with(&self, snapshot: &Snapshot, scratch: &mut Encoder) -> EncodedDelta {
-        scratch.clear();
-        scratch.put_bytes(DELTA_MAGIC);
-        scratch.put_u16(DELTA_VERSION);
-        scratch.put_u64(snapshot.id.0);
-        scratch.put_str(&snapshot.meta.function);
-        scratch.put_u32(snapshot.meta.request_number);
-        scratch.put_str(&snapshot.meta.runtime);
-        scratch.put_u64(snapshot.nominal_size);
-        scratch.put_u64(snapshot.payload_hash());
-        scratch.put_u64(self.parent.0);
-        scratch.put_u64(self.parent_payload_hash);
-        scratch.put_u64(self.page_size);
-        scratch.put_u64(self.total_len);
-        scratch.put_u64(self.dirty_nominal_bytes);
-        scratch.put_seq(&self.pages, |enc, (idx, bytes)| {
-            enc.put_u32(*idx);
-            enc.put_u32(bytes.len() as u32);
-        });
-        let trailer = scratch.checksum();
-        // Concatenate changed pages into one payload blob: contiguous
-        // bytes content-address cleanly in the store's dedup layer.
-        let mut payload = Vec::with_capacity(self.payload_bytes() as usize);
-        for (_, bytes) in &self.pages {
-            payload.extend_from_slice(bytes);
-        }
-        EncodedDelta {
-            header: Bytes::copy_from_slice(scratch.as_bytes()),
-            payload: Bytes::from(payload),
-            trailer: Bytes::from(trailer.to_le_bytes().to_vec()),
-        }
-    }
 }
 
 impl DeltaFrame {
-    /// Parses a delta frame from its transport chunks, validating the
-    /// header checksum and the page table against the payload chunk.
-    /// Page slices share `payload`'s buffer.
-    pub fn from_chunks(
-        header: &[u8],
-        payload: &Bytes,
-        trailer: &[u8],
-    ) -> Result<Self, DeltaFormatError> {
-        let mut dec = Decoder::new(header);
-        let magic = dec.take_bytes()?;
-        if magic != DELTA_MAGIC {
-            return Err(DeltaFormatError::BadMagic);
-        }
-        let version = dec.take_u16()?;
-        if version != DELTA_VERSION {
-            return Err(DeltaFormatError::UnsupportedVersion(version));
-        }
-        let id = SnapshotId(dec.take_u64()?);
-        let function = dec.take_str()?.to_string();
-        let request_number = dec.take_u32()?;
-        let runtime = dec.take_str()?.to_string();
-        let nominal_size = dec.take_u64()?;
-        let payload_hash = dec.take_u64()?;
-        let parent = SnapshotId(dec.take_u64()?);
-        let parent_payload_hash = dec.take_u64()?;
-        let page_size = dec.take_u64()?;
-        let total_len = dec.take_u64()?;
-        let dirty_nominal_bytes = dec.take_u64()?;
-        let entries = dec.take_len(8)?;
-        let mut pages = Vec::with_capacity(entries);
-        let mut offset = 0usize;
-        for _ in 0..entries {
-            let idx = dec.take_u32()?;
-            let len = dec.take_u32()? as usize;
-            let end = offset
-                .checked_add(len)
-                .filter(|&e| e <= payload.len())
-                .ok_or(DeltaFormatError::PageOutOfBounds { index: idx })?;
-            pages.push((idx, payload.slice(offset..end)));
-            offset = end;
-        }
-        dec.finish()?;
-        if offset != payload.len() {
-            return Err(DeltaFormatError::Codec(CodecError::TrailingBytes {
-                remaining: payload.len() - offset,
-            }));
-        }
-        // Trailer checksum over the header, as in the snapshot frame.
-        if trailer.len() != 8 {
-            return Err(DeltaFormatError::Codec(CodecError::UnexpectedEof {
-                needed: 8,
-                remaining: trailer.len(),
-            }));
-        }
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(trailer);
-        let stored = u64::from_le_bytes(arr);
-        let actual = fnv1a_wide(header);
-        if stored != actual {
-            return Err(DeltaFormatError::ChecksumMismatch {
-                expected: stored,
-                actual,
-            });
-        }
-        Ok(DeltaFrame {
-            id,
-            meta: SnapshotMeta {
-                function,
-                request_number,
-                runtime,
-            },
-            nominal_size,
-            payload_hash,
-            delta: SnapshotDelta {
-                parent,
-                parent_payload_hash,
-                page_size,
-                total_len,
-                pages,
-                dirty_nominal_bytes,
-            },
-        })
-    }
-
     /// Composes this frame on top of `parent_payload`, verifying the
     /// parent's content address and the composed payload's hash before
     /// rebuilding the child [`Snapshot`]. The restore path's only way to
     /// materialize a delta-stored snapshot.
-    pub fn compose(&self, parent_payload: &Bytes) -> Result<Snapshot, DeltaFormatError> {
-        let parent_hash = fnv1a_wide(parent_payload);
-        if parent_hash != self.delta.parent_payload_hash {
-            return Err(DeltaFormatError::ChecksumMismatch {
-                expected: self.delta.parent_payload_hash,
-                actual: parent_hash,
-            });
-        }
+    pub fn compose(&self, parent_payload: &Bytes) -> Result<Snapshot, FrameError> {
+        check_hash(self.delta.parent_payload_hash, parent_payload)?;
         let payload = apply(parent_payload, &self.delta)?;
-        let actual = fnv1a_wide(&payload);
-        if actual != self.payload_hash {
-            return Err(DeltaFormatError::ChecksumMismatch {
-                expected: self.payload_hash,
-                actual,
-            });
-        }
+        check_hash(self.payload_hash, &payload)?;
         Ok(Snapshot::from_verified_parts(
             self.id,
             self.meta.clone(),
@@ -473,6 +259,9 @@ pub fn dirty_nominal_bytes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Encoder;
+    use crate::frame::Stored;
+    use pronghorn_sim::hash::fnv1a_wide;
 
     fn snap(payload: &[u8]) -> Snapshot {
         Snapshot::with_nonce(
@@ -548,22 +337,25 @@ mod tests {
         assert_eq!(apply(&parent, &delta).unwrap(), child.payload);
     }
 
+    /// Frames `delta` of `child` and parses it back.
+    fn round_trip(delta: &SnapshotDelta, child: &Snapshot) -> DeltaFrame {
+        match delta.to_frame_with(child, &mut Encoder::new()).parse() {
+            Ok(Stored::Delta(frame)) => frame,
+            other => panic!("a delta frame parsed as {other:?}"),
+        }
+    }
+
     #[test]
     fn frame_round_trips_and_composes() {
         let parent: Vec<u8> = (0..5000).map(|i| (i % 97) as u8).collect();
         let mut child_bytes = parent.clone();
         child_bytes[2048] ^= 0xaa;
         let child = snap(&child_bytes);
-        let mut delta = delta_for(&parent, &child, 1024);
-        delta.parent_payload_hash = fnv1a_wide(&parent);
-        let mut scratch = Encoder::new();
-        let frame = delta.to_frame_with(&child, &mut scratch);
-        assert!(is_delta_frame(&frame.header));
-        let [head, payload, tail] = frame.chunks();
-        let parsed = DeltaFrame::from_chunks(&head, &payload, &tail).unwrap();
+        let delta = delta_for(&parent, &child, 1024);
+        let parsed = round_trip(&delta, &child);
         assert_eq!(parsed.id, child.id);
         assert_eq!(parsed.meta, child.meta);
-        assert_eq!(parsed.delta.pages, delta.pages);
+        assert_eq!(parsed.delta, delta);
         let composed = parsed.compose(&Bytes::from(parent.clone())).unwrap();
         assert_eq!(composed, child);
         assert_eq!(composed.payload_hash(), child.payload_hash());
@@ -572,8 +364,8 @@ mod tests {
     #[test]
     fn full_frame_head_is_not_a_delta_frame() {
         let child = snap(b"some-state");
-        let full = child.to_frame();
-        assert!(!is_delta_frame(&full.header));
+        let full = child.to_frame_with(&mut Encoder::new());
+        assert_eq!(full.parse(), Ok(Stored::Full(child)));
     }
 
     #[test]
@@ -582,15 +374,11 @@ mod tests {
         let mut child_bytes = parent.clone();
         child_bytes[10] = 9;
         let child = snap(&child_bytes);
-        let delta = delta_for(&parent, &child, 1024);
-        let mut scratch = Encoder::new();
-        let frame = delta.to_frame_with(&child, &mut scratch);
-        let [head, payload, tail] = frame.chunks();
-        let parsed = DeltaFrame::from_chunks(&head, &payload, &tail).unwrap();
+        let parsed = round_trip(&delta_for(&parent, &child, 1024), &child);
         let wrong = Bytes::from(vec![2u8; 3000]);
         assert!(matches!(
             parsed.compose(&wrong),
-            Err(DeltaFormatError::ChecksumMismatch { .. })
+            Err(FrameError::ChecksumMismatch { .. })
         ));
     }
 
@@ -600,18 +388,44 @@ mod tests {
         let mut child_bytes = parent.clone();
         child_bytes[1500] = 0;
         let child = snap(&child_bytes);
-        let delta = delta_for(&parent, &child, 1024);
-        let mut scratch = Encoder::new();
-        let frame = delta.to_frame_with(&child, &mut scratch);
-        let [head, payload, tail] = frame.chunks();
-        for i in 0..head.len() {
-            let mut bad = head.to_vec();
+        let frame = delta_for(&parent, &child, 1024).to_frame_with(&child, &mut Encoder::new());
+        for i in 0..frame.header.len() {
+            let mut bad = frame.header.to_vec();
             bad[i] ^= 0xff;
-            assert!(
-                DeltaFrame::from_chunks(&bad, &payload, &tail).is_err(),
-                "header byte {i} accepted"
-            );
+            let bad = crate::frame::Frame {
+                header: Bytes::from(bad),
+                ..frame.clone()
+            };
+            assert!(bad.parse().is_err(), "header byte {i} accepted");
         }
+    }
+
+    #[test]
+    fn hostile_lengths_are_rejected_before_allocating() {
+        let parent = vec![3u8; 2000];
+        let mut child_bytes = parent.clone();
+        child_bytes[5] = 4;
+        let child = snap(&child_bytes);
+        let delta = delta_for(&parent, &child, 1024);
+        // A composed length no page can fill.
+        let huge = SnapshotDelta {
+            total_len: u64::MAX,
+            ..delta.clone()
+        };
+        assert!(matches!(
+            apply(&parent, &huge),
+            Err(FrameError::Codec(CodecError::LengthOutOfBounds { .. }))
+        ));
+        // A page index whose offset overflows.
+        let far = SnapshotDelta {
+            page_size: u64::MAX,
+            pages: vec![(2, delta.pages[0].1.clone())],
+            ..delta
+        };
+        assert_eq!(
+            apply(&parent, &far),
+            Err(FrameError::PageOutOfBounds { index: 2 })
+        );
     }
 
     #[test]

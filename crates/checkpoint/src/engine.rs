@@ -16,7 +16,6 @@ use crate::stats::CodecStats;
 use bytes::Bytes;
 use pronghorn_sim::SimDuration;
 use rand::Rng;
-use std::fmt;
 use std::time::Instant;
 
 /// A process whose state can be checkpointed and restored.
@@ -63,29 +62,6 @@ impl CheckpointScratch {
     }
 }
 
-/// Errors surfaced by checkpoint/restore operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EngineError {
-    /// The payload decoded but did not describe a valid process state.
-    State(CodecError),
-}
-
-impl fmt::Display for EngineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineError::State(e) => write!(f, "process state error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for EngineError {}
-
-impl From<CodecError> for EngineError {
-    fn from(e: CodecError) -> Self {
-        EngineError::State(e)
-    }
-}
-
 /// The simulated CRIU engine.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimCriuEngine {
@@ -99,66 +75,27 @@ impl SimCriuEngine {
         SimCriuEngine::default()
     }
 
-    /// Checkpoints `process`, returning the snapshot and the worker
-    /// downtime the operation cost (§5.3: "a brief worker downtime on the
-    /// order of 60–105 ms").
+    /// Checkpoints `process`, encoding into `scratch`'s reused buffer,
+    /// and returns the snapshot, what to persist, and the worker downtime
+    /// the operation cost (§5.3: "a brief worker downtime on the order of
+    /// 60–105 ms").
+    ///
+    /// When `base` names a parent snapshot, the result is additionally
+    /// expressed as a page delta against it: the full [`Snapshot`] is
+    /// still returned (the pool and restore paths reason about composed
+    /// state), alongside a [`CheckpointOutcome`] telling the caller what
+    /// to *persist* — the whole payload, or only the changed pages plus a
+    /// parent reference. The delta arm charges
+    /// [`CheckpointCostModel::sample_delta_checkpoint_us`] on the base's
+    /// dirty nominal bytes instead of the full-image cost.
+    ///
+    /// Both arms draw identical randomness (one nonce, then one cost
+    /// sample), so toggling delta checkpointing never shifts the RNG
+    /// stream of a seeded run — the property the `full_invariance` golden
+    /// pins. The nonce keeps ids unique even for byte-identical states:
+    /// identical lineages checkpointed at the same request number must not
+    /// collide in the snapshot pool.
     pub fn checkpoint<T, R>(
-        &self,
-        rng: &mut R,
-        process: &T,
-        meta: SnapshotMeta,
-    ) -> (Snapshot, SimDuration)
-    where
-        T: Checkpointable,
-        R: Rng + ?Sized,
-    {
-        let mut enc = Encoder::new();
-        process.encode_state(&mut enc);
-        let payload = Bytes::from(enc.into_bytes());
-        let nominal = process.image_size_bytes();
-        // Unique id even for byte-identical states: identical lineages
-        // checkpointed at the same request number must not collide in the
-        // snapshot pool.
-        let nonce: u64 = rng.gen();
-        let snapshot = Snapshot::with_nonce(meta, payload, nominal, nonce);
-        let cost = self.costs.sample_checkpoint_us(rng, nominal);
-        (snapshot, SimDuration::from_micros_f64(cost))
-    }
-
-    /// Like [`Self::checkpoint`], but using (and updating) `scratch`: the
-    /// encode buffer is reused across calls.
-    ///
-    /// Draws exactly the same RNG sequence as [`Self::checkpoint`] (one
-    /// nonce, one cost sample), so swapping one for the other never
-    /// perturbs a seeded simulation.
-    pub fn checkpoint_with<T, R>(
-        &self,
-        scratch: &mut CheckpointScratch,
-        rng: &mut R,
-        process: &T,
-        meta: SnapshotMeta,
-    ) -> (Snapshot, SimDuration)
-    where
-        T: Checkpointable,
-        R: Rng + ?Sized,
-    {
-        let (snapshot, _, cost) = self.checkpoint_delta_with(scratch, rng, process, meta, None);
-        (snapshot, cost)
-    }
-
-    /// Like [`Self::checkpoint_with`], but when `base` names a parent
-    /// snapshot the result is additionally expressed as a page delta
-    /// against it: the full [`Snapshot`] is still returned (the pool and
-    /// restore paths reason about composed state), alongside a
-    /// [`CheckpointOutcome`] telling the caller what to *persist* — the
-    /// whole payload, or only the changed pages plus a parent reference.
-    ///
-    /// The delta arm charges [`CheckpointCostModel::sample_delta_checkpoint_us`]
-    /// on the base's dirty nominal bytes instead of the full-image cost.
-    /// Both arms draw identical randomness (one nonce, one Gaussian), so
-    /// toggling delta checkpointing never shifts the RNG stream of a
-    /// seeded run — the property the `full_invariance` golden pins.
-    pub fn checkpoint_delta_with<T, R>(
         &self,
         scratch: &mut CheckpointScratch,
         rng: &mut R,
@@ -180,7 +117,6 @@ impl SimCriuEngine {
         let payload = Bytes::from(scratch.enc.take_buffer());
         scratch.stats.encode_ns += started.elapsed().as_nanos() as u64;
         let nominal = process.image_size_bytes();
-        // Same draw order as `checkpoint`: nonce, then cost.
         let nonce: u64 = rng.gen();
         // pronglint: allow(wall-clock): host-side perf counter (checksum_ns);
         // measures real hashing time, never feeds a sim decision.
@@ -236,14 +172,14 @@ impl SimCriuEngine {
         &self,
         rng: &mut R,
         snapshot: &Snapshot,
-    ) -> Result<(T, SimDuration), EngineError>
+    ) -> Result<(T, SimDuration), CodecError>
     where
         T: Checkpointable,
         R: Rng + ?Sized,
     {
         let mut dec = Decoder::new(&snapshot.payload);
         let process = T::decode_state(&mut dec)?;
-        dec.finish().map_err(EngineError::State)?;
+        dec.finish()?;
         let cost = self.costs.sample_restore_us(rng, snapshot.nominal_size);
         Ok((process, SimDuration::from_micros_f64(cost)))
     }
@@ -253,13 +189,13 @@ impl SimCriuEngine {
     /// cost is modelled per mapped/faulted page by the caller instead of
     /// as one up-front draw. Consumes no RNG, so the engine's cost stream
     /// stays in lockstep with eager runs that never call this.
-    pub fn restore_mapped<T>(&self, snapshot: &Snapshot) -> Result<T, EngineError>
+    pub fn restore_mapped<T>(&self, snapshot: &Snapshot) -> Result<T, CodecError>
     where
         T: Checkpointable,
     {
         let mut dec = Decoder::new(&snapshot.payload);
         let process = T::decode_state(&mut dec)?;
-        dec.finish().map_err(EngineError::State)?;
+        dec.finish()?;
         Ok(process)
     }
 }
@@ -267,7 +203,7 @@ impl SimCriuEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::SnapshotFormatError;
+    use crate::frame::{Frame, FrameError, Stored};
     use rand::rngs::SmallRng;
     use rand::{RngCore, SeedableRng};
 
@@ -304,6 +240,17 @@ mod tests {
         }
     }
 
+    /// A full checkpoint of `process` with a fresh scratch.
+    fn full<T: Checkpointable>(
+        engine: &SimCriuEngine,
+        rng: &mut SmallRng,
+        process: &T,
+    ) -> (Snapshot, SimDuration) {
+        let (snap, _, cost) =
+            engine.checkpoint(&mut CheckpointScratch::new(), rng, process, meta(), None);
+        (snap, cost)
+    }
+
     #[test]
     fn checkpoint_restore_round_trips_state() {
         let engine = SimCriuEngine::new();
@@ -312,31 +259,13 @@ mod tests {
             value: 41,
             history: vec![1.5, 2.5],
         };
-        let (snap, ckpt_cost) = engine.checkpoint(&mut rng, &process, meta());
+        let (snap, ckpt_cost) = full(&engine, &mut rng, &process);
         assert!(ckpt_cost > SimDuration::ZERO);
         assert_eq!(snap.meta.request_number, 9);
         assert_eq!(snap.nominal_size, 10 * 1024 * 1024);
         let (restored, rest_cost): (Counter, _) = engine.restore(&mut rng, &snap).unwrap();
         assert!(rest_cost > SimDuration::ZERO);
         assert_eq!(restored, process);
-    }
-
-    #[test]
-    fn checkpoint_with_matches_plain_checkpoint_exactly() {
-        let engine = SimCriuEngine::new();
-        let process = Counter {
-            value: 41,
-            history: vec![1.5, 2.5],
-        };
-        let mut rng_a = SmallRng::seed_from_u64(21);
-        let (plain, cost_a) = engine.checkpoint(&mut rng_a, &process, meta());
-        let mut rng_b = SmallRng::seed_from_u64(21);
-        let mut scratch = CheckpointScratch::new();
-        let (fast, cost_b) = engine.checkpoint_with(&mut scratch, &mut rng_b, &process, meta());
-        assert_eq!(plain, fast, "same seed must yield identical snapshots");
-        assert_eq!(cost_a, cost_b);
-        // And the RNG streams stay in lockstep afterwards.
-        assert_eq!(rng_a.next_u64(), rng_b.next_u64());
     }
 
     #[test]
@@ -348,7 +277,8 @@ mod tests {
         };
         let mut scratch = CheckpointScratch::new();
         let mut rng = SmallRng::seed_from_u64(31);
-        let (parent, _) = engine.checkpoint_with(&mut scratch, &mut rng, &parent_process, meta());
+        let (parent, _, _) =
+            engine.checkpoint(&mut scratch, &mut rng, &parent_process, meta(), None);
         // The child mutates a little state on top of the parent.
         let child_process = Counter {
             value: 42,
@@ -361,13 +291,8 @@ mod tests {
             dirty_nominal_bytes: 2 * 1024 * 1024,
         };
         let mut rng_full = rng.clone();
-        let (snap, outcome, cost) = engine.checkpoint_delta_with(
-            &mut scratch,
-            &mut rng,
-            &child_process,
-            meta(),
-            Some(&base),
-        );
+        let (snap, outcome, cost) =
+            engine.checkpoint(&mut scratch, &mut rng, &child_process, meta(), Some(&base));
         let delta = match outcome {
             CheckpointOutcome::Delta(d) => d,
             CheckpointOutcome::Full => panic!("expected a delta outcome"),
@@ -378,9 +303,9 @@ mod tests {
         assert_eq!(scratch.stats().delta_encodes, 1);
         assert_eq!(scratch.stats().delta_bytes_written, delta.payload_bytes());
         assert!(scratch.stats().delta_pages_total >= scratch.stats().delta_pages_written);
-        // Delta is cheaper than the full checkpoint the same draw buys.
-        let (full_snap, full_cost) =
-            engine.checkpoint_with(&mut scratch, &mut rng_full, &child_process, meta());
+        // Delta is cheaper than the full checkpoint the same draw buys,
+        // and a used scratch encodes what a fresh one does.
+        let (full_snap, full_cost) = full(&engine, &mut rng_full, &child_process);
         assert_eq!(full_snap, snap, "same RNG draw, same snapshot");
         assert!(cost < full_cost);
         // Both arms left the RNGs at the same stream position.
@@ -403,8 +328,8 @@ mod tests {
             value: 99,
             history: vec![],
         };
-        engine.checkpoint_with(&mut scratch, &mut rng, &first, meta());
-        let (snap, _) = engine.checkpoint_with(&mut scratch, &mut rng, &second, meta());
+        engine.checkpoint(&mut scratch, &mut rng, &first, meta(), None);
+        let (snap, _, _) = engine.checkpoint(&mut scratch, &mut rng, &second, meta(), None);
         let (restored, _): (Counter, _) = engine.restore(&mut rng, &snap).unwrap();
         assert_eq!(restored.value, 99, "stale cache must not leak");
         assert_eq!(scratch.stats().encodes, 2);
@@ -419,28 +344,29 @@ mod tests {
             value: 3,
             history: vec![],
         };
-        engine.checkpoint_with(&mut scratch, &mut rng, &process, meta());
-        engine.checkpoint_with(&mut scratch, &mut rng, &process, meta());
+        engine.checkpoint(&mut scratch, &mut rng, &process, meta(), None);
+        engine.checkpoint(&mut scratch, &mut rng, &process, meta(), None);
         assert_eq!(scratch.stats().encodes, 2);
         assert_eq!(scratch.stats().encode_skips, 0);
     }
 
     #[test]
     fn restore_from_shared_is_zero_copy() {
-        // A download parsed with `Snapshot::from_shared` restores without
-        // copying the payload out of the transport buffer.
+        // A download parsed from its frame chunks restores without copying
+        // the payload out of the shared transport buffer.
         let engine = SimCriuEngine::new();
         let mut rng = SmallRng::seed_from_u64(25);
         let process = Counter {
             value: 7,
             history: vec![4.0],
         };
-        let (snap, _) = engine.checkpoint(&mut rng, &process, meta());
-        let framed = snap.to_bytes();
-        let snap2 = Snapshot::from_shared(&framed).unwrap();
+        let (snap, _) = full(&engine, &mut rng, &process);
+        let frame = snap.to_frame_with(&mut Encoder::new());
+        let Ok(Stored::Full(snap2)) = frame.parse() else {
+            panic!("a full frame parses as a full snapshot");
+        };
         assert_eq!(snap2, snap);
-        let frame_range = framed.as_ptr_range();
-        assert!(frame_range.contains(&snap2.payload.as_ptr()));
+        assert_eq!(snap2.payload.as_ptr(), frame.payload.as_ptr());
         let (restored, _): (Counter, _) = engine.restore(&mut rng, &snap2).unwrap();
         assert_eq!(restored, process);
     }
@@ -453,11 +379,10 @@ mod tests {
             value: 7,
             history: vec![1.0],
         };
-        let (mut snap, _) = engine.checkpoint(&mut rng, &process, meta());
+        let (mut snap, _) = full(&engine, &mut rng, &process);
         // Truncate the payload: framing is fine, state is not.
         snap.payload = snap.payload.slice(..snap.payload.len() - 1);
-        let err = engine.restore::<Counter, _>(&mut rng, &snap).unwrap_err();
-        assert!(matches!(err, EngineError::State(_)));
+        assert!(engine.restore::<Counter, _>(&mut rng, &snap).is_err());
     }
 
     #[test]
@@ -468,15 +393,12 @@ mod tests {
             value: 7,
             history: vec![],
         };
-        let (mut snap, _) = engine.checkpoint(&mut rng, &process, meta());
+        let (mut snap, _) = full(&engine, &mut rng, &process);
         let mut extended = snap.payload.to_vec();
         extended.push(0);
         snap.payload = Bytes::from(extended);
         let err = engine.restore::<Counter, _>(&mut rng, &snap).unwrap_err();
-        assert!(matches!(
-            err,
-            EngineError::State(CodecError::TrailingBytes { remaining: 1 })
-        ));
+        assert_eq!(err, CodecError::TrailingBytes { remaining: 1 });
     }
 
     #[test]
@@ -485,19 +407,24 @@ mod tests {
         // reach the engine's state decoder.
         let engine = SimCriuEngine::new();
         let mut rng = SmallRng::seed_from_u64(7);
-        assert!(Snapshot::from_bytes(b"junk").is_err());
-        assert!(Snapshot::from_shared(&Bytes::from_static(b"junk")).is_err());
+        let junk = Frame {
+            header: Bytes::from_static(b"junk"),
+            payload: Bytes::new(),
+            trailer: Bytes::new(),
+        };
+        assert!(junk.parse().is_err());
         let process = Counter {
             value: 7,
             history: vec![1.0],
         };
-        let (snap, _) = engine.checkpoint(&mut rng, &process, meta());
-        let mut framed = snap.to_bytes().to_vec();
-        let header_len = framed.len() - snap.payload.len() - 8;
-        framed[header_len] ^= 0xff;
+        let (snap, _) = full(&engine, &mut rng, &process);
+        let mut frame = snap.to_frame_with(&mut Encoder::new());
+        let mut payload = frame.payload.to_vec();
+        payload[0] ^= 0xff;
+        frame.payload = Bytes::from(payload);
         assert!(matches!(
-            Snapshot::from_bytes(&framed),
-            Err(SnapshotFormatError::ChecksumMismatch { .. })
+            frame.parse(),
+            Err(FrameError::ChecksumMismatch { .. })
         ));
     }
 
@@ -523,19 +450,14 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(8);
             let mut total = 0.0;
             for _ in 0..200 {
-                let cost = if image {
-                    let (_, c) = engine.checkpoint(&mut rng, &Big, meta());
-                    c
+                let (_, cost) = if image {
+                    full(&engine, &mut rng, &Big)
                 } else {
-                    let (_, c) = engine.checkpoint(
-                        &mut rng,
-                        &Counter {
-                            value: 0,
-                            history: vec![],
-                        },
-                        meta(),
-                    );
-                    c
+                    let counter = Counter {
+                        value: 0,
+                        history: vec![],
+                    };
+                    full(&engine, &mut rng, &counter)
                 };
                 total += cost.as_micros() as f64;
             }

@@ -7,11 +7,14 @@
 //!
 //! - [`codec`]: a from-scratch little-endian binary codec (no serde-format
 //!   dependency) with explicit decode errors;
-//! - [`Snapshot`]: a versioned, checksummed snapshot container carrying the
-//!   serialized process state plus the *nominal* process-image size used
-//!   for cost accounting (a real CRIU image is the process memory, tens of
-//!   megabytes per Table 4; the simulated runtime state serializes to
-//!   kilobytes, so sizes are modeled, not padded);
+//! - [`Snapshot`]: the serialized process state plus the *nominal*
+//!   process-image size used for cost accounting (a real CRIU image is the
+//!   process memory, tens of megabytes per Table 4; the simulated runtime
+//!   state serializes to kilobytes, so sizes are modeled, not padded);
+//! - [`frame`]: the one stored form of a snapshot — a versioned,
+//!   checksummed [`Frame`] of header, payload and trailer chunks holding a
+//!   full snapshot or a [`delta`] against its parent, parsed back by
+//!   [`Frame::parse`], with every format failure a [`FrameError`];
 //! - [`Checkpointable`]: the contract a process must satisfy to be
 //!   checkpointed and restored;
 //! - [`SimCriuEngine`]: an engine whose checkpoint/restore *times* follow a
@@ -39,15 +42,16 @@ pub mod codec;
 pub mod cost;
 pub mod delta;
 pub mod engine;
+pub mod frame;
 pub mod snapshot;
 pub mod stats;
 
 pub use codec::{CodecError, Decoder, Encoder};
 pub use cost::CheckpointCostModel;
 pub use delta::{
-    CheckpointOutcome, DeltaBase, DeltaFormatError, DeltaFrame, DeltaPolicy, EncodedDelta,
-    SnapshotDelta, DELTA_MAGIC, PAYLOAD_DIFF_PAGE_SIZE,
+    CheckpointOutcome, DeltaBase, DeltaFrame, DeltaPolicy, SnapshotDelta, PAYLOAD_DIFF_PAGE_SIZE,
 };
-pub use engine::{CheckpointScratch, Checkpointable, EngineError, SimCriuEngine};
-pub use snapshot::{EncodedSnapshot, Snapshot, SnapshotId, SnapshotMeta};
+pub use engine::{CheckpointScratch, Checkpointable, SimCriuEngine};
+pub use frame::{Frame, FrameError, Stored};
+pub use snapshot::{Snapshot, SnapshotId, SnapshotMeta};
 pub use stats::CodecStats;

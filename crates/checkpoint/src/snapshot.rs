@@ -1,41 +1,11 @@
-//! The snapshot container format.
-//!
-//! A snapshot is what the Checkpoint Engine produces and the Object Store
-//! transports: the serialized process state, tagged with the function it
+//! The snapshot: what the Checkpoint Engine produces and the Object Store
+//! transports — the serialized process state, tagged with the function it
 //! belongs to and the request number at which it was taken (the key input
-//! to the request-centric policy), framed with a magic number, format
-//! version, and FNV-1a integrity hashes so corruption surfaces as a typed
-//! error on restore.
-//!
-//! # Frame layout (version 2)
-//!
-//! Version 2 is built for a zero-copy fast path. The frame is three
-//! independent chunks — header, payload, trailer — so the (large) payload
-//! never has to be copied into a contiguous transport buffer:
-//!
-//! ```text
-//! header  : magic, version, id, function, request#, runtime,
-//!           nominal size, payload hash (Fnv1aWide), payload length
-//! payload : the serialized process state, raw
-//! trailer : u64 LE — Fnv1aWide checksum of the header bytes only
-//! ```
-//!
-//! Payload integrity lives in the *header* (`payload hash`), computed once
-//! when the snapshot is built and reused for both the snapshot id and the
-//! frame — encoding a frame therefore touches only the ~100-byte header,
-//! while version 1 re-copied and re-hashed the whole payload on every
-//! [`Snapshot::to_bytes`] call.
+//! to the request-centric policy). Its stored form is a [`crate::frame`].
 
-use crate::codec::{CodecError, Decoder, Encoder};
 use bytes::Bytes;
 use pronghorn_sim::hash::{fnv1a_wide, Fnv1a};
 use std::fmt;
-
-/// Magic bytes opening every serialized snapshot.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"PRSNAP\x00\x01";
-
-/// Current container format version.
-pub const SNAPSHOT_VERSION: u16 = 2;
 
 /// Unique identity of a snapshot within a deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -78,115 +48,6 @@ pub struct Snapshot {
     payload_hash: u64,
 }
 
-/// A snapshot serialized as zero-copy transport chunks.
-///
-/// Produced by [`Snapshot::to_frame`]; the payload chunk shares the
-/// snapshot's buffer (no copy). Consumers that need one contiguous buffer
-/// call [`EncodedSnapshot::to_bytes`]; consumers that can scatter/gather
-/// (the object store, network writers) iterate [`EncodedSnapshot::chunks`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EncodedSnapshot {
-    /// Frame header: magic through payload length.
-    pub header: Bytes,
-    /// The payload, shared with the source snapshot.
-    pub payload: Bytes,
-    /// Eight bytes: little-endian `Fnv1aWide` checksum of `header`.
-    pub trailer: Bytes,
-}
-
-impl EncodedSnapshot {
-    /// The frame as its three transport chunks, in wire order.
-    pub fn chunks(&self) -> [Bytes; 3] {
-        [
-            self.header.clone(),
-            self.payload.clone(),
-            self.trailer.clone(),
-        ]
-    }
-
-    /// Total frame size in bytes.
-    pub fn total_len(&self) -> usize {
-        self.header.len() + self.payload.len() + self.trailer.len()
-    }
-
-    /// Assembles one contiguous transport buffer (copies the payload —
-    /// prefer [`Self::chunks`] on hot paths).
-    pub fn to_bytes(&self) -> Bytes {
-        let mut out = Vec::with_capacity(self.total_len());
-        out.extend_from_slice(&self.header);
-        out.extend_from_slice(&self.payload);
-        out.extend_from_slice(&self.trailer);
-        Bytes::from(out)
-    }
-}
-
-/// Header fields plus payload location, produced by frame parsing.
-struct ParsedFrame {
-    id: SnapshotId,
-    meta: SnapshotMeta,
-    nominal_size: u64,
-    payload_hash: u64,
-    payload_start: usize,
-    payload_end: usize,
-}
-
-/// Parses the header fields shared by every v2 frame variant, leaving the
-/// decoder positioned just past the payload-length field.
-fn parse_header_fields(
-    dec: &mut Decoder<'_>,
-) -> Result<(SnapshotId, SnapshotMeta, u64, u64, u64), SnapshotFormatError> {
-    let magic = dec.take_bytes()?;
-    if magic != SNAPSHOT_MAGIC {
-        return Err(SnapshotFormatError::BadMagic);
-    }
-    let version = dec.take_u16()?;
-    if version != SNAPSHOT_VERSION {
-        return Err(SnapshotFormatError::UnsupportedVersion(version));
-    }
-    let id = SnapshotId(dec.take_u64()?);
-    let function = dec.take_str()?.to_string();
-    let request_number = dec.take_u32()?;
-    let runtime = dec.take_str()?.to_string();
-    let nominal_size = dec.take_u64()?;
-    let payload_hash = dec.take_u64()?;
-    let payload_len = dec.take_u64()?;
-    Ok((
-        id,
-        SnapshotMeta {
-            function,
-            request_number,
-            runtime,
-        },
-        nominal_size,
-        payload_hash,
-        payload_len,
-    ))
-}
-
-fn read_trailer(trailer: &[u8]) -> Result<u64, SnapshotFormatError> {
-    if trailer.len() != 8 {
-        return Err(SnapshotFormatError::Codec(CodecError::UnexpectedEof {
-            needed: 8,
-            remaining: trailer.len(),
-        }));
-    }
-    let mut arr = [0u8; 8];
-    arr.copy_from_slice(trailer);
-    Ok(u64::from_le_bytes(arr))
-}
-
-fn check_trailer(header: &[u8], trailer: &[u8]) -> Result<(), SnapshotFormatError> {
-    let stored = read_trailer(trailer)?;
-    let actual = fnv1a_wide(header);
-    if stored != actual {
-        return Err(SnapshotFormatError::ChecksumMismatch {
-            expected: stored,
-            actual,
-        });
-    }
-    Ok(())
-}
-
 impl Snapshot {
     /// Builds a snapshot, deriving its id from content and metadata.
     ///
@@ -220,10 +81,10 @@ impl Snapshot {
     }
 
     /// Rebuilds a snapshot from parts whose payload hash the caller has
-    /// already verified against `payload` — the delta compose path, which
-    /// checks the composed hash before construction and must reproduce
-    /// the original snapshot's id exactly (ids mix in a nonce that is not
-    /// persisted, so they cannot be re-derived here).
+    /// already verified against `payload` — frame parsing and delta
+    /// compose, which must reproduce the original snapshot's id exactly
+    /// (ids mix in a nonce that is not persisted, so they cannot be
+    /// re-derived here).
     pub(crate) fn from_verified_parts(
         id: SnapshotId,
         meta: SnapshotMeta,
@@ -254,196 +115,13 @@ impl Snapshot {
     pub fn nominal_size_mb(&self) -> f64 {
         self.nominal_size as f64 / (1024.0 * 1024.0)
     }
-
-    /// Serializes the snapshot into zero-copy frame chunks.
-    pub fn to_frame(&self) -> EncodedSnapshot {
-        let mut enc = Encoder::with_capacity(64);
-        self.to_frame_with(&mut enc)
-    }
-
-    /// Like [`Self::to_frame`], reusing `scratch` for the header so a
-    /// long-lived engine allocates nothing per frame beyond the two small
-    /// chunk buffers. The scratch is cleared first; its prior contents do
-    /// not leak into the frame.
-    pub fn to_frame_with(&self, scratch: &mut Encoder) -> EncodedSnapshot {
-        scratch.clear();
-        scratch.put_bytes(SNAPSHOT_MAGIC); // length-prefixed magic keeps framing uniform
-        scratch.put_u16(SNAPSHOT_VERSION);
-        scratch.put_u64(self.id.0);
-        scratch.put_str(&self.meta.function);
-        scratch.put_u32(self.meta.request_number);
-        scratch.put_str(&self.meta.runtime);
-        scratch.put_u64(self.nominal_size);
-        scratch.put_u64(self.payload_hash);
-        scratch.put_u64(self.payload.len() as u64);
-        let trailer = scratch.checksum();
-        EncodedSnapshot {
-            header: Bytes::copy_from_slice(scratch.as_bytes()),
-            payload: self.payload.clone(),
-            trailer: Bytes::from(trailer.to_le_bytes().to_vec()),
-        }
-    }
-
-    /// Serializes the snapshot into one contiguous transport buffer.
-    ///
-    /// Compatibility wrapper over [`Self::to_frame`]; copies the payload.
-    pub fn to_bytes(&self) -> Bytes {
-        self.to_frame().to_bytes()
-    }
-
-    /// Parses a contiguous frame, validating lengths and the header
-    /// checksum. Does *not* hash the payload — [`Self::from_parsed`] does
-    /// that against the slice the caller materializes.
-    fn parse_frame(bytes: &[u8]) -> Result<ParsedFrame, SnapshotFormatError> {
-        let mut dec = Decoder::new(bytes);
-        let (id, meta, nominal_size, payload_hash, payload_len) = parse_header_fields(&mut dec)?;
-        let header_len = bytes.len() - dec.remaining();
-        // The frame must hold exactly header + payload + 8-byte trailer.
-        let expected_total = (header_len as u64)
-            .checked_add(payload_len)
-            .and_then(|n| n.checked_add(8))
-            .ok_or(SnapshotFormatError::Codec(CodecError::LengthOutOfBounds {
-                declared: payload_len,
-                remaining: dec.remaining(),
-            }))?;
-        if (bytes.len() as u64) < expected_total {
-            return Err(SnapshotFormatError::Codec(CodecError::UnexpectedEof {
-                needed: (expected_total - bytes.len() as u64) as usize,
-                remaining: 0,
-            }));
-        }
-        if (bytes.len() as u64) > expected_total {
-            return Err(SnapshotFormatError::Codec(CodecError::TrailingBytes {
-                remaining: (bytes.len() as u64 - expected_total) as usize,
-            }));
-        }
-        check_trailer(&bytes[..header_len], &bytes[bytes.len() - 8..])?;
-        Ok(ParsedFrame {
-            id,
-            meta,
-            nominal_size,
-            payload_hash,
-            payload_start: header_len,
-            payload_end: header_len + payload_len as usize,
-        })
-    }
-
-    fn from_parsed(parsed: ParsedFrame, payload: Bytes) -> Result<Self, SnapshotFormatError> {
-        let actual = fnv1a_wide(&payload);
-        if actual != parsed.payload_hash {
-            return Err(SnapshotFormatError::ChecksumMismatch {
-                expected: parsed.payload_hash,
-                actual,
-            });
-        }
-        Ok(Snapshot {
-            id: parsed.id,
-            meta: parsed.meta,
-            payload,
-            nominal_size: parsed.nominal_size,
-            payload_hash: parsed.payload_hash,
-        })
-    }
-
-    /// Deserializes and validates a snapshot produced by [`Self::to_bytes`].
-    ///
-    /// Copies the payload out of `bytes`; when the caller already holds
-    /// the frame as [`Bytes`], prefer [`Self::from_shared`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotFormatError> {
-        let parsed = Self::parse_frame(bytes)?;
-        let payload = Bytes::copy_from_slice(&bytes[parsed.payload_start..parsed.payload_end]);
-        Self::from_parsed(parsed, payload)
-    }
-
-    /// Zero-copy deserialization: the returned snapshot's payload is a
-    /// slice of `bytes` (shared refcount, no allocation or copy).
-    pub fn from_shared(bytes: &Bytes) -> Result<Self, SnapshotFormatError> {
-        let parsed = Self::parse_frame(bytes)?;
-        let payload = bytes.slice(parsed.payload_start..parsed.payload_end);
-        Self::from_parsed(parsed, payload)
-    }
-
-    /// Reassembles a snapshot from frame chunks as produced by
-    /// [`Self::to_frame`] (for example, a store that keeps the payload
-    /// blob separately from the header). The payload chunk is shared,
-    /// not copied; header and trailer are validated as in
-    /// [`Self::from_shared`].
-    pub fn from_chunks(
-        header: &[u8],
-        payload: &Bytes,
-        trailer: &[u8],
-    ) -> Result<Self, SnapshotFormatError> {
-        let mut dec = Decoder::new(header);
-        let (id, meta, nominal_size, payload_hash, payload_len) = parse_header_fields(&mut dec)?;
-        dec.finish()?;
-        if payload_len != payload.len() as u64 {
-            return Err(SnapshotFormatError::Codec(CodecError::LengthOutOfBounds {
-                declared: payload_len,
-                remaining: payload.len(),
-            }));
-        }
-        check_trailer(header, trailer)?;
-        Self::from_parsed(
-            ParsedFrame {
-                id,
-                meta,
-                nominal_size,
-                payload_hash,
-                payload_start: 0,
-                payload_end: payload.len(),
-            },
-            payload.clone(),
-        )
-    }
-}
-
-/// Errors produced while parsing snapshot framing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotFormatError {
-    /// The magic bytes do not open the buffer.
-    BadMagic,
-    /// A newer (or corrupt) format version.
-    UnsupportedVersion(u16),
-    /// The trailer checksum or payload hash does not match the content.
-    ChecksumMismatch {
-        /// Checksum stored in the frame.
-        expected: u64,
-        /// Checksum of the actual content.
-        actual: u64,
-    },
-    /// Structural decode failure.
-    Codec(CodecError),
-}
-
-impl fmt::Display for SnapshotFormatError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotFormatError::BadMagic => write!(f, "not a snapshot (bad magic)"),
-            SnapshotFormatError::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot version {v}")
-            }
-            SnapshotFormatError::ChecksumMismatch { expected, actual } => {
-                write!(
-                    f,
-                    "snapshot checksum mismatch ({expected:#x} != {actual:#x})"
-                )
-            }
-            SnapshotFormatError::Codec(e) => write!(f, "snapshot decode error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotFormatError {}
-
-impl From<CodecError> for SnapshotFormatError {
-    fn from(e: CodecError) -> Self {
-        SnapshotFormatError::Codec(e)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{CodecError, Encoder};
+    use crate::frame::{Frame, FrameError, Stored, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 
     fn sample() -> Snapshot {
         Snapshot::new(
@@ -457,10 +135,14 @@ mod tests {
         )
     }
 
-    /// Hand-builds a v2 frame from parts, with magic/version overridable —
-    /// the rejection tests below need syntactically valid frames that fail
-    /// exactly one check.
-    fn build_frame(snap: &Snapshot, magic: &[u8], version: u16) -> Vec<u8> {
+    fn frame(snap: &Snapshot) -> Frame {
+        snap.to_frame_with(&mut Encoder::new())
+    }
+
+    /// Hand-builds a full frame from parts, with magic/version overridable
+    /// — the rejection tests below need syntactically valid frames that
+    /// fail exactly one check.
+    fn build_frame(snap: &Snapshot, magic: &[u8], version: u16) -> Frame {
         let mut enc = Encoder::new();
         enc.put_bytes(magic);
         enc.put_u16(version);
@@ -472,17 +154,19 @@ mod tests {
         enc.put_u64(snap.payload_hash());
         enc.put_u64(snap.payload.len() as u64);
         let trailer = enc.checksum();
-        let mut out = enc.into_bytes();
-        out.extend_from_slice(&snap.payload);
-        out.extend_from_slice(&trailer.to_le_bytes());
-        out
+        Frame {
+            header: Bytes::from(enc.into_bytes()),
+            payload: snap.payload.clone(),
+            trailer: Bytes::copy_from_slice(&trailer.to_le_bytes()),
+        }
     }
 
-    #[test]
-    fn round_trips_through_bytes() {
-        let snap = sample();
-        let restored = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
-        assert_eq!(restored, snap);
+    /// `frame` with its header replaced by `header`.
+    fn with_header(frame: &Frame, header: Vec<u8>) -> Frame {
+        Frame {
+            header: Bytes::from(header),
+            ..frame.clone()
+        }
     }
 
     #[test]
@@ -490,35 +174,23 @@ mod tests {
         let snap = sample();
         assert_eq!(
             build_frame(&snap, SNAPSHOT_MAGIC, SNAPSHOT_VERSION),
-            snap.to_bytes().to_vec()
+            frame(&snap)
         );
-    }
-
-    #[test]
-    fn from_shared_is_zero_copy_and_equal() {
-        let snap = sample();
-        let framed = snap.to_bytes();
-        let restored = Snapshot::from_shared(&framed).unwrap();
-        assert_eq!(restored, snap);
-        let header_len = framed.len() - snap.payload.len() - 8;
-        let in_frame = &framed[header_len..header_len + snap.payload.len()];
-        assert_eq!(in_frame, &restored.payload[..]);
-        // Zero-copy: the payload points into the frame's own buffer.
-        assert_eq!(restored.payload.as_ptr(), in_frame.as_ptr());
-        // `from_bytes` copies the payload out instead.
-        let copied = Snapshot::from_bytes(&framed).unwrap();
-        assert_ne!(copied.payload.as_ptr(), in_frame.as_ptr());
     }
 
     #[test]
     fn frame_chunks_round_trip() {
         let snap = sample();
-        let frame = snap.to_frame();
-        assert_eq!(frame.total_len(), snap.to_bytes().len());
-        let [header, payload, trailer] = frame.chunks();
-        assert_eq!(payload, snap.payload);
-        let restored = Snapshot::from_chunks(&header, &payload, &trailer).unwrap();
+        let frame = frame(&snap);
+        assert_eq!(frame.payload, snap.payload);
+        let Ok(Stored::Full(restored)) = frame.parse() else {
+            panic!("a full frame parses as a full snapshot");
+        };
         assert_eq!(restored, snap);
+        // Zero-copy both ways: the payload chunk is the snapshot's buffer,
+        // and the parsed payload is the chunk's.
+        assert_eq!(frame.payload.as_ptr(), snap.payload.as_ptr());
+        assert_eq!(restored.payload.as_ptr(), frame.payload.as_ptr());
     }
 
     #[test]
@@ -528,11 +200,9 @@ mod tests {
         // Pollute the scratch, then reuse it twice: both frames must be
         // byte-identical to a fresh encode.
         scratch.put_str("stale contents");
-        let fresh = snap.to_frame();
+        let fresh = frame(&snap);
         for _ in 0..2 {
-            let reused = snap.to_frame_with(&mut scratch);
-            assert_eq!(reused, fresh);
-            assert_eq!(reused.to_bytes(), fresh.to_bytes());
+            assert_eq!(snap.to_frame_with(&mut scratch), fresh);
         }
     }
 
@@ -567,58 +237,76 @@ mod tests {
     #[test]
     fn payload_corruption_is_detected_by_hash() {
         let snap = sample();
-        let mut bytes = snap.to_bytes().to_vec();
-        // Flip a byte squarely inside the payload region.
-        let payload_start = bytes.len() - 8 - snap.payload.len();
-        bytes[payload_start + snap.payload.len() / 2] ^= 0xff;
+        let mut frame = frame(&snap);
+        let mut payload = frame.payload.to_vec();
+        payload[snap.payload.len() / 2] ^= 0xff;
+        frame.payload = Bytes::from(payload);
         assert!(matches!(
-            Snapshot::from_bytes(&bytes),
-            Err(SnapshotFormatError::ChecksumMismatch { .. })
+            frame.parse(),
+            Err(FrameError::ChecksumMismatch { .. })
         ));
     }
 
     #[test]
     fn header_corruption_is_detected() {
-        let snap = sample();
-        let frame = snap.to_bytes();
-        let payload_start = frame.len() - 8 - snap.payload.len();
-        // Flip every header byte in turn; each corrupt frame must fail
-        // with *some* typed error — never parse as valid.
-        for i in 0..payload_start {
-            let mut bytes = frame.to_vec();
-            bytes[i] ^= 0xff;
-            assert!(Snapshot::from_bytes(&bytes).is_err(), "byte {i} accepted");
+        let frame = frame(&sample());
+        // Flip every header and trailer byte in turn; each corrupt frame
+        // must fail with *some* typed error — never parse as valid.
+        for i in 0..frame.header.len() {
+            let mut header = frame.header.to_vec();
+            header[i] ^= 0xff;
+            assert!(
+                with_header(&frame, header).parse().is_err(),
+                "byte {i} accepted"
+            );
+        }
+        for i in 0..frame.trailer.len() {
+            let mut trailer = frame.trailer.to_vec();
+            trailer[i] ^= 0xff;
+            let bad = Frame {
+                trailer: Bytes::from(trailer),
+                ..frame.clone()
+            };
+            assert!(bad.parse().is_err(), "trailer byte {i} accepted");
         }
     }
 
     #[test]
     fn truncation_is_detected() {
-        let bytes = sample().to_bytes();
-        assert!(Snapshot::from_bytes(&bytes[..bytes.len() - 3]).is_err());
-        assert!(Snapshot::from_bytes(&[]).is_err());
-        assert!(Snapshot::from_bytes(b"junk").is_err());
-        assert!(Snapshot::from_shared(&Bytes::from_static(b"junk")).is_err());
+        let frame = frame(&sample());
+        let header = frame.header.to_vec();
+        assert!(with_header(&frame, header[..header.len() - 3].to_vec())
+            .parse()
+            .is_err());
+        assert!(with_header(&frame, Vec::new()).parse().is_err());
+        assert!(with_header(&frame, b"junk".to_vec()).parse().is_err());
+        let short_payload = Frame {
+            payload: frame.payload.slice(1..),
+            ..frame.clone()
+        };
+        assert!(matches!(
+            short_payload.parse(),
+            Err(FrameError::Codec(CodecError::LengthOutOfBounds { .. }))
+        ));
+        let short_trailer = Frame {
+            trailer: frame.trailer.slice(..7),
+            ..frame
+        };
+        assert!(short_trailer.parse().is_err());
     }
 
     #[test]
     fn bad_magic_is_detected() {
-        let snap = sample();
-        let bytes = build_frame(&snap, b"WRONGMG\x01", SNAPSHOT_VERSION);
-        assert_eq!(
-            Snapshot::from_bytes(&bytes),
-            Err(SnapshotFormatError::BadMagic)
-        );
+        let bad = build_frame(&sample(), b"WRONGMG\x01", SNAPSHOT_VERSION);
+        assert_eq!(bad.parse(), Err(FrameError::BadMagic));
     }
 
     #[test]
     fn future_version_is_rejected() {
-        let snap = sample();
-        let bytes = build_frame(&snap, SNAPSHOT_MAGIC, SNAPSHOT_VERSION + 1);
+        let bad = build_frame(&sample(), SNAPSHOT_MAGIC, SNAPSHOT_VERSION + 1);
         assert_eq!(
-            Snapshot::from_bytes(&bytes),
-            Err(SnapshotFormatError::UnsupportedVersion(
-                SNAPSHOT_VERSION + 1
-            ))
+            bad.parse(),
+            Err(FrameError::UnsupportedVersion(SNAPSHOT_VERSION + 1))
         );
     }
 

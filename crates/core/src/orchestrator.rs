@@ -22,8 +22,9 @@
 use crate::policy::{Policy, PolicyKind, StartDecision};
 use crate::pool::PoolEntry;
 use bytes::Bytes;
-use pronghorn_checkpoint::delta::is_delta_frame;
-use pronghorn_checkpoint::{CheckpointOutcome, DeltaFrame, Encoder, Snapshot, SnapshotId};
+use pronghorn_checkpoint::{
+    CheckpointOutcome, DeltaFrame, Encoder, Frame, Snapshot, SnapshotId, Stored,
+};
 use pronghorn_kv::KvCosts;
 use pronghorn_restore::{
     FaultCostModel, PageMap, RestoreStrategy, WorkingSetManifest, DEFAULT_PAGE_SIZE,
@@ -574,10 +575,15 @@ impl Orchestrator {
             let chunks = self
                 .store
                 .get_chunks(SNAPSHOT_BUCKET, &self.blob_key(cursor))?;
-            let root = match chunks.as_slice() {
-                [head, payload, tail] if is_delta_frame(head) => {
-                    let frame = DeltaFrame::from_chunks(head, payload, tail)
-                        .map_err(|_| StoreError::NotFound)?;
+            let [header, payload, trailer] =
+                <[Bytes; 3]>::try_from(chunks).map_err(|_| StoreError::NotFound)?;
+            let frame = Frame {
+                header,
+                payload,
+                trailer,
+            };
+            let root = match frame.parse().map_err(|_| StoreError::NotFound)? {
+                Stored::Delta(frame) => {
                     nominal += frame.delta.dirty_nominal_bytes;
                     cursor = frame.delta.parent;
                     frames.push(frame);
@@ -586,13 +592,7 @@ impl Orchestrator {
                     }
                     continue;
                 }
-                // Chunked upload: parse the frame without reassembling it;
-                // the payload Bytes still shares the store's buffer.
-                [head, payload, tail] => {
-                    Snapshot::from_chunks(head, payload, tail).map_err(|_| StoreError::NotFound)?
-                }
-                [whole] => Snapshot::from_shared(whole).map_err(|_| StoreError::NotFound)?,
-                _ => return Err(StoreError::NotFound),
+                Stored::Full(root) => root,
             };
             nominal += root.nominal_size;
             let chain_len = frames.len() + 1;
@@ -670,22 +670,13 @@ impl Orchestrator {
     /// Snapshot recording: Figure 2 steps 7–8 — upload the blob, register
     /// metadata, and delete whatever the pool evicted. `engine_downtime`
     /// is the checkpoint cost reported by the Checkpoint Engine.
+    ///
+    /// What is stored follows the engine's [`CheckpointOutcome`]: the
+    /// whole payload for a full snapshot, or only the changed pages plus a
+    /// parent reference for a delta. Deltas upload (and charge transfer on)
+    /// their dirty nominal bytes; the pool entry handed to the policy still
+    /// carries the full image size, so eviction decisions are unchanged.
     pub fn record_snapshot(
-        &mut self,
-        snapshot: &Snapshot,
-        engine_downtime: SimDuration,
-        rng: &mut dyn RngCore,
-    ) -> SimDuration {
-        self.record_snapshot_with(snapshot, &CheckpointOutcome::Full, engine_downtime, rng)
-    }
-
-    /// Like [`Self::record_snapshot`], but persisting what the engine's
-    /// [`CheckpointOutcome`] says to store: the whole payload for a full
-    /// snapshot, or only the changed pages plus a parent reference for a
-    /// delta. Deltas upload (and charge transfer on) their dirty nominal
-    /// bytes; the pool entry handed to the policy still carries the full
-    /// image size, so eviction decisions are unchanged.
-    pub fn record_snapshot_with(
         &mut self,
         snapshot: &Snapshot,
         outcome: &CheckpointOutcome,
@@ -716,34 +707,20 @@ impl Orchestrator {
 
         // Frame into the reusable scratch encoder and upload as chunks, so
         // byte-identical payloads (twin lineages) dedup in the store.
-        let upload_ok = match delta {
-            Some(d) => {
-                let frame = d.to_frame_with(snapshot, &mut self.frame_scratch);
-                let [head, payload, tail] = frame.chunks();
-                self.store
-                    .put_chunked(
-                        SNAPSHOT_BUCKET,
-                        &self.blob_key(snapshot.id),
-                        head,
-                        payload,
-                        tail,
-                    )
-                    .is_ok()
-            }
-            None => {
-                let frame = snapshot.to_frame_with(&mut self.frame_scratch);
-                let [head, payload, tail] = frame.chunks();
-                self.store
-                    .put_chunked(
-                        SNAPSHOT_BUCKET,
-                        &self.blob_key(snapshot.id),
-                        head,
-                        payload,
-                        tail,
-                    )
-                    .is_ok()
-            }
+        let frame = match delta {
+            Some(d) => d.to_frame_with(snapshot, &mut self.frame_scratch),
+            None => snapshot.to_frame_with(&mut self.frame_scratch),
         };
+        let upload_ok = self
+            .store
+            .put_chunked(
+                SNAPSHOT_BUCKET,
+                &self.blob_key(snapshot.id),
+                frame.header,
+                frame.payload,
+                frame.trailer,
+            )
+            .is_ok();
         // Wire bytes over the link plus any compression CPU, admitted
         // write-through to the local SSD at the snapshot's θ-weight.
         let weight = match self.storage.cache() {
@@ -862,6 +839,7 @@ mod tests {
     use crate::baselines::CheckpointAfterFirstPolicy;
     use crate::config::PolicyConfig;
     use crate::request_centric::RequestCentricPolicy;
+    use pronghorn_checkpoint::CheckpointOutcome::Full;
     use pronghorn_checkpoint::{SnapshotDelta, SnapshotMeta};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -899,7 +877,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(2);
         orch.begin_worker(&mut rng);
         let snap = snapshot(1, 7);
-        let overhead = orch.record_snapshot(&snap, SimDuration::from_millis(65), &mut rng);
+        let overhead = orch.record_snapshot(&snap, &Full, SimDuration::from_millis(65), &mut rng);
         assert!(overhead >= SimDuration::from_millis(65));
         // Next worker restores it, resuming at request 1.
         let plan = orch.begin_worker(&mut rng);
@@ -915,7 +893,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         orch.begin_worker(&mut rng);
         let snap = snapshot(1, 7);
-        orch.record_snapshot(&snap, SimDuration::from_millis(65), &mut rng);
+        orch.record_snapshot(&snap, &Full, SimDuration::from_millis(65), &mut rng);
         // Sabotage: delete the blob behind the policy's back.
         orch.store
             .delete(SNAPSHOT_BUCKET, &format!("f/{}", snap.id))
@@ -943,8 +921,8 @@ mod tests {
         let a = Snapshot::with_nonce(meta(1), payload.clone(), 12 << 20, 1);
         let b = Snapshot::with_nonce(meta(1), payload, 12 << 20, 2);
         assert_ne!(a.id, b.id, "nonce must keep twin ids distinct");
-        orch.record_snapshot(&a, SimDuration::from_millis(65), &mut rng);
-        orch.record_snapshot(&b, SimDuration::from_millis(65), &mut rng);
+        orch.record_snapshot(&a, &Full, SimDuration::from_millis(65), &mut rng);
+        orch.record_snapshot(&b, &Full, SimDuration::from_millis(65), &mut rng);
         let stats = orch.store.stats();
         assert!(stats.bytes_deduped > 0, "twin payload was not deduped");
         // The after-first policy pools exactly one snapshot, so one twin
@@ -968,7 +946,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         for i in 0..6 {
             let snap = snapshot(i, i as u8);
-            orch.record_snapshot(&snap, SimDuration::from_millis(70), &mut rng);
+            orch.record_snapshot(&snap, &Full, SimDuration::from_millis(70), &mut rng);
         }
         assert!(
             store.stats().objects <= 2,
@@ -1003,7 +981,7 @@ mod tests {
         let pages = [0, 1, 5, map.page_count() - 1];
         // Not yet recorded: nothing to fetch.
         assert_eq!(orch.page_bytes(first.id, &map, &pages), 0);
-        orch.record_snapshot(&first, SimDuration::from_millis(70), &mut rng);
+        orch.record_snapshot(&first, &Full, SimDuration::from_millis(70), &mut rng);
         assert_eq!(
             orch.page_bytes(first.id, &map, &pages),
             map.bytes_for(&pages)
@@ -1011,7 +989,12 @@ mod tests {
         assert_eq!(orch.page_bytes(first.id, &map, &[]), 0);
         // The next recording evicts it; a lazily restored worker that
         // outlives its snapshot fetches nothing more.
-        orch.record_snapshot(&snapshot(2, 2), SimDuration::from_millis(70), &mut rng);
+        orch.record_snapshot(
+            &snapshot(2, 2),
+            &Full,
+            SimDuration::from_millis(70),
+            &mut rng,
+        );
         assert_eq!(orch.page_bytes(first.id, &map, &pages), 0);
         // No per-page objects: only the two snapshot blobs were ever put.
         assert_eq!(orch.store.stats().puts, 2);
@@ -1023,12 +1006,17 @@ mod tests {
             .with_restore(RestoreStrategy::RecordPrefetch);
         let mut rng = SmallRng::seed_from_u64(32);
         let first = snapshot(1, 1);
-        orch.record_snapshot(&first, SimDuration::from_millis(70), &mut rng);
+        orch.record_snapshot(&first, &Full, SimDuration::from_millis(70), &mut rng);
         let manifest = manifest_of(&first, &[3, 1, 4]);
         orch.persist_manifest(&manifest);
         assert_eq!(orch.load_manifest(first.id), Some(manifest));
         assert_eq!(orch.store.list(MANIFESTS_BUCKET).len(), 1);
-        orch.record_snapshot(&snapshot(2, 2), SimDuration::from_millis(70), &mut rng);
+        orch.record_snapshot(
+            &snapshot(2, 2),
+            &Full,
+            SimDuration::from_millis(70),
+            &mut rng,
+        );
         assert!(orch.load_manifest(first.id).is_none());
         assert!(orch.store.list(MANIFESTS_BUCKET).is_empty());
     }
@@ -1043,8 +1031,13 @@ mod tests {
         orch.persist_manifest(&manifest_of(&stray, &[0]));
         // Recorded, then evicted before its restore's recording grew.
         let evicted = snapshot(2, 2);
-        orch.record_snapshot(&evicted, SimDuration::from_millis(70), &mut rng);
-        orch.record_snapshot(&snapshot(3, 3), SimDuration::from_millis(70), &mut rng);
+        orch.record_snapshot(&evicted, &Full, SimDuration::from_millis(70), &mut rng);
+        orch.record_snapshot(
+            &snapshot(3, 3),
+            &Full,
+            SimDuration::from_millis(70),
+            &mut rng,
+        );
         orch.persist_manifest(&manifest_of(&evicted, &[0]));
         assert!(orch.store.list(MANIFESTS_BUCKET).is_empty());
         assert!(orch.load_manifest(stray.id).is_none());
@@ -1059,7 +1052,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(34);
         orch.begin_worker(&mut rng);
         let snap = snapshot(1, 7);
-        orch.record_snapshot(&snap, SimDuration::from_millis(65), &mut rng);
+        orch.record_snapshot(&snap, &Full, SimDuration::from_millis(65), &mut rng);
         let pages = [0, 2, 9];
         orch.persist_manifest(&manifest_of(&snap, &pages));
         // A recorded working set: the download moves only those pages.
@@ -1093,7 +1086,7 @@ mod tests {
         );
         let mut rng = SmallRng::seed_from_u64(35);
         let snap = snapshot(1, 1);
-        orch.record_snapshot(&snap, SimDuration::from_millis(65), &mut rng);
+        orch.record_snapshot(&snap, &Full, SimDuration::from_millis(65), &mut rng);
         // Without paging a recording is never persisted or loaded.
         orch.persist_manifest(&manifest_of(&snap, &[0, 1]));
         assert!(orch.load_manifest(snap.id).is_none());
@@ -1159,7 +1152,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(41);
         orch.begin_worker(&mut rng);
         let root = snapshot(1, 7);
-        orch.record_snapshot(&root, SimDuration::from_millis(65), &mut rng);
+        orch.record_snapshot(&root, &Full, SimDuration::from_millis(65), &mut rng);
         assert_eq!(orch.chain_depth(root.id), Some(0));
         // Child of the root: same payload with one byte flipped.
         let mut child_bytes = root.payload.to_vec();
@@ -1179,7 +1172,7 @@ mod tests {
         // The after-first pool holds one snapshot: recording the child
         // evicts the root — which must stay pinned, not deleted, because
         // the child's delta references it.
-        orch.record_snapshot_with(
+        orch.record_snapshot(
             &child,
             &CheckpointOutcome::Delta(delta),
             SimDuration::from_millis(30),
@@ -1230,7 +1223,7 @@ mod tests {
             12 * 1024 * 1024,
         );
         let delta = delta_between(&root, &child, 1024);
-        orch.record_snapshot_with(
+        orch.record_snapshot(
             &child,
             &CheckpointOutcome::Delta(delta),
             SimDuration::from_millis(30),
@@ -1258,8 +1251,18 @@ mod tests {
             };
             let mut rng = SmallRng::seed_from_u64(43);
             orch.begin_worker(&mut rng);
-            orch.record_snapshot(&snapshot(1, 1), SimDuration::from_millis(65), &mut rng);
-            orch.record_snapshot(&snapshot(2, 2), SimDuration::from_millis(65), &mut rng);
+            orch.record_snapshot(
+                &snapshot(1, 1),
+                &Full,
+                SimDuration::from_millis(65),
+                &mut rng,
+            );
+            orch.record_snapshot(
+                &snapshot(2, 2),
+                &Full,
+                SimDuration::from_millis(65),
+                &mut rng,
+            );
             let plan = orch.begin_worker(&mut rng);
             (
                 *orch.overheads(),
@@ -1277,7 +1280,12 @@ mod tests {
         orch.begin_worker(&mut rng);
         orch.complete_request(0, 10_000.0);
         orch.complete_request(1, 9_000.0);
-        orch.record_snapshot(&snapshot(1, 1), SimDuration::from_millis(65), &mut rng);
+        orch.record_snapshot(
+            &snapshot(1, 1),
+            &Full,
+            SimDuration::from_millis(65),
+            &mut rng,
+        );
         let o = orch.overheads();
         assert_eq!(o.startups, 1);
         assert_eq!(o.requests, 2);
@@ -1300,7 +1308,12 @@ mod tests {
             .with_transfer(transfer);
             let mut rng = SmallRng::seed_from_u64(12);
             orch.begin_worker(&mut rng);
-            orch.record_snapshot(&snapshot(1, 1), SimDuration::from_millis(65), &mut rng);
+            orch.record_snapshot(
+                &snapshot(1, 1),
+                &Full,
+                SimDuration::from_millis(65),
+                &mut rng,
+            );
             let plan = orch.begin_worker(&mut rng);
             (plan.startup_overhead, orch.overheads().per_startup_us())
         };

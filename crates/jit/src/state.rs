@@ -66,7 +66,7 @@ mod tests {
     use crate::request::{MethodWork, RequestWork};
     use crate::runtime::Runtime;
     use pronghorn_checkpoint::codec::{Decoder, Encoder};
-    use pronghorn_checkpoint::{Checkpointable, SimCriuEngine, SnapshotMeta};
+    use pronghorn_checkpoint::{CheckpointScratch, Checkpointable, SimCriuEngine, SnapshotMeta};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -119,7 +119,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(9);
         let rt = warm_runtime(500);
         let tiers_before: Vec<_> = rt.method_states().iter().map(|m| m.tier).collect();
-        let (snap, _) = engine.checkpoint(
+        let (snap, _, _) = engine.checkpoint(
+            &mut CheckpointScratch::new(),
             &mut rng,
             &rt,
             SnapshotMeta {
@@ -127,6 +128,7 @@ mod tests {
                 request_number: 500,
                 runtime: "jvm".into(),
             },
+            None,
         );
         let (mut restored, _): (Runtime, _) = engine.restore(&mut rng, &snap).unwrap();
         let tiers_after: Vec<_> = restored.method_states().iter().map(|m| m.tier).collect();

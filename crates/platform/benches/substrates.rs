@@ -7,7 +7,9 @@
 
 use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use pronghorn_checkpoint::{Checkpointable, SimCriuEngine, Snapshot, SnapshotMeta};
+use pronghorn_checkpoint::{
+    CheckpointScratch, Checkpointable, Encoder, SimCriuEngine, SnapshotMeta,
+};
 use pronghorn_jit::Runtime;
 use pronghorn_store::ObjectStore;
 use pronghorn_workloads::benches::python;
@@ -36,40 +38,28 @@ fn warm_runtime() -> Runtime {
 fn bench_checkpoint_engine(c: &mut Criterion) {
     let engine = SimCriuEngine::new();
     let runtime = warm_runtime();
+    let meta = || SnapshotMeta {
+        function: "bfs".into(),
+        request_number: 200,
+        runtime: "pypy".into(),
+    };
+    let mut scratch = CheckpointScratch::new();
     let mut group = c.benchmark_group("checkpoint_engine");
     group.bench_function("checkpoint_runtime", |b| {
         let mut rng = SmallRng::seed_from_u64(3);
-        b.iter(|| {
-            engine.checkpoint(
-                &mut rng,
-                &runtime,
-                SnapshotMeta {
-                    function: "bfs".into(),
-                    request_number: 200,
-                    runtime: "pypy".into(),
-                },
-            )
-        })
+        b.iter(|| engine.checkpoint(&mut scratch, &mut rng, &runtime, meta(), None))
     });
     let mut rng = SmallRng::seed_from_u64(4);
-    let (snapshot, _) = engine.checkpoint(
-        &mut rng,
-        &runtime,
-        SnapshotMeta {
-            function: "bfs".into(),
-            request_number: 200,
-            runtime: "pypy".into(),
-        },
-    );
+    let (snapshot, _, _) = engine.checkpoint(&mut scratch, &mut rng, &runtime, meta(), None);
     group.bench_function("restore_runtime", |b| {
         let mut rng = SmallRng::seed_from_u64(5);
         b.iter(|| engine.restore::<Runtime, _>(&mut rng, &snapshot).unwrap())
     });
-    let framed = snapshot.to_bytes();
-    group.throughput(Throughput::Bytes(framed.len() as u64));
-    group.bench_function("snapshot_from_bytes", |b| {
-        b.iter(|| Snapshot::from_bytes(&framed).unwrap())
-    });
+    let frame = snapshot.to_frame_with(&mut Encoder::new());
+    group.throughput(Throughput::Bytes(
+        (frame.header.len() + frame.payload.len() + frame.trailer.len()) as u64,
+    ));
+    group.bench_function("frame_parse", |b| b.iter(|| frame.parse().unwrap()));
     group.finish();
 }
 

@@ -554,7 +554,7 @@ impl<'w> Session<'w> {
                 ),
             })
         });
-        let (snapshot, outcome, downtime) = self.engine.checkpoint_delta_with(
+        let (snapshot, outcome, downtime) = self.engine.checkpoint(
             scratch,
             &mut self.engine_rng,
             &worker.runtime,
@@ -570,7 +570,7 @@ impl<'w> Session<'w> {
             snapshot.meta.request_number,
         );
         dep.orch
-            .record_snapshot_with(&snapshot, &outcome, downtime, &mut self.policy_rng);
+            .record_snapshot(&snapshot, &outcome, downtime, &mut self.policy_rng);
     }
 
     /// Serves `request` end to end on `worker`, returning its execution

@@ -14,9 +14,11 @@
 //!   snapshot, so it is recomputed wherever it is needed and never
 //!   stored; the orchestrator decides which pages can be fetched (all of
 //!   them while the snapshot is pooled, none after it is evicted);
-//! - [`WorkingSetManifest`] is the recorded set of touched pages, with a
-//!   versioned binary codec — the one paged object the orchestrator
-//!   keeps in its object store, one per recorded snapshot;
+//! - [`WorkingSetManifest`] is the recorded set of touched pages — the
+//!   one paged object the orchestrator keeps in its object store, one per
+//!   recorded snapshot. It is stored as one chunk that opens with the
+//!   snapshot frames' envelope (`pronghorn_checkpoint::frame`), and a
+//!   malformed one decodes to the same `FrameError` a frame does;
 //! - [`LazyImage`] is a restored-but-unmapped snapshot image that tracks
 //!   residency and first-touch faults per request;
 //! - [`RestoreStrategy`] selects eager / lazy / record-prefetch restore,
@@ -38,6 +40,6 @@ pub mod strategy;
 
 pub use fault::FaultCostModel;
 pub use image::LazyImage;
-pub use manifest::{ManifestError, WorkingSetManifest, MANIFEST_MAGIC, MANIFEST_VERSION};
+pub use manifest::{WorkingSetManifest, MANIFEST_MAGIC, MANIFEST_VERSION};
 pub use page::{PageMap, DEFAULT_PAGE_SIZE};
 pub use strategy::{RestoreInfo, RestoreStrategy};

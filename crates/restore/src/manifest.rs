@@ -6,51 +6,21 @@
 //! recorded set in one batched transfer. Recording is idempotent — the
 //! set is a `BTreeSet`, so replaying the same trace (or a permutation of
 //! it) yields the same manifest and the same encoded bytes.
+//!
+//! A manifest is stored as one chunk that opens with the snapshot frames'
+//! envelope (`pronghorn_checkpoint::frame`), and decodes only from the
+//! bytes its own encoding would produce: pages must ascend strictly.
 
 use std::collections::BTreeSet;
-use std::fmt;
 
-use pronghorn_checkpoint::{CodecError, Decoder, Encoder};
+use pronghorn_checkpoint::frame::{put_envelope, take_envelope};
+use pronghorn_checkpoint::{Decoder, Encoder, FrameError};
 
 /// Magic prefix of an encoded manifest.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"PRWSET\x00\x01";
 
 /// Current manifest wire version.
 pub const MANIFEST_VERSION: u16 = 1;
-
-/// A decode failure for [`WorkingSetManifest`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ManifestError {
-    /// The buffer does not start with [`MANIFEST_MAGIC`].
-    Magic,
-    /// The wire version is newer than this build understands.
-    Version {
-        /// The rejected version.
-        found: u16,
-    },
-    /// A structural codec failure.
-    Codec(CodecError),
-}
-
-impl fmt::Display for ManifestError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ManifestError::Magic => write!(f, "not a working-set manifest (bad magic)"),
-            ManifestError::Version { found } => {
-                write!(f, "unsupported manifest version {found}")
-            }
-            ManifestError::Codec(e) => write!(f, "manifest codec error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ManifestError {}
-
-impl From<CodecError> for ManifestError {
-    fn from(e: CodecError) -> Self {
-        ManifestError::Codec(e)
-    }
-}
 
 /// The set of pages a function touched during a recorded restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,40 +82,30 @@ impl WorkingSetManifest {
         self.pages.iter().copied().collect()
     }
 
-    /// Encodes the manifest into `enc`.
-    pub fn encode(&self, enc: &mut Encoder) {
-        enc.put_bytes(MANIFEST_MAGIC);
-        enc.put_u16(MANIFEST_VERSION);
-        enc.put_str(&self.function);
-        enc.put_u64(self.snapshot_id);
-        enc.put_u64(self.page_size);
-        let pages = self.to_sorted_vec();
-        enc.put_seq(&pages, |e, &p| e.put_u32(p));
-    }
-
     /// Encodes into a fresh buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
-        self.encode(&mut enc);
+        put_envelope(&mut enc, MANIFEST_MAGIC, MANIFEST_VERSION);
+        enc.put_str(&self.function);
+        enc.put_u64(self.snapshot_id);
+        enc.put_u64(self.page_size);
+        enc.put_seq(&self.to_sorted_vec(), |e, &p| e.put_u32(p));
         enc.into_bytes()
     }
 
-    /// Decodes a manifest, rejecting wrong magic, newer versions, and
-    /// trailing bytes.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, ManifestError> {
+    /// Decodes a manifest, rejecting wrong magic, other versions, pages
+    /// out of ascending order, and trailing bytes.
+    pub fn from_bytes(buf: &[u8]) -> Result<Self, FrameError> {
         let mut dec = Decoder::new(buf);
-        if dec.take_bytes()? != MANIFEST_MAGIC {
-            return Err(ManifestError::Magic);
-        }
-        let version = dec.take_u16()?;
-        if version != MANIFEST_VERSION {
-            return Err(ManifestError::Version { found: version });
-        }
+        take_envelope(&mut dec, MANIFEST_MAGIC, MANIFEST_VERSION)?;
         let function = dec.take_str()?.to_string();
         let snapshot_id = dec.take_u64()?;
         let page_size = dec.take_u64()?;
         let pages = dec.take_seq(4, |d| d.take_u32())?;
         dec.finish()?;
+        if let Some(w) = pages.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(FrameError::PageOutOfBounds { index: w[1] });
+        }
         Ok(WorkingSetManifest {
             function,
             snapshot_id,
@@ -207,21 +167,36 @@ mod tests {
         let mut bytes = m.to_bytes();
         assert!(matches!(
             WorkingSetManifest::from_bytes(&bytes[..5]),
-            Err(ManifestError::Codec(_))
+            Err(FrameError::Codec(_))
         ));
+        // Bump the version (just past the 8-byte length prefix and magic).
+        let mut newer = bytes.clone();
+        newer[16] += 1;
+        assert_eq!(
+            WorkingSetManifest::from_bytes(&newer).err(),
+            Some(FrameError::UnsupportedVersion(MANIFEST_VERSION + 1))
+        );
         // Flip a magic byte (past the 8-byte length prefix).
         bytes[8] ^= 0xff;
         assert_eq!(
             WorkingSetManifest::from_bytes(&bytes).err(),
-            Some(ManifestError::Magic)
+            Some(FrameError::BadMagic)
         );
         // Trailing garbage is rejected.
         let mut long = m.to_bytes();
         long.push(0);
         assert!(matches!(
             WorkingSetManifest::from_bytes(&long),
-            Err(ManifestError::Codec(_))
+            Err(FrameError::Codec(_))
         ));
+        // A page list out of ascending order is not an encoding.
+        let mut unsorted = manifest(&[1, 2]).to_bytes();
+        let n = unsorted.len();
+        unsorted[n - 8] = 3;
+        assert_eq!(
+            WorkingSetManifest::from_bytes(&unsorted).err(),
+            Some(FrameError::PageOutOfBounds { index: 2 })
+        );
     }
 
     proptest! {

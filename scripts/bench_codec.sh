@@ -3,7 +3,8 @@
 #
 #   1. runs the codec_throughput bench with PRONGHORN_BENCH_JSON set, so
 #      every result is also appended to results/codec_throughput.jsonl
-#      (one JSON object per line: group, bench, ns_per_iter, MB/s);
+#      (one JSON object per line: group, bench, ns_per_iter, plus MB/s
+#      for the groups that charge payload bytes);
 #   2. runs `experiments summary`, which writes results/BENCH_grid.json
 #      (grid wall-clock + merged codec counters; no throughput numbers —
 #      those come from step 1 alone).
@@ -20,7 +21,7 @@ JSONL=results/codec_throughput.jsonl
 
 echo "== codec_throughput bench (JSON -> $JSONL) =="
 # Absolute path: cargo runs the bench binary from the package directory.
-PRONGHORN_BENCH_JSON="$PWD/$JSONL" cargo bench -q -p pronghorn-bench --bench codec_throughput
+PRONGHORN_BENCH_JSON="$PWD/$JSONL" cargo bench -q -p pronghorn-checkpoint --bench codec_throughput
 
 echo
 echo "== experiments summary (writes results/BENCH_grid.json) =="
