@@ -225,15 +225,22 @@ impl Columns<RunResult> for StorageArm {
             ("mean_median_restore_us", Value::Float(mean_median, 3)),
         ];
         let (wins, total) = ablation.restore_wins(arm);
-        let divergences = ablation.latency_divergences(arm);
-        head.into_iter()
+        let mut fields: Vec<Field> = head
+            .into_iter()
             .chain(tier_fields(&storage))
             .chain([
                 ("restore_wins", Value::Uint(wins as u64)),
                 ("benchmarks", Value::Uint(total as u64)),
-                ("latency_divergences", Value::Uint(divergences as u64)),
             ])
-            .collect()
+            .collect();
+        // Only with eager restores is storage pricing pure accounting;
+        // the composed arm's record-prefetch restores move latencies on
+        // purpose, so a divergence count would claim nothing there.
+        if arm.restore() == RestoreStrategy::Eager {
+            let divergences = ablation.latency_divergences(arm);
+            fields.push(("latency_divergences", Value::Uint(divergences as u64)));
+        }
+        fields
     }
 }
 
@@ -270,6 +277,7 @@ fn tier_fields(s: &StorageStats) -> [Field; 8] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::lookup;
 
     fn quick_ablation() -> StorageAblation {
         let ctx = ExperimentContext {
@@ -317,6 +325,14 @@ mod tests {
                 arm.label()
             );
         }
+        // Arm rows in `StorageArm::ALL` order: only the eager arms report
+        // divergences.
+        let reported: Vec<bool> = ablation
+            .arm_rows()
+            .iter()
+            .map(|row| lookup(row, "latency_divergences").is_some())
+            .collect();
+        assert_eq!(reported, [true, true, true, false]);
         // Nominal byte accounting is storage-invariant on the eager arms:
         // compression changes wire bytes and transfer time only.
         for w in ablation.workloads() {
