@@ -159,11 +159,6 @@ pub fn diff_payload(parent: &[u8], child: &Bytes, page_size: u64) -> Vec<(u32, B
     pages
 }
 
-/// Total physical bytes a delta's changed pages occupy.
-pub fn delta_payload_bytes(pages: &[(u32, Bytes)]) -> u64 {
-    pages.iter().map(|(_, b)| b.len() as u64).sum()
-}
-
 /// Applies `delta` on top of `parent`, returning the composed child
 /// payload. Inverse of [`diff_payload`]: for any parent/child pair,
 /// `apply(parent, diff(parent, child)) == child` byte-for-byte. Every
@@ -200,7 +195,7 @@ impl SnapshotDelta {
     /// Total physical bytes of the changed pages (what the store blob
     /// holds; the nominal accounting uses `dirty_nominal_bytes`).
     pub fn payload_bytes(&self) -> u64 {
-        delta_payload_bytes(&self.pages)
+        self.pages.iter().map(|(_, b)| b.len() as u64).sum()
     }
 }
 

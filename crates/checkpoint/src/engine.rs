@@ -177,9 +177,7 @@ impl SimCriuEngine {
         T: Checkpointable,
         R: Rng + ?Sized,
     {
-        let mut dec = Decoder::new(&snapshot.payload);
-        let process = T::decode_state(&mut dec)?;
-        dec.finish()?;
+        let process = self.restore_mapped(snapshot)?;
         let cost = self.costs.sample_restore_us(rng, snapshot.nominal_size);
         Ok((process, SimDuration::from_micros_f64(cost)))
     }
