@@ -267,6 +267,39 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_with_matches_plain_checkpoint_exactly() {
+        // A scratch that has already served another process checkpoints
+        // exactly what a fresh one does.
+        let engine = SimCriuEngine::new();
+        let process = Counter {
+            value: 41,
+            history: vec![1.5, 2.5],
+        };
+        let mut rng_a = SmallRng::seed_from_u64(21);
+        let (plain, cost_a) = full(&engine, &mut rng_a, &process);
+        let mut scratch = CheckpointScratch::new();
+        let other = Counter {
+            value: 5,
+            history: vec![9.0; 16],
+        };
+        engine.checkpoint(
+            &mut scratch,
+            &mut SmallRng::seed_from_u64(0),
+            &other,
+            meta(),
+            None,
+        );
+        let mut rng_b = SmallRng::seed_from_u64(21);
+        let (used, outcome, cost_b) =
+            engine.checkpoint(&mut scratch, &mut rng_b, &process, meta(), None);
+        assert!(matches!(outcome, CheckpointOutcome::Full));
+        assert_eq!(plain, used, "same seed must yield identical snapshots");
+        assert_eq!(cost_a, cost_b);
+        // And the RNG streams stay in lockstep afterwards.
+        assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+    }
+
+    #[test]
     fn delta_checkpoint_composes_back_and_keeps_rng_lockstep() {
         let engine = SimCriuEngine::new();
         let parent_process = Counter {

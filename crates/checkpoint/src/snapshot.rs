@@ -169,6 +169,53 @@ mod tests {
         }
     }
 
+    /// `frame`'s three chunks laid end to end in one buffer, as a store
+    /// that keeps a frame contiguously would hold it.
+    fn contiguous(frame: &Frame) -> Vec<u8> {
+        [&frame.header[..], &frame.payload[..], &frame.trailer[..]].concat()
+    }
+
+    /// Splits a contiguous frame back into its chunks; every chunk is a
+    /// slice of `bytes`, so none copies.
+    fn split(bytes: &Bytes, header_len: usize, payload_len: usize) -> Frame {
+        let payload_end = header_len + payload_len;
+        Frame {
+            header: bytes.slice(..header_len),
+            payload: bytes.slice(header_len..payload_end),
+            trailer: bytes.slice(payload_end..),
+        }
+    }
+
+    #[test]
+    fn round_trips_through_bytes() {
+        let snap = sample();
+        let framed = frame(&snap);
+        let bytes = Bytes::from(contiguous(&framed));
+        let Ok(Stored::Full(restored)) =
+            split(&bytes, framed.header.len(), snap.payload.len()).parse()
+        else {
+            panic!("a contiguous full frame parses as a full snapshot");
+        };
+        assert_eq!(restored, snap);
+    }
+
+    #[test]
+    fn from_shared_is_zero_copy_and_equal() {
+        let snap = sample();
+        let framed = frame(&snap);
+        let shared = Bytes::from(contiguous(&framed));
+        let header_len = framed.header.len();
+        let Ok(Stored::Full(restored)) = split(&shared, header_len, snap.payload.len()).parse()
+        else {
+            panic!("a shared full frame parses as a full snapshot");
+        };
+        assert_eq!(restored, snap);
+        let in_frame = &shared[header_len..header_len + snap.payload.len()];
+        assert_eq!(in_frame, &restored.payload[..]);
+        // Zero-copy: the payload points into the shared buffer itself.
+        assert_eq!(restored.payload.as_ptr(), in_frame.as_ptr());
+    }
+
     #[test]
     fn hand_built_frame_matches_to_bytes() {
         let snap = sample();
