@@ -170,8 +170,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              The Table 5 byte decomposition is summed across millions of\n\
              simulated events; a silent u64 wrap corrupts a headline number\n\
              while every test stays green. Use\n\
-             `pronghorn_store::saturating_accumulate` (or\n\
-             `checked_accumulate` where an error channel exists)."
+             `pronghorn_store::saturating_accumulate`."
         }
         "panic-reach" => {
             "panic-reach (P1, interprocedural)\n\

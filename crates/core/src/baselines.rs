@@ -2,11 +2,11 @@
 //!
 //! - [`ColdStartPolicy`]: "starting the workload anew each time a worker
 //!   is initialized (no checkpoint-restore)";
-//! - [`CheckpointAfterFirstPolicy`]: the state of the art — "checkpointing
-//!   immediately after the first request is complete, and resuming from
-//!   that snapshot hereafter" (Catalyzer, FireWorks, Prebaking, Groundhog,
-//!   Lambda SnapStart);
-//! - [`CheckpointAfterInitPolicy`]: the after-initialization variant the
+//! - [`FixedPointPolicy::after_first`]: the state of the art —
+//!   "checkpointing immediately after the first request is complete, and
+//!   resuming from that snapshot hereafter" (Catalyzer, FireWorks,
+//!   Prebaking, Groundhog, Lambda SnapStart);
+//! - [`FixedPointPolicy::after_init`]: the after-initialization variant the
 //!   paper notes "results in inferior performance as runtimes lazily
 //!   initialize many internal data structures" — kept as an ablation.
 
@@ -48,9 +48,10 @@ impl Policy for ColdStartPolicy {
     }
 }
 
-/// Checkpoint once at a fixed request number, restore forever after.
+/// Checkpoint once at a fixed request number, restore forever after: the
+/// two checkpoint-once baselines differ only in that request number.
 #[derive(Debug, Clone)]
-struct FixedPointPolicy {
+pub struct FixedPointPolicy {
     kind: PolicyKind,
     /// Request number at which the single snapshot is taken.
     checkpoint_at: u32,
@@ -58,6 +59,16 @@ struct FixedPointPolicy {
 }
 
 impl FixedPointPolicy {
+    /// The state-of-the-art policy: snapshot right after request 1.
+    pub fn after_first() -> Self {
+        FixedPointPolicy::new(PolicyKind::AfterFirst, 1)
+    }
+
+    /// The after-initialization variant: snapshot before the first request.
+    pub fn after_init() -> Self {
+        FixedPointPolicy::new(PolicyKind::AfterInit, 0)
+    }
+
     fn new(kind: PolicyKind, checkpoint_at: u32) -> Self {
         FixedPointPolicy {
             kind,
@@ -114,95 +125,13 @@ impl Policy for FixedPointPolicy {
     }
 }
 
-/// The state-of-the-art policy: snapshot right after request 1.
-#[derive(Debug, Clone)]
-pub struct CheckpointAfterFirstPolicy(FixedPointPolicy);
-
-impl CheckpointAfterFirstPolicy {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        CheckpointAfterFirstPolicy(FixedPointPolicy::new(PolicyKind::AfterFirst, 1))
-    }
-}
-
-impl Default for CheckpointAfterFirstPolicy {
-    fn default() -> Self {
-        CheckpointAfterFirstPolicy::new()
-    }
-}
-
-impl Policy for CheckpointAfterFirstPolicy {
-    fn kind(&self) -> PolicyKind {
-        self.0.kind()
-    }
-    fn on_worker_start(&mut self, rng: &mut dyn RngCore) -> StartDecision {
-        self.0.on_worker_start(rng)
-    }
-    fn plan_checkpoint(&mut self, start: u32, rng: &mut dyn RngCore) -> Option<u32> {
-        self.0.plan_checkpoint(start, rng)
-    }
-    fn record_latency(&mut self, r: u32, latency_us: f64) {
-        self.0.record_latency(r, latency_us);
-    }
-    fn on_snapshot_taken(&mut self, entry: PoolEntry, rng: &mut dyn RngCore) -> Vec<PoolEntry> {
-        self.0.on_snapshot_taken(entry, rng)
-    }
-    fn snapshot_request_number(&self, id: SnapshotId) -> Option<u32> {
-        self.0.snapshot_request_number(id)
-    }
-    fn pool_len(&self) -> usize {
-        self.0.pool_len()
-    }
-}
-
-/// The after-initialization variant: snapshot before the first request.
-#[derive(Debug, Clone)]
-pub struct CheckpointAfterInitPolicy(FixedPointPolicy);
-
-impl CheckpointAfterInitPolicy {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        CheckpointAfterInitPolicy(FixedPointPolicy::new(PolicyKind::AfterInit, 0))
-    }
-}
-
-impl Default for CheckpointAfterInitPolicy {
-    fn default() -> Self {
-        CheckpointAfterInitPolicy::new()
-    }
-}
-
-impl Policy for CheckpointAfterInitPolicy {
-    fn kind(&self) -> PolicyKind {
-        self.0.kind()
-    }
-    fn on_worker_start(&mut self, rng: &mut dyn RngCore) -> StartDecision {
-        self.0.on_worker_start(rng)
-    }
-    fn plan_checkpoint(&mut self, start: u32, rng: &mut dyn RngCore) -> Option<u32> {
-        self.0.plan_checkpoint(start, rng)
-    }
-    fn record_latency(&mut self, r: u32, latency_us: f64) {
-        self.0.record_latency(r, latency_us);
-    }
-    fn on_snapshot_taken(&mut self, entry: PoolEntry, rng: &mut dyn RngCore) -> Vec<PoolEntry> {
-        self.0.on_snapshot_taken(entry, rng)
-    }
-    fn snapshot_request_number(&self, id: SnapshotId) -> Option<u32> {
-        self.0.snapshot_request_number(id)
-    }
-    fn pool_len(&self) -> usize {
-        self.0.pool_len()
-    }
-}
-
 /// Constructs any built-in policy by kind, with the given request-centric
 /// configuration.
 pub fn make_policy(kind: PolicyKind, config: crate::PolicyConfig) -> Box<dyn Policy> {
     match kind {
         PolicyKind::Cold => Box::new(ColdStartPolicy),
-        PolicyKind::AfterFirst => Box::new(CheckpointAfterFirstPolicy::new()),
-        PolicyKind::AfterInit => Box::new(CheckpointAfterInitPolicy::new()),
+        PolicyKind::AfterFirst => Box::new(FixedPointPolicy::after_first()),
+        PolicyKind::AfterInit => Box::new(FixedPointPolicy::after_init()),
         PolicyKind::RequestCentric => Box::new(crate::RequestCentricPolicy::new(config)),
     }
 }
@@ -234,7 +163,7 @@ mod tests {
 
     #[test]
     fn after_first_checkpoints_once_at_request_one() {
-        let mut p = CheckpointAfterFirstPolicy::new();
+        let mut p = FixedPointPolicy::after_first();
         let mut rng = SmallRng::seed_from_u64(2);
         assert_eq!(p.on_worker_start(&mut rng), StartDecision::Cold);
         assert_eq!(p.plan_checkpoint(0, &mut rng), Some(1));
@@ -257,7 +186,7 @@ mod tests {
 
     #[test]
     fn after_init_checkpoints_before_first_request() {
-        let mut p = CheckpointAfterInitPolicy::new();
+        let mut p = FixedPointPolicy::after_init();
         let mut rng = SmallRng::seed_from_u64(3);
         assert_eq!(p.plan_checkpoint(0, &mut rng), Some(0));
         p.on_snapshot_taken(entry(5, 0), &mut rng);
@@ -266,7 +195,7 @@ mod tests {
 
     #[test]
     fn after_first_does_not_plan_for_warm_workers() {
-        let mut p = CheckpointAfterFirstPolicy::new();
+        let mut p = FixedPointPolicy::after_first();
         let mut rng = SmallRng::seed_from_u64(4);
         // A worker starting past the checkpoint point gets no plan.
         assert_eq!(p.plan_checkpoint(5, &mut rng), None);

@@ -49,7 +49,7 @@ pub mod pool;
 pub mod request_centric;
 pub mod weights;
 
-pub use baselines::{CheckpointAfterFirstPolicy, CheckpointAfterInitPolicy, ColdStartPolicy};
+pub use baselines::{ColdStartPolicy, FixedPointPolicy};
 pub use config::{PolicyConfig, SelectionStrategy};
 pub use error::ConfigError;
 pub use orchestrator::{Orchestrator, OverheadTotals, PageFetch, WorkerPlan};

@@ -147,6 +147,9 @@ pub struct WorkerPlan {
     /// for a root, the chain sum of stored forms for a composed restore
     /// (what `RestoreInfo.bytes_transferred` must report). Zero for cold.
     pub download_nominal: u64,
+    /// Blobs the download walked: 1 for a full snapshot, one more per
+    /// delta link of a composed restore. Zero for cold.
+    pub chain_len: usize,
     /// The restored snapshot's page map, when restores are paged.
     pub page_map: Option<PageMap>,
     /// The working set recorded for the restored snapshot (sorted pages),
@@ -171,16 +174,11 @@ pub struct PageFetch {
 /// # Examples
 ///
 /// ```
-/// use pronghorn_core::{CheckpointAfterFirstPolicy, Orchestrator, StartDecision};
-/// use pronghorn_store::ObjectStore;
+/// use pronghorn_core::{FixedPointPolicy, Orchestrator, StartDecision};
 /// use rand::rngs::SmallRng;
 /// use rand::SeedableRng;
 ///
-/// let mut orch = Orchestrator::new(
-///     Box::new(CheckpointAfterFirstPolicy::new()),
-///     ObjectStore::new(),
-///     "dynamic-html",
-/// );
+/// let mut orch = Orchestrator::new(Box::new(FixedPointPolicy::after_first()), "dynamic-html");
 /// let mut rng = SmallRng::seed_from_u64(1);
 /// let plan = orch.begin_worker(&mut rng);
 /// // No snapshot exists yet: the first worker cold-starts and is told to
@@ -190,6 +188,8 @@ pub struct PageFetch {
 /// ```
 pub struct Orchestrator {
     policy: Box<dyn Policy>,
+    /// This deployment's Object Store: snapshot frames and working-set
+    /// manifests, each stored as chunks.
     store: ObjectStore,
     function: String,
     overheads: OverheadTotals,
@@ -230,11 +230,11 @@ struct Download {
 }
 
 impl Orchestrator {
-    /// Creates an orchestrator for `function`.
-    pub fn new(policy: Box<dyn Policy>, store: ObjectStore, function: impl Into<String>) -> Self {
+    /// Creates an orchestrator for `function` with an empty store.
+    pub fn new(policy: Box<dyn Policy>, function: impl Into<String>) -> Self {
         Orchestrator {
             policy,
-            store,
+            store: ObjectStore::new(),
             function: function.into(),
             overheads: OverheadTotals::default(),
             frame_scratch: Encoder::new(),
@@ -280,13 +280,13 @@ impl Orchestrator {
 
     /// Loads the working-set manifest recorded for `id`, if any. A corrupt
     /// manifest decodes as `None` — the restore falls back to recording.
-    pub fn load_manifest(&self, id: SnapshotId) -> Option<WorkingSetManifest> {
+    pub fn load_manifest(&mut self, id: SnapshotId) -> Option<WorkingSetManifest> {
         if !self.paging() {
             return None;
         }
-        let bytes = self
+        let [bytes, _, _] = self
             .store
-            .get(MANIFESTS_BUCKET, &self.manifest_key(id))
+            .get_chunks(MANIFESTS_BUCKET, &self.manifest_key(id))
             .ok()?;
         WorkingSetManifest::from_bytes(&bytes).ok()
     }
@@ -300,14 +300,12 @@ impl Orchestrator {
         if !self.paging() || !self.pool_sizes.contains_key(&id) {
             return;
         }
+        // One chunk, no payload blob: a manifest never dedups.
         let bytes = Bytes::from(manifest.to_bytes());
-        if self
-            .store
-            .put(MANIFESTS_BUCKET, &self.manifest_key(id), bytes)
-            .is_ok()
-        {
-            self.policy.note_prefetch_ready(id);
-        }
+        let key = self.manifest_key(id);
+        self.store
+            .put_chunked(MANIFESTS_BUCKET, &key, bytes, Bytes::new(), Bytes::new());
+        self.policy.note_prefetch_ready(id);
     }
 
     /// Enables delta-chain bookkeeping: recorded snapshots register in a
@@ -504,7 +502,7 @@ impl Orchestrator {
         // and the Table 5 byte accounting), not orchestrator decision
         // overhead — Figure 7's startup component is the decision cost.
         let mut transfer_us = 0.0;
-        let mut download_nominal = 0u64;
+        let (mut download_nominal, mut chain_len) = (0u64, 0usize);
         let (mut page_map, mut working_set) = (None, None);
         let (snapshot, resume_request) = match start {
             StartDecision::Cold => (None, 0),
@@ -529,6 +527,7 @@ impl Orchestrator {
                         price.accounted_nominal,
                     );
                     download_nominal = price.accounted_nominal;
+                    chain_len = dl.chain_len;
                     if dl.chain_len > 1 {
                         if let Some(chains) = &mut self.chains {
                             chains.note_composed_restore(price.accounted_nominal);
@@ -560,23 +559,22 @@ impl Orchestrator {
             checkpoint_at,
             startup_overhead: SimDuration::from_micros_f64(overhead_us + transfer_us),
             download_nominal,
+            chain_len,
             page_map,
             working_set,
         }
     }
 
-    fn download_snapshot(&self, id: SnapshotId) -> Result<Download, StoreError> {
+    fn download_snapshot(&mut self, id: SnapshotId) -> Result<Download, StoreError> {
         // Walk parent references child-first until a full frame (the
         // chain root) is found; a full snapshot is a chain of length 1.
         let mut frames: Vec<DeltaFrame> = Vec::new();
         let mut cursor = id;
         let mut nominal = 0u64;
         loop {
-            let chunks = self
+            let [header, payload, trailer] = self
                 .store
                 .get_chunks(SNAPSHOT_BUCKET, &self.blob_key(cursor))?;
-            let [header, payload, trailer] =
-                <[Bytes; 3]>::try_from(chunks).map_err(|_| StoreError::NotFound)?;
             let frame = Frame {
                 header,
                 payload,
@@ -711,16 +709,13 @@ impl Orchestrator {
             Some(d) => d.to_frame_with(snapshot, &mut self.frame_scratch),
             None => snapshot.to_frame_with(&mut self.frame_scratch),
         };
-        let upload_ok = self
-            .store
-            .put_chunked(
-                SNAPSHOT_BUCKET,
-                &self.blob_key(snapshot.id),
-                frame.header,
-                frame.payload,
-                frame.trailer,
-            )
-            .is_ok();
+        self.store.put_chunked(
+            SNAPSHOT_BUCKET,
+            &self.blob_key(snapshot.id),
+            frame.header,
+            frame.payload,
+            frame.trailer,
+        );
         // Wire bytes over the link plus any compression CPU, admitted
         // write-through to the local SSD at the snapshot's θ-weight.
         let weight = match self.storage.cache() {
@@ -739,63 +734,61 @@ impl Orchestrator {
             stored_nominal,
         );
 
-        if upload_ok {
-            if let Some(chains) = &mut self.chains {
-                let registered = match delta {
-                    Some(d) => chains
-                        .insert_delta(snapshot.id.0, d.parent.0, stored_nominal)
-                        .is_some(),
-                    None => false,
-                };
-                if !registered {
-                    chains.insert_root(snapshot.id.0, stored_nominal);
-                }
+        if let Some(chains) = &mut self.chains {
+            let registered = match delta {
+                Some(d) => chains
+                    .insert_delta(snapshot.id.0, d.parent.0, stored_nominal)
+                    .is_some(),
+                None => false,
+            };
+            if !registered {
+                chains.insert_root(snapshot.id.0, stored_nominal);
             }
-            self.pool_sizes.insert(snapshot.id, stored_nominal);
-            self.recorded_log.push((snapshot.id, stored_nominal));
-            if self.paging() {
-                // The snapshot's page table is metadata the restore path
-                // maps from: one extra metadata write's worth of cost.
-                overhead_us += KvCosts::PAPER.write_us;
-            }
-            let evicted = self.policy.on_snapshot_taken(
-                PoolEntry {
-                    id: snapshot.id,
-                    request_number: snapshot.meta.request_number,
-                    size_bytes: snapshot.nominal_size,
-                },
-                rng,
-            );
-            // Pool metadata write (step 8).
+        }
+        self.pool_sizes.insert(snapshot.id, stored_nominal);
+        self.recorded_log.push((snapshot.id, stored_nominal));
+        if self.paging() {
+            // The snapshot's page table is metadata the restore path
+            // maps from: one extra metadata write's worth of cost.
             overhead_us += KvCosts::PAPER.write_us;
-            for entry in evicted {
-                // Chain-aware release: the blob may only be deleted
-                // when no live delta child references it; the index
-                // returns what is actually free now (possibly pinned
-                // ancestors this eviction was the last holdout for).
-                let freed: Vec<SnapshotId> = match &mut self.chains {
-                    Some(chains) => chains
-                        .evict(entry.id.0)
-                        .into_iter()
-                        .map(SnapshotId)
-                        .collect(),
-                    None => vec![entry.id],
-                };
-                for fid in freed {
-                    let _ = self.store.delete(SNAPSHOT_BUCKET, &self.blob_key(fid));
-                    // SSD residency must not outlive the backing blob.
-                    self.storage.release(fid.0);
-                }
-                self.pool_sizes.remove(&entry.id);
-                self.evicted_log.push(entry.id);
-                if self.paging() {
-                    // Idempotent: most snapshots never record a manifest.
-                    let _ = self
-                        .store
-                        .delete(MANIFESTS_BUCKET, &self.manifest_key(entry.id));
-                }
-                overhead_us += KvCosts::PAPER.write_us;
+        }
+        let evicted = self.policy.on_snapshot_taken(
+            PoolEntry {
+                id: snapshot.id,
+                request_number: snapshot.meta.request_number,
+                size_bytes: snapshot.nominal_size,
+            },
+            rng,
+        );
+        // Pool metadata write (step 8).
+        overhead_us += KvCosts::PAPER.write_us;
+        for entry in evicted {
+            // Chain-aware release: the blob may only be deleted when no
+            // live delta child references it; the index returns what is
+            // actually free now (possibly pinned ancestors this eviction
+            // was the last holdout for).
+            let freed: Vec<SnapshotId> = match &mut self.chains {
+                Some(chains) => chains
+                    .evict(entry.id.0)
+                    .into_iter()
+                    .map(SnapshotId)
+                    .collect(),
+                None => vec![entry.id],
+            };
+            for fid in freed {
+                let _ = self.store.delete(SNAPSHOT_BUCKET, &self.blob_key(fid));
+                // SSD residency must not outlive the backing blob.
+                self.storage.release(fid.0);
             }
+            self.pool_sizes.remove(&entry.id);
+            self.evicted_log.push(entry.id);
+            if self.paging() {
+                // Idempotent: most snapshots never record a manifest.
+                let _ = self
+                    .store
+                    .delete(MANIFESTS_BUCKET, &self.manifest_key(entry.id));
+            }
+            overhead_us += KvCosts::PAPER.write_us;
         }
 
         // Track the peak nominal footprint of the pool (Table 5).
@@ -836,7 +829,7 @@ impl Orchestrator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::CheckpointAfterFirstPolicy;
+    use crate::baselines::FixedPointPolicy;
     use crate::config::PolicyConfig;
     use crate::request_centric::RequestCentricPolicy;
     use pronghorn_checkpoint::CheckpointOutcome::Full;
@@ -857,12 +850,12 @@ mod tests {
     }
 
     fn orchestrator(policy: Box<dyn Policy>) -> Orchestrator {
-        Orchestrator::new(policy, ObjectStore::new(), "f")
+        Orchestrator::new(policy, "f")
     }
 
     #[test]
     fn first_worker_cold_starts_and_plans() {
-        let mut orch = orchestrator(Box::new(CheckpointAfterFirstPolicy::new()));
+        let mut orch = orchestrator(Box::new(FixedPointPolicy::after_first()));
         let mut rng = SmallRng::seed_from_u64(1);
         let plan = orch.begin_worker(&mut rng);
         assert_eq!(plan.start, StartDecision::Cold);
@@ -873,7 +866,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_through_store() {
-        let mut orch = orchestrator(Box::new(CheckpointAfterFirstPolicy::new()));
+        let mut orch = orchestrator(Box::new(FixedPointPolicy::after_first()));
         let mut rng = SmallRng::seed_from_u64(2);
         orch.begin_worker(&mut rng);
         let snap = snapshot(1, 7);
@@ -889,7 +882,7 @@ mod tests {
 
     #[test]
     fn missing_blob_degrades_to_cold_start() {
-        let mut orch = orchestrator(Box::new(CheckpointAfterFirstPolicy::new()));
+        let mut orch = orchestrator(Box::new(FixedPointPolicy::after_first()));
         let mut rng = SmallRng::seed_from_u64(3);
         orch.begin_worker(&mut rng);
         let snap = snapshot(1, 7);
@@ -904,9 +897,78 @@ mod tests {
         assert_eq!(plan.resume_request, 0);
     }
 
+    /// Replaces the stored frame of `id` with a self-consistent copy whose
+    /// payload has one byte flipped: the store's own checksums pass, so
+    /// only the frame check can catch it.
+    fn corrupt_stored_payload(orch: &mut Orchestrator, id: SnapshotId) {
+        let key = orch.blob_key(id);
+        let [header, payload, trailer] = orch.store.get_chunks(SNAPSHOT_BUCKET, &key).unwrap();
+        let mut flipped = payload.to_vec();
+        flipped[0] ^= 0x01;
+        orch.store
+            .put_chunked(SNAPSHOT_BUCKET, &key, header, Bytes::from(flipped), trailer);
+        assert!(orch.store.get_chunks(SNAPSHOT_BUCKET, &key).is_ok());
+    }
+
+    #[test]
+    fn corrupt_frame_degrades_to_cold_start() {
+        // A pooled root.
+        let mut orch = orchestrator(Box::new(FixedPointPolicy::after_first()));
+        let mut rng = SmallRng::seed_from_u64(36);
+        orch.begin_worker(&mut rng);
+        let snap = snapshot(1, 7);
+        orch.record_snapshot(&snap, &Full, SimDuration::from_millis(65), &mut rng);
+        corrupt_stored_payload(&mut orch, snap.id);
+        let downloaded = orch.overheads().nominal_bytes_downloaded;
+        let plan = orch.begin_worker(&mut rng);
+        assert_eq!(plan.start, StartDecision::Cold);
+        assert!(plan.snapshot.is_none());
+        assert_eq!((plan.download_nominal, plan.chain_len), (0, 0));
+        assert_eq!(orch.overheads().nominal_bytes_downloaded, downloaded);
+
+        // A mid-chain delta: root <- mid <- leaf, restoring the leaf.
+        let mut orch =
+            orchestrator(Box::new(LatestOnlyPolicy { pooled: None })).with_delta_chains();
+        let root = snapshot(1, 7);
+        orch.record_snapshot(&root, &Full, SimDuration::from_millis(65), &mut rng);
+        let mut parent = root;
+        for (r, at) in [(2, 3), (3, 5)] {
+            let mut bytes = parent.payload.to_vec();
+            bytes[at] ^= 0xff;
+            let child = Snapshot::with_nonce(
+                SnapshotMeta {
+                    function: "f".into(),
+                    request_number: r,
+                    runtime: "jvm".into(),
+                },
+                Bytes::from(bytes),
+                12 * 1024 * 1024,
+                u64::from(r),
+            );
+            let delta = delta_between(&parent, &child, 1024 * 1024);
+            orch.record_snapshot(
+                &child,
+                &CheckpointOutcome::Delta(delta),
+                SimDuration::from_millis(30),
+                &mut rng,
+            );
+            parent = child;
+        }
+        let leaf = parent.id;
+        assert_eq!(orch.chain_depth(leaf), Some(2));
+        let mid = orch.chains.as_ref().unwrap().chain_to_root(leaf.0)[1];
+        corrupt_stored_payload(&mut orch, SnapshotId(mid));
+        let downloaded = orch.overheads().nominal_bytes_downloaded;
+        let plan = orch.begin_worker(&mut rng);
+        assert_eq!(plan.start, StartDecision::Cold);
+        assert!(plan.snapshot.is_none());
+        assert_eq!((plan.download_nominal, plan.chain_len), (0, 0));
+        assert_eq!(orch.overheads().nominal_bytes_downloaded, downloaded);
+    }
+
     #[test]
     fn twin_snapshots_dedup_in_the_store() {
-        let mut orch = orchestrator(Box::new(CheckpointAfterFirstPolicy::new()));
+        let mut orch = orchestrator(Box::new(FixedPointPolicy::after_first()));
         let mut rng = SmallRng::seed_from_u64(22);
         orch.begin_worker(&mut rng);
         // Two snapshots with byte-identical payloads (twin lineages) but
@@ -937,23 +999,15 @@ mod tests {
     #[test]
     fn eviction_deletes_blobs_from_store() {
         let config = PolicyConfig::paper_pypy().with_capacity(2).with_beta(4);
-        let store = ObjectStore::new();
-        let mut orch = Orchestrator::new(
-            Box::new(RequestCentricPolicy::new(config)),
-            store.clone(),
-            "f",
-        );
+        let mut orch = orchestrator(Box::new(RequestCentricPolicy::new(config)));
         let mut rng = SmallRng::seed_from_u64(5);
         for i in 0..6 {
             let snap = snapshot(i, i as u8);
             orch.record_snapshot(&snap, &Full, SimDuration::from_millis(70), &mut rng);
         }
-        assert!(
-            store.stats().objects <= 2,
-            "{} blobs",
-            store.stats().objects
-        );
-        assert_eq!(orch.policy().pool_len(), store.stats().objects as usize);
+        let objects = orch.store.stats().objects;
+        assert!(objects <= 2, "{objects} blobs");
+        assert_eq!(orch.policy().pool_len(), objects as usize);
     }
 
     fn manifest_of(snap: &Snapshot, pages: &[u32]) -> WorkingSetManifest {
@@ -1010,7 +1064,8 @@ mod tests {
         let manifest = manifest_of(&first, &[3, 1, 4]);
         orch.persist_manifest(&manifest);
         assert_eq!(orch.load_manifest(first.id), Some(manifest));
-        assert_eq!(orch.store.list(MANIFESTS_BUCKET).len(), 1);
+        // The snapshot and its manifest.
+        assert_eq!(orch.store.stats().objects, 2);
         orch.record_snapshot(
             &snapshot(2, 2),
             &Full,
@@ -1018,7 +1073,8 @@ mod tests {
             &mut rng,
         );
         assert!(orch.load_manifest(first.id).is_none());
-        assert!(orch.store.list(MANIFESTS_BUCKET).is_empty());
+        // Only the second snapshot is left.
+        assert_eq!(orch.store.stats().objects, 1);
     }
 
     #[test]
@@ -1039,14 +1095,15 @@ mod tests {
             &mut rng,
         );
         orch.persist_manifest(&manifest_of(&evicted, &[0]));
-        assert!(orch.store.list(MANIFESTS_BUCKET).is_empty());
+        // Only the pooled third snapshot is stored.
+        assert_eq!(orch.store.stats().objects, 1);
         assert!(orch.load_manifest(stray.id).is_none());
         assert!(orch.load_manifest(evicted.id).is_none());
     }
 
     #[test]
     fn corrupt_manifest_prices_the_download_without_a_working_set() {
-        let mut orch = orchestrator(Box::new(CheckpointAfterFirstPolicy::new()))
+        let mut orch = orchestrator(Box::new(FixedPointPolicy::after_first()))
             .with_restore(RestoreStrategy::RecordPrefetch)
             .with_storage(StoragePolicy::disabled().with_composed_prefetch());
         let mut rng = SmallRng::seed_from_u64(34);
@@ -1062,13 +1119,10 @@ mod tests {
         assert_eq!(orch.storage_stats().composed_prefetches, 1);
         // Garbage over the stored manifest decodes as no manifest, and the
         // download falls back to the whole image.
+        let key = orch.manifest_key(snap.id);
+        let garbage = Bytes::from_static(b"not a manifest");
         orch.store
-            .put(
-                MANIFESTS_BUCKET,
-                &orch.manifest_key(snap.id),
-                Bytes::from_static(b"not a manifest"),
-            )
-            .unwrap();
+            .put_chunked(MANIFESTS_BUCKET, &key, garbage, Bytes::new(), Bytes::new());
         assert!(orch.load_manifest(snap.id).is_none());
         let plan = orch.begin_worker(&mut rng);
         assert_eq!(plan.start, StartDecision::Restore(snap.id));
@@ -1078,20 +1132,16 @@ mod tests {
 
     #[test]
     fn eager_orchestrator_never_touches_page_buckets() {
-        let store = ObjectStore::new();
-        let mut orch = Orchestrator::new(
-            Box::new(CheckpointAfterFirstPolicy::new()),
-            store.clone(),
-            "f",
-        );
+        let mut orch = orchestrator(Box::new(FixedPointPolicy::after_first()));
         let mut rng = SmallRng::seed_from_u64(35);
         let snap = snapshot(1, 1);
         orch.record_snapshot(&snap, &Full, SimDuration::from_millis(65), &mut rng);
         // Without paging a recording is never persisted or loaded.
         orch.persist_manifest(&manifest_of(&snap, &[0, 1]));
         assert!(orch.load_manifest(snap.id).is_none());
-        assert!(store.list(MANIFESTS_BUCKET).is_empty());
-        assert_eq!(store.list(SNAPSHOT_BUCKET).len(), 1);
+        // The snapshot is the only object ever put or read.
+        let stats = orch.store.stats();
+        assert_eq!((stats.objects, stats.puts, stats.gets), (1, 1, 0));
     }
 
     /// Pools only the newest snapshot, evicting the previous one — the
@@ -1198,6 +1248,7 @@ mod tests {
         assert_eq!(restored.payload, child.payload);
         assert_eq!(restored.id, child.id);
         assert_eq!(plan.download_nominal, root.nominal_size + dirty);
+        assert_eq!(plan.chain_len, 2);
         let stats = orch.chain_stats();
         assert_eq!(stats.composed_restores, 1);
         assert_eq!(stats.composed_nominal_downloaded, root.nominal_size + dirty);
@@ -1205,8 +1256,7 @@ mod tests {
 
     #[test]
     fn delta_outcome_with_dead_parent_falls_back_to_full() {
-        let mut orch =
-            orchestrator(Box::new(CheckpointAfterFirstPolicy::new())).with_delta_chains();
+        let mut orch = orchestrator(Box::new(FixedPointPolicy::after_first())).with_delta_chains();
         let mut rng = SmallRng::seed_from_u64(42);
         orch.begin_worker(&mut rng);
         let root = snapshot(1, 7);
@@ -1236,6 +1286,7 @@ mod tests {
         assert_eq!(plan.start, StartDecision::Restore(child.id));
         assert_eq!(plan.snapshot.unwrap().payload, child.payload);
         assert_eq!(plan.download_nominal, child.nominal_size);
+        assert_eq!(plan.chain_len, 1);
     }
 
     #[test]
@@ -1243,7 +1294,7 @@ mod tests {
         // Identical seeds, with and without chains: recording only full
         // snapshots must produce identical overheads and plans.
         let run = |chains: bool| {
-            let orch = orchestrator(Box::new(CheckpointAfterFirstPolicy::new()));
+            let orch = orchestrator(Box::new(FixedPointPolicy::after_first()));
             let mut orch = if chains {
                 orch.with_delta_chains()
             } else {
@@ -1275,7 +1326,7 @@ mod tests {
 
     #[test]
     fn overheads_decompose_by_operation() {
-        let mut orch = orchestrator(Box::new(CheckpointAfterFirstPolicy::new()));
+        let mut orch = orchestrator(Box::new(FixedPointPolicy::after_first()));
         let mut rng = SmallRng::seed_from_u64(6);
         orch.begin_worker(&mut rng);
         orch.complete_request(0, 10_000.0);
@@ -1300,12 +1351,8 @@ mod tests {
     fn transfer_model_affects_startup_plan_not_decision_overhead() {
         use pronghorn_store::TransferModel;
         let build = |transfer: TransferModel| {
-            let mut orch = Orchestrator::new(
-                Box::new(CheckpointAfterFirstPolicy::new()),
-                ObjectStore::new(),
-                "f",
-            )
-            .with_transfer(transfer);
+            let mut orch =
+                orchestrator(Box::new(FixedPointPolicy::after_first())).with_transfer(transfer);
             let mut rng = SmallRng::seed_from_u64(12);
             orch.begin_worker(&mut rng);
             orch.record_snapshot(
@@ -1330,7 +1377,7 @@ mod tests {
         let mut rc = orchestrator(Box::new(RequestCentricPolicy::new(
             PolicyConfig::paper_pypy(),
         )));
-        let mut base = orchestrator(Box::new(CheckpointAfterFirstPolicy::new()));
+        let mut base = orchestrator(Box::new(FixedPointPolicy::after_first()));
         let mut rng = SmallRng::seed_from_u64(7);
         rc.begin_worker(&mut rng);
         base.begin_worker(&mut rng);

@@ -81,13 +81,22 @@ fn bench_jit_execution(c: &mut Criterion) {
 
 fn bench_stores(c: &mut Criterion) {
     let mut group = c.benchmark_group("stores");
-    let store = ObjectStore::new();
+    let mut store = ObjectStore::new();
+    let (head, tail) = (Bytes::from(vec![1u8; 64]), Bytes::from(vec![2u8; 32]));
     let blob = Bytes::from(vec![0xabu8; 64 * 1024]);
     group.throughput(Throughput::Bytes(blob.len() as u64));
+    // A snapshot-shaped object replaced under one key and read back: the
+    // put hashes the payload, the get re-hashes it.
     group.bench_function("object_store_put_get_64k", |b| {
         b.iter(|| {
-            store.put("snapshots", "bench", blob.clone()).unwrap();
-            store.get("snapshots", "bench").unwrap()
+            store.put_chunked(
+                "snapshots",
+                "bench",
+                head.clone(),
+                blob.clone(),
+                tail.clone(),
+            );
+            store.get_chunks("snapshots", "bench").unwrap()
         })
     });
     group.finish();

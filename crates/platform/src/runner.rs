@@ -22,7 +22,7 @@ use pronghorn_restore::{
     FaultCostModel, LazyImage, RestoreInfo, RestoreStrategy, DEFAULT_PAGE_SIZE,
 };
 use pronghorn_sim::{RngFactory, SimDuration, SimTime};
-use pronghorn_store::{saturating_accumulate, ChainStats, ObjectStore, StorageStats, StoreStats};
+use pronghorn_store::{saturating_accumulate, ChainStats, StorageStats, StoreStats};
 use pronghorn_workloads::{InputVariance, Workload};
 use rand::rngs::SmallRng;
 use std::collections::{BTreeSet, VecDeque};
@@ -171,7 +171,7 @@ impl Deployment {
             policy_config = policy_config.with_restore_penalty(RECORD_PREFETCH_PENALTY_US);
         }
         let policy = make_policy(cfg.policy, policy_config);
-        let mut orch = Orchestrator::new(policy, ObjectStore::new(), label.as_str())
+        let mut orch = Orchestrator::new(policy, label.as_str())
             .with_restore(cfg.restore)
             .with_storage(cfg.storage);
         if cfg.delta.enabled() {
@@ -380,10 +380,7 @@ impl<'w> Session<'w> {
                 origin = Some(RestoredFrom {
                     id: snapshot.id,
                     nominal: plan.download_nominal,
-                    chain_len: dep
-                        .orch
-                        .chain_depth(snapshot.id)
-                        .map_or(1, |d| d as usize + 1),
+                    chain_len: plan.chain_len,
                     seed: snapshot.payload_hash(),
                 });
                 // The restored snapshot becomes the worker's prospective

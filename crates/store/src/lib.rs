@@ -9,8 +9,9 @@
 //!
 //! This crate reproduces that component:
 //!
-//! - [`ObjectStore`]: a cloneable handle to a shared bucket/key blob map
-//!   with integrity-checked reads;
+//! - [`ObjectStore`]: a bucket/key map of objects, each a head, a
+//!   content-deduplicated payload and a tail, with integrity-checked
+//!   reads; each deployment's orchestrator owns one;
 //! - [`TransferModel`]: latency + bandwidth model converting object sizes
 //!   into virtual transfer times;
 //! - [`StoreStats`]: peak-storage and cumulative-transfer accounting, the
@@ -22,11 +23,16 @@
 //! use bytes::Bytes;
 //! use pronghorn_store::ObjectStore;
 //!
-//! let store = ObjectStore::new();
-//! store.put("snapshots", "html/42", Bytes::from_static(b"blob")).unwrap();
-//! let obj = store.get("snapshots", "html/42").unwrap();
-//! assert_eq!(&obj[..], b"blob");
-//! assert_eq!(store.stats().bytes_uploaded, 4);
+//! let mut store = ObjectStore::new();
+//! let (head, tail) = (Bytes::from_static(b"hd"), Bytes::from_static(b"tl"));
+//! let payload = Bytes::from_static(b"blob");
+//! store.put_chunked("snapshots", "html/1", head.clone(), payload.clone(), tail.clone());
+//! // A twin with the same payload stores and uploads only its head and tail.
+//! store.put_chunked("snapshots", "html/2", head, payload, tail);
+//! let [_, body, _] = store.get_chunks("snapshots", "html/2").unwrap();
+//! assert_eq!(&body[..], b"blob");
+//! assert_eq!(store.stats().bytes_uploaded, 8 + 4);
+//! assert_eq!(store.stats().bytes_deduped, 4);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,9 +45,9 @@ pub mod store;
 pub mod tier;
 pub mod transfer;
 
-pub use accounting::{checked_accumulate, saturating_accumulate, CounterOverflow};
+pub use accounting::saturating_accumulate;
 pub use chain::{ChainIndex, ChainStats};
-pub use store::{ObjectMeta, ObjectStore, StoreError, StoreStats};
+pub use store::{ObjectStore, StoreError, StoreStats};
 pub use tier::{
     CacheConfig, CacheTier, DownloadPrice, DownloadRequest, ReadPrice, StoragePolicy, StorageStats,
     StorageTier,

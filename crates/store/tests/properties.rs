@@ -4,7 +4,7 @@
 #![forbid(unsafe_code)]
 
 use bytes::Bytes;
-use pronghorn_store::{ObjectStore, StoreError};
+use pronghorn_store::{ObjectStore, StoreError, StoreStats};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -29,26 +29,25 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 proptest! {
-    /// Live-byte accounting equals the sum of live objects; cumulative
-    /// transfer counters are monotone; peak >= current, always.
+    /// Live-byte accounting equals the sum of live one-chunk objects;
+    /// cumulative transfer counters are monotone; peak >= current, always.
     #[test]
     fn accounting_matches_model(ops in prop::collection::vec(op_strategy(), 0..200)) {
-        let store = ObjectStore::new();
+        let mut store = ObjectStore::new();
         let mut model: HashMap<(u8, u8), Vec<u8>> = HashMap::new();
         let mut last_uploaded = 0u64;
         let mut last_downloaded = 0u64;
         for op in ops {
             match op {
                 Op::Put(b, k, v) => {
-                    store
-                        .put(&format!("b{b}"), &format!("k{k}"), Bytes::from(v.clone()))
-                        .unwrap();
+                    let body = Bytes::from(v.clone());
+                    store.put_chunked(&format!("b{b}"), &format!("k{k}"), body, Bytes::new(), Bytes::new());
                     model.insert((b, k), v);
                 }
                 Op::Get(b, k) => {
-                    let got = store.get(&format!("b{b}"), &format!("k{k}"));
+                    let got = store.get_chunks(&format!("b{b}"), &format!("k{k}"));
                     match model.get(&(b, k)) {
-                        Some(v) => prop_assert_eq!(&got.unwrap()[..], v.as_slice()),
+                        Some(v) => prop_assert_eq!(got.unwrap().concat(), v.as_slice()),
                         None => prop_assert_eq!(got.unwrap_err(), StoreError::NotFound),
                     }
                 }
@@ -68,49 +67,34 @@ proptest! {
             last_downloaded = stats.bytes_downloaded;
         }
     }
-
-    /// A capacity-bounded store never holds more than its capacity.
-    #[test]
-    fn capacity_is_never_exceeded(
-        ops in prop::collection::vec(
-            (any::<u8>(), prop::collection::vec(any::<u8>(), 0..64)),
-            1..100
-        ),
-        capacity in 32u64..256,
-    ) {
-        let store = ObjectStore::with_capacity(capacity);
-        for (k, v) in ops {
-            let _ = store.put("b", &format!("k{k}"), Bytes::from(v));
-            prop_assert!(store.stats().bytes_stored <= capacity);
-        }
-    }
 }
 
 proptest! {
     /// Twin-lineage snapshots (identical payloads, distinct heads/keys)
     /// share one refcounted blob; deleting twins in any order never
     /// corrupts a survivor, and the blob is freed only with the last
-    /// reference — the DESIGN.md §7.2 regression guard.
+    /// reference (physical residency drops by the payload only then) —
+    /// the DESIGN.md §7.2 regression guard.
     #[test]
     fn twin_blob_survives_arbitrary_eviction_order(
         payload in prop::collection::vec(any::<u8>(), 1..512),
         twins in 2usize..6,
         order_seed in any::<u64>(),
     ) {
-        let store = ObjectStore::new();
+        let mut store = ObjectStore::new();
         let payload = Bytes::from(payload);
+        let own = |i: usize| (format!("head{i}").len() + b"tail".len()) as u64;
         for i in 0..twins {
-            store
-                .put_chunked(
-                    "pool",
-                    &format!("twin{i}"),
-                    Bytes::from(format!("head{i}").into_bytes()),
-                    payload.clone(),
-                    Bytes::from_static(b"tail"),
-                )
-                .unwrap();
+            store.put_chunked(
+                "pool",
+                &format!("twin{i}"),
+                Bytes::from(format!("head{i}").into_bytes()),
+                payload.clone(),
+                Bytes::from_static(b"tail"),
+            );
         }
-        prop_assert_eq!(store.blob_count(), 1);
+        let heads: u64 = (0..twins).map(own).sum();
+        prop_assert_eq!(store.stats().bytes_stored, heads + payload.len() as u64);
 
         // Deterministic pseudo-shuffled eviction order derived from the seed.
         let mut keys: Vec<usize> = (0..twins).collect();
@@ -122,19 +106,58 @@ proptest! {
         for (evicted, i) in keys.iter().enumerate() {
             store.delete("pool", &format!("twin{i}")).unwrap();
             for j in &keys[evicted + 1..] {
-                let body = store.get("pool", &format!("twin{j}")).unwrap();
+                let body = store.get_chunks("pool", &format!("twin{j}")).unwrap().concat();
                 let expect: Vec<u8> = format!("head{j}")
                     .into_bytes()
                     .into_iter()
                     .chain(payload.iter().copied())
                     .chain(b"tail".iter().copied())
                     .collect();
-                prop_assert_eq!(body.as_ref(), expect.as_slice());
+                prop_assert_eq!(body, expect);
             }
-            let expect_blobs = if evicted + 1 < twins { 1 } else { 0 };
-            prop_assert_eq!(store.blob_count(), expect_blobs);
+            let live = &keys[evicted + 1..];
+            let blob = if live.is_empty() { 0 } else { payload.len() as u64 };
+            let heads: u64 = live.iter().map(|&j| own(j)).sum();
+            prop_assert_eq!(store.stats().bytes_stored, heads + blob);
         }
     }
+}
+
+/// Two byte-identical one-chunk objects (the working-set manifest form:
+/// a head with no payload or tail) put, got, replaced and deleted. Every
+/// `StoreStats` field matches what the contiguous `put`/`get` this form
+/// replaced reported for the same sequence, and they never dedup.
+#[test]
+fn one_chunk_objects_keep_table5_accounting() {
+    let mut store = ObjectStore::new();
+    let put = |store: &mut ObjectStore, key: &str, len: usize| {
+        let body = Bytes::from(vec![0x4d; len]);
+        store.put_chunked("manifests", key, body, Bytes::new(), Bytes::new());
+    };
+    let stats = |stored, uploaded, downloaded, objects, puts, gets, deletes| StoreStats {
+        bytes_stored: stored,
+        peak_bytes_stored: 96,
+        bytes_uploaded: uploaded,
+        bytes_downloaded: downloaded,
+        bytes_deduped: 0,
+        objects,
+        puts,
+        gets,
+        deletes,
+    };
+    put(&mut store, "f/a", 48);
+    put(&mut store, "f/b", 48);
+    assert_eq!(store.stats(), stats(96, 96, 0, 2, 2, 0, 0));
+    for key in ["f/a", "f/b"] {
+        let [body, payload, tail] = store.get_chunks("manifests", key).unwrap();
+        assert_eq!(body, Bytes::from(vec![0x4d; 48]));
+        assert!(payload.is_empty() && tail.is_empty());
+    }
+    assert_eq!(store.stats(), stats(96, 96, 96, 2, 2, 2, 0));
+    put(&mut store, "f/a", 20);
+    assert_eq!(store.stats(), stats(68, 116, 96, 2, 3, 2, 0));
+    store.delete("manifests", "f/b").unwrap();
+    assert_eq!(store.stats(), stats(20, 116, 96, 1, 3, 2, 1));
 }
 
 proptest! {

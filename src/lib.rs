@@ -61,8 +61,8 @@ pub use pronghorn_workloads as workloads;
 pub mod prelude {
     pub use pronghorn_cluster::{ClusterSpec, PlacementPolicy, RoutingPolicy};
     pub use pronghorn_core::{
-        CheckpointAfterFirstPolicy, ColdStartPolicy, Orchestrator, Policy, PolicyConfig,
-        PolicyKind, RequestCentricPolicy, StartDecision,
+        ColdStartPolicy, FixedPointPolicy, Orchestrator, Policy, PolicyConfig, PolicyKind,
+        RequestCentricPolicy, StartDecision,
     };
     pub use pronghorn_forecast::{ForecasterKind, ProvisionPolicy, ProvisionStats};
     pub use pronghorn_jit::{Runtime, RuntimeKind, RuntimeProfile};
