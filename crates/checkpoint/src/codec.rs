@@ -81,11 +81,11 @@ impl std::error::Error for CodecError {}
 /// the previous call, so checksumming the output costs a single pass that
 /// overlaps encoding instead of a second full sweep over the buffer.
 ///
-/// The encoder is built to be *reused* across checkpoints: [`Encoder::clear`]
-/// drops the contents but keeps the allocation, and [`Encoder::take_buffer`]
-/// hands the filled buffer out while leaving the encoder ready for the
-/// next frame. A long-lived engine therefore amortizes one buffer
-/// allocation across every checkpoint it takes.
+/// [`Encoder::clear`] drops the contents but keeps the allocation, so a
+/// long-lived encoder can be reused: the orchestrator frames every
+/// snapshot header it uploads in one. A checkpoint's state payload is
+/// handed off as the snapshot's buffer, so it is encoded into a fresh
+/// encoder each time.
 #[derive(Debug, Default, Clone)]
 pub struct Encoder {
     buf: Vec<u8>,
@@ -138,16 +138,6 @@ impl Encoder {
     /// Reserves room for at least `additional` more bytes.
     pub fn reserve(&mut self, additional: usize) {
         self.buf.reserve(additional);
-    }
-
-    /// Takes the filled buffer, leaving the encoder empty but with its
-    /// checksum state reset — equivalent to `into_bytes` followed by
-    /// re-creating the encoder, minus the allocation churn of the caller
-    /// needing a fresh `Vec` next time.
-    pub fn take_buffer(&mut self) -> Vec<u8> {
-        self.hasher = Fnv1aWide::new();
-        self.hashed = 0;
-        std::mem::take(&mut self.buf)
     }
 
     /// Streaming [`Fnv1aWide`] checksum of everything written so far.
@@ -516,18 +506,6 @@ mod tests {
         assert!(e.is_empty());
         e.put_str("first frame");
         assert_eq!(e.checksum(), first);
-    }
-
-    #[test]
-    fn take_buffer_leaves_encoder_reusable() {
-        let mut e = Encoder::new();
-        e.put_u32(1);
-        let cks = e.checksum();
-        let buf = e.take_buffer();
-        assert_eq!(buf.len(), 4);
-        assert!(e.is_empty());
-        e.put_u32(1);
-        assert_eq!(e.checksum(), cks, "fresh state after take_buffer");
     }
 
     #[test]

@@ -75,16 +75,13 @@ impl DeltaPolicy {
 }
 
 /// Everything the engine needs to cut a delta instead of a full snapshot:
-/// the parent's identity and payload (diff base) plus the modeled dirty
-/// nominal bytes accumulated since that parent was restored.
-#[derive(Debug, Clone)]
-pub struct DeltaBase {
-    /// Parent snapshot id — the chain reference persisted in the frame.
-    pub parent: SnapshotId,
-    /// Parent payload to diff against (shared, not copied).
-    pub parent_payload: Bytes,
-    /// Parent payload content address, for compose-time validation.
-    pub parent_payload_hash: u64,
+/// the parent snapshot (its id is the chain reference, its payload the
+/// diff base, its payload hash the compose-time check) plus the modeled
+/// dirty nominal bytes accumulated since that parent was restored.
+#[derive(Debug, Clone, Copy)]
+pub struct DeltaBase<'a> {
+    /// The snapshot the worker was restored from.
+    pub parent: &'a Snapshot,
     /// Modeled nominal bytes dirtied since the parent: the page-access
     /// trace union over the served requests, in image-page bytes.
     pub dirty_nominal_bytes: u64,
@@ -200,13 +197,18 @@ impl SnapshotDelta {
 }
 
 impl DeltaFrame {
-    /// Composes this frame on top of `parent_payload`, verifying the
-    /// parent's content address and the composed payload's hash before
-    /// rebuilding the child [`Snapshot`]. The restore path's only way to
-    /// materialize a delta-stored snapshot.
-    pub fn compose(&self, parent_payload: &Bytes) -> Result<Snapshot, FrameError> {
-        check_hash(self.delta.parent_payload_hash, parent_payload)?;
-        let payload = apply(parent_payload, &self.delta)?;
+    /// Composes this frame on top of `parent`, checking the parent's
+    /// content address and the composed payload's hash before rebuilding
+    /// the child [`Snapshot`]. The restore path's only way to materialize
+    /// a delta-stored snapshot. `parent` was verified when it was parsed
+    /// or composed, so its cached payload hash is compared, not
+    /// recomputed: a K-link chain hashes K + 1 payloads.
+    pub fn compose(&self, parent: &Snapshot) -> Result<Snapshot, FrameError> {
+        let (expected, actual) = (self.delta.parent_payload_hash, parent.payload_hash());
+        if actual != expected {
+            return Err(FrameError::ChecksumMismatch { expected, actual });
+        }
+        let payload = apply(&parent.payload, &self.delta)?;
         check_hash(self.payload_hash, &payload)?;
         Ok(Snapshot::from_verified_parts(
             self.id,
@@ -351,7 +353,7 @@ mod tests {
         assert_eq!(parsed.id, child.id);
         assert_eq!(parsed.meta, child.meta);
         assert_eq!(parsed.delta, delta);
-        let composed = parsed.compose(&Bytes::from(parent.clone())).unwrap();
+        let composed = parsed.compose(&snap(&parent)).unwrap();
         assert_eq!(composed, child);
         assert_eq!(composed.payload_hash(), child.payload_hash());
     }
@@ -370,7 +372,7 @@ mod tests {
         child_bytes[10] = 9;
         let child = snap(&child_bytes);
         let parsed = round_trip(&delta_for(&parent, &child, 1024), &child);
-        let wrong = Bytes::from(vec![2u8; 3000]);
+        let wrong = snap(&[2u8; 3000]);
         assert!(matches!(
             parsed.compose(&wrong),
             Err(FrameError::ChecksumMismatch { .. })

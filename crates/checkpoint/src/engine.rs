@@ -35,33 +35,6 @@ pub trait Checkpointable: Sized {
     fn image_size_bytes(&self) -> u64;
 }
 
-/// Reusable per-engine scratch state for the checkpoint fast path: the
-/// encode buffer reused across checkpoints and the [`CodecStats`] perf
-/// counters. Every checkpoint encodes afresh, so one scratch may serve
-/// any number of process instances.
-#[derive(Debug, Default)]
-pub struct CheckpointScratch {
-    enc: Encoder,
-    stats: CodecStats,
-}
-
-impl CheckpointScratch {
-    /// Creates empty scratch state.
-    pub fn new() -> Self {
-        CheckpointScratch::default()
-    }
-
-    /// The accumulated perf counters.
-    pub fn stats(&self) -> &CodecStats {
-        &self.stats
-    }
-
-    /// Zeroes the perf counters; the encode buffer is kept.
-    pub fn reset_stats(&mut self) {
-        self.stats = CodecStats::default();
-    }
-}
-
 /// The simulated CRIU engine.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimCriuEngine {
@@ -75,9 +48,9 @@ impl SimCriuEngine {
         SimCriuEngine::default()
     }
 
-    /// Checkpoints `process`, encoding into `scratch`'s reused buffer,
-    /// and returns the snapshot, what to persist, and the worker downtime
-    /// the operation cost (§5.3: "a brief worker downtime on the order of
+    /// Checkpoints `process`, adding the encode's counts to `codec`, and
+    /// returns the snapshot, what to persist, and the worker downtime the
+    /// operation cost (§5.3: "a brief worker downtime on the order of
     /// 60–105 ms").
     ///
     /// When `base` names a parent snapshot, the result is additionally
@@ -97,11 +70,11 @@ impl SimCriuEngine {
     /// collide in the snapshot pool.
     pub fn checkpoint<T, R>(
         &self,
-        scratch: &mut CheckpointScratch,
+        codec: &mut CodecStats,
         rng: &mut R,
         process: &T,
         meta: SnapshotMeta,
-        base: Option<&DeltaBase>,
+        base: Option<&DeltaBase<'_>>,
     ) -> (Snapshot, CheckpointOutcome, SimDuration)
     where
         T: Checkpointable,
@@ -110,19 +83,19 @@ impl SimCriuEngine {
         // pronglint: allow(wall-clock): host-side perf counter (encode_ns);
         // measures real encoder time, never feeds a sim decision.
         let started = Instant::now();
-        scratch.enc.clear();
-        process.encode_state(&mut scratch.enc);
-        scratch.stats.encodes += 1;
-        scratch.stats.bytes_encoded += scratch.enc.len() as u64;
-        let payload = Bytes::from(scratch.enc.take_buffer());
-        scratch.stats.encode_ns += started.elapsed().as_nanos() as u64;
+        let mut enc = Encoder::new();
+        process.encode_state(&mut enc);
+        codec.encodes += 1;
+        codec.bytes_encoded += enc.len() as u64;
+        let payload = Bytes::from(enc.into_bytes());
+        codec.encode_ns += started.elapsed().as_nanos() as u64;
         let nominal = process.image_size_bytes();
         let nonce: u64 = rng.gen();
         // pronglint: allow(wall-clock): host-side perf counter (checksum_ns);
         // measures real hashing time, never feeds a sim decision.
         let hashed = Instant::now();
         let snapshot = Snapshot::with_nonce(meta, payload, nominal, nonce);
-        scratch.stats.checksum_ns += hashed.elapsed().as_nanos() as u64;
+        codec.checksum_ns += hashed.elapsed().as_nanos() as u64;
         match base {
             None => {
                 let cost = self.costs.sample_checkpoint_us(rng, nominal);
@@ -134,7 +107,7 @@ impl SimCriuEngine {
             }
             Some(base) => {
                 let pages = diff_payload(
-                    &base.parent_payload,
+                    &base.parent.payload,
                     &snapshot.payload,
                     PAYLOAD_DIFF_PAGE_SIZE,
                 );
@@ -143,17 +116,17 @@ impl SimCriuEngine {
                     .len()
                     .div_ceil(PAYLOAD_DIFF_PAGE_SIZE as usize);
                 let delta = SnapshotDelta {
-                    parent: base.parent,
-                    parent_payload_hash: base.parent_payload_hash,
+                    parent: base.parent.id,
+                    parent_payload_hash: base.parent.payload_hash(),
                     page_size: PAYLOAD_DIFF_PAGE_SIZE,
                     total_len: snapshot.payload.len() as u64,
                     pages,
                     dirty_nominal_bytes: base.dirty_nominal_bytes,
                 };
-                scratch.stats.delta_encodes += 1;
-                scratch.stats.delta_pages_written += delta.pages.len() as u64;
-                scratch.stats.delta_pages_total += page_count as u64;
-                scratch.stats.delta_bytes_written += delta.payload_bytes();
+                codec.delta_encodes += 1;
+                codec.delta_pages_written += delta.pages.len() as u64;
+                codec.delta_pages_total += page_count as u64;
+                codec.delta_bytes_written += delta.payload_bytes();
                 let cost = self
                     .costs
                     .sample_delta_checkpoint_us(rng, base.dirty_nominal_bytes);
@@ -238,14 +211,14 @@ mod tests {
         }
     }
 
-    /// A full checkpoint of `process` with a fresh scratch.
+    /// A full checkpoint of `process`, its counts discarded.
     fn full<T: Checkpointable>(
         engine: &SimCriuEngine,
         rng: &mut SmallRng,
         process: &T,
     ) -> (Snapshot, SimDuration) {
         let (snap, _, cost) =
-            engine.checkpoint(&mut CheckpointScratch::new(), rng, process, meta(), None);
+            engine.checkpoint(&mut CodecStats::default(), rng, process, meta(), None);
         (snap, cost)
     }
 
@@ -268,8 +241,9 @@ mod tests {
 
     #[test]
     fn checkpoint_with_matches_plain_checkpoint_exactly() {
-        // A scratch that has already served another process checkpoints
-        // exactly what a fresh one does.
+        // A checkpoint that follows another process's checkpoint, counted
+        // into the same counters, is exactly a first checkpoint: nothing
+        // carries over between checkpoints but the counts.
         let engine = SimCriuEngine::new();
         let process = Counter {
             value: 41,
@@ -277,13 +251,13 @@ mod tests {
         };
         let mut rng_a = SmallRng::seed_from_u64(21);
         let (plain, cost_a) = full(&engine, &mut rng_a, &process);
-        let mut scratch = CheckpointScratch::new();
+        let mut codec = CodecStats::default();
         let other = Counter {
             value: 5,
             history: vec![9.0; 16],
         };
         engine.checkpoint(
-            &mut scratch,
+            &mut codec,
             &mut SmallRng::seed_from_u64(0),
             &other,
             meta(),
@@ -291,8 +265,9 @@ mod tests {
         );
         let mut rng_b = SmallRng::seed_from_u64(21);
         let (used, outcome, cost_b) =
-            engine.checkpoint(&mut scratch, &mut rng_b, &process, meta(), None);
+            engine.checkpoint(&mut codec, &mut rng_b, &process, meta(), None);
         assert!(matches!(outcome, CheckpointOutcome::Full));
+        assert_eq!(codec.encodes, 2);
         assert_eq!(plain, used, "same seed must yield identical snapshots");
         assert_eq!(cost_a, cost_b);
         // And the RNG streams stay in lockstep afterwards.
@@ -306,24 +281,21 @@ mod tests {
             value: 41,
             history: vec![1.5, 2.5],
         };
-        let mut scratch = CheckpointScratch::new();
+        let mut codec = CodecStats::default();
         let mut rng = SmallRng::seed_from_u64(31);
-        let (parent, _, _) =
-            engine.checkpoint(&mut scratch, &mut rng, &parent_process, meta(), None);
+        let (parent, _, _) = engine.checkpoint(&mut codec, &mut rng, &parent_process, meta(), None);
         // The child mutates a little state on top of the parent.
         let child_process = Counter {
             value: 42,
             history: vec![1.5, 2.5],
         };
         let base = DeltaBase {
-            parent: parent.id,
-            parent_payload: parent.payload.clone(),
-            parent_payload_hash: parent.payload_hash(),
+            parent: &parent,
             dirty_nominal_bytes: 2 * 1024 * 1024,
         };
         let mut rng_full = rng.clone();
         let (snap, outcome, cost) =
-            engine.checkpoint(&mut scratch, &mut rng, &child_process, meta(), Some(&base));
+            engine.checkpoint(&mut codec, &mut rng, &child_process, meta(), Some(&base));
         let delta = match outcome {
             CheckpointOutcome::Delta(d) => d,
             CheckpointOutcome::Full => panic!("expected a delta outcome"),
@@ -331,11 +303,13 @@ mod tests {
         // The delta re-applies onto the parent payload byte-exactly.
         let composed = crate::delta::apply(&parent.payload, &delta).unwrap();
         assert_eq!(composed, snap.payload);
-        assert_eq!(scratch.stats().delta_encodes, 1);
-        assert_eq!(scratch.stats().delta_bytes_written, delta.payload_bytes());
-        assert!(scratch.stats().delta_pages_total >= scratch.stats().delta_pages_written);
+        assert_eq!(delta.parent, parent.id);
+        assert_eq!(delta.parent_payload_hash, parent.payload_hash());
+        assert_eq!(codec.delta_encodes, 1);
+        assert_eq!(codec.delta_bytes_written, delta.payload_bytes());
+        assert!(codec.delta_pages_total >= codec.delta_pages_written);
         // Delta is cheaper than the full checkpoint the same draw buys,
-        // and a used scratch encodes what a fresh one does.
+        // and the child's snapshot is what a full checkpoint takes.
         let (full_snap, full_cost) = full(&engine, &mut rng_full, &child_process);
         assert_eq!(full_snap, snap, "same RNG draw, same snapshot");
         assert!(cost < full_cost);
@@ -345,12 +319,12 @@ mod tests {
 
     #[test]
     fn invalidate_prevents_cross_instance_cache_hits() {
-        // One scratch serving two process instances in turn: the second
-        // checkpoint carries the second instance's state, never a stale
-        // payload of the first.
+        // One engine checkpointing two process instances in turn: the
+        // second checkpoint carries the second instance's state, never a
+        // stale payload of the first.
         let engine = SimCriuEngine::new();
         let mut rng = SmallRng::seed_from_u64(23);
-        let mut scratch = CheckpointScratch::new();
+        let mut codec = CodecStats::default();
         let first = Counter {
             value: 10,
             history: vec![],
@@ -359,26 +333,26 @@ mod tests {
             value: 99,
             history: vec![],
         };
-        engine.checkpoint(&mut scratch, &mut rng, &first, meta(), None);
-        let (snap, _, _) = engine.checkpoint(&mut scratch, &mut rng, &second, meta(), None);
+        engine.checkpoint(&mut codec, &mut rng, &first, meta(), None);
+        let (snap, _, _) = engine.checkpoint(&mut codec, &mut rng, &second, meta(), None);
         let (restored, _): (Counter, _) = engine.restore(&mut rng, &snap).unwrap();
         assert_eq!(restored.value, 99, "stale cache must not leak");
-        assert_eq!(scratch.stats().encodes, 2);
+        assert_eq!(codec.encodes, 2);
     }
 
     #[test]
     fn versionless_process_never_caches() {
         let engine = SimCriuEngine::new();
         let mut rng = SmallRng::seed_from_u64(24);
-        let mut scratch = CheckpointScratch::new();
+        let mut codec = CodecStats::default();
         let process = Counter {
             value: 3,
             history: vec![],
         };
-        engine.checkpoint(&mut scratch, &mut rng, &process, meta(), None);
-        engine.checkpoint(&mut scratch, &mut rng, &process, meta(), None);
-        assert_eq!(scratch.stats().encodes, 2);
-        assert_eq!(scratch.stats().encode_skips, 0);
+        engine.checkpoint(&mut codec, &mut rng, &process, meta(), None);
+        engine.checkpoint(&mut codec, &mut rng, &process, meta(), None);
+        assert_eq!(codec.encodes, 2);
+        assert_eq!(codec.encode_skips, 0);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use cost::CheckpointCostModel;
 pub use delta::{
     CheckpointOutcome, DeltaBase, DeltaFrame, DeltaPolicy, SnapshotDelta, PAYLOAD_DIFF_PAGE_SIZE,
 };
-pub use engine::{CheckpointScratch, Checkpointable, SimCriuEngine};
+pub use engine::{Checkpointable, SimCriuEngine};
 pub use frame::{Frame, FrameError, Stored};
 pub use snapshot::{Snapshot, SnapshotId, SnapshotMeta};
 pub use stats::CodecStats;

@@ -176,7 +176,7 @@ proptest! {
         let frame = flip(&delta.to_frame_with(&child, &mut Encoder::new()), chunk, flip_pos_frac, flip_mask);
         match frame.parse() {
             Err(_) => {}
-            Ok(Stored::Delta(parsed)) => match parsed.compose(&parent.payload) {
+            Ok(Stored::Delta(parsed)) => match parsed.compose(&parent) {
                 Err(_) => {}
                 Ok(composed) => prop_assert_eq!(composed, child),
             },
@@ -246,7 +246,7 @@ proptest! {
         };
         if let Ok(Stored::Delta(d)) = frame.parse() {
             let _ = apply(&parent, &d.delta);
-            let _ = d.compose(&Bytes::from(parent));
+            let _ = d.compose(&Snapshot::new(meta(0), Bytes::from(parent), 1 << 20));
         }
     }
 }
@@ -380,8 +380,7 @@ proptest! {
                     Field::OptU32(v) => scratch.put_option(v, |e, x| e.put_u32(*x)),
                 }
             }
-            let reused = scratch.take_buffer();
-            prop_assert_eq!(reused, encode_fields(fields));
+            prop_assert_eq!(scratch.as_bytes(), &encode_fields(fields)[..]);
         }
     }
 }

@@ -52,7 +52,7 @@ pub mod weights;
 pub use baselines::{ColdStartPolicy, FixedPointPolicy};
 pub use config::{PolicyConfig, SelectionStrategy};
 pub use error::ConfigError;
-pub use orchestrator::{Orchestrator, OverheadTotals, PageFetch, WorkerPlan};
+pub use orchestrator::{Download, Orchestrator, OverheadTotals, PageFetch, WorkerPlan};
 pub use policy::{Policy, PolicyKind, StartDecision};
 pub use pool::{PoolEntry, SnapshotPool};
 pub use request_centric::RequestCentricPolicy;

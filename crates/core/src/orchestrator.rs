@@ -32,7 +32,7 @@ use pronghorn_restore::{
 use pronghorn_sim::SimDuration;
 use pronghorn_store::{
     saturating_accumulate, ChainIndex, ChainStats, DownloadPrice, DownloadRequest, ObjectStore,
-    StoragePolicy, StorageStats, StorageTier, StoreError, StoreStats, TransferModel,
+    StoragePolicy, StorageStats, StorageTier, StoreStats, TransferModel,
 };
 use rand::RngCore;
 use std::collections::BTreeMap;
@@ -130,30 +130,38 @@ impl OverheadTotals {
     }
 }
 
-/// What the platform should do with a new worker.
+/// What the platform should do with a new worker: restore the
+/// downloaded snapshot, or boot cold when there is none.
 #[derive(Debug, Clone)]
 pub struct WorkerPlan {
-    /// Cold start or restore.
-    pub start: StartDecision,
-    /// The downloaded snapshot when restoring.
-    pub snapshot: Option<Snapshot>,
-    /// Request number the worker resumes at (0 for cold).
-    pub resume_request: u32,
     /// Absolute request number at which to checkpoint, if any.
     pub checkpoint_at: Option<u32>,
     /// Orchestrator-side startup overhead (off the critical path).
     pub startup_overhead: SimDuration,
-    /// Nominal bytes the snapshot download actually moved: the full image
-    /// for a root, the chain sum of stored forms for a composed restore
-    /// (what `RestoreInfo.bytes_transferred` must report). Zero for cold.
-    pub download_nominal: u64,
+    /// The snapshot to restore; `None` for a cold start, also when the
+    /// policy chose a snapshot that could not be downloaded.
+    pub download: Option<Download>,
+}
+
+/// A snapshot downloaded for a restore, with everything the restore and
+/// the worker's later checkpoints read of it. The worker resumes at
+/// `snapshot.meta.request_number`.
+#[derive(Debug, Clone)]
+pub struct Download {
+    /// The restored snapshot, composed when it is stored as a delta chain.
+    pub snapshot: Snapshot,
+    /// Nominal bytes the download moved: the full image for a root, the
+    /// chain sum of stored forms for a composed restore, the recorded
+    /// working set's bytes under a composed prefetch (what
+    /// `RestoreInfo.bytes_transferred` must report).
+    pub nominal: u64,
     /// Blobs the download walked: 1 for a full snapshot, one more per
-    /// delta link of a composed restore. Zero for cold.
+    /// delta link of a composed restore.
     pub chain_len: usize,
-    /// The restored snapshot's page map, when restores are paged.
+    /// The snapshot's page map, when restores are paged.
     pub page_map: Option<PageMap>,
-    /// The working set recorded for the restored snapshot (sorted pages),
-    /// read once here for a record-prefetch restore.
+    /// The working set recorded for the snapshot (sorted pages), read
+    /// once here for a record-prefetch restore.
     pub working_set: Option<Vec<u32>>,
 }
 
@@ -174,7 +182,7 @@ pub struct PageFetch {
 /// # Examples
 ///
 /// ```
-/// use pronghorn_core::{FixedPointPolicy, Orchestrator, StartDecision};
+/// use pronghorn_core::{FixedPointPolicy, Orchestrator};
 /// use rand::rngs::SmallRng;
 /// use rand::SeedableRng;
 ///
@@ -183,7 +191,7 @@ pub struct PageFetch {
 /// let plan = orch.begin_worker(&mut rng);
 /// // No snapshot exists yet: the first worker cold-starts and is told to
 /// // checkpoint right after its first request.
-/// assert_eq!(plan.start, StartDecision::Cold);
+/// assert!(plan.download.is_none());
 /// assert_eq!(plan.checkpoint_at, Some(1));
 /// ```
 pub struct Orchestrator {
@@ -218,15 +226,6 @@ pub struct Orchestrator {
     recorded_log: Vec<(SnapshotId, u64)>,
     /// Snapshots pool-evicted since the last drain.
     evicted_log: Vec<SnapshotId>,
-}
-
-/// Result of a (possibly composed) snapshot download.
-struct Download {
-    snapshot: Snapshot,
-    /// Nominal bytes moved: chain sum of stored forms.
-    nominal: u64,
-    /// Blobs fetched (1 for a plain full snapshot).
-    chain_len: usize,
 }
 
 impl Orchestrator {
@@ -497,134 +496,117 @@ impl Orchestrator {
         // The decision plus one Database read of the policy state (step 4).
         let overhead_us = self.decision_cost_us() + KvCosts::PAPER.read_us;
 
-        let start = self.policy.on_worker_start(rng);
         // Blob transfer is provisioning work (charged to the worker plan
         // and the Table 5 byte accounting), not orchestrator decision
         // overhead — Figure 7's startup component is the decision cost.
         let mut transfer_us = 0.0;
-        let (mut download_nominal, mut chain_len) = (0u64, 0usize);
-        let (mut page_map, mut working_set) = (None, None);
-        let (snapshot, resume_request) = match start {
-            StartDecision::Cold => (None, 0),
-            StartDecision::Restore(id) => match self.download_snapshot(id) {
-                Ok(dl) => {
-                    // Built and read once: the page map and the recorded
-                    // working set serve both the download and the restore.
-                    page_map = self.paging().then(|| {
-                        let (hash, size) = (dl.snapshot.payload_hash(), dl.snapshot.nominal_size);
-                        PageMap::for_snapshot(&self.function, hash, size, DEFAULT_PAGE_SIZE)
-                    });
-                    working_set = (self.restore == RestoreStrategy::RecordPrefetch)
-                        .then(|| self.load_manifest(id))
-                        .flatten()
-                        .map(|m| m.to_sorted_vec());
-                    let recorded = page_map.as_ref().zip(working_set.as_deref());
-                    let price = self.price_download(id, &dl, recorded);
-                    transfer_us += price.transfer_us;
-                    saturating_accumulate(
-                        "nominal_bytes_downloaded",
-                        &mut self.overheads.nominal_bytes_downloaded,
-                        price.accounted_nominal,
-                    );
-                    download_nominal = price.accounted_nominal;
-                    chain_len = dl.chain_len;
-                    if dl.chain_len > 1 {
-                        if let Some(chains) = &mut self.chains {
-                            chains.note_composed_restore(price.accounted_nominal);
-                        }
+        // A missing or corrupt blob degrades to a cold start rather than
+        // failing the worker.
+        let download = match self.policy.on_worker_start(rng) {
+            StartDecision::Cold => None,
+            StartDecision::Restore(id) => self.download_snapshot(id).map(|mut dl| {
+                // Built and read once: the page map and the recorded
+                // working set serve both the download and the restore.
+                dl.page_map = self.paging().then(|| {
+                    let (hash, size) = (dl.snapshot.payload_hash(), dl.snapshot.nominal_size);
+                    PageMap::for_snapshot(&self.function, hash, size, DEFAULT_PAGE_SIZE)
+                });
+                dl.working_set = (self.restore == RestoreStrategy::RecordPrefetch)
+                    .then(|| self.load_manifest(id))
+                    .flatten()
+                    .map(|m| m.to_sorted_vec());
+                let price = self.price_download(id, &dl);
+                transfer_us = price.transfer_us;
+                saturating_accumulate(
+                    "nominal_bytes_downloaded",
+                    &mut self.overheads.nominal_bytes_downloaded,
+                    price.accounted_nominal,
+                );
+                if dl.chain_len > 1 {
+                    if let Some(chains) = &mut self.chains {
+                        chains.note_composed_restore(price.accounted_nominal);
                     }
-                    let resume = dl.snapshot.meta.request_number;
-                    (Some(dl.snapshot), resume)
                 }
-                // A missing/corrupt blob degrades to a cold start rather
-                // than failing the worker.
-                Err(_) => (None, 0),
-            },
+                dl.nominal = price.accounted_nominal;
+                dl
+            }),
         };
-        let start = if snapshot.is_some() {
-            start
-        } else {
-            StartDecision::Cold
-        };
-
+        let resume_request = download
+            .as_ref()
+            .map_or(0, |dl| dl.snapshot.meta.request_number);
         let checkpoint_at = self.policy.plan_checkpoint(resume_request, rng);
 
         self.overheads.startup_us += overhead_us;
         self.overheads.startups += 1;
 
         WorkerPlan {
-            start,
-            snapshot,
-            resume_request,
             checkpoint_at,
             startup_overhead: SimDuration::from_micros_f64(overhead_us + transfer_us),
-            download_nominal,
-            chain_len,
-            page_map,
-            working_set,
+            download,
         }
     }
 
-    fn download_snapshot(&mut self, id: SnapshotId) -> Result<Download, StoreError> {
+    /// Downloads snapshot `id`, composing its delta chain, with `nominal`
+    /// the chain sum of stored forms. `None` when a blob is missing, a
+    /// frame fails its checks, or the parent walk exceeds
+    /// [`MAX_CHAIN_WALK`] links: every such restore starts cold.
+    fn download_snapshot(&mut self, id: SnapshotId) -> Option<Download> {
         // Walk parent references child-first until a full frame (the
         // chain root) is found; a full snapshot is a chain of length 1.
         let mut frames: Vec<DeltaFrame> = Vec::new();
         let mut cursor = id;
         let mut nominal = 0u64;
-        loop {
+        let mut snapshot = loop {
             let [header, payload, trailer] = self
                 .store
-                .get_chunks(SNAPSHOT_BUCKET, &self.blob_key(cursor))?;
+                .get_chunks(SNAPSHOT_BUCKET, &self.blob_key(cursor))
+                .ok()?;
             let frame = Frame {
                 header,
                 payload,
                 trailer,
             };
-            let root = match frame.parse().map_err(|_| StoreError::NotFound)? {
+            match frame.parse().ok()? {
                 Stored::Delta(frame) => {
                     nominal += frame.delta.dirty_nominal_bytes;
                     cursor = frame.delta.parent;
                     frames.push(frame);
                     if frames.len() > MAX_CHAIN_WALK {
-                        return Err(StoreError::NotFound);
+                        return None;
                     }
-                    continue;
                 }
-                Stored::Full(root) => root,
-            };
-            nominal += root.nominal_size;
-            let chain_len = frames.len() + 1;
-            // Compose root-first: `frames` is child-first, so apply in
-            // reverse. Each step verifies the composed payload hash.
-            let mut snapshot = root;
-            for frame in frames.iter().rev() {
-                snapshot = frame
-                    .compose(&snapshot.payload)
-                    .map_err(|_| StoreError::NotFound)?;
+                Stored::Full(root) => break root,
             }
-            return Ok(Download {
-                snapshot,
-                nominal,
-                chain_len,
-            });
+        };
+        nominal += snapshot.nominal_size;
+        // Compose root-first: `frames` is child-first, so apply in
+        // reverse. Each step checks the parent's and the composed
+        // payload's hashes.
+        for frame in frames.iter().rev() {
+            snapshot = frame.compose(&snapshot).ok()?;
         }
+        Some(Download {
+            snapshot,
+            nominal,
+            chain_len: frames.len() + 1,
+            page_map: None,
+            working_set: None,
+        })
     }
 
     /// Prices the provisioning-path transfer of a downloaded snapshot
     /// through the storage tier: the serial chain walk of the flat store,
     /// SSD/compression routing with a tier, and — under the composed-
-    /// prefetch policy, given a `recorded` working set — only the composed
-    /// chain's touched pages in one batched request.
-    fn price_download(
-        &mut self,
-        id: SnapshotId,
-        dl: &Download,
-        recorded: Option<(&PageMap, &[u32])>,
-    ) -> DownloadPrice {
+    /// prefetch policy, when `dl` carries a recorded working set — only
+    /// the composed chain's touched pages in one batched request.
+    fn price_download(&mut self, id: SnapshotId, dl: &Download) -> DownloadPrice {
         // The leaf's page map already resolves each page's newest writer
         // in the chain, so sizing the touched pages against it prices the
         // composed fetch without walking the chain.
-        let working_set = recorded
+        let working_set = dl
+            .page_map
+            .as_ref()
+            .zip(dl.working_set.as_deref())
             .filter(|(_, pages)| self.storage.policy().composed_prefetch && !pages.is_empty())
             .map(|(map, pages)| (map.bytes_for(pages), pages.len()));
         // Admission priority, and the chain under the leaf pinned with it
@@ -853,13 +835,19 @@ mod tests {
         Orchestrator::new(policy, "f")
     }
 
+    /// The download `plan` restores from; a cold plan fails the test.
+    fn download(plan: &WorkerPlan) -> &Download {
+        plan.download
+            .as_ref()
+            .expect("the plan restores a snapshot")
+    }
+
     #[test]
     fn first_worker_cold_starts_and_plans() {
         let mut orch = orchestrator(Box::new(FixedPointPolicy::after_first()));
         let mut rng = SmallRng::seed_from_u64(1);
         let plan = orch.begin_worker(&mut rng);
-        assert_eq!(plan.start, StartDecision::Cold);
-        assert_eq!(plan.resume_request, 0);
+        assert!(plan.download.is_none());
         assert_eq!(plan.checkpoint_at, Some(1));
         assert!(plan.startup_overhead > SimDuration::ZERO);
     }
@@ -874,9 +862,10 @@ mod tests {
         assert!(overhead >= SimDuration::from_millis(65));
         // Next worker restores it, resuming at request 1.
         let plan = orch.begin_worker(&mut rng);
-        assert_eq!(plan.start, StartDecision::Restore(snap.id));
-        assert_eq!(plan.resume_request, 1);
-        assert_eq!(plan.snapshot.as_ref().unwrap().id, snap.id);
+        let dl = download(&plan);
+        assert_eq!(dl.snapshot.id, snap.id);
+        assert_eq!(dl.snapshot.meta.request_number, 1);
+        assert_eq!((dl.nominal, dl.chain_len), (snap.nominal_size, 1));
         assert_eq!(plan.checkpoint_at, None);
     }
 
@@ -892,9 +881,7 @@ mod tests {
             .delete(SNAPSHOT_BUCKET, &format!("f/{}", snap.id))
             .unwrap();
         let plan = orch.begin_worker(&mut rng);
-        assert_eq!(plan.start, StartDecision::Cold);
-        assert!(plan.snapshot.is_none());
-        assert_eq!(plan.resume_request, 0);
+        assert!(plan.download.is_none());
     }
 
     /// Replaces the stored frame of `id` with a self-consistent copy whose
@@ -921,9 +908,7 @@ mod tests {
         corrupt_stored_payload(&mut orch, snap.id);
         let downloaded = orch.overheads().nominal_bytes_downloaded;
         let plan = orch.begin_worker(&mut rng);
-        assert_eq!(plan.start, StartDecision::Cold);
-        assert!(plan.snapshot.is_none());
-        assert_eq!((plan.download_nominal, plan.chain_len), (0, 0));
+        assert!(plan.download.is_none());
         assert_eq!(orch.overheads().nominal_bytes_downloaded, downloaded);
 
         // A mid-chain delta: root <- mid <- leaf, restoring the leaf.
@@ -960,9 +945,7 @@ mod tests {
         corrupt_stored_payload(&mut orch, SnapshotId(mid));
         let downloaded = orch.overheads().nominal_bytes_downloaded;
         let plan = orch.begin_worker(&mut rng);
-        assert_eq!(plan.start, StartDecision::Cold);
-        assert!(plan.snapshot.is_none());
-        assert_eq!((plan.download_nominal, plan.chain_len), (0, 0));
+        assert!(plan.download.is_none());
         assert_eq!(orch.overheads().nominal_bytes_downloaded, downloaded);
     }
 
@@ -992,8 +975,9 @@ mod tests {
         // guard means the surviving twin must still download intact.
         assert_eq!(stats.objects, 1);
         let plan = orch.begin_worker(&mut rng);
-        assert!(matches!(plan.start, StartDecision::Restore(id) if id == a.id || id == b.id));
-        assert_eq!(plan.snapshot.unwrap().payload, a.payload);
+        let restored = &download(&plan).snapshot;
+        assert!(restored.id == a.id || restored.id == b.id);
+        assert_eq!(restored.payload, a.payload);
     }
 
     #[test]
@@ -1114,8 +1098,10 @@ mod tests {
         orch.persist_manifest(&manifest_of(&snap, &pages));
         // A recorded working set: the download moves only those pages.
         let plan = orch.begin_worker(&mut rng);
-        assert_eq!(plan.start, StartDecision::Restore(snap.id));
-        assert_eq!(plan.download_nominal, page_map_of(&snap).bytes_for(&pages));
+        let dl = download(&plan);
+        assert_eq!(dl.snapshot.id, snap.id);
+        assert_eq!(dl.working_set.as_deref(), Some(&pages[..]));
+        assert_eq!(dl.nominal, page_map_of(&snap).bytes_for(&pages));
         assert_eq!(orch.storage_stats().composed_prefetches, 1);
         // Garbage over the stored manifest decodes as no manifest, and the
         // download falls back to the whole image.
@@ -1125,8 +1111,10 @@ mod tests {
             .put_chunked(MANIFESTS_BUCKET, &key, garbage, Bytes::new(), Bytes::new());
         assert!(orch.load_manifest(snap.id).is_none());
         let plan = orch.begin_worker(&mut rng);
-        assert_eq!(plan.start, StartDecision::Restore(snap.id));
-        assert_eq!(plan.download_nominal, snap.nominal_size);
+        let dl = download(&plan);
+        assert_eq!(dl.snapshot.id, snap.id);
+        assert_eq!(dl.working_set, None);
+        assert_eq!(dl.nominal, snap.nominal_size);
         assert_eq!(orch.storage_stats().composed_prefetches, 1);
     }
 
@@ -1243,12 +1231,10 @@ mod tests {
         assert_eq!(orch.pool_nominal_bytes(), dirty + root.nominal_size);
         // The next worker restores the child by composing the chain.
         let plan = orch.begin_worker(&mut rng);
-        assert_eq!(plan.start, StartDecision::Restore(child.id));
-        let restored = plan.snapshot.unwrap();
-        assert_eq!(restored.payload, child.payload);
-        assert_eq!(restored.id, child.id);
-        assert_eq!(plan.download_nominal, root.nominal_size + dirty);
-        assert_eq!(plan.chain_len, 2);
+        let dl = download(&plan);
+        assert_eq!(dl.snapshot, child);
+        assert_eq!(dl.nominal, root.nominal_size + dirty);
+        assert_eq!(dl.chain_len, 2);
         let stats = orch.chain_stats();
         assert_eq!(stats.composed_restores, 1);
         assert_eq!(stats.composed_nominal_downloaded, root.nominal_size + dirty);
@@ -1283,10 +1269,10 @@ mod tests {
         assert_eq!(orch.chain_depth(child.id), Some(0));
         assert_eq!(orch.overheads().nominal_bytes_uploaded, child.nominal_size);
         let plan = orch.begin_worker(&mut rng);
-        assert_eq!(plan.start, StartDecision::Restore(child.id));
-        assert_eq!(plan.snapshot.unwrap().payload, child.payload);
-        assert_eq!(plan.download_nominal, child.nominal_size);
-        assert_eq!(plan.chain_len, 1);
+        let dl = download(&plan);
+        assert_eq!(dl.snapshot, child);
+        assert_eq!(dl.nominal, child.nominal_size);
+        assert_eq!(dl.chain_len, 1);
     }
 
     #[test]
@@ -1317,7 +1303,7 @@ mod tests {
             let plan = orch.begin_worker(&mut rng);
             (
                 *orch.overheads(),
-                plan.download_nominal,
+                plan.download.map(|dl| dl.nominal),
                 plan.startup_overhead,
             )
         };

@@ -8,7 +8,7 @@
 //! startup.
 
 use crate::ExperimentContext;
-use pronghorn_checkpoint::{CheckpointScratch, SimCriuEngine, SnapshotMeta};
+use pronghorn_checkpoint::{CodecStats, SimCriuEngine, SnapshotMeta};
 use pronghorn_core::PolicyKind;
 use pronghorn_jit::Runtime;
 use pronghorn_metrics::{Summary, Table, TableStyle};
@@ -61,7 +61,7 @@ pub fn measure_engine_costs(workload: &dyn Workload, seed: u64) -> ((f64, f64), 
     let mut ckpt = Summary::new();
     let mut rest = Summary::new();
     let mut size_mb = 0.0;
-    let mut scratch = CheckpointScratch::new();
+    let mut codec = CodecStats::default();
     for _ in 0..10 {
         let meta = SnapshotMeta {
             function: workload.name().to_string(),
@@ -69,7 +69,7 @@ pub fn measure_engine_costs(workload: &dyn Workload, seed: u64) -> ((f64, f64), 
             runtime: workload.kind().label().to_string(),
         };
         let (snapshot, _, ckpt_cost) =
-            engine.checkpoint(&mut scratch, &mut engine_rng, &runtime, meta, None);
+            engine.checkpoint(&mut codec, &mut engine_rng, &runtime, meta, None);
         ckpt.record(ckpt_cost.as_millis_f64());
         size_mb = snapshot.nominal_size_mb();
         let (restored, rest_cost): (Runtime, _) = engine

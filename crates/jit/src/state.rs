@@ -66,7 +66,7 @@ mod tests {
     use crate::request::{MethodWork, RequestWork};
     use crate::runtime::Runtime;
     use pronghorn_checkpoint::codec::{Decoder, Encoder};
-    use pronghorn_checkpoint::{CheckpointScratch, Checkpointable, SimCriuEngine, SnapshotMeta};
+    use pronghorn_checkpoint::{Checkpointable, CodecStats, SimCriuEngine, SnapshotMeta};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -120,7 +120,7 @@ mod tests {
         let rt = warm_runtime(500);
         let tiers_before: Vec<_> = rt.method_states().iter().map(|m| m.tier).collect();
         let (snap, _, _) = engine.checkpoint(
-            &mut CheckpointScratch::new(),
+            &mut CodecStats::default(),
             &mut rng,
             &rt,
             SnapshotMeta {

@@ -7,9 +7,7 @@
 
 use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use pronghorn_checkpoint::{
-    CheckpointScratch, Checkpointable, Encoder, SimCriuEngine, SnapshotMeta,
-};
+use pronghorn_checkpoint::{Checkpointable, CodecStats, Encoder, SimCriuEngine, SnapshotMeta};
 use pronghorn_jit::Runtime;
 use pronghorn_store::ObjectStore;
 use pronghorn_workloads::benches::python;
@@ -43,14 +41,14 @@ fn bench_checkpoint_engine(c: &mut Criterion) {
         request_number: 200,
         runtime: "pypy".into(),
     };
-    let mut scratch = CheckpointScratch::new();
+    let mut codec = CodecStats::default();
     let mut group = c.benchmark_group("checkpoint_engine");
     group.bench_function("checkpoint_runtime", |b| {
         let mut rng = SmallRng::seed_from_u64(3);
-        b.iter(|| engine.checkpoint(&mut scratch, &mut rng, &runtime, meta(), None))
+        b.iter(|| engine.checkpoint(&mut codec, &mut rng, &runtime, meta(), None))
     });
     let mut rng = SmallRng::seed_from_u64(4);
-    let (snapshot, _, _) = engine.checkpoint(&mut scratch, &mut rng, &runtime, meta(), None);
+    let (snapshot, _, _) = engine.checkpoint(&mut codec, &mut rng, &runtime, meta(), None);
     group.bench_function("restore_runtime", |b| {
         let mut rng = SmallRng::seed_from_u64(5);
         b.iter(|| engine.restore::<Runtime, _>(&mut rng, &snapshot).unwrap())

@@ -24,7 +24,6 @@
 use crate::result::NodeBreakdown;
 use crate::runner::{Deployment, RequestInputs, Session};
 use crate::worker::Worker;
-use pronghorn_checkpoint::{CheckpointScratch, CodecStats};
 use pronghorn_cluster::{
     BlobDirectory, ClusterSpec, HashRing, LocalityStats, PlacementPolicy, RoutingPolicy,
 };
@@ -132,8 +131,6 @@ struct Slot {
     /// When the slot's current (or last) request finishes on the virtual
     /// clock; only [`Routing::Ring`] queues on it.
     busy_until: SimTime,
-    /// The slot's encoder scratch and codec counters.
-    scratch: CheckpointScratch,
 }
 
 impl Node {
@@ -192,15 +189,6 @@ impl Topology {
         Topology::new(vec![dep], spec.nodes, spec.capacity, routing)
     }
 
-    /// Every slot's encode counters, folded in (node, slot) order.
-    pub(crate) fn codec(&self) -> CodecStats {
-        let mut codec = CodecStats::default();
-        for slot in self.nodes.iter().flat_map(|n| &n.slots) {
-            codec.merge(slot.scratch.stats());
-        }
-        codec
-    }
-
     /// The locality counters, after releasing every residency reference
     /// (conservation: they must all drain). Outside a cluster every
     /// restore is a local hit.
@@ -218,7 +206,7 @@ impl Topology {
         locality
     }
 
-    /// Zeroes the per-node, locality, codec and orchestrator counters,
+    /// Zeroes the per-node, locality and orchestrator counters,
     /// keeping every learned state (pool, chains, cache contents, θ and
     /// blob residency), so a measured window reports only its own
     /// requests.
@@ -228,9 +216,6 @@ impl Topology {
                 node: node.stats.node,
                 ..NodeBreakdown::default()
             };
-            for slot in &mut node.slots {
-                slot.scratch.reset_stats();
-            }
         }
         for dep in &mut self.deps {
             dep.orch.reset_measurements();
@@ -284,7 +269,7 @@ impl Topology {
             Routing::RoundRobin { explorers } => s < *explorers,
             _ => true,
         };
-        let (mut worker, origin) = session.provision(dep, &mut node.slots[s].scratch, explore, now);
+        let (mut worker, download) = session.provision(dep, explore, now);
         let ring = match routing {
             Routing::Ring { spec, dir, .. } => {
                 // An immediately-due plan checkpoints inside provisioning;
@@ -294,7 +279,7 @@ impl Topology {
             }
             _ => None,
         };
-        let Some(o) = origin else {
+        let Some(dl) = download else {
             node.stats.cold_starts += 1;
             return worker;
         };
@@ -307,10 +292,11 @@ impl Topology {
         // computing it eagerly is value-identical). `bytes` stays nominal
         // whatever the price, preserving the conservation law under
         // compression.
+        let (id, nominal, seed) = (dl.snapshot.id, dl.nominal, dl.snapshot.payload_hash());
         let transfer = dep
             .orch
-            .price_remote_fetch(o.nominal, o.chain_len, o.seed, &spec.remote);
-        let access = dir.access(o.id.0, n as u32, o.nominal, now, transfer);
+            .price_remote_fetch(nominal, dl.chain_len, seed, &spec.remote);
+        let access = dir.access(id.0, n as u32, nominal, now, transfer);
         if access.hit {
             node.stats.local_hits += 1;
             return worker;
@@ -328,7 +314,7 @@ impl Topology {
         }
         worker.stale_age = access.age;
         // The fetched image lands on this node's SSD cache, if any.
-        dep.orch.admit_fetched(o.id, o.nominal);
+        dep.orch.admit_fetched(id, nominal);
         worker
     }
 
@@ -354,11 +340,11 @@ impl Topology {
         node.stats.peak_workers = node.stats.peak_workers.max(occupied);
         node.stats.served += 1;
         let Routing::Ring { spec, probe, dir } = routing else {
-            session.serve(dep, &mut slot.scratch, w, request, 0.0, now);
+            session.serve(dep, w, request, 0.0, now);
             return;
         };
         let wait_us = slot.busy_until.saturating_since(now).as_micros() as f64;
-        let latency = session.serve(dep, &mut slot.scratch, w, request, wait_us, now);
+        let latency = session.serve(dep, w, request, wait_us, now);
         drain_pool_events(dep, dir, n as u32, spec, now);
         node.stats.queue_delay_us += wait_us;
         slot.busy_until = now.max(slot.busy_until) + SimDuration::from_micros_f64(latency);
@@ -682,7 +668,7 @@ mod tests {
             let w = topo.provision(&mut session, n, 0, now);
             let after = locality(&topo);
             if after.remote_misses > before.remote_misses {
-                let depth = |d: &DeltaTracking| topo.deps[0].orch.chain_depth(d.parent_id);
+                let depth = |d: &DeltaTracking| topo.deps[0].orch.chain_depth(d.parent.id);
                 let links = w
                     .delta
                     .as_ref()

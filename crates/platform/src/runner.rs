@@ -10,11 +10,11 @@ use crate::result::{ProvisionKind, RunResult};
 use crate::stale::IoStaleModel;
 use crate::worker::{DeltaTracking, Worker};
 use pronghorn_checkpoint::{
-    delta::dirty_nominal_bytes, CheckpointScratch, Checkpointable, CodecStats, DeltaBase,
-    SimCriuEngine, Snapshot, SnapshotId, SnapshotMeta,
+    delta::dirty_nominal_bytes, Checkpointable, CodecStats, DeltaBase, SimCriuEngine, SnapshotId,
+    SnapshotMeta,
 };
 use pronghorn_cluster::{ClusterSpec, LocalityStats};
-use pronghorn_core::{baselines::make_policy, Orchestrator, OverheadTotals, WorkerPlan};
+use pronghorn_core::{baselines::make_policy, Download, Orchestrator, OverheadTotals};
 use pronghorn_forecast::{PreRestorePlan, ProvisionStats, Provisioner};
 use pronghorn_jit::{RequestWork, Runtime};
 use pronghorn_metrics::Histogram;
@@ -40,19 +40,6 @@ const RECORD_PREFETCH_PENALTY_US: f64 = 10_000.0;
 /// long enough lead erases the stale-IO penalty the first post-restore
 /// requests would otherwise pay.
 const PREWARM_REQUEST_US: u64 = 2_000_000;
-
-/// Where a restored worker's snapshot came from — what the cluster layer
-/// needs to price locality: the blob id, the nominal bytes the store
-/// shipped (composed chain sum under delta), and the chain length a
-/// remote fetch must walk link by link.
-pub(crate) struct RestoredFrom {
-    pub(crate) id: SnapshotId,
-    pub(crate) nominal: u64,
-    pub(crate) chain_len: usize,
-    /// Content hash of the restored payload — the storage tier's
-    /// deterministic compression seed for pricing cross-node transfers.
-    pub(crate) seed: u64,
-}
 
 /// Everything a request's input is drawn from: arrival `i`'s input is a
 /// pure function of the session seed and `i`.
@@ -351,57 +338,37 @@ impl<'w> Session<'w> {
     }
 
     /// Provisions a worker for `dep` per the orchestration policy —
-    /// entirely off the request critical path (§5.3) — also reporting
-    /// which snapshot it restored from (and what the store shipped), the
-    /// cluster's hook for locality accounting. `None` origin means a cold
-    /// boot (including the corrupt-snapshot degradation path). A worker
-    /// that does not `explore` never checkpoints (the fleet's amortization
-    /// knob).
+    /// entirely off the request critical path (§5.3) — also handing back
+    /// the download it restored from, the cluster's hook for locality
+    /// accounting. `None` means a cold boot (including the corrupt-snapshot
+    /// degradation path). A worker that does not `explore` never
+    /// checkpoints (the fleet's amortization knob).
     pub(crate) fn provision(
         &mut self,
         dep: &mut Deployment,
-        scratch: &mut CheckpointScratch,
         explore: bool,
         now: SimTime,
-    ) -> (Worker, Option<RestoredFrom>) {
-        let mut plan = dep.orch.begin_worker(&mut self.policy_rng);
+    ) -> (Worker, Option<Download>) {
+        let plan = dep.orch.begin_worker(&mut self.policy_rng);
         let mut provision_us = plan.startup_overhead.as_micros() as f64;
         let wrng = self
             .factory
             .stream_indexed(&dep.worker_stream, dep.worker_seq);
         dep.worker_seq += 1;
 
-        let mut origin = None;
-        let mut restored = None;
-        if let Some(snapshot) = plan.snapshot.take() {
-            if let Some((runtime, info, image)) = self.restore_worker(dep, &snapshot, &mut plan) {
+        let mut download = plan.download;
+        let restored = download
+            .as_mut()
+            .and_then(|dl| self.restore_worker(dep, dl));
+        let (runtime, restore, image) = match restored {
+            Some((runtime, info, image)) => {
                 provision_us += info.restore_us;
                 self.record_restore_ms(info.restore_us / 1_000.0);
-                origin = Some(RestoredFrom {
-                    id: snapshot.id,
-                    nominal: plan.download_nominal,
-                    chain_len: plan.chain_len,
-                    seed: snapshot.payload_hash(),
-                });
-                // The restored snapshot becomes the worker's prospective
-                // delta parent: keep its payload as the diff base and
-                // start an empty dirty-page set.
-                let delta = self.cfg.delta.enabled().then(|| DeltaTracking {
-                    parent_id: snapshot.id,
-                    parent_payload: snapshot.payload.clone(),
-                    parent_hash: snapshot.payload_hash(),
-                    parent_page_count: snapshot.nominal_size.div_ceil(DEFAULT_PAGE_SIZE) as u32,
-                    dirty_pages: BTreeSet::new(),
-                });
-                restored = Some((runtime, info, image, delta));
-            }
-        }
-        let (runtime, resume, restore, image, delta) = match restored {
-            Some((runtime, info, image, delta)) => {
-                (runtime, plan.resume_request, Some(info), image, delta)
+                (runtime, Some(info), image)
             }
             // No snapshot, or a corrupt one: boot cold.
             None => {
+                download = None;
                 let mut boot_rng = self
                     .factory
                     .stream_indexed(&dep.boot_stream, dep.worker_seq);
@@ -411,82 +378,90 @@ impl<'w> Session<'w> {
                     &mut boot_rng,
                 );
                 provision_us += cost.as_micros() as f64;
-                (rt, 0, None, None, None)
+                (rt, None, None)
             }
         };
         self.out.provision_us += provision_us;
-        self.record_provision(if restore.is_some() {
-            ProvisionKind::Restored(resume)
-        } else {
-            ProvisionKind::Cold
+        let resume = download
+            .as_ref()
+            .map_or(0, |dl| dl.snapshot.meta.request_number);
+        self.record_provision(match download {
+            Some(_) => ProvisionKind::Restored(resume),
+            None => ProvisionKind::Cold,
         });
 
         let checkpoint_at = plan.checkpoint_at.filter(|_| explore);
         let mut worker = Worker::new(runtime, wrng, resume, checkpoint_at, restore, now);
         worker.image = image;
-        worker.delta = delta;
+        // The restored snapshot becomes the worker's prospective delta
+        // parent, with an empty dirty-page set.
+        worker.delta = download
+            .as_ref()
+            .filter(|_| self.cfg.delta.enabled())
+            .map(|dl| DeltaTracking {
+                parent: dl.snapshot.clone(),
+                dirty_pages: BTreeSet::new(),
+            });
         dep.last_image_bytes = worker.runtime.image_size_bytes();
         // An immediately-due plan (e.g. checkpoint-after-init's request 0)
         // snapshots before the first request is served.
-        self.maybe_checkpoint(dep, scratch, &mut worker);
-        (worker, origin)
+        self.maybe_checkpoint(dep, &mut worker);
+        (worker, download)
     }
 
-    /// Materializes a runtime from `snapshot` under the configured restore
-    /// strategy; `None` means the snapshot is corrupt and the caller
-    /// degrades to a cold start. The eager arm is the pre-paging engine
-    /// path verbatim — exactly one cost sample from the engine RNG stream —
-    /// so eager runs stay bit-identical. The lazy arms decode without
-    /// consuming any RNG ([`SimCriuEngine::restore_mapped`]) and charge
-    /// only the page-table mapping (plus, with the working set `plan`
-    /// carries, one batched prefetch) up front; the rest is paid via demand
-    /// faults during [`Session::serve`].
+    /// Materializes a runtime from `dl`'s snapshot under the configured
+    /// restore strategy; `None` means the snapshot is corrupt and the
+    /// caller degrades to a cold start. The eager arm is the pre-paging
+    /// engine path verbatim — exactly one cost sample from the engine RNG
+    /// stream — so eager runs stay bit-identical. The lazy arms take the
+    /// download's page map and decode without consuming any RNG
+    /// ([`SimCriuEngine::restore_mapped`]); they charge only the page-table
+    /// mapping (plus, with the working set `dl` carries, one batched
+    /// prefetch) up front, and the rest is paid via demand faults during
+    /// [`Session::serve`].
     fn restore_worker(
         &mut self,
         dep: &mut Deployment,
-        snapshot: &Snapshot,
-        plan: &mut WorkerPlan,
+        dl: &mut Download,
     ) -> Option<(Runtime, RestoreInfo, Option<LazyImage>)> {
         let strategy = self.cfg.restore;
         if strategy == RestoreStrategy::Eager {
             let (runtime, cost) = self
                 .engine
-                .restore::<Runtime, _>(&mut self.engine_rng, snapshot)
+                .restore::<Runtime, _>(&mut self.engine_rng, &dl.snapshot)
                 .ok()?;
-            // `download_nominal` is what the store actually shipped: the
-            // full image for a chain root, the root plus every delta's
-            // dirty bytes for a composed restore. With delta off it equals
+            // `dl.nominal` is what the store actually shipped: the full
+            // image for a chain root, the root plus every delta's dirty
+            // bytes for a composed restore. With delta off it equals
             // `snapshot.nominal_size` exactly.
-            let info = RestoreInfo::eager(cost.as_micros() as f64, plan.download_nominal);
+            let info = RestoreInfo::eager(cost.as_micros() as f64, dl.nominal);
             return Some((runtime, info, None));
         }
         // A paged restore carries its page map; without one the snapshot
         // cannot be mapped, which degrades to a cold boot like corruption.
-        let map = plan.page_map.take()?;
-        let runtime = self.engine.restore_mapped::<Runtime>(snapshot).ok()?;
-        let (function, id) = (dep.label.as_str(), snapshot.id.0);
+        let map = dl.page_map.take()?;
+        let runtime = self.engine.restore_mapped::<Runtime>(&dl.snapshot).ok()?;
+        let (function, id) = (dep.label.as_str(), dl.snapshot.id);
         let mut info = RestoreInfo {
             strategy,
             restore_us: self.fault_costs.map_base_us,
             ..RestoreInfo::default()
         };
-        let Some(pages) = plan.working_set.take() else {
+        let Some(pages) = dl.working_set.take() else {
             // Lazy maps on fault; the first record-prefetch restore of a
             // snapshot records its working set, which serve() persists as
             // the manifest.
             let image = match strategy {
-                RestoreStrategy::Lazy => LazyImage::new(id, map),
-                _ => LazyImage::with_recording(function, id, map),
+                RestoreStrategy::Lazy => LazyImage::new(id.0, map),
+                _ => LazyImage::with_recording(function, id.0, map),
             };
             return Some((runtime, info, Some(image)));
         };
         // A prior restore recorded this snapshot's working set:
         // bulk-prefetch it in one batched transfer and fault only the cold
         // tail. The prefetch batch is the restore critical path.
-        let fetch = dep
-            .orch
-            .prefetch_pages(snapshot.id, &map, &pages, &self.fault_costs);
-        let mut image = LazyImage::new(id, map);
+        let fetch = dep.orch.prefetch_pages(id, &map, &pages, &self.fault_costs);
+        let mut image = LazyImage::new(id.0, map);
         image.mark_prefetched(&pages);
         info.prefetched_pages = pages.len() as u32;
         info.bytes_transferred = fetch.bytes;
@@ -498,12 +473,7 @@ impl<'w> Session<'w> {
     /// Takes the planned checkpoint if the worker has reached it. Runs
     /// after the response is returned, so the downtime stays invisible to
     /// the client (§5.3).
-    fn maybe_checkpoint(
-        &mut self,
-        dep: &mut Deployment,
-        scratch: &mut CheckpointScratch,
-        worker: &mut Worker,
-    ) {
+    fn maybe_checkpoint(&mut self, dep: &mut Deployment, worker: &mut Worker) {
         if !worker.checkpoint_due() {
             return;
         }
@@ -530,29 +500,27 @@ impl<'w> Session<'w> {
         // RNG streams of a seeded run.
         let mut consolidate = false;
         let base = worker.delta.as_ref().and_then(|t| {
-            if !dep.orch.chain_live(t.parent_id) {
+            if !dep.orch.chain_live(t.parent.id) {
                 return None;
             }
-            let depth = dep.orch.chain_depth(t.parent_id).unwrap_or(0);
+            let depth = dep.orch.chain_depth(t.parent.id).unwrap_or(0);
             // Tracking only exists when the policy is enabled, so K is Some.
             if depth >= self.cfg.delta.max_depth().unwrap_or(u32::MAX) {
                 consolidate = true;
                 return None;
             }
             Some(DeltaBase {
-                parent: t.parent_id,
-                parent_payload: t.parent_payload.clone(),
-                parent_payload_hash: t.parent_hash,
+                parent: &t.parent,
                 dirty_nominal_bytes: dirty_nominal_bytes(
                     &t.dirty_pages,
-                    t.parent_page_count,
+                    t.parent_page_count(),
                     worker.runtime.image_size_bytes(),
                     DEFAULT_PAGE_SIZE,
                 ),
             })
         });
         let (snapshot, outcome, downtime) = self.engine.checkpoint(
-            scratch,
+            &mut self.out.codec,
             &mut self.engine_rng,
             &worker.runtime,
             meta,
@@ -576,7 +544,6 @@ impl<'w> Session<'w> {
     pub(crate) fn serve(
         &mut self,
         dep: &mut Deployment,
-        scratch: &mut CheckpointScratch,
         worker: &mut Worker,
         request: RequestWork,
         queue_us: f64,
@@ -606,23 +573,30 @@ impl<'w> Session<'w> {
         let breakdown = worker.runtime.execute(&request, &mut worker.rng);
         let mut latency = breakdown.total_us();
 
-        // Delta lineage: fold this request's deterministic page-access
-        // trace into the dirty set — what an incremental engine's
-        // soft-dirty tracking would report. The trace is pure (no RNG), so
-        // enabling delta never perturbs the seeded streams.
+        // One deterministic page-access trace per request, over the
+        // restored snapshot's image pages. The trace is pure (no RNG), so
+        // neither of its readers perturbs the seeded streams. The image's
+        // page map counts at least one page; the parent's count differs
+        // from it only for an empty image, all of whose pages a delta
+        // counts as growth whatever the dirty set holds.
+        let pages = match (&worker.image, &worker.delta) {
+            (Some(image), _) => Some(image.map().page_count()),
+            (None, Some(tracking)) => Some(tracking.parent_page_count()),
+            (None, None) => None,
+        };
+        let trace = pages
+            .map(|n| worker.runtime.page_access_trace(&request, n))
+            .unwrap_or_default();
+
+        // Delta lineage: fold the trace into the dirty set — what an
+        // incremental engine's soft-dirty tracking would report.
         if let Some(tracking) = worker.delta.as_mut() {
-            let trace = worker
-                .runtime
-                .page_access_trace(&request, tracking.parent_page_count);
-            tracking.dirty_pages.extend(trace);
+            tracking.dirty_pages.extend(&trace);
         }
 
         // Lazily-mapped images pay for first-touched pages on the request
         // critical path: each fault is a demand fetch from the store.
         if let Some(image) = worker.image.as_mut() {
-            let trace = worker
-                .runtime
-                .page_access_trace(&request, image.map().page_count());
             let touches = image.first_touches(&trace);
             if !touches.is_empty() {
                 let id = SnapshotId(image.snapshot_id());
@@ -678,7 +652,7 @@ impl<'w> Session<'w> {
             .complete_request(request_number.min(u64::from(u32::MAX)) as u32, latency);
         worker.served += 1;
         worker.last_active = now;
-        self.maybe_checkpoint(dep, scratch, worker);
+        self.maybe_checkpoint(dep, worker);
         latency
     }
 
@@ -760,13 +734,13 @@ impl<'w> Session<'w> {
         out.provision_us = 0.0;
         out.restore_infos.clear();
         out.provisioning = ProvisionStats::default();
+        out.codec = CodecStats::default();
     }
 
-    /// Folds every slot's codec counters and every deployment's
-    /// accounting into the result. Deployments are disjoint, so their
-    /// orchestrator, store, chain and storage counters add up.
+    /// Folds every deployment's accounting into the result. Deployments
+    /// are disjoint, so their orchestrator, store, chain and storage
+    /// counters add up.
     fn collect(&mut self, topo: &Topology) {
-        self.out.codec = topo.codec();
         for dep in &topo.deps {
             self.out.overheads.merge(dep.orch.overheads());
             self.out.store_stats.merge(&dep.orch.store_stats());

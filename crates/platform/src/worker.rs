@@ -1,9 +1,8 @@
 //! A function worker: one runtime instance plus its lifecycle state.
 
-use bytes::Bytes;
-use pronghorn_checkpoint::SnapshotId;
+use pronghorn_checkpoint::Snapshot;
 use pronghorn_jit::Runtime;
-use pronghorn_restore::{LazyImage, RestoreInfo};
+use pronghorn_restore::{LazyImage, RestoreInfo, DEFAULT_PAGE_SIZE};
 use pronghorn_sim::{SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use std::collections::BTreeSet;
@@ -13,19 +12,20 @@ use std::collections::BTreeSet;
 /// its requests have dirtied since.
 #[derive(Debug, Clone)]
 pub struct DeltaTracking {
-    /// Snapshot this worker was restored from.
-    pub parent_id: SnapshotId,
-    /// The parent's payload, kept as the physical diff base (shared
-    /// buffer, not a copy).
-    pub parent_payload: Bytes,
-    /// Content address of the parent payload.
-    pub parent_hash: u64,
-    /// Image pages the parent covered, on the nominal page grid.
-    pub parent_page_count: u32,
+    /// Snapshot this worker was restored from: its payload is the
+    /// physical diff base (a shared buffer, not a copy).
+    pub parent: Snapshot,
     /// Nominal image pages touched by requests served since the restore —
     /// the union of the runtime's deterministic page-access traces, i.e.
     /// what an incremental engine's soft-dirty tracking would report.
     pub dirty_pages: BTreeSet<u32>,
+}
+
+impl DeltaTracking {
+    /// Image pages the parent covered, on the nominal page grid.
+    pub fn parent_page_count(&self) -> u32 {
+        self.parent.nominal_size.div_ceil(DEFAULT_PAGE_SIZE) as u32
+    }
 }
 
 /// A live worker hosting one function runtime.

@@ -59,7 +59,7 @@ fn every_arrival_source_on_every_topology_serves_every_arrival() {
         classes(2),
         TopologySpec::Cluster,
     ];
-    let mut issued = 0;
+    let (mut issued, mut encodes) = (0, 0);
     for topology in topologies {
         let c = match topology {
             // One slot on the ring owner: a window request would queue
@@ -94,6 +94,12 @@ fn every_arrival_source_on_every_topology_serves_every_arrival() {
             // transfer, over the same span: the history's are not reported.
             let moved = r.overheads.nominal_bytes_downloaded + l.remote_bytes;
             assert_eq!(r.restore_bytes(), moved, "{label}");
+            // One encode and one recorded snapshot per checkpoint, over
+            // the same span, however many slots, deployments or nodes.
+            let checkpoints = r.checkpoint_ms.len() as u64;
+            assert_eq!(r.codec.encodes, checkpoints, "{label}");
+            assert_eq!(r.overheads.checkpoints, checkpoints, "{label}");
+            encodes += checkpoints;
             let p = r.provisioning;
             let resolved = p.pre_restores_used + p.pre_restores_wasted;
             assert_eq!(p.pre_restores_issued, resolved, "{label}: {p:?}");
@@ -101,6 +107,7 @@ fn every_arrival_source_on_every_topology_serves_every_arrival() {
         }
     }
     assert!(issued > 0, "no pair pre-restored");
+    assert!(encodes > 0, "no pair checkpointed");
 }
 
 #[test]

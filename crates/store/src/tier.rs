@@ -18,7 +18,7 @@
 //! - [`StorageTier`] — the one pricer of snapshot transfers: every
 //!   upload, restore download, page fetch and cross-node fetch turns
 //!   bytes into time here. It routes reads to SSD or network, applies
-//!   [`compress`](crate::compress) wire sizing, and accumulates
+//!   [`compress`] wire sizing, and accumulates
 //!   [`StorageStats`]. Every orchestrator holds one; under a disabled
 //!   policy it prices exactly like the flat store and reports zeroed
 //!   stats.

@@ -44,7 +44,7 @@ fn key4(bytes: &[u8]) -> u32 {
 /// chains, in order, before any later search; a chain therefore holds
 /// every earlier position with its hash, newest first, and a search's
 /// probe count is `min(32, positions with that hash in the window)`,
-/// which [`Window`] counts without walking the chain.
+/// which `Window` counts without walking the chain.
 ///
 /// Only a walk that can find a match of `MIN_MATCH` bytes needs to run:
 /// a shorter best length emits a literal whatever it is. A walk is

@@ -117,9 +117,9 @@ impl EdgeList {
     /// The reference pushes each `u`'s share into its neighbours in
     /// ascending `u`, so `next[v]` starts at the teleport term and adds the
     /// shares of `v`'s neighbours in ascending order. This pull form adds
-    /// them in that order from in-lists sorted by source ([`InLanes`]),
+    /// them in that order from in-lists sorted by source (`InLanes`),
     /// with the shares computed once per iteration by the reference's
-    /// expression. Targets run in groups of [`LANES`], one accumulator
+    /// expression. Targets run in groups of `LANES`, one accumulator
     /// each, so the additions of a group are independent chains; each
     /// in-list is padded to its group's longest with a sentinel source
     /// whose share is `0.0`, which changes no sum, since `acc + 0.0 == acc`

@@ -3,7 +3,7 @@
 
 #![forbid(unsafe_code)]
 
-use pronghorn::checkpoint::{CheckpointScratch, Checkpointable, SimCriuEngine, SnapshotMeta};
+use pronghorn::checkpoint::{Checkpointable, CodecStats, SimCriuEngine, SnapshotMeta};
 use pronghorn::jit::{MethodWork, RequestWork, Runtime};
 use pronghorn::prelude::*;
 
@@ -39,7 +39,7 @@ fn simple_request() -> RequestWork {
 fn snapshot_chains_preserve_warmup_progress() {
     let workload = by_name("BFS").expect("bundled benchmark");
     let engine = SimCriuEngine::new();
-    let mut scratch = CheckpointScratch::new();
+    let mut codec = CodecStats::default();
     let factory = RngFactory::new(21);
     let mut rng = factory.stream("chain");
 
@@ -70,7 +70,7 @@ fn snapshot_chains_preserve_warmup_progress() {
             request_number: (generation + 1) * 10,
             runtime: "pypy".into(),
         };
-        let (snapshot, _, _) = engine.checkpoint(&mut scratch, &mut rng, &chained, meta, None);
+        let (snapshot, _, _) = engine.checkpoint(&mut codec, &mut rng, &chained, meta, None);
         let (restored, _): (Runtime, _) = engine.restore(&mut rng, &snapshot).unwrap();
         chained = restored;
     }
@@ -206,13 +206,8 @@ fn engine_is_process_agnostic() {
         request_number: 0,
         runtime: "custom".into(),
     };
-    let (snapshot, _, _) = engine.checkpoint(
-        &mut CheckpointScratch::new(),
-        &mut rng,
-        &process,
-        meta,
-        None,
-    );
+    let (snapshot, _, _) =
+        engine.checkpoint(&mut CodecStats::default(), &mut rng, &process, meta, None);
     let (restored, _): (KvProcess, _) = engine.restore(&mut rng, &snapshot).unwrap();
     assert_eq!(restored, process);
 }
