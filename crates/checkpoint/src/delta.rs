@@ -208,7 +208,7 @@ impl DeltaFrame {
         if actual != expected {
             return Err(FrameError::ChecksumMismatch { expected, actual });
         }
-        let payload = apply(&parent.payload, &self.delta)?;
+        let payload = apply(parent.payload(), &self.delta)?;
         check_hash(self.payload_hash, &payload)?;
         Ok(Snapshot::from_verified_parts(
             self.id,
@@ -274,12 +274,12 @@ mod tests {
     }
 
     fn delta_for(parent: &[u8], child: &Snapshot, page_size: u64) -> SnapshotDelta {
-        let pages = diff_payload(parent, &child.payload, page_size);
+        let pages = diff_payload(parent, child.payload(), page_size);
         SnapshotDelta {
             parent: SnapshotId(1),
             parent_payload_hash: fnv1a_wide(parent),
             page_size,
-            total_len: child.payload.len() as u64,
+            total_len: child.payload().len() as u64,
             pages,
             dirty_nominal_bytes: 1024,
         }
@@ -298,7 +298,7 @@ mod tests {
             vec![0, 3]
         );
         let composed = apply(&parent, &delta).unwrap();
-        assert_eq!(composed, child.payload);
+        assert_eq!(composed, *child.payload());
     }
 
     #[test]
@@ -307,7 +307,7 @@ mod tests {
         let child = snap(&payload);
         let delta = delta_for(&payload, &child, 1024);
         assert!(delta.pages.is_empty());
-        assert_eq!(apply(&payload, &delta).unwrap(), child.payload);
+        assert_eq!(apply(&payload, &delta).unwrap(), *child.payload());
         assert_eq!(delta.payload_bytes(), 0);
     }
 
@@ -323,7 +323,7 @@ mod tests {
             delta.pages.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
             vec![2, 3]
         );
-        assert_eq!(apply(&parent, &delta).unwrap(), child.payload);
+        assert_eq!(apply(&parent, &delta).unwrap(), *child.payload());
     }
 
     #[test]
@@ -331,7 +331,7 @@ mod tests {
         let parent: Vec<u8> = (0..4000).map(|i| (i % 13) as u8).collect();
         let child = snap(&parent[..2500]);
         let delta = delta_for(&parent, &child, 1024);
-        assert_eq!(apply(&parent, &delta).unwrap(), child.payload);
+        assert_eq!(apply(&parent, &delta).unwrap(), *child.payload());
     }
 
     /// Frames `delta` of `child` and parses it back.

@@ -107,19 +107,19 @@ impl SimCriuEngine {
             }
             Some(base) => {
                 let pages = diff_payload(
-                    &base.parent.payload,
-                    &snapshot.payload,
+                    base.parent.payload(),
+                    snapshot.payload(),
                     PAYLOAD_DIFF_PAGE_SIZE,
                 );
                 let page_count = snapshot
-                    .payload
+                    .payload()
                     .len()
                     .div_ceil(PAYLOAD_DIFF_PAGE_SIZE as usize);
                 let delta = SnapshotDelta {
                     parent: base.parent.id,
                     parent_payload_hash: base.parent.payload_hash(),
                     page_size: PAYLOAD_DIFF_PAGE_SIZE,
-                    total_len: snapshot.payload.len() as u64,
+                    total_len: snapshot.payload().len() as u64,
                     pages,
                     dirty_nominal_bytes: base.dirty_nominal_bytes,
                 };
@@ -164,7 +164,7 @@ impl SimCriuEngine {
     where
         T: Checkpointable,
     {
-        let mut dec = Decoder::new(&snapshot.payload);
+        let mut dec = Decoder::new(snapshot.payload());
         let process = T::decode_state(&mut dec)?;
         dec.finish()?;
         Ok(process)
@@ -301,8 +301,8 @@ mod tests {
             CheckpointOutcome::Full => panic!("expected a delta outcome"),
         };
         // The delta re-applies onto the parent payload byte-exactly.
-        let composed = crate::delta::apply(&parent.payload, &delta).unwrap();
-        assert_eq!(composed, snap.payload);
+        let composed = crate::delta::apply(parent.payload(), &delta).unwrap();
+        assert_eq!(composed, *snap.payload());
         assert_eq!(delta.parent, parent.id);
         assert_eq!(delta.parent_payload_hash, parent.payload_hash());
         assert_eq!(codec.delta_encodes, 1);
@@ -371,7 +371,7 @@ mod tests {
             panic!("a full frame parses as a full snapshot");
         };
         assert_eq!(snap2, snap);
-        assert_eq!(snap2.payload.as_ptr(), frame.payload.as_ptr());
+        assert_eq!(snap2.payload().as_ptr(), frame.payload.as_ptr());
         let (restored, _): (Counter, _) = engine.restore(&mut rng, &snap2).unwrap();
         assert_eq!(restored, process);
     }
@@ -384,9 +384,10 @@ mod tests {
             value: 7,
             history: vec![1.0],
         };
-        let (mut snap, _) = full(&engine, &mut rng, &process);
+        let (snap, _) = full(&engine, &mut rng, &process);
         // Truncate the payload: framing is fine, state is not.
-        snap.payload = snap.payload.slice(..snap.payload.len() - 1);
+        let truncated = snap.payload().slice(..snap.payload().len() - 1);
+        let snap = Snapshot::new(snap.meta, truncated, snap.nominal_size);
         assert!(engine.restore::<Counter, _>(&mut rng, &snap).is_err());
     }
 
@@ -398,10 +399,10 @@ mod tests {
             value: 7,
             history: vec![],
         };
-        let (mut snap, _) = full(&engine, &mut rng, &process);
-        let mut extended = snap.payload.to_vec();
+        let (snap, _) = full(&engine, &mut rng, &process);
+        let mut extended = snap.payload().to_vec();
         extended.push(0);
-        snap.payload = Bytes::from(extended);
+        let snap = Snapshot::new(snap.meta, Bytes::from(extended), snap.nominal_size);
         let err = engine.restore::<Counter, _>(&mut rng, &snap).unwrap_err();
         assert_eq!(err, CodecError::TrailingBytes { remaining: 1 });
     }

@@ -206,8 +206,8 @@ impl Snapshot {
     /// frame.
     pub fn to_frame_with(&self, scratch: &mut Encoder) -> Frame {
         put_prelude(scratch, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, self);
-        scratch.put_u64(self.payload.len() as u64);
-        seal(scratch, self.payload.clone())
+        scratch.put_u64(self.payload().len() as u64);
+        seal(scratch, self.payload().clone())
     }
 }
 

@@ -36,8 +36,9 @@ pub struct Snapshot {
     pub id: SnapshotId,
     /// Descriptive metadata.
     pub meta: SnapshotMeta,
-    /// Serialized process state.
-    pub payload: Bytes,
+    /// Serialized process state; private so it cannot drift from
+    /// `payload_hash`.
+    payload: Bytes,
     /// Modeled size in bytes of the (compressed) process image a real
     /// checkpoint engine would have produced; drives transfer/storage cost
     /// accounting (Tables 4 and 5).
@@ -100,6 +101,12 @@ impl Snapshot {
             nominal_size,
             payload_hash,
         }
+    }
+
+    /// Serialized process state.
+    #[inline]
+    pub fn payload(&self) -> &Bytes {
+        &self.payload
     }
 
     /// Content address of the payload: its cached [`fnv1a_wide`] hash.

@@ -171,7 +171,7 @@ proptest! {
         flip_mask in 1u8..=255,
     ) {
         let parent = Snapshot::new(meta(3), Bytes::from(parent), 1 << 20);
-        let child = Snapshot::new(meta(4), Bytes::from(mutate(&parent.payload, &m)), 1 << 20);
+        let child = Snapshot::new(meta(4), Bytes::from(mutate(parent.payload(), &m)), 1 << 20);
         let delta = delta_of(&parent, &child, 64);
         let frame = flip(&delta.to_frame_with(&child, &mut Encoder::new()), chunk, flip_pos_frac, flip_mask);
         match frame.parse() {
@@ -289,8 +289,8 @@ fn delta_of(parent: &Snapshot, child: &Snapshot, page_size: u64) -> SnapshotDelt
         parent: parent.id,
         parent_payload_hash: parent.payload_hash(),
         page_size,
-        total_len: child.payload.len() as u64,
-        pages: diff_payload(&parent.payload, &child.payload, page_size),
+        total_len: child.payload().len() as u64,
+        pages: diff_payload(parent.payload(), child.payload(), page_size),
         dirty_nominal_bytes: 1 << 18,
     }
 }
@@ -329,7 +329,7 @@ fn stored_bytes_match_the_pinned_hex() {
          68746d6c8900000004000000000000007079707900007003000000000817f0f32edf0e9bb80b000000000000"
     );
     assert_eq!(hex(&full.trailer), "aad525402a07577d");
-    assert_eq!(full.payload, parent.payload);
+    assert_eq!(full.payload, *parent.payload());
 
     let framed = delta.to_frame_with(&child, &mut scratch);
     assert_eq!(

@@ -918,7 +918,7 @@ mod tests {
         orch.record_snapshot(&root, &Full, SimDuration::from_millis(65), &mut rng);
         let mut parent = root;
         for (r, at) in [(2, 3), (3, 5)] {
-            let mut bytes = parent.payload.to_vec();
+            let mut bytes = parent.payload().to_vec();
             bytes[at] ^= 0xff;
             let child = Snapshot::with_nonce(
                 SnapshotMeta {
@@ -977,7 +977,7 @@ mod tests {
         let plan = orch.begin_worker(&mut rng);
         let restored = &download(&plan).snapshot;
         assert!(restored.id == a.id || restored.id == b.id);
-        assert_eq!(restored.payload, a.payload);
+        assert_eq!(restored.payload(), a.payload());
     }
 
     #[test]
@@ -1177,8 +1177,8 @@ mod tests {
             parent: parent.id,
             parent_payload_hash: parent.payload_hash(),
             page_size: PAYLOAD_DIFF_PAGE_SIZE,
-            total_len: child.payload.len() as u64,
-            pages: diff_payload(&parent.payload, &child.payload, PAYLOAD_DIFF_PAGE_SIZE),
+            total_len: child.payload().len() as u64,
+            pages: diff_payload(parent.payload(), child.payload(), PAYLOAD_DIFF_PAGE_SIZE),
             dirty_nominal_bytes: dirty_nominal,
         }
     }
@@ -1193,7 +1193,7 @@ mod tests {
         orch.record_snapshot(&root, &Full, SimDuration::from_millis(65), &mut rng);
         assert_eq!(orch.chain_depth(root.id), Some(0));
         // Child of the root: same payload with one byte flipped.
-        let mut child_bytes = root.payload.to_vec();
+        let mut child_bytes = root.payload().to_vec();
         child_bytes[3] ^= 0xff;
         let child = Snapshot::with_nonce(
             SnapshotMeta {
@@ -1247,7 +1247,7 @@ mod tests {
         orch.begin_worker(&mut rng);
         let root = snapshot(1, 7);
         // Root was never recorded: its id is unknown to the chain index.
-        let mut child_bytes = root.payload.to_vec();
+        let mut child_bytes = root.payload().to_vec();
         child_bytes[0] ^= 1;
         let child = Snapshot::new(
             SnapshotMeta {

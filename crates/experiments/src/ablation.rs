@@ -8,6 +8,7 @@
 //! the JIT mechanisms the runtime simulates (deoptimization, background
 //! compilation).
 
+use crate::sweep::{fields_table, Field, Rows, Value};
 use crate::ExperimentContext;
 use pronghorn_core::{PolicyConfig, PolicyKind, SelectionStrategy};
 use pronghorn_jit::{Runtime, RuntimeProfile};
@@ -138,16 +139,9 @@ pub fn run(ctx: &ExperimentContext) -> AblationResult {
     }
 
     // Lifetime misestimation (§6).
-    push(
-        "beta",
-        "accurate".to_string(),
-        closed(ctx, BENCH, None, None),
-    );
-    push(
-        "beta",
-        "overestimated 20x".to_string(),
-        closed(ctx, BENCH, None, Some(20)),
-    );
+    for (label, beta) in [("accurate", None), ("overestimated 20x", Some(20))] {
+        push("beta", label.to_string(), closed(ctx, BENCH, None, beta));
+    }
 
     // Fleet amortization (§5.3).
     let workload = by_name(BENCH).expect("bench exists");
@@ -205,66 +199,47 @@ pub fn run(ctx: &ExperimentContext) -> AblationResult {
     }
 
     // JIT mechanisms, on Hash's runtime alone.
-    push(
-        "jit",
-        "Hash: baseline".to_string(),
-        jit(ctx, "Hash", |_| {}),
-    );
-    push(
-        "jit",
-        "Hash: deopts off".to_string(),
-        jit(ctx, "Hash", |p| p.deopt_prob = 0.0),
-    );
-    push(
-        "jit",
-        "Hash: inline compile".to_string(),
-        jit(ctx, "Hash", |p| {
+    let mechanisms: [(_, fn(&mut RuntimeProfile)); 3] = [
+        ("Hash: baseline", |_| {}),
+        ("Hash: deopts off", |p| p.deopt_prob = 0.0),
+        ("Hash: inline compile", |p| {
             p.background_compile = false;
             p.compile_interference = 0.0;
         }),
-    );
+    ];
+    for (label, mutate) in mechanisms {
+        push("jit", label.to_string(), jit(ctx, "Hash", mutate));
+    }
 
     AblationResult { rows }
 }
 
-impl AblationResult {
-    /// Paper-style rendering.
-    pub fn render(&self) -> String {
-        let mut table = pronghorn_metrics::Table::new(vec![
-            "group",
-            "configuration",
-            "median (µs)",
-            "checkpoints",
-        ]);
-        for r in &self.rows {
-            table.row(vec![
-                r.group.to_string(),
-                r.label.clone(),
-                format!("{:.0}", r.median_us),
-                r.checkpoints.to_string(),
-            ]);
-        }
+impl Rows for AblationResult {
+    /// One row per configuration.
+    fn rows(&self) -> Vec<Vec<Field>> {
+        self.rows
+            .iter()
+            .map(|r| {
+                vec![
+                    ("group", Value::Str(r.group)),
+                    ("label", Value::Label(r.label.clone())),
+                    ("median_us", Value::Float(r.median_us, 1)),
+                    ("checkpoints", Value::Uint(r.checkpoints as u64)),
+                ]
+            })
+            .collect()
+    }
+
+    /// Printed table.
+    fn render(&self) -> String {
         format!(
             "Ablation study (request-centric policy on DFS, eviction rate 1; the jit rows run Hash's runtime alone)\n\n{}",
-            table.render(pronghorn_metrics::TableStyle::Plain)
+            fields_table(&self.rows())
         )
     }
+}
 
-    /// CSV form.
-    pub fn to_csv(&self) -> String {
-        let mut table =
-            pronghorn_metrics::Table::new(vec!["group", "label", "median_us", "checkpoints"]);
-        for r in &self.rows {
-            table.row(vec![
-                r.group.to_string(),
-                r.label.clone(),
-                format!("{:.1}", r.median_us),
-                r.checkpoints.to_string(),
-            ]);
-        }
-        table.to_csv()
-    }
-
+impl AblationResult {
     /// Rows of one group.
     pub fn group(&self, name: &str) -> Vec<&AblationRow> {
         self.rows.iter().filter(|r| r.group == name).collect()

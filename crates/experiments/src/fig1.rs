@@ -7,9 +7,10 @@
 //! them: **33.33% on PyPy, 75.60% on the JVM**.
 
 use crate::render::ascii_series;
+use crate::sweep::{Field, Rows, Value};
 use crate::ExperimentContext;
 use pronghorn_jit::Runtime;
-use pronghorn_metrics::{convergence_request, ConvergenceCriteria, Table};
+use pronghorn_metrics::{convergence_request, ConvergenceCriteria};
 use pronghorn_sim::RngFactory;
 use pronghorn_workloads::{by_name, InputVariance, Workload};
 
@@ -40,14 +41,17 @@ pub struct Fig1Result {
     pub curves: Vec<WarmupCurve>,
 }
 
-fn window_median(values: &[f64]) -> f64 {
+/// The median of a latency window (its upper middle for an even count).
+pub(crate) fn window_median(values: &[f64]) -> f64 {
     let mut v = values.to_vec();
     v.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     v[v.len() / 2]
 }
 
-/// Runs one warm-up curve: a single long-lived worker, sequential requests.
-pub fn warmup_curve(workload: &dyn Workload, requests: usize, seed: u64) -> WarmupCurve {
+/// Execution latency, µs, of each of `requests` sequential requests on a
+/// single long-lived worker, with no input-size noise: the intrinsic
+/// warm-up that Figure 1 plots and Table 1 samples.
+pub fn warmup_latencies(workload: &dyn Workload, requests: usize, seed: u64) -> Vec<f64> {
     let factory = RngFactory::new(seed);
     let mut boot_rng = factory.stream("boot");
     let (mut runtime, _) = Runtime::cold_start(
@@ -56,13 +60,18 @@ pub fn warmup_curve(workload: &dyn Workload, requests: usize, seed: u64) -> Warm
         &mut boot_rng,
     );
     let mut exec_rng = factory.stream("exec");
-    let mut latencies = Vec::with_capacity(requests);
-    for i in 0..requests {
-        let mut input_rng = factory.stream_indexed("input", i as u64);
-        // Figure 1 plots the intrinsic warm-up: no input-size noise.
-        let request = workload.generate(&mut input_rng, InputVariance::none());
-        latencies.push(runtime.execute(&request, &mut exec_rng).total_us());
-    }
+    (0..requests as u64)
+        .map(|i| {
+            let mut input_rng = factory.stream_indexed("input", i);
+            let request = workload.generate(&mut input_rng, InputVariance::none());
+            runtime.execute(&request, &mut exec_rng).total_us()
+        })
+        .collect()
+}
+
+/// Runs one warm-up curve: a single long-lived worker, sequential requests.
+pub fn warmup_curve(workload: &dyn Workload, requests: usize, seed: u64) -> WarmupCurve {
+    let latencies = warmup_latencies(workload, requests, seed);
     // "Existing solutions" snapshot right after request 1: the latency a
     // worker restored from that snapshot serves is the immediately-post-
     // request-1 level (median of requests 2..7 — after the lazy-init spike
@@ -100,9 +109,10 @@ pub fn run(ctx: &ExperimentContext) -> Fig1Result {
     }
 }
 
-impl Fig1Result {
-    /// Paper-style text rendering with ASCII warm-up plots.
-    pub fn render(&self) -> String {
+impl Rows for Fig1Result {
+    /// One line per curve with its ASCII warm-up plot; the 2 × 2,500
+    /// rows stay in the CSV.
+    fn render(&self) -> String {
         let mut out = String::from(
             "Figure 1: warm-up latency vs request number (premature = snapshot \
              after request 1; ideal = converged tail)\n\n",
@@ -128,20 +138,20 @@ impl Fig1Result {
         out
     }
 
-    /// CSV of the raw curves.
-    pub fn to_csv(&self) -> String {
-        let mut table = Table::new(vec!["runtime", "workload", "request", "latency_us"]);
+    /// The raw curves: one row per request of each curve.
+    fn rows(&self) -> Vec<Vec<Field>> {
+        let mut rows = Vec::new();
         for curve in &self.curves {
-            for (i, lat) in curve.latencies_us.iter().enumerate() {
-                table.row(vec![
-                    curve.runtime.clone(),
-                    curve.workload.clone(),
-                    i.to_string(),
-                    format!("{lat:.1}"),
+            for (i, &latency) in curve.latencies_us.iter().enumerate() {
+                rows.push(vec![
+                    ("runtime", Value::Label(curve.runtime.clone())),
+                    ("workload", Value::Label(curve.workload.clone())),
+                    ("request", Value::Uint(i as u64)),
+                    ("latency_us", Value::Float(latency, 1)),
                 ]);
             }
         }
-        table.to_csv()
+        rows
     }
 }
 

@@ -7,8 +7,8 @@
 
 use crate::grid::{run_grid, Grid, PAPER_POLICIES, PAPER_RATES};
 use crate::render::ascii_cdf;
+use crate::sweep::{fields_table, Field, Rows, Value};
 use crate::ExperimentContext;
-use pronghorn_metrics::Table;
 
 /// Figure 4's benchmark rows, paper order.
 pub const FIG4_BENCHMARKS: [&str; 9] = [
@@ -51,75 +51,54 @@ pub fn run_fig5(ctx: &ExperimentContext) -> FigureResult {
     }
 }
 
-impl FigureResult {
-    /// Renders every panel as an ASCII CDF plot plus a median table.
-    pub fn render(&self) -> String {
+impl Rows for FigureResult {
+    /// Renders every panel as an ASCII CDF plot, then the rows.
+    fn render(&self) -> String {
         let mut out = format!(
             "Figure {}: end-to-end request latency CDFs ({} invocations per cell)\n\n",
             self.figure,
             self.grid
                 .cells
                 .first()
-                .map(|c| c.result.latencies_us.len())
-                .unwrap_or(0)
+                .map_or(0, |c| c.result.latencies_us.len())
         );
         for workload in self.grid.workloads() {
             for &rate in &PAPER_RATES {
                 out.push_str(&format!(
                     "--- {workload} | eviction every {rate} request(s) ---\n"
                 ));
-                let mut curves = Vec::new();
-                for &policy in &PAPER_POLICIES {
-                    if let Some(cell) = self.grid.cell(&workload, policy, rate) {
-                        if let Some(cdf) = cell.result.cdf() {
-                            curves.push((policy.label(), cdf));
-                        }
-                    }
-                }
-                let refs: Vec<(&str, &pronghorn_metrics::Cdf)> =
-                    curves.iter().map(|(l, c)| (*l, c)).collect();
-                out.push_str(&ascii_cdf(&refs, 64, 12));
-                for &policy in &PAPER_POLICIES {
-                    out.push_str(&format!(
-                        "     median[{}] = {:.0}µs\n",
-                        policy.label(),
-                        self.grid.median(&workload, policy, rate)
-                    ));
-                }
-                if let Some(imp) = self.grid.improvement_pct(&workload, rate) {
-                    out.push_str(&format!(
-                        "     request-centric vs after-1st: {imp:+.1}% median\n"
-                    ));
-                }
+                let curves: Vec<_> = PAPER_POLICIES
+                    .iter()
+                    .filter_map(|&policy| {
+                        let cdf = self.grid.cell(&workload, policy, rate)?.result.cdf()?;
+                        Some((policy.label(), cdf))
+                    })
+                    .collect();
+                out.push_str(&ascii_cdf(&curves, 64, 12));
                 out.push('\n');
             }
         }
-        out
+        out + &fields_table(&self.rows())
     }
 
-    /// Medians CSV (one row per cell) — the numbers behind the plots.
-    pub fn to_csv(&self) -> String {
-        let mut table = Table::new(vec![
-            "workload",
-            "rate",
-            "policy",
-            "median_us",
-            "p25_us",
-            "p75_us",
-            "p90_us",
-        ]);
-        for cell in &self.grid.cells {
-            table.row(vec![
-                cell.workload.clone(),
-                cell.rate.to_string(),
-                cell.policy.label().to_string(),
-                format!("{:.1}", cell.result.median_us()),
-                format!("{:.1}", cell.result.percentile_us(25.0)),
-                format!("{:.1}", cell.result.percentile_us(75.0)),
-                format!("{:.1}", cell.result.percentile_us(90.0)),
-            ]);
-        }
-        table.to_csv()
+    /// The medians and quartiles behind the plots, one row per cell.
+    fn rows(&self) -> Vec<Vec<Field>> {
+        self.grid
+            .cells
+            .iter()
+            .map(|cell| {
+                let r = &cell.result;
+                vec![
+                    ("workload", Value::Label(cell.workload.clone())),
+                    ("rate", Value::Uint(u64::from(cell.rate))),
+                    ("policy", Value::Str(cell.policy.label())),
+                    ("median_us", Value::Float(r.median_us(), 1)),
+                    ("p25_us", Value::Float(r.percentile_us(25.0), 1)),
+                    ("p75_us", Value::Float(r.percentile_us(75.0), 1)),
+                    ("p90_us", Value::Float(r.percentile_us(90.0), 1)),
+                ]
+            })
+            .collect()
     }
 }
 

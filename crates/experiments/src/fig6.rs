@@ -7,9 +7,10 @@
 //! one pathological case: MST at the 50th percentile, whose trace carried
 //! only 3 requests.
 
+use crate::sweep::{fields_table, Field, Rows, Value};
 use crate::ExperimentContext;
 use pronghorn_core::PolicyKind;
-use pronghorn_metrics::Table;
+use pronghorn_metrics::{classify, Verdict};
 use pronghorn_platform::{ArrivalSpec, RunConfig, RunResult, TopologySpec};
 use pronghorn_sim::RngFactory;
 use pronghorn_traces::TraceSpec;
@@ -102,86 +103,46 @@ impl Fig6Result {
     /// Counts panels where request-centric is better / on-par / worse
     /// (±5% band, §5.2's convention).
     pub fn verdict_counts(&self) -> (usize, usize, usize) {
-        let (mut better, mut par, mut worse) = (0, 0, 0);
-        for &bench in &FIG6_BENCHMARKS {
-            for &p in &FIG6_PERCENTILES {
-                if let Some(imp) = self.improvement_pct(bench, p) {
-                    match pronghorn_metrics::classify(imp) {
-                        pronghorn_metrics::Verdict::Better => better += 1,
-                        pronghorn_metrics::Verdict::OnPar => par += 1,
-                        pronghorn_metrics::Verdict::Worse => worse += 1,
-                    }
-                }
-            }
-        }
-        (better, par, worse)
+        let verdicts: Vec<Verdict> = FIG6_BENCHMARKS
+            .iter()
+            .flat_map(|b| FIG6_PERCENTILES.map(|p| self.improvement_pct(b, p)))
+            .flatten()
+            .map(classify)
+            .collect();
+        let count = |v| verdicts.iter().filter(|&&x| x == v).count();
+        (
+            count(Verdict::Better),
+            count(Verdict::OnPar),
+            count(Verdict::Worse),
+        )
     }
+}
 
-    /// Paper-style rendering.
-    pub fn render(&self) -> String {
-        let mut table = Table::new(vec![
-            "workload",
-            "percentile",
-            "trace reqs",
-            "cold median µs",
-            "after-1st median µs",
-            "request-centric median µs",
-            "improvement",
-        ]);
-        for &bench in &FIG6_BENCHMARKS {
-            for &p in &FIG6_PERCENTILES {
-                let m = |policy| {
-                    self.cell(bench, p, policy)
-                        .map(|c| format!("{:.0}", c.result.median_us()))
-                        .unwrap_or_else(|| "-".into())
-                };
-                let len = self
-                    .cell(bench, p, PolicyKind::Cold)
-                    .map(|c| c.trace_len.to_string())
-                    .unwrap_or_default();
-                let imp = self
-                    .improvement_pct(bench, p)
-                    .map(|i| format!("{i:+.1}%"))
-                    .unwrap_or_else(|| "-".into());
-                table.row(vec![
-                    bench.to_string(),
-                    format!("{:.0}th", p * 100.0),
-                    len,
-                    m(PolicyKind::Cold),
-                    m(PolicyKind::AfterFirst),
-                    m(PolicyKind::RequestCentric),
-                    imp,
-                ]);
-            }
-        }
+impl Rows for Fig6Result {
+    /// The rows, then the better / on-par / worse counts.
+    fn render(&self) -> String {
         let (b, o, w) = self.verdict_counts();
         format!(
             "Figure 6: Azure-like trace replay (15-minute windows)\n\n{}\nrequest-centric: better in {b}/9, on-par in {o}/9, worse in {w}/9 scenarios\n",
-            table.render(pronghorn_metrics::TableStyle::Plain)
+            fields_table(&self.rows())
         )
     }
 
-    /// CSV form.
-    pub fn to_csv(&self) -> String {
-        let mut table = Table::new(vec![
-            "workload",
-            "percentile",
-            "policy",
-            "trace_len",
-            "median_us",
-            "p90_us",
-        ]);
-        for c in &self.cells {
-            table.row(vec![
-                c.workload.clone(),
-                format!("{:.2}", c.percentile),
-                c.policy.label().to_string(),
-                c.trace_len.to_string(),
-                format!("{:.1}", c.result.median_us()),
-                format!("{:.1}", c.result.percentile_us(90.0)),
-            ]);
-        }
-        table.to_csv()
+    /// One row per cell.
+    fn rows(&self) -> Vec<Vec<Field>> {
+        self.cells
+            .iter()
+            .map(|c| {
+                vec![
+                    ("workload", Value::Label(c.workload.clone())),
+                    ("percentile", Value::Float(c.percentile, 2)),
+                    ("policy", Value::Str(c.policy.label())),
+                    ("trace_len", Value::Uint(c.trace_len as u64)),
+                    ("median_us", Value::Float(c.result.median_us(), 1)),
+                    ("p90_us", Value::Float(c.result.percentile_us(90.0), 1)),
+                ]
+            })
+            .collect()
     }
 }
 
@@ -228,7 +189,7 @@ mod tests {
     fn render_mentions_every_panel() {
         let result = run(&ExperimentContext::quick());
         let text = result.render();
-        for needle in ["MST", "Thumbnailer", "HTMLRendering", "50th", "75th"] {
+        for needle in ["MST", "Thumbnailer", "HTMLRendering", "0.50", "0.75"] {
             assert!(text.contains(needle));
         }
     }

@@ -8,9 +8,9 @@
 //! below ~2× (pool maintenance in the database). All of it is off the
 //! critical path.
 
+use crate::sweep::{fields_table, Field, Rows, Value};
 use crate::ExperimentContext;
 use pronghorn_core::{OverheadTotals, PolicyKind};
-use pronghorn_metrics::{Table, TableStyle};
 use pronghorn_platform::{run_closed_loop, RunConfig};
 use pronghorn_workloads::{evaluation_benchmarks, Workload};
 
@@ -87,63 +87,43 @@ pub fn run(ctx: &ExperimentContext) -> Fig7Result {
     Fig7Result { rows }
 }
 
-impl Fig7Result {
-    /// Paper-style rendering: normalized per-operation bars.
-    pub fn render(&self) -> String {
-        let mut table = Table::new(vec![
-            "Benchmark",
-            "Startup (×)",
-            "Startup (ms)",
-            "Request (×)",
-            "Checkpoint (×)",
-            "Checkpoint (ms)",
-        ]);
-        for r in &self.rows {
-            table.row(vec![
-                r.workload.clone(),
-                format!("{:.2}", r.startup_ratio()),
-                format!("{:.1}", r.pronghorn.per_startup_us() / 1_000.0),
-                format!("{:.2}", r.request_ratio()),
-                format!("{:.2}", r.checkpoint_ratio()),
-                format!("{:.1}", r.pronghorn.per_checkpoint_us() / 1_000.0),
-            ]);
-        }
+impl Rows for Fig7Result {
+    /// One row per benchmark: the three ratios, then each side's
+    /// per-operation overheads.
+    fn rows(&self) -> Vec<Vec<Field>> {
+        self.rows
+            .iter()
+            .map(|r| {
+                let (p, b) = (&r.pronghorn, &r.baseline);
+                vec![
+                    ("workload", Value::Label(r.workload.clone())),
+                    ("startup_ratio", Value::Float(r.startup_ratio(), 3)),
+                    ("request_ratio", Value::Float(r.request_ratio(), 3)),
+                    ("checkpoint_ratio", Value::Float(r.checkpoint_ratio(), 3)),
+                    ("pronghorn_startup_us", Value::Float(p.per_startup_us(), 1)),
+                    ("pronghorn_request_us", Value::Float(p.per_request_us(), 1)),
+                    (
+                        "pronghorn_checkpoint_us",
+                        Value::Float(p.per_checkpoint_us(), 1),
+                    ),
+                    ("baseline_startup_us", Value::Float(b.per_startup_us(), 1)),
+                    ("baseline_request_us", Value::Float(b.per_request_us(), 1)),
+                    (
+                        "baseline_checkpoint_us",
+                        Value::Float(b.per_checkpoint_us(), 1),
+                    ),
+                ]
+            })
+            .collect()
+    }
+
+    /// Printed table.
+    fn render(&self) -> String {
         format!(
             "Figure 7: per-operation orchestration overheads, normalized to the \
              checkpoint-after-1st baseline (all off the critical path)\n\n{}",
-            table.render(TableStyle::Plain)
+            fields_table(&self.rows())
         )
-    }
-
-    /// CSV form.
-    pub fn to_csv(&self) -> String {
-        let mut table = Table::new(vec![
-            "workload",
-            "startup_ratio",
-            "request_ratio",
-            "checkpoint_ratio",
-            "pronghorn_startup_us",
-            "pronghorn_request_us",
-            "pronghorn_checkpoint_us",
-            "baseline_startup_us",
-            "baseline_request_us",
-            "baseline_checkpoint_us",
-        ]);
-        for r in &self.rows {
-            table.row(vec![
-                r.workload.clone(),
-                format!("{:.3}", r.startup_ratio()),
-                format!("{:.3}", r.request_ratio()),
-                format!("{:.3}", r.checkpoint_ratio()),
-                format!("{:.1}", r.pronghorn.per_startup_us()),
-                format!("{:.1}", r.pronghorn.per_request_us()),
-                format!("{:.1}", r.pronghorn.per_checkpoint_us()),
-                format!("{:.1}", r.baseline.per_startup_us()),
-                format!("{:.1}", r.baseline.per_request_us()),
-                format!("{:.1}", r.baseline.per_checkpoint_us()),
-            ]);
-        }
-        table.to_csv()
     }
 }
 

@@ -16,14 +16,17 @@
 //! | [`cluster_ablation`] | the cluster ablation: {1, 4, 8} nodes × hash vs load-aware gateway routing (`BENCH_cluster.json`) |
 //! | [`provision_ablation`] | the predictive-provisioning ablation: reactive vs sliding-window/EWMA/MPC pre-restore on sparse bursty traces (`BENCH_provision.json`) |
 //! | [`storage_ablation`] | the tiered-storage ablation: flat store vs SSD cache vs compression vs composed-chain prefetch (`BENCH_storage.json`) |
-//! | [`sweep`] | the one harness under the grid and the restore, delta, cluster, provision and storage ablations: a task-ordered worker pool, the generic benchmarks × axis × arms [`sweep::Ablation`] with paired seeds, and the two column lists per ablation ([`sweep::Columns`]) that write its CSV, `BENCH_*.json` arms and printed table |
+//! | [`sweep`] | the one harness under the grid and the restore, delta, cluster, provision and storage ablations: a task-ordered worker pool, the generic benchmarks × axis × arms [`sweep::Ablation`] with paired seeds, and the field lists ([`sweep::Rows`] per paper table and figure, [`sweep::Columns`] per ablation) that write every CSV, `BENCH_*.json` arm and printed table |
 //! | [`bench_report`] | the shared `BENCH_*.json` schema and `BENCH_grid.json` |
 //!
-//! Each module exposes a `run(ctx)` returning a structured result with a
-//! `render()` that prints paper-style rows and a `to_csv()` (and, for the
-//! five extension ablations, a `bench_json()`) that returns a `results/`
-//! document as a string. The `experiments` binary wires them to the
-//! command line and writes the files.
+//! Each module exposes a `run(ctx)` returning a structured result. A
+//! paper table or figure implements [`sweep::Rows`]: one list of named
+//! values per CSV line, printed by `render()` as a table of the same
+//! columns and written by `to_csv()`. The five extension ablations build
+//! their CSV, `BENCH_*.json` arms and printed table from their
+//! [`sweep::Columns`] lists. Every writer returns a `results/` document
+//! as a string; the `experiments` binary's one experiment list names
+//! each command and the files it writes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -79,12 +82,10 @@ impl ExperimentContext {
     }
 
     /// The worker-thread count the grid runners actually use: the
-    /// requested count, capped at the machine's available parallelism.
-    /// (An earlier version capped at a hardcoded 32, which both
-    /// over-subscribed small CI runners and silently ignored bigger
-    /// machines.) Zero is invalid — the CLI rejects it with a usage
-    /// error, and a library caller that forces it gets a loud panic
-    /// instead of a grid that silently runs nothing.
+    /// requested count, capped at the machine's available parallelism (1
+    /// when the platform does not expose it). Zero is invalid — the CLI
+    /// rejects it with a usage error, and a library caller that forces it
+    /// gets a loud panic instead of a grid that silently runs nothing.
     ///
     /// Thread count never affects results: every cell derives its own
     /// seed and [`crate::sweep::sweep`] returns results in task order.
@@ -94,13 +95,8 @@ impl ExperimentContext {
     /// Panics if `threads` is zero.
     pub fn effective_threads(&self) -> usize {
         assert!(self.threads >= 1, "threads must be >= 1 (got 0)");
-        self.threads.min(Self::hardware_threads())
-    }
-
-    /// The machine's available parallelism, or 1 when it cannot be
-    /// probed (the platform may not expose it).
-    pub fn hardware_threads() -> usize {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.threads.min(hardware)
     }
 
     /// Why the requested thread count was reduced, if it was — surfaced

@@ -1,35 +1,22 @@
 //! `experiments` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! experiments <command> [--quick] [--seed N] [--invocations N]
-//!
-//! commands:
-//!   fig1     warm-up curves (Figure 1)
-//!   table1   Java speedups vs request #1 (Table 1)
-//!   fig4     Python CDF grid (Figure 4)
-//!   fig5     Java CDF grid (Figure 5)
-//!   fig6     Azure-like trace replay (Figure 6)
-//!   table4   convergence + checkpoint/restore overheads (Table 4)
-//!   table5   storage/network overheads (Table 5)
-//!   fig7     orchestrator overheads (Figure 7)
-//!   summary  §5.2 headline aggregation (runs fig4 + fig5 grids)
-//!   ablations design-choice ablation study
-//!   restore-ablation  restore strategies: eager vs lazy vs record-prefetch
-//!   delta-ablation    checkpoint forms: full snapshots vs delta chains (K=4, K=16)
-//!   cluster-ablation  cluster sizes x gateway routing: hash vs load-aware spillover
-//!   provision-ablation  provisioning: reactive vs sliding-window/ewma/mpc pre-restore
-//!   storage-ablation  tiered storage: flat vs SSD cache vs compression vs composed prefetch
-//!   all      everything above, CSVs written to results/
+//! experiments <command> [--quick] [--seed N] [--invocations N] [--threads N]
 //! ```
+//!
+//! Each command, what it runs and the `results/` files it writes are one
+//! entry of `EXPERIMENTS`; the usage text (any bad argument prints it),
+//! the dispatch and `all` are read from that list.
 
 #![forbid(unsafe_code)]
 
-use pronghorn_experiments::render::write_results_file;
+use pronghorn_experiments::sweep::Rows;
 use pronghorn_experiments::ExperimentContext;
 use pronghorn_experiments::{
     ablation, bench_report, cluster_ablation, delta_ablation, fig1, fig45, fig6, fig7,
     provision_ablation, restore_ablation, storage_ablation, summary, table1, table4, table5,
 };
+use std::path::Path;
 use std::process::ExitCode;
 
 fn parse_args() -> Result<(String, ExperimentContext, bool), String> {
@@ -46,167 +33,190 @@ fn parse_args() -> Result<(String, ExperimentContext, bool), String> {
     };
     let mut rest = args.iter().skip(1);
     while let Some(flag) = rest.next() {
-        match flag.as_str() {
-            "--quick" => {}
-            "--seed" => {
-                let v = rest.next().ok_or("--seed needs a value")?;
-                ctx.seed = v.parse().map_err(|_| format!("bad seed: {v}"))?;
-            }
-            "--invocations" => {
-                let v = rest.next().ok_or("--invocations needs a value")?;
-                ctx.invocations = v.parse().map_err(|_| format!("bad invocations: {v}"))?;
-            }
-            "--threads" => {
-                let v = rest.next().ok_or("--threads needs a value")?;
-                let threads: usize = v.parse().map_err(|_| format!("bad threads: {v}"))?;
-                if threads == 0 {
-                    return Err(format!("--threads must be >= 1\n{}", usage()));
-                }
-                ctx.threads = threads;
-            }
-            other => return Err(format!("unknown flag: {other}\n{}", usage())),
+        if flag == "--quick" {
+            continue;
         }
+        if !["--seed", "--invocations", "--threads"].contains(&flag.as_str()) {
+            return Err(format!("unknown flag: {flag}\n{}", usage()));
+        }
+        let v = rest.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        let bad = || format!("bad {}: {v}", &flag[2..]);
+        match flag.as_str() {
+            "--seed" => ctx.seed = v.parse().map_err(|_| bad())?,
+            "--invocations" => ctx.invocations = v.parse().map_err(|_| bad())?,
+            _ => ctx.threads = v.parse().map_err(|_| bad())?,
+        }
+    }
+    if ctx.threads == 0 {
+        return Err(format!("--threads must be >= 1\n{}", usage()));
     }
     Ok((command, ctx, quick))
 }
 
-fn usage() -> String {
-    "usage: experiments <fig1|table1|fig4|fig5|fig6|table4|table5|fig7|ablations|\
-     restore-ablation|delta-ablation|cluster-ablation|provision-ablation|\
-     storage-ablation|summary|all> [--quick] [--seed N] [--invocations N] [--threads N]"
-        .to_string()
+/// One command: its name, what it runs, the `results/` files it writes
+/// and how it runs. `run` returns the printed text and each file's
+/// contents, in `files` order.
+struct Experiment {
+    command: &'static str,
+    about: &'static str,
+    files: &'static [&'static str],
+    run: fn(&ExperimentContext, bool) -> (String, Vec<String>),
 }
 
-/// Writes `results/<name>` and reports it.
-fn write(name: &str, contents: &str) {
-    match write_results_file(name, contents) {
-        Ok(path) => println!("[saved {name} -> {}]", path.display()),
-        Err(e) => eprintln!("[warn: could not save {name}: {e}]"),
-    }
+/// A paper table or figure: its printed form and its one CSV.
+fn paper(result: impl Rows) -> (String, Vec<String>) {
+    (result.render(), vec![result.to_csv()])
 }
 
-fn run_command(command: &str, ctx: &ExperimentContext, quick: bool) -> Result<(), String> {
-    match command {
-        "fig1" => {
-            let r = fig1::run(ctx);
-            println!("{}", r.render());
-            write("fig1.csv", &r.to_csv());
-        }
-        "table1" => {
-            let r = table1::run(ctx);
-            println!("{}", r.render());
-            write("table1.csv", &r.to_csv());
-        }
-        "fig4" => {
-            let r = fig45::run_fig4(ctx);
-            println!("{}", r.render());
-            write("fig4.csv", &r.to_csv());
-        }
-        "fig5" => {
-            let r = fig45::run_fig5(ctx);
-            println!("{}", r.render());
-            write("fig5.csv", &r.to_csv());
-        }
-        "fig6" => {
-            let r = fig6::run(ctx);
-            println!("{}", r.render());
-            write("fig6.csv", &r.to_csv());
-        }
-        "table4" => {
-            let r = table4::run(ctx);
-            println!("{}", r.render());
-            write("table4.csv", &r.to_csv());
-        }
-        "table5" => {
-            let r = table5::run(ctx);
-            println!("{}", r.render());
-            write("table5.csv", &r.to_csv());
-        }
-        "fig7" => {
-            let r = fig7::run(ctx);
-            println!("{}", r.render());
-            write("fig7.csv", &r.to_csv());
-        }
-        "ablations" => {
-            let r = ablation::run(ctx);
-            println!("{}", r.render());
-            write("ablations.csv", &r.to_csv());
-        }
-        "restore-ablation" => {
-            let r = restore_ablation::run(ctx);
-            println!("{}", r.render());
-            write("restore_ablation.csv", &r.to_csv());
-            write("BENCH_restore.json", &r.bench_json());
-        }
-        "delta-ablation" => {
-            let r = delta_ablation::run(ctx);
-            println!("{}", r.render());
-            write("delta_ablation.csv", &r.to_csv());
-            write("BENCH_delta.json", &r.bench_json());
-        }
-        "cluster-ablation" => {
-            let r = cluster_ablation::run(ctx);
-            println!("{}", r.render());
-            write("cluster_ablation.csv", &r.to_csv());
-            write("BENCH_cluster.json", &r.bench_json());
-        }
-        "provision-ablation" => {
-            let r = provision_ablation::run(ctx, quick);
-            println!("{}", r.render());
-            write("provision_ablation.csv", &r.sweep.to_csv());
-            write("BENCH_provision.json", &r.bench_json());
-        }
-        "storage-ablation" => {
-            let r = storage_ablation::run(ctx);
-            println!("{}", r.render());
-            write("storage_ablation.csv", &r.to_csv());
-            write("BENCH_storage.json", &r.bench_json());
-        }
-        "summary" => {
-            let f4 = fig45::run_fig4(ctx);
-            let f5 = fig45::run_fig5(ctx);
+/// Every command, in the order `all` runs them.
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        command: "fig1",
+        about: "warm-up curves (Figure 1)",
+        files: &["fig1.csv"],
+        run: |ctx, _| paper(fig1::run(ctx)),
+    },
+    Experiment {
+        command: "table1",
+        about: "Java speedups vs request #1 (Table 1)",
+        files: &["table1.csv"],
+        run: |ctx, _| paper(table1::run(ctx)),
+    },
+    Experiment {
+        command: "fig4",
+        about: "Python CDF grid (Figure 4)",
+        files: &["fig4.csv"],
+        run: |ctx, _| paper(fig45::run_fig4(ctx)),
+    },
+    Experiment {
+        command: "fig5",
+        about: "Java CDF grid (Figure 5)",
+        files: &["fig5.csv"],
+        run: |ctx, _| paper(fig45::run_fig5(ctx)),
+    },
+    Experiment {
+        command: "fig6",
+        about: "Azure-like trace replay (Figure 6)",
+        files: &["fig6.csv"],
+        run: |ctx, _| paper(fig6::run(ctx)),
+    },
+    Experiment {
+        command: "table4",
+        about: "convergence + checkpoint/restore overheads (Table 4)",
+        files: &["table4.csv"],
+        run: |ctx, _| paper(table4::run(ctx)),
+    },
+    Experiment {
+        command: "table5",
+        about: "storage/network overheads (Table 5)",
+        files: &["table5.csv"],
+        run: |ctx, _| paper(table5::run(ctx)),
+    },
+    Experiment {
+        command: "fig7",
+        about: "orchestrator overheads (Figure 7)",
+        files: &["fig7.csv"],
+        run: |ctx, _| paper(fig7::run(ctx)),
+    },
+    Experiment {
+        command: "ablations",
+        about: "design-choice ablation study",
+        files: &["ablations.csv"],
+        run: |ctx, _| paper(ablation::run(ctx)),
+    },
+    Experiment {
+        command: "summary",
+        about: "§5.2 headline aggregation (runs the fig4 + fig5 grids)",
+        files: &["summary.csv", "BENCH_grid.json"],
+        run: |ctx, _| {
+            let (f4, f5) = (fig45::run_fig4(ctx), fig45::run_fig5(ctx));
             let both = [&f4.grid, &f5.grid];
             let s = summary::summarize(&both);
-            println!("{}{}", s.render(), summary::restore_paths(&both));
-            write("summary.csv", &s.to_csv());
             let grids = [("fig4", &f4.grid), ("fig5", &f5.grid)];
-            write("BENCH_grid.json", &bench_report::render_json(&grids));
-        }
-        "all" => {
-            for cmd in [
-                "fig1",
-                "table1",
-                "fig4",
-                "fig5",
-                "fig6",
-                "table4",
-                "table5",
-                "fig7",
-                "ablations",
-                "summary",
-                "restore-ablation",
-                "delta-ablation",
-                "cluster-ablation",
-                "provision-ablation",
-                "storage-ablation",
-            ] {
-                println!("==================== {cmd} ====================");
-                run_command(cmd, ctx, quick)?;
-            }
-        }
-        other => return Err(format!("unknown command: {other}\n{}", usage())),
+            (
+                s.render() + &summary::restore_paths(&both),
+                vec![s.to_csv(), bench_report::render_json(&grids)],
+            )
+        },
+    },
+    Experiment {
+        command: "restore-ablation",
+        about: "restore strategies: eager vs lazy vs record-prefetch",
+        files: &["restore_ablation.csv", "BENCH_restore.json"],
+        run: |ctx, _| {
+            let r = restore_ablation::run(ctx);
+            (r.render(), vec![r.to_csv(), r.bench_json()])
+        },
+    },
+    Experiment {
+        command: "delta-ablation",
+        about: "checkpoint forms: full snapshots vs delta chains (K=4, K=16)",
+        files: &["delta_ablation.csv", "BENCH_delta.json"],
+        run: |ctx, _| {
+            let r = delta_ablation::run(ctx);
+            (r.render(), vec![r.to_csv(), r.bench_json()])
+        },
+    },
+    Experiment {
+        command: "cluster-ablation",
+        about: "cluster sizes x gateway routing: hash vs load-aware spillover",
+        files: &["cluster_ablation.csv", "BENCH_cluster.json"],
+        run: |ctx, _| {
+            let r = cluster_ablation::run(ctx);
+            (r.render(), vec![r.to_csv(), r.bench_json()])
+        },
+    },
+    Experiment {
+        command: "provision-ablation",
+        about: "provisioning: reactive vs sliding-window/ewma/mpc pre-restore",
+        files: &["provision_ablation.csv", "BENCH_provision.json"],
+        run: |ctx, quick| {
+            let r = provision_ablation::run(ctx, quick);
+            (r.render(), vec![r.sweep.to_csv(), r.bench_json()])
+        },
+    },
+    Experiment {
+        command: "storage-ablation",
+        about: "tiered storage: flat vs SSD cache vs compression vs composed prefetch",
+        files: &["storage_ablation.csv", "BENCH_storage.json"],
+        run: |ctx, _| {
+            let r = storage_ablation::run(ctx);
+            (r.render(), vec![r.to_csv(), r.bench_json()])
+        },
+    },
+];
+
+/// The usage text: the flags, then one line per command with the files
+/// it writes.
+fn usage() -> String {
+    let mut out = String::from(
+        "usage: experiments <command> [--quick] [--seed N] [--invocations N] [--threads N]\n\ncommands:\n",
+    );
+    for e in EXPERIMENTS {
+        let files = e.files.join(", ");
+        out.push_str(&format!("  {:<19} {} -> {files}\n", e.command, e.about));
+    }
+    out + "  all                 every command above, in order, writing results/"
+}
+
+/// Runs one experiment: prints its text, then writes and reports each of
+/// its files under `results/`.
+fn run(e: &Experiment, ctx: &ExperimentContext, quick: bool) -> Result<(), String> {
+    let (text, contents) = (e.run)(ctx, quick);
+    println!("{text}");
+    for (name, contents) in e.files.iter().zip(contents) {
+        let path = Path::new("results").join(name);
+        std::fs::create_dir_all("results")
+            .and_then(|()| std::fs::write(&path, contents))
+            .map_err(|err| format!("could not save {name}: {err}"))?;
+        println!("[saved {name} -> {}]", path.display());
     }
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let (command, ctx, quick) = match parse_args() {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// Prints the run banner, then runs `command`, or every experiment for
+/// `all`.
+fn run_command(command: &str, ctx: &ExperimentContext, quick: bool) -> Result<(), String> {
     println!(
         "[pronghorn experiments: seed={:#x} invocations={} threads={}]",
         ctx.seed,
@@ -217,9 +227,24 @@ fn main() -> ExitCode {
         println!("[{reason}]");
     }
     println!();
-    if let Err(e) = run_command(&command, &ctx, quick) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
+    if command != "all" {
+        let e = EXPERIMENTS.iter().find(|e| e.command == command);
+        let e = e.ok_or_else(|| format!("unknown command: {command}\n{}", usage()))?;
+        return run(e, ctx, quick);
     }
-    ExitCode::SUCCESS
+    for e in EXPERIMENTS {
+        println!("==================== {} ====================", e.command);
+        run(e, ctx, quick)?;
+    }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    match parse_args().and_then(|(command, ctx, quick)| run_command(&command, &ctx, quick)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
 }

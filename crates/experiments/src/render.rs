@@ -1,4 +1,4 @@
-//! Text rendering: ASCII CDF plots, warm-up series, and CSV output.
+//! Text rendering: ASCII CDF plots and warm-up series.
 
 use pronghorn_metrics::{bucket_medians, Cdf};
 
@@ -6,7 +6,7 @@ use pronghorn_metrics::{bucket_medians, Cdf};
 /// equivalent of a Figure 4/5/6 panel.
 ///
 /// Each curve gets its own glyph; the legend is appended below the canvas.
-pub fn ascii_cdf(curves: &[(&str, &Cdf)], width: usize, height: usize) -> String {
+pub fn ascii_cdf(curves: &[(&str, Cdf)], width: usize, height: usize) -> String {
     const GLYPHS: &[char] = &['*', 'o', '+', 'x', '#', '@'];
     if curves.is_empty() || width < 8 || height < 3 {
         return String::new();
@@ -98,16 +98,6 @@ pub fn ascii_series(values: &[f64], width: usize, height: usize) -> String {
     out
 }
 
-/// Writes a file under the `results/` directory (created on demand),
-/// returning the path written.
-pub fn write_results_file(name: &str, contents: &str) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(name);
-    std::fs::write(&path, contents)?;
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,7 +106,7 @@ mod tests {
     fn cdf_plot_contains_all_curves() {
         let a = Cdf::new(vec![1_000.0, 2_000.0, 4_000.0]).unwrap();
         let b = Cdf::new(vec![10_000.0, 20_000.0]).unwrap();
-        let plot = ascii_cdf(&[("fast", &a), ("slow", &b)], 40, 10);
+        let plot = ascii_cdf(&[("fast", a), ("slow", b)], 40, 10);
         assert!(plot.contains('*'));
         assert!(plot.contains('o'));
         assert!(plot.contains("fast"));
@@ -128,7 +118,7 @@ mod tests {
     fn degenerate_plot_inputs_yield_empty() {
         assert!(ascii_cdf(&[], 40, 10).is_empty());
         let c = Cdf::new(vec![1.0]).unwrap();
-        assert!(ascii_cdf(&[("x", &c)], 2, 10).is_empty());
+        assert!(ascii_cdf(&[("x", c)], 2, 10).is_empty());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 
 use crate::grid::{Grid, PAPER_RATES};
 use crate::restore_ablation::restore_fields;
-use crate::sweep::{fields_table, Columns, Field, Value};
-use pronghorn_metrics::{classify, geo_mean_of_improvements, Table, TableStyle, Verdict};
+use crate::sweep::{fields_table, Columns, Field, Rows, Value};
+use pronghorn_metrics::{classify, geo_mean_of_improvements, Verdict};
 use pronghorn_platform::{RestoreInfo, RestoreStrategy, RunResult};
 
 /// Aggregate for one eviction rate.
@@ -40,9 +40,7 @@ pub fn summarize(grids: &[&Grid]) -> SummaryResult {
     let rates = PAPER_RATES
         .iter()
         .map(|&rate| {
-            let mut better = Vec::new();
-            let mut on_par = Vec::new();
-            let mut worse = Vec::new();
+            let (mut better, mut on_par, mut worse) = (Vec::new(), Vec::new(), Vec::new());
             for grid in grids {
                 for workload in grid.workloads() {
                     let Some(imp) = grid.improvement_pct(&workload, rate) else {
@@ -108,53 +106,39 @@ impl SummaryResult {
             (b + r.better.len(), o + r.on_par.len(), w + r.worse.len())
         })
     }
+}
 
-    /// Paper-style rendering.
-    pub fn render(&self) -> String {
-        let mut table = Table::new(vec![
-            "Eviction rate",
-            "Better",
-            "On-par (±5%)",
-            "Worse",
-            "Geo-mean improvement",
-        ]);
+impl Rows for SummaryResult {
+    /// Per-rate counts and geo-means, the totals, then the rows.
+    fn render(&self) -> String {
+        let mut out =
+            String::from("Headline summary: request-centric vs checkpoint-after-1st medians\n\n");
         for r in &self.rates {
-            table.row(vec![
-                format!("every {} request(s)", r.rate),
-                r.better.len().to_string(),
-                r.on_par.len().to_string(),
-                r.worse.len().to_string(),
-                r.geo_mean_improvement_pct
-                    .map(|g| format!("{g:.1}%"))
-                    .unwrap_or_else(|| "-".into()),
-            ]);
+            let geo = r
+                .geo_mean_improvement_pct
+                .map_or_else(|| "-".into(), |g| format!("{g:.1}%"));
+            out.push_str(&format!(
+                "every {:>2} request(s): better {}, on-par (±5%) {}, worse {}; geo-mean improvement {geo}\n",
+                r.rate,
+                r.better.len(),
+                r.on_par.len(),
+                r.worse.len(),
+            ));
         }
         let (b, o, w) = self.totals();
-        let mut out = format!(
-            "Headline summary: request-centric vs checkpoint-after-1st medians\n\n{}\ntotal: better {b}, on-par {o}, worse {w} of {} cells\n\n",
-            table.render(TableStyle::Plain),
+        out.push_str(&format!(
+            "total: better {b}, on-par {o}, worse {w} of {} cells\n\n",
             b + o + w
-        );
-        for r in &self.rates {
-            out.push_str(&format!("rate {}:\n", r.rate));
-            for (name, imp) in r.better.iter().chain(&r.on_par).chain(&r.worse) {
-                out.push_str(&format!("  {name:<14} {imp:+.1}%\n"));
-            }
-        }
-        out
+        ));
+        out + &fields_table(&self.rows())
     }
 
-    /// CSV form. The `flag` column is the per-benchmark win/loss marker
-    /// (`win`/`par`/`loss`) downstream tooling filters on without having
-    /// to re-parse the ±5% verdict wording.
-    pub fn to_csv(&self) -> String {
-        let mut table = Table::new(vec![
-            "rate",
-            "workload",
-            "improvement_pct",
-            "verdict",
-            "flag",
-        ]);
+    /// One row per (rate, benchmark), better then on-par then worse
+    /// within a rate. The `flag` column is the per-benchmark win/loss
+    /// marker (`win`/`par`/`loss`) downstream tooling filters on without
+    /// having to re-parse the ±5% verdict wording.
+    fn rows(&self) -> Vec<Vec<Field>> {
+        let mut rows = Vec::new();
         for r in &self.rates {
             for (list, verdict, flag) in [
                 (&r.better, "better", "win"),
@@ -162,17 +146,17 @@ impl SummaryResult {
                 (&r.worse, "worse", "loss"),
             ] {
                 for (name, imp) in list {
-                    table.row(vec![
-                        r.rate.to_string(),
-                        name.clone(),
-                        format!("{imp:.2}"),
-                        verdict.to_string(),
-                        flag.to_string(),
+                    rows.push(vec![
+                        ("rate", Value::Uint(u64::from(r.rate))),
+                        ("workload", Value::Label(name.clone())),
+                        ("improvement_pct", Value::Float(*imp, 2)),
+                        ("verdict", Value::Str(verdict)),
+                        ("flag", Value::Str(flag)),
                     ]);
                 }
             }
         }
-        table.to_csv()
+        rows
     }
 }
 

@@ -1,6 +1,5 @@
-//! The one sweep harness every grid and ablation runs through.
-//!
-//! Two pieces:
+//! The one sweep harness every grid and ablation runs through, and the
+//! field lists every output is written from.
 //!
 //! - [`sweep`]: a work-stealing pool over a task list that hands results
 //!   back **in task order**, whatever order the threads finished in, so
@@ -9,19 +8,23 @@
 //!   count, …) × an arm list, with paired seeds. The seed of a cell is
 //!   derived from its benchmark and axis value only — the seed function
 //!   never sees the arm — so cells that differ only in arm replay the
-//!   same inputs, the paired comparison of §5.1.
+//!   same inputs, the paired comparison of §5.1;
+//! - [`Field`] lists: a row is a list of `(name, Value)`, and
+//!   [`fields_csv`] and [`fields_table`] write a row list as CSV and as a
+//!   printed table headed by the same names.
 //!
-//! An ablation module is then an arm list, a closure that builds and
-//! runs one cell's `RunConfig`, its two column lists ([`Columns`]) and
-//! the headline claims it makes from the resulting [`Ablation`]. The
-//! lists drive every output: the CSV ([`Ablation::to_csv`]), the
-//! `BENCH_*.json` arms ([`Ablation::bench_report`]) and the printed
-//! table ([`fields_table`] of [`Ablation::arm_rows`]).
+//! A paper table or figure implements [`Rows`], one list per CSV line.
+//! An ablation module is an arm list, a closure that builds and runs one
+//! cell's `RunConfig`, its two column lists ([`Columns`]) and the
+//! headline claims it makes from the resulting [`Ablation`]. The lists
+//! drive every output: the CSV ([`Ablation::to_csv`]), the `BENCH_*.json`
+//! arms ([`Ablation::bench_report`]) and the printed table
+//! ([`fields_table`] of [`Ablation::arm_rows`]).
 
 use crate::bench_report::BenchReport;
 use crate::fig45::{FIG4_BENCHMARKS, FIG5_BENCHMARKS};
 use crate::ExperimentContext;
-use pronghorn_metrics::{Table, TableStyle};
+use pronghorn_metrics::Table;
 use pronghorn_workloads::{by_name, SpecWorkload};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -81,6 +84,8 @@ pub enum Value {
     Float(f64, usize),
     /// A static label.
     Str(&'static str),
+    /// An owned label (a benchmark name, a configuration).
+    Label(String),
     /// A pre-rendered JSON value (a nested array or object). It has no
     /// plain-text form, so the printed table leaves it out.
     Raw(String),
@@ -94,7 +99,7 @@ impl Value {
             Value::Float(v, decimals) if v.is_finite() => format!("{v:.decimals$}"),
             Value::Float(..) => String::new(),
             Value::Str(s) => (*s).to_string(),
-            Value::Raw(raw) => raw.clone(),
+            Value::Label(s) | Value::Raw(s) => s.clone(),
         }
     }
 
@@ -102,7 +107,7 @@ impl Value {
     pub fn json(&self) -> String {
         match self {
             Value::Float(v, _) if !v.is_finite() => "null".to_string(),
-            Value::Str(s) => format!("\"{s}\""),
+            Value::Str(_) | Value::Label(_) => format!("\"{}\"", self.text()),
             _ => self.text(),
         }
     }
@@ -139,12 +144,43 @@ pub trait Columns<R>: Copy + PartialEq + Sized {
     fn pooled(ablation: &Ablation<Self, R>, arm: Self, cells: &[&Cell<Self, R>]) -> Vec<Field>;
 }
 
+/// A paper table or figure as one row list: its CSV and its printed
+/// table show the same rows under the same keys.
+pub trait Rows {
+    /// One list per CSV line.
+    fn rows(&self) -> Vec<Vec<Field>>;
+
+    /// The printed form: a title, [`fields_table`] of the rows (Figure 1
+    /// plots them instead) and any headline sentence.
+    fn render(&self) -> String;
+
+    /// CSV form: [`fields_csv`] of the rows.
+    fn to_csv(&self) -> String {
+        fields_csv(&self.rows())
+    }
+}
+
+/// Lists as CSV headed by their keys: every value, raw ones included, in
+/// the order the rows give the keys. Empty when there is no row.
+pub fn fields_csv(rows: &[Vec<Field>]) -> String {
+    if rows.is_empty() {
+        return String::new();
+    }
+    fields_grid(rows, |_| true).to_csv()
+}
+
 /// Lists as a printed table headed by their keys. Raw (nested) values
 /// stay in the JSON; a key a list lacks is a blank cell.
 pub fn fields_table(rows: &[Vec<Field>]) -> String {
+    fields_grid(rows, |value| !matches!(value, Value::Raw(_))).render()
+}
+
+/// The one table behind [`fields_csv`] and [`fields_table`]: a column per
+/// key whose value `keep` accepts, in first-seen order.
+fn fields_grid(rows: &[Vec<Field>], keep: fn(&Value) -> bool) -> Table {
     let mut keys: Vec<&str> = Vec::new();
     for (key, value) in rows.iter().flatten() {
-        if !matches!(value, Value::Raw(_)) && !keys.contains(key) {
+        if keep(value) && !keys.contains(key) {
             keys.push(key);
         }
     }
@@ -153,7 +189,7 @@ pub fn fields_table(rows: &[Vec<Field>]) -> String {
         let cell = |key: &str| lookup(row, key).map(Value::text).unwrap_or_default();
         table.row(keys.iter().map(|key| cell(key)).collect());
     }
-    table.render(TableStyle::Plain)
+    table
 }
 
 /// The value of `key` in a list, if the list has it.
@@ -293,28 +329,22 @@ impl<A: Columns<R>, R> Ablation<A, R> {
     /// CSV form: one row per cell, in workload × axis × arm order, so
     /// same-seed reruns write the same bytes. Empty when no cell ran.
     pub fn to_csv(&self) -> String {
-        let mut table: Option<Table> = None;
+        let mut rows = Vec::new();
         for workload in self.workloads() {
             for axis in self.axes() {
                 for arm in self.arms() {
                     let Some(cell) = self.cell(&workload, axis, arm) else {
                         continue;
                     };
-                    let fields = A::cell(self, cell);
-                    let table = table.get_or_insert_with(|| {
-                        let names = fields.iter().map(|(name, _)| *name);
-                        let leading = ["workload"].into_iter().chain(A::AXIS).chain([A::ARM]);
-                        Table::new(leading.chain(names).collect())
-                    });
-                    let mut row = vec![workload.clone()];
-                    row.extend(A::AXIS.map(|_| axis.to_string()));
-                    row.push(arm.arm_label().to_string());
-                    row.extend(fields.iter().map(|(_, value)| value.text()));
-                    table.row(row);
+                    let mut row = vec![("workload", Value::Label(workload.clone()))];
+                    row.extend(A::AXIS.map(|key| (key, Value::Uint(u64::from(axis)))));
+                    row.push((A::ARM, Value::Str(arm.arm_label())));
+                    row.extend(A::cell(self, cell));
+                    rows.push(row);
                 }
             }
         }
-        table.map(|t| t.to_csv()).unwrap_or_default()
+        fields_csv(&rows)
     }
 
     /// The per-arm lists, each led by its arm's axis value (with
@@ -446,6 +476,8 @@ pub(crate) mod tests {
         assert_eq!(Value::Float(0.5, 6).json(), "0.500000");
         assert_eq!(Value::Str("eager").json(), "\"eager\"");
         assert_eq!(Value::Str("eager").text(), "eager");
+        assert_eq!(Value::Label("DFS".into()).json(), "\"DFS\"");
+        assert_eq!(Value::Label("a, b".into()).text(), "a, b");
     }
 
     /// The count under `key` in a list.

@@ -6,14 +6,14 @@
 //! JSON 360 ms baselines) — non-monotonic because of deoptimizations and
 //! compilation interference.
 
+use crate::fig1::{warmup_latencies, window_median};
+use crate::sweep::{fields_table, Field, Rows, Value};
 use crate::ExperimentContext;
-use pronghorn_jit::Runtime;
-use pronghorn_metrics::{table::fmt_f64, Table, TableStyle};
-use pronghorn_sim::RngFactory;
-use pronghorn_workloads::{table1_benchmarks, InputVariance, Workload};
+use pronghorn_workloads::{table1_benchmarks, Workload};
 
-/// Checkpoints at which speedups are reported.
-pub const CHECKPOINTS: [usize; 4] = [200, 400, 600, 800];
+/// Request numbers at which speedups are reported, with their columns.
+pub const CHECKPOINTS: [(usize, &str); 4] =
+    [(200, "r200"), (400, "r400"), (600, "r600"), (800, "r800")];
 
 /// One benchmark's Table 1 column.
 #[derive(Debug, Clone)]
@@ -35,34 +35,17 @@ pub struct Table1Result {
 
 /// Runs one benchmark for 1 000 sequential requests on a single worker.
 pub fn speedup_column(workload: &dyn Workload, seed: u64) -> SpeedupColumn {
-    let factory = RngFactory::new(seed);
-    let mut boot_rng = factory.stream("boot");
-    let (mut runtime, _) = Runtime::cold_start(
-        workload.runtime_profile(),
-        workload.method_profiles(),
-        &mut boot_rng,
-    );
-    let mut exec_rng = factory.stream("exec");
-    let mut latencies = Vec::with_capacity(1_000);
-    for i in 0..1_000u64 {
-        let mut input_rng = factory.stream_indexed("input", i);
-        let request = workload.generate(&mut input_rng, InputVariance::none());
-        latencies.push(runtime.execute(&request, &mut exec_rng).total_us());
-    }
+    let latencies = warmup_latencies(workload, 1_000, seed);
     let first = latencies[0];
-    let local_median = |center: usize| -> f64 {
-        let lo = center.saturating_sub(10);
-        let hi = (center + 10).min(latencies.len());
-        let mut w = latencies[lo..hi].to_vec();
-        w.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        w[w.len() / 2]
+    let local_median = |center: usize| {
+        window_median(&latencies[center.saturating_sub(10)..(center + 10).min(latencies.len())])
     };
     SpeedupColumn {
         workload: workload.name().to_string(),
         first_request_ms: first / 1_000.0,
         speedups: CHECKPOINTS
             .iter()
-            .map(|&c| first / local_median(c))
+            .map(|&(c, _)| first / local_median(c))
             .collect(),
     }
 }
@@ -77,50 +60,30 @@ pub fn run(ctx: &ExperimentContext) -> Table1Result {
     }
 }
 
-impl Table1Result {
-    /// Paper-style rendering: benchmarks as columns, checkpoints as rows.
-    pub fn render(&self) -> String {
-        let mut header = vec!["".to_string()];
-        header.extend(self.columns.iter().map(|c| c.workload.clone()));
-        let mut table = Table::new(header);
-        let mut baseline_row = vec!["Request #1 (baseline)".to_string()];
-        baseline_row.extend(
-            self.columns
-                .iter()
-                .map(|c| format!("{:.0} ms", c.first_request_ms)),
-        );
-        table.row(baseline_row);
-        for (i, &checkpoint) in CHECKPOINTS.iter().enumerate() {
-            let mut row = vec![format!("Request #{checkpoint}")];
-            row.extend(
-                self.columns
-                    .iter()
-                    .map(|c| format!("{}x", fmt_f64(c.speedups[i], 1))),
-            );
-            table.row(row);
-        }
-        format!(
-            "Table 1: function latency speedup vs the first request (Java)\n\n{}",
-            table.render(TableStyle::Plain)
-        )
+impl Rows for Table1Result {
+    /// One row per benchmark: the first-request latency, then the
+    /// speedup at each of [`CHECKPOINTS`].
+    fn rows(&self) -> Vec<Vec<Field>> {
+        self.columns
+            .iter()
+            .map(|c| {
+                let mut row = vec![
+                    ("workload", Value::Label(c.workload.clone())),
+                    ("first_request_ms", Value::Float(c.first_request_ms, 1)),
+                ];
+                let speedups = CHECKPOINTS.iter().zip(&c.speedups);
+                row.extend(speedups.map(|(&(_, key), &s)| (key, Value::Float(s, 2))));
+                row
+            })
+            .collect()
     }
 
-    /// CSV form.
-    pub fn to_csv(&self) -> String {
-        let mut table = Table::new(vec![
-            "workload",
-            "first_request_ms",
-            "r200",
-            "r400",
-            "r600",
-            "r800",
-        ]);
-        for c in &self.columns {
-            let mut row = vec![c.workload.clone(), format!("{:.1}", c.first_request_ms)];
-            row.extend(c.speedups.iter().map(|s| format!("{s:.2}")));
-            table.row(row);
-        }
-        table.to_csv()
+    /// Printed table.
+    fn render(&self) -> String {
+        format!(
+            "Table 1: function latency speedup vs the first request (Java)\n\n{}",
+            fields_table(&self.rows())
+        )
     }
 }
 
@@ -170,12 +133,7 @@ mod tests {
     fn render_contains_all_rows() {
         let ctx = ExperimentContext::quick();
         let text = run(&ctx).render();
-        for needle in [
-            "Request #1 (baseline)",
-            "Request #200",
-            "Request #800",
-            "JSON",
-        ] {
+        for needle in ["first_request_ms", "r200", "r800", "JSON"] {
             assert!(text.contains(needle), "missing {needle}\n{text}");
         }
     }

@@ -7,11 +7,12 @@
 //! and snapshot sizes from checkpointing each benchmark 10 times after
 //! startup.
 
+use crate::sweep::{fields_table, Field, Rows, Value};
 use crate::ExperimentContext;
 use pronghorn_checkpoint::{CodecStats, SimCriuEngine, SnapshotMeta};
 use pronghorn_core::PolicyKind;
 use pronghorn_jit::Runtime;
-use pronghorn_metrics::{Summary, Table, TableStyle};
+use pronghorn_metrics::Summary;
 use pronghorn_platform::{run_closed_loop, RunConfig};
 use pronghorn_sim::RngFactory;
 use pronghorn_workloads::{evaluation_benchmarks, InputVariance, Workload};
@@ -105,11 +106,7 @@ pub fn measure_convergence(workload: &dyn Workload, ctx: &ExperimentContext) -> 
             }
         }
     }
-    if points.is_empty() {
-        None
-    } else {
-        Some(points.iter().sum::<f64>() / points.len() as f64)
-    }
+    (!points.is_empty()).then(|| points.iter().sum::<f64>() / points.len() as f64)
 }
 
 /// Runs Table 4 for all thirteen evaluation benchmarks.
@@ -132,62 +129,33 @@ pub fn run(ctx: &ExperimentContext) -> Table4Result {
     Table4Result { rows }
 }
 
-impl Table4Result {
-    /// Paper-style rendering.
-    pub fn render(&self) -> String {
-        let mut table = Table::new(vec![
-            "Benchmark",
-            "Runtime",
-            "Req. #",
-            "Checkpoint (ms)",
-            "Restore (ms)",
-            "Snapshot (MB)",
-        ]);
-        for row in &self.rows {
-            table.row(vec![
-                row.workload.clone(),
-                row.runtime.clone(),
-                row.convergence_request
-                    .map(|c| format!("{c:.0}"))
-                    .unwrap_or_else(|| "-".into()),
-                format!("{:.1} ± {:.0}", row.checkpoint_ms.0, row.checkpoint_ms.1),
-                format!("{:.1} ± {:.1}", row.restore_ms.0, row.restore_ms.1),
-                format!("{:.1}", row.snapshot_mb),
-            ]);
-        }
-        format!(
-            "Table 4: convergence requests and checkpoint/restore overheads\n\n{}",
-            table.render(TableStyle::Plain)
-        )
+impl Rows for Table4Result {
+    /// One row per benchmark.
+    fn rows(&self) -> Vec<Vec<Field>> {
+        self.rows
+            .iter()
+            .map(|r| {
+                let convergence = r.convergence_request.unwrap_or(f64::NAN);
+                vec![
+                    ("workload", Value::Label(r.workload.clone())),
+                    ("runtime", Value::Label(r.runtime.clone())),
+                    ("convergence_request", Value::Float(convergence, 1)),
+                    ("checkpoint_ms_mean", Value::Float(r.checkpoint_ms.0, 2)),
+                    ("checkpoint_ms_std", Value::Float(r.checkpoint_ms.1, 2)),
+                    ("restore_ms_mean", Value::Float(r.restore_ms.0, 2)),
+                    ("restore_ms_std", Value::Float(r.restore_ms.1, 2)),
+                    ("snapshot_mb", Value::Float(r.snapshot_mb, 2)),
+                ]
+            })
+            .collect()
     }
 
-    /// CSV form.
-    pub fn to_csv(&self) -> String {
-        let mut table = Table::new(vec![
-            "workload",
-            "runtime",
-            "convergence_request",
-            "checkpoint_ms_mean",
-            "checkpoint_ms_std",
-            "restore_ms_mean",
-            "restore_ms_std",
-            "snapshot_mb",
-        ]);
-        for r in &self.rows {
-            table.row(vec![
-                r.workload.clone(),
-                r.runtime.clone(),
-                r.convergence_request
-                    .map(|c| format!("{c:.1}"))
-                    .unwrap_or_default(),
-                format!("{:.2}", r.checkpoint_ms.0),
-                format!("{:.2}", r.checkpoint_ms.1),
-                format!("{:.2}", r.restore_ms.0),
-                format!("{:.2}", r.restore_ms.1),
-                format!("{:.2}", r.snapshot_mb),
-            ]);
-        }
-        table.to_csv()
+    /// Printed table.
+    fn render(&self) -> String {
+        format!(
+            "Table 4: convergence requests and checkpoint/restore overheads\n\n{}",
+            fields_table(&self.rows())
+        )
     }
 }
 

@@ -9,9 +9,9 @@
 //! eviction rate 4). We report both the analytic bound and the bytes the
 //! simulated Object Store actually moved.
 
+use crate::sweep::{fields_table, Field, Rows, Value};
 use crate::ExperimentContext;
 use pronghorn_core::PolicyKind;
-use pronghorn_metrics::{Table, TableStyle};
 use pronghorn_platform::{run_closed_loop, RunConfig};
 use pronghorn_workloads::{evaluation_benchmarks, Workload};
 
@@ -83,63 +83,46 @@ pub fn run(ctx: &ExperimentContext) -> Table5Result {
     Table5Result { rows, lifetimes }
 }
 
-impl Table5Result {
-    /// Paper-style rendering.
-    pub fn render(&self) -> String {
-        let mut table = Table::new(vec![
-            "Benchmark",
-            "Max Storage (MB)",
-            "Max Network (MB)",
-            "Baseline Storage (MB)",
-            "Baseline Network (MB)",
-            "Measured Network (MB)",
-            "Measured Peak Storage (MB)",
-        ]);
-        for r in &self.rows {
-            table.row(vec![
-                r.workload.clone(),
-                format!("{:.0}", r.max_storage_mb),
-                format!("{:.0}", r.max_network_mb),
-                format!("{:.0}", r.baseline_storage_mb),
-                format!("{:.0}", r.baseline_network_mb),
-                format!("{:.0}", r.measured_network_mb),
-                format!("{:.0}", r.measured_peak_storage_mb),
-            ]);
-        }
+impl Rows for Table5Result {
+    /// One row per benchmark.
+    fn rows(&self) -> Vec<Vec<Field>> {
+        self.rows
+            .iter()
+            .map(|r| {
+                vec![
+                    ("workload", Value::Label(r.workload.clone())),
+                    ("runtime", Value::Label(r.runtime.clone())),
+                    ("snapshot_mb", Value::Float(r.snapshot_mb, 2)),
+                    ("max_storage_mb", Value::Float(r.max_storage_mb, 1)),
+                    ("max_network_mb", Value::Float(r.max_network_mb, 1)),
+                    (
+                        "baseline_storage_mb",
+                        Value::Float(r.baseline_storage_mb, 1),
+                    ),
+                    (
+                        "baseline_network_mb",
+                        Value::Float(r.baseline_network_mb, 1),
+                    ),
+                    (
+                        "measured_network_mb",
+                        Value::Float(r.measured_network_mb, 1),
+                    ),
+                    (
+                        "measured_peak_storage_mb",
+                        Value::Float(r.measured_peak_storage_mb, 1),
+                    ),
+                ]
+            })
+            .collect()
+    }
+
+    /// Printed table.
+    fn render(&self) -> String {
         format!(
             "Table 5: storage and network overheads ({} container lifetimes)\n\n{}",
             self.lifetimes,
-            table.render(TableStyle::Plain)
+            fields_table(&self.rows())
         )
-    }
-
-    /// CSV form.
-    pub fn to_csv(&self) -> String {
-        let mut table = Table::new(vec![
-            "workload",
-            "runtime",
-            "snapshot_mb",
-            "max_storage_mb",
-            "max_network_mb",
-            "baseline_storage_mb",
-            "baseline_network_mb",
-            "measured_network_mb",
-            "measured_peak_storage_mb",
-        ]);
-        for r in &self.rows {
-            table.row(vec![
-                r.workload.clone(),
-                r.runtime.clone(),
-                format!("{:.2}", r.snapshot_mb),
-                format!("{:.1}", r.max_storage_mb),
-                format!("{:.1}", r.max_network_mb),
-                format!("{:.1}", r.baseline_storage_mb),
-                format!("{:.1}", r.baseline_network_mb),
-                format!("{:.1}", r.measured_network_mb),
-                format!("{:.1}", r.measured_peak_storage_mb),
-            ]);
-        }
-        table.to_csv()
     }
 }
 

@@ -10,6 +10,7 @@
 #![forbid(unsafe_code)]
 
 use pronghorn_experiments::grid::{run_grid, PAPER_POLICIES, PAPER_RATES};
+use pronghorn_experiments::sweep::Rows;
 use pronghorn_experiments::{summary, ExperimentContext};
 
 #[test]

@@ -16,6 +16,7 @@
 #![forbid(unsafe_code)]
 
 use pronghorn_experiments::grid::{run_grid, run_grid_cluster, PAPER_POLICIES, PAPER_RATES};
+use pronghorn_experiments::sweep::Rows;
 use pronghorn_experiments::{summary, ExperimentContext};
 
 fn golden_ctx() -> ExperimentContext {

@@ -12,6 +12,7 @@
 #![forbid(unsafe_code)]
 
 use pronghorn_experiments::grid::{run_grid, PAPER_POLICIES, PAPER_RATES};
+use pronghorn_experiments::sweep::Rows;
 use pronghorn_experiments::{
     ablation, fig1, fig45, fig6, fig7, summary, table1, table4, table5, ExperimentContext,
 };

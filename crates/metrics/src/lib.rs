@@ -38,5 +38,5 @@ pub use stats::{
     percent_change, Verdict,
 };
 pub use summary::Summary;
-pub use table::{Table, TableStyle};
+pub use table::Table;
 pub use timeseries::bucket_medians;

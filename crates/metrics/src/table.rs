@@ -1,32 +1,22 @@
 //! Plain-text and CSV table rendering.
 //!
-//! The experiment harness prints paper-style rows ("Table 4. For each
-//! benchmark, ...") and writes CSV files mirroring the artifact's
-//! `results/` directory. This module is a minimal column-aligned table
-//! builder — no dependency needed.
+//! The experiment harness prints each result's rows as an aligned table
+//! and writes the same rows as the CSV files of the artifact's `results/`
+//! directory. This module is a minimal column-aligned table builder — no
+//! dependency needed.
 
 use std::fmt::Write as _;
-
-/// Visual style of a rendered table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TableStyle {
-    /// Column-aligned with a header separator (for terminals).
-    #[default]
-    Plain,
-    /// GitHub-flavoured Markdown.
-    Markdown,
-}
 
 /// A rows-and-columns table with a header.
 ///
 /// # Examples
 ///
 /// ```
-/// use pronghorn_metrics::{Table, TableStyle};
+/// use pronghorn_metrics::Table;
 ///
 /// let mut t = Table::new(vec!["Benchmark", "Median (µs)"]);
 /// t.row(vec!["BFS".into(), "10432".into()]);
-/// let text = t.render(TableStyle::Plain);
+/// let text = t.render();
 /// assert!(text.contains("Benchmark"));
 /// assert!(text.contains("BFS"));
 /// ```
@@ -72,41 +62,23 @@ impl Table {
         widths
     }
 
-    /// Renders the table as text in the requested style.
-    pub fn render(&self, style: TableStyle) -> String {
+    /// Renders the table as column-aligned text with a header separator.
+    pub fn render(&self) -> String {
         let widths = self.widths();
         let mut out = String::new();
-        let sep = match style {
-            TableStyle::Plain => "  ",
-            TableStyle::Markdown => " | ",
-        };
-        let (prefix, suffix) = match style {
-            TableStyle::Plain => ("", ""),
-            TableStyle::Markdown => ("| ", " |"),
-        };
         let emit = |out: &mut String, cells: &[String]| {
-            let _ = write!(out, "{prefix}");
             for (i, (cell, w)) in cells.iter().zip(&widths).enumerate() {
                 if i > 0 {
-                    let _ = write!(out, "{sep}");
+                    out.push_str("  ");
                 }
                 let pad = w.saturating_sub(cell.chars().count());
                 let _ = write!(out, "{cell}{}", " ".repeat(pad));
             }
-            let _ = writeln!(out, "{suffix}");
+            out.push('\n');
         };
         emit(&mut out, &self.header);
-        match style {
-            TableStyle::Plain => {
-                let total: usize =
-                    widths.iter().sum::<usize>() + sep.len() * widths.len().saturating_sub(1);
-                let _ = writeln!(out, "{}", "-".repeat(total));
-            }
-            TableStyle::Markdown => {
-                let dashes: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-                emit(&mut out, &dashes);
-            }
-        }
+        let total = widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1);
+        let _ = writeln!(out, "{}", "-".repeat(total));
         for row in &self.rows {
             emit(&mut out, row);
         }
@@ -136,15 +108,6 @@ impl Table {
     }
 }
 
-/// Formats a float with `digits` decimal places, rendering NaN as `-`.
-pub fn fmt_f64(x: f64, digits: usize) -> String {
-    if x.is_nan() {
-        "-".to_string()
-    } else {
-        format!("{x:.digits$}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,19 +121,11 @@ mod tests {
 
     #[test]
     fn plain_render_aligns_columns() {
-        let text = sample().render(TableStyle::Plain);
+        let text = sample().render();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4);
         assert_eq!(lines[0], "name   value");
         assert_eq!(lines[2], "alpha  1    ");
-    }
-
-    #[test]
-    fn markdown_render_has_separator_row() {
-        let text = sample().render(TableStyle::Markdown);
-        let lines: Vec<&str> = text.lines().collect();
-        assert!(lines[0].starts_with("| name"));
-        assert!(lines[1].contains("---"));
     }
 
     #[test]
@@ -191,12 +146,6 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.contains("\"has,comma\""));
         assert!(csv.contains("\"has\"\"quote\""));
-    }
-
-    #[test]
-    fn fmt_f64_handles_nan() {
-        assert_eq!(fmt_f64(1.23456, 2), "1.23");
-        assert_eq!(fmt_f64(f64::NAN, 2), "-");
     }
 
     #[test]
