@@ -96,7 +96,7 @@ impl ClusterAblation {
         })
     }
 
-    /// Paper-style rendering: per-arm pooled stats, then the headline
+    /// Printed form: per-arm pooled stats, then the headline
     /// routing comparison.
     pub fn render(&self) -> String {
         let mut out = format!(

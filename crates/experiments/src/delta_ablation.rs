@@ -127,7 +127,7 @@ impl DeltaAblation {
             .count()
     }
 
-    /// Paper-style rendering: per-arm pooled stats, then the headline
+    /// Printed form: per-arm pooled stats, then the headline
     /// byte-reduction win counts.
     pub fn render(&self) -> String {
         let mut out = format!(

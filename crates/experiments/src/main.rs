@@ -33,24 +33,26 @@ fn parse_args() -> Result<(String, ExperimentContext, bool), String> {
     };
     let mut rest = args.iter().skip(1);
     while let Some(flag) = rest.next() {
-        if flag == "--quick" {
-            continue;
-        }
-        if !["--seed", "--invocations", "--threads"].contains(&flag.as_str()) {
-            return Err(format!("unknown flag: {flag}\n{}", usage()));
-        }
-        let v = rest.next().ok_or_else(|| format!("{flag} needs a value"))?;
-        let bad = || format!("bad {}: {v}", &flag[2..]);
+        let mut value = || rest.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
-            "--seed" => ctx.seed = v.parse().map_err(|_| bad())?,
-            "--invocations" => ctx.invocations = v.parse().map_err(|_| bad())?,
-            _ => ctx.threads = v.parse().map_err(|_| bad())?,
+            "--quick" => {}
+            "--seed" => ctx.seed = parse(flag, value()?)?,
+            "--invocations" => ctx.invocations = parse(flag, value()?)?,
+            "--threads" => ctx.threads = parse(flag, value()?)?,
+            other => return Err(format!("unknown flag: {other}\n{}", usage())),
         }
     }
     if ctx.threads == 0 {
         return Err(format!("--threads must be >= 1\n{}", usage()));
     }
     Ok((command, ctx, quick))
+}
+
+/// The value of `flag`, or `bad <name>: <value>`.
+fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("bad {}: {value}", &flag[2..]))
 }
 
 /// One command: its name, what it runs, the `results/` files it writes

@@ -167,7 +167,7 @@ impl ProvisionSweep {
 }
 
 impl ProvisionAblation {
-    /// Paper-style rendering: per-arm win counts and pooled pre-restore
+    /// Printed form: per-arm win counts and pooled pre-restore
     /// accounting, then the headline best-arm count.
     pub fn render(&self) -> String {
         let (best, total) = self.sweep.best_arm_wins();

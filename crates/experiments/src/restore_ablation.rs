@@ -85,7 +85,7 @@ impl RestoreAblation {
         })
     }
 
-    /// Paper-style rendering: per-strategy pooled stats, then per-rate
+    /// Printed form: per-strategy pooled stats, then per-rate
     /// benchmark win counts.
     pub fn render(&self) -> String {
         let mut out = format!(

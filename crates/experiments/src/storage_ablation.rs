@@ -162,7 +162,7 @@ impl StorageAblation {
             .count()
     }
 
-    /// Paper-style rendering: per-arm pooled stats, then the headline
+    /// Printed form: per-arm pooled stats, then the headline
     /// win counts.
     pub fn render(&self) -> String {
         let mut out = format!(
