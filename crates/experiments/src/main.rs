@@ -205,6 +205,7 @@ fn usage() -> String {
 /// its files under `results/`.
 fn run(e: &Experiment, ctx: &ExperimentContext, quick: bool) -> Result<(), String> {
     let (text, contents) = (e.run)(ctx, quick);
+    assert_eq!(contents.len(), e.files.len(), "one document per file");
     println!("{text}");
     for (name, contents) in e.files.iter().zip(contents) {
         let path = Path::new("results").join(name);
