@@ -23,7 +23,7 @@ use crate::policy::{Policy, PolicyKind, StartDecision};
 use crate::pool::PoolEntry;
 use bytes::Bytes;
 use pronghorn_checkpoint::{
-    CheckpointOutcome, DeltaFrame, Encoder, Frame, Snapshot, SnapshotId, Stored,
+    CheckpointOutcome, DeltaFrame, DeltaPolicy, Encoder, Frame, Snapshot, SnapshotId, Stored,
 };
 use pronghorn_kv::KvCosts;
 use pronghorn_restore::{
@@ -215,6 +215,8 @@ pub struct Orchestrator {
     /// Delta-chain lineage index; present only when delta checkpointing
     /// is enabled (the full-snapshot path never consults it).
     chains: Option<ChainIndex>,
+    /// The chain depth K at which a lineage consolidates.
+    max_depth: u32,
     /// The one pricer of snapshot transfers: it owns the object-store
     /// link, and under the default disabled policy it is the flat store.
     storage: StorageTier,
@@ -240,6 +242,7 @@ impl Orchestrator {
             pool_sizes: BTreeMap::new(),
             restore: RestoreStrategy::Eager,
             chains: None,
+            max_depth: 0,
             storage: StorageTier::new(StoragePolicy::disabled(), TransferModel::default()),
             recorded_log: Vec::new(),
             evicted_log: Vec::new(),
@@ -307,12 +310,15 @@ impl Orchestrator {
         self.policy.note_prefetch_ready(id);
     }
 
-    /// Enables delta-chain bookkeeping: recorded snapshots register in a
-    /// lineage index, deltas persist only their changed pages, evicted
-    /// parents stay pinned while live descendants reference them, and
-    /// composed downloads are accounted chain-aware.
-    pub fn with_delta_chains(mut self) -> Self {
-        self.chains = Some(ChainIndex::new());
+    /// Checkpoints under `policy`. Enabled, it turns on delta-chain
+    /// bookkeeping: recorded snapshots register in a lineage index, deltas
+    /// persist only their changed pages, evicted parents stay pinned while
+    /// live descendants reference them, composed downloads are accounted
+    /// chain-aware, and [`Self::checkpoints_as_delta`] picks each
+    /// checkpoint's form.
+    pub fn with_delta(mut self, policy: DeltaPolicy) -> Self {
+        self.chains = policy.enabled().then(ChainIndex::new);
+        self.max_depth = policy.max_depth().unwrap_or(0);
         self
     }
 
@@ -415,24 +421,21 @@ impl Orchestrator {
             .unwrap_or(0.0)
     }
 
-    /// Whether `id` is still a valid delta parent: pooled (or at least
-    /// tracked) and not evicted. A worker restored from `id` must fall
-    /// back to a full checkpoint when this turns false.
-    pub fn chain_live(&self, id: SnapshotId) -> bool {
-        self.chains.as_ref().is_some_and(|c| c.is_live(id.0))
-    }
-
-    /// Delta-chain depth of `id` (0 for a root), when tracked.
-    pub fn chain_depth(&self, id: SnapshotId) -> Option<u32> {
-        self.chains.as_ref().and_then(|c| c.depth(id.0))
-    }
-
-    /// Records that a lineage hit its depth bound and was rebased onto a
-    /// fresh full snapshot instead of extending the chain.
-    pub fn note_consolidation(&mut self) {
-        if let Some(chains) = &mut self.chains {
+    /// Whether the next checkpoint of a worker restored from `parent` is a
+    /// delta against it: yes while `parent` is pooled and its chain is
+    /// below depth K. At depth K the lineage consolidates: the checkpoint
+    /// is a fresh full root, counted in [`ChainStats::consolidations`]. An
+    /// evicted or unknown parent, or delta checkpoints off, also give a
+    /// full root.
+    pub fn checkpoints_as_delta(&mut self, parent: SnapshotId) -> bool {
+        let Some(chains) = self.chains.as_mut().filter(|c| c.is_live(parent.0)) else {
+            return false;
+        };
+        let below_k = chains.depth(parent.0).unwrap_or(0) < self.max_depth;
+        if !below_k {
             chains.note_consolidation();
         }
+        below_k
     }
 
     /// The accumulated chain counters (zeroes when delta is disabled).
@@ -653,9 +656,11 @@ impl Orchestrator {
     ///
     /// What is stored follows the engine's [`CheckpointOutcome`]: the
     /// whole payload for a full snapshot, or only the changed pages plus a
-    /// parent reference for a delta. Deltas upload (and charge transfer on)
-    /// their dirty nominal bytes; the pool entry handed to the policy still
-    /// carries the full image size, so eviction decisions are unchanged.
+    /// parent reference for a delta, which must be against a parent
+    /// [`Self::checkpoints_as_delta`] approved. Deltas upload (and charge
+    /// transfer on) their dirty nominal bytes; the pool entry handed to the
+    /// policy still carries the full image size, so eviction decisions are
+    /// unchanged.
     pub fn record_snapshot(
         &mut self,
         snapshot: &Snapshot,
@@ -665,16 +670,9 @@ impl Orchestrator {
     ) -> SimDuration {
         let mut overhead_us = engine_downtime.as_micros() as f64;
 
-        // A delta outcome is only persistable while its parent is tracked
-        // and un-evicted; otherwise fall back to storing the full frame
-        // (the snapshot itself is always complete in memory).
         let delta = match outcome {
-            CheckpointOutcome::Delta(d)
-                if self.chains.as_ref().is_some_and(|c| c.is_live(d.parent.0)) =>
-            {
-                Some(d)
-            }
-            _ => None,
+            CheckpointOutcome::Delta(d) => Some(d),
+            CheckpointOutcome::Full => None,
         };
 
         // The nominal bytes this checkpoint's *stored form* occupies and
@@ -717,14 +715,11 @@ impl Orchestrator {
         );
 
         if let Some(chains) = &mut self.chains {
-            let registered = match delta {
-                Some(d) => chains
-                    .insert_delta(snapshot.id.0, d.parent.0, stored_nominal)
-                    .is_some(),
-                None => false,
-            };
-            if !registered {
-                chains.insert_root(snapshot.id.0, stored_nominal);
+            match delta {
+                Some(d) => {
+                    chains.insert_delta(snapshot.id.0, d.parent.0, stored_nominal);
+                }
+                None => chains.insert_root(snapshot.id.0, stored_nominal),
             }
         }
         self.pool_sizes.insert(snapshot.id, stored_nominal);
@@ -835,6 +830,13 @@ mod tests {
         Orchestrator::new(policy, "f")
     }
 
+    const K4: DeltaPolicy = DeltaPolicy::Enabled { max_depth: 4 };
+
+    /// Delta-chain depth of `id` (0 for a root), when tracked.
+    fn depth(orch: &Orchestrator, id: SnapshotId) -> Option<u32> {
+        orch.chains.as_ref().and_then(|c| c.depth(id.0))
+    }
+
     /// The download `plan` restores from; a cold plan fails the test.
     fn download(plan: &WorkerPlan) -> &Download {
         plan.download
@@ -912,35 +914,11 @@ mod tests {
         assert_eq!(orch.overheads().nominal_bytes_downloaded, downloaded);
 
         // A mid-chain delta: root <- mid <- leaf, restoring the leaf.
-        let mut orch =
-            orchestrator(Box::new(LatestOnlyPolicy { pooled: None })).with_delta_chains();
+        let mut orch = orchestrator(Box::new(LatestOnlyPolicy { pooled: None })).with_delta(K4);
         let root = snapshot(1, 7);
         orch.record_snapshot(&root, &Full, SimDuration::from_millis(65), &mut rng);
-        let mut parent = root;
-        for (r, at) in [(2, 3), (3, 5)] {
-            let mut bytes = parent.payload().to_vec();
-            bytes[at] ^= 0xff;
-            let child = Snapshot::with_nonce(
-                SnapshotMeta {
-                    function: "f".into(),
-                    request_number: r,
-                    runtime: "jvm".into(),
-                },
-                Bytes::from(bytes),
-                12 * 1024 * 1024,
-                u64::from(r),
-            );
-            let delta = delta_between(&parent, &child, 1024 * 1024);
-            orch.record_snapshot(
-                &child,
-                &CheckpointOutcome::Delta(delta),
-                SimDuration::from_millis(30),
-                &mut rng,
-            );
-            parent = child;
-        }
-        let leaf = parent.id;
-        assert_eq!(orch.chain_depth(leaf), Some(2));
+        let leaf = record_chain(&mut orch, root, 2, &mut rng).id;
+        assert_eq!(depth(&orch, leaf), Some(2));
         let mid = orch.chains.as_ref().unwrap().chain_to_root(leaf.0)[1];
         corrupt_stored_payload(&mut orch, SnapshotId(mid));
         let downloaded = orch.overheads().nominal_bytes_downloaded;
@@ -1183,15 +1161,45 @@ mod tests {
         }
     }
 
+    /// Records `links` deltas in a line under the recorded `root`, each
+    /// its parent's payload with one more byte flipped, returning the
+    /// leaf.
+    fn record_chain(
+        orch: &mut Orchestrator,
+        root: Snapshot,
+        links: u32,
+        rng: &mut SmallRng,
+    ) -> Snapshot {
+        let mut parent = root;
+        for r in parent.meta.request_number + 1..=parent.meta.request_number + links {
+            let mut bytes = parent.payload().to_vec();
+            bytes[r as usize % 8] ^= 0xff;
+            let child = Snapshot::with_nonce(
+                SnapshotMeta {
+                    function: "f".into(),
+                    request_number: r,
+                    runtime: "jvm".into(),
+                },
+                Bytes::from(bytes),
+                12 * 1024 * 1024,
+                u64::from(r),
+            );
+            let delta = delta_between(&parent, &child, 1024 * 1024);
+            let outcome = CheckpointOutcome::Delta(delta);
+            orch.record_snapshot(&child, &outcome, SimDuration::from_millis(30), rng);
+            parent = child;
+        }
+        parent
+    }
+
     #[test]
     fn delta_record_pins_evicted_parent_and_composes_on_restore() {
-        let mut orch =
-            orchestrator(Box::new(LatestOnlyPolicy { pooled: None })).with_delta_chains();
+        let mut orch = orchestrator(Box::new(LatestOnlyPolicy { pooled: None })).with_delta(K4);
         let mut rng = SmallRng::seed_from_u64(41);
         orch.begin_worker(&mut rng);
         let root = snapshot(1, 7);
         orch.record_snapshot(&root, &Full, SimDuration::from_millis(65), &mut rng);
-        assert_eq!(orch.chain_depth(root.id), Some(0));
+        assert_eq!(depth(&orch, root.id), Some(0));
         // Child of the root: same payload with one byte flipped.
         let mut child_bytes = root.payload().to_vec();
         child_bytes[3] ^= 0xff;
@@ -1216,7 +1224,7 @@ mod tests {
             SimDuration::from_millis(30),
             &mut rng,
         );
-        assert_eq!(orch.chain_depth(child.id), Some(1));
+        assert_eq!(depth(&orch, child.id), Some(1));
         let stats = orch.chain_stats();
         assert_eq!(stats.roots, 1);
         assert_eq!(stats.deltas, 1);
@@ -1241,38 +1249,55 @@ mod tests {
     }
 
     #[test]
-    fn delta_outcome_with_dead_parent_falls_back_to_full() {
-        let mut orch = orchestrator(Box::new(FixedPointPolicy::after_first())).with_delta_chains();
+    fn a_live_parent_below_k_gives_a_delta() {
+        let mut orch = orchestrator(Box::new(LatestOnlyPolicy { pooled: None })).with_delta(K4);
         let mut rng = SmallRng::seed_from_u64(42);
-        orch.begin_worker(&mut rng);
         let root = snapshot(1, 7);
-        // Root was never recorded: its id is unknown to the chain index.
-        let mut child_bytes = root.payload().to_vec();
-        child_bytes[0] ^= 1;
-        let child = Snapshot::new(
-            SnapshotMeta {
-                function: "f".into(),
-                request_number: 2,
-                runtime: "jvm".into(),
-            },
-            Bytes::from(child_bytes),
-            12 * 1024 * 1024,
-        );
-        let delta = delta_between(&root, &child, 1024);
-        orch.record_snapshot(
-            &child,
-            &CheckpointOutcome::Delta(delta),
-            SimDuration::from_millis(30),
-            &mut rng,
-        );
-        // Stored as a full root: full nominal uploaded, restorable alone.
-        assert_eq!(orch.chain_depth(child.id), Some(0));
-        assert_eq!(orch.overheads().nominal_bytes_uploaded, child.nominal_size);
-        let plan = orch.begin_worker(&mut rng);
-        let dl = download(&plan);
-        assert_eq!(dl.snapshot, child);
-        assert_eq!(dl.nominal, child.nominal_size);
-        assert_eq!(dl.chain_len, 1);
+        orch.record_snapshot(&root, &Full, SimDuration::from_millis(65), &mut rng);
+        assert!(orch.checkpoints_as_delta(root.id));
+        // Depth K - 1 is still below K.
+        let leaf = record_chain(&mut orch, root, 3, &mut rng);
+        assert_eq!(depth(&orch, leaf.id), Some(3));
+        assert!(orch.checkpoints_as_delta(leaf.id));
+        assert_eq!(orch.chain_stats().consolidations, 0);
+    }
+
+    #[test]
+    fn a_parent_at_depth_k_gives_a_consolidating_full_root() {
+        let mut orch = orchestrator(Box::new(LatestOnlyPolicy { pooled: None })).with_delta(K4);
+        let mut rng = SmallRng::seed_from_u64(45);
+        let root = snapshot(1, 7);
+        orch.record_snapshot(&root, &Full, SimDuration::from_millis(65), &mut rng);
+        let leaf = record_chain(&mut orch, root, 4, &mut rng);
+        assert_eq!(depth(&orch, leaf.id), Some(4));
+        assert!(!orch.checkpoints_as_delta(leaf.id));
+        assert_eq!(orch.chain_stats().consolidations, 1);
+        // The rebased lineage starts over from the full root it records.
+        let rebased = snapshot(6, 9);
+        orch.record_snapshot(&rebased, &Full, SimDuration::from_millis(65), &mut rng);
+        assert_eq!(depth(&orch, rebased.id), Some(0));
+        assert!(orch.checkpoints_as_delta(rebased.id));
+    }
+
+    #[test]
+    fn a_dead_parent_gives_a_full_root() {
+        let mut orch = orchestrator(Box::new(LatestOnlyPolicy { pooled: None })).with_delta(K4);
+        let mut rng = SmallRng::seed_from_u64(46);
+        let root = snapshot(1, 7);
+        // Never recorded: unknown to the chain index.
+        assert!(!orch.checkpoints_as_delta(root.id));
+        orch.record_snapshot(&root, &Full, SimDuration::from_millis(65), &mut rng);
+        // Evicted: the next root takes its place in the pool.
+        let next = snapshot(2, 8);
+        orch.record_snapshot(&next, &Full, SimDuration::from_millis(65), &mut rng);
+        assert!(!orch.checkpoints_as_delta(root.id));
+        assert!(orch.checkpoints_as_delta(next.id));
+        // Without delta checkpoints no parent is live.
+        let mut full = orchestrator(Box::new(LatestOnlyPolicy { pooled: None }));
+        full.record_snapshot(&root, &Full, SimDuration::from_millis(65), &mut rng);
+        assert!(!full.checkpoints_as_delta(root.id));
+        assert_eq!(orch.chain_stats().consolidations, 0);
+        assert_eq!(full.chain_stats(), ChainStats::default());
     }
 
     #[test]
@@ -1280,12 +1305,9 @@ mod tests {
         // Identical seeds, with and without chains: recording only full
         // snapshots must produce identical overheads and plans.
         let run = |chains: bool| {
-            let orch = orchestrator(Box::new(FixedPointPolicy::after_first()));
-            let mut orch = if chains {
-                orch.with_delta_chains()
-            } else {
-                orch
-            };
+            let delta = if chains { K4 } else { DeltaPolicy::Disabled };
+            let mut orch =
+                orchestrator(Box::new(FixedPointPolicy::after_first())).with_delta(delta);
             let mut rng = SmallRng::seed_from_u64(43);
             orch.begin_worker(&mut rng);
             orch.record_snapshot(

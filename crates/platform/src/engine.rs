@@ -11,8 +11,10 @@
 //!   through a bounded lookahead window; both evict workers on idle;
 //! - a **topology** ([`Topology`]): deployments × nodes × worker slots,
 //!   plus the [`Routing`] rule that places each arrival;
-//! - the [`Session`]'s measurement sink: per-event `Vec`s or O(1)
-//!   streaming aggregates.
+//! - the [`Session`]'s latency sink: every latency in the run's
+//!   [`crate::RunResult`], or one log-bucketed histogram and the exact max
+//!   (a production replay); every other measurement goes into the
+//!   `RunResult` either way.
 //!
 //! Kernel events are typed ([`Event`]). With predictive provisioning
 //! disabled only arrivals are ever scheduled, so the reactive event stream
@@ -27,6 +29,7 @@ use crate::worker::Worker;
 use pronghorn_cluster::{
     BlobDirectory, ClusterSpec, HashRing, LocalityStats, PlacementPolicy, RoutingPolicy,
 };
+use pronghorn_core::Download;
 use pronghorn_jit::RequestWork;
 use pronghorn_sim::{SimDuration, SimTime, TimerWheel};
 use pronghorn_store::saturating_accumulate;
@@ -257,11 +260,18 @@ impl Topology {
         }
     }
 
-    /// Provisions a worker into slot `s` of node `n`. Under ring routing a
-    /// restore whose blob is not resident on the node also pays the
-    /// cross-node fetch, and the snapshot's age there; any other topology
-    /// has one node per deployment, so its restores are local hits.
-    fn provision(&mut self, session: &mut Session<'_>, n: usize, s: usize, now: SimTime) -> Worker {
+    /// Provisions a worker into slot `s` of node `n`, also handing back the
+    /// download it restored from. Under ring routing a restore whose blob
+    /// is not resident on the node also pays the cross-node fetch, and the
+    /// snapshot's age there; any other topology has one node per
+    /// deployment, so its restores are local hits.
+    fn provision(
+        &mut self,
+        session: &mut Session<'_>,
+        n: usize,
+        s: usize,
+        now: SimTime,
+    ) -> (Worker, Option<Download>) {
         let (deps, nodes, routing) = (&mut self.deps, &mut self.nodes, &mut self.routing);
         let node = &mut nodes[n];
         let dep = &mut deps[node.dep];
@@ -279,14 +289,14 @@ impl Topology {
             }
             _ => None,
         };
-        let Some(dl) = download else {
+        let Some(dl) = &download else {
             node.stats.cold_starts += 1;
-            return worker;
+            return (worker, download);
         };
         node.stats.restores += 1;
         let Some((spec, dir)) = ring else {
             node.stats.local_hits += 1;
-            return worker;
+            return (worker, download);
         };
         // Price the would-be miss up front (pure in the inputs, so
         // computing it eagerly is value-identical). `bytes` stays nominal
@@ -299,7 +309,7 @@ impl Topology {
         let access = dir.access(id.0, n as u32, nominal, now, transfer);
         if access.hit {
             node.stats.local_hits += 1;
-            return worker;
+            return (worker, download);
         }
         node.stats.remote_misses += 1;
         // The fetch rides the provisioning path (off the request critical
@@ -315,7 +325,7 @@ impl Topology {
         worker.stale_age = access.age;
         // The fetched image lands on this node's SSD cache, if any.
         dep.orch.admit_fetched(id, nominal);
-        worker
+        (worker, download)
     }
 
     /// Serves `request` on the worker in slot `s` of node `n`, in place.
@@ -540,7 +550,7 @@ pub(crate) fn run<I: Iterator<Item = SimTime>>(
                     session.retire(&mut topo.deps[topo.nodes[n].dep], w, now);
                 }
                 if topo.nodes[n].slots[s].worker.is_none() {
-                    let w = topo.provision(session, n, s, now);
+                    let (w, _) = topo.provision(session, n, s, now);
                     topo.nodes[n].slots[s].worker = Some(w);
                 }
                 topo.serve(session, (n, s), request, now);
@@ -567,7 +577,7 @@ pub(crate) fn run<I: Iterator<Item = SimTime>>(
                     topo.deps[d].cancel_pre_restore();
                     continue;
                 }
-                let mut w = topo.provision(session, n, s, now);
+                let (mut w, _) = topo.provision(session, n, s, now);
                 session.mark_pre_restored(&mut topo.deps[d], &mut w, now);
                 kernel.schedule(w.pre_warm_expires, Event::PreWarmExpiry);
                 topo.nodes[n].slots[s].worker = Some(w);
@@ -628,7 +638,6 @@ mod tests {
     use super::*;
     use crate::config::RunConfig;
     use crate::plan::{ArrivalSpec, TopologySpec};
-    use crate::worker::DeltaTracking;
     use pronghorn_checkpoint::DeltaPolicy;
     use pronghorn_core::PolicyKind;
     use pronghorn_jit::{MethodProfile, RuntimeKind, RuntimeProfile};
@@ -665,15 +674,10 @@ mod tests {
         let (now, mut chained_misses) = (SimTime::from_micros(1_000_000), 0);
         for n in (0..topo.nodes.len()).cycle().take(32) {
             let before = locality(&topo);
-            let w = topo.provision(&mut session, n, 0, now);
+            let (w, download) = topo.provision(&mut session, n, 0, now);
             let after = locality(&topo);
             if after.remote_misses > before.remote_misses {
-                let depth = |d: &DeltaTracking| topo.deps[0].orch.chain_depth(d.parent.id);
-                let links = w
-                    .delta
-                    .as_ref()
-                    .and_then(depth)
-                    .map_or(1, |k| k as usize + 1);
+                let links = download.map_or(1, |dl| dl.chain_len);
                 let nominal = after.remote_bytes - before.remote_bytes;
                 let walk = spec.remote.chained_transfer_time(nominal, links);
                 assert_eq!(after.remote_us - before.remote_us, walk.as_micros() as f64);

@@ -59,19 +59,11 @@ impl RequestInputs<'_> {
     }
 }
 
-/// O(1)-memory running aggregates, used instead of the per-invocation
-/// `Vec` accumulators when a [`Session`] runs in streaming mode
-/// (production-scale replays where only summary statistics are wanted).
-struct StreamAgg {
-    /// Log-bucketed latency distribution (µs); 1% bucket growth keeps
-    /// quantile error ≪ the paper's reporting precision.
-    latency: Histogram,
-    /// The running counters and totals of the stats being built.
-    stats: ProductionStats,
-}
-
 /// Summary statistics of a [`run_production`] replay: everything the
-/// kernel bench and capacity analyses need, O(1) in the invocation count.
+/// kernel bench and capacity analyses need. They are derived from the
+/// run's records, which are O(workers) (provisions, restores,
+/// checkpoints), and from one log-bucketed latency histogram, so they
+/// take O(1) memory in the invocation count.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ProductionStats {
     /// Requests served.
@@ -111,6 +103,39 @@ pub struct ProductionStats {
     /// Largest number of events pending in the kernel at once (bounded by
     /// the arrival lookahead window).
     pub peak_pending_events: usize,
+}
+
+impl ProductionStats {
+    /// The stats of a replay: `result`'s records, the `latency` histogram
+    /// (µs) with the exact max, and the engine's last arrival instant and
+    /// peak pending-event count. The float totals add up in record order
+    /// from `0.0` (an empty `Iterator::sum` of `f64` is `-0.0`).
+    fn new(
+        result: &RunResult,
+        (latency, max_latency_us): &(Histogram, f64),
+        (end_time, peak_pending_events): (SimTime, usize),
+    ) -> Self {
+        let total = |xs: &[f64]| xs.iter().fold(0.0, |sum, x| sum + x);
+        ProductionStats {
+            invocations: latency.count(),
+            mean_latency_us: latency.mean(),
+            p50_latency_us: latency.quantile(0.5),
+            p99_latency_us: latency.quantile(0.99),
+            max_latency_us: *max_latency_us,
+            cold_starts: result.cold_starts() as u64,
+            restores: result.restores() as u64,
+            checkpoints: result.checkpoint_ms.len() as u64,
+            checkpoint_ms_total: total(&result.checkpoint_ms),
+            restore_ms_total: total(&result.restore_ms),
+            snapshot_mb_total: total(&result.snapshot_mb),
+            restore_faults: result.total_faults(),
+            provision_us_total: result.provision_us,
+            provisioning: result.provisioning,
+            storage: result.storage,
+            end_time,
+            peak_pending_events,
+        }
+    }
 }
 
 /// One deployment's orchestration state: the orchestrator (policy,
@@ -158,12 +183,10 @@ impl Deployment {
             policy_config = policy_config.with_restore_penalty(RECORD_PREFETCH_PENALTY_US);
         }
         let policy = make_policy(cfg.policy, policy_config);
-        let mut orch = Orchestrator::new(policy, label.as_str())
+        let orch = Orchestrator::new(policy, label.as_str())
             .with_restore(cfg.restore)
-            .with_storage(cfg.storage);
-        if cfg.delta.enabled() {
-            orch = orch.with_delta_chains();
-        }
+            .with_storage(cfg.storage)
+            .with_delta(cfg.delta);
         Deployment {
             label,
             worker_stream: format!("worker{suffix}"),
@@ -212,25 +235,26 @@ pub(crate) struct Session<'w> {
     stale: IoStaleModel,
     policy_w: u32,
     fault_costs: FaultCostModel,
-    /// The result under construction. In the default (paper) mode its
-    /// per-event Vecs are preallocated from the expected invocation count
-    /// so they never grow by repeated push reallocation; in streaming mode
-    /// they stay empty and `stream` holds O(1) running aggregates instead.
+    /// The result under construction. Its per-event Vecs are preallocated
+    /// from the expected invocation count so they never grow by repeated
+    /// push reallocation.
     pub(crate) out: RunResult,
-    stream: Option<StreamAgg>,
+    /// Where client-visible latencies go instead of `out.latencies_us`,
+    /// when set: a log-bucketed histogram (µs) and the exact max.
+    latency_sketch: Option<&'w mut (Histogram, f64)>,
     served_total: u32,
 }
 
 impl<'w> Session<'w> {
-    /// A session recording every per-invocation measurement, preallocated
-    /// for `expected` invocations — or, given a `stream` histogram, only
-    /// O(1) running aggregates, so memory stays O(workers) however many
+    /// A session recording every measurement into its [`RunResult`],
+    /// preallocated for `expected` invocations. Given a `latency_sketch`,
+    /// latencies go there instead, so memory stays O(workers) however many
     /// invocations stream through.
     pub(crate) fn new(
         workload: &'w dyn Workload,
         cfg: RunConfig,
         expected: usize,
-        stream: Option<Histogram>,
+        latency_sketch: Option<&'w mut (Histogram, f64)>,
     ) -> Self {
         let factory = RngFactory::new(cfg.seed);
         // A worker serves `eviction_rate` requests per lifetime, so
@@ -271,59 +295,19 @@ impl<'w> Session<'w> {
                 nodes: Vec::new(),
                 locality: LocalityStats::default(),
             },
-            stream: stream.map(|latency| StreamAgg {
-                latency,
-                stats: ProductionStats::default(),
-            }),
+            latency_sketch,
             served_total: 0,
         }
     }
 
     /// Records one client-visible latency.
     fn record_latency(&mut self, latency_us: f64) {
-        match &mut self.stream {
-            Some(agg) => {
-                agg.latency.record(latency_us.max(1.0));
-                if latency_us > agg.stats.max_latency_us {
-                    agg.stats.max_latency_us = latency_us;
-                }
+        match self.latency_sketch.as_deref_mut() {
+            Some((histogram, max)) => {
+                histogram.record(latency_us.max(1.0));
+                *max = max.max(latency_us);
             }
             None => self.out.latencies_us.push(latency_us),
-        }
-    }
-
-    /// Records one worker provision.
-    fn record_provision(&mut self, kind: ProvisionKind) {
-        match &mut self.stream {
-            Some(agg) => match kind {
-                ProvisionKind::Cold => agg.stats.cold_starts += 1,
-                ProvisionKind::Restored(_) => agg.stats.restores += 1,
-            },
-            None => self.out.provisions.push(kind),
-        }
-    }
-
-    /// Records one restore's critical-path cost.
-    fn record_restore_ms(&mut self, ms: f64) {
-        match &mut self.stream {
-            Some(agg) => agg.stats.restore_ms_total += ms,
-            None => self.out.restore_ms.push(ms),
-        }
-    }
-
-    /// Records one checkpoint's downtime, snapshot size and request number.
-    fn record_checkpoint(&mut self, downtime_ms: f64, size_mb: f64, request_number: u32) {
-        match &mut self.stream {
-            Some(agg) => {
-                agg.stats.checkpoints += 1;
-                agg.stats.checkpoint_ms_total += downtime_ms;
-                agg.stats.snapshot_mb_total += size_mb;
-            }
-            None => {
-                self.out.checkpoint_ms.push(downtime_ms);
-                self.out.snapshot_mb.push(size_mb);
-                self.out.snapshot_requests.push(request_number);
-            }
         }
     }
 
@@ -363,7 +347,7 @@ impl<'w> Session<'w> {
         let (runtime, restore, image) = match restored {
             Some((runtime, info, image)) => {
                 provision_us += info.restore_us;
-                self.record_restore_ms(info.restore_us / 1_000.0);
+                self.out.restore_ms.push(info.restore_us / 1_000.0);
                 (runtime, Some(info), image)
             }
             // No snapshot, or a corrupt one: boot cold.
@@ -385,7 +369,7 @@ impl<'w> Session<'w> {
         let resume = download
             .as_ref()
             .map_or(0, |dl| dl.snapshot.meta.request_number);
-        self.record_provision(match download {
+        self.out.provisions.push(match download {
             Some(_) => ProvisionKind::Restored(resume),
             None => ProvisionKind::Cold,
         });
@@ -492,24 +476,15 @@ impl<'w> Session<'w> {
             request_number: worker.runtime.requests_executed() as u32,
             runtime: self.workload.kind().label().to_string(),
         };
-        // Checkpoint form: a delta against the restore parent while the
-        // parent is still pooled and the chain has depth headroom; a
-        // consolidating full root once the chain reaches the policy depth
-        // (rebasing the lineage); a plain full root otherwise. Both engine
-        // arms draw identical randomness, so the choice never shifts the
-        // RNG streams of a seeded run.
-        let mut consolidate = false;
-        let base = worker.delta.as_ref().and_then(|t| {
-            if !dep.orch.chain_live(t.parent.id) {
-                return None;
-            }
-            let depth = dep.orch.chain_depth(t.parent.id).unwrap_or(0);
-            // Tracking only exists when the policy is enabled, so K is Some.
-            if depth >= self.cfg.delta.max_depth().unwrap_or(u32::MAX) {
-                consolidate = true;
-                return None;
-            }
-            Some(DeltaBase {
+        // Checkpoint form: the orchestrator decides between a delta against
+        // the restore parent and a full root. Both engine arms draw
+        // identical randomness, so the choice never shifts the RNG streams
+        // of a seeded run.
+        let base = worker
+            .delta
+            .as_ref()
+            .filter(|t| dep.orch.checkpoints_as_delta(t.parent.id))
+            .map(|t| DeltaBase {
                 parent: &t.parent,
                 dirty_nominal_bytes: dirty_nominal_bytes(
                     &t.dirty_pages,
@@ -517,8 +492,7 @@ impl<'w> Session<'w> {
                     worker.runtime.image_size_bytes(),
                     DEFAULT_PAGE_SIZE,
                 ),
-            })
-        });
+            });
         let (snapshot, outcome, downtime) = self.engine.checkpoint(
             &mut self.out.codec,
             &mut self.engine_rng,
@@ -526,14 +500,11 @@ impl<'w> Session<'w> {
             meta,
             base.as_ref(),
         );
-        if consolidate {
-            dep.orch.note_consolidation();
-        }
-        self.record_checkpoint(
-            downtime.as_millis_f64(),
-            snapshot.nominal_size_mb(),
-            snapshot.meta.request_number,
-        );
+        self.out.checkpoint_ms.push(downtime.as_millis_f64());
+        self.out.snapshot_mb.push(snapshot.nominal_size_mb());
+        self.out
+            .snapshot_requests
+            .push(snapshot.meta.request_number);
         dep.orch
             .record_snapshot(&snapshot, &outcome, downtime, &mut self.policy_rng);
     }
@@ -671,10 +642,7 @@ impl<'w> Session<'w> {
             }
         }
         if let Some(info) = worker.restore {
-            match &mut self.stream {
-                Some(agg) => agg.stats.restore_faults += u64::from(info.faults),
-                None => self.out.restore_infos.push(info),
-            }
+            self.out.restore_infos.push(info);
         }
     }
 
@@ -694,11 +662,11 @@ impl<'w> Session<'w> {
         worker: &mut Worker,
         now: SimTime,
     ) {
-        let keepalive = dep.pending_keepalives.pop_front().unwrap_or_else(|| {
-            dep.provisioner
-                .as_ref()
-                .map_or(SimDuration::ZERO, Provisioner::horizon)
-        });
+        let planned = &mut dep.pending_keepalives;
+        // pronglint: allow(panic-reach): every pre-restore that fires was
+        // planned by `plan_pre_restore`, which queued its keep-alive, and a
+        // cancelled one pops its own.
+        let keepalive = planned.pop_front().expect("queued when planned");
         worker.pre_warmed_since = Some(now);
         worker.pre_warm_expires = now + keepalive;
         self.out.provisioning.pre_restores_issued += 1;
@@ -721,8 +689,7 @@ impl<'w> Session<'w> {
 
     /// Clears the measurement accumulators while keeping all learned state
     /// (orchestrator knowledge, pooled snapshots, object-store contents) —
-    /// used to measure a window of an already-deployed function. Only
-    /// per-event (non-streaming) sessions measure windows.
+    /// used to measure a window of an already-deployed function.
     pub(crate) fn reset_measurements(&mut self) {
         let out = &mut self.out;
         out.latencies_us.clear();
@@ -752,33 +719,10 @@ impl<'w> Session<'w> {
     /// Collapses the run into its [`RunResult`], with every node's
     /// counters and the locality counters.
     pub(crate) fn finish(mut self, topo: &mut Topology) -> RunResult {
-        debug_assert!(
-            self.stream.is_none(),
-            "streaming sessions report via finish_production"
-        );
         self.collect(topo);
         self.out.nodes = topo.nodes.iter().map(|n| n.stats).collect();
         self.out.locality = topo.teardown_locality();
         self.out
-    }
-
-    /// Collapses a streaming session into [`ProductionStats`], given the
-    /// engine's last arrival instant and peak pending-event count. A
-    /// session without a stream has no aggregates to report.
-    fn finish_production(mut self, topo: &Topology, end: (SimTime, usize)) -> ProductionStats {
-        self.collect(topo);
-        let Some(StreamAgg { latency, mut stats }) = self.stream.take() else {
-            return ProductionStats::default();
-        };
-        stats.invocations = latency.count();
-        stats.mean_latency_us = latency.mean();
-        stats.p50_latency_us = latency.quantile(0.5);
-        stats.p99_latency_us = latency.quantile(0.99);
-        stats.provision_us_total = self.out.provision_us;
-        stats.provisioning = self.out.provisioning;
-        stats.storage = self.out.storage;
-        (stats.end_time, stats.peak_pending_events) = end;
-        stats
     }
 }
 
@@ -818,7 +762,8 @@ pub fn run_closed_loop(workload: &dyn Workload, cfg: &RunConfig) -> RunResult {
 /// Replays a production-scale arrival stream (e.g.
 /// [`pronghorn_traces::ArrivalStream`]) with idle-timeout eviction,
 /// keeping memory O(workers): arrivals feed the kernel through a bounded
-/// lookahead window and all measurements are O(1) running aggregates.
+/// lookahead window, the run records O(workers) provisions, restores and
+/// checkpoints, and latencies go into one log-bucketed histogram.
 ///
 /// Arrivals must be non-decreasing (arrival streams are); an out-of-order
 /// arrival is clamped to the kernel clock rather than rewinding time.
@@ -857,13 +802,17 @@ where
     if let Err(e) = crate::plan::validate(workload, cfg, TopologySpec::Single) {
         panic!("run_production: {e}");
     }
-    let latency = Histogram::new(1.0, 1e9, 1.01).expect("static bounds are valid");
-    let mut session = Session::new(workload, *cfg, 0, Some(latency));
+    // 1% bucket growth keeps quantile error ≪ the paper's reporting
+    // precision.
+    let histogram = Histogram::new(1.0, 1e9, 1.01).expect("static bounds are valid");
+    let mut latency = (histogram, 0.0);
+    let mut session = Session::new(workload, *cfg, 0, Some(&mut latency));
     let dep = Deployment::shared(workload, cfg);
     let mut topo = Topology::new(vec![dep], 1, 1, Routing::Single);
     let iter = arrivals.into_iter();
     let end = engine::run(&mut session, &mut topo, Arrivals::Sorted { first: 0, iter });
-    session.finish_production(&topo, end)
+    let result = session.finish(&mut topo);
+    ProductionStats::new(&result, &latency, end)
 }
 
 #[cfg(test)]
@@ -1204,27 +1153,40 @@ mod tests {
     fn pre_restores_resolve_exactly_once() {
         use pronghorn_forecast::{ForecasterKind, ProvisionPolicy};
         // Conservation: every issued pre-restore is eventually used or
-        // wasted, never both, never dropped.
+        // wasted, never both, never dropped: in the closed loop, and under
+        // every forecaster in a production replay sparse enough (an arrival
+        // every 10 s on average, in bursts) that its slot goes cold between
+        // bursts.
         let bench = by_name("Uploader").unwrap();
-        let c = cfg(PolicyKind::RequestCentric, 1)
-            .with_provision(ProvisionPolicy::predictive(ForecasterKind::SlidingWindow));
-        let r = run_closed_loop(&bench, &c);
-        let s = r.provisioning;
-        assert!(s.pre_restores_issued > 0);
-        assert_eq!(
-            s.pre_restores_issued,
-            s.pre_restores_used + s.pre_restores_wasted,
-            "issued {} != used {} + wasted {}",
-            s.pre_restores_issued,
-            s.pre_restores_used,
-            s.pre_restores_wasted
-        );
+        let provisioned = |kind| {
+            cfg(PolicyKind::RequestCentric, 1)
+                .with_idle_timeout(SimDuration::from_secs(30))
+                .with_provision(ProvisionPolicy::predictive(kind))
+        };
+        let closed = run_closed_loop(&bench, &provisioned(ForecasterKind::SlidingWindow));
+        let base = TraceSpec::production(1.0, 0.9);
+        let spec = base
+            .with_rate_scale(1.0 / 10.0 / base.rate_per_sec())
+            .with_burst(0.25, SimDuration::from_secs(600));
+        let production = ForecasterKind::ALL.map(|kind| {
+            let arrivals = spec.stream(RngFactory::new(3).stream("t"));
+            run_production(&bench, &provisioned(kind), arrivals).provisioning
+        });
+        for s in std::iter::once(closed.provisioning).chain(production) {
+            assert!(s.pre_restores_issued > 0, "{s:?}");
+            assert!(s.pre_restores_used > 0, "{s:?}");
+            assert_eq!(
+                s.pre_restores_issued,
+                s.pre_restores_used + s.pre_restores_wasted,
+                "{s:?}"
+            );
+        }
     }
 
     #[test]
     fn production_aggregates_match_the_vec_accumulating_trace_runner() {
-        // The same arrivals through a trace run (per-invocation Vecs) and
-        // run_production (streaming aggregates) must agree exactly on
+        // The same arrivals through a trace run (every latency kept) and
+        // run_production (a latency histogram) must agree exactly on
         // counts and means, and within bucket resolution on quantiles.
         let bench = by_name("Hash").unwrap();
         let c = cfg(PolicyKind::RequestCentric, 4);
