@@ -677,7 +677,7 @@ mod tests {
             let (w, download) = topo.provision(&mut session, n, 0, now);
             let after = locality(&topo);
             if after.remote_misses > before.remote_misses {
-                let links = download.map_or(1, |dl| dl.chain_len);
+                let links = download.expect("a remote miss restores").chain_len;
                 let nominal = after.remote_bytes - before.remote_bytes;
                 let walk = spec.remote.chained_transfer_time(nominal, links);
                 assert_eq!(after.remote_us - before.remote_us, walk.as_micros() as f64);

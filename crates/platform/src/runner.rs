@@ -704,22 +704,17 @@ impl<'w> Session<'w> {
         out.codec = CodecStats::default();
     }
 
-    /// Folds every deployment's accounting into the result. Deployments
-    /// are disjoint, so their orchestrator, store, chain and storage
-    /// counters add up.
-    fn collect(&mut self, topo: &Topology) {
+    /// Collapses the run into its [`RunResult`], with every deployment's
+    /// accounting (deployments are disjoint, so their orchestrator, store,
+    /// chain and storage counters add up), every node's counters and the
+    /// locality counters.
+    pub(crate) fn finish(mut self, topo: &mut Topology) -> RunResult {
         for dep in &topo.deps {
             self.out.overheads.merge(dep.orch.overheads());
             self.out.store_stats.merge(&dep.orch.store_stats());
             self.out.chain.merge(&dep.orch.chain_stats());
             self.out.storage.merge(&dep.orch.storage_stats());
         }
-    }
-
-    /// Collapses the run into its [`RunResult`], with every node's
-    /// counters and the locality counters.
-    pub(crate) fn finish(mut self, topo: &mut Topology) -> RunResult {
-        self.collect(topo);
         self.out.nodes = topo.nodes.iter().map(|n| n.stats).collect();
         self.out.locality = topo.teardown_locality();
         self.out
