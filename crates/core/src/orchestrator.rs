@@ -29,6 +29,7 @@ use pronghorn_kv::KvCosts;
 use pronghorn_restore::{
     FaultCostModel, PageMap, RestoreStrategy, WorkingSetManifest, DEFAULT_PAGE_SIZE,
 };
+use pronghorn_sim::hash::fnv1a_wide;
 use pronghorn_sim::SimDuration;
 use pronghorn_store::{
     saturating_accumulate, ChainIndex, ChainStats, DownloadPrice, DownloadRequest, ObjectStore,
@@ -305,8 +306,7 @@ impl Orchestrator {
         // One chunk, no payload blob: a manifest never dedups.
         let bytes = Bytes::from(manifest.to_bytes());
         let key = self.manifest_key(id);
-        self.store
-            .put_chunked(MANIFESTS_BUCKET, &key, bytes, Bytes::new(), Bytes::new());
+        self.store.put(MANIFESTS_BUCKET, &key, bytes);
         self.policy.note_prefetch_ready(id);
     }
 
@@ -689,11 +689,18 @@ impl Orchestrator {
             Some(d) => d.to_frame_with(snapshot, &mut self.frame_scratch),
             None => snapshot.to_frame_with(&mut self.frame_scratch),
         };
+        // A full frame's payload is the snapshot's, whose hash it carries;
+        // a delta's is its changed pages, which nothing has hashed yet.
+        let payload_hash = match delta {
+            Some(_) => fnv1a_wide(&frame.payload),
+            None => snapshot.payload_hash(),
+        };
         self.store.put_chunked(
             SNAPSHOT_BUCKET,
             &self.blob_key(snapshot.id),
             frame.header,
             frame.payload,
+            payload_hash,
             frame.trailer,
         );
         // Wire bytes over the link plus any compression CPU, admitted
@@ -894,8 +901,15 @@ mod tests {
         let [header, payload, trailer] = orch.store.get_chunks(SNAPSHOT_BUCKET, &key).unwrap();
         let mut flipped = payload.to_vec();
         flipped[0] ^= 0x01;
-        orch.store
-            .put_chunked(SNAPSHOT_BUCKET, &key, header, Bytes::from(flipped), trailer);
+        let hash = fnv1a_wide(&flipped);
+        orch.store.put_chunked(
+            SNAPSHOT_BUCKET,
+            &key,
+            header,
+            Bytes::from(flipped),
+            hash,
+            trailer,
+        );
         assert!(orch.store.get_chunks(SNAPSHOT_BUCKET, &key).is_ok());
     }
 
@@ -1085,8 +1099,7 @@ mod tests {
         // download falls back to the whole image.
         let key = orch.manifest_key(snap.id);
         let garbage = Bytes::from_static(b"not a manifest");
-        orch.store
-            .put_chunked(MANIFESTS_BUCKET, &key, garbage, Bytes::new(), Bytes::new());
+        orch.store.put(MANIFESTS_BUCKET, &key, garbage);
         assert!(orch.load_manifest(snap.id).is_none());
         let plan = orch.begin_worker(&mut rng);
         let dl = download(&plan);

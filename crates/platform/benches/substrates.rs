@@ -9,6 +9,7 @@ use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use pronghorn_checkpoint::{Checkpointable, CodecStats, Encoder, SimCriuEngine, SnapshotMeta};
 use pronghorn_jit::Runtime;
+use pronghorn_sim::hash::fnv1a_wide;
 use pronghorn_store::ObjectStore;
 use pronghorn_workloads::benches::python;
 use pronghorn_workloads::kernels::{compress, graph, json};
@@ -83,8 +84,9 @@ fn bench_stores(c: &mut Criterion) {
     let (head, tail) = (Bytes::from(vec![1u8; 64]), Bytes::from(vec![2u8; 32]));
     let blob = Bytes::from(vec![0xabu8; 64 * 1024]);
     group.throughput(Throughput::Bytes(blob.len() as u64));
+    let hash = fnv1a_wide(&blob);
     // A snapshot-shaped object replaced under one key and read back: the
-    // put hashes the payload, the get re-hashes it.
+    // put takes the payload's hash, the get re-hashes the payload.
     group.bench_function("object_store_put_get_64k", |b| {
         b.iter(|| {
             store.put_chunked(
@@ -92,6 +94,7 @@ fn bench_stores(c: &mut Criterion) {
                 "bench",
                 head.clone(),
                 blob.clone(),
+                hash,
                 tail.clone(),
             );
             store.get_chunks("snapshots", "bench").unwrap()

@@ -19,9 +19,10 @@
 //! Kernel events are typed ([`Event`]). With predictive provisioning
 //! disabled only arrivals are ever scheduled, so the reactive event stream
 //! is exactly the one the reactive runs have always produced. Request
-//! inputs are generated ahead of their arrivals, split across cores
-//! ([`Ahead`]); an input depends only on its arrival number, so no result
-//! depends on the core count.
+//! inputs come from one [`Pipeline`] per run: helper threads on the other
+//! cores generate them ahead while the event loop runs, and the loop
+//! generates any input it needs that nobody has claimed. An input depends
+//! only on its arrival number, so no result depends on the core count.
 
 use crate::result::NodeBreakdown;
 use crate::runner::{Deployment, RequestInputs, Session};
@@ -34,19 +35,17 @@ use pronghorn_jit::RequestWork;
 use pronghorn_sim::{SimDuration, SimTime, TimerWheel};
 use pronghorn_store::saturating_accumulate;
 use pronghorn_workloads::InputVariance;
+use std::any::Any;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::ops::Range;
+use std::panic::AssertUnwindSafe;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// How many future arrivals a sorted source keeps scheduled in the kernel
 /// at once. Arrivals stream in sorted, so a bounded window is lossless; it
 /// keeps kernel memory O(lookahead) instead of O(invocations) over an
 /// hours-long trace.
 const LOOKAHEAD: usize = 1 << 16;
-
-/// The most request inputs generated in one batch ahead of their
-/// arrivals. It bounds the memory the generated inputs hold.
-const GENERATE_AHEAD: u64 = 1 << 10;
 
 /// A kernel event. It stays at 16 bytes (pinned by a test), so the timer
 /// wheel's arena node stays 40 bytes across a replay's pending window.
@@ -403,85 +402,293 @@ fn drain_pool_events(
     }
 }
 
-/// Request inputs generated ahead of their arrivals, indexed by arrival
-/// number. Arrival `i`'s input depends only on the session seed and `i`,
-/// so a batch can be split across cores and no result moves.
-struct Ahead<'w> {
+/// How far past the oldest input not yet taken the helpers may generate.
+/// It bounds the memory the generated inputs hold.
+const WINDOW: u64 = 256;
+
+/// An input that draws fewer random words than this costs less to generate
+/// than to hand across cores, so a run whose first input draws fewer
+/// generates every input on demand. Uploader's inputs draw 4 words and take
+/// ~0.1 µs, and on a 2-vCPU VM `production-replay` ran 8–10% slower with a
+/// helper than without one. Every other benchmark but DynamicHTML (~60
+/// words) and HTMLRendering (~180) draws over 1,000 words per input and
+/// takes a microsecond or more to generate it.
+const HANDOVER_DRAWS: u64 = 128;
+
+/// A run's request-input pipeline. Arrival `i`'s input depends only on the
+/// session seed and `i`, so helper threads generate inputs ahead while the
+/// event loop runs, and no result depends on which thread generated which
+/// input or on the core count.
+struct Pipeline<'w> {
     inputs: RequestInputs<'w>,
-    threads: usize,
-    /// The arrival number of `buf[0]`.
-    first: u64,
-    /// Generated inputs; `None` once taken.
-    buf: VecDeque<Option<RequestWork>>,
+    claims: Mutex<Claims>,
+    /// Idle helpers wait here for a raised limit or the end of the run.
+    work: Condvar,
+    /// The engine waits here for an input a helper is generating.
+    published: Condvar,
 }
 
-impl<'w> Ahead<'w> {
-    fn new(inputs: RequestInputs<'w>, first: u64, threads: usize) -> Self {
-        Ahead {
-            inputs,
-            threads,
-            first,
-            buf: VecDeque::new(),
+/// What the engine and the helpers share, under the pipeline's lock.
+#[derive(Default)]
+struct Claims {
+    /// The first arrival number nobody has claimed.
+    next: u64,
+    /// Helpers claim only below this: the first arrival not yet known to
+    /// exist, or [`WINDOW`] past the oldest input not yet taken.
+    limit: u64,
+    /// Generated inputs not yet moved to the engine, by arrival number.
+    done: Vec<(u64, RequestWork)>,
+    /// Helpers waiting on `work`.
+    idle: usize,
+    /// Whether the engine waits on `published`.
+    waiting: bool,
+    /// Set when the run ends or a helper panics.
+    stop: bool,
+    /// A helper's panic payload, for the engine to resume.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl Pipeline<'_> {
+    fn lock(&self) -> MutexGuard<'_, Claims> {
+        // Nothing panics while holding the lock, so the claims stay
+        // consistent even if it is poisoned.
+        self.claims.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A helper's loop until the run ends: claim the first unclaimed
+    /// arrival below the limit, generate its input, publish it. A panic in
+    /// `generate` stops the helpers and is handed to the engine.
+    fn help(&self) {
+        let mut claims = self.lock();
+        while !claims.stop {
+            if claims.next >= claims.limit {
+                claims.idle += 1;
+                claims = self
+                    .work
+                    .wait(claims)
+                    .unwrap_or_else(PoisonError::into_inner);
+                claims.idle -= 1;
+                continue;
+            }
+            let i = claims.next;
+            claims.next += 1;
+            drop(claims);
+            let work = std::panic::catch_unwind(AssertUnwindSafe(|| self.inputs.generate(i)));
+            claims = self.lock();
+            self.publish(&mut claims, i, work);
         }
     }
 
-    /// Arrival `i`'s input. Inputs not generated yet are generated in
-    /// batches of at most [`GENERATE_AHEAD`] that stop before `known`, the
-    /// first arrival not yet known to exist, so each arrival's input is
-    /// generated exactly once. With one thread nothing is gained by
-    /// generating ahead, so the input is generated on demand.
+    /// Hands arrival `i`'s input to the engine, or the panic generating it
+    /// raised, which also stops the helpers.
+    fn publish(&self, claims: &mut Claims, i: u64, work: std::thread::Result<RequestWork>) {
+        match work {
+            Ok(work) => claims.done.push((i, work)),
+            Err(payload) => {
+                claims.panic.get_or_insert(payload);
+                claims.stop = true;
+                self.work.notify_all();
+            }
+        }
+        if claims.waiting {
+            self.published.notify_one();
+        }
+    }
+}
+
+/// Who generates a run's inputs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// The first input the engine generates decides, by its draws.
+    Undecided,
+    /// The helpers generate ahead and the engine fills in.
+    Helped,
+    /// The engine generates each input when its arrival fires.
+    OnDemand,
+}
+
+/// One arrival's place in the engine's reorder buffer.
+enum Input {
+    /// Claimed, but not generated or not yet moved to the engine.
+    Pending,
+    Ready(RequestWork),
+    Taken,
+}
+
+impl Input {
+    fn take(&mut self) -> Option<RequestWork> {
+        match std::mem::replace(self, Input::Taken) {
+            Input::Ready(work) => Some(work),
+            other => {
+                *self = other;
+                None
+            }
+        }
+    }
+}
+
+/// The engine's end of a [`Pipeline`]: a reorder buffer of inputs by
+/// arrival number. Dropping it ends the run for the helpers.
+struct Feed<'p, 'w> {
+    pipe: &'p Pipeline<'w>,
+    mode: Mode,
+    /// The arrival number of `buf[0]`, the oldest input not yet taken.
+    first: u64,
+    buf: VecDeque<Input>,
+    /// `first` when the helpers' limit was last raised.
+    raised: u64,
+}
+
+impl Feed<'_, '_> {
+    /// Arrival `i`'s input; `known` is the first arrival not yet known to
+    /// exist. An input nobody has claimed is generated here. One a helper
+    /// is generating is waited for only when no unclaimed input is left
+    /// below the limit; until then the engine generates those. Each arrival
+    /// is taken once, so each input is generated exactly once, and never
+    /// for an arrival at or past `known`. The first input generated here
+    /// decides whether the helpers get any.
     fn take(&mut self, i: u64, known: u64) -> RequestWork {
-        if self.threads == 1 {
-            return self.inputs.generate(i);
+        debug_assert!(i >= self.first, "arrival {i} taken twice");
+        let pipe = self.pipe;
+        loop {
+            if self.mode == Mode::OnDemand {
+                // The input that decided the mode may still be buffered.
+                return self
+                    .take_ready(i)
+                    .unwrap_or_else(|| pipe.inputs.generate(i));
+            }
+            if let Some(work) = self.take_ready(i) {
+                if self.first >= self.raised + WINDOW / 2 {
+                    self.exchange(&mut pipe.lock(), known);
+                }
+                return work;
+            }
+            let mut claims = pipe.lock();
+            let claimed = loop {
+                self.exchange(&mut claims, known);
+                if let Some(payload) = claims.panic.take() {
+                    drop(claims);
+                    std::panic::resume_unwind(payload);
+                }
+                if self.ready(i) {
+                    break None;
+                }
+                if claims.next <= i || claims.next < claims.limit {
+                    claims.next += 1;
+                    break Some(claims.next - 1);
+                }
+                claims.waiting = true;
+                claims = pipe
+                    .published
+                    .wait(claims)
+                    .unwrap_or_else(PoisonError::into_inner);
+                claims.waiting = false;
+            };
+            drop(claims);
+            let Some(n) = claimed else { continue };
+            let work = if self.mode == Mode::Undecided {
+                let (work, draws) = pipe.inputs.generate_counted(n);
+                self.mode = if draws >= HANDOVER_DRAWS {
+                    Mode::Helped
+                } else {
+                    Mode::OnDemand
+                };
+                work
+            } else {
+                pipe.inputs.generate(n)
+            };
+            self.place(n, Input::Ready(work));
         }
-        let mut end = self.first + self.buf.len() as u64;
-        while end <= i {
-            let batch = end..(end + GENERATE_AHEAD).min(known.max(i + 1));
-            end = batch.end;
-            let inputs = generate_batch(self.inputs, batch, self.threads);
-            self.buf.extend(inputs.into_iter().map(Some));
-        }
-        let taken = i
-            .checked_sub(self.first)
-            .and_then(|k| self.buf.get_mut(k as usize))
-            .and_then(Option::take);
-        while let Some(None) = self.buf.front() {
+    }
+
+    fn ready(&self, i: u64) -> bool {
+        let k = (i - self.first) as usize;
+        matches!(self.buf.get(k), Some(Input::Ready(_)))
+    }
+
+    /// Takes arrival `i`'s input if it is ready, then drops every taken
+    /// input from the front of the buffer.
+    fn take_ready(&mut self, i: u64) -> Option<RequestWork> {
+        let work = self.buf.get_mut((i - self.first) as usize)?.take()?;
+        while let Some(Input::Taken) = self.buf.front() {
             self.buf.pop_front();
             self.first += 1;
         }
-        // Each arrival is taken once, so only a repeated number misses.
-        taken.unwrap_or_else(|| self.inputs.generate(i))
+        Some(work)
+    }
+
+    fn place(&mut self, n: u64, input: Input) {
+        let k = (n - self.first) as usize;
+        if k >= self.buf.len() {
+            self.buf.resize_with(k + 1, || Input::Pending);
+        }
+        self.buf[k] = input;
+    }
+
+    /// Moves every published input into the buffer and, once helpers are
+    /// wanted, raises their limit to `known` or [`WINDOW`] past the oldest
+    /// input not yet taken, waking idle helpers if it rose.
+    fn exchange(&mut self, claims: &mut Claims, known: u64) {
+        for (n, work) in claims.done.drain(..) {
+            self.place(n, Input::Ready(work));
+        }
+        let limit = known.min(self.first + WINDOW);
+        if self.mode == Mode::Helped && limit > claims.limit {
+            claims.limit = limit;
+            if claims.idle > 0 {
+                self.pipe.work.notify_all();
+            }
+        }
+        self.raised = self.first;
     }
 }
 
-/// The inputs of arrivals `batch`, in arrival order, split across
-/// `threads` scoped threads; the caller's thread generates the first
-/// share. A panic in `generate` resumes on the caller with its payload.
-fn generate_batch(
-    inputs: RequestInputs<'_>,
-    batch: Range<u64>,
-    threads: usize,
-) -> Vec<RequestWork> {
-    let (start, len) = (batch.start, batch.end.saturating_sub(batch.start));
-    let threads = (threads as u64).clamp(1, len.max(1));
-    let share = |t: u64| start + t * len / threads..start + (t + 1) * len / threads;
-    let generate = |r: Range<u64>| r.map(|i| inputs.generate(i)).collect::<Vec<_>>();
-    if threads == 1 {
-        return generate(batch);
-    }
-    std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..threads)
-            .map(|t| scope.spawn(move || generate(share(t))))
-            .collect();
-        let mut out = generate(share(0));
-        for helper in helpers {
-            out.extend(
-                helper
-                    .join()
-                    .unwrap_or_else(|e| std::panic::resume_unwind(e)),
-            );
+impl Drop for Feed<'_, '_> {
+    fn drop(&mut self) {
+        let mut claims = self.pipe.lock();
+        claims.stop = true;
+        if claims.idle > 0 {
+            self.pipe.work.notify_all();
         }
-        out
+    }
+}
+
+/// Runs `body` on a feed of `inputs` for arrivals `origin` on, with
+/// `helpers` threads generating ahead for as long as `body` runs. With no
+/// helper, or inputs too cheap to hand over ([`HANDOVER_DRAWS`]), every
+/// input is generated on demand. A helper's panic resumes on the caller
+/// with its payload.
+fn with_feed<'w, R>(
+    inputs: RequestInputs<'w>,
+    origin: u64,
+    helpers: usize,
+    body: impl for<'p> FnOnce(Feed<'p, 'w>) -> R,
+) -> R {
+    let claims = Claims {
+        next: origin,
+        limit: origin,
+        ..Claims::default()
+    };
+    let pipe = Pipeline {
+        inputs,
+        claims: Mutex::new(claims),
+        work: Condvar::new(),
+        published: Condvar::new(),
+    };
+    std::thread::scope(|scope| {
+        for _ in 0..helpers {
+            scope.spawn(|| pipe.help());
+        }
+        body(Feed {
+            pipe: &pipe,
+            mode: match helpers {
+                0 => Mode::OnDemand,
+                _ => Mode::Undecided,
+            },
+            first: origin,
+            buf: VecDeque::new(),
+            raised: origin,
+        })
     })
 }
 
@@ -489,10 +696,32 @@ fn generate_batch(
 /// every remaining worker and frees every slot, so a later source can
 /// restart the clock at its origin. Returns the instant of the last arrival
 /// and the largest number of events pending in the kernel at once.
+///
+/// Request inputs come from a [`Pipeline`] whose helpers, one per core
+/// beyond the caller's, live as long as the run.
 pub(crate) fn run<I: Iterator<Item = SimTime>>(
     session: &mut Session<'_>,
     topo: &mut Topology,
     arrivals: Arrivals<I>,
+) -> (SimTime, usize) {
+    // Reading the CPU count costs microseconds (cgroup files), so once per
+    // run.
+    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let origin = match &arrivals {
+        Arrivals::ClosedLoop { .. } => 0,
+        Arrivals::Sorted { first, .. } => *first,
+    };
+    with_feed(session.inputs(), origin, cores - 1, |feed| {
+        simulate(session, topo, arrivals, feed)
+    })
+}
+
+/// [`run`]'s event loop, taking each arrival's input from `feed`.
+fn simulate<I: Iterator<Item = SimTime>>(
+    session: &mut Session<'_>,
+    topo: &mut Topology,
+    arrivals: Arrivals<I>,
+    mut feed: Feed<'_, '_>,
 ) -> (SimTime, usize) {
     let cfg = session.cfg;
     let mut kernel: TimerWheel<Event> = TimerWheel::new();
@@ -505,11 +734,6 @@ pub(crate) fn run<I: Iterator<Item = SimTime>>(
         }
         Arrivals::Sorted { first, iter } => (Some((iter, first)), None),
     };
-    // Reading the CPU count costs microseconds (cgroup files), so once per
-    // run, not per batch.
-    let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    let first = sorted.as_ref().map_or(0, |(_, first)| *first);
-    let mut ahead = Ahead::new(session.inputs(), first, threads);
     // Idle probes run whenever provisioning is on, at most one pending at
     // a time so they never accumulate in the kernel: they retire idle
     // workers on time, and each retirement may plan a pre-restore.
@@ -544,7 +768,7 @@ pub(crate) fn run<I: Iterator<Item = SimTime>>(
                     Some((_, next)) => *next,
                     None => closed.map_or(i + 1, |(total, _)| total),
                 };
-                let (request, n, s) = topo.route(ahead.take(i, known), i, now);
+                let (request, n, s) = topo.route(feed.take(i, known), i, now);
                 let slot = &mut topo.nodes[n].slots[s].worker;
                 if let Some(w) = slot.take_if(|w| idle(w, now)) {
                     session.retire(&mut topo.deps[topo.nodes[n].dep], w, now);
@@ -643,8 +867,9 @@ mod tests {
     use pronghorn_jit::{MethodProfile, RuntimeKind, RuntimeProfile};
     use pronghorn_sim::RngFactory;
     use pronghorn_workloads::{by_name, SpecWorkload, Workload};
-    use rand::RngCore;
-    use std::panic::AssertUnwindSafe;
+    use rand::rngs::SmallRng;
+    use rand::seq::SliceRandom;
+    use rand::{RngCore, SeedableRng};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -782,72 +1007,192 @@ mod tests {
         }
     }
 
+    /// Takes `order` from a feed of `inputs` run by `helpers` helpers,
+    /// block by block: block `(known, order)` takes its arrivals, in its
+    /// order, while `known` is the first arrival not yet known to exist.
+    fn drive(
+        inputs: RequestInputs<'_>,
+        origin: u64,
+        helpers: usize,
+        blocks: &[(u64, Vec<u64>)],
+    ) -> Vec<(u64, RequestWork)> {
+        with_feed(inputs, origin, helpers, |mut feed| {
+            let mut taken = Vec::new();
+            for (known, order) in blocks {
+                for &i in order {
+                    taken.push((i, feed.take(i, *known)));
+                }
+            }
+            taken
+        })
+    }
+
+    /// Take orders over arrivals `origin..origin + total`: in order, fully
+    /// shuffled, and a sorted source whose `known` grows by blocks of 37
+    /// (the last one short), each block shuffled.
+    fn orders(origin: u64, total: u64, seed: u64) -> Vec<Vec<(u64, Vec<u64>)>> {
+        let end = origin + total;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut shuffled: Vec<u64> = (origin..end).collect();
+        shuffled.shuffle(&mut rng);
+        let growing = (origin..end)
+            .step_by(37)
+            .map(|from| {
+                let known = (from + 37).min(end);
+                let mut block: Vec<u64> = (from..known).collect();
+                block.shuffle(&mut rng);
+                (known, block)
+            })
+            .collect();
+        vec![
+            vec![(end, (origin..end).collect())],
+            vec![(end, shuffled)],
+            growing,
+        ]
+    }
+
     #[test]
-    fn batched_generation_matches_sequential_generation() {
-        for bench in ["Compression", "MST"] {
+    fn the_pipeline_gives_every_arrival_its_own_input() {
+        // Uploader's inputs are generated on demand, with a shuffled first
+        // take leaving the input that decided it buffered.
+        for (bench, total) in [("Hash", 600), ("MST", 150), ("Uploader", 300)] {
             let workload = by_name(bench).unwrap();
             let inputs = paper_session(&workload, 3).inputs();
-            // Batches of one, odd sizes, and sizes that are not a multiple
-            // of any thread count below.
-            for (start, len) in [(0, 1), (9, 1), (4, 2), (0, 5), (11, 13), (2, 64), (40, 101)] {
-                let batch = start..start + len;
-                let sequential: Vec<_> = batch.clone().map(|i| inputs.generate(i)).collect();
-                for threads in [1, 2, 3, 7] {
-                    let batched = generate_batch(inputs, batch.clone(), threads);
-                    assert_eq!(
-                        batched, sequential,
-                        "{bench} {batch:?} on {threads} threads"
-                    );
+            for blocks in orders(5, total, 11) {
+                for helpers in [0, 1, 3] {
+                    for (i, work) in drive(inputs, 5, helpers, &blocks) {
+                        assert_eq!(
+                            work,
+                            inputs.generate(i),
+                            "{bench} arrival {i}, {helpers} helpers"
+                        );
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn ahead_generates_each_known_arrival_once_in_any_order() {
-        let plain = by_name("Hash").unwrap();
-        let expected = paper_session(&plain, 4).inputs();
-        let workload = Probe::new("Hash");
-        let inputs = paper_session(&workload, 4).inputs();
-        let generated = || workload.generates.load(Ordering::Relaxed);
-        // Arrivals 5.. of a source 2,100 long (not a multiple of the
-        // batch), taken in reverse within blocks of 7, as a sorted source
-        // pops them when its instants run backwards.
-        let total = 7 * 300;
-        let order: Vec<u64> = (0..total).map(|k| 5 + k / 7 * 7 + (6 - k % 7)).collect();
-        for threads in [2, 3] {
-            let mut ahead = Ahead::new(inputs, 5, threads);
-            let before = generated();
-            for &i in &order {
-                assert_eq!(
-                    ahead.take(i, 5 + total),
-                    expected.generate(i),
-                    "arrival {i}"
-                );
+    fn the_pipeline_generates_each_known_arrival_once() {
+        for bench in ["Hash", "Uploader"] {
+            let workload = Probe::new(bench);
+            let inputs = paper_session(&workload, 4).inputs();
+            let generated = || workload.generates.load(Ordering::Relaxed);
+            // 2,100 arrivals: several windows, and not a multiple of one.
+            let total = 2_100;
+            for blocks in orders(5, total, 12) {
+                for helpers in [0, 1, 3] {
+                    let before = generated();
+                    drive(inputs, 5, helpers, &blocks);
+                    assert_eq!(generated() - before, total, "{bench}, {helpers} helpers");
+                }
             }
-            assert_eq!(generated() - before, total, "{threads} threads");
-            assert!(ahead.buf.is_empty());
+            // Never past the first arrival not yet known to exist, even
+            // when it is the next one.
+            let blocks: Vec<_> = (0..300).map(|i| (i + 1, vec![i])).collect();
+            for helpers in [1, 3] {
+                let before = generated();
+                drive(inputs, 0, helpers, &blocks);
+                assert_eq!(generated() - before, 300, "{bench}, {helpers} helpers");
+            }
         }
-        // Never past the first arrival not yet known to exist.
-        let mut ahead = Ahead::new(inputs, 0, 2);
-        for i in 0..10 {
-            assert_eq!(ahead.take(i, i + 1), expected.generate(i));
+    }
+
+    /// Delegates to a benchmark, counting the `generate` calls made on
+    /// any thread but the engine's (a helper's). With `gate`, each engine
+    /// call after the first (which decides whether helpers are used) waits
+    /// until a helper has started one, so a helper always claims an input.
+    /// With `poison`, every helper call panics.
+    struct OffEngine {
+        inner: SpecWorkload,
+        engine: std::thread::ThreadId,
+        gate: bool,
+        poison: bool,
+        engine_calls: AtomicU64,
+        helper_calls: AtomicU64,
+        started: (Mutex<bool>, Condvar),
+    }
+
+    impl OffEngine {
+        fn new(bench: &str, gate: bool, poison: bool) -> Self {
+            OffEngine {
+                inner: by_name(bench).unwrap(),
+                engine: std::thread::current().id(),
+                gate,
+                poison,
+                engine_calls: AtomicU64::new(0),
+                helper_calls: AtomicU64::new(0),
+                started: (Mutex::new(false), Condvar::new()),
+            }
         }
-        assert_eq!(generated(), 2 * total + 10);
+    }
+
+    impl Workload for OffEngine {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn kind(&self) -> RuntimeKind {
+            self.inner.kind()
+        }
+        fn runtime_profile(&self) -> RuntimeProfile {
+            self.inner.runtime_profile()
+        }
+        fn method_profiles(&self) -> Vec<MethodProfile> {
+            self.inner.method_profiles()
+        }
+        fn generate(&self, rng: &mut dyn RngCore, variance: InputVariance) -> RequestWork {
+            let (started, signal) = &self.started;
+            if std::thread::current().id() != self.engine {
+                self.helper_calls.fetch_add(1, Ordering::Relaxed);
+                *started.lock().unwrap() = true;
+                signal.notify_all();
+                assert!(!self.poison, "poisoned input");
+            } else if self.engine_calls.fetch_add(1, Ordering::Relaxed) > 0 && self.gate {
+                let guard = started.lock().unwrap();
+                drop(signal.wait_while(guard, |started| !*started).unwrap());
+            }
+            self.inner.generate(rng, variance)
+        }
+        fn io_bound(&self) -> bool {
+            self.inner.io_bound()
+        }
     }
 
     #[test]
-    fn a_panic_in_a_helper_share_resumes_with_its_payload() {
-        let workload = Probe::poisoned("Hash", 4, 9);
-        let inputs = paper_session(&workload, 4).inputs();
-        // Arrival 9 is in the last share: a helper thread's.
-        for threads in [2, 3] {
+    fn only_inputs_worth_handing_over_reach_the_helpers() {
+        let blocks = [(2_000, (0..2_000).collect())];
+        for helpers in [1, 3] {
+            // Uploader's inputs draw 4 words each: all on demand.
+            let cheap = OffEngine::new("Uploader", false, false);
+            let inputs = paper_session(&cheap, 5).inputs();
+            for (i, work) in drive(inputs, 0, helpers, &blocks) {
+                assert_eq!(work, inputs.generate(i), "Uploader arrival {i}");
+            }
+            assert_eq!(cheap.helper_calls.load(Ordering::Relaxed), 0);
+            // Hash's draw over a thousand: the helpers take part.
+            let costly = OffEngine::new("Hash", true, false);
+            drive(paper_session(&costly, 5).inputs(), 0, helpers, &blocks);
+            assert!(costly.helper_calls.load(Ordering::Relaxed) > 0);
+        }
+    }
+
+    #[test]
+    fn a_panic_in_a_helper_resumes_on_the_engine_with_its_payload() {
+        for helpers in [1, 3] {
+            let workload = OffEngine::new("Hash", true, true);
+            let inputs = paper_session(&workload, 4).inputs();
+            // The engine generates arrivals 0 and 1, and a helper panics
+            // on arrival 2, which the engine needs next. Whether the
+            // engine is waiting for it by then or finds the payload at its
+            // next look, it resumes the panic.
+            let blocks = [(8, (0..8).collect())];
             let message = panic_message(|| {
-                generate_batch(inputs, 0..10, threads);
+                drive(inputs, 0, helpers, &blocks);
             });
             assert!(message.contains("poisoned input"), "{message}");
         }
         // And through the entry point, whatever the host's core count.
+        let workload = Probe::poisoned("Hash", 4, 9);
         let cfg = RunConfig::paper(PolicyKind::RequestCentric, 4, 4).with_invocations(10);
         let message = panic_message(|| {
             let _ = crate::run(
@@ -856,6 +1201,35 @@ mod tests {
                 ArrivalSpec::ClosedLoop,
                 TopologySpec::Single,
             );
+        });
+        assert!(message.contains("poisoned input"), "{message}");
+    }
+
+    #[test]
+    fn a_helper_panic_wakes_the_engine_waiting_for_that_input() {
+        let workload = by_name("Hash").unwrap();
+        let inputs = paper_session(&workload, 4).inputs();
+        let message = panic_message(|| {
+            with_feed(inputs, 0, 0, |mut feed| {
+                feed.mode = Mode::Helped;
+                let pipe = feed.pipe;
+                // Arrival 0, the only one known, is a helper's: the engine
+                // has nothing to generate and must wait for it.
+                pipe.lock().next = 1;
+                std::thread::scope(|scope| {
+                    scope.spawn(|| {
+                        let mut claims = pipe.lock();
+                        while !claims.waiting {
+                            drop(claims);
+                            std::thread::yield_now();
+                            claims = pipe.lock();
+                        }
+                        let payload: Box<dyn Any + Send> = Box::new("poisoned input");
+                        pipe.publish(&mut claims, 0, Err(payload));
+                    });
+                    feed.take(0, 1)
+                })
+            });
         });
         assert!(message.contains("poisoned input"), "{message}");
     }

@@ -25,6 +25,7 @@ use pronghorn_sim::{RngFactory, SimDuration, SimTime};
 use pronghorn_store::{saturating_accumulate, ChainStats, StorageStats, StoreStats};
 use pronghorn_workloads::{InputVariance, Workload};
 use rand::rngs::SmallRng;
+use rand::RngCore;
 use std::collections::{BTreeSet, VecDeque};
 
 /// Selection penalty (µs) the record-&-prefetch strategy charges pooled
@@ -56,6 +57,44 @@ impl RequestInputs<'_> {
     pub(crate) fn generate(&self, index: u64) -> RequestWork {
         let mut input_rng = self.factory.stream_indexed("input", index);
         self.workload.generate(&mut input_rng, self.variance)
+    }
+
+    /// [`generate`](Self::generate), also counting the random words the
+    /// input drew (a jump counts the words it skips): a host-independent
+    /// measure of what generating it costs.
+    pub(crate) fn generate_counted(&self, index: u64) -> (RequestWork, u64) {
+        let mut input_rng = Counted {
+            rng: self.factory.stream_indexed("input", index),
+            draws: 0,
+        };
+        let work = self.workload.generate(&mut input_rng, self.variance);
+        (work, input_rng.draws)
+    }
+}
+
+/// A generator that counts the words drawn from it; the stream itself is
+/// the inner generator's.
+struct Counted<R> {
+    rng: R,
+    draws: u64,
+}
+
+impl<R: RngCore> RngCore for Counted<R> {
+    fn next_u32(&mut self) -> u32 {
+        self.draws += 1;
+        self.rng.next_u32()
+    }
+    fn next_u64(&mut self) -> u64 {
+        self.draws += 1;
+        self.rng.next_u64()
+    }
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        self.draws += dest.len().div_ceil(8) as u64;
+        self.rng.fill_bytes(dest)
+    }
+    fn discard(&mut self, n: u64) {
+        self.draws += n;
+        self.rng.discard(n)
     }
 }
 

@@ -13,8 +13,8 @@
 //! - **Workload generation.** `Workload::generate` runs the benchmark's
 //!   real kernel and dominates host time, so the closed loop (above), the
 //!   cluster, the production runner and a trace plan must each draw
-//!   exactly one request per request they serve, although inputs are
-//!   generated ahead of their arrivals in batches.
+//!   exactly one request per request they serve, although helper threads
+//!   generate inputs ahead of their arrivals.
 
 #![forbid(unsafe_code)]
 
@@ -198,8 +198,8 @@ fn production_generates_one_request_per_served_request() {
 
 #[test]
 fn trace_plan_generates_one_request_per_arrival() {
-    // 1,500 arrivals: more than one batch of inputs generated ahead, and
-    // not a multiple of it. The history draws its own 40.
+    // 1,500 arrivals: several windows of inputs generated ahead, and not
+    // a multiple of one. The history draws its own 40.
     let workload = Counting::new("DFS");
     let c = RunConfig::paper(PolicyKind::RequestCentric, 4, 8).with_invocations(40);
     let arrivals = (1..=1_500)

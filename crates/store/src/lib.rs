@@ -21,14 +21,16 @@
 //!
 //! ```
 //! use bytes::Bytes;
+//! use pronghorn_sim::hash::fnv1a_wide;
 //! use pronghorn_store::ObjectStore;
 //!
 //! let mut store = ObjectStore::new();
 //! let (head, tail) = (Bytes::from_static(b"hd"), Bytes::from_static(b"tl"));
 //! let payload = Bytes::from_static(b"blob");
-//! store.put_chunked("snapshots", "html/1", head.clone(), payload.clone(), tail.clone());
+//! let hash = fnv1a_wide(&payload);
+//! store.put_chunked("snapshots", "html/1", head.clone(), payload.clone(), hash, tail.clone());
 //! // A twin with the same payload stores and uploads only its head and tail.
-//! store.put_chunked("snapshots", "html/2", head, payload, tail);
+//! store.put_chunked("snapshots", "html/2", head, payload, hash, tail);
 //! let [_, body, _] = store.get_chunks("snapshots", "html/2").unwrap();
 //! assert_eq!(&body[..], b"blob");
 //! assert_eq!(store.stats().bytes_uploaded, 8 + 4);

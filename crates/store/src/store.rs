@@ -1,8 +1,9 @@
 //! The blob map with integrity, dedup, and cost accounting.
 //!
 //! Every object has one shape: a small head, a content-addressed payload
-//! blob and a small tail, written with [`ObjectStore::put_chunked`] and
-//! read back with [`ObjectStore::get_chunks`]. Payload blobs are
+//! blob and a small tail, written with [`ObjectStore::put_chunked`] (or
+//! [`ObjectStore::put`], head only) and read back with
+//! [`ObjectStore::get_chunks`]. Payload blobs are
 //! deduplicated across keys by their `Fnv1aWide` content hash with
 //! refcounting — byte-identical snapshot payloads from twin lineages
 //! occupy storage once, and a blob is only freed when its *last*
@@ -157,6 +158,10 @@ impl ObjectStore {
     /// replacing any previous object there and deduplicating the payload
     /// by content across all keys and buckets.
     ///
+    /// `payload_hash` is `fnv1a_wide(&payload)`, the payload's content
+    /// address. Its producer has it already (a full snapshot carries it),
+    /// so an upload does not hash the payload again; every get still does.
+    ///
     /// If a byte-identical payload is already resident (a twin lineage's
     /// snapshot), only the small head and tail are stored and transferred;
     /// the payload gains a reference instead. An empty payload stores no
@@ -167,11 +172,13 @@ impl ObjectStore {
         key: &str,
         head: Bytes,
         payload: Bytes,
+        payload_hash: u64,
         tail: Bytes,
     ) {
+        debug_assert_eq!(payload_hash, fnv1a_wide(&payload), "{bucket}/{key}");
         let payload_len = payload.len() as u64;
         let mut added = (head.len() + tail.len()) as u64;
-        let blob = (!payload.is_empty()).then(|| fnv1a_wide(&payload));
+        let blob = (!payload.is_empty()).then_some(payload_hash);
         if let Some(hash) = blob {
             match self.blobs.entry(hash) {
                 Entry::Vacant(slot) => {
@@ -212,6 +219,13 @@ impl ObjectStore {
         if freed.is_none() {
             stats.objects += 1;
         }
+    }
+
+    /// Uploads a one-chunk object: `body` is its head, and it has no
+    /// payload blob, so it never dedups.
+    pub fn put(&mut self, bucket: &str, key: &str, body: Bytes) {
+        let empty = fnv1a_wide(&[]);
+        self.put_chunked(bucket, key, body, Bytes::new(), empty, Bytes::new());
     }
 
     /// Downloads the object at `bucket`/`key` as its stored chunks
@@ -315,15 +329,32 @@ mod tests {
         Bytes::from(vec![0xabu8; n])
     }
 
-    /// Puts `body` as a one-chunk object: a head with no payload or tail.
-    fn put_one(s: &mut ObjectStore, bucket: &str, key: &str, body: Bytes) {
-        s.put_chunked(bucket, key, body, Bytes::new(), Bytes::new());
+    /// Uploads `head`, `payload` and `tail`, hashing the payload here.
+    fn upload(
+        s: &mut ObjectStore,
+        bucket: &str,
+        key: &str,
+        head: Bytes,
+        payload: Bytes,
+        tail: Bytes,
+    ) {
+        let hash = fnv1a_wide(&payload);
+        s.put_chunked(bucket, key, head, payload, hash, tail);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "b/k")]
+    fn a_payload_hash_that_does_not_match_fails_in_debug_builds() {
+        let mut s = ObjectStore::new();
+        let hash = fnv1a_wide(&blob(31));
+        s.put_chunked("b", "k", blob(4), blob(32), hash, blob(4));
     }
 
     #[test]
     fn put_get_round_trip_with_checksum() {
         let mut s = ObjectStore::new();
-        put_one(&mut s, "b", "k", Bytes::from_static(b"hello"));
+        s.put("b", "k", Bytes::from_static(b"hello"));
         let [head, payload, tail] = s.get_chunks("b", "k").unwrap();
         assert_eq!(&head[..], b"hello");
         assert!(payload.is_empty() && tail.is_empty());
@@ -334,7 +365,7 @@ mod tests {
             Err(StoreError::ChecksumMismatch { .. })
         ));
         // So is a payload blob whose bytes no longer match its address.
-        s.put_chunked("b", "c", blob(4), blob(32), blob(4));
+        upload(&mut s, "b", "c", blob(4), blob(32), blob(4));
         let hash = fnv1a_wide(&blob(32));
         s.blobs.get_mut(&hash).unwrap().data = blob(31);
         let err = s.get_chunks("b", "c").unwrap_err();
@@ -357,8 +388,8 @@ mod tests {
     #[test]
     fn replace_updates_storage_accounting() {
         let mut s = ObjectStore::new();
-        put_one(&mut s, "b", "k", blob(100));
-        put_one(&mut s, "b", "k", blob(40));
+        s.put("b", "k", blob(100));
+        s.put("b", "k", blob(40));
         let st = s.stats();
         assert_eq!(st.bytes_stored, 40);
         assert_eq!(st.peak_bytes_stored, 100);
@@ -369,7 +400,7 @@ mod tests {
     #[test]
     fn delete_releases_storage() {
         let mut s = ObjectStore::new();
-        put_one(&mut s, "b", "k", blob(64));
+        s.put("b", "k", blob(64));
         s.delete("b", "k").unwrap();
         let st = s.stats();
         assert_eq!(st.bytes_stored, 0);
@@ -382,7 +413,7 @@ mod tests {
     #[test]
     fn downloads_accumulate() {
         let mut s = ObjectStore::new();
-        put_one(&mut s, "b", "k", blob(10));
+        s.put("b", "k", blob(10));
         s.get_chunks("b", "k").unwrap();
         s.get_chunks("b", "k").unwrap();
         assert_eq!(s.stats().bytes_downloaded, 20);
@@ -392,7 +423,7 @@ mod tests {
     #[test]
     fn buckets_are_isolated() {
         let mut s = ObjectStore::new();
-        put_one(&mut s, "snapshots", "k", blob(1));
+        s.put("snapshots", "k", blob(1));
         assert_eq!(
             s.get_chunks("other", "k").unwrap_err(),
             StoreError::NotFound
@@ -414,7 +445,7 @@ mod tests {
         let mut s = ObjectStore::new();
         let payload = blob(100);
         let (h, p, t) = chunked(1, &payload);
-        s.put_chunked("b", "k", h.clone(), p, t.clone());
+        upload(&mut s, "b", "k", h.clone(), p, t.clone());
         // Chunked read is exact ...
         let chunks = s.get_chunks("b", "k").unwrap();
         assert_eq!(chunks, [h.clone(), payload.clone(), t.clone()]);
@@ -433,10 +464,10 @@ mod tests {
         let payload = blob(1000);
         let (h1, p1, t1) = chunked(1, &payload);
         let (h2, p2, t2) = chunked(2, &payload);
-        s.put_chunked("b", "twin-a", h1, p1, t1);
+        upload(&mut s, "b", "twin-a", h1, p1, t1);
         let before = s.stats();
         assert_eq!(before.bytes_stored, 24 + 1000);
-        s.put_chunked("b", "twin-b", h2, p2, t2);
+        upload(&mut s, "b", "twin-b", h2, p2, t2);
         let after = s.stats();
         // Second twin adds only head+tail physically.
         assert_eq!(after.bytes_stored, before.bytes_stored + 24);
@@ -453,8 +484,8 @@ mod tests {
         let payload = blob(500);
         let (h1, p1, t1) = chunked(1, &payload);
         let (h2, p2, t2) = chunked(2, &payload);
-        s.put_chunked("b", "twin-a", h1, p1, t1);
-        s.put_chunked("b", "twin-b", h2, p2, t2);
+        upload(&mut s, "b", "twin-a", h1, p1, t1);
+        upload(&mut s, "b", "twin-b", h2, p2, t2);
         s.delete("b", "twin-a").unwrap();
         assert_eq!(s.blobs.len(), 1, "blob must survive the first eviction");
         let chunks = s.get_chunks("b", "twin-b").unwrap();
@@ -470,17 +501,17 @@ mod tests {
         let mut s = ObjectStore::new();
         let payload = blob(300);
         let (h, p, t) = chunked(1, &payload);
-        s.put_chunked("b", "k", h, p, t);
+        upload(&mut s, "b", "k", h, p, t);
         // Replace with a one-chunk object: the orphaned blob must be freed.
-        put_one(&mut s, "b", "k", blob(10));
+        s.put("b", "k", blob(10));
         assert!(s.blobs.is_empty());
         assert_eq!(s.stats().bytes_stored, 10);
         assert_eq!(s.stats().objects, 1);
         // Replacing an object with a twin of its own payload keeps the
         // blob resident and counts the payload as deduplicated.
         let (h, p, t) = chunked(2, &payload);
-        s.put_chunked("b", "k", h.clone(), p.clone(), t.clone());
-        s.put_chunked("b", "k", h, p, t);
+        upload(&mut s, "b", "k", h.clone(), p.clone(), t.clone());
+        upload(&mut s, "b", "k", h, p, t);
         let st = s.stats();
         assert_eq!(st.bytes_stored, 24 + 300);
         assert_eq!(st.bytes_uploaded, 10 + 324 + 324 + 24);
@@ -495,14 +526,14 @@ mod tests {
         let mut s = ObjectStore::new();
         let payload = blob(1000);
         let (h1, p1, t1) = chunked(1, &payload);
-        s.put_chunked("b", "a", h1, p1, t1);
+        upload(&mut s, "b", "a", h1, p1, t1);
         assert_eq!(s.stats().bytes_stored, 1024);
         let (h2, p2, t2) = chunked(2, &payload);
-        s.put_chunked("b", "b", h2, p2, t2);
+        upload(&mut s, "b", "b", h2, p2, t2);
         assert_eq!(s.stats().bytes_stored, 1048);
         let other = Bytes::from(vec![0x11u8; 1000]);
         let (h3, p3, t3) = chunked(3, &other);
-        s.put_chunked("b", "c", h3, p3, t3);
+        upload(&mut s, "b", "c", h3, p3, t3);
         assert_eq!(s.stats().bytes_stored, 2072);
         assert_eq!(s.stats().peak_bytes_stored, 2072);
     }
@@ -513,13 +544,13 @@ mod tests {
         let payload = blob(200);
         let (h1, p1, t1) = chunked(1, &payload);
         let (h2, p2, t2) = chunked(2, &payload);
-        s.put_chunked("x", "k", h1, p1, t1);
-        s.put_chunked("y", "k", h2, p2, t2);
+        upload(&mut s, "x", "k", h1, p1, t1);
+        upload(&mut s, "y", "k", h2, p2, t2);
         assert_eq!(s.blobs.len(), 1);
         // One-chunk objects of identical bytes still store twice: their
         // body is a head, never a shared blob.
-        put_one(&mut s, "z", "a", payload.clone());
-        put_one(&mut s, "z", "b", payload.clone());
+        s.put("z", "a", payload.clone());
+        s.put("z", "b", payload.clone());
         assert_eq!(s.blobs.len(), 1);
         assert_eq!(s.stats().bytes_stored, 24 * 2 + 200 + 200 + 200);
     }

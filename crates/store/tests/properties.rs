@@ -4,6 +4,7 @@
 #![forbid(unsafe_code)]
 
 use bytes::Bytes;
+use pronghorn_sim::hash::fnv1a_wide;
 use pronghorn_store::{ObjectStore, StoreError, StoreStats};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -41,7 +42,7 @@ proptest! {
             match op {
                 Op::Put(b, k, v) => {
                     let body = Bytes::from(v.clone());
-                    store.put_chunked(&format!("b{b}"), &format!("k{k}"), body, Bytes::new(), Bytes::new());
+                    store.put(&format!("b{b}"), &format!("k{k}"), body);
                     model.insert((b, k), v);
                 }
                 Op::Get(b, k) => {
@@ -84,12 +85,14 @@ proptest! {
         let mut store = ObjectStore::new();
         let payload = Bytes::from(payload);
         let own = |i: usize| (format!("head{i}").len() + b"tail".len()) as u64;
+        let hash = fnv1a_wide(&payload);
         for i in 0..twins {
             store.put_chunked(
                 "pool",
                 &format!("twin{i}"),
                 Bytes::from(format!("head{i}").into_bytes()),
                 payload.clone(),
+                hash,
                 Bytes::from_static(b"tail"),
             );
         }
@@ -132,7 +135,7 @@ fn one_chunk_objects_keep_table5_accounting() {
     let mut store = ObjectStore::new();
     let put = |store: &mut ObjectStore, key: &str, len: usize| {
         let body = Bytes::from(vec![0x4d; len]);
-        store.put_chunked("manifests", key, body, Bytes::new(), Bytes::new());
+        store.put("manifests", key, body);
     };
     let stats = |stored, uploaded, downloaded, objects, puts, gets, deletes| StoreStats {
         bytes_stored: stored,
