@@ -10,6 +10,10 @@
 //!   oracle, a binary-heap queue with the same contract, lives in
 //!   `tests/oracle/` and is property-tested against it in
 //!   `tests/kernel_equivalence.rs`;
+//! - [`MergedQueue`]: the wheel plus a plain queue for arrivals streamed
+//!   from a sorted source, popped in the same `(at, seq)` order as if every
+//!   arrival had been scheduled into the wheel (`tests/merge_equivalence.rs`
+//!   checks it against the same oracle);
 //! - [`RngFactory`]: reproducible named random-number streams, so that every
 //!   source of randomness (JIT compile jitter, input-size noise, policy
 //!   sampling, ...) is independently seeded and bit-for-bit replayable;
@@ -33,12 +37,14 @@
 
 pub mod hash;
 pub mod kernel;
+pub mod merge;
 pub mod rng;
 pub mod time;
 pub mod wheel;
 
 // Kept only for the `benchmark/` package; see `kernel`.
 pub use kernel::{Kernel, KernelKind};
+pub use merge::MergedQueue;
 pub use rng::RngFactory;
 pub use time::{SimDuration, SimTime};
 pub use wheel::TimerWheel;

@@ -25,10 +25,13 @@
 //!   by `(at, seq)` — the test oracle in `tests/oracle/queue.rs`, which
 //!   `tests/kernel_equivalence.rs` property-tests the wheel against.
 //!
-//! The API is `schedule`/`pop`/`peek_time`/`now`/`len`/`clear`, with past
-//! schedules clamped to `now`, exactly as the oracle's.
+//! The API is `schedule`/`pop`/`peek`/`peek_time`/`now`/`len`/`clear`,
+//! with past schedules clamped to `now`, exactly as the oracle's, plus
+//! `take_seq`, which lets [`crate::MergedQueue`] order events kept outside
+//! the wheel among the wheel's own.
 
 use crate::time::SimTime;
+use std::cell::Cell;
 
 /// Bits of the timestamp consumed per wheel level.
 pub const BITS: u32 = 6;
@@ -105,6 +108,9 @@ pub struct TimerWheel<E> {
     len: usize,
     now: u64,
     next_seq: u64,
+    /// The head's `(at, seq)` once a peek has found it, kept up to date by
+    /// `schedule` and dropped by `pop` and `clear`.
+    head: Cell<Option<(u64, u64)>>,
 }
 
 impl<E> TimerWheel<E> {
@@ -118,6 +124,7 @@ impl<E> TimerWheel<E> {
             len: 0,
             now: 0,
             next_seq: 0,
+            head: Cell::new(None),
         }
     }
 
@@ -134,11 +141,29 @@ impl<E> TimerWheel<E> {
     /// platform treats work that was due while the handler was busy.
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let at = at.as_micros().max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
+        // The new event carries the largest seq, so it is the head of an
+        // empty wheel, or of one whose known head is later; otherwise the
+        // head stays what it was.
+        match self.head.get() {
+            Some((head_at, _)) if head_at <= at => {}
+            Some(_) => self.head.set(Some((at, seq))),
+            None if self.len == 0 => self.head.set(Some((at, seq))),
+            None => {}
+        }
         let idx = self.alloc(at, seq, event);
         self.len += 1;
         self.insert(idx);
+    }
+
+    /// Takes the sequence number the next `schedule` would have given its
+    /// event. An event kept outside the wheel under that number sorts
+    /// among the wheel's events by `(at, seq)` exactly as if it had been
+    /// scheduled here.
+    pub fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
     }
 
     /// Removes and returns the earliest event (ties FIFO by schedule
@@ -147,6 +172,7 @@ impl<E> TimerWheel<E> {
         if self.len == 0 {
             return None;
         }
+        self.head.set(None);
         loop {
             // Level 0 slots hold exactly one tick value each, in FIFO
             // order, so the head of the lowest occupied slot is the global
@@ -181,37 +207,48 @@ impl<E> TimerWheel<E> {
         }
     }
 
+    /// Returns the `(at, seq)` of the next event without removing it: the
+    /// event `pop` returns next, and its place in the `(at, seq)` order.
+    pub fn peek(&self) -> Option<(SimTime, u64)> {
+        let head = self.head.get().or_else(|| {
+            let head = self.find_head();
+            self.head.set(head);
+            head
+        });
+        head.map(|(at, seq)| (SimTime::from_micros(at), seq))
+    }
+
     /// Returns the timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.levels[0].occupied != 0 {
-            // All events in a level-0 slot share one timestamp: the
-            // clock's high bits with the slot index as the low 6 bits.
-            let slot = self.levels[0].occupied.trailing_zeros() as u64;
-            return Some(SimTime::from_micros((self.now & !SLOT_MASK) | slot));
-        }
-        for level in 1..LEVELS {
-            if self.levels[level].occupied == 0 {
-                continue;
+        self.peek().map(|(at, _)| at)
+    }
+
+    /// The smallest pending `(at, seq)`, if any event is pending.
+    fn find_head(&self) -> Option<(u64, u64)> {
+        // Level 0 slots hold one tick value each in FIFO order, so the
+        // lowest occupied one's head is the minimum. Above level 0 the
+        // lowest occupied slot of the lowest occupied level holds the
+        // minimum somewhere in its list; past the wheel, the spill's
+        // first entry is.
+        let head = match (0..LEVELS).find(|&l| self.levels[l].occupied != 0) {
+            Some(0) => self.levels[0].head[self.levels[0].occupied.trailing_zeros() as usize],
+            Some(level) => {
+                let slot = self.levels[level].occupied.trailing_zeros() as usize;
+                let mut idx = self.levels[level].head[slot];
+                let mut min = idx;
+                while idx != NIL {
+                    let (node, best) = (&self.arena[idx as usize], &self.arena[min as usize]);
+                    if (node.at, node.seq) < (best.at, best.seq) {
+                        min = idx;
+                    }
+                    idx = node.next;
+                }
+                min
             }
-            let slot = self.levels[level].occupied.trailing_zeros() as usize;
-            let mut idx = self.levels[level].head[slot];
-            let mut min_at = u64::MAX;
-            while idx != NIL {
-                let node = &self.arena[idx as usize];
-                min_at = min_at.min(node.at);
-                idx = node.next;
-            }
-            return Some(SimTime::from_micros(min_at));
-        }
-        let head = self
-            .spill
-            .first()
-            .copied()
-            .expect("len > 0 implies an event");
-        Some(SimTime::from_micros(self.arena[head as usize].at))
+            None => *self.spill.first()?,
+        };
+        let node = &self.arena[head as usize];
+        Some((node.at, node.seq))
     }
 
     /// Number of pending events.
@@ -234,6 +271,7 @@ impl<E> TimerWheel<E> {
         self.free = NIL;
         self.spill.clear();
         self.len = 0;
+        self.head.set(None);
     }
 
     /// Takes a node off the free list or grows the arena.
@@ -418,6 +456,17 @@ mod tests {
         w.schedule(SimTime::from_micros(7), "x");
         assert_eq!(w.peek_time(), Some(SimTime::from_micros(7)));
         assert_eq!(w.len(), 1);
+        // A far event, then one at the same instant as the head: the
+        // head's key stays the first one's.
+        w.schedule(SimTime::from_micros(1 << 20), "far");
+        w.schedule(SimTime::from_micros(7), "tie");
+        assert_eq!(w.peek(), Some((SimTime::from_micros(7), 0)));
+        assert_eq!(w.pop().map(|(_, e)| e), Some("x"));
+        assert_eq!(w.peek(), Some((SimTime::from_micros(7), 2)));
+        w.pop();
+        // Only a level-3 event is left; its key comes from a slot scan.
+        assert_eq!(w.peek(), Some((SimTime::from_micros(1 << 20), 1)));
+        assert_eq!(w.len(), 1);
         assert!(!w.is_empty());
     }
 
@@ -548,7 +597,7 @@ mod tests {
                 }
             }
             assert_eq!(w.len(), q.len());
-            assert_eq!(w.peek_time(), q.peek_time());
+            assert_eq!(w.peek(), q.peek());
         }
         loop {
             let (a, b) = (w.pop(), q.pop());

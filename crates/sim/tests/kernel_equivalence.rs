@@ -5,7 +5,7 @@
 //! same-instant bursts, past-clamped schedules, level-rollover-straddling
 //! offsets and far-future spill timestamps — must pop in the exact same
 //! `(at, seq, event)` order from both kernels, with `now`, `len` and
-//! `peek_time` agreeing after every operation.
+//! the head's `(at, seq)` agreeing after every operation.
 
 #![forbid(unsafe_code)]
 
@@ -86,6 +86,7 @@ proptest! {
             }
             prop_assert_eq!(wheel.now(), queue.now());
             prop_assert_eq!(wheel.len(), queue.len());
+            prop_assert_eq!(wheel.peek(), queue.peek());
             prop_assert_eq!(wheel.peek_time(), queue.peek_time());
         }
         // Drain whatever is left: the residual order must match.

@@ -91,9 +91,14 @@ impl<E> EventQueue<E> {
         Some((s.at, s.event))
     }
 
+    /// Returns the `(at, seq)` of the next event without removing it.
+    pub fn peek(&self) -> Option<(SimTime, u64)> {
+        self.heap.peek().map(|s| (s.at, s.seq))
+    }
+
     /// Returns the timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
+        self.peek().map(|(at, _)| at)
     }
 
     /// Number of pending events.
@@ -160,7 +165,11 @@ mod tests {
     fn peek_does_not_consume() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_micros(7), "x");
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(7)));
+        q.schedule(SimTime::from_micros(3), "y");
+        assert_eq!(q.peek(), Some((SimTime::from_micros(3), 1)));
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(3)));
+        assert_eq!(q.len(), 2);
+        q.pop();
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
     }
