@@ -8,7 +8,10 @@
 //!
 //! - an **arrival source** ([`Arrivals`]): a self-scheduling closed loop
 //!   that also evicts workers by rate, or sorted arrival instants streamed
-//!   through a bounded lookahead window; both evict workers on idle;
+//!   through a bounded lookahead window; both evict workers on idle. A
+//!   closed loop's arrivals are timer-wheel events; a sorted source's wait
+//!   in the [`MergedQueue`]'s plain queue beside the wheel, which then
+//!   holds only the engine's own events (probes, pre-restores, expiries);
 //! - a **topology** ([`Topology`]): deployments × nodes × worker slots,
 //!   plus the [`Routing`] rule that places each arrival;
 //! - the [`Session`]'s latency sink: every latency in the run's
@@ -18,11 +21,14 @@
 //!
 //! Kernel events are typed ([`Event`]). With predictive provisioning
 //! disabled only arrivals are ever scheduled, so the reactive event stream
-//! is exactly the one the reactive runs have always produced. Request
-//! inputs come from one [`Pipeline`] per run: helper threads on the other
-//! cores generate them ahead while the event loop runs, and the loop
-//! generates any input it needs that nobody has claimed. An input depends
-//! only on its arrival number, so no result depends on the core count.
+//! is exactly the one the reactive runs have always produced. Streamed
+//! arrivals pop in the same `(at, seq)` order as if each had been
+//! scheduled into the wheel. Request inputs come from one [`Pipeline`]
+//! per run: helper threads on the other cores generate them ahead while
+//! the event loop runs, and the loop generates any input it needs that
+//! nobody has claimed. Helpers start only if the first input costs enough
+//! to hand over. An input depends only on its arrival number, so no
+//! result depends on the core count.
 
 use crate::result::NodeBreakdown;
 use crate::runner::{Deployment, RequestInputs, Session};
@@ -32,7 +38,7 @@ use pronghorn_cluster::{
 };
 use pronghorn_core::Download;
 use pronghorn_jit::RequestWork;
-use pronghorn_sim::{SimDuration, SimTime, TimerWheel};
+use pronghorn_sim::{MergedQueue, SimDuration, SimTime};
 use pronghorn_store::saturating_accumulate;
 use pronghorn_workloads::InputVariance;
 use std::any::Any;
@@ -40,15 +46,19 @@ use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::Scope;
 
-/// How many future arrivals a sorted source keeps scheduled in the kernel
-/// at once. Arrivals stream in sorted, so a bounded window is lossless; it
+/// How many events a sorted source keeps pending at once: the wheel's plus
+/// the arrivals queued beside it, which is what `peak_pending_events`
+/// counts. A sorted source streams its next arrival in while fewer are
+/// pending. Arrivals stream in sorted, so a bounded window is lossless; it
 /// keeps kernel memory O(lookahead) instead of O(invocations) over an
-/// hours-long trace.
+/// hours-long trace. The window is part of the behaviour: an arrival's
+/// place among same-instant events depends on when it streams in.
 const LOOKAHEAD: usize = 1 << 16;
 
 /// A kernel event. It stays at 16 bytes (pinned by a test), so the timer
-/// wheel's arena node stays 40 bytes across a replay's pending window.
+/// wheel's arena node stays 40 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Event {
     /// Request `i` reaches the gateway.
@@ -367,7 +377,7 @@ impl Topology {
     fn evict(
         &mut self,
         session: &mut Session<'_>,
-        kernel: &mut TimerWheel<Event>,
+        kernel: &mut MergedQueue<Event>,
         (n, s): (usize, usize),
         w: Worker,
         now: SimTime,
@@ -501,7 +511,8 @@ impl Pipeline<'_> {
 enum Mode {
     /// The first input the engine generates decides, by its draws.
     Undecided,
-    /// The helpers generate ahead and the engine fills in.
+    /// The helpers, started when this was decided, generate ahead and the
+    /// engine fills in.
     Helped,
     /// The engine generates each input when its arrival fires.
     OnDemand,
@@ -528,9 +539,16 @@ impl Input {
 }
 
 /// The engine's end of a [`Pipeline`]: a reorder buffer of inputs by
-/// arrival number. Dropping it ends the run for the helpers.
-struct Feed<'p, 'w> {
-    pipe: &'p Pipeline<'w>,
+/// arrival number, and the scope its helpers run in once the first input
+/// shows they are worth starting. Dropping it ends the run for the helpers.
+struct Feed<'s, 'e, 'w> {
+    pipe: &'s Pipeline<'w>,
+    scope: &'s Scope<'s, 'e>,
+    /// Helper threads to start if the first input is worth handing over.
+    helpers: usize,
+    /// Helper threads started: none until the first input decides for
+    /// them.
+    started: usize,
     mode: Mode,
     /// The arrival number of `buf[0]`, the oldest input not yet taken.
     first: u64,
@@ -539,7 +557,7 @@ struct Feed<'p, 'w> {
     raised: u64,
 }
 
-impl Feed<'_, '_> {
+impl Feed<'_, '_, '_> {
     /// Arrival `i`'s input; `known` is the first arrival not yet known to
     /// exist. An input nobody has claimed is generated here. One a helper
     /// is generating is waited for only when no unclaimed input is left
@@ -589,6 +607,7 @@ impl Feed<'_, '_> {
             let work = if self.mode == Mode::Undecided {
                 let (work, draws) = pipe.inputs.generate_counted(n);
                 self.mode = if draws >= HANDOVER_DRAWS {
+                    self.start_helpers();
                     Mode::Helped
                 } else {
                     Mode::OnDemand
@@ -599,6 +618,15 @@ impl Feed<'_, '_> {
             };
             self.place(n, Input::Ready(work));
         }
+    }
+
+    /// Starts the helpers, which wait for the limit to rise.
+    fn start_helpers(&mut self) {
+        let pipe = self.pipe;
+        for _ in 0..self.helpers {
+            self.scope.spawn(move || pipe.help());
+        }
+        self.started = self.helpers;
     }
 
     fn ready(&self, i: u64) -> bool {
@@ -643,7 +671,7 @@ impl Feed<'_, '_> {
     }
 }
 
-impl Drop for Feed<'_, '_> {
+impl Drop for Feed<'_, '_, '_> {
     fn drop(&mut self) {
         let mut claims = self.pipe.lock();
         claims.stop = true;
@@ -656,13 +684,13 @@ impl Drop for Feed<'_, '_> {
 /// Runs `body` on a feed of `inputs` for arrivals `origin` on, with
 /// `helpers` threads generating ahead for as long as `body` runs. With no
 /// helper, or inputs too cheap to hand over ([`HANDOVER_DRAWS`]), every
-/// input is generated on demand. A helper's panic resumes on the caller
-/// with its payload.
+/// input is generated on demand and no helper starts. A helper's panic
+/// resumes on the caller with its payload.
 fn with_feed<'w, R>(
     inputs: RequestInputs<'w>,
     origin: u64,
     helpers: usize,
-    body: impl for<'p> FnOnce(Feed<'p, 'w>) -> R,
+    body: impl for<'s, 'e> FnOnce(Feed<'s, 'e, 'w>) -> R,
 ) -> R {
     let claims = Claims {
         next: origin,
@@ -676,11 +704,11 @@ fn with_feed<'w, R>(
         published: Condvar::new(),
     };
     std::thread::scope(|scope| {
-        for _ in 0..helpers {
-            scope.spawn(|| pipe.help());
-        }
         body(Feed {
             pipe: &pipe,
+            scope,
+            helpers,
+            started: 0,
             mode: match helpers {
                 0 => Mode::OnDemand,
                 _ => Mode::Undecided,
@@ -698,7 +726,8 @@ fn with_feed<'w, R>(
 /// and the largest number of events pending in the kernel at once.
 ///
 /// Request inputs come from a [`Pipeline`] whose helpers, one per core
-/// beyond the caller's, live as long as the run.
+/// beyond the caller's, start once the first input shows they are worth
+/// it and live as long as the run.
 pub(crate) fn run<I: Iterator<Item = SimTime>>(
     session: &mut Session<'_>,
     topo: &mut Topology,
@@ -721,19 +750,17 @@ fn simulate<I: Iterator<Item = SimTime>>(
     session: &mut Session<'_>,
     topo: &mut Topology,
     arrivals: Arrivals<I>,
-    mut feed: Feed<'_, '_>,
+    mut feed: Feed<'_, '_, '_>,
 ) -> (SimTime, usize) {
     let cfg = session.cfg;
-    let mut kernel: TimerWheel<Event> = TimerWheel::new();
-    let (mut sorted, closed) = match arrivals {
-        Arrivals::ClosedLoop { total, gap } => {
-            if total > 0 {
-                kernel.schedule(SimTime::ZERO + gap, Event::Arrival(0));
-            }
-            (None, Some((total, gap)))
-        }
-        Arrivals::Sorted { first, iter } => (Some((iter, first)), None),
+    let (first, mut sorted, closed) = match arrivals {
+        Arrivals::ClosedLoop { total, gap } => (0, None, Some((total, gap))),
+        Arrivals::Sorted { first, iter } => (first, Some(iter), None),
     };
+    let mut kernel = MergedQueue::new(LOOKAHEAD, first, Event::Arrival);
+    if let Some((1.., gap)) = closed {
+        kernel.schedule(SimTime::ZERO + gap, Event::Arrival(0));
+    }
     // Idle probes run whenever provisioning is on, at most one pending at
     // a time so they never accumulate in the kernel: they retire idle
     // workers on time, and each retirement may plan a pre-restore.
@@ -747,12 +774,8 @@ fn simulate<I: Iterator<Item = SimTime>>(
     };
     let (mut last_now, mut last_arrival, mut peak_pending) = (SimTime::ZERO, SimTime::ZERO, 0);
     loop {
-        if let Some((iter, next)) = sorted.as_mut() {
-            while kernel.len() < LOOKAHEAD {
-                let Some(at) = iter.next() else { break };
-                kernel.schedule(at, Event::Arrival(*next));
-                *next += 1;
-            }
+        if let Some(iter) = sorted.as_mut() {
+            kernel.fill(iter);
         }
         peak_pending = peak_pending.max(kernel.len());
         let Some((now, event)) = kernel.pop() else {
@@ -764,9 +787,9 @@ fn simulate<I: Iterator<Item = SimTime>>(
                 last_arrival = now;
                 // The first arrival not yet known to exist: a closed loop's
                 // end, or a sorted source's next unscheduled arrival.
-                let known = match &sorted {
-                    Some((_, next)) => *next,
-                    None => closed.map_or(i + 1, |(total, _)| total),
+                let known = match closed {
+                    Some((total, _)) => total,
+                    None => kernel.streamed(),
                 };
                 let (request, n, s) = topo.route(feed.take(i, known), i, now);
                 let slot = &mut topo.nodes[n].slots[s].worker;
@@ -1016,6 +1039,16 @@ mod tests {
         helpers: usize,
         blocks: &[(u64, Vec<u64>)],
     ) -> Vec<(u64, RequestWork)> {
+        drive_counted(inputs, origin, helpers, blocks).0
+    }
+
+    /// [`drive`], also returning how many helper threads the feed started.
+    fn drive_counted(
+        inputs: RequestInputs<'_>,
+        origin: u64,
+        helpers: usize,
+        blocks: &[(u64, Vec<u64>)],
+    ) -> (Vec<(u64, RequestWork)>, usize) {
         with_feed(inputs, origin, helpers, |mut feed| {
             let mut taken = Vec::new();
             for (known, order) in blocks {
@@ -1023,7 +1056,7 @@ mod tests {
                     taken.push((i, feed.take(i, *known)));
                 }
             }
-            taken
+            (taken, feed.started)
         })
     }
 
@@ -1162,17 +1195,23 @@ mod tests {
     fn only_inputs_worth_handing_over_reach_the_helpers() {
         let blocks = [(2_000, (0..2_000).collect())];
         for helpers in [1, 3] {
-            // Uploader's inputs draw 4 words each: all on demand.
+            // Uploader's inputs draw 4 words each: all on demand, and no
+            // helper thread starts.
             let cheap = OffEngine::new("Uploader", false, false);
             let inputs = paper_session(&cheap, 5).inputs();
-            for (i, work) in drive(inputs, 0, helpers, &blocks) {
+            let (taken, started) = drive_counted(inputs, 0, helpers, &blocks);
+            for (i, work) in taken {
                 assert_eq!(work, inputs.generate(i), "Uploader arrival {i}");
             }
             assert_eq!(cheap.helper_calls.load(Ordering::Relaxed), 0);
-            // Hash's draw over a thousand: the helpers take part.
+            assert_eq!(started, 0, "{helpers} helpers");
+            // Hash's draw over a thousand: every helper starts and they
+            // take part.
             let costly = OffEngine::new("Hash", true, false);
-            drive(paper_session(&costly, 5).inputs(), 0, helpers, &blocks);
+            let (_, started) =
+                drive_counted(paper_session(&costly, 5).inputs(), 0, helpers, &blocks);
             assert!(costly.helper_calls.load(Ordering::Relaxed) > 0);
+            assert_eq!(started, helpers);
         }
     }
 

@@ -139,8 +139,9 @@ pub struct ProductionStats {
     pub storage: StorageStats,
     /// Timestamp of the last served arrival.
     pub end_time: SimTime,
-    /// Largest number of events pending in the kernel at once (bounded by
-    /// the arrival lookahead window).
+    /// Largest number of events pending in the kernel at once: the timer
+    /// wheel's events plus the streamed arrivals queued beside it, bounded
+    /// by the 2^16-event lookahead window.
     pub peak_pending_events: usize,
 }
 
@@ -795,9 +796,11 @@ pub fn run_closed_loop(workload: &dyn Workload, cfg: &RunConfig) -> RunResult {
 
 /// Replays a production-scale arrival stream (e.g.
 /// [`pronghorn_traces::ArrivalStream`]) with idle-timeout eviction,
-/// keeping memory O(workers): arrivals feed the kernel through a bounded
-/// lookahead window, the run records O(workers) provisions, restores and
-/// checkpoints, and latencies go into one log-bucketed histogram.
+/// keeping memory O(workers): arrivals wait in a plain queue beside the
+/// timer wheel, which holds only probes, pre-restores and expiries, with at
+/// most 2^16 events pending across the two; the run records O(workers)
+/// provisions, restores and checkpoints, and latencies go into one
+/// log-bucketed histogram.
 ///
 /// Arrivals must be non-decreasing (arrival streams are); an out-of-order
 /// arrival is clamped to the kernel clock rather than rewinding time.
