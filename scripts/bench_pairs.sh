@@ -6,13 +6,16 @@
 #   2. runs the two benchmarks alternately, `<pairs>` times, each run at
 #      `--seconds 3 --trace 0` with the same seed (which side runs first
 #      alternates too, so a drift in the host's speed hits both sides);
-#   3. prints, for each end-to-end metric that BENCHMARK.json lists, the
-#      median over the pairs of each side, the parent's quartiles, and in
-#      how many pairs the change was better (in the metric's direction).
+#   3. prints each side's `# sim_digest` (the hash of everything the run
+#      simulated), then, for each end-to-end metric that BENCHMARK.json
+#      lists, the median over the pairs of each side, the parent's
+#      quartiles, and in how many pairs the change was better (in the
+#      metric's direction).
 #
-# Only pairs measured on one host compare. A gain is evidence when the
-# change wins most pairs and its median lies outside the parent's
-# quartiles.
+# Only pairs measured on one host compare, and only when both sides
+# simulated the same thing: the digests must agree. A gain is evidence
+# when the change wins most pairs and its median lies outside the
+# parent's quartiles.
 #
 # Usage: scripts/bench_pairs.sh [--quick] <parent-dir> <change-dir> <workload> <pairs> [seed]
 #   --quick  runs the benchmark's tiny scale at `--seconds 0` (a smoke
@@ -20,8 +23,9 @@
 #   seed     defaults to 2654435769, the seed `results/sim_digests.txt`
 #            pins.
 #
-# Exits non-zero if a build fails, a run reports `"correct": false`, or a
-# result line lacks one of the end-to-end metrics.
+# Exits non-zero if a build fails, a run reports `"correct": false` or
+# prints no digest, a result line lacks one of the end-to-end metrics, or
+# the parent's and the change's digests differ (after printing the table).
 
 set -euo pipefail
 
@@ -52,13 +56,14 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
 # One run of side $1 (directory $2): its JSON result line, appended to
-# $out/$1.jsonl.
+# $out/$1.jsonl, and its `# sim_digest`, appended to $out/$1.digests.
 run() {
-    local line
-    line=$(cd "$2" && ./benchmark/target/release/pronghorn-benchmark \
+    local report
+    report=$(cd "$2" && ./benchmark/target/release/pronghorn-benchmark \
         --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
-        "${quick[@]}" | tail -n 1)
-    echo "$line" >> "$out/$1.jsonl"
+        "${quick[@]}")
+    tail -n 1 <<< "$report" >> "$out/$1.jsonl"
+    sed -n 's/^# sim_digest \([0-9a-f]*\)$/\1/p' <<< "$report" >> "$out/$1.digests"
 }
 
 for ((k = 1; k <= pairs; k++)); do
@@ -73,12 +78,13 @@ for ((k = 1; k <= pairs; k++)); do
 done
 
 python3 - "$change/BENCHMARK.json" "$out/parent.jsonl" "$out/change.jsonl" \
-    "$workload" "$seed" "$seconds" <<'EOF'
+    "$workload" "$seed" "$seconds" "$out/parent.digests" "$out/change.digests" <<'EOF'
 import json
 import statistics
 import sys
 
-bench, parent_path, change_path, workload, seed, seconds = sys.argv[1:]
+bench, parent_path, change_path, workload, seed, seconds = sys.argv[1:7]
+parent_digests, change_digests = sys.argv[7:]
 metrics = json.load(open(bench))["end_to_end"]
 
 
@@ -91,6 +97,16 @@ def load(path):
 
 
 parent, change = load(parent_path), load(change_path)
+
+
+def digest(path, runs):
+    found = open(path).read().split()
+    if len(found) != runs or len(set(found)) != 1:
+        sys.exit(f"{path}: expected one equal # sim_digest per run: {found}")
+    return found[0]
+
+
+digests = digest(parent_digests, len(parent)), digest(change_digests, len(change))
 
 
 def values(runs, name):
@@ -108,6 +124,7 @@ def quartiles(xs):
 
 
 print(f"# {workload} seed {seed}, --seconds {seconds}, pairs: {len(parent)}")
+print(f"# sim_digest parent {digests[0]} change {digests[1]}")
 print(f"{'metric':<15}{'parent':>14}{'change':>14}{'delta':>9}"
       f"{'parent q1':>14}{'parent q3':>14}{'won':>7}")
 for m in metrics:
@@ -119,4 +136,6 @@ for m in metrics:
     delta = f"{(cm - pm) / pm * 100:+.1f}%" if pm else "n/a"
     print(f"{name:<15}{pm:>14.6g}{cm:>14.6g}{delta:>9}"
           f"{q1:>14.6g}{q3:>14.6g}{won:>4}/{len(p)}")
+if digests[0] != digests[1]:
+    sys.exit("parent and change simulated different things: the sim_digests differ")
 EOF
